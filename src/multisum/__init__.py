@@ -17,10 +17,9 @@ from .kernels import (FactorFamily, DegenerateKernel, TabulatedKernel,
                       spectral_decompose, degenerate_approx,
                       kernel_to_json, kernel_from_json, quadrature_rule)
 from .index_sets import (IndexSet, Rect, RectPair, make_rect, staircase_set,
-                         explicit_set, best_inscribed_rect, circumscribed_rect,
-                         rect_pair, nclt_condition_report, ConditionReport,
-                         squares_family, squares_minus_corner_family,
-                         lshape_family)
+                         explicit_set, rect_pair, nclt_condition_report,
+                         ConditionReport, squares_family,
+                         squares_minus_corner_family, lshape_family)
 from .mc import (RngSpec, AxisDistribution, EmpiricalDist, compute_S_L,
                  naive_S_L, simulate_S_L, sample_S_infty, empirical_moment,
                  empirical_tail, save_empirical, load_empirical)

@@ -7,7 +7,8 @@ named by a digest of their own content (a fixed-name ``manifest.json`` maps
 logical kinds to those names).
 
 Exit codes: 0 success, 2 config error, 3 verification hypotheses not met,
-4 numeric divergence marker encountered.
+4 numeric divergence marker encountered, 5 verification ran and failed.
+When several apply, the first of 2, 4, 3, 5 wins.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_HYPOTHESES = 3
 EXIT_DIVERGENCE = 4
+EXIT_FAILED = 5
+
+_VERDICT_EXIT = {"pass": EXIT_OK, "hypotheses not met": EXIT_HYPOTHESES}
 
 
 class ConfigError(ValueError):
@@ -234,8 +238,7 @@ def cmd_verify(cfg, out: OutputSet, workers: int) -> int:
         csv_name = out.add("stages", "csv", report.to_csv().encode())
         out.add("verdict", "json", _dump_json(report.to_json()))
         out.add("plot", "gp", _gnuplot_script(csv_name, 5, "KS distance"))
-        return EXIT_OK if report.verdict == "pass" else (
-            EXIT_HYPOTHESES if report.verdict == "hypotheses not met" else EXIT_OK)
+        return _VERDICT_EXIT.get(report.verdict, EXIT_FAILED)
 
     if which == "sandwich":
         kernel = _load_kernel(cfg)
@@ -252,7 +255,7 @@ def cmd_verify(cfg, out: OutputSet, workers: int) -> int:
                                       report.empirical_se, report.upper))
         csv_name = out.add("sandwich", "csv", csv.encode())
         out.add("plot", "gp", _gnuplot_script(csv_name, 3, "|S_L|_p"))
-        return EXIT_OK
+        return EXIT_OK if report.passed else EXIT_FAILED
 
     if which == "tail":
         kernel = _load_kernel(cfg)
@@ -267,7 +270,7 @@ def cmd_verify(cfg, out: OutputSet, workers: int) -> int:
             f"{_fmt(y)},{_fmt(tail_bound_eval(tb, y))}\n" for y in report.y_grid)
         csv_name = out.add("tailbound", "csv", csv.encode())
         out.add("plot", "gp", _gnuplot_script(csv_name, 2, "tail bound"))
-        return EXIT_OK
+        return EXIT_OK if report.dominated else EXIT_FAILED
 
     if which == "parametric":
         pk = parametric_kernel_from_json(_require(cfg, "parametric_kernel", dict))
@@ -288,9 +291,7 @@ def cmd_verify(cfg, out: OutputSet, workers: int) -> int:
             out.add("entropy_profile", "csv", profile_csv(report.profile).encode())
         if math.isinf(report.hypotheses["entropy_integral"]):
             return EXIT_DIVERGENCE
-        if report.verdict == "hypotheses not met":
-            return EXIT_HYPOTHESES
-        return EXIT_OK
+        return _VERDICT_EXIT.get(report.verdict, EXIT_FAILED)
 
     raise ConfigError("verify.which must be one of nclt | sandwich | tail | parametric")
 

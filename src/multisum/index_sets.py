@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,8 +24,6 @@ __all__ = [
     "make_rect",
     "staircase_set",
     "explicit_set",
-    "best_inscribed_rect",
-    "circumscribed_rect",
     "rect_pair",
     "nclt_condition_report",
     "ConditionReport",
@@ -99,6 +98,38 @@ class IndexSet:
         if self.kind == "rect":
             return int(self.params[axis])
         return int(self.cells[:, axis].max())
+
+    @cached_property
+    def boxes(self) -> tuple:
+        """Disjoint lattice boxes (``Rect``) whose union is the set, sorted by corners.
+
+        Runs of consecutive cells along the last axis come first; then, one
+        axis at a time from the second-to-last to the first, boxes that agree
+        on every other axis and abut along this one merge.  A rectangle is
+        one box and an L-shape two.
+        """
+        cells = self.cells
+        last = cells[:, -1]
+        new = np.ones(len(cells), dtype=bool)
+        new[1:] = np.any(cells[1:, :-1] != cells[:-1, :-1], axis=1) | (np.diff(last) != 1)
+        starts = np.flatnonzero(new)
+        lo = cells[starts]
+        hi = lo.copy()
+        hi[:, -1] = last[np.append(starts[1:], len(cells)) - 1]
+        for axis in range(self.d - 2, -1, -1):
+            # boxes are still one cell thick along ``axis``: group by the other
+            # extents, then merge neighbours one apart along ``axis``
+            others = [s for s in range(self.d) if s != axis]
+            key = np.concatenate([lo[:, others], hi[:, others]], axis=1)
+            order = np.lexsort((lo[:, axis],) + tuple(key.T[::-1]))
+            lo, hi, key = lo[order], hi[order], key[order]
+            new = np.ones(len(lo), dtype=bool)
+            new[1:] = np.any(key[1:] != key[:-1], axis=1) | (lo[1:, axis] != hi[:-1, axis] + 1)
+            starts = np.flatnonzero(new)
+            lo, hi = lo[starts], hi[np.append(starts[1:], len(new)) - 1]
+        corners = np.concatenate([lo, hi], axis=1)
+        return tuple(Rect(tuple(int(v) for v in lo[i]), tuple(int(v) for v in hi[i]))
+                     for i in np.lexsort(corners.T[::-1]))
 
     def bounding_box(self) -> Rect:
         return Rect(tuple(int(v) for v in self.cells.min(axis=0)),
@@ -253,22 +284,15 @@ def _best_rect_heuristic(L: IndexSet, restarts: int = 8):
     return Rect(tuple(int(v) for v in lo), tuple(int(v) for v in hi))
 
 
-def best_inscribed_rect(L: IndexSet) -> RectPair:
-    """Maximum-cardinality rectangle inside L (exact for d = 2) with both deficiencies.
-
-    The inscribed side drives the deficiency ``kappa_minus = |L \\ L_minus| /
-    sqrt(|L|)``; the circumscribed side is the bounding box.  For d >= 3 a
-    restart coordinate-descent heuristic is used and flagged in the result.
-    """
-    return rect_pair(L)
-
-
-def circumscribed_rect(L: IndexSet) -> RectPair:
-    """Bounding box of L with ``kappa_plus = |L_plus \\ L| / sqrt(|L|)`` (and the inner side)."""
-    return rect_pair(L)
-
-
 def rect_pair(L: IndexSet) -> RectPair:
+    """Best inscribed and circumscribed rectangles of L with both deficiencies.
+
+    The inscribed side is a maximum-cardinality rectangle inside L (exact for
+    d = 2) and drives ``kappa_minus = |L \\ L_minus| / sqrt(|L|)``; the
+    circumscribed side is the bounding box, with ``kappa_plus = |L_plus \\ L|
+    / sqrt(|L|)``.  For d >= 3 a restart coordinate-descent heuristic finds
+    the inscribed side and the result is flagged ``inner_exact=False``.
+    """
     box = L.bounding_box()
     exact = True
     if L.kind == "rect":

@@ -132,13 +132,6 @@ class FactorFamily:
             "tabulated": None,
         }[self.kind]
 
-    def max_index(self) -> int:
-        if self.kind == "rademacher_sign":
-            return 1
-        if self.kind == "tabulated":
-            return self.table.shape[0]
-        return 10 ** 6  # polynomial families extend to any order
-
     def evaluate(self, k: int, x) -> np.ndarray:
         """Value of the k-th factor at points x (k is 1-based)."""
         if k < 1:

@@ -7,13 +7,16 @@ across workers or how large a batch is requested.  All sampling is inverse
 CDF on those uniforms.
 
 The normalized sum over an index set L is ``S_L = |L|**-0.5 *
-sum_{k in L} f(xi_{k_1}(1), ..., xi_{k_d}(d))``.  For rectangles it
-factorizes: per axis, per factor index, one pass accumulates
-``F_s[k] = sum_i g_k(xi_i(s))`` and the sum collapses to
-``sum_k lambda(k) prod_s F_s[k_s]``, costing O(rank * sum n_s) instead of
-O(rank * prod n_s).  The Gaussian-chaos limit is sampled directly as
-``sum_k lambda(k) prod_s beta_s[k_s]`` with fresh standard normal arrays per
-replication.
+sum_{k in L} f(xi_{k_1}(1), ..., xi_{k_d}(d))``.  Every L is a disjoint union
+of lattice boxes (``IndexSet.boxes``), and over one box the sum factorizes:
+per axis, a slice sum ``F_s[k] = sum_{i in box_s} g_k(xi_i(s))`` of the factor
+table, then ``sum_k lambda(k) prod_s F_s[k_s]``.  One contraction sums that
+over the boxes, costing O(rank * boxes * sum n_s) instead of O(rank * |L|),
+and applies weight vectors last, so a parametric field ``Q_L(v)`` is the
+same computation with ``|V|`` weights and ``S_L`` its ``|V| = 1`` row.  The
+Gaussian-chaos limit ``sum_k lambda(k) prod_s beta_s[k_s]`` is the same
+contraction over one single-cell box whose factor tables are fresh standard
+normal arrays per replication.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln, logsumexp, ndtri
 
-from .index_sets import IndexSet
+from .index_sets import IndexSet, Rect
 
 __all__ = [
     "RngSpec",
@@ -250,56 +253,67 @@ def empirical_tail(dist: EmpiricalDist, y: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _axis_blocks(kernel, samples):
-    blocks = []
+def _check_cover(kernel, L, axis_samples):
     for axis in range(kernel.d):
-        kmax = kernel.axis_max_index(axis)
-        x = np.asarray(samples[axis], dtype=float)
-        blocks.append(kernel.factors[axis].evaluate_block(kmax, x) if kmax else None)
-    return blocks
+        if L.axis_max(axis) > len(axis_samples[axis]):
+            raise ValueError(f"axis {axis} samples do not cover the index set")
+
+
+def _weight_columns(lam: dict) -> list:
+    """``(k, (|V|, 1) weight column)`` pairs; a scalar weight is the ``|V| = 1`` field."""
+    return [(k, np.asarray(w, dtype=float).reshape(-1, 1)) for k, w in lam.items()]
+
+
+def _kmax(lam, d: int) -> list:
+    """Largest factor index per axis (1 for an empty kernel, whose sum is zero)."""
+    return [max((k[axis] for k, _ in lam), default=1) for axis in range(d)]
+
+
+def _contract(tables, boxes, lam, nv: int) -> np.ndarray:
+    """``sum_k w_k sum_B prod_s sum_{i in B_s} tables[s][k_s - 1, :, i - 1]``, shape (|V|, reps).
+
+    ``tables[s]`` is axis s's factor table, shape (kmax_s, reps, columns);
+    ``boxes`` are disjoint 1-based inclusive ``Rect``s; ``lam`` pairs
+    multi-indices with (|V|, 1) weight columns.  Weights multiply the assembled
+    core last, so each row is bit-identical to the ``|V| = 1`` contraction of
+    its slice kernel.
+    """
+    sums = [[t[:, :, a - 1:b].sum(axis=2) for t, a, b in zip(tables, box.lo, box.hi)]
+            for box in boxes]
+    out = np.zeros((nv, tables[0].shape[1]))
+    for kvec, wv in lam:
+        core = None
+        for box_sums in sums:
+            term = box_sums[0][kvec[0] - 1]
+            for axis in range(1, len(kvec)):
+                term = term * box_sums[axis][kvec[axis] - 1]
+            core = term if core is None else core + term
+        out += wv * core
+    return out
 
 
 def compute_S_L(kernel, L: IndexSet, axis_samples) -> float:
     """Normalized sum for one realization of the axis samples.
 
-    Rectangles use the per-axis factorization; irregular sets fall back to
-    the direct sum over cells with per-axis factor memoization.
+    The set is contracted box by box: per box and axis, one slice sum of the
+    factor values, multiplied across axes and summed over the boxes.  A
+    rectangle is a single box, so it costs O(rank * sum n_s) rather than the
+    O(rank * prod n_s) of ``naive_S_L``.
     """
-    for axis in range(kernel.d):
-        if L.axis_max(axis) > len(axis_samples[axis]):
-            raise ValueError(f"axis {axis} samples do not cover the index set")
-    if not kernel.lam:
-        return 0.0
-    blocks = _axis_blocks(kernel, axis_samples)
-    root = math.sqrt(L.size)
-    if L.kind == "rect":
-        total = 0.0
-        sums = [b[:, :L.params[axis]].sum(axis=1) if b is not None else None
-                for axis, b in enumerate(blocks)]
-        for kvec, w in kernel.lam.items():
-            prod = w
-            for axis, k in enumerate(kvec):
-                prod *= sums[axis][k - 1]
-            total += prod
-        return total / root
-    cells = L.cells
-    total = 0.0
-    for kvec, w in kernel.lam.items():
-        prod = np.ones(cells.shape[0])
-        for axis, k in enumerate(kvec):
-            prod = prod * blocks[axis][k - 1][cells[:, axis] - 1]
-        total += w * float(prod.sum())
-    return total / root
+    _check_cover(kernel, L, axis_samples)
+    lam = _weight_columns(kernel.lam)
+    tables = [fam.evaluate_block(kmax, x)[:, None, :]
+              for fam, kmax, x in zip(kernel.factors, _kmax(lam, kernel.d), axis_samples)]
+    return float(_contract(tables, L.boxes, lam, 1)[0, 0]) / math.sqrt(L.size)
 
 
 def naive_S_L(kernel, L: IndexSet, axis_samples) -> float:
-    """Reference direct summation over all cells, ignoring rectangle structure."""
-    for axis in range(kernel.d):
-        if L.axis_max(axis) > len(axis_samples[axis]):
-            raise ValueError(f"axis {axis} samples do not cover the index set")
+    """Reference direct summation over all cells, ignoring box structure."""
+    _check_cover(kernel, L, axis_samples)
     if not kernel.lam:
         return 0.0
-    blocks = _axis_blocks(kernel, axis_samples)
+    blocks = [fam.evaluate_block(kernel.axis_max_index(axis), x)
+              for axis, (fam, x) in enumerate(zip(kernel.factors, axis_samples))]
     cells = L.cells
     total = 0.0
     for kvec, w in kernel.lam.items():
@@ -328,60 +342,68 @@ def _provenance(kind, kernel, L, dists, n, seed) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _batch_S_L(kernel, L, dists, rng, rep_start, rep_count):
-    """Vectorized sums for replications [rep_start, rep_start + rep_count)."""
-    ncols = [L.axis_max(axis) for axis in range(kernel.d)]
-    xs = [dists[axis].sample_block(rng, axis, rep_start, rep_count, ncols[axis])
-          for axis in range(kernel.d)]
-    if not kernel.lam:
-        return np.zeros(rep_count)
-    blocks = []
-    for axis in range(kernel.d):
-        kmax = kernel.axis_max_index(axis)
-        flat = kernel.factors[axis].evaluate_block(kmax, xs[axis].ravel())
-        blocks.append(flat.reshape(kmax, rep_count, ncols[axis]))
-    root = math.sqrt(L.size)
-    out = np.zeros(rep_count)
-    # weights multiply the assembled core last, so the parametric field path
-    # can share one core across its whole grid and stay bit-identical per slice
-    if L.kind == "rect":
-        sums = [b.sum(axis=2) for b in blocks]           # (kmax, reps)
-        for kvec, w in kernel.lam.items():
-            core = sums[0][kvec[0] - 1]
-            for axis in range(1, kernel.d):
-                core = core * sums[axis][kvec[axis] - 1]
-            out += w * core
-        return out / root
-    cells = L.cells
-    for kvec, w in kernel.lam.items():
-        core = blocks[0][kvec[0] - 1][:, cells[:, 0] - 1]
-        for axis in range(1, kernel.d):
-            core = core * blocks[axis][kvec[axis] - 1][:, cells[:, axis] - 1]
-        out += w * core.sum(axis=1)
-    return out / root
+def _run_blocks(batch, N, nv, workers, floats_per_rep):
+    """(N, nv) matrix assembled from ``batch(start, count)`` blocks of shape (nv, count).
 
-
-def _run_blocks(worker_fn, N, workers, block_cap):
-    """Partition replications into worker chunks and memory blocks; order-stable."""
+    Worker chunks partition the replications in order; within a chunk a
+    block holds as many replications as fit the float budget, given what one
+    replication's block holds, so peak memory follows the real footprint.
+    """
+    block_cap = max(1, _BLOCK_BUDGET // floats_per_rep)
+    out = np.empty((N, nv))
     edges = np.linspace(0, N, num=max(1, int(workers)) + 1, dtype=int)
     chunks = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
     def run_chunk(bounds):
         a, b = bounds
-        parts = []
-        start = a
-        while start < b:
+        for start in range(a, b, block_cap):
             count = min(block_cap, b - start)
-            parts.append(worker_fn(start, count))
-            start += count
-        return np.concatenate(parts) if parts else np.empty(0)
+            out[start:start + count] = batch(start, count).T
 
     if len(chunks) <= 1:
-        results = [run_chunk(c) for c in chunks]
+        for c in chunks:
+            run_chunk(c)
     else:
         with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(pool.map(run_chunk, chunks))
-    return np.concatenate(results) if results else np.empty(0)
+            list(pool.map(run_chunk, chunks))
+    return out
+
+
+def _sum_field(factors, lam, nv, L, dists, N, rng, workers) -> np.ndarray:
+    """(N, nv) normalized sums over L; one sampling pass serves every weight vector."""
+    kmax = _kmax(lam, len(factors))
+    ncols = [L.axis_max(axis) for axis in range(len(factors))]
+    boxes = L.boxes
+    root = math.sqrt(L.size)
+
+    def batch(rep_start, rep_count):
+        tables = []
+        for axis, (fam, dist) in enumerate(zip(factors, dists)):
+            x = dist.sample_block(rng, axis, rep_start, rep_count, ncols[axis])
+            flat = fam.evaluate_block(kmax[axis], x.ravel())
+            tables.append(flat.reshape(kmax[axis], rep_count, ncols[axis]))
+        return _contract(tables, boxes, lam, nv) / root
+
+    # uniforms, factor table and box sums per axis, plus the nv outputs
+    per_rep = sum(n * dist.uniforms_per_coord + k * n + len(boxes) * k
+                  for n, k, dist in zip(ncols, kmax, dists)) + nv
+    return _run_blocks(batch, N, nv, workers, per_rep)
+
+
+def _limit_field(lam, nv, d, N, rng, workers) -> np.ndarray:
+    """(N, nv) chaos-limit values: the beta arrays are the tables of one single-cell box."""
+    kmax = _kmax(lam, d)
+    cell = (Rect((1,) * d, (1,) * d),)
+
+    def batch(rep_start, rep_count):
+        tables = []
+        for axis in range(d):
+            u = rng.uniform_block(TAG_BETA, axis, rep_start, rep_count, kmax[axis])
+            tables.append(ndtri(np.clip(u, 2.0 ** -60, 1.0 - 2.0 ** -53)).T[:, :, None])
+        return _contract(tables, cell, lam, nv)
+
+    per_rep = sum(3 * k for k in kmax) + nv     # uniforms, table, box sums; outputs
+    return _run_blocks(batch, N, nv, workers, per_rep)
 
 
 def simulate_S_L(kernel, L: IndexSet, dists, N: int, rng: RngSpec,
@@ -395,30 +417,10 @@ def simulate_S_L(kernel, L: IndexSet, dists, N: int, rng: RngSpec,
         raise ValueError("need at least one replication")
     if len(dists) != kernel.d:
         raise ValueError("need one axis distribution per kernel axis")
-    cell_count = L.size if L.kind != "rect" else 1
-    block_cap = max(256, _BLOCK_BUDGET // max(cell_count, max(
-        L.axis_max(axis) for axis in range(kernel.d))))
-    vals = _run_blocks(lambda a, c: _batch_S_L(kernel, L, dists, rng, a, c),
-                       N, workers, block_cap)
-    return EmpiricalDist(vals, _provenance("S_L", kernel, L, dists, N, rng.seed),
+    vals = _sum_field(kernel.factors, _weight_columns(kernel.lam), 1, L, dists, N, rng,
+                      workers)
+    return EmpiricalDist(vals[:, 0], _provenance("S_L", kernel, L, dists, N, rng.seed),
                          seed=rng.seed)
-
-
-def _batch_S_infty(lam, d, rng, rep_start, rep_count):
-    if not lam:
-        return np.zeros(rep_count)
-    kmax = [max(kvec[axis] for kvec in lam) for axis in range(d)]
-    betas = []
-    for axis in range(d):
-        u = rng.uniform_block(TAG_BETA, axis, rep_start, rep_count, kmax[axis])
-        betas.append(ndtri(np.clip(u, 2.0 ** -60, 1.0 - 2.0 ** -53)))
-    out = np.zeros(rep_count)
-    for kvec, w in lam.items():
-        core = betas[0][:, kvec[0] - 1]
-        for axis in range(1, d):
-            core = core * betas[axis][:, kvec[axis] - 1]
-        out += w * core
-    return out
 
 
 def sample_S_infty(lam: dict, d: int, N: int, rng: RngSpec,
@@ -427,11 +429,9 @@ def sample_S_infty(lam: dict, d: int, N: int, rng: RngSpec,
     if N < 1:
         raise ValueError("need at least one replication")
     lam = {tuple(k): float(w) for k, w in lam.items()}
-    vals = _run_blocks(lambda a, c: _batch_S_infty(lam, d, rng, a, c),
-                       N, workers, max(512, _BLOCK_BUDGET // max(
-                           1, sum(max((k[axis] for k in lam), default=1) for axis in range(d)))))
+    vals = _limit_field(_weight_columns(lam), 1, d, N, rng, workers)
     payload = {"lambda": sorted((list(k), w) for k, w in lam.items()), "d": d}
-    return EmpiricalDist(vals, _provenance("S_infty", payload, None, None, N, rng.seed),
+    return EmpiricalDist(vals[:, 0], _provenance("S_infty", payload, None, None, N, rng.seed),
                          seed=rng.seed)
 
 

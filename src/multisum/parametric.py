@@ -23,11 +23,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .kernels import DegenerateKernel, kernel_to_json
-from .mc import (TAG_BETA, EmpiricalDist, RngSpec, _run_blocks,
-                 empirical_moment)
+from .mc import (EmpiricalDist, RngSpec, _limit_field, _sum_field,
+                 _weight_columns, empirical_moment)
 from .psi import PsiFunction
 from .rosenthal import rosenthal_K
 from .verify import factor_moment_under, ks_critical, ks_distance
@@ -297,88 +296,28 @@ def entropy_integral_exp(profile: EntropyProfile, tau: PsiFunction) -> IntegralR
 # ---------------------------------------------------------------------------
 
 
-def _batch_Q_L(pk: ParametricKernel, L, dists, rng, rep_start, rep_count):
-    """(n_points, rep_count) matrix of field values; one sampling pass, |V| contractions.
-
-    The per-slice arithmetic replays the scalar batch path operation by
-    operation, so each marginal is bit-identical to ``simulate_S_L`` of the
-    slice kernel under the same stream policy.
-    """
-    ncols = [L.axis_max(axis) for axis in range(pk.d)]
-    xs = [dists[axis].sample_block(rng, axis, rep_start, rep_count, ncols[axis])
-          for axis in range(pk.d)]
-    blocks = []
-    for axis in range(pk.d):
-        kmax = max(kvec[axis] for kvec in pk.lam)
-        flat = pk.factors[axis].evaluate_block(kmax, xs[axis].ravel())
-        blocks.append(flat.reshape(kmax, rep_count, ncols[axis]))
-    root = math.sqrt(L.size)
-    out = np.zeros((pk.n_points, rep_count))
-    if L.kind == "rect":
-        sums = [b.sum(axis=2) for b in blocks]
-        for kvec, wv in pk.lam.items():
-            core = sums[0][kvec[0] - 1]
-            for axis in range(1, pk.d):
-                core = core * sums[axis][kvec[axis] - 1]
-            out += wv[:, None] * core[None, :]
-    else:
-        cells = L.cells
-        for kvec, wv in pk.lam.items():
-            core = blocks[0][kvec[0] - 1][:, cells[:, 0] - 1]
-            for axis in range(1, pk.d):
-                core = core * blocks[axis][kvec[axis] - 1][:, cells[:, axis] - 1]
-            out += wv[:, None] * core.sum(axis=1)[None, :]
-    return out / root
-
-
 def simulate_Q_L(pk: ParametricKernel, L, dists, N: int, rng: RngSpec,
                  workers: int = 1):
     """Simulate the field over V: per-point distributions plus the sup-field.
 
     Axis samples are shared across grid points within each replication (the
     field structure); the sup-field collects ``max_v |Q_L(v)|`` per
-    replication.
+    replication.  Each marginal is bit-identical to ``simulate_S_L`` of the
+    slice kernel under the same stream policy.
     """
     if N < 1:
         raise ValueError("need at least one replication")
-    nv = pk.n_points
-
-    def block(a, c):
-        return _batch_Q_L(pk, L, dists, rng, a, c).T.copy()   # (c, nv), rep-major
-
-    cell_count = L.size if L.kind != "rect" else 1
-    cap = max(128, (1 << 21) // max(cell_count, nv))
-    flat = _run_blocks(lambda a, c: block(a, c).ravel(), N, workers, cap)
-    mat = flat.reshape(N, nv)
-    per_v = []
-    for v in range(nv):
-        per_v.append(EmpiricalDist(mat[:, v], f"Q_L[v={v}]", seed=rng.seed))
+    mat = _sum_field(pk.factors, _weight_columns(pk.lam), pk.n_points, L, dists, N, rng,
+                     workers)
+    per_v = [EmpiricalDist(mat[:, v], f"Q_L[v={v}]", seed=rng.seed)
+             for v in range(pk.n_points)]
     sup = EmpiricalDist(np.abs(mat).max(axis=1), "sup_field", seed=rng.seed)
     return per_v, sup
 
 
-def _batch_Q_infty(pk: ParametricKernel, rng, rep_start, rep_count):
-    """Limit field with one shared Gaussian array per replication across all v."""
-    kmax = [max(kvec[axis] for kvec in pk.lam) for axis in range(pk.d)]
-    betas = []
-    for axis in range(pk.d):
-        u = rng.uniform_block(TAG_BETA, axis, rep_start, rep_count, kmax[axis])
-        betas.append(ndtri(np.clip(u, 2.0 ** -60, 1.0 - 2.0 ** -53)))
-    out = np.zeros((pk.n_points, rep_count))
-    for kvec, wv in pk.lam.items():
-        core = betas[0][:, kvec[0] - 1]
-        for axis in range(1, pk.d):
-            core = core * betas[axis][:, kvec[axis] - 1]
-        out += wv[:, None] * core[None, :]
-    return out
-
-
 def sample_Q_infty(pk: ParametricKernel, N: int, rng: RngSpec, workers: int = 1):
     """Per-point limit samples sharing betas across v within each replication."""
-    flat = _run_blocks(lambda a, c: _batch_Q_infty(pk, rng, a, c).T.copy().ravel(),
-                       N, workers, max(512, (1 << 21) // pk.n_points))
-    mat = flat.reshape(N, pk.n_points)
-    return mat
+    return _limit_field(_weight_columns(pk.lam), pk.n_points, pk.d, N, rng, workers)
 
 
 # ---------------------------------------------------------------------------

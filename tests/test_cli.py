@@ -129,6 +129,18 @@ def test_verify_gauss_rank1_passes(tmp_path):
     assert manifest["files"]["plot"].endswith(".gp")
 
 
+def test_verify_failed_check_exits_5(tmp_path):
+    cfg = json.loads((CONFIG_DIR / "gauss_rank1.json").read_text())
+    cfg["verify"]["final_ks"] = 1e-6
+    path = tmp_path / "strict.json"
+    path.write_text(json.dumps(cfg))
+    code, out = run_cmd(tmp_path, "verify", path)
+    assert code == 5
+    manifest = json.loads((out / "manifest.json").read_text())
+    verdict = json.loads((out / manifest["files"]["verdict"]).read_text())
+    assert verdict["verdict"] == "fail"
+
+
 def test_verify_lshape_hypotheses_not_met(tmp_path):
     code, out = run_cmd(tmp_path, "verify", CONFIG_DIR / "lshape_fixed_fraction.json")
     assert code == 3

@@ -6,10 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from multisum import (best_inscribed_rect, circumscribed_rect, explicit_set,
-                      lshape_family, make_rect, nclt_condition_report,
-                      rect_pair, squares_family, squares_minus_corner_family,
-                      staircase_set)
+from multisum import (explicit_set, lshape_family, make_rect,
+                      nclt_condition_report, rect_pair, squares_family,
+                      squares_minus_corner_family, staircase_set)
 
 
 def brute_force_best_rect(cells):
@@ -64,7 +63,7 @@ def test_staircase_profile():
 
 def test_rect_is_its_own_inscribed_rect():
     L = make_rect([5, 3])
-    pair = best_inscribed_rect(L)
+    pair = rect_pair(L)
     assert pair.kappa_minus == 0.0
     assert pair.kappa_plus == 0.0
     assert pair.l_minus.size == 15
@@ -76,7 +75,7 @@ def test_staircase_inscribed_matches_enumeration():
     L = staircase_set([4, 4, 3, 2])
     oracle = brute_force_best_rect(L.cells)
     assert oracle == 9
-    pair = best_inscribed_rect(L)
+    pair = rect_pair(L)
     assert pair.l_minus.size == oracle
     assert pair.kappa_minus == pytest.approx(4 / math.sqrt(13), rel=1e-12)
 
@@ -85,7 +84,7 @@ def test_union_of_two_rects():
     cells = ([(i, j) for i in range(1, 4) for j in range(1, 4)]       # 3x3 block
              + [(i, j) for i in range(10, 12) for j in range(1, 3)])  # 2x2 block
     L = explicit_set(cells)
-    pair = best_inscribed_rect(L)
+    pair = rect_pair(L)
     assert pair.l_minus.size == 9
     assert pair.kappa_minus == pytest.approx(4 / math.sqrt(13), rel=1e-12)
 
@@ -99,13 +98,13 @@ def test_inscribed_optimal_on_random_small_sets():
         if not cells:
             continue
         L = explicit_set(cells)
-        assert best_inscribed_rect(L).l_minus.size == brute_force_best_rect(cells)
+        assert rect_pair(L).l_minus.size == brute_force_best_rect(cells)
 
 
 def test_inscribed_tie_break_lexicographic():
     # two max rectangles of equal size; the lexicographically smaller corner wins
     L = explicit_set([(1, 1), (1, 2), (3, 1), (3, 2)])
-    pair = best_inscribed_rect(L)
+    pair = rect_pair(L)
     assert pair.l_minus.lo == (1, 1) and pair.l_minus.size == 2
 
 
@@ -115,16 +114,16 @@ def test_inscribed_tie_break_lexicographic():
 
 
 def test_circumscribed_examples():
-    assert circumscribed_rect(make_rect([4, 4])).kappa_plus == 0.0
+    assert rect_pair(make_rect([4, 4])).kappa_plus == 0.0
     stair = staircase_set([4, 4, 3, 2])
-    assert circumscribed_rect(stair).kappa_plus == pytest.approx(
+    assert rect_pair(stair).kappa_plus == pytest.approx(
         3 / math.sqrt(13), rel=1e-12)
 
 
 def test_circumscribed_diagonal_grows():
     for n in (4, 9, 16):
         L = explicit_set([(i, i) for i in range(1, n + 1)])
-        pair = circumscribed_rect(L)
+        pair = rect_pair(L)
         assert pair.kappa_plus == pytest.approx((n * n - n) / math.sqrt(n), rel=1e-12)
     # deficiency grows with n: the growth condition must fail on this family
     report = nclt_condition_report(
@@ -224,7 +223,7 @@ def test_inscribed_optimal_up_to_400_cell_boxes():
                 for d in range(c, 20):
                     if grid[a:b + 1, c:d + 1].all():
                         best = max(best, (b - a + 1) * (d - c + 1))
-    assert best_inscribed_rect(L).l_minus.size == best
+    assert rect_pair(L).l_minus.size == best
 
 
 def test_index_set_json_round_trip():
@@ -234,3 +233,13 @@ def test_index_set_json_round_trip():
         clone = index_set_from_json(L.to_json())
         assert clone.kind == L.kind and clone.d == L.d
         assert np.array_equal(clone.cells, L.cells)
+
+
+def test_boxes_of_stock_shapes():
+    assert [(b.lo, b.hi) for b in make_rect([3, 4, 2]).boxes] == [((1, 1, 1), (3, 4, 2))]
+    assert [(b.lo, b.hi) for b in lshape_family([8])[0].boxes] == [
+        ((1, 1), (4, 8)), ((5, 1), (8, 4))]
+    assert [(b.lo, b.hi) for b in staircase_set([3, 3, 1]).boxes] == [
+        ((1, 1), (2, 3)), ((3, 1), (3, 1))]
+    assert [(b.lo, b.hi) for b in explicit_set([(2,), (3,), (5,)]).boxes] == [
+        ((2,), (3,)), ((5,), (5,))]

@@ -9,9 +9,9 @@ from scipy.stats import norm
 
 from multisum import (AxisDistribution, DegenerateKernel, EmpiricalDist,
                       RngSpec, compute_S_L, empirical_moment, empirical_tail,
-                      hermite_family, load_empirical, make_rect, naive_S_L,
-                      sample_S_infty, save_empirical, simulate_S_L,
-                      staircase_set)
+                      hermite_family, load_empirical, lshape_family,
+                      make_rect, naive_S_L, sample_S_infty, save_empirical,
+                      simulate_S_L, staircase_set)
 
 GAUSS = [AxisDistribution("standard_normal")] * 2
 
@@ -28,9 +28,10 @@ def hermite_kernel(lam, d=2, orthonormal=True):
 @pytest.mark.parametrize("workers", [1, 4, 16])
 def test_worker_count_invariance(workers):
     k = hermite_kernel({(1, 1): 1.0, (2, 2): 0.5})
-    base = simulate_S_L(k, make_rect([5, 7]), GAUSS, 3000, RngSpec(99), workers=1)
-    split = simulate_S_L(k, make_rect([5, 7]), GAUSS, 3000, RngSpec(99), workers=workers)
-    assert np.array_equal(base.values, split.values)
+    for L in (make_rect([5, 7]), lshape_family([6])[0]):
+        base = simulate_S_L(k, L, GAUSS, 3000, RngSpec(99), workers=1)
+        split = simulate_S_L(k, L, GAUSS, 3000, RngSpec(99), workers=workers)
+        assert np.array_equal(base.values, split.values)
 
 
 def test_single_replication_reproducible():

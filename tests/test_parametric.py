@@ -11,8 +11,9 @@ from multisum import (AxisDistribution, EntropyProfile,
                       ParametricKernel, RngSpec, check_theorem_8,
                       covering_profile, entropy_integral_exp,
                       entropy_integral_power, extremal, hermite_family,
-                      make_rect, power_log, rho_lambda, sigma_lambda,
-                      simulate_Q_L, simulate_S_L, verify_rect_nclt)
+                      lshape_family, make_rect, power_log, rho_lambda,
+                      sigma_lambda, simulate_Q_L, simulate_S_L,
+                      verify_rect_nclt)
 from multisum.parametric import (parametric_kernel_from_json,
                                  parametric_kernel_to_json, sample_Q_infty)
 
@@ -218,11 +219,11 @@ def test_singleton_grid_reduces_to_scalar_sim():
     v = np.array([[0.7]])
     pk = ParametricKernel(v, {(1, 1): np.array([0.8]), (2, 2): np.array([0.2])},
                           [hermite_family()] * 2, orthonormal=True)
-    L = make_rect([4, 5])
-    per_v, sup = simulate_Q_L(pk, L, GAUSS2, 800, RngSpec(61))
-    scalar = simulate_S_L(pk.slice_kernel(0), L, GAUSS2, 800, RngSpec(61))
-    assert np.array_equal(per_v[0].values, scalar.values)       # bit-identical
-    assert np.array_equal(sup.values, np.sort(np.abs(scalar.values)))
+    for L in (make_rect([4, 5]), lshape_family([6])[0]):
+        per_v, sup = simulate_Q_L(pk, L, GAUSS2, 800, RngSpec(61))
+        scalar = simulate_S_L(pk.slice_kernel(0), L, GAUSS2, 800, RngSpec(61))
+        assert np.array_equal(per_v[0].values, scalar.values)       # bit-identical
+        assert np.array_equal(sup.values, np.sort(np.abs(scalar.values)))
 
 
 def test_constant_weights_sup_is_absolute_value():
