@@ -8,7 +8,7 @@ import numpy as np
 
 from multisum import (DegenerateKernel, TabulatedKernel, degenerate_approx,
                       dp_quasinorm, hermite_family, klesov_bound, rosenthal_K,
-                      spectral_decompose, theorem_W_bound, trivial_bound)
+                      theorem_W_bound, trivial_bound)
 
 print("=== the Rosenthal function ===")
 for p in (2.0, math.e, 4.0, 8.0, 33.461):
@@ -30,7 +30,7 @@ print(f"  best split:    {rep.bound_value:8.4f}   (rank M* = {rep.m_star})")
 
 print("\n=== Brownian covariance min(x, y): spectral structure ===")
 tk = TabulatedKernel.from_function(lambda x, y: np.minimum(x, y), n=256)
-s, left, right = spectral_decompose(tk)
+s, left, right = tk.spectral()
 print("  k   numeric        4/(pi^2 (2k-1)^2)")
 for k in range(1, 6):
     exact = 4 / (math.pi ** 2 * (2 * k - 1) ** 2)

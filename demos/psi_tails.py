@@ -6,20 +6,20 @@ import math
 
 import numpy as np
 
-from multisum import (MomentCurve, TailBound, eval_psi, exp_power, extremal,
+from multisum import (MomentCurve, TailBound, exp_power, extremal,
                       gls_norm, natural_psi, power_log, tail_bound_eval,
                       young_fenchel)
 
 print("=== generating functions ===")
 psi2 = power_log(2, 0)               # square-root growth: subgaussian moments
 for p in (1, 2, 4, 9, 16):
-    print(f"  psi_2({p:2d}) = {eval_psi(psi2, p):.4f}   (sqrt growth)")
+    print(f"  psi_2({p:2d}) = {psi2(p):.4f}   (sqrt growth)")
 
 print("\nThe extremal function is 1 on [1, r]: its norm is the plain L_r norm.")
-print(f"  extremal(4)(3) = {eval_psi(extremal(4), 3.0)}")
+print(f"  extremal(4)(3) = {extremal(4)(3.0)}")
 
 print("\nVariables failing the Cramer condition need exponential growth:")
-print(f"  exp_power(1, 1)(2) = {eval_psi(exp_power(1, 1), 2.0):.4f}  (= e^2)")
+print(f"  exp_power(1, 1)(2) = {exp_power(1, 1)(2.0):.4f}  (= e^2)")
 
 print("\n=== norms from moment curves ===")
 # standard normal moments by quadrature

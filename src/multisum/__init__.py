@@ -4,7 +4,7 @@ with seeded Monte Carlo verification of their Gaussian-chaos limit laws."""
 from .psi import (PsiFunction, MomentCurve, TailBound, SupportError,
                   power_log, extremal, bounded_support, exp_power,
                   product_of, rosenthal_scaled, tabulated_psi,
-                  eval_psi, gls_norm, natural_psi, young_fenchel,
+                  gls_norm, natural_psi, young_fenchel,
                   tail_bound_eval, compose_psi_product,
                   psi_to_json, psi_from_json)
 from .rosenthal import (ROSENTHAL_CONSTANT, ROSENTHAL_ARGMAX_P, rosenthal_K,
@@ -13,8 +13,7 @@ from .rosenthal import (ROSENTHAL_CONSTANT, ROSENTHAL_ARGMAX_P, rosenthal_K,
 from .kernels import (FactorFamily, DegenerateKernel, TabulatedKernel,
                       ApproxResult, hermite_family, rademacher_family,
                       poisson_charlier_family, exponential_poly_family,
-                      tabulated_family, eval_kernel, kernel_moment_curve,
-                      spectral_decompose, degenerate_approx,
+                      tabulated_family, kernel_moment_curve, degenerate_approx,
                       kernel_to_json, kernel_from_json, quadrature_rule)
 from .index_sets import (IndexSet, Rect, RectPair, make_rect, staircase_set,
                          explicit_set, rect_pair, nclt_condition_report,

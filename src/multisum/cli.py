@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .index_sets import (index_set_from_json, lshape_family, make_rect,
-                         squares_family, squares_minus_corner_family)
+                         squares_minus_corner_family)
 from .kernels import kernel_from_json
 from .mc import (RngSpec, axis_distribution_from_json, empirical_bytes,
                  quantile_csv, simulate_S_L)
@@ -123,7 +123,8 @@ def _load_dists(cfg, d):
     return [axis_distribution_from_json(s) for s in spec]
 
 
-def _load_index_sets(cfg):
+def _load_index_sets(cfg, d):
+    """The config's index sets; ``squares`` and ``boxes`` are cubes in dimension d."""
     spec = _require(cfg, "index_sets", dict)
     if "list" in spec:
         return [index_set_from_json(s) for s in spec["list"]]
@@ -131,10 +132,7 @@ def _load_index_sets(cfg):
     sizes = spec.get("sizes")
     if family is None or sizes is None:
         raise ConfigError("index_sets needs either 'list' or 'family' plus 'sizes'")
-    if family == "squares":
-        return squares_family(sizes)
-    if family == "boxes":
-        d = int(spec.get("d", 2))
+    if family in ("squares", "boxes"):
         return [make_rect([n] * d) for n in sizes]
     if family == "squares_minus_corner":
         return squares_minus_corner_family(sizes)
@@ -184,7 +182,7 @@ def cmd_bound(cfg, out: OutputSet, workers: int) -> int:
 def cmd_simulate(cfg, out: OutputSet, workers: int) -> int:
     kernel = _load_kernel(cfg)
     dists = _load_dists(cfg, kernel.d)
-    sets = _load_index_sets(cfg)
+    sets = _load_index_sets(cfg, kernel.d)
     n = int(_require(cfg, "N", int))
     rng = RngSpec(cfg["seed"])
     summary = []
@@ -229,12 +227,12 @@ def cmd_verify(cfg, out: OutputSet, workers: int) -> int:
         family = iset.get("family")
         if family in ("squares", "boxes"):
             sizes = iset["sizes"]
-            report = verify_rect_nclt(kernel, dists, sizes, n, rng,
-                                      limit_n=limit_n, final_ks=final_ks)
+            report = verify_rect_nclt(kernel, dists, sizes, n, rng, limit_n=limit_n,
+                                      final_ks=final_ks, workers=workers)
         else:
-            sets = _load_index_sets(cfg)
-            report = verify_irregular_nclt(kernel, dists, sets, n, rng,
-                                           limit_n=limit_n, final_ks=final_ks)
+            sets = _load_index_sets(cfg, kernel.d)
+            report = verify_irregular_nclt(kernel, dists, sets, n, rng, limit_n=limit_n,
+                                           final_ks=final_ks, workers=workers)
         csv_name = out.add("stages", "csv", report.to_csv().encode())
         out.add("verdict", "json", _dump_json(report.to_json()))
         out.add("plot", "gp", _gnuplot_script(csv_name, 5, "KS distance"))
@@ -243,9 +241,9 @@ def cmd_verify(cfg, out: OutputSet, workers: int) -> int:
     if which == "sandwich":
         kernel = _load_kernel(cfg)
         dists = _load_dists(cfg, kernel.d)
-        sets = _load_index_sets(cfg)
+        sets = _load_index_sets(cfg, kernel.d)
         p_grid = [float(p) for p in _require(cfg, "p_grid", list)]
-        report = verify_moment_sandwich(kernel, dists, sets, p_grid, n, rng)
+        report = verify_moment_sandwich(kernel, dists, sets, p_grid, n, rng, workers=workers)
         payload = report.to_json()
         payload["shape_fits"] = _sandwich_shape_fits(kernel, dists)
         out.add("verdict", "json", _dump_json(payload))
@@ -260,10 +258,11 @@ def cmd_verify(cfg, out: OutputSet, workers: int) -> int:
     if which == "tail":
         kernel = _load_kernel(cfg)
         dists = _load_dists(cfg, kernel.d)
-        sets = _load_index_sets(cfg)
+        sets = _load_index_sets(cfg, kernel.d)
         p_grid = cfg.get("p_grid") or list(np.geomspace(2.0, 64.0, 25))
         composite = natural_composite(kernel, dists, [float(p) for p in p_grid])
-        report = verify_tail_domination(kernel, dists, sets, composite, n, rng)
+        report = verify_tail_domination(kernel, dists, sets, composite, n, rng,
+                                        workers=workers)
         out.add("verdict", "json", _dump_json(report.to_json()))
         tb = TailBound(gls_norm=kernel.lambda_l1, psi=composite)
         csv = "y,bound\n" + "".join(
@@ -275,16 +274,14 @@ def cmd_verify(cfg, out: OutputSet, workers: int) -> int:
     if which == "parametric":
         pk = parametric_kernel_from_json(_require(cfg, "parametric_kernel", dict))
         dists = _load_dists(cfg, pk.d)
-        iset = _require(cfg, "index_sets", dict)
-        sets = [make_rect([m] * pk.d) for m in iset["sizes"]] \
-            if iset.get("family") in ("squares", "boxes") else _load_index_sets(cfg)
+        sets = _load_index_sets(cfg, pk.d)
         level_spec = spec.get("level", {"kind": "power", "p": 2.0})
         if level_spec["kind"] == "power":
             level = ("power", float(level_spec["p"]))
         else:
             level = ("exponential", psi_from_json(level_spec["tau"]))
-        report = check_theorem_8(pk, level, sets, dists, n, rng,
-                                 limit_n=limit_n, final_ks=final_ks)
+        report = check_theorem_8(pk, level, sets, dists, n, rng, limit_n=limit_n,
+                                 final_ks=final_ks, workers=workers)
         out.add("verdict", "json", _dump_json(report.to_json()))
         if report.profile is not None:
             from .parametric import profile_csv

@@ -38,9 +38,7 @@ __all__ = [
     "DegenerateKernel",
     "TabulatedKernel",
     "ApproxResult",
-    "eval_kernel",
     "kernel_moment_curve",
-    "spectral_decompose",
     "degenerate_approx",
     "kernel_to_json",
     "kernel_from_json",
@@ -110,6 +108,27 @@ def _charlier_table(kmax: int, x: np.ndarray) -> np.ndarray:
     return out * norm[:, None]
 
 
+def _sign_table(kmax: int, x: np.ndarray) -> np.ndarray:
+    """Rows 0..kmax of the sign family: the constant, then its single member x."""
+    if kmax > 1:
+        raise ValueError("the sign family has a single member (k = 1)")
+    return np.stack([np.ones_like(x), x])[:kmax + 1]
+
+
+def _laguerre_table(kmax: int, x: np.ndarray) -> np.ndarray:
+    """Signed Laguerre polynomials on the compensated value x = t - 1."""
+    return np.stack([(-1.0) ** k * eval_laguerre(k, x + 1.0) for k in range(kmax + 1)])
+
+
+# analytic factor kind -> (canonical base distribution, rows 0..kmax of its table)
+_ANALYTIC_KINDS = {
+    "hermite": ("standard_normal", _hermite_table),
+    "rademacher_sign": ("rademacher", _sign_table),
+    "poisson_charlier": ("compensated_poisson", _charlier_table),
+    "exponential_poly": ("centered_exponential", _laguerre_table),
+}
+
+
 @dataclass(frozen=True)
 class FactorFamily:
     """One axis' factor system: centered functions indexed by k >= 1.
@@ -122,65 +141,48 @@ class FactorFamily:
     table: np.ndarray | None = None
     weights: np.ndarray | None = None
 
+    def __post_init__(self):
+        if self.kind != "tabulated" and self.kind not in _ANALYTIC_KINDS:
+            raise ValueError(f"unknown factor family '{self.kind}'")
+
     @property
     def canonical_base(self) -> str | None:
-        return {
-            "hermite": "standard_normal",
-            "rademacher_sign": "rademacher",
-            "poisson_charlier": "compensated_poisson",
-            "exponential_poly": "centered_exponential",
-            "tabulated": None,
-        }[self.kind]
+        """The base law the factors are orthonormal under; None for tabulated factors."""
+        return _ANALYTIC_KINDS[self.kind][0] if self.kind in _ANALYTIC_KINDS else None
+
+    @property
+    def rule(self):
+        """(nodes, weights) integrating against the base law: canonical or tabulated."""
+        if self.kind == "tabulated":
+            return self.nodes, self.weights
+        return quadrature_rule(self.canonical_base)
 
     def evaluate(self, k: int, x) -> np.ndarray:
         """Value of the k-th factor at points x (k is 1-based)."""
         if k < 1:
             raise ValueError("factor indices are 1-based; k=0 would be the constant")
-        x = np.asarray(x, dtype=float)
-        if self.kind == "hermite":
-            return _hermite_table(k, x)[k]
-        if self.kind == "rademacher_sign":
-            if k != 1:
-                raise ValueError("the sign family has a single member (k = 1)")
-            return x
-        if self.kind == "poisson_charlier":
-            return _charlier_table(k, x)[k]
-        if self.kind == "exponential_poly":
-            return (-1.0) ** k * eval_laguerre(k, x + 1.0)
-        if self.kind == "tabulated":
-            if k > self.table.shape[0]:
-                raise ValueError(f"tabulated family has {self.table.shape[0]} members")
-            return np.interp(x, self.nodes, self.table[k - 1])
-        raise ValueError(f"unknown factor family '{self.kind}'")
+        return self.evaluate_block(k, x)[k - 1]
 
     def evaluate_block(self, kmax: int, x) -> np.ndarray:
         """Matrix of factors 1..kmax at points x, shape (kmax, len(x))."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "hermite":
-            return _hermite_table(kmax, x)[1:]
-        if self.kind == "poisson_charlier":
-            return _charlier_table(kmax, x)[1:]
-        return np.stack([self.evaluate(k, x) for k in range(1, kmax + 1)])
+        if self.kind != "tabulated":
+            return _ANALYTIC_KINDS[self.kind][1](kmax, x)[1:]
+        if kmax > self.table.shape[0]:
+            raise ValueError(f"tabulated family has {self.table.shape[0]} members")
+        return np.stack([np.interp(x, self.nodes, row) for row in self.table[:kmax]])
 
     def moment(self, k: int, p: float) -> float:
-        """``|g_k|_p`` under the family's canonical base measure."""
-        if self.kind == "rademacher_sign":
-            return 1.0
-        if self.kind == "tabulated":
-            vals = self.table[k - 1]
-            return float(np.sum(self.weights * np.abs(vals) ** p) ** (1.0 / p))
-        if self.kind == "poisson_charlier":
-            # log-domain sum: stable up to very large p
-            counts = np.arange(_POISSON_NODE_COUNT)
-            g = self.evaluate(k, counts - 1.0)
-            logw = -1.0 - gammaln(counts + 1.0)
+        """``|g_k|_p`` by quadrature against the family's base measure."""
+        x, w = self.rule
+        g = self.evaluate(k, x)
+        if self.canonical_base == "compensated_poisson":
+            # log-domain sum over the pmf nodes x = n - 1: stable up to very large p
             nz = g != 0.0
             if not np.any(nz):
                 return 0.0
-            log_mp = logsumexp(logw[nz] + p * np.log(np.abs(g[nz])))
+            log_mp = logsumexp(-1.0 - gammaln(x[nz] + 2.0) + p * np.log(np.abs(g[nz])))
             return float(np.exp(log_mp / p))
-        x, w = quadrature_rule(self.canonical_base)
-        g = self.evaluate(k, x)
         return float(np.sum(w * np.abs(g) ** p) ** (1.0 / p))
 
 
@@ -207,14 +209,6 @@ def tabulated_family(nodes, table, weights) -> FactorFamily:
     if np.any(weights <= 0) or abs(weights.sum() - 1.0) > 1e-8:
         raise ValueError("tabulated family weights must be positive and sum to 1")
     return FactorFamily("tabulated", nodes=nodes, table=table, weights=weights)
-
-
-_FAMILY_BUILDERS = {
-    "hermite": hermite_family,
-    "rademacher_sign": rademacher_family,
-    "poisson_charlier": poisson_charlier_family,
-    "exponential_poly": exponential_poly_family,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +293,7 @@ class DegenerateKernel:
 
     def moment(self, p: float) -> float:
         """``|f(xi)|_p`` by tensor-product quadrature over the canonical bases."""
-        rules = []
-        for fam in self.factors:
-            if fam.kind == "tabulated":
-                rules.append((fam.nodes, fam.weights))
-            else:
-                rules.append(quadrature_rule(fam.canonical_base))
+        rules = [fam.rule for fam in self.factors]
         grids = np.meshgrid(*[r[0] for r in rules], indexing="ij")
         wgrid = rules[0][1]
         for _, w in rules[1:]:
@@ -412,6 +401,12 @@ class TabulatedKernel:
         return float(np.sum(w * np.abs(self.values) ** p) ** (1.0 / p))
 
     def spectral(self):
+        """Weighted singular value decomposition ``(singular_values, left, right)``.
+
+        Values descend and the factor tables are orthonormal under the grid
+        weights.  For a symmetric PSD kernel this is its Karhunen-Loeve
+        eigendecomposition and left and right factors coincide up to sign.
+        """
         if self._svd_cache is None:
             rx = np.sqrt(self.x_weights)
             ry = np.sqrt(self.y_weights)
@@ -437,22 +432,6 @@ class TabulatedKernel:
             "values_sum": float(self.values.sum()),
             "shape": list(self.values.shape),
         }
-
-
-def eval_kernel(kernel: DegenerateKernel, point) -> float:
-    """Pointwise kernel value ``sum_k lambda(k) prod_s g_{k_s}(x_s)``."""
-    return kernel.evaluate(point)
-
-
-def spectral_decompose(tk: TabulatedKernel):
-    """Weighted singular value decomposition of a tabulated kernel.
-
-    Returns ``(singular_values, left, right)`` with values descending and the
-    factor tables orthonormal under the grid weights.  For a symmetric PSD
-    kernel this is its Karhunen-Loeve eigendecomposition and left and right
-    factors coincide up to sign.
-    """
-    return tk.spectral()
 
 
 def degenerate_approx(tk: TabulatedKernel, M: int, p: float) -> ApproxResult:
@@ -584,10 +563,8 @@ def kernel_from_json(obj: dict) -> DegenerateKernel:
         if kind == "tabulated":
             p = entry["params"]
             factors.append(tabulated_family(p["nodes"], p["table"], p["weights"]))
-        elif kind in _FAMILY_BUILDERS:
-            factors.append(_FAMILY_BUILDERS[kind]())
         else:
-            raise ValueError(f"unknown factor family '{kind}'")
+            factors.append(FactorFamily(kind))
     lam = {tuple(row["k"]): row["w"] for row in obj["lambda"]}
     return DegenerateKernel(obj["d"], lam, factors,
                             orthonormal=bool(obj.get("orthonormal", False)))

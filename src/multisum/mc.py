@@ -371,6 +371,8 @@ def _run_blocks(batch, N, nv, workers, floats_per_rep):
 
 def _sum_field(factors, lam, nv, L, dists, N, rng, workers) -> np.ndarray:
     """(N, nv) normalized sums over L; one sampling pass serves every weight vector."""
+    if L.d != len(factors):
+        raise ValueError(f"index set has dimension {L.d}, the kernel {len(factors)}")
     kmax = _kmax(lam, len(factors))
     ncols = [L.axis_max(axis) for axis in range(len(factors))]
     boxes = L.boxes

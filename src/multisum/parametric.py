@@ -27,7 +27,7 @@ import numpy as np
 from .kernels import DegenerateKernel, kernel_to_json
 from .mc import (EmpiricalDist, RngSpec, _limit_field, _sum_field,
                  _weight_columns, empirical_moment)
-from .psi import PsiFunction
+from .psi import PsiFunction, _golden_max
 from .rosenthal import rosenthal_K
 from .verify import factor_moment_under, ks_critical, ks_distance
 
@@ -101,8 +101,11 @@ class ParametricKernel:
         return self._slices[v_index]
 
     def rho_matrix(self) -> np.ndarray:
-        w = np.stack([v for v in self.lam.values()])         # (nk, nv)
-        return np.abs(w[:, :, None] - w[:, None, :]).sum(axis=0)
+        """``rho_lambda`` between all grid points, accumulated one multi-index at a time."""
+        out = np.zeros((self.n_points, self.n_points))
+        for w in self.lam.values():
+            out += np.abs(w[:, None] - w[None, :])
+        return out
 
     def digest_payload(self):
         return parametric_kernel_to_json(self)
@@ -261,22 +264,9 @@ def _w_transform(tau: PsiFunction, xs: np.ndarray) -> np.ndarray:
         vals = x * grid + z
         k = int(np.argmin(vals))
         a, b = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
-        # golden-section refinement of the scalar infimum
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fun = lambda y: x * y + float(tau._log_eval_raw(np.asarray([1.0 / y]))[0])
-        fc, fd = fun(c), fun(d)
-        for _ in range(60):
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = fun(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = fun(d)
-        out[i] = min(vals[k], fc, fd)
+        # golden-section refinement: the infimum is minus the maximum of -f
+        fun = lambda y: -(x * y + float(tau._log_eval_raw(np.asarray([1.0 / y]))[0]))
+        out[i] = min(vals[k], -_golden_max(fun, a, b))
     return out
 
 
@@ -367,7 +357,7 @@ def field_G(pk: ParametricKernel, dists, p: float) -> float:
 
 def check_theorem_8(pk: ParametricKernel, level, L_family, dists, N: int,
                     rng: RngSpec, limit_n: int = 100_000, final_ks: float = 0.05,
-                    eps_grid=None, budget: float = 3.0) -> Theorem8Report:
+                    eps_grid=None, budget: float = 3.0, workers: int = 1) -> Theorem8Report:
     """Evaluate a field-level limit theorem's hypotheses and its empirical content.
 
     ``level`` is ``("power", p)`` or ``("exponential", tau)``.  Hypotheses:
@@ -402,13 +392,13 @@ def check_theorem_8(pk: ParametricKernel, level, L_family, dists, N: int,
         met = math.isfinite(sigma) and not integral.diverged
         majorant = float(tau(p_ref)) * (sigma + integral.value)
 
-    limit_mat = sample_Q_infty(pk, limit_n, rng.child(997))
+    limit_mat = sample_Q_infty(pk, limit_n, rng.child(997), workers)
     limit_dists = [EmpiricalDist(limit_mat[:, v]) for v in range(pk.n_points)]
     crit = ks_critical(N, limit_n)
     stages = []
     sup_final = None
     for i, L in enumerate(L_family):
-        per_v, sup = simulate_Q_L(pk, L, dists, N, rng.child(i))
+        per_v, sup = simulate_Q_L(pk, L, dists, N, rng.child(i), workers)
         ks_vals = [ks_distance(per_v[v], limit_dists[v]) for v in range(pk.n_points)]
         stages.append({"L_size": L.size, "ks_per_v": ks_vals,
                        "max_ks": max(ks_vals)})

@@ -23,6 +23,7 @@ Built-in families:
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass
@@ -43,7 +44,6 @@ __all__ = [
     "product_of",
     "rosenthal_scaled",
     "tabulated_psi",
-    "eval_psi",
     "gls_norm",
     "natural_psi",
     "young_fenchel",
@@ -71,14 +71,13 @@ class SupportError(ValueError):
 class PsiFunction:
     """A generating function with explicit support ``[p_min, b)`` or ``[p_min, b]``.
 
-    Instances are immutable; build them with the module-level constructors.
+    ``params`` are the arguments of the family's constructor, in its keyword
+    order.  Instances are immutable; build them with the module-level
+    constructors.
     """
 
     family: str
     params: tuple = ()
-    factors: tuple = ()
-    p_table: np.ndarray | None = None
-    v_table: np.ndarray | None = None
     p_min: float = 1.0
     support_upper: float = math.inf
     closed_top: bool = False
@@ -104,84 +103,14 @@ class PsiFunction:
 
     def __call__(self, p):
         self._require_support(p)
-        out = self._eval_raw(np.asarray(p, dtype=float))
+        out = np.exp(self._log_eval_raw(np.asarray(p, dtype=float)))
         if np.ndim(p) == 0:
             return float(out)
         return out
 
-    def _eval_raw(self, p: np.ndarray) -> np.ndarray:
-        fam = self.family
-        if fam == "power_log":
-            m, r = self.params
-            return p ** (1.0 / m) * np.log(p + _E - 1.0) ** (-r)
-        if fam == "extremal":
-            return np.ones_like(p)
-        if fam == "bounded_support":
-            b, gamma, r = self.params
-            raw = self._bounded_raw(p, b, gamma, r)
-            return raw / self._bounded_raw(np.asarray(1.0), b, gamma, r)
-        if fam == "exp_power":
-            beta, c = self.params
-            return np.exp(c * p ** beta)
-        if fam == "product_of":
-            out = np.ones_like(p)
-            for f in self.factors:
-                out = out * f._eval_raw(p)
-            return out
-        if fam == "rosenthal_scaled":
-            (d,) = self.params
-            base = self.factors[0]
-            return rosenthal_K(p) ** d * base._eval_raw(p)
-        if fam == "tabulated":
-            # log-linear in p between table nodes, constant below the first
-            # node; positivity is preserved because the table is positive
-            logv = np.interp(np.log(np.maximum(p, self.p_table[0])),
-                             np.log(self.p_table), np.log(self.v_table))
-            return np.exp(logv)
-        raise ValueError(f"unknown psi family '{fam}'")
-
     def _log_eval_raw(self, p: np.ndarray) -> np.ndarray:
         """``ln psi(p)`` without forming psi; keeps conjugate searches overflow-free."""
-        fam = self.family
-        if fam == "power_log":
-            m, r = self.params
-            return np.log(p) / m - r * np.log(np.log(p + _E - 1.0))
-        if fam == "extremal":
-            return np.zeros_like(p)
-        if fam == "bounded_support":
-            b, gamma, r = self.params
-            return (self._log_bounded_raw(p, b, gamma, r)
-                    - self._log_bounded_raw(np.asarray(1.0), b, gamma, r))
-        if fam == "exp_power":
-            beta, c = self.params
-            return c * p ** beta
-        if fam == "product_of":
-            out = np.zeros_like(p)
-            for f in self.factors:
-                out = out + f._log_eval_raw(p)
-            return out
-        if fam == "rosenthal_scaled":
-            (d,) = self.params
-            return d * np.log(rosenthal_K(p)) + self.factors[0]._log_eval_raw(p)
-        if fam == "tabulated":
-            return np.interp(np.log(np.maximum(p, self.p_table[0])),
-                             np.log(self.p_table), np.log(self.v_table))
-        raise ValueError(f"unknown psi family '{fam}'")
-
-    @staticmethod
-    def _bounded_raw(p, b, gamma, r):
-        gap = b - p
-        return gap ** (-(gamma + 1.0) / b) * np.log(1.0 / gap + _E) ** (r / b)
-
-    @staticmethod
-    def _log_bounded_raw(p, b, gamma, r):
-        gap = b - p
-        return -(gamma + 1.0) / b * np.log(gap) + (r / b) * np.log(np.log(1.0 / gap + _E))
-
-    # -- serialization ---------------------------------------------------
-
-    def to_json(self) -> dict:
-        return psi_to_json(self)
+        return _FAMILIES[self.family][1](p, *self.params)
 
 
 # -- constructors ---------------------------------------------------------
@@ -235,7 +164,7 @@ def product_of(factors) -> PsiFunction:
     if len(factors) == 1:
         return factors[0]
     p_min, b, closed = _intersect_support(factors)
-    return PsiFunction("product_of", (), factors=factors,
+    return PsiFunction("product_of", (factors,),
                        p_min=p_min, support_upper=b, closed_top=closed)
 
 
@@ -247,7 +176,7 @@ def rosenthal_scaled(base: PsiFunction, d: int) -> PsiFunction:
     p_min = max(2.0, base.p_min)
     if base.support_upper < p_min or (base.support_upper == p_min and not base.closed_top):
         raise SupportError("empty support after restricting to p >= 2")
-    return PsiFunction("rosenthal_scaled", (d,), factors=(base,),
+    return PsiFunction("rosenthal_scaled", (base, d),
                        p_min=p_min, support_upper=base.support_upper,
                        closed_top=base.closed_top)
 
@@ -264,8 +193,31 @@ def tabulated_psi(p_grid, values) -> PsiFunction:
         raise ValueError("tabulated psi values must be finite and positive")
     p = p.copy(); v = v.copy()
     p.flags.writeable = False; v.flags.writeable = False
-    return PsiFunction("tabulated", (), p_table=p, v_table=v,
-                       p_min=1.0, support_upper=float(p[-1]), closed_top=True)
+    return PsiFunction("tabulated", (p, v), p_min=1.0, support_upper=float(p[-1]),
+                       closed_top=True)
+
+
+def _log_bounded(p, b, gamma, r):
+    gap = b - p
+    return -(gamma + 1.0) / b * np.log(gap) + (r / b) * np.log(np.log(1.0 / gap + _E))
+
+
+# family -> (constructor, ``ln psi(p, *params)``).  The JSON param keys are the
+# constructor's keywords.  The tabulated family is log-linear in p between
+# nodes and constant below the first node.
+_FAMILIES = {
+    "power_log": (power_log,
+                  lambda p, m, r: np.log(p) / m - r * np.log(np.log(p + _E - 1.0))),
+    "extremal": (extremal, lambda p, r: np.zeros_like(p)),
+    "bounded_support": (bounded_support, lambda p, b, gamma, r: (
+        _log_bounded(p, b, gamma, r) - _log_bounded(1.0, b, gamma, r))),
+    "exp_power": (exp_power, lambda p, beta, C: C * p ** beta),
+    "product_of": (product_of, lambda p, factors: sum(f._log_eval_raw(p) for f in factors)),
+    "rosenthal_scaled": (rosenthal_scaled, lambda p, base, d: (
+        d * np.log(rosenthal_K(p)) + base._log_eval_raw(p))),
+    "tabulated": (tabulated_psi, lambda p, p_grid, values: np.interp(
+        np.log(np.maximum(p, p_grid[0])), np.log(p_grid), np.log(values))),
+}
 
 
 # -- moment curves ---------------------------------------------------------
@@ -304,20 +256,13 @@ class MomentCurve:
             object.__setattr__(self, "stderr", se)
 
 
-def eval_psi(psi: PsiFunction, p: float) -> float:
-    """Evaluate ``psi`` at ``p``; raises SupportError outside the support."""
-    return psi(p)
-
-
 def gls_norm(curve: MomentCurve, psi: PsiFunction) -> float:
     """``max`` over the curve grid of ``|f|_p / psi(p)``.
 
     This is a finite-grid lower bound of the true supremum over the whole
     support; refine the grid to tighten it.
     """
-    psi._require_support(curve.p_grid)
-    ratios = curve.values / psi._eval_raw(curve.p_grid)
-    return float(np.max(ratios))
+    return float(np.max(curve.values / psi(curve.p_grid)))
 
 
 def natural_psi(curve: MomentCurve) -> PsiFunction:
@@ -334,13 +279,14 @@ def _objective(psi: PsiFunction, x: float, p: np.ndarray) -> np.ndarray:
     return x * p - p * psi._log_eval_raw(p)
 
 
-def _golden_max(fun, lo: float, hi: float, iters: int = 90) -> float:
+def _golden_max(fun, lo: float, hi: float) -> float:
+    """Maximum of a unimodal scalar ``fun`` on ``[lo, hi]`` by golden-section search."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fun(c), fun(d)
-    for _ in range(iters):
+    for _ in range(90):
         if b - a < 1e-14 * max(1.0, abs(a)):
             break
         if fc > fd:
@@ -458,46 +404,44 @@ def compose_psi_product(factors, rosenthal_power: int = 1) -> PsiFunction:
 
 
 def psi_to_json(psi: PsiFunction) -> dict:
-    """Serialize to the exchange schema {family, params, support_upper}."""
-    fam = psi.family
+    """Serialize to the exchange schema {family, params, support_upper}.
+
+    The param keys are the keywords of the family's constructor.
+    """
+    keys = inspect.signature(_family(psi.family)[0]).parameters
+    params = {key: _param_to_json(value) for key, value in zip(keys, psi.params)}
     upper = None if math.isinf(psi.support_upper) else psi.support_upper
-    if fam == "power_log":
-        params = {"m": psi.params[0], "r": psi.params[1]}
-    elif fam == "extremal":
-        params = {"r": psi.params[0]}
-    elif fam == "bounded_support":
-        params = {"b": psi.params[0], "gamma": psi.params[1], "r": psi.params[2]}
-    elif fam == "exp_power":
-        params = {"beta": psi.params[0], "C": psi.params[1]}
-    elif fam == "product_of":
-        params = {"factors": [psi_to_json(f) for f in psi.factors]}
-    elif fam == "rosenthal_scaled":
-        params = {"base": psi_to_json(psi.factors[0]), "d": psi.params[0]}
-    elif fam == "tabulated":
-        params = {"p_grid": psi.p_table.tolist(), "values": psi.v_table.tolist()}
-    else:
-        raise ValueError(f"unknown psi family '{fam}'")
-    return {"family": fam, "params": params, "support_upper": upper}
+    return {"family": psi.family, "params": params, "support_upper": upper}
 
 
 def psi_from_json(obj) -> PsiFunction:
-    """Inverse of :func:`psi_to_json`."""
+    """Inverse of :func:`psi_to_json`; omitted params take the constructor defaults."""
     if isinstance(obj, str):
         obj = json.loads(obj)
-    fam = obj["family"]
-    params = obj.get("params", {})
-    if fam == "power_log":
-        return power_log(params["m"], params.get("r", 0.0))
-    if fam == "extremal":
-        return extremal(params["r"])
-    if fam == "bounded_support":
-        return bounded_support(params["b"], params["gamma"], params.get("r", 0.0))
-    if fam == "exp_power":
-        return exp_power(params["beta"], params["C"])
-    if fam == "product_of":
-        return product_of(psi_from_json(f) for f in params["factors"])
-    if fam == "rosenthal_scaled":
-        return rosenthal_scaled(psi_from_json(params["base"]), int(params["d"]))
-    if fam == "tabulated":
-        return tabulated_psi(params["p_grid"], params["values"])
-    raise ValueError(f"unknown psi family '{fam}'")
+    build = _family(obj["family"])[0]
+    return build(**{key: _param_from_json(value)
+                    for key, value in obj.get("params", {}).items()})
+
+
+def _family(name: str):
+    if name not in _FAMILIES:
+        raise ValueError(f"unknown psi family '{name}'")
+    return _FAMILIES[name]
+
+
+def _param_to_json(value):
+    if isinstance(value, PsiFunction):
+        return psi_to_json(value)
+    if isinstance(value, tuple):
+        return [_param_to_json(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
+
+
+def _param_from_json(value):
+    if isinstance(value, dict):
+        return psi_from_json(value)
+    if isinstance(value, list) and value and isinstance(value[0], dict):
+        return [psi_from_json(v) for v in value]
+    return value

@@ -154,7 +154,7 @@ def theorem_W_bound(kernel_family, p: float, L_size: int, M_max: int) -> BoundRe
         if approx.q_m == 0.0:
             break  # higher ranks cannot improve either term
     digest = _digest({
-        "kernel": getattr(kernel_family, "digest_payload", lambda: repr(kernel_family))(),
+        "kernel": kernel_family.digest_payload(),
         "p": p, "L_size": L_size, "M_max": M_max,
     })
     return BoundReport(p=p, bound_value=best_val, route="theorem_W",

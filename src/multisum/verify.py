@@ -89,12 +89,12 @@ def _require_orthonormal(kernel: DegenerateKernel):
         raise ValueError("degenerate limit: sum lambda^2 must be positive")
 
 
-def _ks_stages(kernel, dists, sets, N, rng, limit_n, pairs=None):
-    limit = sample_S_infty(kernel.lam, kernel.d, limit_n, rng.child(997))
+def _ks_stages(kernel, dists, sets, N, rng, limit_n, workers, pairs=None):
+    limit = sample_S_infty(kernel.lam, kernel.d, limit_n, rng.child(997), workers)
     rows = []
     for i, L in enumerate(sets):
         pair = pairs[i] if pairs is not None else rect_pair(L)
-        dist = simulate_S_L(kernel, L, dists, N, rng.child(i))
+        dist = simulate_S_L(kernel, L, dists, N, rng.child(i), workers)
         rows.append({
             "stage": i,
             "L_size": L.size,
@@ -113,7 +113,8 @@ def _ks_verdict(rows, crit, final_ks):
 
 
 def verify_rect_nclt(kernel: DegenerateKernel, dists, sizes, N: int, rng: RngSpec,
-                     limit_n: int = 100_000, final_ks: float = 0.05) -> ConvergenceReport:
+                     limit_n: int = 100_000, final_ks: float = 0.05,
+                     workers: int = 1) -> ConvergenceReport:
     """KS trajectory of S_L on growing cubes [1,n]^d against the chaos limit.
 
     Pass requires the KS sequence nonincreasing within twice the KS critical
@@ -121,7 +122,7 @@ def verify_rect_nclt(kernel: DegenerateKernel, dists, sizes, N: int, rng: RngSpe
     """
     _require_orthonormal(kernel)
     sets = [make_rect([n] * kernel.d) for n in sizes]
-    rows, crit = _ks_stages(kernel, dists, sets, N, rng, limit_n)
+    rows, crit = _ks_stages(kernel, dists, sets, N, rng, limit_n, workers)
     ok = _ks_verdict(rows, crit, final_ks)
     return ConvergenceReport(
         description=f"cubes n^{kernel.d}, n in {list(sizes)}",
@@ -132,7 +133,8 @@ def verify_rect_nclt(kernel: DegenerateKernel, dists, sizes, N: int, rng: RngSpe
 def verify_irregular_nclt(kernel: DegenerateKernel, dists, family, N: int,
                           rng: RngSpec, limit_n: int = 100_000,
                           final_ks: float = 0.05,
-                          kappa_threshold: float = 0.25) -> ConvergenceReport:
+                          kappa_threshold: float = 0.25,
+                          workers: int = 1) -> ConvergenceReport:
     """Irregular-domain limit check: geometry conditions plus the KS pipeline.
 
     When neither deficiency trend satisfies its condition the verdict is
@@ -148,7 +150,7 @@ def verify_irregular_nclt(kernel: DegenerateKernel, dists, family, N: int,
         sets.append(L)
         pairs.append(pair)
     cond = nclt_condition_report(list(zip(sets, pairs)), kappa_threshold)
-    rows, crit = _ks_stages(kernel, dists, sets, N, rng, limit_n, pairs=pairs)
+    rows, crit = _ks_stages(kernel, dists, sets, N, rng, limit_n, workers, pairs=pairs)
     if not cond.hypotheses_met:
         verdict = "hypotheses not met"
     else:
@@ -203,15 +205,14 @@ def factor_moment_under(dist: AxisDistribution, family, k: int, p: float) -> flo
     """
     if family.canonical_base == dist.kind:
         return family.moment(k, p)
-    if k == 1 and family.kind in {"hermite", "rademacher_sign",
-                                  "poisson_charlier", "exponential_poly"}:
+    if k == 1 and family.canonical_base is not None:
         return dist.identity_moment(p)
     raise ValueError(
         f"no moment rule for factor family '{family.kind}' (k={k}) under '{dist.kind}'")
 
 
 def verify_moment_sandwich(kernel: DegenerateKernel, dists, L_list, p_grid,
-                           N: int, rng: RngSpec) -> SandwichReport:
+                           N: int, rng: RngSpec, workers: int = 1) -> SandwichReport:
     """Two-sided moment check for rank-one kernels.
 
     Lower bound: the product of factor moments, exact at |L| = 1 by
@@ -224,7 +225,7 @@ def verify_moment_sandwich(kernel: DegenerateKernel, dists, L_list, p_grid,
         raise ValueError("the exact lower route needs a rank-one kernel")
     (kvec, w), = kernel.lam.items()
     dists = list(dists)
-    sims = [simulate_S_L(kernel, L, dists, N, rng.child(i))
+    sims = [simulate_S_L(kernel, L, dists, N, rng.child(i), workers)
             for i, L in enumerate(L_list)]
     lower, upper, emp, emp_se = [], [], [], []
     for p in p_grid:
@@ -294,7 +295,7 @@ def natural_composite(kernel: DegenerateKernel, dists, p_grid) -> PsiFunction:
 
 def verify_tail_domination(kernel: DegenerateKernel, dists, L_list,
                            psi_composite: PsiFunction, N: int, rng: RngSpec,
-                           y_points: int = 40) -> TailDominationReport:
+                           y_points: int = 40, workers: int = 1) -> TailDominationReport:
     """Check the composite exponential tail bound against simulated tails.
 
     The bound's norm is ``sum |lambda|`` (the l1 weight of the kernel, which
@@ -304,7 +305,7 @@ def verify_tail_domination(kernel: DegenerateKernel, dists, L_list,
     norm = kernel.lambda_l1
     tb = TailBound(gls_norm=norm, psi=psi_composite)
     floor = 10.0 / N
-    sims = [(L, simulate_S_L(kernel, L, dists, N, rng.child(i)))
+    sims = [(L, simulate_S_L(kernel, L, dists, N, rng.child(i), workers))
             for i, L in enumerate(L_list)]
     y_max = max(float(s.values[-1]) for _, s in sims)
     y_lo = tb.validity_threshold

@@ -19,7 +19,7 @@ from multisum import (AxisDistribution, DegenerateKernel, ParametricKernel,
                       hermite_family, klesov_bound, lshape_family, make_rect,
                       naive_S_L, natural_composite, power_log,
                       rademacher_family, simulate_Q_L, simulate_S_L,
-                      spectral_decompose, squares_minus_corner_family,
+                      squares_minus_corner_family,
                       staircase_set, verify_irregular_nclt, verify_rect_nclt,
                       verify_tail_domination, young_fenchel, TailBound,
                       check_theorem_8)
@@ -190,7 +190,7 @@ def test_criterion_04_irregular_nclt():
 def test_criterion_05_degenerate_approximation():
     start = time.perf_counter()
     tk = TabulatedKernel.from_function(lambda x, y: np.minimum(x, y), n=256)
-    s, _, _ = spectral_decompose(tk)
+    s, _, _ = tk.spectral()
     exact = np.array([4 / (math.pi ** 2 * (2 * k - 1) ** 2) for k in range(1, 6)])
     eig_ok = bool(np.all(np.abs(s[:5] / exact - 1.0) < 0.01))
     res1 = degenerate_approx(tk, 1, 2.0)

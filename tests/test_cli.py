@@ -115,6 +115,36 @@ def test_seed_override_changes_samples(tmp_path):
     assert read_outputs(out1) != read_outputs(out2)
 
 
+def _cubic_simulate_config(tmp_path, index_sets):
+    cfg = tmp_path / "cubic.json"
+    cfg.write_text(json.dumps({
+        "seed": 5, "N": 200,
+        "kernel": {"d": 3, "factors": [{"kind": "hermite", "params": {}}] * 3,
+                   "lambda": [{"k": [1, 1, 1], "w": 1.0}], "orthonormal": True},
+        "distributions": ["standard_normal"] * 3,
+        "index_sets": index_sets,
+    }))
+    return cfg
+
+
+def test_simulate_boxes_follow_kernel_dimension(tmp_path):
+    cfg = _cubic_simulate_config(tmp_path, {"family": "boxes", "sizes": [4]})
+    code, out = run_cmd(tmp_path, "simulate", cfg)
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    summary = json.loads((out / manifest["files"]["summary"]).read_text())
+    assert summary[0]["index_set"]["params"]["n"] == [4, 4, 4]
+    assert math.prod(summary[0]["index_set"]["params"]["n"]) == 64
+
+
+def test_simulate_index_set_of_wrong_dimension_exits_2(tmp_path, capsys):
+    square = {"d": 2, "kind": "rect", "params": {"n": [3, 3]}}
+    cfg = _cubic_simulate_config(tmp_path, {"list": [square]})
+    code, _ = run_cmd(tmp_path, "simulate", cfg)
+    assert code == 2
+    assert "dimension" in json.loads(capsys.readouterr().err)["error"]
+
+
 # ---------------------------------------------------------------------------
 # verify command
 # ---------------------------------------------------------------------------

@@ -7,10 +7,10 @@ import pytest
 from scipy.integrate import dblquad
 
 from multisum import (DegenerateKernel, TabulatedKernel, degenerate_approx,
-                      eval_kernel, exponential_poly_family, hermite_family,
+                      exponential_poly_family, hermite_family,
                       kernel_from_json, kernel_moment_curve, kernel_to_json,
                       poisson_charlier_family, quadrature_rule,
-                      rademacher_family, spectral_decompose)
+                      rademacher_family)
 
 
 def gaussian_pair(lam, orthonormal=True):
@@ -60,23 +60,23 @@ def test_factor_index_zero_rejected():
 
 def test_eval_rank_one_product():
     k = gaussian_pair({(1, 1): 1.0})
-    assert eval_kernel(k, [2.0, 3.0]) == pytest.approx(6.0, rel=1e-14)
+    assert k.evaluate([2.0, 3.0]) == pytest.approx(6.0, rel=1e-14)
 
 
 def test_eval_zero_weights():
     k = gaussian_pair({(1, 1): 0.0, (2, 2): 0.0})
-    assert eval_kernel(k, [0.3, -1.2]) == 0.0
+    assert k.evaluate([0.3, -1.2]) == 0.0
 
 
 def test_eval_hermite_diagonal_at_ones():
     k = gaussian_pair({(1, 1): 1.0, (2, 2): 0.5})
-    assert eval_kernel(k, [1.0, 1.0]) == pytest.approx(1.0, rel=1e-14)
+    assert k.evaluate([1.0, 1.0]) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_eval_dimension_mismatch():
     k = gaussian_pair({(1, 1): 1.0})
     with pytest.raises(ValueError):
-        eval_kernel(k, [1.0, 2.0, 3.0])
+        k.evaluate([1.0, 2.0, 3.0])
 
 
 def test_variance_identity_under_orthonormality():
@@ -143,7 +143,7 @@ def test_spectral_rank_one():
     def h(y):
         return y * y
     tk = TabulatedKernel.from_function(lambda x, y: g(x) * h(y), n=48)
-    s, left, right = spectral_decompose(tk)
+    s, left, right = tk.spectral()
     x, w = legendre01(48)
     g2 = math.sqrt(float(np.sum(w * g(x) ** 2)))
     h2 = math.sqrt(float(np.sum(w * h(x) ** 2)))
@@ -153,7 +153,7 @@ def test_spectral_rank_one():
 
 def test_spectral_brownian_eigenvalues():
     tk = TabulatedKernel.from_function(lambda x, y: np.minimum(x, y), n=256)
-    s, left, right = spectral_decompose(tk)
+    s, left, right = tk.spectral()
     exact = np.array([4 / (math.pi ** 2 * (2 * k - 1) ** 2) for k in range(1, 6)])
     assert np.allclose(s[:5], exact, rtol=0.01)
     # symmetric PSD kernel: left and right factors coincide up to sign
@@ -165,7 +165,7 @@ def test_spectral_brownian_eigenvalues():
 
 def test_spectral_factors_orthonormal_under_weights():
     tk = TabulatedKernel.from_function(lambda x, y: np.minimum(x, y) + x * y, n=64)
-    s, left, right = spectral_decompose(tk)
+    s, left, right = tk.spectral()
     top = left[:6]
     gram = (top * tk.x_weights) @ top.T
     assert np.abs(gram - np.eye(6)).max() < 1e-10
@@ -185,7 +185,7 @@ def test_approx_full_rank_gives_zero_error():
 
 def test_approx_frobenius_and_trace_tails():
     tk = TabulatedKernel.from_function(lambda x, y: np.minimum(x, y), n=128)
-    s, _, _ = spectral_decompose(tk)
+    s, _, _ = tk.spectral()
     res = degenerate_approx(tk, 3, 2.0)
     assert res.q_m == pytest.approx(math.sqrt(float(np.sum(s[3:] ** 2))), rel=1e-10)
     assert res.trace_tail == pytest.approx(float(np.sum(s[3:])), rel=1e-10)
@@ -221,7 +221,7 @@ def test_eckart_young_optimality_against_perturbations():
     base_resid = math.sqrt(float((w2 * (tk.values - grid) ** 2).sum()))
     assert base_resid == pytest.approx(res.q_m, rel=1e-8)
     rng = np.random.default_rng(17)
-    s, left, right = spectral_decompose(tk)
+    s, left, right = tk.spectral()
     recon = (left[:m].T * s[:m]) @ right[:m]
     for _ in range(100):
         # random rank-m competitor: perturbed truncation, same rank
@@ -254,7 +254,7 @@ def test_kernel_json_round_trip():
     assert clone.lam == k.lam
     assert clone.orthonormal == k.orthonormal
     pt = [0.7, -1.1]
-    assert eval_kernel(clone, pt) == pytest.approx(eval_kernel(k, pt), rel=1e-14)
+    assert clone.evaluate(pt) == pytest.approx(k.evaluate(pt), rel=1e-14)
 
 
 def test_tabulated_kernel_factors_serialize():
@@ -262,7 +262,7 @@ def test_tabulated_kernel_factors_serialize():
     res = degenerate_approx(tk, 2, 2.0)
     clone = kernel_from_json(kernel_to_json(res.z_m))
     pt = [float(tk.x_nodes[5]), float(tk.y_nodes[9])]
-    assert eval_kernel(clone, pt) == pytest.approx(eval_kernel(res.z_m, pt), rel=1e-12)
+    assert clone.evaluate(pt) == pytest.approx(res.z_m.evaluate(pt), rel=1e-12)
 
 
 def test_tabulated_kernel_csv_round_trip():
@@ -273,6 +273,6 @@ def test_tabulated_kernel_csv_round_trip():
     assert np.array_equal(clone.values, tk.values)
     assert np.array_equal(clone.x_nodes, tk.x_nodes)
     assert np.array_equal(clone.y_weights, tk.y_weights)
-    s1, _, _ = spectral_decompose(tk)
-    s2, _, _ = spectral_decompose(clone)
+    s1, _, _ = tk.spectral()
+    s2, _, _ = clone.spectral()
     assert np.allclose(s1, s2, rtol=1e-14)

@@ -7,10 +7,15 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammaln, logsumexp
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from multisum import (MomentCurve, SupportError, TailBound, bounded_support,
-                      compose_psi_product, eval_psi, exp_power, extremal,
-                      gls_norm, natural_psi, power_log, psi_from_json,
-                      psi_to_json, tail_bound_eval, young_fenchel)
+                      compose_psi_product, exp_power, extremal,
+                      gls_norm, natural_psi, power_log, product_of, psi_from_json,
+                      psi_to_json, rosenthal_scaled, tabulated_psi, tail_bound_eval,
+                      young_fenchel)
+from multisum.parametric import _w_transform
 
 E = math.e
 
@@ -37,35 +42,35 @@ def poisson_compensated_moment(p, kmax=20000):
 
 
 def test_power_log_closed_form():
-    assert eval_psi(power_log(2, 0), 4.0) == pytest.approx(2.0, rel=1e-14)
-    assert eval_psi(power_log(1, 0), 7.0) == pytest.approx(7.0, rel=1e-14)
+    assert power_log(2, 0)(4.0) == pytest.approx(2.0, rel=1e-14)
+    assert power_log(1, 0)(7.0) == pytest.approx(7.0, rel=1e-14)
     # at p = 1 the shifted log equals 1, so the value is exactly 1 for any r
-    assert eval_psi(power_log(3, 2.5), 1.0) == pytest.approx(1.0, rel=1e-14)
+    assert power_log(3, 2.5)(1.0) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_extremal_is_one_on_support():
     psi = extremal(3)
     for p in [1.0, 2.0, 3.0]:
-        assert eval_psi(psi, p) == 1.0
+        assert psi(p) == 1.0
     with pytest.raises(SupportError):
-        eval_psi(psi, 3.0001)
+        psi(3.0001)
 
 
 def test_exp_power_value():
-    assert eval_psi(exp_power(1, 1), 2.0) == pytest.approx(math.exp(2.0), rel=1e-14)
+    assert exp_power(1, 1)(2.0) == pytest.approx(math.exp(2.0), rel=1e-14)
 
 
 def test_support_errors_name_the_support():
     with pytest.raises(SupportError, match="power_log"):
-        eval_psi(power_log(2, 0), 0.5)
+        power_log(2, 0)(0.5)
     with pytest.raises(SupportError):
-        eval_psi(bounded_support(4, 1.0), 4.0)
+        bounded_support(4, 1.0)(4.0)
 
 
 def test_bounded_support_normalized_at_one():
     psi = bounded_support(6, 2.0, r=1.0)
-    assert eval_psi(psi, 1.0) == pytest.approx(1.0, rel=1e-12)
-    assert eval_psi(psi, 5.9) > eval_psi(psi, 3.0) > 1.0
+    assert psi(1.0) == pytest.approx(1.0, rel=1e-12)
+    assert psi(5.9) > psi(3.0) > 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +121,7 @@ def test_natural_psi_norm_one_and_pointwise():
     nat = natural_psi(curve)
     assert gls_norm(curve, nat) == pytest.approx(1.0, rel=1e-12)
     for p, v in zip(grid, vals):
-        assert eval_psi(nat, p) == pytest.approx(v, rel=1e-12)
+        assert nat(p) == pytest.approx(v, rel=1e-12)
 
 
 def test_natural_psi_poisson_growth_ratio():
@@ -126,7 +131,7 @@ def test_natural_psi_poisson_growth_ratio():
     grid = np.array([p, 2 * p])
     vals = np.array([poisson_compensated_moment(q) for q in grid])
     nat = natural_psi(MomentCurve(grid, vals))
-    ratio = eval_psi(nat, 2 * p) / eval_psi(nat, p)
+    ratio = nat(2 * p) / nat(p)
     assert abs(ratio - 2.0) <= 0.1 * 2.0
 
 
@@ -175,6 +180,27 @@ def test_conjugate_grid_density_stable():
             a = young_fenchel(psi, x, grid_points=512)
             b = young_fenchel(psi, x, grid_points=1024)
             assert a == pytest.approx(b, rel=5e-3)
+
+
+CLOSED_FORM = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@CLOSED_FORM
+@given(st.floats(0.5, 8.0), st.floats(1.0, 5.0))
+def test_conjugate_power_log_closed_form_exact(m, x):
+    # p* = exp(m x - 1) lies in the support [1, inf) when m x >= 1
+    assume(m * x >= 1.0)
+    assert young_fenchel(power_log(m, 0), x) == pytest.approx(
+        math.exp(m * x - 1.0) / m, rel=1e-12)
+
+
+@CLOSED_FORM
+@given(st.floats(0.5, 8.0), st.floats(1.0, 5.0))
+def test_w_transform_power_log_closed_form_exact(m, x):
+    # inf_y (x y - ln(y) / m) sits at y* = 1 / (m x), inside (0, 1] when m x >= 1
+    assume(m * x >= 1.0)
+    w = _w_transform(power_log(m, 0), np.array([x]))[0]
+    assert w == pytest.approx((1.0 + math.log(m * x)) / m, rel=1e-12)
 
 
 def test_conjugate_divergence_marker():
@@ -258,7 +284,7 @@ def test_round_trip_moment_refit_within_factor_four():
 def test_compose_identity_at_power_zero():
     psi = extremal(3)
     comp = compose_psi_product([psi], rosenthal_power=0)
-    assert eval_psi(comp, 2.0) == 1.0
+    assert comp(2.0) == 1.0
     assert comp.support_upper == 3.0
 
 
@@ -297,12 +323,15 @@ def test_compose_restricts_to_p_at_least_two():
     comp = compose_psi_product([power_log(2, 0)], rosenthal_power=1)
     assert comp.p_min == 2.0
     with pytest.raises(SupportError):
-        eval_psi(comp, 1.5)
+        comp(1.5)
 
 
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
+
+
+TABLE = tabulated_psi([1.0, 2.0, 4.0, 8.0], [1.0, 1.5, 2.0, 3.0])
 
 
 @pytest.mark.parametrize("psi", [
@@ -311,9 +340,15 @@ def test_compose_restricts_to_p_at_least_two():
     bounded_support(6, 1.5, r=1.0),
     exp_power(0.5, 2.0),
     compose_psi_product([power_log(2, 0), extremal(8)], rosenthal_power=2),
+    TABLE,
+    product_of([power_log(3, 1.0), TABLE]),
+    rosenthal_scaled(exp_power(0.5, 0.2), 3),
+    rosenthal_scaled(product_of([power_log(2, 0.5), TABLE,
+                                 rosenthal_scaled(bounded_support(7, 0.5), 1)]), 2),
 ])
 def test_json_round_trip(psi):
     clone = psi_from_json(psi_to_json(psi))
+    assert psi_to_json(clone) == psi_to_json(psi)
     grid = np.linspace(max(2.0, clone.p_min), min(clone.support_upper, 5.0), 7)
     if clone.closed_top:
         probe = grid
@@ -325,15 +360,14 @@ def test_json_round_trip(psi):
 def test_tabulated_round_trip():
     grid = np.array([2.0, 4.0, 8.0])
     vals = np.array([1.0, 1.5, 2.5])
-    from multisum import tabulated_psi
     psi = tabulated_psi(grid, vals)
     clone = psi_from_json(psi_to_json(psi))
     # log-linear interpolation between nodes
-    assert eval_psi(clone, 4.0) == pytest.approx(1.5, rel=1e-12)
-    mid = eval_psi(clone, math.sqrt(2.0 * 4.0))
+    assert clone(4.0) == pytest.approx(1.5, rel=1e-12)
+    mid = clone(math.sqrt(2.0 * 4.0))
     assert mid == pytest.approx(math.sqrt(1.0 * 1.5), rel=1e-12)
     # constant extension below the grid, closed top at the last node
-    assert eval_psi(clone, 1.0) == pytest.approx(1.0)
-    assert eval_psi(clone, 8.0) == pytest.approx(2.5)
+    assert clone(1.0) == pytest.approx(1.0)
+    assert clone(8.0) == pytest.approx(2.5)
     with pytest.raises(SupportError):
-        eval_psi(clone, 8.5)
+        clone(8.5)
