@@ -6,7 +6,7 @@
 from multisum import (AxisDistribution, DegenerateKernel, RngSpec,
                       hermite_family, lshape_family, nclt_condition_report,
                       rect_pair, squares_minus_corner_family, staircase_set,
-                      verify_irregular_nclt)
+                      verify_nclt)
 
 print("=== geometry of a staircase ===")
 stair = staircase_set([6, 6, 5, 3, 1])
@@ -27,15 +27,15 @@ print(f"  inscribed condition: {cond.inscribed_ok}, circumscribed: {cond.circums
 kernel = DegenerateKernel(2, {(1, 1): 1.0}, [hermite_family()] * 2,
                           orthonormal=True)
 dists = [AxisDistribution("standard_normal")] * 2
-report = verify_irregular_nclt(kernel, dists, family, 20_000, RngSpec(7),
-                               limit_n=100_000)
+report = verify_nclt(kernel, dists, family, 20_000, RngSpec(7),
+                     limit_n=100_000)
 print(f"  KS trajectory: {[round(r['ks'], 4) for r in report.stages]}")
 print(f"  verdict: {report.verdict}")
 
 print("\n=== L-shapes with a fixed missing quarter ===")
 lfam = lshape_family([8, 16, 32], fraction=0.5)
-report2 = verify_irregular_nclt(kernel, dists, lfam, 20_000, RngSpec(8),
-                                limit_n=100_000)
+report2 = verify_nclt(kernel, dists, lfam, 20_000, RngSpec(8),
+                      limit_n=100_000)
 for row in report2.stages:
     print(f"  |L| = {row['L_size']:5d}: kappa_minus = {row['kappa_minus']:.3f}, "
           f"KS = {row['ks']:.4f}")

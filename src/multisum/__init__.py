@@ -23,10 +23,9 @@ from .mc import (RngSpec, AxisDistribution, EmpiricalDist, compute_S_L,
                  naive_S_L, simulate_S_L, sample_S_infty, empirical_moment,
                  empirical_tail, save_empirical, load_empirical)
 from .verify import (ks_distance, ks_critical, ConvergenceReport,
-                     SandwichReport, TailDominationReport, verify_rect_nclt,
-                     verify_irregular_nclt, verify_moment_sandwich,
-                     verify_tail_domination, natural_composite,
-                     factor_moment_under)
+                     SandwichReport, TailDominationReport, verify_nclt,
+                     verify_moment_sandwich, verify_tail_domination,
+                     natural_composite, factor_moment_under)
 from .parametric import (ParametricKernel, EntropyProfile, IntegralResult,
                          sigma_lambda, rho_lambda, covering_profile,
                          entropy_integral_power, entropy_integral_exp,

@@ -32,8 +32,7 @@ from .parametric import check_theorem_8, parametric_kernel_from_json
 from .psi import psi_from_json, young_fenchel, TailBound, tail_bound_eval
 from .rosenthal import (BoundReport, dp_quasinorm, klesov_bound, rosenthal_K,
                         theorem_W_bound, trivial_bound)
-from .verify import (natural_composite, verify_irregular_nclt,
-                     verify_moment_sandwich, verify_rect_nclt,
+from .verify import (natural_composite, verify_moment_sandwich, verify_nclt,
                      verify_tail_domination)
 
 EXIT_OK = 0
@@ -220,57 +219,6 @@ def cmd_verify(cfg, out: OutputSet, workers: int) -> int:
     final_ks = float(spec.get("final_ks", 0.05))
     limit_n = int(spec.get("limit_n", 100_000))
 
-    if which == "nclt":
-        kernel = _load_kernel(cfg)
-        dists = _load_dists(cfg, kernel.d)
-        iset = _require(cfg, "index_sets", dict)
-        family = iset.get("family")
-        if family in ("squares", "boxes"):
-            sizes = iset["sizes"]
-            report = verify_rect_nclt(kernel, dists, sizes, n, rng, limit_n=limit_n,
-                                      final_ks=final_ks, workers=workers)
-        else:
-            sets = _load_index_sets(cfg, kernel.d)
-            report = verify_irregular_nclt(kernel, dists, sets, n, rng, limit_n=limit_n,
-                                           final_ks=final_ks, workers=workers)
-        csv_name = out.add("stages", "csv", report.to_csv().encode())
-        out.add("verdict", "json", _dump_json(report.to_json()))
-        out.add("plot", "gp", _gnuplot_script(csv_name, 5, "KS distance"))
-        return _VERDICT_EXIT.get(report.verdict, EXIT_FAILED)
-
-    if which == "sandwich":
-        kernel = _load_kernel(cfg)
-        dists = _load_dists(cfg, kernel.d)
-        sets = _load_index_sets(cfg, kernel.d)
-        p_grid = [float(p) for p in _require(cfg, "p_grid", list)]
-        report = verify_moment_sandwich(kernel, dists, sets, p_grid, n, rng, workers=workers)
-        payload = report.to_json()
-        payload["shape_fits"] = _sandwich_shape_fits(kernel, dists)
-        out.add("verdict", "json", _dump_json(payload))
-        csv = "p,lower,empirical,empirical_se,upper\n" + "".join(
-            f"{_fmt(p)},{_fmt(l)},{_fmt(e)},{_fmt(se)},{_fmt(u)}\n"
-            for p, l, e, se, u in zip(report.p_grid, report.lower, report.empirical,
-                                      report.empirical_se, report.upper))
-        csv_name = out.add("sandwich", "csv", csv.encode())
-        out.add("plot", "gp", _gnuplot_script(csv_name, 3, "|S_L|_p"))
-        return EXIT_OK if report.passed else EXIT_FAILED
-
-    if which == "tail":
-        kernel = _load_kernel(cfg)
-        dists = _load_dists(cfg, kernel.d)
-        sets = _load_index_sets(cfg, kernel.d)
-        p_grid = cfg.get("p_grid") or list(np.geomspace(2.0, 64.0, 25))
-        composite = natural_composite(kernel, dists, [float(p) for p in p_grid])
-        report = verify_tail_domination(kernel, dists, sets, composite, n, rng,
-                                        workers=workers)
-        out.add("verdict", "json", _dump_json(report.to_json()))
-        tb = TailBound(gls_norm=kernel.lambda_l1, psi=composite)
-        csv = "y,bound\n" + "".join(
-            f"{_fmt(y)},{_fmt(tail_bound_eval(tb, y))}\n" for y in report.y_grid)
-        csv_name = out.add("tailbound", "csv", csv.encode())
-        out.add("plot", "gp", _gnuplot_script(csv_name, 2, "tail bound"))
-        return EXIT_OK if report.dominated else EXIT_FAILED
-
     if which == "parametric":
         pk = parametric_kernel_from_json(_require(cfg, "parametric_kernel", dict))
         dists = _load_dists(cfg, pk.d)
@@ -290,34 +238,43 @@ def cmd_verify(cfg, out: OutputSet, workers: int) -> int:
             return EXIT_DIVERGENCE
         return _VERDICT_EXIT.get(report.verdict, EXIT_FAILED)
 
-    raise ConfigError("verify.which must be one of nclt | sandwich | tail | parametric")
+    if which not in ("nclt", "sandwich", "tail"):
+        raise ConfigError("verify.which must be one of nclt | sandwich | tail | parametric")
+    kernel = _load_kernel(cfg)
+    dists = _load_dists(cfg, kernel.d)
+    sets = _load_index_sets(cfg, kernel.d)
 
+    if which == "nclt":
+        report = verify_nclt(kernel, dists, sets, n, rng, limit_n=limit_n,
+                             final_ks=final_ks, workers=workers)
+        csv_name = out.add("stages", "csv", report.to_csv().encode())
+        out.add("verdict", "json", _dump_json(report.to_json()))
+        out.add("plot", "gp", _gnuplot_script(csv_name, 5, "KS distance"))
+        return _VERDICT_EXIT.get(report.verdict, EXIT_FAILED)
 
-def _sandwich_shape_fits(kernel, dists) -> dict:
-    """Log-log slopes of the analytic envelopes against p/ln(p) on [4, 16].
+    if which == "sandwich":
+        p_grid = [float(p) for p in _require(cfg, "p_grid", list)]
+        report = verify_moment_sandwich(kernel, dists, sets, p_grid, n, rng, workers=workers)
+        out.add("verdict", "json", _dump_json(report.to_json()))
+        csv = "p,lower,empirical,empirical_se,upper\n" + "".join(
+            f"{_fmt(p)},{_fmt(l)},{_fmt(e)},{_fmt(se)},{_fmt(u)}\n"
+            for p, l, e, se, u in zip(report.p_grid, report.lower, report.empirical,
+                                      report.empirical_se, report.upper))
+        csv_name = out.add("sandwich", "csv", csv.encode())
+        out.add("plot", "gp", _gnuplot_script(csv_name, 3, "|S_L|_p"))
+        return EXIT_OK if report.passed else EXIT_FAILED
 
-    For a rank-one kernel the lower envelope is the product of factor moments
-    and the upper is the Klesov bound; both are quadrature-backed, so the fit
-    window is independent of what the Monte Carlo sandwich could estimate.
-    """
-    from .verify import factor_moment_under
-    (kvec, w), = kernel.lam.items()
-    p = np.array([4.0, 6.0, 8.0, 12.0, 16.0])
-    lower, upper = [], []
-    for pv in p:
-        moments = [factor_moment_under(dists[axis], kernel.factors[axis], k, pv)
-                   for axis, k in enumerate(kvec)]
-        lower.append(abs(w) * math.prod(moments))
-        upper.append(abs(w) * klesov_bound(moments, pv))
-    shape = np.log(p / np.log(p))
-    d = kernel.d
-    return {
-        "p_grid": p.tolist(),
-        "lower_slope": float(np.polyfit(shape, np.log(lower), 1)[0]),
-        "upper_slope": float(np.polyfit(shape, np.log(upper), 1)[0]),
-        "expected_lower_slope": float(d),
-        "expected_upper_slope": float(2 * d),
-    }
+    p_grid = cfg.get("p_grid") or list(np.geomspace(2.0, 64.0, 25))
+    composite = natural_composite(kernel, dists, [float(p) for p in p_grid])
+    report = verify_tail_domination(kernel, dists, sets, composite, n, rng,
+                                    workers=workers)
+    out.add("verdict", "json", _dump_json(report.to_json()))
+    tb = TailBound(gls_norm=kernel.lambda_l1, psi=composite)
+    csv = "y,bound\n" + "".join(
+        f"{_fmt(y)},{_fmt(tail_bound_eval(tb, y))}\n" for y in report.y_grid)
+    csv_name = out.add("tailbound", "csv", csv.encode())
+    out.add("plot", "gp", _gnuplot_script(csv_name, 2, "tail bound"))
+    return EXIT_OK if report.dominated else EXIT_FAILED
 
 
 def cmd_psi(cfg, out: OutputSet, workers: int) -> int:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import eval_laguerre, gammaln, logsumexp
+from scipy.special import eval_laguerre, gammaln
 
 __all__ = [
     "FactorFamily",
@@ -80,6 +80,29 @@ def quadrature_rule(base: str, n: int = 64):
     x = x.copy(); w = w.copy()
     x.flags.writeable = False; w.flags.writeable = False
     return x, w
+
+
+def _lp_norm(vals: np.ndarray, weights, p: float) -> float:
+    """``(sum w |v|**p)**(1/p)`` over a tensor grid, in the log domain; overwrites vals.
+
+    ``weights`` holds one weight vector per axis of ``vals``; the grid weight
+    is their product.  Neither ``|v|**p`` nor the weight product is formed,
+    so large values at high p cannot overflow and tiny weight products cannot
+    underflow to 0.
+    """
+    with np.errstate(divide="ignore"):
+        np.log(np.abs(vals, out=vals), out=vals)
+        vals *= p
+        for axis, w in enumerate(weights):
+            shape = [1] * vals.ndim
+            shape[axis] = -1
+            vals += np.log(w).reshape(shape)
+    top = vals.max()
+    if top == -np.inf:
+        return 0.0
+    vals -= top
+    np.exp(vals, out=vals)
+    return float(np.exp((top + math.log(vals.sum())) / p))
 
 
 def _hermite_table(kmax: int, x: np.ndarray) -> np.ndarray:
@@ -175,15 +198,7 @@ class FactorFamily:
     def moment(self, k: int, p: float) -> float:
         """``|g_k|_p`` by quadrature against the family's base measure."""
         x, w = self.rule
-        g = self.evaluate(k, x)
-        if self.canonical_base == "compensated_poisson":
-            # log-domain sum over the pmf nodes x = n - 1: stable up to very large p
-            nz = g != 0.0
-            if not np.any(nz):
-                return 0.0
-            log_mp = logsumexp(-1.0 - gammaln(x[nz] + 2.0) + p * np.log(np.abs(g[nz])))
-            return float(np.exp(log_mp / p))
-        return float(np.sum(w * np.abs(g) ** p) ** (1.0 / p))
+        return _lp_norm(self.evaluate(k, x), [w], p)
 
 
 def hermite_family() -> FactorFamily:
@@ -294,23 +309,19 @@ class DegenerateKernel:
     def moment(self, p: float) -> float:
         """``|f(xi)|_p`` by tensor-product quadrature over the canonical bases."""
         rules = [fam.rule for fam in self.factors]
-        grids = np.meshgrid(*[r[0] for r in rules], indexing="ij")
-        wgrid = rules[0][1]
-        for _, w in rules[1:]:
-            wgrid = np.multiply.outer(wgrid, w)
-        vals = np.zeros(grids[0].shape)
+        vals = np.zeros(tuple(x.size for x, _ in rules))
         blocks = []
         for axis, fam in enumerate(self.factors):
             kmax = self.axis_max_index(axis)
             blocks.append(fam.evaluate_block(kmax, rules[axis][0]) if kmax else None)
         for kvec, w in self.lam.items():
-            term = np.full(grids[0].shape, w)
+            term = w
             for axis, k in enumerate(kvec):
                 shape = [1] * self.d
                 shape[axis] = -1
                 term = term * blocks[axis][k - 1].reshape(shape)
             vals += term
-        return float(np.sum(wgrid * np.abs(vals) ** p) ** (1.0 / p))
+        return _lp_norm(vals, [w for _, w in rules], p)
 
     # -- low-rank structure ------------------------------------------------
 
@@ -397,8 +408,7 @@ class TabulatedKernel:
         return cls(x, wx, y, wy, vals)
 
     def moment(self, p: float) -> float:
-        w = np.outer(self.x_weights, self.y_weights)
-        return float(np.sum(w * np.abs(self.values) ** p) ** (1.0 / p))
+        return _lp_norm(self.values.copy(), [self.x_weights, self.y_weights], p)
 
     def spectral(self):
         """Weighted singular value decomposition ``(singular_values, left, right)``.
@@ -461,9 +471,7 @@ def degenerate_approx(tk: TabulatedKernel, M: int, p: float) -> ApproxResult:
         q = float(math.sqrt(np.sum(s[m_eff:] ** 2)))
     else:
         recon = (left[:m_eff].T * s[:m_eff]) @ right[:m_eff]
-        resid = tk.values - recon
-        w = np.outer(tk.x_weights, tk.y_weights)
-        q = float(np.sum(w * np.abs(resid) ** p) ** (1.0 / p))
+        q = _lp_norm(tk.values - recon, [tk.x_weights, tk.y_weights], p)
     return ApproxResult(z_m=z_m, q_m=q, trace_tail=trace_tail,
                         surrogate=(p != 2.0), note=note)
 

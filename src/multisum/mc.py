@@ -26,13 +26,13 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaln, logsumexp, ndtri
+from scipy.special import gammaln, ndtri
 
 from .index_sets import IndexSet, Rect
+from .kernels import _lp_norm, quadrature_rule
 
 __all__ = [
     "RngSpec",
@@ -86,16 +86,6 @@ class RngSpec:
         return u[:, :ncols]
 
 
-_POISSON_CDF_LEN = 48
-
-
-@lru_cache(maxsize=None)
-def _poisson1_cdf():
-    k = np.arange(_POISSON_CDF_LEN)
-    pmf = np.exp(-1.0 - gammaln(k + 1.0))
-    return np.cumsum(pmf)
-
-
 @dataclass(frozen=True)
 class AxisDistribution:
     """Sampling law of one axis' variables.
@@ -131,8 +121,8 @@ class AxisDistribution:
         if self.kind == "centered_exponential":
             return -np.log1p(-u) - 1.0
         if self.kind == "compensated_poisson":
-            cdf = _poisson1_cdf()
-            return np.searchsorted(cdf, u).astype(float) - 1.0
+            x, pmf = quadrature_rule("compensated_poisson")
+            return x[np.searchsorted(np.cumsum(pmf), u)]
         # log_weibull: magnitude from even columns, sign from odd columns
         u1 = u[..., 0::2]
         u2 = u[..., 1::2]
@@ -157,12 +147,8 @@ class AxisDistribution:
             val, _ = quad(lambda t: abs(t - 1.0) ** p * math.exp(-t), 0, np.inf)
             return val ** (1.0 / p)
         if self.kind == "compensated_poisson":
-            k = np.arange(200)
-            vals = np.abs(k - 1.0)
-            logw = -1.0 - gammaln(k + 1.0)
-            nz = vals > 0
-            log_mp = logsumexp(logw[nz] + p * np.log(vals[nz]))
-            return float(np.exp(log_mp / p))
+            x, pmf = quadrature_rule("compensated_poisson")
+            return _lp_norm(x.copy(), [pmf], p)
         # log_weibull: p * int y^(p-1) P(|xi|>y) dy, integrated in u = ln(1+y)
         b = self.beta
         def integrand(u):

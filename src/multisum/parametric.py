@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .mc import (EmpiricalDist, RngSpec, _limit_field, _sum_field,
                  _weight_columns, empirical_moment)
 from .psi import PsiFunction, _golden_max
 from .rosenthal import rosenthal_K
-from .verify import factor_moment_under, ks_critical, ks_distance
+from .verify import _axis_moment_max, _ks_verdict, ks_critical, ks_distance
 
 __all__ = [
     "ParametricKernel",
@@ -328,14 +328,9 @@ class Theorem8Report:
     profile: EntropyProfile | None = None
 
     def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "hypotheses": dict(self.hypotheses),
-            "hypotheses_met": self.hypotheses_met,
-            "stages": [dict(s) for s in self.stages],
-            "sup_moment": dict(self.sup_moment),
-            "verdict": self.verdict,
-        }
+        out = asdict(self)
+        del out["profile"]
+        return out
 
 
 def profile_csv(profile: EntropyProfile) -> str:
@@ -347,12 +342,7 @@ def profile_csv(profile: EntropyProfile) -> str:
 
 def field_G(pk: ParametricKernel, dists, p: float) -> float:
     """Product over axes of the worst used factor moment under the sampling laws."""
-    out = 1.0
-    for axis in range(pk.d):
-        ks = sorted({kvec[axis] for kvec in pk.lam})
-        out *= max(factor_moment_under(dists[axis], pk.factors[axis], k, p)
-                   for k in ks)
-    return out
+    return math.prod(_axis_moment_max(pk, dists, p))
 
 
 def check_theorem_8(pk: ParametricKernel, level, L_family, dists, N: int,
@@ -403,8 +393,7 @@ def check_theorem_8(pk: ParametricKernel, level, L_family, dists, N: int,
         stages.append({"L_size": L.size, "ks_per_v": ks_vals,
                        "max_ks": max(ks_vals)})
         sup_final = sup
-    seq = [s["max_ks"] for s in stages]
-    ks_ok = all(b <= a + 2 * crit for a, b in zip(seq, seq[1:])) and seq[-1] <= final_ks
+    ks_ok = _ks_verdict([s["max_ks"] for s in stages], crit, final_ks)
     emp_sup, emp_se = empirical_moment(sup_final, p_ref)
     sup_ok = bool(emp_sup <= budget * majorant + 3 * emp_se)
     sup_report = {"p": p_ref, "empirical": emp_sup, "se": emp_se,

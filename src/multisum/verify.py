@@ -11,11 +11,11 @@ two-sided.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .index_sets import make_rect, nclt_condition_report, rect_pair
+from .index_sets import nclt_condition_report, rect_pair
 from .kernels import DegenerateKernel
 from .mc import (AxisDistribution, EmpiricalDist, RngSpec, empirical_moment,
                  empirical_tail, sample_S_infty, simulate_S_L)
@@ -28,8 +28,7 @@ __all__ = [
     "ConvergenceReport",
     "SandwichReport",
     "TailDominationReport",
-    "verify_rect_nclt",
-    "verify_irregular_nclt",
+    "verify_nclt",
     "verify_moment_sandwich",
     "verify_tail_domination",
     "factor_moment_under",
@@ -61,7 +60,7 @@ class ConvergenceReport:
     verdict: str             # pass | fail | hypotheses not met
     final_threshold: float
     noise_budget: float
-    hypotheses_met: bool = True
+    hypotheses_met: bool
 
     def to_csv(self) -> str:
         lines = ["stage,L_size,kappa_minus,kappa_plus,ks,verdict"]
@@ -72,14 +71,7 @@ class ConvergenceReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> dict:
-        return {
-            "description": self.description,
-            "stages": list(self.stages),
-            "verdict": self.verdict,
-            "final_threshold": self.final_threshold,
-            "noise_budget": self.noise_budget,
-            "hypotheses_met": self.hypotheses_met,
-        }
+        return asdict(self)
 
 
 def _require_orthonormal(kernel: DegenerateKernel):
@@ -89,11 +81,33 @@ def _require_orthonormal(kernel: DegenerateKernel):
         raise ValueError("degenerate limit: sum lambda^2 must be positive")
 
 
-def _ks_stages(kernel, dists, sets, N, rng, limit_n, workers, pairs=None):
+def _ks_verdict(ks, crit, final_ks):
+    """KS sequence nonincreasing within twice the critical value, last stage below final_ks."""
+    nonincreasing = all(b <= a + 2.0 * crit for a, b in zip(ks, ks[1:]))
+    return nonincreasing and ks[-1] <= final_ks
+
+
+def verify_nclt(kernel: DegenerateKernel, dists, sets, N: int, rng: RngSpec, *,
+                limit_n: int = 100_000, final_ks: float = 0.05,
+                kappa_threshold: float = 0.25, workers: int = 1) -> ConvergenceReport:
+    """KS trajectory of S_L along a growing family of index sets against the chaos limit.
+
+    The family must meet the irregular-domain conditions: the inscribed or
+    circumscribed rectangles grow strictly while their deficiency decays
+    below ``kappa_threshold``.  Rectangles have zero deficiency, so for a
+    family of cubes only the growth of the sides counts.  When neither
+    condition holds the verdict is "hypotheses not met" and the KS
+    trajectory is still reported.  Otherwise pass requires the KS sequence
+    nonincreasing within twice the KS critical value and the final stage
+    below ``final_ks``.
+    """
+    _require_orthonormal(kernel)
+    sets = list(sets)
+    pairs = [rect_pair(L) for L in sets]
+    cond = nclt_condition_report(list(zip(sets, pairs)), kappa_threshold)
     limit = sample_S_infty(kernel.lam, kernel.d, limit_n, rng.child(997), workers)
     rows = []
-    for i, L in enumerate(sets):
-        pair = pairs[i] if pairs is not None else rect_pair(L)
+    for i, (L, pair) in enumerate(zip(sets, pairs)):
         dist = simulate_S_L(kernel, L, dists, N, rng.child(i), workers)
         rows.append({
             "stage": i,
@@ -103,60 +117,14 @@ def _ks_stages(kernel, dists, sets, N, rng, limit_n, workers, pairs=None):
             "min_corner": pair.l_minus.min_side,
             "ks": ks_distance(dist, limit),
         })
-    return rows, ks_critical(N, limit_n)
-
-
-def _ks_verdict(rows, crit, final_ks):
-    ks = [r["ks"] for r in rows]
-    nonincreasing = all(b <= a + 2.0 * crit for a, b in zip(ks, ks[1:]))
-    return nonincreasing and ks[-1] <= final_ks
-
-
-def verify_rect_nclt(kernel: DegenerateKernel, dists, sizes, N: int, rng: RngSpec,
-                     limit_n: int = 100_000, final_ks: float = 0.05,
-                     workers: int = 1) -> ConvergenceReport:
-    """KS trajectory of S_L on growing cubes [1,n]^d against the chaos limit.
-
-    Pass requires the KS sequence nonincreasing within twice the KS critical
-    value and the final stage below ``final_ks``.
-    """
-    _require_orthonormal(kernel)
-    sets = [make_rect([n] * kernel.d) for n in sizes]
-    rows, crit = _ks_stages(kernel, dists, sets, N, rng, limit_n, workers)
-    ok = _ks_verdict(rows, crit, final_ks)
-    return ConvergenceReport(
-        description=f"cubes n^{kernel.d}, n in {list(sizes)}",
-        stages=tuple(rows), verdict="pass" if ok else "fail",
-        final_threshold=final_ks, noise_budget=2.0 * crit)
-
-
-def verify_irregular_nclt(kernel: DegenerateKernel, dists, family, N: int,
-                          rng: RngSpec, limit_n: int = 100_000,
-                          final_ks: float = 0.05,
-                          kappa_threshold: float = 0.25,
-                          workers: int = 1) -> ConvergenceReport:
-    """Irregular-domain limit check: geometry conditions plus the KS pipeline.
-
-    When neither deficiency trend satisfies its condition the verdict is
-    "hypotheses not met"; the KS trajectory is still reported.
-    """
-    _require_orthonormal(kernel)
-    sets, pairs = [], []
-    for item in family:
-        if isinstance(item, tuple):
-            L, pair = item
-        else:
-            L, pair = item, rect_pair(item)
-        sets.append(L)
-        pairs.append(pair)
-    cond = nclt_condition_report(list(zip(sets, pairs)), kappa_threshold)
-    rows, crit = _ks_stages(kernel, dists, sets, N, rng, limit_n, workers, pairs=pairs)
+    crit = ks_critical(N, limit_n)
     if not cond.hypotheses_met:
         verdict = "hypotheses not met"
     else:
-        verdict = "pass" if _ks_verdict(rows, crit, final_ks) else "fail"
+        ok = _ks_verdict([r["ks"] for r in rows], crit, final_ks)
+        verdict = "pass" if ok else "fail"
     return ConvergenceReport(
-        description=f"irregular family, |L| in {[L.size for L in sets]}",
+        description=f"|L| in {[L.size for L in sets]}",
         stages=tuple(rows), verdict=verdict,
         final_threshold=final_ks, noise_budget=2.0 * crit,
         hypotheses_met=cond.hypotheses_met)
@@ -177,6 +145,7 @@ class SandwichReport:
     empirical_se: tuple
     upper: tuple
     passed: bool
+    shape_fits: dict         # log-log slopes of the two envelopes, see _shape_fits
 
     def ratios(self):
         return ([e / max(l, 1e-300) for e, l in zip(self.empirical, self.lower)],
@@ -184,16 +153,8 @@ class SandwichReport:
 
     def to_json(self) -> dict:
         lo_ratio, hi_ratio = self.ratios()
-        return {
-            "p_grid": list(self.p_grid),
-            "lower": list(self.lower),
-            "empirical": list(self.empirical),
-            "empirical_se": list(self.empirical_se),
-            "upper": list(self.upper),
-            "ratio_empirical_over_lower": lo_ratio,
-            "ratio_upper_over_empirical": hi_ratio,
-            "passed": self.passed,
-        }
+        return dict(asdict(self), ratio_empirical_over_lower=lo_ratio,
+                    ratio_upper_over_empirical=hi_ratio)
 
 
 def factor_moment_under(dist: AxisDistribution, family, k: int, p: float) -> float:
@@ -211,28 +172,67 @@ def factor_moment_under(dist: AxisDistribution, family, k: int, p: float) -> flo
         f"no moment rule for factor family '{family.kind}' (k={k}) under '{dist.kind}'")
 
 
+def _axis_moment_max(kernel, dists, p: float) -> list:
+    """Per axis, the largest ``|g_k|_p`` under the sampling law over the factor indices in use.
+
+    ``kernel`` is anything with ``d``, per-axis ``factors`` and ``lam`` keyed
+    by multi-indices: a degenerate or a parametric kernel.
+    """
+    return [max(factor_moment_under(dists[axis], kernel.factors[axis], k, p)
+                for k in sorted({kvec[axis] for kvec in kernel.lam}))
+            for axis in range(kernel.d)]
+
+
+def _rank_one_envelope(kernel: DegenerateKernel, dists, p: float):
+    """(lower, upper) moment envelope of S_L for a rank-one kernel ``w prod g``.
+
+    Lower: ``|w| prod |g|_p``, exact at |L| = 1 by independence.  Upper:
+    ``|w| K(p)**d prod |g|_p``, the Klesov bound, uniform in L.
+    """
+    (kvec, w), = kernel.lam.items()
+    moments = [factor_moment_under(dists[axis], kernel.factors[axis], k, p)
+               for axis, k in enumerate(kvec)]
+    return abs(w) * math.prod(moments), abs(w) * klesov_bound(moments, p)
+
+
+def _shape_fits(kernel: DegenerateKernel, dists) -> dict:
+    """Log-log slopes of the rank-one envelopes against p/ln(p) on [4, 16].
+
+    Both envelopes are quadrature-backed, so the fit window is independent
+    of what the Monte Carlo sandwich could estimate.
+    """
+    p = np.array([4.0, 6.0, 8.0, 12.0, 16.0])
+    lower, upper = zip(*(_rank_one_envelope(kernel, dists, pv) for pv in p))
+    shape = np.log(p / np.log(p))
+    return {
+        "p_grid": p.tolist(),
+        "lower_slope": float(np.polyfit(shape, np.log(lower), 1)[0]),
+        "upper_slope": float(np.polyfit(shape, np.log(upper), 1)[0]),
+        "expected_lower_slope": float(kernel.d),
+        "expected_upper_slope": float(2 * kernel.d),
+    }
+
+
 def verify_moment_sandwich(kernel: DegenerateKernel, dists, L_list, p_grid,
                            N: int, rng: RngSpec, workers: int = 1) -> SandwichReport:
     """Two-sided moment check for rank-one kernels.
 
-    Lower bound: the product of factor moments, exact at |L| = 1 by
-    independence.  Upper bound: the Klesov product bound, uniform in L.
+    Lower and upper bounds are the rank-one envelope (``_rank_one_envelope``).
     Empirical: the max over the supplied index sets of the simulated moment.
     Pass means lower <= empirical + 3 SE and empirical <= upper + 3 SE
-    pointwise on the p-grid.
+    pointwise on the p-grid.  The report also carries the envelopes' shape
+    fits, whose expected slopes are d (lower) and 2d (upper).
     """
     if len(kernel.lam) != 1:
         raise ValueError("the exact lower route needs a rank-one kernel")
-    (kvec, w), = kernel.lam.items()
     dists = list(dists)
     sims = [simulate_S_L(kernel, L, dists, N, rng.child(i), workers)
             for i, L in enumerate(L_list)]
     lower, upper, emp, emp_se = [], [], [], []
     for p in p_grid:
-        moments = [factor_moment_under(dists[axis], kernel.factors[axis], k, p)
-                   for axis, k in enumerate(kvec)]
-        lower.append(abs(w) * math.prod(moments))
-        upper.append(abs(w) * klesov_bound(moments, p))
+        lo, hi = _rank_one_envelope(kernel, dists, p)
+        lower.append(lo)
+        upper.append(hi)
         ests = [empirical_moment(s, p) for s in sims]
         best = max(range(len(ests)), key=lambda i: ests[i][0])
         emp.append(ests[best][0])
@@ -240,7 +240,8 @@ def verify_moment_sandwich(kernel: DegenerateKernel, dists, L_list, p_grid,
     passed = all(l <= e + 3 * se and e <= u + 3 * se
                  for l, e, se, u in zip(lower, emp, emp_se, upper))
     return SandwichReport(tuple(p_grid), tuple(lower), tuple(emp),
-                          tuple(emp_se), tuple(upper), passed)
+                          tuple(emp_se), tuple(upper), passed,
+                          _shape_fits(kernel, dists))
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +264,7 @@ class TailDominationReport:
         return self.violations == 0
 
     def to_json(self) -> dict:
-        return {
-            "y_grid": list(self.y_grid),
-            "rows": [dict(r) for r in self.rows],
-            "estimability_floor": self.estimability_floor,
-            "violations": self.violations,
-            "min_margin": self.min_margin,
-            "dominated": self.dominated,
-        }
+        return dict(asdict(self), dominated=self.dominated)
 
 
 def natural_composite(kernel: DegenerateKernel, dists, p_grid) -> PsiFunction:
@@ -283,13 +277,8 @@ def natural_composite(kernel: DegenerateKernel, dists, p_grid) -> PsiFunction:
     p_grid = np.asarray(p_grid, dtype=float)
     if p_grid[0] < 2.0:
         raise ValueError("composite bounds live on p >= 2")
-    factors = []
-    for axis in range(kernel.d):
-        ks = sorted({kvec[axis] for kvec in kernel.lam})
-        vals = np.array([
-            max(factor_moment_under(dists[axis], kernel.factors[axis], k, p) for k in ks)
-            for p in p_grid])
-        factors.append(tabulated_psi(p_grid, vals))
+    table = np.array([_axis_moment_max(kernel, dists, p) for p in p_grid])
+    factors = [tabulated_psi(p_grid, table[:, axis]) for axis in range(kernel.d)]
     return compose_psi_product(factors, rosenthal_power=kernel.d)
 
 

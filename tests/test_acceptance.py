@@ -20,7 +20,7 @@ from multisum import (AxisDistribution, DegenerateKernel, ParametricKernel,
                       naive_S_L, natural_composite, power_log,
                       rademacher_family, simulate_Q_L, simulate_S_L,
                       squares_minus_corner_family,
-                      staircase_set, verify_irregular_nclt, verify_rect_nclt,
+                      staircase_set, verify_nclt,
                       verify_tail_domination, young_fenchel, TailBound,
                       check_theorem_8)
 from multisum.cli import main as cli_main
@@ -146,13 +146,13 @@ def test_criterion_03_rectangular_nclt():
     start = time.perf_counter()
     k2 = DegenerateKernel(2, {(1, 1): 1.0}, [hermite_family()] * 2,
                           orthonormal=True)
-    r2 = verify_rect_nclt(k2, GAUSS2, [4, 16, 64], 20_000, RngSpec(303),
-                          limit_n=100_000, final_ks=0.05)
+    r2 = verify_nclt(k2, GAUSS2, [make_rect([n] * 2) for n in [4, 16, 64]], 20_000,
+                     RngSpec(303), limit_n=100_000, final_ks=0.05)
     k3 = DegenerateKernel(3, {(1, 1, 1): 1.0}, [hermite_family()] * 3,
                           orthonormal=True)
-    r3 = verify_rect_nclt(k3, [AxisDistribution("standard_normal")] * 3,
-                          [4, 8, 16], 20_000, RngSpec(304),
-                          limit_n=100_000, final_ks=0.05)
+    r3 = verify_nclt(k3, [AxisDistribution("standard_normal")] * 3,
+                     [make_rect([n] * 3) for n in [4, 8, 16]], 20_000, RngSpec(304),
+                     limit_n=100_000, final_ks=0.05)
     ks2 = [row["ks"] for row in r2.stages]
     ks3 = [row["ks"] for row in r3.stages]
     ok = r2.verdict == "pass" and r3.verdict == "pass"
@@ -167,16 +167,16 @@ def test_criterion_04_irregular_nclt():
                               orthonormal=True)
     sizes = [8, 16, 32, 64]
     fam = squares_minus_corner_family(sizes)
-    good = verify_irregular_nclt(kernel, GAUSS2, fam, 20_000, RngSpec(404),
-                                 limit_n=100_000, final_ks=0.05)
+    good = verify_nclt(kernel, GAUSS2, fam, 20_000, RngSpec(404),
+                       limit_n=100_000, final_ks=0.05)
     # the vanishing deficiency of this family, checked numerically against
     # the counting value 1 / sqrt(n^2 - 1)
     kappa_ok = all(
         row["kappa_plus"] == pytest.approx(1 / math.sqrt(n * n - 1), rel=1e-12)
         for row, n in zip(good.stages, sizes))
     kappa_ok = kappa_ok and good.stages[-1]["kappa_plus"] < 0.02
-    bad = verify_irregular_nclt(kernel, GAUSS2, lshape_family([8, 16, 32], 0.5),
-                                20_000, RngSpec(405), limit_n=100_000)
+    bad = verify_nclt(kernel, GAUSS2, lshape_family([8, 16, 32], 0.5),
+                      20_000, RngSpec(405), limit_n=100_000)
     lshape_kappas = [row["kappa_minus"] for row in bad.stages]
     ok = (good.verdict == "pass" and kappa_ok
           and bad.verdict == "hypotheses not met"

@@ -171,6 +171,23 @@ def test_verify_failed_check_exits_5(tmp_path):
     assert verdict["verdict"] == "fail"
 
 
+def test_verify_cube_family_and_equal_list_agree(tmp_path):
+    """Two spellings of the same (non-growing) cubes get one verdict and one exit code."""
+    base = json.loads((CONFIG_DIR / "gauss_rank1.json").read_text())
+    square = {"d": 2, "kind": "rect", "params": {"n": [16, 16]}}
+    results = []
+    for name, index_sets in (("family", {"family": "squares", "sizes": [16, 16]}),
+                             ("list", {"list": [square, square]})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dict(base, index_sets=index_sets)))
+        code, out = run_cmd(tmp_path, "verify", path, out_name=name)
+        manifest = json.loads((out / "manifest.json").read_text())
+        results.append((code, (out / manifest["files"]["verdict"]).read_bytes()))
+    assert results[0] == results[1]
+    assert results[0][0] == 3
+    assert json.loads(results[0][1])["verdict"] == "hypotheses not met"
+
+
 def test_verify_lshape_hypotheses_not_met(tmp_path):
     code, out = run_cmd(tmp_path, "verify", CONFIG_DIR / "lshape_fixed_fraction.json")
     assert code == 3

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
-from multisum import (DegenerateKernel, TabulatedKernel, degenerate_approx,
+from multisum import (DegenerateKernel, FactorFamily, TabulatedKernel,
+                      degenerate_approx,
                       exponential_poly_family, hermite_family,
                       kernel_from_json, kernel_moment_curve, kernel_to_json,
                       poisson_charlier_family, quadrature_rule,
@@ -125,6 +128,30 @@ def test_moment_curve_quadrature_oracle_dblquad():
         lambda y, x: abs(x * y) ** 3 * np.exp(-(x * x + y * y) / 2) / (2 * np.pi),
         -8, 8, -8, 8)
     assert k.moment(3.0) == pytest.approx(val ** (1 / 3), rel=2e-4)
+
+
+_ANALYTIC = {"hermite": 8, "rademacher_sign": 1, "poisson_charlier": 8,
+             "exponential_poly": 8}      # kind -> largest factor index drawn
+
+
+@st.composite
+def rank_one_kernels(draw):
+    kind = draw(st.sampled_from(sorted(_ANALYTIC)))
+    d = draw(st.integers(1, 3))
+    kvec = tuple(draw(st.integers(1, _ANALYTIC[kind])) for _ in range(d))
+    w = draw(st.floats(0.1, 10.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    return DegenerateKernel(d, {kvec: w}, [FactorFamily(kind)] * d)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rank_one_kernels(), st.floats(2.0, 16.0))
+def test_rank_one_tensor_moment_is_product_of_factor_moments(kernel, p):
+    # the tensor quadrature of |w prod g| factorizes exactly over the axes
+    (kvec, w), = kernel.lam.items()
+    product = abs(w) * math.prod(kernel.factor_moment(axis, k, p)
+                                 for axis, k in enumerate(kvec))
+    assert math.isfinite(product)
+    assert kernel.moment(p) == pytest.approx(product, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

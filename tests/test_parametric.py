@@ -13,7 +13,7 @@ from multisum import (AxisDistribution, EntropyProfile,
                       entropy_integral_power, extremal, hermite_family,
                       lshape_family, make_rect, power_log, rho_lambda,
                       sigma_lambda, simulate_Q_L, simulate_S_L,
-                      verify_rect_nclt)
+                      squares_family, verify_nclt)
 from multisum.parametric import (parametric_kernel_from_json,
                                  parametric_kernel_to_json, sample_Q_infty)
 
@@ -264,8 +264,8 @@ def test_check_theorem8_singleton_matches_rect_verifier():
                           orthonormal=True)
     rep8 = check_theorem_8(pk, ("power", 2.0), [make_rect([4, 4]), make_rect([16, 16])],
                            GAUSS2, 3000, RngSpec(79), limit_n=20_000)
-    rect = verify_rect_nclt(pk.slice_kernel(0), GAUSS2, [4, 16], 3000, RngSpec(79),
-                            limit_n=20_000)
+    rect = verify_nclt(pk.slice_kernel(0), GAUSS2, squares_family([4, 16]), 3000,
+                       RngSpec(79), limit_n=20_000)
     ks8 = [s["max_ks"] for s in rep8.stages]
     ksr = [row["ks"] for row in rect.stages]
     assert ks8 == pytest.approx(ksr, abs=1e-12)

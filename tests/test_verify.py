@@ -12,8 +12,8 @@ from multisum import (AxisDistribution, DegenerateKernel, EmpiricalDist,
                       poisson_charlier_family, rademacher_family,
                       sample_S_infty, simulate_S_L, squares_family,
                       squares_minus_corner_family, staircase_set,
-                      verify_irregular_nclt, verify_moment_sandwich,
-                      verify_rect_nclt, verify_tail_domination)
+                      verify_moment_sandwich, verify_nclt,
+                      verify_tail_domination)
 
 GAUSS2 = [AxisDistribution("standard_normal")] * 2
 
@@ -59,8 +59,8 @@ def test_ks_two_normal_batches_small():
 
 
 def test_rect_nclt_gaussian_rank1_passes():
-    report = verify_rect_nclt(gauss_rank1(), GAUSS2, [4, 16], 5000, RngSpec(42),
-                              limit_n=20_000)
+    report = verify_nclt(gauss_rank1(), GAUSS2, squares_family([4, 16]), 5000,
+                         RngSpec(42), limit_n=20_000)
     assert report.verdict == "pass"
     assert report.stages[-1]["ks"] <= 0.05
     assert all(row["kappa_minus"] == 0 for row in report.stages)
@@ -69,17 +69,18 @@ def test_rect_nclt_gaussian_rank1_passes():
 def test_rect_nclt_requires_orthonormal_and_nondegenerate():
     k = DegenerateKernel(2, {(1, 1): 1.0}, [hermite_family()] * 2, orthonormal=False)
     with pytest.raises(ValueError):
-        verify_rect_nclt(k, GAUSS2, [4], 100, RngSpec(1))
+        verify_nclt(k, GAUSS2, squares_family([4]), 100, RngSpec(1))
     k0 = DegenerateKernel(2, {(1, 1): 0.0}, [hermite_family()] * 2, orthonormal=True)
     with pytest.raises(ValueError):
-        verify_rect_nclt(k0, GAUSS2, [4], 100, RngSpec(1))
+        verify_nclt(k0, GAUSS2, squares_family([4]), 100, RngSpec(1))
 
 
 def test_rademacher_single_cell_far_from_chaos_limit():
     k = DegenerateKernel(2, {(1, 1): 1.0}, [rademacher_family()] * 2,
                          orthonormal=True)
     dists = [AxisDistribution("rademacher")] * 2
-    report = verify_rect_nclt(k, dists, [1], 5000, RngSpec(9), limit_n=20_000)
+    report = verify_nclt(k, dists, squares_family([1]), 5000, RngSpec(9),
+                         limit_n=20_000)
     # a four-point law against a continuous one: KS stays large
     assert report.stages[0]["ks"] > 0.1
     assert report.verdict == "fail"
@@ -88,7 +89,8 @@ def test_rademacher_single_cell_far_from_chaos_limit():
 def test_d1_reduction_is_classical_clt():
     k = gauss_rank1(d=1)
     dists = [AxisDistribution("standard_normal")]
-    report = verify_rect_nclt(k, dists, [2, 8], 5000, RngSpec(17), limit_n=20_000)
+    report = verify_nclt(k, dists, [make_rect([2]), make_rect([8])], 5000,
+                         RngSpec(17), limit_n=20_000)
     # each stage is exactly standard normal, so only noise remains
     assert report.verdict == "pass"
     for row in report.stages:
@@ -102,33 +104,24 @@ def test_d1_reduction_is_classical_clt():
 
 def test_irregular_squares_minus_corner_passes():
     fam = squares_minus_corner_family([6, 12, 24])
-    report = verify_irregular_nclt(gauss_rank1(), GAUSS2, fam, 5000, RngSpec(23),
-                                   limit_n=20_000)
+    report = verify_nclt(gauss_rank1(), GAUSS2, fam, 5000, RngSpec(23),
+                         limit_n=20_000)
     assert report.hypotheses_met
     assert report.verdict == "pass"
 
 
 def test_irregular_lshape_flagged():
     fam = lshape_family([6, 12, 24], fraction=0.5)
-    report = verify_irregular_nclt(gauss_rank1(), GAUSS2, fam, 2000, RngSpec(29),
-                                   limit_n=10_000)
+    report = verify_nclt(gauss_rank1(), GAUSS2, fam, 2000, RngSpec(29),
+                         limit_n=10_000)
     assert report.verdict == "hypotheses not met"
     assert not report.hypotheses_met
     assert len(report.stages) == 3        # KS still reported
 
 
-def test_irregular_rect_family_matches_rect_verifier():
-    rects = squares_family([4, 16])
-    r1 = verify_irregular_nclt(gauss_rank1(), GAUSS2, rects, 4000, RngSpec(31),
-                               limit_n=20_000)
-    r2 = verify_rect_nclt(gauss_rank1(), GAUSS2, [4, 16], 4000, RngSpec(31),
-                          limit_n=20_000)
-    assert r1.verdict == r2.verdict == "pass"
-
-
 def test_report_csv_layout():
-    report = verify_rect_nclt(gauss_rank1(), GAUSS2, [4], 500, RngSpec(1),
-                              limit_n=2000)
+    report = verify_nclt(gauss_rank1(), GAUSS2, squares_family([4]), 500,
+                         RngSpec(1), limit_n=2000)
     lines = report.to_csv().strip().split("\n")
     assert lines[0] == "stage,L_size,kappa_minus,kappa_plus,ks,verdict"
     assert lines[1].startswith("0,16,")
