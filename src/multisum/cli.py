@@ -269,9 +269,8 @@ def cmd_verify(cfg, out: OutputSet, workers: int) -> int:
     report = verify_tail_domination(kernel, dists, sets, composite, n, rng,
                                     workers=workers)
     out.add("verdict", "json", _dump_json(report.to_json()))
-    tb = TailBound(gls_norm=kernel.lambda_l1, psi=composite)
     csv = "y,bound\n" + "".join(
-        f"{_fmt(y)},{_fmt(tail_bound_eval(tb, y))}\n" for y in report.y_grid)
+        f"{_fmt(y)},{_fmt(b)}\n" for y, b in zip(report.y_grid, report.bounds))
     csv_name = out.add("tailbound", "csv", csv.encode())
     out.add("plot", "gp", _gnuplot_script(csv_name, 2, "tail bound"))
     return EXIT_OK if report.dominated else EXIT_FAILED

@@ -13,12 +13,13 @@ numbers enter the entropy integrals
 
 Coverings are greedy farthest-point selections (an upper bound, the safe
 direction for the integrals), replaced by exact minimal covers on grids of at
-most 20 points.
+most 20 points.  The exact search is breadth-first over bitmasks of covered
+points and branches only on the balls that hold the lowest uncovered point,
+so each layer holds at most ``2**|V|`` distinct masks.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -178,12 +179,26 @@ def _greedy_radii(dist: np.ndarray) -> np.ndarray:
 
 
 def _exact_cover_count(dist: np.ndarray, eps: float, upper: int) -> int:
+    """Fewest eps-balls (row j of ``dist <= eps`` is the ball at j) covering every point.
+
+    Breadth-first over bitmasks of covered points: a state branches only on
+    the balls that contain its lowest uncovered point, since every cover
+    holds one of them, so layer k reaches the full mask exactly when some k
+    balls cover.  Each layer is deduplicated, which bounds it by 2**n masks.
+    Returns ``upper`` when no layer up to ``upper`` covers.
+    """
     cover = dist <= eps
     n = dist.shape[0]
+    balls = cover @ (np.int64(1) << np.arange(n, dtype=np.int64))
+    # row i: the balls that contain point i; the other slots repeat ball i
+    containing = np.where(cover.T, balls[None, :], balls[:, None])
+    full = (1 << n) - 1
+    frontier = np.zeros(1, dtype=np.int64)
     for k in range(1, upper + 1):
-        for combo in itertools.combinations(range(n), k):
-            if np.any(cover[list(combo)], axis=0).all():
-                return k
+        lowest = np.bitwise_count(frontier ^ (frontier + 1)) - 1
+        frontier = np.unique(frontier[:, None] | containing[lowest])
+        if frontier[-1] == full:
+            return k
     return upper
 
 

@@ -134,7 +134,8 @@ def theorem_W_bound(kernel_family, p: float, L_size: int, M_max: int) -> BoundRe
     ``M = 1..M_max``, where ``Z_M`` and ``Q_{M,p}`` come from the kernel's
     ``degenerate_approx``.  The index-set size enters through the residual
     term only, so the caller supplies it per index set rather than a supremum
-    over all of them.
+    over all of them.  A NaN candidate ends the search and is reported as the
+    bound, at its rank, so that it cannot pass for a clean minimum.
     """
     if M_max < 1:
         raise ValueError("M_max must be >= 1")
@@ -148,11 +149,11 @@ def theorem_W_bound(kernel_family, p: float, L_size: int, M_max: int) -> BoundRe
     for m in range(1, M_max + 1):
         approx = kernel_family.degenerate_approx(m, p)
         val = kd * dp_quasinorm(approx.z_m, p) + root_l * approx.q_m
-        if val < best_val:
+        if val < best_val or math.isnan(val):
             best_val = val
             best_m = m
-        if approx.q_m == 0.0:
-            break  # higher ranks cannot improve either term
+        if approx.q_m == 0.0 or math.isnan(val):
+            break  # higher ranks cannot improve either term, or NaN is the answer
     digest = _digest({
         "kernel": kernel_family.digest_payload(),
         "p": p, "L_size": L_size, "M_max": M_max,

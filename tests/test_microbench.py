@@ -1,0 +1,30 @@
+"""Micro-benchmarks of the two field-verification kernels: KS distance and exact covering."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("pytest_benchmark")
+
+from multisum import EmpiricalDist, ParametricKernel, covering_profile, hermite_family, ks_distance
+
+# values the exhaustive-search and concatenate-and-search versions also give
+KS_20K_50K = 0.013400000000000079
+COUNTS_12 = [1] * 3 + [2] * 5 + [3] * 2 + [4] * 3 + [6, 7, 8, 10, 11] + [12] * 46
+
+
+def test_ks_distance_20k_vs_50k(benchmark):
+    rng = np.random.default_rng(20)
+    a = EmpiricalDist(rng.normal(size=20_000))
+    b = EmpiricalDist(rng.normal(0.01, 1.0, size=50_000))
+    assert benchmark.pedantic(ks_distance, args=(a, b), rounds=5) == KS_20K_50K
+
+
+def test_covering_profile_12_points(benchmark):
+    # the field workload's exponential-level kernel: 0.2 + 0.8 t and 0.5 t^2 over t in [0, 1]
+    t = np.linspace(0.0, 1.0, 12)
+    pk = ParametricKernel(t[:, None], {(1, 1): 0.2 + 0.8 * t, (2, 2): 0.5 * t * t},
+                          [hermite_family()] * 2, orthonormal=True)
+    eps = np.geomspace(1.0, 1e-4, 64)
+    prof = benchmark.pedantic(covering_profile, args=(pk, eps), rounds=5)
+    assert prof.exact
+    assert prof.counts.tolist() == COUNTS_12

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from multisum import (AxisDistribution, EntropyProfile,
@@ -14,7 +16,8 @@ from multisum import (AxisDistribution, EntropyProfile,
                       lshape_family, make_rect, power_log, rho_lambda,
                       sigma_lambda, simulate_Q_L, simulate_S_L,
                       squares_family, verify_nclt)
-from multisum.parametric import (parametric_kernel_from_json,
+from multisum.parametric import (_exact_cover_count, _greedy_radii,
+                                 parametric_kernel_from_json,
                                  parametric_kernel_to_json, sample_Q_infty)
 
 GAUSS2 = [AxisDistribution("standard_normal")] * 2
@@ -107,12 +110,44 @@ def test_greedy_within_factor_two_of_exact():
         lam = {(1, 1): rng.uniform(0, 1, nv), (2, 2): rng.uniform(0, 1, nv)}
         pk = ParametricKernel(np.arange(nv)[:, None], lam, [hermite_family()] * 2)
         dist = pk.rho_matrix()
-        from multisum.parametric import _greedy_radii
         radii = _greedy_radii(dist)
         for eps in (0.8, 0.4, 0.2, 0.1):
             greedy_n = int(np.argmax(radii <= eps)) + 1 if np.any(radii <= eps) else nv
             exact_n = brute_force_min_cover(dist, eps)
             assert exact_n <= greedy_n <= 2 * exact_n
+
+
+@st.composite
+def metrics_and_radii(draw):
+    """An l1 metric on up to 10 points (ties likely) and a radius from 0 to past the diameter."""
+    coord = st.one_of(st.integers(0, 5), st.floats(0.0, 1.0))
+    pts = np.array(draw(st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=10)),
+                   dtype=float)
+    dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=-1)
+    diam = float(dist.max())
+    eps = draw(st.one_of(st.just(0.0), st.just(diam), st.sampled_from(sorted(dist.flat)),
+                         st.floats(0.0, 1.5).map(lambda f: f * diam + f)))
+    return dist, eps
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(metrics_and_radii())
+def test_exact_cover_count_matches_brute_force(case):
+    dist, eps = case
+    n = dist.shape[0]
+    assert _exact_cover_count(dist, eps, n) == brute_force_min_cover(dist, eps)
+
+
+def test_exact_cover_scales_to_twenty_points():
+    # the exhaustive search over center subsets took minutes on this profile
+    pk = line_grid_pk(20)
+    eps = np.geomspace(1.0, 1e-3, 64)
+    prof = covering_profile(pk, eps)
+    radii = _greedy_radii(pk.rho_matrix())
+    greedy = [int(np.argmax(radii <= e)) + 1 if np.any(radii <= e) else 20 for e in prof.eps]
+    assert prof.exact
+    assert np.all(prof.counts <= greedy)
+    assert prof.counts[0] == 1.0 and prof.counts[-1] == 20.0
 
 
 def test_holder_slope_recovery():

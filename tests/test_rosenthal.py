@@ -10,6 +10,7 @@ from multisum import (BoundReport, DegenerateKernel, TabulatedKernel,
                       dp_quasinorm, hermite_family, klesov_bound,
                       rosenthal_K, theorem_W_bound, trivial_bound,
                       ROSENTHAL_CONSTANT)
+from multisum.kernels import ApproxResult
 
 E = math.e
 
@@ -195,6 +196,24 @@ def test_theorem_w_argument_errors():
         theorem_W_bound(k, 4.0, L_size=10, M_max=0)
     with pytest.raises(ValueError):
         theorem_W_bound(k, 4.0, L_size=0, M_max=2)
+
+
+def test_theorem_w_nan_residual_is_reported_not_skipped():
+    # ranks 1 and 3 are finite, and rank 3 beats rank 1; rank 2 is NaN
+    class NanAtRankTwo:
+        d = 2
+
+        def degenerate_approx(self, m, p):
+            q = {1: 1.0, 2: math.nan}.get(m, 0.0)
+            return ApproxResult(z_m=unit_hermite_kernel({(1, 1): 1.0}), q_m=q,
+                                trace_tail=q, surrogate=False)
+
+        def digest_payload(self):
+            return "nan-at-rank-two"
+
+    rep = theorem_W_bound(NanAtRankTwo(), 4.0, L_size=50, M_max=6)
+    assert math.isnan(rep.bound_value)
+    assert rep.m_star == 2
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from multisum import (AxisDistribution, DegenerateKernel, EmpiricalDist,
@@ -42,6 +44,32 @@ def test_ks_symmetry_and_scipy_oracle():
     d1 = ks_distance(a, b)
     assert d1 == ks_distance(b, a)
     assert d1 == pytest.approx(ks_2samp(a.values, b.values).statistic, abs=1e-12)
+
+
+def ks_reference(a, b):
+    """Oracle: both empirical CDFs evaluated at every point of both samples."""
+    pts = np.concatenate([a.values, b.values])
+    fa = np.searchsorted(a.values, pts, side="right") / a.n
+    fb = np.searchsorted(b.values, pts, side="right") / b.n
+    return float(np.max(np.abs(fa - fb)))
+
+
+def _rounded_normals(seed, n, decimals, shift):
+    return np.round(np.random.default_rng(seed).normal(shift, 1.0, n), decimals)
+
+
+ks_samples = st.one_of(
+    st.lists(st.integers(-4, 4), min_size=1, max_size=300),       # tie-heavy integers
+    st.builds(_rounded_normals, st.integers(0, 2**32 - 1), st.integers(1, 300),
+              st.integers(0, 2), st.sampled_from([0.0, 0.3])),
+).map(lambda v: EmpiricalDist(np.asarray(v, dtype=float)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ks_samples, ks_samples)
+def test_ks_distance_equals_reference_bit_for_bit(a, b):
+    assert ks_distance(a, b) == ks_reference(a, b)
+    assert ks_distance(b, a) == ks_reference(b, a)
 
 
 def test_ks_two_normal_batches_small():
