@@ -1,16 +1,17 @@
 """Finite multi-index sets and their rectangle-deficiency geometry.
 
-An index set is a finite subset of the positive integer lattice.  How close
-it is to a rectangle is measured by two scaled cell counts: ``kappa_minus``,
-the cells left uncovered by the best inscribed rectangle, and ``kappa_plus``,
-the bounding-box cells not in the set, both divided by ``sqrt(|L|)``.
-Vanishing deficiencies along a growing family are the hypotheses of the
-irregular-domain limit theorems; this module computes them exactly for d = 2
-and heuristically for d >= 3.
+An index set is a finite subset of the positive integer lattice, stored as
+disjoint lattice boxes.  How close it is to a rectangle is measured by two
+scaled cell counts: ``kappa_minus``, the cells left uncovered by the best
+inscribed rectangle, and ``kappa_plus``, the bounding-box cells not in the
+set, both divided by ``sqrt(|L|)``.  Vanishing deficiencies along a growing
+family are the hypotheses of the irregular-domain limit theorems; this module
+computes them exactly in every dimension.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -66,74 +67,38 @@ class Rect:
 
 @dataclass(frozen=True)
 class IndexSet:
-    """Finite subset of Z_+^d with a named representation (rect, staircase, explicit)."""
+    """Finite subset of Z_+^d with a named representation (rect, staircase, explicit).
+
+    ``boxes`` are disjoint lattice boxes (``Rect``) whose union is the set,
+    sorted by corners; the constructors below build them.
+    """
 
     d: int
     kind: str
-    cells: np.ndarray          # (|L|, d), sorted rows, deterministic iteration
+    boxes: tuple
     params: tuple = ()
-
-    def __post_init__(self):
-        cells = np.asarray(self.cells, dtype=np.int64)
-        if cells.ndim != 2 or cells.shape[1] != self.d or cells.shape[0] == 0:
-            raise ValueError("an index set is a nonempty array of d-tuples")
-        if np.any(cells < 1):
-            raise ValueError("indices are 1-based")
-        order = np.lexsort(cells.T[::-1])
-        cells = cells[order]
-        if cells.shape[0] > 1 and np.any(np.all(np.diff(cells, axis=0) == 0, axis=1)):
-            raise ValueError("duplicate cells")
-        cells = cells.copy()
-        cells.flags.writeable = False
-        object.__setattr__(self, "cells", cells)
 
     @property
     def size(self) -> int:
-        return int(self.cells.shape[0])
+        return sum(box.size for box in self.boxes)
 
     def __len__(self):
         return self.size
 
     def axis_max(self, axis: int) -> int:
-        if self.kind == "rect":
-            return int(self.params[axis])
-        return int(self.cells[:, axis].max())
+        return max(box.hi[axis] for box in self.boxes)
 
     @cached_property
-    def boxes(self) -> tuple:
-        """Disjoint lattice boxes (``Rect``) whose union is the set, sorted by corners.
-
-        Runs of consecutive cells along the last axis come first; then, one
-        axis at a time from the second-to-last to the first, boxes that agree
-        on every other axis and abut along this one merge.  A rectangle is
-        one box and an L-shape two.
-        """
-        cells = self.cells
-        last = cells[:, -1]
-        new = np.ones(len(cells), dtype=bool)
-        new[1:] = np.any(cells[1:, :-1] != cells[:-1, :-1], axis=1) | (np.diff(last) != 1)
-        starts = np.flatnonzero(new)
-        lo = cells[starts]
-        hi = lo.copy()
-        hi[:, -1] = last[np.append(starts[1:], len(cells)) - 1]
-        for axis in range(self.d - 2, -1, -1):
-            # boxes are still one cell thick along ``axis``: group by the other
-            # extents, then merge neighbours one apart along ``axis``
-            others = [s for s in range(self.d) if s != axis]
-            key = np.concatenate([lo[:, others], hi[:, others]], axis=1)
-            order = np.lexsort((lo[:, axis],) + tuple(key.T[::-1]))
-            lo, hi, key = lo[order], hi[order], key[order]
-            new = np.ones(len(lo), dtype=bool)
-            new[1:] = np.any(key[1:] != key[:-1], axis=1) | (lo[1:, axis] != hi[:-1, axis] + 1)
-            starts = np.flatnonzero(new)
-            lo, hi = lo[starts], hi[np.append(starts[1:], len(new)) - 1]
-        corners = np.concatenate([lo, hi], axis=1)
-        return tuple(Rect(tuple(int(v) for v in lo[i]), tuple(int(v) for v in hi[i]))
-                     for i in np.lexsort(corners.T[::-1]))
+    def cells(self) -> np.ndarray:
+        """(|L|, d) array of the cells in lexicographic row order, built on first use."""
+        cells = np.concatenate([box.cells() for box in self.boxes])
+        cells = cells[np.lexsort(cells.T[::-1])]
+        cells.flags.writeable = False
+        return cells
 
     def bounding_box(self) -> Rect:
-        return Rect(tuple(int(v) for v in self.cells.min(axis=0)),
-                    tuple(int(v) for v in self.cells.max(axis=0)))
+        return Rect(tuple(min(b.lo[s] for b in self.boxes) for s in range(self.d)),
+                    tuple(self.axis_max(s) for s in range(self.d)))
 
     def to_json(self) -> dict:
         if self.kind == "rect":
@@ -147,12 +112,23 @@ class IndexSet:
 def index_set_from_json(obj: dict) -> IndexSet:
     kind = obj["kind"]
     if kind == "rect":
-        return make_rect(obj["params"]["n"])
-    if kind == "staircase":
-        return staircase_set(obj["params"]["profile"])
-    if kind == "explicit":
-        return explicit_set(obj["params"]["cells"])
-    raise ValueError(f"unknown index set kind '{kind}'")
+        L = make_rect(obj["params"]["n"])
+    elif kind == "staircase":
+        L = staircase_set(obj["params"]["profile"])
+    elif kind == "explicit":
+        L = explicit_set(obj["params"]["cells"])
+    else:
+        raise ValueError(f"unknown index set kind '{kind}'")
+    if obj.get("d") != L.d:
+        raise ValueError(f"index set declares dimension d={obj.get('d')}, "
+                         f"its params have dimension {L.d}")
+    return L
+
+
+def _box_set(kind, boxes, params=()) -> IndexSet:
+    """Index set of already disjoint boxes given as ``(lo, hi)`` corner pairs in corner order."""
+    boxes = tuple(Rect(tuple(lo), tuple(hi)) for lo, hi in boxes)
+    return IndexSet(boxes[0].d, kind, boxes, params)
 
 
 def make_rect(nvec) -> IndexSet:
@@ -162,26 +138,62 @@ def make_rect(nvec) -> IndexSet:
         raise ValueError("need at least one axis bound")
     if any(n < 1 for n in nvec):
         raise ValueError("axis bounds must be >= 1")
-    rect = Rect(tuple(1 for _ in nvec), tuple(nvec))
-    return IndexSet(len(nvec), "rect", rect.cells(), tuple(nvec))
+    return _box_set("rect", [((1,) * len(nvec), nvec)], tuple(nvec))
 
 
 def staircase_set(profile) -> IndexSet:
-    """d = 2 staircase: column i holds rows 1..profile[i]."""
+    """d = 2 staircase: column i holds rows 1..profile[i], one box per run of equal heights."""
     profile = [int(h) for h in profile]
     if not profile or any(h < 0 for h in profile):
         raise ValueError("profile heights must be nonnegative, at least one column")
-    cells = [(i + 1, j + 1) for i, h in enumerate(profile) for j in range(h)]
-    if not cells:
+    if not any(profile):
         raise ValueError("empty staircase")
-    return IndexSet(2, "staircase", np.array(cells), tuple(profile))
+    boxes, i = [], 1
+    for h, run in itertools.groupby(profile):
+        width = len(list(run))
+        if h:
+            boxes.append(((i, 1), (i + width - 1, h)))
+        i += width
+    return _box_set("staircase", boxes, tuple(profile))
 
 
 def explicit_set(cells) -> IndexSet:
+    """Index set of the given cells, split into disjoint boxes.
+
+    Runs of consecutive cells along the last axis come first; then, one axis
+    at a time from the second-to-last to the first, boxes that agree on every
+    other axis and abut along this one merge.  A rectangle is one box and an
+    L-shape two.
+    """
     cells = np.asarray(cells, dtype=np.int64)
-    if cells.ndim != 2:
-        raise ValueError("cells must be an array of tuples")
-    return IndexSet(cells.shape[1], "explicit", cells)
+    if cells.ndim != 2 or 0 in cells.shape:
+        raise ValueError("an index set is a nonempty array of d-tuples")
+    if np.any(cells < 1):
+        raise ValueError("indices are 1-based")
+    cells = cells[np.lexsort(cells.T[::-1])]
+    if np.any(np.all(np.diff(cells, axis=0) == 0, axis=1)):
+        raise ValueError("duplicate cells")
+    last = cells[:, -1]
+    new = np.ones(len(cells), dtype=bool)
+    new[1:] = np.any(cells[1:, :-1] != cells[:-1, :-1], axis=1) | (np.diff(last) != 1)
+    starts = np.flatnonzero(new)
+    lo = cells[starts]
+    hi = lo.copy()
+    hi[:, -1] = last[np.append(starts[1:], len(cells)) - 1]
+    d = cells.shape[1]
+    for axis in range(d - 2, -1, -1):
+        # boxes are still one cell thick along ``axis``: group by the other
+        # extents, then merge neighbours one apart along ``axis``
+        others = [s for s in range(d) if s != axis]
+        key = np.concatenate([lo[:, others], hi[:, others]], axis=1)
+        order = np.lexsort((lo[:, axis],) + tuple(key.T[::-1]))
+        lo, hi, key = lo[order], hi[order], key[order]
+        new = np.ones(len(lo), dtype=bool)
+        new[1:] = np.any(key[1:] != key[:-1], axis=1) | (lo[1:, axis] != hi[:-1, axis] + 1)
+        starts = np.flatnonzero(new)
+        lo, hi = lo[starts], hi[np.append(starts[1:], len(new)) - 1]
+    order = np.lexsort(np.concatenate([lo, hi], axis=1).T[::-1])
+    return _box_set("explicit", [(map(int, lo[i]), map(int, hi[i])) for i in order])
 
 
 @dataclass(frozen=True)
@@ -192,122 +204,91 @@ class RectPair:
     l_plus: Rect
     kappa_minus: float
     kappa_plus: float
-    inner_exact: bool = True   # False when the inscribed search was heuristic (d >= 3)
 
 
 # ---------------------------------------------------------------------------
-# rectangle searches
+# rectangle search
 # ---------------------------------------------------------------------------
 
 
-def _membership_grid(L: IndexSet):
-    box = L.bounding_box()
-    shape = tuple(b - a + 1 for a, b in zip(box.lo, box.hi))
-    grid = np.zeros(shape, dtype=bool)
-    idx = tuple((L.cells[:, s] - box.lo[s]) for s in range(L.d))
-    grid[idx] = True
-    return grid, box
+def _heaviest_runs(rows: np.ndarray, widths: np.ndarray):
+    """Weight, first and last column of each boolean row's heaviest run of trues.
 
-
-def _best_rect_2d(grid: np.ndarray):
-    """Largest all-true axis box in a boolean grid, exact O(W^2 H) scan.
-
-    Ties break on the lexicographically smallest (lo1, lo2, hi1, hi2).
+    A column weighs ``widths``; ties go to the earliest run.  The first and
+    last columns come back as ``(rows, 1)`` arrays, one-element corners.
     """
-    w, h = grid.shape
-    pref = np.zeros((w + 1, h), dtype=np.int64)
-    pref[1:] = np.cumsum(grid, axis=0)
-    best = None
-    for a in range(w):
-        for b in range(a, w):
-            full = (pref[b + 1] - pref[a]) == (b - a + 1)
-            # longest run of full rows, earliest on ties
-            run = 0
-            start = 0
-            best_run, best_start = 0, 0
-            for j in range(h):
-                if full[j]:
-                    if run == 0:
-                        start = j
-                    run += 1
-                    if run > best_run:
-                        best_run, best_start = run, start
-                else:
-                    run = 0
-            if best_run == 0:
-                continue
-            area = (b - a + 1) * best_run
-            key = (-area, a, best_start, b, best_start + best_run - 1)
-            if best is None or key < best:
-                best = key
-    if best is None:
-        raise ValueError("no inscribed rectangle found in a nonempty set")
-    _, a, j0, b, j1 = best
-    return (a, j0), (b, j1)
+    edges = np.concatenate([[0], np.cumsum(widths)])
+    # weight of the run ending at each column: the edge after it minus the
+    # edge after the last false column before it (zero on false columns)
+    start = np.maximum.accumulate(np.where(rows, 0, edges[1:]), axis=1)
+    weight = edges[1:] - start
+    last = weight.argmax(axis=1)
+    pick = np.arange(len(rows))
+    first = np.searchsorted(edges, start[pick, last])
+    return weight[pick, last], first[:, None], last[:, None]
 
 
-def _best_rect_heuristic(L: IndexSet, restarts: int = 8):
-    """Coordinate-descent box growth for d >= 3; deterministic restarts."""
-    grid, box = _membership_grid(L)
-    cells = L.cells
-    best = None
-    seeds = [cells[int(i)] for i in
-             np.linspace(0, cells.shape[0] - 1, num=min(restarts, cells.shape[0]), dtype=int)]
-    for seed in seeds:
-        lo = np.asarray(seed, dtype=np.int64).copy()
-        hi = lo.copy()
-        grown = True
-        while grown:
-            grown = False
-            for axis in range(L.d):
-                for direction in (+1, -1):
-                    lo2, hi2 = lo.copy(), hi.copy()
-                    if direction > 0:
-                        hi2[axis] += 1
-                        if hi2[axis] > box.hi[axis]:
-                            continue
-                    else:
-                        lo2[axis] -= 1
-                        if lo2[axis] < box.lo[axis]:
-                            continue
-                    sl = tuple(slice(a - box.lo[s], b - box.lo[s] + 1)
-                               for s, (a, b) in enumerate(zip(lo2, hi2)))
-                    if grid[sl].all():
-                        lo, hi = lo2, hi2
-                        grown = True
-            # keep growing until no axis extends
-        size = math.prod(hi - lo + 1)
-        key = (-size, tuple(lo), tuple(hi))
-        if best is None or key < best:
-            best = key
-    _, lo, hi = best
-    return Rect(tuple(int(v) for v in lo), tuple(int(v) for v in hi))
+def _best_box(grid: np.ndarray, widths: list):
+    """Heaviest all-true box of a boolean grid as ``(weight, lo, hi)`` grid indices.
+
+    A cell weighs the product of its axes' ``widths``; ties go to the
+    smallest ``(lo, hi)``.  For each first row a along axis 0, the slabs
+    a..b are the running logical and of the rows from a; a 2-D slab's best
+    box is its heaviest run, and a deeper slab's comes from recursing on it.
+    """
+    if grid.ndim == 1:
+        weight, lo, hi = _heaviest_runs(grid[None], widths[0])
+        return int(weight[0]), (int(lo[0, 0]),), (int(hi[0, 0]),)
+    edges = np.concatenate([[0], np.cumsum(widths[0])])
+    best = (0, (), ())
+    for a in range(grid.shape[0]):
+        slabs = np.logical_and.accumulate(grid[a:], axis=0)
+        slabs = slabs[:np.count_nonzero(slabs.reshape(len(slabs), -1).any(axis=1))]
+        if not len(slabs):
+            continue
+        if grid.ndim == 2:
+            inner, lo, hi = _heaviest_runs(slabs, widths[1])
+        else:
+            inner, lo, hi = zip(*(_best_box(slab, widths[1:]) for slab in slabs))
+        weight = (edges[a + 1:a + 1 + len(slabs)] - edges[a]) * np.asarray(inner)
+        top = int(weight.max())
+        if top < best[0]:
+            continue
+        for i in np.flatnonzero(weight == top):
+            cand = (top, (a, *map(int, lo[i])), (a + int(i), *map(int, hi[i])))
+            best = min(best, cand, key=lambda c: (-c[0], c[1], c[2]))
+    return best
 
 
 def rect_pair(L: IndexSet) -> RectPair:
     """Best inscribed and circumscribed rectangles of L with both deficiencies.
 
-    The inscribed side is a maximum-cardinality rectangle inside L (exact for
-    d = 2) and drives ``kappa_minus = |L \\ L_minus| / sqrt(|L|)``; the
-    circumscribed side is the bounding box, with ``kappa_plus = |L_plus \\ L|
-    / sqrt(|L|)``.  For d >= 3 a restart coordinate-descent heuristic finds
-    the inscribed side and the result is flagged ``inner_exact=False``.
+    The inscribed side is a maximum-cardinality rectangle inside L, ties
+    going to the lexicographically smallest corners, and drives
+    ``kappa_minus = |L \\ L_minus| / sqrt(|L|)``; the circumscribed side is
+    the bounding box, with ``kappa_plus = |L_plus \\ L| / sqrt(|L|)``.
+
+    The search is exact in every dimension.  Per axis, the box faces cut the
+    line into intervals, so the grid of interval products holds cells that
+    lie wholly inside or wholly outside L.  A maximum box cannot slide one
+    step along any axis (the union with its shifted copy would be a larger
+    box), so each of its faces lies on a cut, and the heaviest all-true box
+    of the interval grid, weighed by interval widths, is a maximum box of L.
     """
+    lo = np.array([box.lo for box in L.boxes])
+    end = np.array([box.hi for box in L.boxes]) + 1
+    cuts = [np.unique(np.concatenate([lo[:, s], end[:, s]])) for s in range(L.d)]
+    grid = np.zeros([len(c) - 1 for c in cuts], dtype=bool)
+    for a, b in zip(lo, end):
+        grid[tuple(slice(*np.searchsorted(c, (x, y))) for c, x, y in zip(cuts, a, b))] = True
+    _, i, j = _best_box(grid, [np.diff(c) for c in cuts])
+    inner = Rect(tuple(int(c[k]) for c, k in zip(cuts, i)),
+                 tuple(int(c[k + 1]) - 1 for c, k in zip(cuts, j)))
     box = L.bounding_box()
-    exact = True
-    if L.kind == "rect":
-        inner = box
-    elif L.d == 2:
-        grid, _ = _membership_grid(L)
-        (a, j0), (b, j1) = _best_rect_2d(grid)
-        inner = Rect((a + box.lo[0], j0 + box.lo[1]), (b + box.lo[0], j1 + box.lo[1]))
-    else:
-        inner = _best_rect_heuristic(L)
-        exact = False
     root = math.sqrt(L.size)
     kappa_minus = (L.size - inner.size) / root
     kappa_plus = (box.size - L.size) / root
-    return RectPair(inner, box, kappa_minus, kappa_plus, inner_exact=exact)
+    return RectPair(inner, box, kappa_minus, kappa_plus)
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +387,7 @@ def squares_minus_corner_family(sizes) -> list:
     for n in sizes:
         if n < 2:
             raise ValueError("need n >= 2 to remove a corner")
-        cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
-                 if not (i == n and j == n)]
-        out.append(explicit_set(cells))
+        out.append(_box_set("explicit", [((1, 1), (n - 1, n)), ((n, 1), (n, n - 1))]))
     return out
 
 
@@ -423,7 +402,5 @@ def lshape_family(sizes, fraction: float = 0.5) -> list:
         c = max(1, round(n * fraction))
         if c >= n:
             raise ValueError("fraction too large")
-        cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
-                 if not (i > n - c and j > n - c)]
-        out.append(explicit_set(cells))
+        out.append(_box_set("explicit", [((1, 1), (n - c, n)), ((n - c + 1, 1), (n, n - c))]))
     return out

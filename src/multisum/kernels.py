@@ -184,6 +184,9 @@ class FactorFamily:
         """Value of the k-th factor at points x (k is 1-based)."""
         if k < 1:
             raise ValueError("factor indices are 1-based; k=0 would be the constant")
+        if self.kind == "tabulated" and k <= self.table.shape[0]:
+            # one row only; a k past the table fails the member check in evaluate_block
+            return np.interp(np.asarray(x, dtype=float), self.nodes, self.table[k - 1])
         return self.evaluate_block(k, x)[k - 1]
 
     def evaluate_block(self, kmax: int, x) -> np.ndarray:

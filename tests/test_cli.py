@@ -139,10 +139,15 @@ def test_simulate_boxes_follow_kernel_dimension(tmp_path):
 
 def test_simulate_index_set_of_wrong_dimension_exits_2(tmp_path, capsys):
     square = {"d": 2, "kind": "rect", "params": {"n": [3, 3]}}
-    cfg = _cubic_simulate_config(tmp_path, {"list": [square]})
-    code, _ = run_cmd(tmp_path, "simulate", cfg)
-    assert code == 2
-    assert "dimension" in json.loads(capsys.readouterr().err)["error"]
+    # declared d and params disagree, whether or not the params fit the kernel
+    flat = {"d": 3, "kind": "rect", "params": {"n": [4, 4]}}
+    cube = {"d": 2, "kind": "rect", "params": {"n": [4, 4, 4]}}
+    undeclared = {"kind": "rect", "params": {"n": [4, 4, 4]}}
+    for i, index_set in enumerate((square, flat, cube, undeclared)):
+        cfg = _cubic_simulate_config(tmp_path, {"list": [index_set]})
+        code, _ = run_cmd(tmp_path, "simulate", cfg, out_name=f"run{i}")
+        assert code == 2
+        assert "dimension" in json.loads(capsys.readouterr().err)["error"]
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multisum import (explicit_set, lshape_family, make_rect,
                       nclt_condition_report, rect_pair, squares_family,
                       squares_minus_corner_family, staircase_set)
+from multisum.index_sets import index_set_from_json
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
 
 def brute_force_best_rect(cells):
@@ -23,6 +28,74 @@ def brute_force_best_rect(cells):
             if all(cell in cellset for cell in cand):
                 best = max(best, len(cand))
     return best
+
+
+def grid_scan_best_rect(cells):
+    """Reference: exact O(W^2 H) scan of the d = 2 membership grid.
+
+    Ties break on the lexicographically smallest (lo1, lo2, hi1, hi2).
+    Returns the corners ``(lo, hi)`` in the set's coordinates.
+    """
+    cells = np.asarray(cells)
+    base = cells.min(axis=0)
+    w, h = cells.max(axis=0) - base + 1
+    grid = np.zeros((w, h), dtype=bool)
+    grid[tuple((cells - base).T)] = True
+    pref = np.zeros((w + 1, h), dtype=np.int64)
+    pref[1:] = np.cumsum(grid, axis=0)
+    best = None
+    for a in range(w):
+        for b in range(a, w):
+            full = (pref[b + 1] - pref[a]) == (b - a + 1)
+            # longest run of full rows, earliest on ties
+            run = 0
+            start = 0
+            best_run, best_start = 0, 0
+            for j in range(h):
+                if full[j]:
+                    if run == 0:
+                        start = j
+                    run += 1
+                    if run > best_run:
+                        best_run, best_start = run, start
+                else:
+                    run = 0
+            if best_run == 0:
+                continue
+            area = (b - a + 1) * best_run
+            key = (-area, a, best_start, b, best_start + best_run - 1)
+            if best is None or key < best:
+                best = key
+    _, a, j0, b, j1 = best
+    return ((int(a + base[0]), int(j0 + base[1])), (int(b + base[0]), int(j1 + base[1])))
+
+
+def brute_force_best_box(cells):
+    """Oracle in any d: every box inside the bounding box, ``(-size, lo, hi)`` smallest."""
+    cells = np.asarray(cells)
+    top = cells.max(axis=0)
+    grid = np.zeros(top + 1, dtype=bool)
+    grid[tuple(cells.T)] = True
+    best = None
+    spans = [[(a, b) for a in range(1, n + 1) for b in range(a, n + 1)] for n in top]
+    for span in itertools.product(*spans):
+        if grid[tuple(slice(a, b + 1) for a, b in span)].all():
+            lo, hi = tuple(a for a, _ in span), tuple(b for _, b in span)
+            key = (-math.prod(b - a + 1 for a, b in span), lo, hi)
+            best = key if best is None or key < best else best
+    return best
+
+
+@st.composite
+def planar_cells(draw):
+    """Nonempty random subset of a shifted box of side <= 9 in d = 2."""
+    w, h = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    keep = draw(st.lists(st.booleans(), min_size=w * h, max_size=w * h))
+    if not any(keep):
+        keep[0] = True
+    shift = draw(st.tuples(st.integers(0, 3), st.integers(0, 3)))
+    return [(i + 1 + shift[0], j + 1 + shift[1]) for i in range(w) for j in range(h)
+            if keep[i * h + j]]
 
 
 # ---------------------------------------------------------------------------
@@ -147,22 +220,47 @@ def test_kappas_nonnegative_and_zero_iff_rect():
         stair.size - pair.l_minus.size, rel=1e-12)
 
 
+@SETTINGS
+@given(planar_cells())
+def test_inscribed_matches_grid_scan_corners(cells):
+    inner = rect_pair(explicit_set(cells)).l_minus
+    assert (inner.lo, inner.hi) == grid_scan_best_rect(cells)
+
+
 # ---------------------------------------------------------------------------
-# d >= 3 heuristic
+# d >= 3
 # ---------------------------------------------------------------------------
 
 
 def test_heuristic_inner_rect_3d():
     L = make_rect([3, 3, 3])
     pair = rect_pair(L)
-    assert pair.kappa_minus == 0.0 and pair.inner_exact
+    assert pair.kappa_minus == 0.0
     cells = [c for c in itertools.product(range(1, 4), repeat=3)
              if c != (3, 3, 3)]
     L2 = explicit_set(cells)
     pair2 = rect_pair(L2)
-    assert not pair2.inner_exact          # flagged heuristic
-    assert pair2.l_minus.size >= 18       # 3x3x2 block is reachable by growth
+    # three 18-cell boxes (2x3x3, 3x2x3, 3x3x2) tie; the smallest corners win
+    assert (pair2.l_minus.lo, pair2.l_minus.hi) == ((1, 1, 1), (2, 3, 3))
+    assert pair2.l_minus.size == 18
+    assert pair2.kappa_minus == pytest.approx(8 / math.sqrt(26), rel=1e-12)
     assert pair2.kappa_plus == pytest.approx(1 / math.sqrt(26), rel=1e-12)
+
+
+def test_inscribed_3d_finds_the_column():
+    # coordinate descent from the set's cells stops at a 2-cell box here
+    cells = [(1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 2), (2, 1, 1), (2, 1, 3), (2, 2, 1)]
+    inner = rect_pair(explicit_set(cells)).l_minus
+    assert (inner.lo, inner.hi) == ((1, 1, 1), (1, 1, 3))
+
+
+@SETTINGS
+@given(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
+       .flatmap(lambda shape: st.sets(st.tuples(*[st.integers(1, n) for n in shape]),
+                                      min_size=1)))
+def test_inscribed_matches_brute_force_up_to_4_cubed(cells):
+    inner = rect_pair(explicit_set(sorted(cells))).l_minus
+    assert (-inner.size, inner.lo, inner.hi) == brute_force_best_box(sorted(cells))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +325,6 @@ def test_inscribed_optimal_up_to_400_cell_boxes():
 
 
 def test_index_set_json_round_trip():
-    from multisum.index_sets import index_set_from_json
     for L in (make_rect([3, 5]), staircase_set([3, 2, 2]),
               explicit_set([(1, 4), (2, 1), (7, 7)])):
         clone = index_set_from_json(L.to_json())
@@ -243,3 +340,34 @@ def test_boxes_of_stock_shapes():
         ((1, 1), (2, 3)), ((3, 1), (3, 1))]
     assert [(b.lo, b.hi) for b in explicit_set([(2,), (3,), (5,)]).boxes] == [
         ((2,), (3,)), ((5,), (5,))]
+
+
+@SETTINGS
+@given(st.sampled_from(["rect", "staircase", "lshape", "minus_corner"]),
+       st.lists(st.integers(0, 6), min_size=1, max_size=8), st.floats(0.05, 0.6))
+def test_stock_constructors_agree_with_explicit_sets(kind, sizes, fraction):
+    n = max(sizes) + 2
+    if kind == "rect":
+        L = make_rect([s + 1 for s in sizes[:3]])
+    elif kind == "staircase":
+        if not any(sizes):
+            sizes[0] = 1
+        L = staircase_set(sizes)
+    elif kind == "lshape":
+        L = lshape_family([n], fraction=fraction)[0]
+    else:
+        L = squares_minus_corner_family([n])[0]
+    clone = explicit_set(L.cells)
+    assert L.boxes == clone.boxes
+    assert np.array_equal(L.cells, clone.cells)
+    assert L.size == clone.size == len(L.cells)
+    if L.kind == "explicit":
+        assert L.to_json() == clone.to_json()
+    assert index_set_from_json(L.to_json()).boxes == L.boxes
+
+
+def test_rect_geometry_needs_no_cells():
+    L = make_rect([4096, 4096, 4096])
+    assert L.size == 4096 ** 3 and L.axis_max(2) == 4096
+    assert rect_pair(L).l_minus == L.bounding_box() == L.boxes[0]
+    assert "cells" not in vars(L)

@@ -3,15 +3,21 @@
 import itertools
 import math
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from multisum import (AxisDistribution, DegenerateKernel, EmpiricalDist,
-                      RngSpec, compute_S_L, empirical_moment, empirical_tail,
-                      hermite_family, load_empirical, lshape_family,
-                      make_rect, naive_S_L, sample_S_infty, save_empirical,
+                      ParametricKernel, RngSpec, compute_S_L, empirical_moment,
+                      empirical_tail, explicit_set, hermite_family,
+                      load_empirical, lshape_family, make_rect, naive_S_L,
+                      sample_S_infty, save_empirical, simulate_Q_L,
                       simulate_S_L, staircase_set)
+from multisum import mc
 
 GAUSS = [AxisDistribution("standard_normal")] * 2
 
@@ -32,6 +38,36 @@ def test_worker_count_invariance(workers):
         base = simulate_S_L(k, L, GAUSS, 3000, RngSpec(99), workers=1)
         split = simulate_S_L(k, L, GAUSS, 3000, RngSpec(99), workers=workers)
         assert np.array_equal(base.values, split.values)
+
+
+@st.composite
+def field_runs(draw):
+    """A random 2-D set, a Hermite field kernel over <= 3 points, N and a seed."""
+    cells = draw(st.sets(st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=1,
+                         max_size=12))
+    nv = draw(st.integers(1, 3))
+    kvec = st.tuples(st.integers(1, 3), st.integers(1, 3))
+    weights = st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=nv, max_size=nv)
+    lam = draw(st.dictionaries(kvec, weights, min_size=1, max_size=3))
+    pk = ParametricKernel(np.arange(nv)[:, None], {k: np.array(w) for k, w in lam.items()},
+                          [hermite_family()] * 2, orthonormal=False)
+    return pk, explicit_set(sorted(cells)), draw(st.integers(1, 40)), draw(st.integers(0, 999))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(field_runs(), st.integers(1, 120))
+def test_worker_and_block_size_invariance(run, budget):
+    pk, L, N, seed = run
+    base_S = simulate_S_L(pk.slice_kernel(0), L, GAUSS, N, RngSpec(seed)).values
+    base_Q = np.stack([d.values for d in simulate_Q_L(pk, L, GAUSS, N, RngSpec(seed))[0]])
+    for small in (False, True):
+        # a budget of a few floats forces blocks of one or a few replications
+        with mock.patch.object(mc, "_BLOCK_BUDGET", budget if small else mc._BLOCK_BUDGET):
+            for workers in (1, 2, 3):
+                S = simulate_S_L(pk.slice_kernel(0), L, GAUSS, N, RngSpec(seed), workers)
+                Q, _ = simulate_Q_L(pk, L, GAUSS, N, RngSpec(seed), workers)
+                assert np.array_equal(S.values, base_S)
+                assert np.array_equal(np.stack([d.values for d in Q]), base_Q)
 
 
 def test_single_replication_reproducible():

@@ -1,11 +1,12 @@
-"""Micro-benchmarks of the two field-verification kernels: KS distance and exact covering."""
+"""Micro-benchmarks: KS distance, exact covering and the inscribed-rectangle search."""
 
 import numpy as np
 import pytest
 
 pytest.importorskip("pytest_benchmark")
 
-from multisum import EmpiricalDist, ParametricKernel, covering_profile, hermite_family, ks_distance
+from multisum import (EmpiricalDist, ParametricKernel, covering_profile, hermite_family,
+                      ks_distance, lshape_family, rect_pair, staircase_set)
 
 # values the exhaustive-search and concatenate-and-search versions also give
 KS_20K_50K = 0.013400000000000079
@@ -28,3 +29,17 @@ def test_covering_profile_12_points(benchmark):
     prof = benchmark.pedantic(covering_profile, args=(pk, eps), rounds=5)
     assert prof.exact
     assert prof.counts.tolist() == COUNTS_12
+
+
+@pytest.mark.parametrize("shape, corners", [
+    ("lshape_256", ((1, 1), (128, 256))),
+    # heights 37 i mod 257 for i = 1..256 are all distinct: the most cuts per column
+    ("distinct_staircase_256", ((64, 1), (131, 20))),
+])
+def test_rect_pair(benchmark, shape, corners):
+    if shape == "lshape_256":
+        L = lshape_family([256])[0]
+    else:
+        L = staircase_set([37 * i % 257 for i in range(1, 257)])
+    inner = benchmark.pedantic(rect_pair, args=(L,), rounds=5).l_minus
+    assert (inner.lo, inner.hi) == corners
