@@ -280,7 +280,7 @@ def cmd_psi(cfg, out: OutputSet, workers: int) -> int:
     spec = _require(cfg, "psi", dict)
     psi = psi_from_json(_require(spec, "spec", dict))
     p_grid = [float(p) for p in spec.get("p_grid", np.geomspace(
-        psi.p_min, min(psi.support_upper, 64.0), 25).tolist())]
+        psi.p_min, min(psi.inner_top(), 64.0), 25).tolist())]
     x_grid = [float(x) for x in spec.get("x_grid", np.linspace(1.0, 5.0, 17).tolist())]
     norm = float(spec.get("gls_norm", 1.0))
     tb = TailBound(gls_norm=norm, psi=psi)
@@ -291,18 +291,14 @@ def cmd_psi(cfg, out: OutputSet, workers: int) -> int:
         val = psi(p)
         rows.append(f"{_fmt(p)},{_fmt(val)},{_fmt(p * math.log(val))}")
     out.add("psi_table", "csv", ("\n".join(rows) + "\n").encode())
-    rows = ["x,v_star"]
-    diverged = False
-    for x in x_grid:
-        v = young_fenchel(psi, x)
-        diverged = diverged or math.isinf(v)
-        rows.append(f"{_fmt(x)},{'inf' if math.isinf(v) else _fmt(v)}")
+    v_star = young_fenchel(psi, x_grid)
+    rows = ["x,v_star"] + [f"{_fmt(x)},{'inf' if math.isinf(v) else _fmt(v)}"
+                           for x, v in zip(x_grid, v_star)]
     out.add("conjugate", "csv", ("\n".join(rows) + "\n").encode())
-    rows = ["y,tail_bound"]
-    for y in y_grid:
-        rows.append(f"{_fmt(y)},{_fmt(tail_bound_eval(tb, y))}")
+    rows = ["y,tail_bound"] + [f"{_fmt(y)},{_fmt(b)}"
+                               for y, b in zip(y_grid, tail_bound_eval(tb, y_grid))]
     out.add("tail", "csv", ("\n".join(rows) + "\n").encode())
-    return EXIT_DIVERGENCE if diverged else EXIT_OK
+    return EXIT_DIVERGENCE if np.any(np.isinf(v_star)) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

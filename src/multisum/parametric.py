@@ -273,16 +273,13 @@ def _w_transform(tau: PsiFunction, xs: np.ndarray) -> np.ndarray:
     else:
         y_lo = 1e-9
     grid = np.geomspace(y_lo, y_hi, 600)
-    z = tau._log_eval_raw(1.0 / grid)
-    out = np.empty(xs.shape)
-    for i, x in enumerate(xs):
-        vals = x * grid + z
-        k = int(np.argmin(vals))
-        a, b = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
-        # golden-section refinement: the infimum is minus the maximum of -f
-        fun = lambda y: -(x * y + float(tau._log_eval_raw(np.asarray([1.0 / y]))[0]))
-        out[i] = min(vals[k], -_golden_max(fun, a, b))
-    return out
+    vals = xs[:, None] * grid + tau._log_eval_raw(1.0 / grid)
+    k = np.argmin(vals, axis=1)
+    v_grid = vals[np.arange(xs.size), k]
+    # golden-section refinement: the infimum is minus the maximum of -f
+    neg_max = -_golden_max(lambda y, idx: -(xs[idx] * y + tau._log_eval_raw(1.0 / y)),
+                           grid[np.maximum(k - 1, 0)], grid[np.minimum(k + 1, grid.size - 1)])
+    return np.where(neg_max < v_grid, neg_max, v_grid)   # Python min(v_grid, neg_max)
 
 
 def entropy_integral_exp(profile: EntropyProfile, tau: PsiFunction) -> IntegralResult:

@@ -19,6 +19,12 @@ Built-in families:
 * ``product_of`` / ``rosenthal_scaled`` -- closures of the family under
   pointwise products and multiplication by powers of the Rosenthal function.
 * ``tabulated``         -- log-linear interpolation of measured values.
+
+:func:`young_fenchel` and :func:`tail_bound_eval` take a scalar or an array.
+An array is searched all at once: ``ln psi`` is evaluated once per grid cap
+for every element, and one golden-section search refines all elements in
+lockstep, each stopping on its own rule, so every element equals the scalar
+call bit for bit.
 """
 
 from __future__ import annotations
@@ -61,6 +67,7 @@ _E = math.e
 _GRID_POINTS = 512
 _GRID_CAP_INITIAL = 1.0e4
 _GRID_CAP_MAX = 1.0e18
+_X_BLOCK = 2048    # x values per objective matrix: 2048 x 512 doubles is 8 MB
 
 
 class SupportError(ValueError):
@@ -98,6 +105,14 @@ class PsiFunction:
                 f"p={bad:g} outside support [{self.p_min:g}, {self.support_upper:g}{closer} "
                 f"of psi family '{self.family}'"
             )
+
+    def inner_top(self) -> float:
+        """The top end of grids over the support: the top itself when closed,
+        else pulled in by a relative 1e-12 (unless that falls to ``p_min``)."""
+        if self.closed_top:
+            return self.support_upper
+        hi = self.support_upper * (1 - 1e-12)
+        return hi if hi > self.p_min else self.support_upper
 
     # -- evaluation ------------------------------------------------------
 
@@ -275,70 +290,108 @@ def natural_psi(curve: MomentCurve) -> PsiFunction:
 # -- Young-Fenchel conjugate ----------------------------------------------
 
 
-def _objective(psi: PsiFunction, x: float, p: np.ndarray) -> np.ndarray:
-    return x * p - p * psi._log_eval_raw(p)
+def _first_max(first, *rest):
+    """Elementwise ``max(first, *rest)`` in Python's order: a later value wins only
+    if it compares greater, so a leading NaN or a leading ``0.0`` against ``-0.0`` stays."""
+    out = first
+    for r in rest:
+        out = np.where(r > out, r, out)
+    return out
 
 
-def _golden_max(fun, lo: float, hi: float) -> float:
-    """Maximum of a unimodal scalar ``fun`` on ``[lo, hi]`` by golden-section search."""
+def _golden_max(fun, lo, hi):
+    """Maxima of unimodal functions on ``[lo[i], hi[i]]`` by golden-section search in lockstep.
+
+    ``fun(p, idx)`` is the objective of element ``idx[j]`` at ``p[j]``.  Each
+    element stops on its own rule ``b - a < 1e-14 * max(1, |a|)``, so it takes
+    exactly the steps a one-element search takes, and each step makes one
+    ``fun`` call over the elements still running.
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    idx = np.arange(a.size)
+    w = b - a
+    c, d = b - invphi * w, a + invphi * w
+    fc, fd = fun(c, idx), fun(d, idx)
+    final = np.empty((4, a.size))       # a, b, f(c), f(d) of each element when it stops
     for _ in range(90):
-        if b - a < 1e-14 * max(1.0, abs(a)):
+        stop = w < 1e-14 * np.maximum(1.0, np.abs(a))
+        if stop.any():
+            final[:, idx] = a, b, fc, fd
+            run = ~stop
+            idx, a, b, c, d, fc, fd, w = (v[run] for v in (idx, a, b, c, d, fc, fd, w))
+        if not idx.size:
             break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    return max(fc, fd, fun(0.5 * (a + b)))
+        up = fc > fd
+        a, b = np.where(up, a, c), np.where(up, d, b)
+        w = b - a
+        step = invphi * w
+        p = np.where(up, b - step, a + step)
+        c, d = np.where(up, p, d), np.where(up, c, p)
+        f = fun(p, idx)
+        fc, fd = np.where(up, f, fd), np.where(up, fc, f)
+    final[:, idx] = a, b, fc, fd
+    a, b, fc, fd = final
+    return _first_max(fc, fd, fun(0.5 * (a + b), np.arange(a.size)))
 
 
-def young_fenchel(psi: PsiFunction, x: float, grid_points: int = _GRID_POINTS) -> float:
+def _elementwise(fun, values):
+    """``fun`` over the flattened ``values``: a float for a scalar, else an array of its shape."""
+    arr = np.asarray(values, dtype=float)
+    out = fun(arr.reshape(-1))
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+def young_fenchel(psi: PsiFunction, x, grid_points: int = _GRID_POINTS):
     """Conjugate ``v*(x) = sup_p (x p - p ln psi(p))`` over the support of psi.
 
-    Log-spaced grid search refined by golden section around the grid argmax.
-    On unbounded supports the grid cap is pushed out by decades while the
-    objective still climbs at the edge; if it climbs through the final decade
-    at the hard cap the conjugate is reported as ``inf``.
+    ``x`` is a scalar (the result is a float) or an array (the result has its
+    shape, and each element equals the scalar call).  Log-spaced grid search
+    refined by golden section around the grid argmax: ``ln psi`` is evaluated
+    once per grid cap for every x, the objective is one ``(len(x),
+    grid_points)`` matrix, and the refinement runs one lockstep golden search
+    over all x.  On unbounded supports each x pushes its own grid cap out by
+    decades while its objective still climbs at the edge; if it climbs through
+    the final decade at the hard cap that conjugate is reported as ``inf``.
     """
-    x = float(x)
-    lo = psi.p_min
-    if math.isfinite(psi.support_upper):
-        hi = psi.support_upper if psi.closed_top else psi.support_upper * (1 - 1e-12)
-        if hi <= lo:
-            hi = psi.support_upper
-        grid = np.geomspace(lo, hi, grid_points)
-        obj = _objective(psi, x, grid)
-        k = int(np.nanargmax(obj))
-    else:
-        cap = _GRID_CAP_INITIAL
-        while True:
-            grid = np.geomspace(lo, cap, grid_points)
-            obj = _objective(psi, x, grid)
-            k = int(np.nanargmax(obj))
-            at_edge = k >= grid_points - 8
-            if not at_edge:
-                break
-            if cap >= _GRID_CAP_MAX:
-                # increasing over the whole last decade: divergent conjugate
-                decade = grid >= cap / 10.0
-                dv = np.diff(obj[decade])
-                if np.all(dv >= 0):
-                    return math.inf
-                break
-            cap = min(cap * 100.0, _GRID_CAP_MAX)
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, len(grid) - 1)]
-    fun = lambda p: float(_objective(psi, x, np.asarray([p]))[0])
-    best = _golden_max(fun, a, b)
-    return float(max(best, obj[k]))
+    def blocks(xs):
+        out = np.empty(xs.size)
+        for s in range(0, xs.size, _X_BLOCK):
+            out[s:s + _X_BLOCK] = _conjugate_block(psi, xs[s:s + _X_BLOCK], grid_points)
+        return out
+    return _elementwise(blocks, x)
+
+
+def _conjugate_block(psi: PsiFunction, xs: np.ndarray, grid_points: int) -> np.ndarray:
+    n = xs.size
+    a, b, top = np.empty(n), np.empty(n), np.empty(n)   # bracket and grid max per x
+    diverged = np.zeros(n, dtype=bool)
+    pending = np.arange(n)
+    bounded = math.isfinite(psi.support_upper)
+    cap = psi.inner_top() if bounded else _GRID_CAP_INITIAL
+    while pending.size:
+        grid = np.geomspace(psi.p_min, cap, grid_points)
+        obj = xs[pending, None] * grid - grid * psi._log_eval_raw(grid)
+        k = np.nanargmax(obj, axis=1)
+        done = bounded | (k < grid_points - 8)
+        if not bounded and cap >= _GRID_CAP_MAX:
+            # increasing over the whole last decade: divergent conjugate
+            climbing = np.diff(obj[~done][:, grid >= cap / 10.0], axis=1)
+            diverged[pending[~done]] = np.all(climbing >= 0, axis=1)
+            done[:] = True
+        rows, k = pending[done], k[done]
+        a[rows] = grid[np.maximum(k - 1, 0)]
+        b[rows] = grid[np.minimum(k + 1, grid_points - 1)]
+        top[rows] = obj[np.flatnonzero(done), k]
+        pending = pending[~done]
+        cap = min(cap * 100.0, _GRID_CAP_MAX)
+    out = np.full(n, math.inf)
+    live = np.flatnonzero(~diverged)
+    x_live = xs[live]
+    best = _golden_max(lambda p, idx: x_live[idx] * p - p * psi._log_eval_raw(p),
+                       a[live], b[live])
+    out[live] = _first_max(best, top[live])
+    return out
 
 
 # -- tail bounds -----------------------------------------------------------
@@ -363,21 +416,26 @@ class TailBound:
     def validity_threshold(self) -> float:
         return _E * self.gls_norm
 
-    def __call__(self, y: float) -> float:
+    def __call__(self, y):
         return tail_bound_eval(self, y)
 
 
-def tail_bound_eval(tb: TailBound, y: float) -> float:
-    """``exp(-v*(ln(y / norm)))`` for ``y >= e * norm``; 1 below the threshold."""
-    y = float(y)
-    if y < 0:
-        raise ValueError("tail levels are nonnegative")
-    if y < tb.validity_threshold:
-        return 1.0
-    v_star = young_fenchel(tb.psi, math.log(y / tb.gls_norm))
-    if math.isinf(v_star):
-        return 0.0
-    return min(1.0, math.exp(-v_star))
+def tail_bound_eval(tb: TailBound, y):
+    """``exp(-v*(ln(y / norm)))`` for ``y >= e * norm``; 1 below the threshold.
+
+    ``y`` is a scalar or an array, as for :func:`young_fenchel`; the
+    conjugates of all levels above the threshold come from one array call.
+    """
+    def bound(ys):
+        if np.any(ys < 0):
+            raise ValueError("tail levels are nonnegative")
+        out = np.ones(ys.size)
+        above = np.flatnonzero(~(ys < tb.validity_threshold))
+        # math.log and math.exp per level: np.log and np.exp differ from them in the last bit
+        v_star = young_fenchel(tb.psi, [math.log(y / tb.gls_norm) for y in ys[above].tolist()])
+        out[above] = [0.0 if math.isinf(v) else min(1.0, math.exp(-v)) for v in v_star.tolist()]
+        return out
+    return _elementwise(bound, y)
 
 
 def compose_psi_product(factors, rosenthal_power: int = 1) -> PsiFunction:

@@ -317,7 +317,7 @@ def verify_tail_domination(kernel: DegenerateKernel, dists, L_list,
         y_grid = np.array([y_lo])
     else:
         y_grid = np.geomspace(y_lo, y_max, y_points)
-    bounds = np.array([tb(y) for y in y_grid])
+    bounds = tb(y_grid)
     rows = []
     violations = 0
     min_margin = math.inf

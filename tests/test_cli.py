@@ -283,6 +283,21 @@ def test_psi_rows_for_other_families(tmp_path):
         assert vals[p] == pytest.approx(expect, rel=1e-10)
 
 
+def test_psi_default_grid_stays_inside_open_support(tmp_path):
+    # the default p-grid ends at min(top, 64); an open top b = 8 is pulled inside
+    cfg = tmp_path / "bounded.json"
+    cfg.write_text(json.dumps({
+        "seed": 1, "psi": {"spec": {"family": "bounded_support",
+                                     "params": {"b": 8, "gamma": 1}}}}))
+    code, out = run_cmd(tmp_path, "psi", cfg)
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    table = (out / manifest["files"]["psi_table"]).read_text().strip().split("\n")
+    rows = [[float(v) for v in r.split(",")] for r in table[1:]]
+    assert len(rows) == 25 and all(math.isfinite(v) for r in rows for v in r)
+    assert rows[0][0] == 1.0 and 7.99 < rows[-1][0] < 8.0
+
+
 def test_parametric_entropy_profile_csv(tmp_path):
     code, out = run_cmd(tmp_path, "verify", CONFIG_DIR / "parametric_power.json")
     assert code == 0

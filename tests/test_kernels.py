@@ -154,6 +154,27 @@ def test_rank_one_tensor_moment_is_product_of_factor_moments(kernel, p):
     assert kernel.moment(p) == pytest.approx(product, rel=1e-12)
 
 
+@st.composite
+def analytic_kernels(draw):
+    """One to three terms over a single analytic factor kind."""
+    kind = draw(st.sampled_from(sorted(_ANALYTIC)))
+    # 140 Poisson nodes per axis: at d = 3 each moment is a 2.7 M-node quadrature
+    d = draw(st.integers(1, 2 if kind == "poisson_charlier" else 3))
+    kvec = st.tuples(*[st.integers(1, _ANALYTIC[kind])] * d)
+    weight = st.floats(0.1, 5.0) | st.floats(-5.0, -0.1)
+    lam = draw(st.dictionaries(kvec, weight, min_size=1, max_size=3))
+    return DegenerateKernel(d, lam, [FactorFamily(kind)] * d)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(analytic_kernels(), st.lists(st.floats(1.0, 16.0), min_size=2, max_size=5,
+                                    unique=True))
+def test_quadrature_moment_curve_is_lyapunov_monotone(kernel, ps):
+    # the quadrature rules are probability measures, so |f|_p is nondecreasing in p
+    values = kernel_moment_curve(kernel, sorted(ps), "quadrature").values
+    assert np.all(values[1:] >= values[:-1] * (1.0 - 1e-12))
+
+
 # ---------------------------------------------------------------------------
 # spectral decomposition
 # ---------------------------------------------------------------------------

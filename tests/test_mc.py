@@ -175,6 +175,31 @@ def test_variance_matches_weight_mass_mc():
     assert abs(dist.variance() - k.sigma_sq) <= 3 * dist.variance_se()
 
 
+@st.composite
+def diagonal_hermite_runs(draw):
+    """Diagonal Hermite weights of degree 1-2 on a random box or staircase, and a seed.
+
+    At degree 3 the kurtosis of ``h_3(x) h_3(y)`` is in the thousands, and the
+    delta-method standard error of a 8000-sample variance is itself unreliable.
+    """
+    lam = {(k, k): draw(st.floats(0.2, 1.5)) * draw(st.sampled_from([-1.0, 1.0]))
+           for k in draw(st.sets(st.integers(1, 2), min_size=1, max_size=2))}
+    if draw(st.booleans()):
+        L = make_rect([draw(st.integers(1, 8)), draw(st.integers(1, 8))])
+    else:
+        L = staircase_set(draw(st.lists(st.integers(1, 8), min_size=1, max_size=6)))
+    return hermite_kernel(lam), L, draw(st.integers(0, 999))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(diagonal_hermite_runs())
+def test_variance_is_weight_mass_on_random_sets(run):
+    # orthonormal factors: Var(S_L) = sum lambda^2 for every index set
+    k, L, seed = run
+    dist = simulate_S_L(k, L, GAUSS, 8000, RngSpec(seed))
+    assert abs(dist.variance() - k.sigma_sq) <= 4 * dist.variance_se()
+
+
 # ---------------------------------------------------------------------------
 # chaos limit sampler
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
-"""Micro-benchmarks: KS distance, exact covering and the inscribed-rectangle search."""
+"""Micro-benchmarks: KS distance, exact covering, the inscribed-rectangle search and
+Young-Fenchel conjugates."""
+
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +9,9 @@ import pytest
 pytest.importorskip("pytest_benchmark")
 
 from multisum import (EmpiricalDist, ParametricKernel, covering_profile, hermite_family,
-                      ks_distance, lshape_family, rect_pair, staircase_set)
+                      ks_distance, lshape_family, power_log, product_of, rect_pair,
+                      rosenthal_scaled, staircase_set, tabulated_psi, young_fenchel)
+from test_psi import reference_young_fenchel
 
 # values the exhaustive-search and concatenate-and-search versions also give
 KS_20K_50K = 0.013400000000000079
@@ -43,3 +48,15 @@ def test_rect_pair(benchmark, shape, corners):
         L = staircase_set([37 * i % 257 for i in range(1, 257)])
     inner = benchmark.pedantic(rect_pair, args=(L,), rounds=5).l_minus
     assert (inner.lo, inner.hi) == corners
+
+
+def test_conjugate_grid_600(benchmark):
+    # the bounds workload's psi: K(p)^2 * power_log(2, 0.5) * tabulated p^a on p = 2..64,
+    # conjugated at its 200 x points and at ln y for its 400 tail levels y in [e, 100 e]
+    p_tab = np.arange(2.0, 65.0)
+    psi = rosenthal_scaled(product_of([power_log(2, 0.5), tabulated_psi(p_tab, p_tab ** 0.5)]),
+                           2)
+    xs = np.concatenate([np.linspace(1.0, 10.0, 200),
+                         np.log(np.geomspace(math.e, 100.0 * math.e, 400))])
+    got = benchmark.pedantic(young_fenchel, args=(psi, xs), rounds=5)
+    assert got.tolist() == [reference_young_fenchel(psi, x) for x in xs]

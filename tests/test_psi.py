@@ -15,6 +15,7 @@ from multisum import (MomentCurve, SupportError, TailBound, bounded_support,
                       gls_norm, natural_psi, power_log, product_of, psi_from_json,
                       psi_to_json, rosenthal_scaled, tabulated_psi, tail_bound_eval,
                       young_fenchel)
+from multisum import psi as psi_module
 from multisum.parametric import _w_transform
 
 E = math.e
@@ -207,6 +208,188 @@ def test_conjugate_divergence_marker():
     # nearly flat generating function: the maximizer sits astronomically far
     # out, beyond the hard grid cap, and is reported as divergent
     assert math.isinf(young_fenchel(power_log(1e6, 0), 1.0))
+
+
+# ---------------------------------------------------------------------------
+# array conjugates against the one-x-at-a-time reference
+# ---------------------------------------------------------------------------
+
+# The scalar search as it was before conjugates took arrays, kept verbatim as
+# the reference: every array result must equal it bit for bit.
+
+
+def _objective(psi, x: float, p: np.ndarray) -> np.ndarray:
+    return x * p - p * psi._log_eval_raw(p)
+
+
+def reference_golden_max(fun, lo: float, hi: float) -> float:
+    """Maximum of a unimodal scalar ``fun`` on ``[lo, hi]`` by golden-section search."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fun(c), fun(d)
+    for _ in range(90):
+        if b - a < 1e-14 * max(1.0, abs(a)):
+            break
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fun(d)
+    return max(fc, fd, fun(0.5 * (a + b)))
+
+
+def reference_young_fenchel(psi, x: float, grid_points: int = 512) -> float:
+    x = float(x)
+    lo = psi.p_min
+    if math.isfinite(psi.support_upper):
+        hi = psi.support_upper if psi.closed_top else psi.support_upper * (1 - 1e-12)
+        if hi <= lo:
+            hi = psi.support_upper
+        grid = np.geomspace(lo, hi, grid_points)
+        obj = _objective(psi, x, grid)
+        k = int(np.nanargmax(obj))
+    else:
+        cap = 1.0e4
+        while True:
+            grid = np.geomspace(lo, cap, grid_points)
+            obj = _objective(psi, x, grid)
+            k = int(np.nanargmax(obj))
+            at_edge = k >= grid_points - 8
+            if not at_edge:
+                break
+            if cap >= 1.0e18:
+                # increasing over the whole last decade: divergent conjugate
+                decade = grid >= cap / 10.0
+                dv = np.diff(obj[decade])
+                if np.all(dv >= 0):
+                    return math.inf
+                break
+            cap = min(cap * 100.0, 1.0e18)
+    a = grid[max(k - 1, 0)]
+    b = grid[min(k + 1, len(grid) - 1)]
+    fun = lambda p: float(_objective(psi, x, np.asarray([p]))[0])
+    best = reference_golden_max(fun, a, b)
+    return float(max(best, obj[k]))
+
+
+def reference_tail_bound_eval(tb, y: float) -> float:
+    y = float(y)
+    if y < 0:
+        raise ValueError("tail levels are nonnegative")
+    if y < tb.validity_threshold:
+        return 1.0
+    v_star = reference_young_fenchel(tb.psi, math.log(y / tb.gls_norm))
+    if math.isinf(v_star):
+        return 0.0
+    return min(1.0, math.exp(-v_star))
+
+
+def reference_w_transform(tau, xs: np.ndarray) -> np.ndarray:
+    y_hi = 1.0 / tau.p_min
+    if math.isfinite(tau.support_upper):
+        y_lo = 1.0 / tau.support_upper + 1e-9
+    else:
+        y_lo = 1e-9
+    grid = np.geomspace(y_lo, y_hi, 600)
+    z = tau._log_eval_raw(1.0 / grid)
+    out = np.empty(xs.shape)
+    for i, x in enumerate(xs):
+        vals = x * grid + z
+        k = int(np.argmin(vals))
+        a, b = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
+        # golden-section refinement: the infimum is minus the maximum of -f
+        fun = lambda y: -(x * y + float(tau._log_eval_raw(np.asarray([1.0 / y]))[0]))
+        out[i] = min(vals[k], -reference_golden_max(fun, a, b))
+    return out
+
+
+def _tabulated(draw):
+    # nodes 1, 2, ...: the support reaches p = 2, where the Rosenthal factor starts
+    p = np.cumsum(draw(st.lists(st.floats(0.25, 6.0), min_size=1, max_size=8)))
+    p_grid = np.concatenate([[1.0, 2.0], 2.0 + p])
+    logs = np.cumsum(draw(st.lists(st.floats(0.0, 1.5), min_size=p_grid.size,
+                                   max_size=p_grid.size)))
+    return tabulated_psi(p_grid, np.exp(logs))
+
+
+@st.composite
+def psi_functions(draw):
+    family = draw(st.sampled_from(["power_log", "exp_power", "bounded_support", "extremal",
+                                   "tabulated", "product_of", "rosenthal_scaled"]))
+    if family == "power_log":
+        # m up to 1e7: maximizers exp(m x - 1) past the initial cap and past the hard one
+        return power_log(10.0 ** draw(st.floats(-0.3, 7.0)), draw(st.floats(0.0, 2.0)))
+    if family == "exp_power":
+        return exp_power(draw(st.floats(0.2, 2.0)), draw(st.floats(0.1, 3.0)))
+    if family == "bounded_support":
+        return bounded_support(draw(st.floats(1.5, 20.0)), draw(st.floats(-0.9, 3.0)),
+                               draw(st.floats(0.0, 2.0)))
+    if family == "extremal":
+        return extremal(draw(st.floats(1.0, 20.0)))
+    if family == "tabulated":
+        return _tabulated(draw)
+    pair = product_of([power_log(draw(st.floats(0.5, 4.0)), draw(st.floats(0.0, 1.0))),
+                       _tabulated(draw)])
+    if family == "product_of":
+        return pair
+    return rosenthal_scaled(pair, draw(st.integers(1, 3)))
+
+
+ARRAY_VS_REFERENCE = settings(max_examples=60, deadline=None, derandomize=True)
+LEVELS = st.lists(st.floats(-1.0, 12.0), min_size=1, max_size=10)
+
+
+@ARRAY_VS_REFERENCE
+@given(psi_functions(), LEVELS)
+def test_array_conjugate_equals_scalar_reference(psi, xs):
+    got = young_fenchel(psi, np.array(xs))
+    np.testing.assert_array_equal(got, [reference_young_fenchel(psi, x) for x in xs])
+    scalar = young_fenchel(psi, xs[0])
+    assert type(scalar) is float and scalar == got[0]
+
+
+@ARRAY_VS_REFERENCE
+@given(psi_functions(), st.floats(0.1, 3.0),
+       st.lists(st.floats(0.0, 300.0), min_size=1, max_size=10))
+def test_array_tail_bound_equals_scalar_reference(psi, norm, ys):
+    tb = TailBound(norm, psi)
+    ys = ys + [0.5 * tb.validity_threshold]   # below the threshold: clamped to 1
+    got = tail_bound_eval(tb, np.array(ys))
+    np.testing.assert_array_equal(got, [reference_tail_bound_eval(tb, y) for y in ys])
+    assert tb(ys[0]) == got[0]
+    with pytest.raises(ValueError):
+        tail_bound_eval(tb, np.array(ys + [-1.0]))
+
+
+@ARRAY_VS_REFERENCE
+@given(psi_functions(), st.lists(st.floats(0.0, 20.0), min_size=1, max_size=10))
+def test_array_w_transform_equals_scalar_reference(tau, xs):
+    xs = np.array(xs)
+    np.testing.assert_array_equal(_w_transform(tau, xs), reference_w_transform(tau, xs))
+
+
+def test_array_conjugate_blocks_and_shape(monkeypatch):
+    # long x arrays are searched in blocks of _X_BLOCK; blocks and shape change no value
+    psi = rosenthal_scaled(power_log(3.0, 0.5), 1)
+    xs = np.linspace(-1.0, 12.0, 50)
+    whole = young_fenchel(psi, xs)
+    monkeypatch.setattr(psi_module, "_X_BLOCK", 7)
+    np.testing.assert_array_equal(young_fenchel(psi, xs.reshape(5, 10)), whole.reshape(5, 10))
+    assert young_fenchel(psi, []).shape == (0,)
+
+
+def test_array_conjugate_extends_caps_per_element():
+    # one x settles on the first grid, one needs the 1e6 cap, one diverges
+    psi = power_log(5.0, 0)
+    xs = np.array([1.0, 2.6, 10.0])
+    got = young_fenchel(psi, xs)
+    assert math.isinf(got[2]) and np.all(np.isfinite(got[:2]))
+    np.testing.assert_array_equal(got, [reference_young_fenchel(psi, x) for x in xs])
 
 
 # ---------------------------------------------------------------------------
