@@ -6,8 +6,8 @@ import math
 
 import numpy as np
 
-from multisum import (DegenerateKernel, TabulatedKernel, degenerate_approx,
-                      dp_quasinorm, hermite_family, klesov_bound, rosenthal_K,
+from multisum import (DegenerateKernel, TabulatedKernel, dp_quasinorm,
+                      hermite_family, klesov_bound, rosenthal_K,
                       theorem_W_bound, trivial_bound)
 
 print("=== the Rosenthal function ===")
@@ -36,8 +36,8 @@ for k in range(1, 6):
     exact = 4 / (math.pi ** 2 * (2 * k - 1) ** 2)
     print(f"  {k}   {s[k - 1]:.6f}       {exact:.6f}")
 
-res = degenerate_approx(tk, 1, 2.0)
-print(f"\n  rank-1 truncation: L2 error {res.q_m:.6f}, trace tail {res.trace_tail:.6f}")
+print(f"\n  rank-1 truncation: L2 error {tk.residual_norm(1, 2.0):.6f}, "
+      f"trace tail {np.sum(s[1:]):.6f}")
 print(f"  (1/2 - 4/pi^2 = {0.5 - 4 / math.pi ** 2:.6f})")
 
 print("\n=== best split on the full tabulated kernel ===")

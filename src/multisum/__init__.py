@@ -11,9 +11,9 @@ from .rosenthal import (ROSENTHAL_CONSTANT, ROSENTHAL_ARGMAX_P, rosenthal_K,
                         trivial_bound, klesov_bound, dp_quasinorm,
                         theorem_W_bound, BoundReport)
 from .kernels import (FactorFamily, DegenerateKernel, TabulatedKernel,
-                      ApproxResult, hermite_family, rademacher_family,
+                      hermite_family, rademacher_family,
                       poisson_charlier_family, exponential_poly_family,
-                      tabulated_family, kernel_moment_curve, degenerate_approx,
+                      tabulated_family, kernel_moment_curve,
                       kernel_to_json, kernel_from_json, quadrature_rule)
 from .index_sets import (IndexSet, Rect, RectPair, make_rect, staircase_set,
                          explicit_set, rect_pair, nclt_condition_report,

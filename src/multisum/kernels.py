@@ -16,14 +16,15 @@ orthonormal polynomial families under their canonical base measures:
 ``TabulatedKernel`` holds a two-variable kernel sampled on quadrature grids;
 its weighted singular value decomposition yields the best rank-M
 approximation in the weighted L2 sense, exactly (Eckart-Young).  For p != 2
-the same truncation is used as a computable surrogate and flagged as such.
+the same truncation is used as a computable surrogate.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import eval_laguerre, gammaln
@@ -37,9 +38,7 @@ __all__ = [
     "tabulated_family",
     "DegenerateKernel",
     "TabulatedKernel",
-    "ApproxResult",
     "kernel_moment_curve",
-    "degenerate_approx",
     "kernel_to_json",
     "kernel_from_json",
     "quadrature_rule",
@@ -309,15 +308,19 @@ class DegenerateKernel:
             self._moment_cache[key] = self.factors[axis].moment(k, p)
         return self._moment_cache[key]
 
-    def moment(self, p: float) -> float:
-        """``|f(xi)|_p`` by tensor-product quadrature over the canonical bases."""
+    def moment(self, p: float, terms: dict | None = None) -> float:
+        """``|f(xi)|_p`` by tensor-product quadrature over the canonical bases.
+
+        ``terms``, a sub-dict of ``lam``, restricts the sum to those terms.
+        """
+        terms = self.lam if terms is None else terms
         rules = [fam.rule for fam in self.factors]
         vals = np.zeros(tuple(x.size for x, _ in rules))
         blocks = []
         for axis, fam in enumerate(self.factors):
-            kmax = self.axis_max_index(axis)
+            kmax = max((kvec[axis] for kvec in terms), default=0)
             blocks.append(fam.evaluate_block(kmax, rules[axis][0]) if kmax else None)
-        for kvec, w in self.lam.items():
+        for kvec, w in terms.items():
             term = w
             for axis, k in enumerate(kvec):
                 shape = [1] * self.d
@@ -328,43 +331,18 @@ class DegenerateKernel:
 
     # -- low-rank structure ------------------------------------------------
 
-    def degenerate_approx(self, M: int, p: float) -> "ApproxResult":
-        """Truncation keeping terms with every index component <= M."""
-        if M < 1:
-            raise ValueError("approximation rank must be >= 1")
-        head = {k: w for k, w in self.lam.items() if max(k) <= M}
+    @property
+    def head(self) -> "DegenerateKernel":
+        """The kernel whose rank-M truncation (every index <= M) is ``Z_M``: itself."""
+        return self
+
+    def residual_norm(self, M: int, p: float) -> float:
+        """``Q_{M,p}``: the L_p norm of the terms with an index above M."""
         tail = {k: w for k, w in self.lam.items() if max(k) > M}
-        z_m = DegenerateKernel(self.d, head, self.factors, self.orthonormal)
-        if not tail:
-            return ApproxResult(z_m=z_m, q_m=0.0, trace_tail=0.0,
-                                surrogate=False, note="rank covers the kernel")
-        resid = DegenerateKernel(self.d, tail, self.factors, self.orthonormal)
-        q = resid.moment(p)
-        trace = float(sum(abs(w) for w in tail.values()))
-        return ApproxResult(z_m=z_m, q_m=q, trace_tail=trace,
-                            surrogate=(p != 2.0), note="")
+        return self.moment(p, tail) if tail else 0.0
 
     def digest_payload(self):
         return kernel_to_json(self)
-
-
-@dataclass(frozen=True)
-class ApproxResult:
-    """Rank-M approximation: the truncated kernel, its error, and diagnostics.
-
-    ``q_m`` is the weighted L_p norm of the residual.  ``trace_tail`` carries
-    the sum of discarded singular values: for PSD kernels at p = 2 this is the
-    classical trace-style error, reported alongside the Frobenius-style
-    ``q_m`` because the two disagree and the choice matters downstream.
-    ``surrogate`` marks ranks chosen by SVD truncation at p != 2, where the
-    truncation is a computable stand-in for the true best approximation.
-    """
-
-    z_m: DegenerateKernel
-    q_m: float
-    trace_tail: float
-    surrogate: bool
-    note: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +364,6 @@ class TabulatedKernel:
     y_nodes: np.ndarray
     y_weights: np.ndarray
     values: np.ndarray
-    _svd_cache: tuple | None = field(default=None, repr=False, compare=False)
 
     d = 2
 
@@ -420,63 +397,56 @@ class TabulatedKernel:
         weights.  For a symmetric PSD kernel this is its Karhunen-Loeve
         eigendecomposition and left and right factors coincide up to sign.
         """
-        if self._svd_cache is None:
-            rx = np.sqrt(self.x_weights)
-            ry = np.sqrt(self.y_weights)
-            a = rx[:, None] * self.values * ry[None, :]
-            u, s, vt = np.linalg.svd(a, full_matrices=False)
-            left = u.T / rx[None, :]
-            right = vt / ry[None, :]
-            # sign convention: first nonzero component of the left factor positive
-            for i in range(left.shape[0]):
-                nz = np.nonzero(np.abs(left[i]) > 1e-13)[0]
-                if nz.size and left[i, nz[0]] < 0:
-                    left[i] = -left[i]
-                    right[i] = -right[i]
-            self._svd_cache = (s, left, right)
-        return self._svd_cache
+        return self._svd
 
-    def degenerate_approx(self, M: int, p: float) -> ApproxResult:
-        return degenerate_approx(self, M, p)
+    @cached_property
+    def _svd(self):
+        rx = np.sqrt(self.x_weights)
+        ry = np.sqrt(self.y_weights)
+        a = rx[:, None] * self.values * ry[None, :]
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        left = u.T / rx[None, :]
+        right = vt / ry[None, :]
+        # sign convention: first nonzero component of the left factor positive
+        for i in range(left.shape[0]):
+            nz = np.nonzero(np.abs(left[i]) > 1e-13)[0]
+            if nz.size and left[i, nz[0]] < 0:
+                left[i] = -left[i]
+                right[i] = -right[i]
+        return s, left, right
+
+    @cached_property
+    def head(self) -> DegenerateKernel:
+        """The whole weighted SVD as a degenerate kernel, ``lambda(k, k) = s_k``.
+
+        Its rank-M truncation is the best rank-M approximation in the weighted
+        L2 norm (Eckart-Young); for p != 2 it is a computable surrogate, not a
+        certified optimum.
+        """
+        s, left, right = self.spectral()
+        fam_x = tabulated_family(self.x_nodes, left, self.x_weights)
+        fam_y = tabulated_family(self.y_nodes, right, self.y_weights)
+        lam = {(k + 1, k + 1): float(s[k]) for k in range(s.size)}
+        return DegenerateKernel(2, lam, [fam_x, fam_y], orthonormal=True)
+
+    def residual_norm(self, M: int, p: float) -> float:
+        """``Q_{M,p}``: the weighted L_p norm of ``values`` minus the rank-M truncation.
+
+        0 at or above the numerical rank.  At p = 2 it is the Frobenius-style
+        tail ``sqrt(sum_{k>M} s_k**2)``; the trace-style tail is ``sum(s[M:])``.
+        """
+        s, left, right = self.spectral()
+        if M >= int(np.sum(s > s[0] * 1e-13)):
+            return 0.0
+        if p == 2.0:
+            return math.sqrt(np.sum(s[M:] ** 2))
+        recon = (left[:M].T * s[:M]) @ right[:M]
+        return _lp_norm(self.values - recon, [self.x_weights, self.y_weights], p)
 
     def digest_payload(self):
-        return {
-            "x_nodes": self.x_nodes.tolist(),
-            "values_sum": float(self.values.sum()),
-            "shape": list(self.values.shape),
-        }
-
-
-def degenerate_approx(tk: TabulatedKernel, M: int, p: float) -> ApproxResult:
-    """Rank-M truncation of the weighted SVD with its approximation error.
-
-    At p = 2 the truncation is the exact best rank-M approximation in the
-    weighted L2 norm (Eckart-Young) and ``q_m`` is the Frobenius-style tail
-    ``sqrt(sum_{k>M} s_k**2)``; the trace-style tail ``sum_{k>M} s_k`` is
-    reported alongside.  For p != 2 the same truncation is returned and
-    flagged ``surrogate``: it is not certified optimal there.
-    """
-    if M < 1:
-        raise ValueError("approximation rank must be >= 1")
-    s, left, right = tk.spectral()
-    rank = int(np.sum(s > s[0] * 1e-13)) if s.size else 0
-    m_eff = min(M, s.size)
-    fam_x = tabulated_family(tk.x_nodes, left[:m_eff], tk.x_weights)
-    fam_y = tabulated_family(tk.y_nodes, right[:m_eff], tk.y_weights)
-    lam = {(k + 1, k + 1): float(s[k]) for k in range(m_eff)}
-    z_m = DegenerateKernel(2, lam, [fam_x, fam_y], orthonormal=True)
-    trace_tail = float(np.sum(s[m_eff:]))
-    note = ""
-    if M >= rank:
-        q = 0.0
-        note = "rank covers the kernel"
-    elif p == 2.0:
-        q = float(math.sqrt(np.sum(s[m_eff:] ** 2)))
-    else:
-        recon = (left[:m_eff].T * s[:m_eff]) @ right[:m_eff]
-        q = _lp_norm(tk.values - recon, [tk.x_weights, tk.y_weights], p)
-    return ApproxResult(z_m=z_m, q_m=q, trace_tail=trace_tail,
-                        surrogate=(p != 2.0), note=note)
+        arrays = (self.x_nodes, self.x_weights, self.y_nodes, self.y_weights, self.values)
+        blob = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
+        return {"shape": list(self.values.shape), "sha256": hashlib.sha256(blob).hexdigest()}
 
 
 # ---------------------------------------------------------------------------

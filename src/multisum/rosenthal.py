@@ -83,14 +83,27 @@ def dp_quasinorm(kernel, p: float) -> float:
     The infimum over degenerate representations is not searched; the kernel's
     own representation is used, which always majorizes the true quasi-norm.
     """
-    total = 0.0
+    return _dp_sum(_dp_terms(kernel, p))
+
+
+def _dp_terms(kernel, p: float):
+    """``(largest index, |lambda(k)| * prod_s |g_{k_s}|_p)`` per nonzero term, in ``lam`` order."""
     for kvec, w in kernel.lam.items():
-        if w == 0.0:
-            continue
-        prod = 1.0
-        for axis, k in enumerate(kvec):
-            prod *= kernel.factor_moment(axis, k, p)
-        total += abs(w) * prod
+        if w != 0.0:
+            moments = (kernel.factor_moment(axis, k, p) for axis, k in enumerate(kvec))
+            yield max(kvec), abs(w) * math.prod(moments)
+
+
+def _dp_sum(terms, rank: float = math.inf) -> float:
+    """Sum of the ``_dp_terms`` whose largest index is at most ``rank``.
+
+    Plain left-to-right addition: the built-in ``sum`` compensates float
+    rounding since Python 3.12, which would make the bits depend on the version.
+    """
+    total = 0.0
+    for top, term in terms:
+        if top <= rank:
+            total += term
     return total
 
 
@@ -131,8 +144,10 @@ def theorem_W_bound(kernel_family, p: float, L_size: int, M_max: int) -> BoundRe
     """Best split of an approximable kernel into rank-M head plus residual.
 
     Minimizes ``K(p)**d * D_p(Z_M) + sqrt(|L|) * Q_{M,p}`` over ranks
-    ``M = 1..M_max``, where ``Z_M`` and ``Q_{M,p}`` come from the kernel's
-    ``degenerate_approx``.  The index-set size enters through the residual
+    ``M = 1..M_max``.  The kernel family supplies a degenerate ``head`` whose
+    rank-M truncation is ``Z_M``, and ``residual_norm(M, p)``, which is
+    ``Q_{M,p}``; each factor moment of the head is computed once per p, in its
+    own moment cache.  The index-set size enters through the residual
     term only, so the caller supplies it per index set rather than a supremum
     over all of them.  A NaN candidate ends the search and is reported as the
     bound, at its rank, so that it cannot pass for a clean minimum.
@@ -146,13 +161,14 @@ def theorem_W_bound(kernel_family, p: float, L_size: int, M_max: int) -> BoundRe
     root_l = math.sqrt(L_size)
     best_val = math.inf
     best_m = None
+    terms = list(_dp_terms(kernel_family.head, p))
     for m in range(1, M_max + 1):
-        approx = kernel_family.degenerate_approx(m, p)
-        val = kd * dp_quasinorm(approx.z_m, p) + root_l * approx.q_m
+        q_m = kernel_family.residual_norm(m, p)
+        val = kd * _dp_sum(terms, m) + root_l * q_m
         if val < best_val or math.isnan(val):
             best_val = val
             best_m = m
-        if approx.q_m == 0.0 or math.isnan(val):
+        if q_m == 0.0 or math.isnan(val):
             break  # higher ranks cannot improve either term, or NaN is the answer
     digest = _digest({
         "kernel": kernel_family.digest_payload(),

@@ -15,7 +15,7 @@ import pytest
 
 from multisum import (AxisDistribution, DegenerateKernel, ParametricKernel,
                       RngSpec, TabulatedKernel, compute_S_L, covering_profile,
-                      degenerate_approx, entropy_integral_power, explicit_set,
+                      entropy_integral_power, explicit_set,
                       hermite_family, klesov_bound, lshape_family, make_rect,
                       naive_S_L, natural_composite, power_log,
                       rademacher_family, simulate_Q_L, simulate_S_L,
@@ -193,13 +193,13 @@ def test_criterion_05_degenerate_approximation():
     s, _, _ = tk.spectral()
     exact = np.array([4 / (math.pi ** 2 * (2 * k - 1) ** 2) for k in range(1, 6)])
     eig_ok = bool(np.all(np.abs(s[:5] / exact - 1.0) < 0.01))
-    res1 = degenerate_approx(tk, 1, 2.0)
-    trace_ok = abs(res1.trace_tail / (0.5 - 4 / math.pi ** 2) - 1.0) < 0.02
-    qs = [degenerate_approx(tk, m, 2.0).q_m for m in range(1, 9)]
+    trace_tail = float(np.sum(s[1:]))
+    trace_ok = abs(trace_tail / (0.5 - 4 / math.pi ** 2) - 1.0) < 0.02
+    qs = [tk.residual_norm(m, 2.0) for m in range(1, 9)]
     mono_ok = all(b <= a + 1e-12 for a, b in zip(qs, qs[1:]))
     report(5, eig_ok and trace_ok and mono_ok,
            f"top-5 eigenvalues within 1% of 4/(pi^2 (2k-1)^2); trace tail "
-           f"{res1.trace_tail:.6f} vs {0.5 - 4 / math.pi ** 2:.6f}; Q_M monotone "
+           f"{trace_tail:.6f} vs {0.5 - 4 / math.pi ** 2:.6f}; Q_M monotone "
            f"({timed(start)})")
 
 

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
 from multisum import (DegenerateKernel, FactorFamily, TabulatedKernel,
-                      degenerate_approx,
                       exponential_poly_family, hermite_family,
                       kernel_from_json, kernel_moment_curve, kernel_to_json,
                       poisson_charlier_family, quadrature_rule,
-                      rademacher_family)
+                      rademacher_family, theorem_W_bound)
 
 
 def gaussian_pair(lam, orthonormal=True):
@@ -225,52 +224,56 @@ def test_spectral_factors_orthonormal_under_weights():
 
 
 def test_approx_full_rank_gives_zero_error():
-    tk = TabulatedKernel.from_function(lambda x, y: np.outer if False else x * 0 + np.minimum(x, y), n=16)
-    res = degenerate_approx(tk, 16, 2.0)
-    assert res.q_m == 0.0
-    assert "rank covers" in res.note
+    tk = TabulatedKernel.from_function(lambda x, y: np.minimum(x, y), n=16)
+    assert tk.residual_norm(16, 2.0) == 0.0
+    assert tk.residual_norm(16, 3.0) == 0.0
 
 
 def test_approx_frobenius_and_trace_tails():
     tk = TabulatedKernel.from_function(lambda x, y: np.minimum(x, y), n=128)
-    s, _, _ = tk.spectral()
-    res = degenerate_approx(tk, 3, 2.0)
-    assert res.q_m == pytest.approx(math.sqrt(float(np.sum(s[3:] ** 2))), rel=1e-10)
-    assert res.trace_tail == pytest.approx(float(np.sum(s[3:])), rel=1e-10)
-    assert not res.surrogate
+    s, left, right = tk.spectral()
+    q = tk.residual_norm(3, 2.0)
+    assert q == pytest.approx(math.sqrt(float(np.sum(s[3:] ** 2))), rel=1e-10)
+    # the p = 2 closed form agrees with the weighted norm of the residual grid
+    recon = (left[:3].T * s[:3]) @ right[:3]
+    w2 = np.outer(tk.x_weights, tk.y_weights)
+    assert q == pytest.approx(math.sqrt(float((w2 * (tk.values - recon) ** 2).sum())),
+                              rel=1e-8)
+    # the trace-style tail is the plain sum of the discarded singular values
+    assert float(np.sum(s[3:])) > q
 
 
 def test_approx_trace_tail_brownian_closed_form():
     tk = TabulatedKernel.from_function(lambda x, y: np.minimum(x, y), n=256)
-    res = degenerate_approx(tk, 1, 2.0)
-    assert res.trace_tail == pytest.approx(0.5 - 4 / math.pi ** 2, rel=0.02)
+    s, _, _ = tk.spectral()
+    assert float(np.sum(s[1:])) == pytest.approx(0.5 - 4 / math.pi ** 2, rel=0.02)
 
 
-def test_approx_monotone_and_surrogate_flag():
+def test_approx_residual_monotone():
     tk = TabulatedKernel.from_function(lambda x, y: np.minimum(x, y) ** 2 + x * y, n=64)
     prev2, prev3 = math.inf, math.inf
     for m in range(1, 9):
-        r2 = degenerate_approx(tk, m, 2.0)
-        r3 = degenerate_approx(tk, m, 3.0)
-        assert r2.q_m <= prev2 + 1e-12
-        assert r3.q_m <= prev3 + 1e-12
-        prev2, prev3 = r2.q_m, r3.q_m
-    assert degenerate_approx(tk, 2, 3.0).surrogate
-    assert not degenerate_approx(tk, 2, 2.0).surrogate
+        q2 = tk.residual_norm(m, 2.0)
+        q3 = tk.residual_norm(m, 3.0)
+        assert q2 <= prev2 + 1e-12
+        assert q3 <= prev3 + 1e-12
+        prev2, prev3 = q2, q3
 
 
 def test_eckart_young_optimality_against_perturbations():
     tk = TabulatedKernel.from_function(lambda x, y: np.minimum(x, y) + 0.3 * x * y, n=32)
     m = 2
-    res = degenerate_approx(tk, m, 2.0)
+    # the head's first m terms, evaluated on the grid, are the rank-m truncation
+    head = tk.head
+    fx, fy = head.factors
+    grid = sum(head.lam[(k, k)] * np.outer(fx.evaluate(k, tk.x_nodes),
+                                           fy.evaluate(k, tk.y_nodes))
+               for k in range(1, m + 1))
     w2 = np.outer(tk.x_weights, tk.y_weights)
-    grid = np.array([[res.z_m.evaluate([a, b]) for b in tk.y_nodes]
-                     for a in tk.x_nodes])
     base_resid = math.sqrt(float((w2 * (tk.values - grid) ** 2).sum()))
-    assert base_resid == pytest.approx(res.q_m, rel=1e-8)
+    assert base_resid == pytest.approx(tk.residual_norm(m, 2.0), rel=1e-8)
     rng = np.random.default_rng(17)
     s, left, right = tk.spectral()
-    recon = (left[:m].T * s[:m]) @ right[:m]
     for _ in range(100):
         # random rank-m competitor: perturbed truncation, same rank
         du = rng.normal(0, 0.05, size=(m, left.shape[1]))
@@ -282,13 +285,39 @@ def test_eckart_young_optimality_against_perturbations():
 
 def test_degenerate_kernel_truncation_route():
     k = gaussian_pair({(1, 1): 0.7, (2, 2): 0.2, (3, 3): 0.1})
-    res = k.degenerate_approx(2, 2.0)
-    assert set(res.z_m.lam) == {(1, 1), (2, 2)}
+    assert k.head is k
     # orthonormal residual: L2 error is the root of the discarded weight mass
-    assert res.q_m == pytest.approx(0.1, rel=1e-9)
-    assert res.trace_tail == pytest.approx(0.1, rel=1e-12)
-    full = k.degenerate_approx(3, 2.0)
-    assert full.q_m == 0.0
+    assert k.residual_norm(2, 2.0) == pytest.approx(0.1, rel=1e-9)
+    assert k.residual_norm(1, 2.0) == pytest.approx(math.hypot(0.2, 0.1), rel=1e-9)
+    assert k.residual_norm(3, 2.0) == 0.0
+
+
+def test_tabulated_head_is_the_weighted_svd():
+    tk = TabulatedKernel.from_function(lambda x, y: np.minimum(x, y) + x * y, n=24)
+    s, _, _ = tk.spectral()
+    head = tk.head
+    assert head is tk.head                       # built once
+    assert list(head.lam) == [(k, k) for k in range(1, s.size + 1)]
+    assert list(head.lam.values()) == s.tolist()
+    for i, j in [(0, 0), (5, 9), (23, 11)]:
+        pt = [float(tk.x_nodes[i]), float(tk.y_nodes[j])]
+        assert head.evaluate(pt) == pytest.approx(tk.values[i, j], abs=1e-12)
+
+
+def test_tabulated_digest_covers_values_and_weights():
+    # dyadic values: every summation order gives the same value sum
+    tk = TabulatedKernel.from_function(lambda x, y: np.floor(8 * np.minimum(x, y)) / 8,
+                                       n=32)
+    x, wx, y, wy = tk.x_nodes, tk.x_weights, tk.y_nodes, tk.y_weights
+    variants = [tk,
+                TabulatedKernel(x, wx, y, wy, tk.values.T[::-1]),
+                TabulatedKernel(x, wx, y, np.full(32, 1.0 / 32), tk.values),
+                TabulatedKernel(x, wx, 0.5 * y, wy, tk.values)]
+    # same x nodes, value sum and shape: a payload of only those cannot tell them apart
+    assert len({k.values.sum() for k in variants}) == 1
+    digests = {theorem_W_bound(k, 2.0, L_size=10, M_max=4).inputs_digest
+               for k in variants}
+    assert len(digests) == len(variants)
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +336,9 @@ def test_kernel_json_round_trip():
 
 def test_tabulated_kernel_factors_serialize():
     tk = TabulatedKernel.from_function(lambda x, y: np.minimum(x, y), n=24)
-    res = degenerate_approx(tk, 2, 2.0)
-    clone = kernel_from_json(kernel_to_json(res.z_m))
+    clone = kernel_from_json(kernel_to_json(tk.head))
     pt = [float(tk.x_nodes[5]), float(tk.y_nodes[9])]
-    assert clone.evaluate(pt) == pytest.approx(res.z_m.evaluate(pt), rel=1e-12)
+    assert clone.evaluate(pt) == pytest.approx(tk.head.evaluate(pt), rel=1e-12)
 
 
 def test_tabulated_kernel_csv_round_trip():

@@ -5,12 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multisum import (BoundReport, DegenerateKernel, TabulatedKernel,
                       dp_quasinorm, hermite_family, klesov_bound,
-                      rosenthal_K, theorem_W_bound, trivial_bound,
-                      ROSENTHAL_CONSTANT)
-from multisum.kernels import ApproxResult
+                      poisson_charlier_family, rosenthal_K, tabulated_family,
+                      theorem_W_bound, trivial_bound, ROSENTHAL_CONSTANT)
 
 E = math.e
 
@@ -159,6 +160,96 @@ def centered_brownian_tabulated(n=128):
     return TabulatedKernel.from_function(f, n=n)
 
 
+def tabulated_rank_split(tk, m, p):
+    """Reference ``(Z_M, Q_{M,p})``: a fresh rank-m kernel from the SVD, and its residual."""
+    s, left, right = tk.spectral()
+    rank = int(np.sum(s > s[0] * 1e-13)) if s.size else 0
+    m_eff = min(m, s.size)
+    fam_x = tabulated_family(tk.x_nodes, left[:m_eff], tk.x_weights)
+    fam_y = tabulated_family(tk.y_nodes, right[:m_eff], tk.y_weights)
+    lam = {(k + 1, k + 1): float(s[k]) for k in range(m_eff)}
+    z_m = DegenerateKernel(2, lam, [fam_x, fam_y], orthonormal=True)
+    if m >= rank:
+        return z_m, 0.0
+    if p == 2.0:
+        return z_m, float(math.sqrt(np.sum(s[m_eff:] ** 2)))
+    recon = (left[:m_eff].T * s[:m_eff]) @ right[:m_eff]
+    resid = TabulatedKernel(tk.x_nodes, tk.x_weights, tk.y_nodes, tk.y_weights,
+                            tk.values - recon)
+    return z_m, resid.moment(p)
+
+
+def degenerate_rank_split(kernel, m, p):
+    """Reference ``(Z_M, Q_{M,p})``: fresh kernels for the terms up to m and above it."""
+    head = {k: w for k, w in kernel.lam.items() if max(k) <= m}
+    tail = {k: w for k, w in kernel.lam.items() if max(k) > m}
+    z_m = DegenerateKernel(kernel.d, head, kernel.factors, kernel.orthonormal)
+    if not tail:
+        return z_m, 0.0
+    return z_m, DegenerateKernel(kernel.d, tail, kernel.factors, kernel.orthonormal).moment(p)
+
+
+def per_rank_theorem_w(kernel, p, L_size, M_max):
+    """Reference best split: build Z_M and its residual from scratch at every rank."""
+    split = tabulated_rank_split if isinstance(kernel, TabulatedKernel) else degenerate_rank_split
+    kd = rosenthal_K(p) ** kernel.d
+    best_val, best_m = math.inf, None
+    for m in range(1, M_max + 1):
+        z_m, q_m = split(kernel, m, p)
+        val = kd * dp_quasinorm(z_m, p) + math.sqrt(L_size) * q_m
+        if val < best_val or math.isnan(val):
+            best_val, best_m = val, m
+        if q_m == 0.0 or math.isnan(val):
+            break
+    return best_val, best_m
+
+
+@st.composite
+def degenerate_kernels(draw):
+    """Hermite or Charlier terms, off-diagonal keys in any order, some zero weights."""
+    d = draw(st.integers(2, 3))
+    # 140 Poisson nodes per axis: at d = 3 keep one Charlier axis at most
+    kinds = draw(st.lists(st.sampled_from(["hermite", "charlier"]), min_size=d, max_size=d)
+                 .filter(lambda ks: d == 2 or ks.count("charlier") <= 1))
+    families = [hermite_family() if kind == "hermite" else poisson_charlier_family()
+                for kind in kinds]
+    keys = draw(st.lists(st.tuples(*[st.integers(1, 3)] * d), min_size=1, max_size=8,
+                         unique=True))
+    weight = st.just(0.0) | st.floats(-3.0, 3.0, allow_subnormal=False)
+    lam = {k: draw(weight) for k in keys}
+    return DegenerateKernel(d, lam, families, orthonormal=True)
+
+
+@st.composite
+def tabulated_kernels(draw):
+    """Random grids and weights; low-rank value grids reach the numerical-rank cutoff."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    nx, ny = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    rank = draw(st.integers(1, min(nx, ny)))
+    values = rng.normal(size=(nx, rank)) @ rng.normal(size=(rank, ny))
+    return TabulatedKernel(np.sort(rng.uniform(size=nx)), rng.dirichlet(np.ones(nx)),
+                           np.sort(rng.uniform(size=ny)), rng.dirichlet(np.ones(ny)),
+                           values)
+
+
+PER_RANK = settings(max_examples=60, deadline=None, derandomize=True)
+ORDERS = st.sampled_from([2.0, 3.0, 4.5])
+
+
+@PER_RANK
+@given(degenerate_kernels(), ORDERS, st.integers(1, 10_000), st.integers(1, 5))
+def test_theorem_w_equals_per_rank_reference_degenerate(kernel, p, L_size, M_max):
+    rep = theorem_W_bound(kernel, p, L_size=L_size, M_max=M_max)
+    assert (rep.bound_value, rep.m_star) == per_rank_theorem_w(kernel, p, L_size, M_max)
+
+
+@PER_RANK
+@given(tabulated_kernels(), ORDERS, st.integers(1, 10_000), st.integers(1, 14))
+def test_theorem_w_equals_per_rank_reference_tabulated(kernel, p, L_size, M_max):
+    rep = theorem_W_bound(kernel, p, L_size=L_size, M_max=M_max)
+    assert (rep.bound_value, rep.m_star) == per_rank_theorem_w(kernel, p, L_size, M_max)
+
+
 def test_theorem_w_rank_nondecreasing_in_L():
     tk = brownian_tabulated()
     m_prev = 0
@@ -169,8 +260,8 @@ def test_theorem_w_rank_nondecreasing_in_L():
         # brute-force oracle over the same rank range
         best = math.inf
         for m in range(1, 31):
-            ap = tk.degenerate_approx(m, 2.0)
-            best = min(best, dp_quasinorm(ap.z_m, 2.0) + math.sqrt(L_size) * ap.q_m)
+            z_m, q_m = tabulated_rank_split(tk, m, 2.0)
+            best = min(best, dp_quasinorm(z_m, 2.0) + math.sqrt(L_size) * q_m)
         assert rep.bound_value == pytest.approx(best, rel=1e-9)
 
 
@@ -202,11 +293,10 @@ def test_theorem_w_nan_residual_is_reported_not_skipped():
     # ranks 1 and 3 are finite, and rank 3 beats rank 1; rank 2 is NaN
     class NanAtRankTwo:
         d = 2
+        head = unit_hermite_kernel({(1, 1): 1.0})
 
-        def degenerate_approx(self, m, p):
-            q = {1: 1.0, 2: math.nan}.get(m, 0.0)
-            return ApproxResult(z_m=unit_hermite_kernel({(1, 1): 1.0}), q_m=q,
-                                trace_tail=q, surrogate=False)
+        def residual_norm(self, m, p):
+            return {1: 1.0, 2: math.nan}.get(m, 0.0)
 
         def digest_payload(self):
             return "nan-at-rank-two"
