@@ -12,6 +12,7 @@ computes them exactly in every dimension.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -91,10 +92,26 @@ class IndexSet:
     @cached_property
     def cells(self) -> np.ndarray:
         """(|L|, d) array of the cells in lexicographic row order, built on first use."""
-        cells = np.concatenate([box.cells() for box in self.boxes])
-        cells = cells[np.lexsort(cells.T[::-1])]
+        cells = np.concatenate(list(self.cell_chunks(self.size)))
         cells.flags.writeable = False
         return cells
+
+    def cell_chunks(self, max_cells: int):
+        """The cells in lexicographic row order, as consecutive (m, d) arrays.
+
+        A chunk is the cells of a run of first coordinates, as many as keep it
+        within ``max_cells``; a single first coordinate is never split, so a
+        chunk exceeds ``max_cells`` only when one slab of the set does.
+        """
+        slab = sum(box.size // (box.hi[0] - box.lo[0] + 1) for box in self.boxes)
+        step = max(1, max_cells // slab)
+        for a in range(min(box.lo[0] for box in self.boxes), self.axis_max(0) + 1, step):
+            b = a + step - 1
+            parts = [Rect((max(a, box.lo[0]),) + box.lo[1:], (min(b, box.hi[0]),) + box.hi[1:])
+                     .cells() for box in self.boxes if box.lo[0] <= b and a <= box.hi[0]]
+            if parts:
+                cells = np.concatenate(parts)
+                yield cells[np.lexsort(cells.T[::-1])]
 
     def bounding_box(self) -> Rect:
         return Rect(tuple(min(b.lo[s] for b in self.boxes) for s in range(self.d)),
@@ -105,8 +122,28 @@ class IndexSet:
             return {"d": self.d, "kind": "rect", "params": {"n": list(self.params)}}
         if self.kind == "staircase":
             return {"d": self.d, "kind": "staircase", "params": {"profile": list(self.params)}}
-        return {"d": self.d, "kind": "explicit",
-                "params": {"cells": self.cells.tolist()}}
+        return self._explicit_json(self.cells.tolist())
+
+    def _explicit_json(self, cells) -> dict:
+        return {"d": self.d, "kind": "explicit", "params": {"cells": cells}}
+
+    def json_pieces(self, max_cells: int):
+        """Strings that join to ``json.dumps(self.to_json(), sort_keys=True)``.
+
+        An explicit set's cell list comes ``cell_chunks(max_cells)`` at a time,
+        so the whole list is never held.
+        """
+        if self.kind != "explicit":
+            yield json.dumps(self.to_json(), sort_keys=True)
+            return
+        head, tail = json.dumps(self._explicit_json([]), sort_keys=True).split("[]")
+        yield head + "["
+        row = "[" + ", ".join(["%d"] * self.d) + "]"    # how json writes a list of ints
+        sep = ""
+        for chunk in self.cell_chunks(max_cells):
+            yield sep + ", ".join([row] * len(chunk)) % tuple(chunk.ravel().tolist())
+            sep = ", "
+        yield "]" + tail
 
 
 def index_set_from_json(obj: dict) -> IndexSet:

@@ -104,50 +104,53 @@ def _lp_norm(vals: np.ndarray, weights, p: float) -> float:
     return float(np.exp((top + math.log(vals.sum())) / p))
 
 
-def _hermite_table(kmax: int, x: np.ndarray) -> np.ndarray:
-    """Rows 0..kmax of normalized probabilists' Hermite polynomials at x."""
-    out = np.empty((kmax + 1, x.size))
-    out[0] = 1.0
-    if kmax >= 1:
-        out[1] = x
-    for k in range(1, kmax):
-        out[k + 1] = x * out[k] - k * out[k - 1]  # monic recurrence
+def _recurrence_rows(kmax: int, first: np.ndarray, coef, norm: np.ndarray):
+    """Rows 1..kmax of ``p_{k+1} = coef(k) * p_k - k * p_{k-1}`` (``p_0 = 1``, ``p_1 = first``).
+
+    Row k is yielded as ``norm[k] * p_k`` in one reused buffer, valid until the
+    next row; the recurrence runs in place in two more.
+    """
+    prev, cur, row = np.ones_like(first), first, np.empty_like(first)
+    for k in range(1, kmax + 1):
+        yield np.multiply(cur, norm[k], out=row)
+        if k < kmax:
+            prev *= k
+            np.multiply(coef(k), cur, out=row)
+            prev, cur = cur, np.subtract(row, prev, out=prev)
+
+
+def _hermite_rows(kmax: int, x: np.ndarray):
+    """Normalized probabilists' Hermite polynomials, from the monic recurrence."""
     norm = np.exp(-0.5 * gammaln(np.arange(kmax + 1) + 1.0))
-    return out * norm[:, None]
+    return _recurrence_rows(kmax, x.copy(), lambda k: x, norm)
 
 
-def _charlier_table(kmax: int, x: np.ndarray) -> np.ndarray:
+def _charlier_rows(kmax: int, x: np.ndarray):
     """Normalized Charlier polynomials (a = 1) on the compensated count x = n - 1."""
     n = x + 1.0
-    out = np.empty((kmax + 1, x.size))
-    out[0] = 1.0
-    if kmax >= 1:
-        out[1] = 1.0 - n
-    for k in range(1, kmax):
-        out[k + 1] = (k + 1.0 - n) * out[k] - k * out[k - 1]
-    signs = (-1.0) ** np.arange(kmax + 1)
-    norm = signs * np.exp(-0.5 * gammaln(np.arange(kmax + 1) + 1.0))
-    return out * norm[:, None]
+    norm = (-1.0) ** np.arange(kmax + 1) * np.exp(-0.5 * gammaln(np.arange(kmax + 1) + 1.0))
+    return _recurrence_rows(kmax, 1.0 - n, lambda k: k + 1.0 - n, norm)
 
 
-def _sign_table(kmax: int, x: np.ndarray) -> np.ndarray:
-    """Rows 0..kmax of the sign family: the constant, then its single member x."""
+def _sign_rows(kmax: int, x: np.ndarray):
+    """The sign family's single member, the identity."""
     if kmax > 1:
         raise ValueError("the sign family has a single member (k = 1)")
-    return np.stack([np.ones_like(x), x])[:kmax + 1]
+    return [x][:kmax]
 
 
-def _laguerre_table(kmax: int, x: np.ndarray) -> np.ndarray:
+def _laguerre_rows(kmax: int, x: np.ndarray):
     """Signed Laguerre polynomials on the compensated value x = t - 1."""
-    return np.stack([(-1.0) ** k * eval_laguerre(k, x + 1.0) for k in range(kmax + 1)])
+    t = x + 1.0
+    return ((-1.0) ** k * eval_laguerre(k, t) for k in range(1, kmax + 1))
 
 
-# analytic factor kind -> (canonical base distribution, rows 0..kmax of its table)
+# analytic factor kind -> (canonical base distribution, its rows 1..kmax)
 _ANALYTIC_KINDS = {
-    "hermite": ("standard_normal", _hermite_table),
-    "rademacher_sign": ("rademacher", _sign_table),
-    "poisson_charlier": ("compensated_poisson", _charlier_table),
-    "exponential_poly": ("centered_exponential", _laguerre_table),
+    "hermite": ("standard_normal", _hermite_rows),
+    "rademacher_sign": ("rademacher", _sign_rows),
+    "poisson_charlier": ("compensated_poisson", _charlier_rows),
+    "exponential_poly": ("centered_exponential", _laguerre_rows),
 }
 
 
@@ -184,18 +187,32 @@ class FactorFamily:
         if k < 1:
             raise ValueError("factor indices are 1-based; k=0 would be the constant")
         if self.kind == "tabulated" and k <= self.table.shape[0]:
-            # one row only; a k past the table fails the member check in evaluate_block
+            # one row only; a k past the table fails the member check in rows
             return np.interp(np.asarray(x, dtype=float), self.nodes, self.table[k - 1])
         return self.evaluate_block(k, x)[k - 1]
 
-    def evaluate_block(self, kmax: int, x) -> np.ndarray:
-        """Matrix of factors 1..kmax at points x, shape (kmax, len(x))."""
+    def rows(self, kmax: int, x):
+        """Factors 1..kmax at points x, one array of x's shape per k, in order.
+
+        A row may be x itself or a buffer that the next row reuses, so callers
+        only read rows and copy the ones they keep.  Nothing is computed past
+        the current row, and a kmax past the family's members fails here,
+        before the first row.
+        """
         x = np.asarray(x, dtype=float)
         if self.kind != "tabulated":
-            return _ANALYTIC_KINDS[self.kind][1](kmax, x)[1:]
+            return _ANALYTIC_KINDS[self.kind][1](kmax, x)
         if kmax > self.table.shape[0]:
             raise ValueError(f"tabulated family has {self.table.shape[0]} members")
-        return np.stack([np.interp(x, self.nodes, row) for row in self.table[:kmax]])
+        return (np.interp(x, self.nodes, row) for row in self.table[:kmax])
+
+    def evaluate_block(self, kmax: int, x) -> np.ndarray:
+        """Factors 1..kmax at points x, stacked: shape (kmax,) + x.shape."""
+        x = np.asarray(x, dtype=float)
+        out = np.empty((kmax,) + x.shape)
+        for k, row in enumerate(self.rows(kmax, x)):
+            out[k] = row
+        return out
 
     def moment(self, k: int, p: float) -> float:
         """``|g_k|_p`` by quadrature against the family's base measure."""

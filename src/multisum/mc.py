@@ -10,13 +10,19 @@ The normalized sum over an index set L is ``S_L = |L|**-0.5 *
 sum_{k in L} f(xi_{k_1}(1), ..., xi_{k_d}(d))``.  Every L is a disjoint union
 of lattice boxes (``IndexSet.boxes``), and over one box the sum factorizes:
 per axis, a slice sum ``F_s[k] = sum_{i in box_s} g_k(xi_i(s))`` of the factor
-table, then ``sum_k lambda(k) prod_s F_s[k_s]``.  One contraction sums that
+values, then ``sum_k lambda(k) prod_s F_s[k_s]``.  One contraction sums that
 over the boxes, costing O(rank * boxes * sum n_s) instead of O(rank * |L|),
 and applies weight vectors last, so a parametric field ``Q_L(v)`` is the
 same computation with ``|V|`` weights and ``S_L`` its ``|V| = 1`` row.  The
 Gaussian-chaos limit ``sum_k lambda(k) prod_s beta_s[k_s]`` is the same
-contraction over one single-cell box whose factor tables are fresh standard
-normal arrays per replication.
+contraction over one single-cell box whose slice sums are fresh standard
+normal draws per replication.
+
+No factor table is built: each factor family yields its rows ``g_1, g_2, ...``
+one at a time (``FactorFamily.rows``), and every row is slice-summed into the
+per-box sums as soon as it exists.  A replication therefore holds O(sum n_s)
+floats whatever the rank, and replications run in blocks sized to stay in
+cache (``_BLOCK_BUDGET``).
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln, ndtri
 
-from .index_sets import IndexSet, Rect
+from .index_sets import IndexSet
 from .kernels import _lp_norm, quadrature_rule
 
 __all__ = [
@@ -51,7 +57,13 @@ __all__ = [
 TAG_AXIS = 1      # axis sample streams
 TAG_BETA = 2      # limit-field Gaussian streams
 
-_BLOCK_BUDGET = 1 << 22   # floats per replication block, caps peak memory
+_L_MARK = "<index set>"   # stands for the index set's JSON in a provenance payload
+_CELL_CHUNK = 1 << 16     # cells of an explicit set hashed per piece
+
+# Floats one replication block may hold.  It caps peak memory and is sized for
+# cache: each factor row is slice-summed while it is still hot, so a block's
+# row buffers should fit in a core's L2, not merely in RAM.
+_BLOCK_BUDGET = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -261,18 +273,29 @@ def _kmax(lam, d: int) -> list:
     return [max((k[axis] for k, _ in lam), default=1) for axis in range(d)]
 
 
-def _contract(tables, boxes, lam, nv: int) -> np.ndarray:
-    """``sum_k w_k sum_B prod_s sum_{i in B_s} tables[s][k_s - 1, :, i - 1]``, shape (|V|, reps).
+def _box_sums(fam, kmax: int, x: np.ndarray, boxes, axis: int) -> list:
+    """Per box, ``F[k - 1] = sum_{i in box_axis} g_k(x[:, i - 1])`` for k = 1..kmax.
 
-    ``tables[s]`` is axis s's factor table, shape (kmax_s, reps, columns);
-    ``boxes`` are disjoint 1-based inclusive ``Rect``s; ``lam`` pairs
-    multi-indices with (|V|, 1) weight columns.  Weights multiply the assembled
-    core last, so each row is bit-identical to the ``|V| = 1`` contraction of
-    its slice kernel.
+    ``x`` holds one axis' samples, shape (reps, columns); each result has shape
+    (kmax, reps).  Every factor row is slice-summed over the boxes as soon as
+    it exists, so no (kmax, reps, columns) table is ever built.
     """
-    sums = [[t[:, :, a - 1:b].sum(axis=2) for t, a, b in zip(tables, box.lo, box.hi)]
-            for box in boxes]
-    out = np.zeros((nv, tables[0].shape[1]))
+    sums = [np.empty((kmax, x.shape[0])) for _ in boxes]
+    for k, row in enumerate(fam.rows(kmax, x)):
+        for out, box in zip(sums, boxes):
+            row[:, box.lo[axis] - 1:box.hi[axis]].sum(axis=1, out=out[k])
+    return sums
+
+
+def _contract(sums, lam, nv: int) -> np.ndarray:
+    """``sum_k w_k sum_B prod_s sums[B][s][k_s - 1]``, shape (|V|, reps).
+
+    ``sums[B][s]`` is box B's slice sum on axis s, shape (kmax_s, reps);
+    ``lam`` pairs multi-indices with (|V|, 1) weight columns.  Weights multiply
+    the assembled core last, so each row is bit-identical to the ``|V| = 1``
+    contraction of its slice kernel.
+    """
+    out = np.zeros((nv, sums[0][0].shape[1]))
     for kvec, wv in lam:
         core = None
         for box_sums in sums:
@@ -282,6 +305,13 @@ def _contract(tables, boxes, lam, nv: int) -> np.ndarray:
             core = term if core is None else core + term
         out += wv * core
     return out
+
+
+def _field_sums(factors, kmax, boxes, samples) -> list:
+    """``sums[B][s]`` for ``_contract``, from one (reps, columns) sample array per axis."""
+    per_axis = [_box_sums(fam, k, x, boxes, axis)
+                for axis, (fam, k, x) in enumerate(zip(factors, kmax, samples))]
+    return list(zip(*per_axis))
 
 
 def compute_S_L(kernel, L: IndexSet, axis_samples) -> float:
@@ -294,9 +324,9 @@ def compute_S_L(kernel, L: IndexSet, axis_samples) -> float:
     """
     _check_cover(kernel, L, axis_samples)
     lam = _weight_columns(kernel.lam)
-    tables = [fam.evaluate_block(kmax, x)[:, None, :]
-              for fam, kmax, x in zip(kernel.factors, _kmax(lam, kernel.d), axis_samples)]
-    return float(_contract(tables, L.boxes, lam, 1)[0, 0]) / math.sqrt(L.size)
+    samples = [np.asarray(x, dtype=float)[None, :] for x in axis_samples]
+    sums = _field_sums(kernel.factors, _kmax(lam, kernel.d), L.boxes, samples)
+    return float(_contract(sums, lam, 1)[0, 0]) / math.sqrt(L.size)
 
 
 def naive_S_L(kernel, L: IndexSet, axis_samples) -> float:
@@ -322,16 +352,28 @@ def naive_S_L(kernel, L: IndexSet, axis_samples) -> float:
 
 
 def _provenance(kind, kernel, L, dists, n, seed) -> str:
+    """First 16 hex digits of the sha256 of ``json.dumps(payload, sort_keys=True)``.
+
+    The index set's JSON is fed to the hash in pieces (``IndexSet.json_pieces``),
+    so an explicit set's cell list is never built whole; the digest is that of
+    the whole dump.
+    """
     from .kernels import kernel_to_json
     payload = {
         "kind": kind,
         "kernel": kernel_to_json(kernel) if hasattr(kernel, "factors") else kernel,
-        "L": L.to_json() if L is not None else None,
+        "L": _L_MARK if L is not None else None,
         "dists": [d.to_json() for d in dists] if dists else None,
         "N": n,
         "seed": seed,
     }
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
+    # "L" sorts first, so the only string before the mark is its key
+    head, mark, tail = json.dumps(payload, sort_keys=True).partition(json.dumps(_L_MARK))
+    digest = hashlib.sha256(head.encode())
+    for piece in L.json_pieces(_CELL_CHUNK) if mark else ():
+        digest.update(piece.encode())
+    digest.update(tail.encode())
+    return digest.hexdigest()[:16]
 
 
 def _run_blocks(batch, N, nv, workers, floats_per_rep):
@@ -371,32 +413,27 @@ def _sum_field(factors, lam, nv, L, dists, N, rng, workers) -> np.ndarray:
     root = math.sqrt(L.size)
 
     def batch(rep_start, rep_count):
-        tables = []
-        for axis, (fam, dist) in enumerate(zip(factors, dists)):
-            x = dist.sample_block(rng, axis, rep_start, rep_count, ncols[axis])
-            flat = fam.evaluate_block(kmax[axis], x.ravel())
-            tables.append(flat.reshape(kmax[axis], rep_count, ncols[axis]))
-        return _contract(tables, boxes, lam, nv) / root
+        samples = (dist.sample_block(rng, axis, rep_start, rep_count, n)
+                   for axis, (dist, n) in enumerate(zip(dists, ncols)))
+        return _contract(_field_sums(factors, kmax, boxes, samples), lam, nv) / root
 
-    # uniforms, factor table and box sums per axis, plus the nv outputs
-    per_rep = sum(n * dist.uniforms_per_coord + k * n + len(boxes) * k
+    # per axis: uniforms, samples, three row buffers, box sums; plus the nv outputs
+    per_rep = sum(n * (dist.uniforms_per_coord + 4) + len(boxes) * k
                   for n, k, dist in zip(ncols, kmax, dists)) + nv
     return _run_blocks(batch, N, nv, workers, per_rep)
 
 
 def _limit_field(lam, nv, d, N, rng, workers) -> np.ndarray:
-    """(N, nv) chaos-limit values: the beta arrays are the tables of one single-cell box."""
+    """(N, nv) chaos-limit values: the beta draws are the sums of one single-cell box."""
     kmax = _kmax(lam, d)
-    cell = (Rect((1,) * d, (1,) * d),)
 
     def batch(rep_start, rep_count):
-        tables = []
-        for axis in range(d):
-            u = rng.uniform_block(TAG_BETA, axis, rep_start, rep_count, kmax[axis])
-            tables.append(ndtri(np.clip(u, 2.0 ** -60, 1.0 - 2.0 ** -53)).T[:, :, None])
-        return _contract(tables, cell, lam, nv)
+        betas = [ndtri(np.clip(rng.uniform_block(TAG_BETA, axis, rep_start, rep_count, k),
+                               2.0 ** -60, 1.0 - 2.0 ** -53)).T
+                 for axis, k in enumerate(kmax)]
+        return _contract([betas], lam, nv)
 
-    per_rep = sum(3 * k for k in kmax) + nv     # uniforms, table, box sums; outputs
+    per_rep = sum(3 * k for k in kmax) + nv     # uniforms, clipped, betas; outputs
     return _run_blocks(batch, N, nv, workers, per_rep)
 
 

@@ -1,6 +1,8 @@
 """Monte Carlo engine: stream determinism, factorized sums, estimators."""
 
+import hashlib
 import itertools
+import json
 import math
 
 from unittest import mock
@@ -14,10 +16,11 @@ from scipy.stats import norm
 from multisum import (AxisDistribution, DegenerateKernel, EmpiricalDist,
                       ParametricKernel, RngSpec, compute_S_L, empirical_moment,
                       empirical_tail, explicit_set, hermite_family,
-                      load_empirical, lshape_family, make_rect, naive_S_L,
-                      sample_S_infty, save_empirical, simulate_Q_L,
-                      simulate_S_L, staircase_set)
+                      kernel_to_json, load_empirical, lshape_family, make_rect,
+                      naive_S_L, poisson_charlier_family, sample_S_infty,
+                      save_empirical, simulate_Q_L, simulate_S_L, staircase_set)
 from multisum import mc
+from test_box_contraction import shaped_sets
 
 GAUSS = [AxisDistribution("standard_normal")] * 2
 
@@ -40,9 +43,13 @@ def test_worker_count_invariance(workers):
         assert np.array_equal(base.values, split.values)
 
 
+# a Hermite axis under the normal law and a Charlier axis under the compensated Poisson
+FIELD_DISTS = [AxisDistribution("standard_normal"), AxisDistribution("compensated_poisson")]
+
+
 @st.composite
 def field_runs(draw):
-    """A random 2-D set, a Hermite field kernel over <= 3 points, N and a seed."""
+    """A random 2-D set, a field kernel over <= 3 points, N and a seed."""
     cells = draw(st.sets(st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=1,
                          max_size=12))
     nv = draw(st.integers(1, 3))
@@ -50,7 +57,7 @@ def field_runs(draw):
     weights = st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=nv, max_size=nv)
     lam = draw(st.dictionaries(kvec, weights, min_size=1, max_size=3))
     pk = ParametricKernel(np.arange(nv)[:, None], {k: np.array(w) for k, w in lam.items()},
-                          [hermite_family()] * 2, orthonormal=False)
+                          [hermite_family(), poisson_charlier_family()], orthonormal=False)
     return pk, explicit_set(sorted(cells)), draw(st.integers(1, 40)), draw(st.integers(0, 999))
 
 
@@ -58,14 +65,15 @@ def field_runs(draw):
 @given(field_runs(), st.integers(1, 120))
 def test_worker_and_block_size_invariance(run, budget):
     pk, L, N, seed = run
-    base_S = simulate_S_L(pk.slice_kernel(0), L, GAUSS, N, RngSpec(seed)).values
-    base_Q = np.stack([d.values for d in simulate_Q_L(pk, L, GAUSS, N, RngSpec(seed))[0]])
-    for small in (False, True):
-        # a budget of a few floats forces blocks of one or a few replications
-        with mock.patch.object(mc, "_BLOCK_BUDGET", budget if small else mc._BLOCK_BUDGET):
+    base_S = simulate_S_L(pk.slice_kernel(0), L, FIELD_DISTS, N, RngSpec(seed)).values
+    base_Q = np.stack([d.values for d in simulate_Q_L(pk, L, FIELD_DISTS, N, RngSpec(seed))[0]])
+    # a budget of a few floats forces blocks of one or a few replications; then
+    # the default cache-sized budget and the larger one it replaced
+    for size in (budget, mc._BLOCK_BUDGET, 1 << 22):
+        with mock.patch.object(mc, "_BLOCK_BUDGET", size):
             for workers in (1, 2, 3):
-                S = simulate_S_L(pk.slice_kernel(0), L, GAUSS, N, RngSpec(seed), workers)
-                Q, _ = simulate_Q_L(pk, L, GAUSS, N, RngSpec(seed), workers)
+                S = simulate_S_L(pk.slice_kernel(0), L, FIELD_DISTS, N, RngSpec(seed), workers)
+                Q, _ = simulate_Q_L(pk, L, FIELD_DISTS, N, RngSpec(seed), workers)
                 assert np.array_equal(S.values, base_S)
                 assert np.array_equal(np.stack([d.values for d in Q]), base_Q)
 
@@ -335,3 +343,16 @@ def test_provenance_distinguishes_inputs():
     a = simulate_S_L(k, make_rect([2, 2]), GAUSS, 10, RngSpec(1))
     b = simulate_S_L(k, make_rect([2, 3]), GAUSS, 10, RngSpec(1))
     assert a.provenance != b.provenance
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 3).flatmap(shaped_sets), st.integers(1, 50), st.integers(1, 10 ** 6))
+def test_provenance_hashes_the_whole_json_dump(L, chunk, n):
+    # chunks of a few cells split explicit sets mid-way through their cell lists
+    kernel = hermite_kernel({(1,) * L.d: 1.0}, d=L.d)
+    dists = [AxisDistribution("standard_normal")] * L.d
+    payload = {"kind": "S_L", "kernel": kernel_to_json(kernel), "L": L.to_json(),
+               "dists": [d.to_json() for d in dists], "N": n, "seed": 7}
+    whole = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
+    with mock.patch.object(mc, "_CELL_CHUNK", chunk):
+        assert mc._provenance("S_L", kernel, L, dists, n, 7) == whole

@@ -1,6 +1,7 @@
-"""Micro-benchmarks: KS distance, exact covering, the inscribed-rectangle search and
-Young-Fenchel conjugates."""
+"""Micro-benchmarks: KS distance, exact covering, the inscribed-rectangle search,
+Young-Fenchel conjugates and one block of streamed box sums."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,14 +9,18 @@ import pytest
 
 pytest.importorskip("pytest_benchmark")
 
-from multisum import (EmpiricalDist, ParametricKernel, covering_profile, hermite_family,
-                      ks_distance, lshape_family, power_log, product_of, rect_pair,
-                      rosenthal_scaled, staircase_set, tabulated_psi, young_fenchel)
+from multisum import (AxisDistribution, EmpiricalDist, ParametricKernel, RngSpec,
+                      covering_profile, hermite_family, ks_distance, lshape_family,
+                      make_rect, power_log, product_of, rect_pair, rosenthal_scaled,
+                      staircase_set, tabulated_psi, young_fenchel)
+from multisum import mc
 from test_psi import reference_young_fenchel
 
 # values the exhaustive-search and concatenate-and-search versions also give
 KS_20K_50K = 0.013400000000000079
 COUNTS_12 = [1] * 3 + [2] * 5 + [3] * 2 + [4] * 3 + [6, 7, 8, 10, 11] + [12] * 46
+# sha256 of the 51 sums below; the whole-table path gives the same bytes
+SIM_BOX_BLOCK = "842a34253b1c0d6aa57c867e1028e966b0b200d9a7f0f3cea07f1bab16468ffc"
 
 
 def test_ks_distance_20k_vs_50k(benchmark):
@@ -60,3 +65,13 @@ def test_conjugate_grid_600(benchmark):
                          np.log(np.geomspace(math.e, 100.0 * math.e, 400))])
     got = benchmark.pedantic(young_fenchel, args=(psi, xs), rounds=5)
     assert got.tolist() == [reference_young_fenchel(psi, x) for x in xs]
+
+
+def test_sum_field_sim_box_block(benchmark):
+    # the sim-box kernel, lambda(k, k) = 1/k for k <= 4 on a 256 x 256 box; 51
+    # replications are one block at the default budget (2569 floats per replication)
+    lam = mc._weight_columns({(k, k): 1.0 / k for k in range(1, 5)})
+    args = ([hermite_family()] * 2, lam, 1, make_rect([256, 256]),
+            [AxisDistribution("standard_normal")] * 2, 51, RngSpec(1), 1)
+    vals = benchmark.pedantic(mc._sum_field, args=args, rounds=5)
+    assert hashlib.sha256(vals.tobytes()).hexdigest() == SIM_BOX_BLOCK
