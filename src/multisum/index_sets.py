@@ -61,9 +61,14 @@ class Rect:
         return min(b - a + 1 for a, b in zip(self.lo, self.hi))
 
     def cells(self):
-        axes = [np.arange(a, b + 1) for a, b in zip(self.lo, self.hi)]
-        grid = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grid], axis=1)
+        return _grid_cells(self.lo, self.hi)
+
+
+def _grid_cells(lo, hi) -> np.ndarray:
+    """(m, d) array of the lattice box [lo, hi] in lexicographic row order."""
+    axes = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
+    grid = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grid], axis=1)
 
 
 @dataclass(frozen=True)
@@ -92,25 +97,35 @@ class IndexSet:
     @cached_property
     def cells(self) -> np.ndarray:
         """(|L|, d) array of the cells in lexicographic row order, built on first use."""
-        cells = np.concatenate(list(self.cell_chunks(self.size)))
+        cells = np.concatenate([box.cells() for box in self.boxes])
+        cells = cells[np.lexsort(cells.T[::-1])]
         cells.flags.writeable = False
         return cells
 
     def cell_chunks(self, max_cells: int):
         """The cells in lexicographic row order, as consecutive (m, d) arrays.
 
-        A chunk is the cells of a run of first coordinates, as many as keep it
-        within ``max_cells``; a single first coordinate is never split, so a
-        chunk exceeds ``max_cells`` only when one slab of the set does.
+        A chunk is the cells of a run of first coordinates that the same boxes
+        cover, at most ``max_cells`` of them unless one slab of the set alone
+        exceeds it.  The boxes are swept in order of their first coordinate,
+        so each box is visited once per chunk it meets.
         """
-        slab = sum(box.size // (box.hi[0] - box.lo[0] + 1) for box in self.boxes)
-        step = max(1, max_cells // slab)
-        for a in range(min(box.lo[0] for box in self.boxes), self.axis_max(0) + 1, step):
-            b = a + step - 1
-            parts = [Rect((max(a, box.lo[0]),) + box.lo[1:], (min(b, box.hi[0]),) + box.hi[1:])
-                     .cells() for box in self.boxes if box.lo[0] <= b and a <= box.hi[0]]
-            if parts:
-                cells = np.concatenate(parts)
+        boxes = sorted(self.boxes, key=lambda box: box.lo[0])
+        edges = sorted({box.lo[0] for box in boxes} | {box.hi[0] + 1 for box in boxes})
+        nxt, active = 0, []
+        for start, end in zip(edges, edges[1:]):
+            while nxt < len(boxes) and boxes[nxt].lo[0] == start:
+                active.append(boxes[nxt])
+                nxt += 1
+            active = [box for box in active if box.hi[0] >= start]
+            if not active:
+                continue
+            slab = sum(box.size // (box.hi[0] - box.lo[0] + 1) for box in active)
+            step = max(1, max_cells // slab)
+            for a in range(start, end, step):
+                b = min(a + step, end) - 1
+                cells = np.concatenate([_grid_cells((a,) + box.lo[1:], (b,) + box.hi[1:])
+                                        for box in active])
                 yield cells[np.lexsort(cells.T[::-1])]
 
     def bounding_box(self) -> Rect:

@@ -21,8 +21,8 @@ normal draws per replication.
 No factor table is built: each factor family yields its rows ``g_1, g_2, ...``
 one at a time (``FactorFamily.rows``), and every row is slice-summed into the
 per-box sums as soon as it exists.  A replication therefore holds O(sum n_s)
-floats whatever the rank, and replications run in blocks sized to stay in
-cache (``_BLOCK_BUDGET``).
+floats whatever the rank, and replications run in blocks of a fixed float
+budget (``_BLOCK_BUDGET``).
 """
 
 from __future__ import annotations
@@ -60,10 +60,10 @@ TAG_BETA = 2      # limit-field Gaussian streams
 _L_MARK = "<index set>"   # stands for the index set's JSON in a provenance payload
 _CELL_CHUNK = 1 << 16     # cells of an explicit set hashed per piece
 
-# Floats one replication block may hold.  It caps peak memory and is sized for
-# cache: each factor row is slice-summed while it is still hot, so a block's
-# row buffers should fit in a core's L2, not merely in RAM.
-_BLOCK_BUDGET = 1 << 17
+# Floats one replication block may hold; it caps peak memory.  Blocks are not
+# sized for cache: a block makes one NumPy call per factor row and distinct box
+# side, so on sets of many boxes smaller blocks cost more than they save.
+_BLOCK_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -273,18 +273,24 @@ def _kmax(lam, d: int) -> list:
     return [max((k[axis] for k, _ in lam), default=1) for axis in range(d)]
 
 
+def _spans(boxes, axis: int) -> list:
+    """The distinct ``(lo, hi)`` sides of the boxes on one axis."""
+    return sorted({(box.lo[axis], box.hi[axis]) for box in boxes})
+
+
 def _box_sums(fam, kmax: int, x: np.ndarray, boxes, axis: int) -> list:
     """Per box, ``F[k - 1] = sum_{i in box_axis} g_k(x[:, i - 1])`` for k = 1..kmax.
 
     ``x`` holds one axis' samples, shape (reps, columns); each result has shape
-    (kmax, reps).  Every factor row is slice-summed over the boxes as soon as
-    it exists, so no (kmax, reps, columns) table is ever built.
+    (kmax, reps).  Every factor row is slice-summed as soon as it exists, so no
+    (kmax, reps, columns) table is ever built, and once per distinct side:
+    boxes that share their side on this axis share its sums.
     """
-    sums = [np.empty((kmax, x.shape[0])) for _ in boxes]
+    sums = {span: np.empty((kmax, x.shape[0])) for span in _spans(boxes, axis)}
     for k, row in enumerate(fam.rows(kmax, x)):
-        for out, box in zip(sums, boxes):
-            row[:, box.lo[axis] - 1:box.hi[axis]].sum(axis=1, out=out[k])
-    return sums
+        for (lo, hi), out in sums.items():
+            row[:, lo - 1:hi].sum(axis=1, out=out[k])
+    return [sums[box.lo[axis], box.hi[axis]] for box in boxes]
 
 
 def _contract(sums, lam, nv: int) -> np.ndarray:
@@ -417,9 +423,9 @@ def _sum_field(factors, lam, nv, L, dists, N, rng, workers) -> np.ndarray:
                    for axis, (dist, n) in enumerate(zip(dists, ncols)))
         return _contract(_field_sums(factors, kmax, boxes, samples), lam, nv) / root
 
-    # per axis: uniforms, samples, three row buffers, box sums; plus the nv outputs
-    per_rep = sum(n * (dist.uniforms_per_coord + 4) + len(boxes) * k
-                  for n, k, dist in zip(ncols, kmax, dists)) + nv
+    # per axis: uniforms, samples, three row buffers, side sums; plus the nv outputs
+    per_rep = sum(n * (dist.uniforms_per_coord + 4) + len(_spans(boxes, axis)) * k
+                  for axis, (n, k, dist) in enumerate(zip(ncols, kmax, dists))) + nv
     return _run_blocks(batch, N, nv, workers, per_rep)
 
 

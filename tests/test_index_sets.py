@@ -366,6 +366,21 @@ def test_stock_constructors_agree_with_explicit_sets(kind, sizes, fraction):
     assert index_set_from_json(L.to_json()).boxes == L.boxes
 
 
+@SETTINGS
+@given(st.one_of(planar_cells(), st.sets(st.tuples(*[st.integers(1, 5)] * 3), min_size=1,
+                                         max_size=40).map(sorted)),
+       st.integers(1, 12))
+def test_cell_chunks_split_the_cells_by_first_coordinate(cells, max_cells):
+    L = explicit_set(cells)
+    chunks = list(L.cell_chunks(max_cells))
+    assert np.array_equal(np.concatenate(chunks), L.cells)
+    for chunk in chunks:
+        # whole slabs only, and more than max_cells only for a single slab
+        assert len(chunk) <= max_cells or len(set(chunk[:, 0])) == 1
+        rest = L.cells[L.cells[:, 0] == chunk[-1, 0]]
+        assert np.array_equal(chunk[len(chunk) - len(rest):], rest)
+
+
 def test_rect_geometry_needs_no_cells():
     L = make_rect([4096, 4096, 4096])
     assert L.size == 4096 ** 3 and L.axis_max(2) == 4096

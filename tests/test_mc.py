@@ -68,8 +68,8 @@ def test_worker_and_block_size_invariance(run, budget):
     base_S = simulate_S_L(pk.slice_kernel(0), L, FIELD_DISTS, N, RngSpec(seed)).values
     base_Q = np.stack([d.values for d in simulate_Q_L(pk, L, FIELD_DISTS, N, RngSpec(seed))[0]])
     # a budget of a few floats forces blocks of one or a few replications; then
-    # the default cache-sized budget and the larger one it replaced
-    for size in (budget, mc._BLOCK_BUDGET, 1 << 22):
+    # a cache-sized budget and the default
+    for size in (budget, 1 << 17, mc._BLOCK_BUDGET):
         with mock.patch.object(mc, "_BLOCK_BUDGET", size):
             for workers in (1, 2, 3):
                 S = simulate_S_L(pk.slice_kernel(0), L, FIELD_DISTS, N, RngSpec(seed), workers)
