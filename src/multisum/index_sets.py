@@ -12,7 +12,6 @@ computes them exactly in every dimension.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -102,32 +101,6 @@ class IndexSet:
         cells.flags.writeable = False
         return cells
 
-    def cell_chunks(self, max_cells: int):
-        """The cells in lexicographic row order, as consecutive (m, d) arrays.
-
-        A chunk is the cells of a run of first coordinates that the same boxes
-        cover, at most ``max_cells`` of them unless one slab of the set alone
-        exceeds it.  The boxes are swept in order of their first coordinate,
-        so each box is visited once per chunk it meets.
-        """
-        boxes = sorted(self.boxes, key=lambda box: box.lo[0])
-        edges = sorted({box.lo[0] for box in boxes} | {box.hi[0] + 1 for box in boxes})
-        nxt, active = 0, []
-        for start, end in zip(edges, edges[1:]):
-            while nxt < len(boxes) and boxes[nxt].lo[0] == start:
-                active.append(boxes[nxt])
-                nxt += 1
-            active = [box for box in active if box.hi[0] >= start]
-            if not active:
-                continue
-            slab = sum(box.size // (box.hi[0] - box.lo[0] + 1) for box in active)
-            step = max(1, max_cells // slab)
-            for a in range(start, end, step):
-                b = min(a + step, end) - 1
-                cells = np.concatenate([_grid_cells((a,) + box.lo[1:], (b,) + box.hi[1:])
-                                        for box in active])
-                yield cells[np.lexsort(cells.T[::-1])]
-
     def bounding_box(self) -> Rect:
         return Rect(tuple(min(b.lo[s] for b in self.boxes) for s in range(self.d)),
                     tuple(self.axis_max(s) for s in range(self.d)))
@@ -137,28 +110,8 @@ class IndexSet:
             return {"d": self.d, "kind": "rect", "params": {"n": list(self.params)}}
         if self.kind == "staircase":
             return {"d": self.d, "kind": "staircase", "params": {"profile": list(self.params)}}
-        return self._explicit_json(self.cells.tolist())
-
-    def _explicit_json(self, cells) -> dict:
-        return {"d": self.d, "kind": "explicit", "params": {"cells": cells}}
-
-    def json_pieces(self, max_cells: int):
-        """Strings that join to ``json.dumps(self.to_json(), sort_keys=True)``.
-
-        An explicit set's cell list comes ``cell_chunks(max_cells)`` at a time,
-        so the whole list is never held.
-        """
-        if self.kind != "explicit":
-            yield json.dumps(self.to_json(), sort_keys=True)
-            return
-        head, tail = json.dumps(self._explicit_json([]), sort_keys=True).split("[]")
-        yield head + "["
-        row = "[" + ", ".join(["%d"] * self.d) + "]"    # how json writes a list of ints
-        sep = ""
-        for chunk in self.cell_chunks(max_cells):
-            yield sep + ", ".join([row] * len(chunk)) % tuple(chunk.ravel().tolist())
-            sep = ", "
-        yield "]" + tail
+        boxes = [[list(box.lo), list(box.hi)] for box in self.boxes]
+        return {"d": self.d, "kind": "explicit", "params": {"boxes": boxes}}
 
 
 def index_set_from_json(obj: dict) -> IndexSet:
@@ -167,6 +120,10 @@ def index_set_from_json(obj: dict) -> IndexSet:
         L = make_rect(obj["params"]["n"])
     elif kind == "staircase":
         L = staircase_set(obj["params"]["profile"])
+    elif kind == "explicit" and "boxes" in obj["params"]:
+        # the boxes' cells go through ``explicit_set``, which rejects overlaps
+        boxes = [Rect(tuple(lo), tuple(hi)) for lo, hi in obj["params"]["boxes"]]
+        L = explicit_set(np.concatenate([box.cells() for box in boxes]))
     elif kind == "explicit":
         L = explicit_set(obj["params"]["cells"])
     else:
@@ -391,22 +348,12 @@ def _trend_ok(kappas, sides, threshold):
     return growing and shrinking and kappas[-1] <= threshold
 
 
-def nclt_condition_report(family, kappa_threshold: float = 0.25) -> ConditionReport:
-    """Evaluate the rectangle-growth and kappa-decay conditions along a family.
-
-    ``family`` is a sequence of ``IndexSet`` or ``(IndexSet, RectPair)``
-    pairs; pairs are computed on demand when absent.
-    """
-    sets, pairs = [], []
-    for item in family:
-        if isinstance(item, tuple):
-            L, pair = item
-        else:
-            L, pair = item, rect_pair(item)
-        sets.append(L)
-        pairs.append(pair)
+def nclt_condition_report(sets, kappa_threshold: float = 0.25) -> ConditionReport:
+    """Evaluate the rectangle-growth and kappa-decay conditions along a family of sets."""
+    sets = list(sets)
     if not sets:
         raise ValueError("empty family")
+    pairs = [rect_pair(L) for L in sets]
     sizes = tuple(L.size for L in sets)
     inner_sides = tuple(p.l_minus.min_side for p in pairs)
     outer_sides = tuple(p.l_plus.min_side for p in pairs)

@@ -510,33 +510,6 @@ def kernel_moment_curve(kernel: DegenerateKernel, p_grid, method: str = "quadrat
 # ---------------------------------------------------------------------------
 
 
-def tabulated_kernel_to_csv(tk: TabulatedKernel):
-    """(grid_csv, weights_csv): the value grid plus a node/weight sidecar."""
-    rows = [",".join(repr(float(v)) for v in row) for row in tk.values]
-    grid = "\n".join(rows) + "\n"
-    side = ["axis,index,node,weight"]
-    for axis, (nodes, weights) in enumerate([(tk.x_nodes, tk.x_weights),
-                                             (tk.y_nodes, tk.y_weights)]):
-        for i, (x, w) in enumerate(zip(nodes, weights)):
-            side.append(f"{axis},{i},{float(x)!r},{float(w)!r}")
-    return grid, "\n".join(side) + "\n"
-
-
-def tabulated_kernel_from_csv(grid_csv: str, weights_csv: str) -> TabulatedKernel:
-    values = np.array([[float(v) for v in line.split(",")]
-                       for line in grid_csv.strip().split("\n")])
-    axes = {0: [], 1: []}
-    for line in weights_csv.strip().split("\n")[1:]:
-        axis, idx, node, weight = line.split(",")
-        axes[int(axis)].append((int(idx), float(node), float(weight)))
-    cols = []
-    for axis in (0, 1):
-        entries = sorted(axes[axis])
-        cols.append((np.array([e[1] for e in entries]),
-                     np.array([e[2] for e in entries])))
-    return TabulatedKernel(cols[0][0], cols[0][1], cols[1][0], cols[1][1], values)
-
-
 def kernel_to_json(kernel: DegenerateKernel) -> dict:
     """Schema: {d, factors: [{kind, params}], lambda: [{k, w}], orthonormal}."""
     factors = []

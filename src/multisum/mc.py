@@ -23,6 +23,10 @@ one at a time (``FactorFamily.rows``), and every row is slice-summed into the
 per-box sums as soon as it exists.  A replication therefore holds O(sum n_s)
 floats whatever the rank, and replications run in blocks of a fixed float
 budget (``_BLOCK_BUDGET``).
+
+Each simulated distribution carries a provenance digest of its inputs
+(kernel, index set, axis laws, N, seed); the index set enters by its JSON,
+which names an explicit set by its boxes, never its cells.
 """
 
 from __future__ import annotations
@@ -56,9 +60,6 @@ __all__ = [
 
 TAG_AXIS = 1      # axis sample streams
 TAG_BETA = 2      # limit-field Gaussian streams
-
-_L_MARK = "<index set>"   # stands for the index set's JSON in a provenance payload
-_CELL_CHUNK = 1 << 16     # cells of an explicit set hashed per piece
 
 # Floats one replication block may hold; it caps peak memory.  Blocks are not
 # sized for cache: a block makes one NumPy call per factor row and distinct box
@@ -360,26 +361,19 @@ def naive_S_L(kernel, L: IndexSet, axis_samples) -> float:
 def _provenance(kind, kernel, L, dists, n, seed) -> str:
     """First 16 hex digits of the sha256 of ``json.dumps(payload, sort_keys=True)``.
 
-    The index set's JSON is fed to the hash in pieces (``IndexSet.json_pieces``),
-    so an explicit set's cell list is never built whole; the digest is that of
-    the whole dump.
+    The payload names the index set by its JSON, which lists an explicit
+    set's boxes, so the hash costs O(boxes) whatever ``|L|``.
     """
     from .kernels import kernel_to_json
     payload = {
         "kind": kind,
         "kernel": kernel_to_json(kernel) if hasattr(kernel, "factors") else kernel,
-        "L": _L_MARK if L is not None else None,
+        "L": L.to_json() if L is not None else None,
         "dists": [d.to_json() for d in dists] if dists else None,
         "N": n,
         "seed": seed,
     }
-    # "L" sorts first, so the only string before the mark is its key
-    head, mark, tail = json.dumps(payload, sort_keys=True).partition(json.dumps(_L_MARK))
-    digest = hashlib.sha256(head.encode())
-    for piece in L.json_pieces(_CELL_CHUNK) if mark else ():
-        digest.update(piece.encode())
-    digest.update(tail.encode())
-    return digest.hexdigest()[:16]
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def _run_blocks(batch, N, nv, workers, floats_per_rep):
@@ -432,10 +426,10 @@ def _sum_field(factors, lam, nv, L, dists, N, rng, workers) -> np.ndarray:
 def _limit_field(lam, nv, d, N, rng, workers) -> np.ndarray:
     """(N, nv) chaos-limit values: the beta draws are the sums of one single-cell box."""
     kmax = _kmax(lam, d)
+    normal = AxisDistribution("standard_normal")
 
     def batch(rep_start, rep_count):
-        betas = [ndtri(np.clip(rng.uniform_block(TAG_BETA, axis, rep_start, rep_count, k),
-                               2.0 ** -60, 1.0 - 2.0 ** -53)).T
+        betas = [normal.sample_block(rng, axis, rep_start, rep_count, k, tag=TAG_BETA).T
                  for axis, k in enumerate(kmax)]
         return _contract([betas], lam, nv)
 

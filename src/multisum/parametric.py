@@ -446,8 +446,14 @@ def parametric_kernel_from_json(obj: dict) -> ParametricKernel:
                               "factors": obj["factors"],
                               "lambda": [], "orthonormal": obj.get("orthonormal", False)})
     lam = {}
+    seen = set()
     for row in obj["lambda"]:
-        kvec = tuple(row["k"])
-        lam.setdefault(kvec, np.zeros(nv))[row["v_index"]] = row["w"]
+        kvec, v = tuple(row["k"]), row["v_index"]
+        if not isinstance(v, int) or not 0 <= v < nv:
+            raise ValueError(f"v_index {v!r} is not a point index in [0, {nv})")
+        if (kvec, v) in seen:
+            raise ValueError(f"lambda row (k={list(kvec)}, v_index={v}) is repeated")
+        seen.add((kvec, v))
+        lam.setdefault(kvec, np.zeros(nv))[v] = row["w"]
     return ParametricKernel(points, lam, shell.factors,
                             orthonormal=bool(obj.get("orthonormal", False)))

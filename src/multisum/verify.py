@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .index_sets import nclt_condition_report, rect_pair
+from .index_sets import nclt_condition_report
 from .kernels import DegenerateKernel
 from .mc import (AxisDistribution, EmpiricalDist, RngSpec, empirical_moment,
                  empirical_tail, sample_S_infty, simulate_S_L)
@@ -115,18 +115,17 @@ def verify_nclt(kernel: DegenerateKernel, dists, sets, N: int, rng: RngSpec, *,
     """
     _require_orthonormal(kernel)
     sets = list(sets)
-    pairs = [rect_pair(L) for L in sets]
-    cond = nclt_condition_report(list(zip(sets, pairs)), kappa_threshold)
+    cond = nclt_condition_report(sets, kappa_threshold)
     limit = sample_S_infty(kernel.lam, kernel.d, limit_n, rng.child(997), workers)
     rows = []
-    for i, (L, pair) in enumerate(zip(sets, pairs)):
+    for i, L in enumerate(sets):
         dist = simulate_S_L(kernel, L, dists, N, rng.child(i), workers)
         rows.append({
             "stage": i,
             "L_size": L.size,
-            "kappa_minus": pair.kappa_minus,
-            "kappa_plus": pair.kappa_plus,
-            "min_corner": pair.l_minus.min_side,
+            "kappa_minus": cond.kappa_minus[i],
+            "kappa_plus": cond.kappa_plus[i],
+            "min_corner": cond.inner_min_sides[i],
             "ks": ks_distance(dist, limit),
         })
     crit = ks_critical(N, limit_n)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from multisum.cli import main
+from multisum.index_sets import index_set_from_json, lshape_family
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -150,6 +151,20 @@ def test_simulate_index_set_of_wrong_dimension_exits_2(tmp_path, capsys):
         assert "dimension" in json.loads(capsys.readouterr().err)["error"]
 
 
+def test_simulate_summary_names_explicit_sets_by_their_boxes(tmp_path):
+    cfg = tmp_path / "lshape.json"
+    base = json.loads((CONFIG_DIR / "simulate_smoke.json").read_text())
+    base["index_sets"] = {"family": "lshape_fixed_fraction", "sizes": [256]}
+    cfg.write_text(json.dumps(base))
+    code, out = run_cmd(tmp_path, "simulate", cfg)
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    path = out / manifest["files"]["summary"]
+    assert path.stat().st_size < 1024
+    written = json.loads(path.read_text())[0]["index_set"]
+    assert index_set_from_json(written).boxes == lshape_family([256])[0].boxes
+
+
 # ---------------------------------------------------------------------------
 # verify command
 # ---------------------------------------------------------------------------
@@ -230,6 +245,18 @@ def test_verify_parametric_power(tmp_path):
     verdict = json.loads((out / manifest["files"]["verdict"]).read_text())
     assert verdict["hypotheses_met"]
     assert math.isfinite(verdict["hypotheses"]["entropy_integral"])
+
+
+@pytest.mark.parametrize("v_index", [-1, 5])
+def test_verify_parametric_point_index_out_of_range_exits_2(tmp_path, capsys, v_index):
+    cfg = json.loads((CONFIG_DIR / "parametric_power.json").read_text())
+    assert len(cfg["parametric_kernel"]["V"]) == 5
+    cfg["parametric_kernel"]["lambda"][-1]["v_index"] = v_index
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(cfg))
+    code, _ = run_cmd(tmp_path, "verify", path)
+    assert code == 2
+    assert "v_index" in json.loads(capsys.readouterr().err)["error"]
 
 
 # ---------------------------------------------------------------------------

@@ -330,6 +330,26 @@ def test_index_set_json_round_trip():
         clone = index_set_from_json(L.to_json())
         assert clone.kind == L.kind and clone.d == L.d
         assert np.array_equal(clone.cells, L.cells)
+    # an explicit set is written as its boxes, never as its cells
+    L = lshape_family([8])[0]
+    assert L.to_json() == {"d": 2, "kind": "explicit",
+                           "params": {"boxes": [[[1, 1], [4, 8]], [[5, 1], [8, 4]]]}}
+    assert index_set_from_json(L.to_json()).boxes == L.boxes
+    # the older cells form still reads
+    cells = {"d": 2, "kind": "explicit", "params": {"cells": L.cells.tolist()}}
+    assert index_set_from_json(cells).boxes == L.boxes
+
+
+@pytest.mark.parametrize("boxes, message", [
+    ([[[1, 1], [2, 2]], [[2, 2], [3, 3]]], "duplicate"),     # overlapping boxes
+    ([[[1, 3], [2, 2]]], "lo <= hi"),
+    ([[[1, 1], [2, 2]], [[1], [3]]], None),                   # boxes of two dimensions
+    ([[[1, 1], [2]]], "dimension"),
+    ([[[0, 1], [2, 2]]], "lo <= hi"),
+])
+def test_explicit_boxes_json_rejects_bad_boxes(boxes, message):
+    with pytest.raises(ValueError, match=message):
+        index_set_from_json({"d": 2, "kind": "explicit", "params": {"boxes": boxes}})
 
 
 def test_boxes_of_stock_shapes():
@@ -364,21 +384,6 @@ def test_stock_constructors_agree_with_explicit_sets(kind, sizes, fraction):
     if L.kind == "explicit":
         assert L.to_json() == clone.to_json()
     assert index_set_from_json(L.to_json()).boxes == L.boxes
-
-
-@SETTINGS
-@given(st.one_of(planar_cells(), st.sets(st.tuples(*[st.integers(1, 5)] * 3), min_size=1,
-                                         max_size=40).map(sorted)),
-       st.integers(1, 12))
-def test_cell_chunks_split_the_cells_by_first_coordinate(cells, max_cells):
-    L = explicit_set(cells)
-    chunks = list(L.cell_chunks(max_cells))
-    assert np.array_equal(np.concatenate(chunks), L.cells)
-    for chunk in chunks:
-        # whole slabs only, and more than max_cells only for a single slab
-        assert len(chunk) <= max_cells or len(set(chunk[:, 0])) == 1
-        rest = L.cells[L.cells[:, 0] == chunk[-1, 0]]
-        assert np.array_equal(chunk[len(chunk) - len(rest):], rest)
 
 
 def test_rect_geometry_needs_no_cells():

@@ -340,15 +340,3 @@ def test_tabulated_kernel_factors_serialize():
     pt = [float(tk.x_nodes[5]), float(tk.y_nodes[9])]
     assert clone.evaluate(pt) == pytest.approx(tk.head.evaluate(pt), rel=1e-12)
 
-
-def test_tabulated_kernel_csv_round_trip():
-    from multisum.kernels import tabulated_kernel_from_csv, tabulated_kernel_to_csv
-    tk = TabulatedKernel.from_function(lambda x, y: np.minimum(x, y) + x * y, n=12)
-    grid_csv, weights_csv = tabulated_kernel_to_csv(tk)
-    clone = tabulated_kernel_from_csv(grid_csv, weights_csv)
-    assert np.array_equal(clone.values, tk.values)
-    assert np.array_equal(clone.x_nodes, tk.x_nodes)
-    assert np.array_equal(clone.y_weights, tk.y_weights)
-    s1, _, _ = tk.spectral()
-    s2, _, _ = clone.spectral()
-    assert np.allclose(s1, s2, rtol=1e-14)

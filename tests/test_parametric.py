@@ -315,6 +315,18 @@ def test_parametric_json_round_trip():
     assert rho_lambda(clone, 0, 3) == pytest.approx(rho_lambda(pk, 0, 3), rel=1e-14)
 
 
+def test_parametric_json_rejects_bad_point_rows():
+    obj = parametric_kernel_to_json(line_grid_pk(4))
+    for bad in (-1, 4, 1.0):
+        rows = [dict(row) for row in obj["lambda"]]
+        rows[-1]["v_index"] = bad
+        with pytest.raises(ValueError, match="v_index"):
+            parametric_kernel_from_json(dict(obj, **{"lambda": rows}))
+    repeated = dict(obj, **{"lambda": obj["lambda"] + obj["lambda"][:1]})
+    with pytest.raises(ValueError, match="repeated"):
+        parametric_kernel_from_json(repeated)
+
+
 def test_power_integral_nonincreasing_in_p():
     eps = np.geomspace(1.0, 1e-5, 64)
     prof = EntropyProfile(eps, 1.0 / eps ** 0.8)
