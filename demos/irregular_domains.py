@@ -3,8 +3,8 @@
 # theorem: cells missed by the best inscribed rectangle, and bounding-box
 # cells outside the set, each divided by sqrt(|L|).
 
-from multisum import (AxisDistribution, DegenerateKernel, RngSpec,
-                      hermite_family, lshape_family, nclt_condition_report,
+from multisum import (AxisDistribution, DegenerateKernel, FactorFamily, RngSpec,
+                      lshape_family, nclt_condition_report,
                       rect_pair, squares_minus_corner_family, staircase_set,
                       verify_nclt)
 
@@ -24,7 +24,7 @@ for row in cond.rows():
 print("  the inscribed deficiency saturates, but the circumscribed one vanishes:")
 print(f"  inscribed condition: {cond.inscribed_ok}, circumscribed: {cond.circumscribed_ok}")
 
-kernel = DegenerateKernel(2, {(1, 1): 1.0}, [hermite_family()] * 2,
+kernel = DegenerateKernel(2, {(1, 1): 1.0}, [FactorFamily("hermite")] * 2,
                           orthonormal=True)
 dists = [AxisDistribution("standard_normal")] * 2
 report = verify_nclt(kernel, dists, family, 20_000, RngSpec(7),

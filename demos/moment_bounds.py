@@ -6,8 +6,8 @@ import math
 
 import numpy as np
 
-from multisum import (DegenerateKernel, TabulatedKernel, dp_quasinorm,
-                      hermite_family, klesov_bound, rosenthal_K,
+from multisum import (DegenerateKernel, FactorFamily, TabulatedKernel, dp_quasinorm,
+                      klesov_bound, rosenthal_K,
                       theorem_W_bound, trivial_bound)
 
 print("=== the Rosenthal function ===")
@@ -15,7 +15,7 @@ for p in (2.0, math.e, 4.0, 8.0, 33.461):
     print(f"  K({p:7.3f}) = {rosenthal_K(p):.4f}")
 
 print("\n=== rank-one kernel f(x,y) = xy under the standard normal ===")
-kernel = DegenerateKernel(2, {(1, 1): 1.0}, [hermite_family()] * 2,
+kernel = DegenerateKernel(2, {(1, 1): 1.0}, [FactorFamily("hermite")] * 2,
                           orthonormal=True)
 p = 4.0
 f_moment = kernel.moment(p)

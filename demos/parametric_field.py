@@ -4,9 +4,9 @@
 
 import numpy as np
 
-from multisum import (AxisDistribution, ParametricKernel, RngSpec,
+from multisum import (AxisDistribution, FactorFamily, ParametricKernel, RngSpec,
                       check_theorem_8, covering_profile, entropy_integral_exp,
-                      entropy_integral_power, hermite_family, make_rect,
+                      entropy_integral_power, make_rect,
                       power_log, rho_lambda, sigma_lambda, simulate_Q_L)
 from multisum.parametric import EntropyProfile
 
@@ -15,7 +15,7 @@ gauss = [AxisDistribution("standard_normal")] * 2
 print("=== a Lipschitz weight family on [0, 1] ===")
 v = np.linspace(0.0, 1.0, 9)
 pk = ParametricKernel(v[:, None], {(1, 1): v.copy()},
-                      [hermite_family()] * 2, orthonormal=True)
+                      [FactorFamily("hermite")] * 2, orthonormal=True)
 print(f"  grid of {pk.n_points} points, sigma_lambda = {sigma_lambda(pk)}")
 print(f"  rho(v_0, v_8) = {rho_lambda(pk, 0, 8):.3f} (the l1 weight distance)")
 

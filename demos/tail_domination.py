@@ -5,13 +5,13 @@
 
 import numpy as np
 
-from multisum import (AxisDistribution, DegenerateKernel, RngSpec, TailBound,
-                      empirical_tail, hermite_family, make_rect,
+from multisum import (AxisDistribution, DegenerateKernel, FactorFamily, RngSpec,
+                      TailBound, empirical_tail, make_rect,
                       natural_composite, simulate_S_L, staircase_set,
                       tail_bound_eval, verify_tail_domination)
 
 gauss = [AxisDistribution("standard_normal")] * 2
-kernel = DegenerateKernel(2, {(1, 1): 1.0}, [hermite_family()] * 2,
+kernel = DegenerateKernel(2, {(1, 1): 1.0}, [FactorFamily("hermite")] * 2,
                           orthonormal=True)
 
 composite = natural_composite(kernel, gauss, np.geomspace(2.0, 64.0, 25))
@@ -34,7 +34,7 @@ for y in (3.0, 5.0, 8.0, 12.0):
 
 print("\nheavier axes (symmetric log-Weibull) keep the log-power tail shape:")
 lw = [AxisDistribution("log_weibull", beta=1.0)] * 2
-heavy = DegenerateKernel(2, {(1, 1): 1.0}, [hermite_family()] * 2)
+heavy = DegenerateKernel(2, {(1, 1): 1.0}, [FactorFamily("hermite")] * 2)
 comp_lw = natural_composite(heavy, lw, np.geomspace(2.0, 24.0, 17))
 rep_lw = verify_tail_domination(heavy, lw, [make_rect([1, 1]), make_rect([4, 4])],
                                 comp_lw, 50_000, RngSpec(123))

@@ -5,20 +5,17 @@ from .psi import (PsiFunction, MomentCurve, TailBound, SupportError,
                   power_log, extremal, bounded_support, exp_power,
                   product_of, rosenthal_scaled, tabulated_psi,
                   gls_norm, natural_psi, young_fenchel,
-                  tail_bound_eval, compose_psi_product,
-                  psi_to_json, psi_from_json)
+                  tail_bound_eval, psi_to_json, psi_from_json)
 from .rosenthal import (ROSENTHAL_CONSTANT, ROSENTHAL_ARGMAX_P, rosenthal_K,
                         trivial_bound, klesov_bound, dp_quasinorm,
                         theorem_W_bound, BoundReport)
 from .kernels import (FactorFamily, DegenerateKernel, TabulatedKernel,
-                      hermite_family, rademacher_family,
-                      poisson_charlier_family, exponential_poly_family,
-                      tabulated_family, kernel_moment_curve,
-                      kernel_to_json, kernel_from_json, quadrature_rule)
+                      tabulated_family, kernel_to_json, kernel_from_json,
+                      quadrature_rule)
 from .index_sets import (IndexSet, Rect, RectPair, make_rect, staircase_set,
                          explicit_set, rect_pair, nclt_condition_report,
-                         ConditionReport, squares_family,
-                         squares_minus_corner_family, lshape_family)
+                         ConditionReport, squares_minus_corner_family,
+                         lshape_family)
 from .mc import (RngSpec, AxisDistribution, EmpiricalDist, compute_S_L,
                  naive_S_L, simulate_S_L, sample_S_infty, empirical_moment,
                  empirical_tail, save_empirical, load_empirical)

@@ -96,7 +96,7 @@ def load_config(path: str, seed_override=None):
         cfg["seed"] = int(seed_override)
     if "seed" not in cfg:
         raise ConfigError("config must name an integer 'seed'; no wall-clock default")
-    if not isinstance(cfg["seed"], int):
+    if not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool):
         raise ConfigError("'seed' must be an integer")
     digest = hashlib.sha256(_dump_json(cfg)).hexdigest()[:16]
     return cfg, digest
@@ -106,7 +106,7 @@ def _require(cfg, key, kind=None):
     if key not in cfg:
         raise ConfigError(f"config is missing '{key}'")
     val = cfg[key]
-    if kind is not None and not isinstance(val, kind):
+    if kind is not None and (not isinstance(val, kind) or isinstance(val, bool)):
         raise ConfigError(f"config field '{key}' has the wrong type")
     return val
 

@@ -28,7 +28,6 @@ __all__ = [
     "rect_pair",
     "nclt_condition_report",
     "ConditionReport",
-    "squares_family",
     "squares_minus_corner_family",
     "lshape_family",
 ]
@@ -122,7 +121,8 @@ def index_set_from_json(obj: dict) -> IndexSet:
         L = staircase_set(obj["params"]["profile"])
     elif kind == "explicit" and "boxes" in obj["params"]:
         # the boxes' cells go through ``explicit_set``, which rejects overlaps
-        boxes = [Rect(tuple(lo), tuple(hi)) for lo, hi in obj["params"]["boxes"]]
+        boxes = [Rect(tuple(_integers(lo, "box corners")), tuple(_integers(hi, "box corners")))
+                 for lo, hi in obj["params"]["boxes"]]
         L = explicit_set(np.concatenate([box.cells() for box in boxes]))
     elif kind == "explicit":
         L = explicit_set(obj["params"]["cells"])
@@ -134,6 +134,15 @@ def index_set_from_json(obj: dict) -> IndexSet:
     return L
 
 
+def _integers(values, what: str) -> list:
+    """``values`` as a list of ints; a bool, a float or any other non-integer is a ValueError."""
+    values = list(values)
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"{what} must be integers, got {v!r}")
+    return [int(v) for v in values]
+
+
 def _box_set(kind, boxes, params=()) -> IndexSet:
     """Index set of already disjoint boxes given as ``(lo, hi)`` corner pairs in corner order."""
     boxes = tuple(Rect(tuple(lo), tuple(hi)) for lo, hi in boxes)
@@ -142,7 +151,7 @@ def _box_set(kind, boxes, params=()) -> IndexSet:
 
 def make_rect(nvec) -> IndexSet:
     """Full box [1, n_1] x ... x [1, n_d]."""
-    nvec = [int(n) for n in nvec]
+    nvec = _integers(nvec, "axis bounds")
     if not nvec:
         raise ValueError("need at least one axis bound")
     if any(n < 1 for n in nvec):
@@ -152,7 +161,7 @@ def make_rect(nvec) -> IndexSet:
 
 def staircase_set(profile) -> IndexSet:
     """d = 2 staircase: column i holds rows 1..profile[i], one box per run of equal heights."""
-    profile = [int(h) for h in profile]
+    profile = _integers(profile, "profile heights")
     if not profile or any(h < 0 for h in profile):
         raise ValueError("profile heights must be nonnegative, at least one column")
     if not any(profile):
@@ -174,9 +183,12 @@ def explicit_set(cells) -> IndexSet:
     other axis and abut along this one merge.  A rectangle is one box and an
     L-shape two.
     """
-    cells = np.asarray(cells, dtype=np.int64)
+    cells = np.asarray(cells)
     if cells.ndim != 2 or 0 in cells.shape:
         raise ValueError("an index set is a nonempty array of d-tuples")
+    if cells.dtype.kind not in "iu":
+        raise ValueError(f"cells must be integers, got {cells.dtype} values")
+    cells = cells.astype(np.int64)
     if np.any(cells < 1):
         raise ValueError("indices are 1-based")
     cells = cells[np.lexsort(cells.T[::-1])]
@@ -376,14 +388,10 @@ def nclt_condition_report(sets, kappa_threshold: float = 0.25) -> ConditionRepor
 # ---------------------------------------------------------------------------
 
 
-def squares_family(sizes) -> list:
-    return [make_rect([n, n]) for n in sizes]
-
-
 def squares_minus_corner_family(sizes) -> list:
     """n x n squares with the far corner cell removed; kappa_plus = 1/sqrt(n^2-1)."""
     out = []
-    for n in sizes:
+    for n in _integers(sizes, "sizes"):
         if n < 2:
             raise ValueError("need n >= 2 to remove a corner")
         out.append(_box_set("explicit", [((1, 1), (n - 1, n)), ((n, 1), (n, n - 1))]))
@@ -394,10 +402,12 @@ def lshape_family(sizes, fraction: float = 0.5) -> list:
     """n x n squares with a fixed-fraction corner block missing (L-shapes).
 
     The missing block has side ``round(n * fraction)``, so both deficiencies
-    stay bounded away from zero along the family.
+    stay bounded away from zero along the family; ``0 < fraction < 1``.
     """
+    if not 0 < fraction < 1:
+        raise ValueError(f"fraction must lie in (0, 1), got {fraction!r}")
     out = []
-    for n in sizes:
+    for n in _integers(sizes, "sizes"):
         c = max(1, round(n * fraction))
         if c >= n:
             raise ValueError("fraction too large")

@@ -31,20 +31,16 @@ from scipy.special import eval_laguerre, gammaln
 
 __all__ = [
     "FactorFamily",
-    "hermite_family",
-    "rademacher_family",
-    "poisson_charlier_family",
-    "exponential_poly_family",
     "tabulated_family",
     "DegenerateKernel",
     "TabulatedKernel",
-    "kernel_moment_curve",
     "kernel_to_json",
     "kernel_from_json",
     "quadrature_rule",
 ]
 
 _POISSON_NODE_COUNT = 140  # pmf underflows past ~170!; 140 is exact to double precision
+_GAUSS_NODE_COUNT = 64     # Gauss-Hermite and Gauss-Laguerre nodes per axis
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +49,7 @@ _POISSON_NODE_COUNT = 140  # pmf underflows past ~170!; 140 is exact to double p
 
 
 @lru_cache(maxsize=None)
-def quadrature_rule(base: str, n: int = 64):
+def quadrature_rule(base: str):
     """(nodes, weights) integrating exactly against the base probability law.
 
     Gauss-Hermite for the standard normal, the two-point rule for Rademacher,
@@ -62,7 +58,7 @@ def quadrature_rule(base: str, n: int = 64):
     the factor families consume.
     """
     if base == "standard_normal":
-        x, w = np.polynomial.hermite_e.hermegauss(n)
+        x, w = np.polynomial.hermite_e.hermegauss(_GAUSS_NODE_COUNT)
         w = w / math.sqrt(2.0 * math.pi)
     elif base == "rademacher":
         x = np.array([-1.0, 1.0])
@@ -72,7 +68,7 @@ def quadrature_rule(base: str, n: int = 64):
         x = k - 1.0
         w = np.exp(-1.0 - gammaln(k + 1.0))
     elif base == "centered_exponential":
-        t, w = np.polynomial.laguerre.laggauss(min(n, 160))
+        t, w = np.polynomial.laguerre.laggauss(_GAUSS_NODE_COUNT)
         x = t - 1.0
     else:
         raise ValueError(f"no quadrature rule for base distribution '{base}'")
@@ -158,7 +154,9 @@ _ANALYTIC_KINDS = {
 class FactorFamily:
     """One axis' factor system: centered functions indexed by k >= 1.
 
-    ``nodes``/``table``/``weights`` are only set for the tabulated kind.
+    ``FactorFamily(kind)`` builds an analytic kind; ``tabulated_family``
+    builds the tabulated kind, whose ``nodes``/``table``/``weights`` are the
+    only set ones.
     """
 
     kind: str
@@ -218,22 +216,6 @@ class FactorFamily:
         """``|g_k|_p`` by quadrature against the family's base measure."""
         x, w = self.rule
         return _lp_norm(self.evaluate(k, x), [w], p)
-
-
-def hermite_family() -> FactorFamily:
-    return FactorFamily("hermite")
-
-
-def rademacher_family() -> FactorFamily:
-    return FactorFamily("rademacher_sign")
-
-
-def poisson_charlier_family() -> FactorFamily:
-    return FactorFamily("poisson_charlier")
-
-
-def exponential_poly_family() -> FactorFamily:
-    return FactorFamily("exponential_poly")
 
 
 def tabulated_family(nodes, table, weights) -> FactorFamily:
@@ -464,45 +446,6 @@ class TabulatedKernel:
         arrays = (self.x_nodes, self.x_weights, self.y_nodes, self.y_weights, self.values)
         blob = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
         return {"shape": list(self.values.shape), "sha256": hashlib.sha256(blob).hexdigest()}
-
-
-# ---------------------------------------------------------------------------
-# moment curves
-# ---------------------------------------------------------------------------
-
-
-def kernel_moment_curve(kernel: DegenerateKernel, p_grid, method: str = "quadrature",
-                        n: int = 10000, seed: int = 0):
-    """``|f(xi)|_p`` on a p-grid, by quadrature or seeded Monte Carlo.
-
-    Quadrature requires every axis to carry a canonical base rule or a node
-    grid; Monte Carlo reports standard errors in the curve's ``stderr``.
-    """
-    from .psi import MomentCurve  # local import: psi depends on rosenthal only
-
-    p_grid = np.asarray(p_grid, dtype=float)
-    if method == "quadrature":
-        vals = np.array([kernel.moment(p) for p in p_grid])
-        return MomentCurve(p_grid, vals)
-    if method == "monte_carlo":
-        from .mc import RngSpec, AxisDistribution, simulate_S_L
-        from .index_sets import make_rect
-        dists = []
-        for fam in kernel.factors:
-            base = fam.canonical_base
-            if base is None:
-                raise ValueError("tabulated factor axes have no sampling distribution")
-            dists.append(AxisDistribution(base))
-        dist = simulate_S_L(kernel, make_rect([1] * kernel.d), dists, n, RngSpec(seed))
-        vals, ses = [], []
-        for p in p_grid:
-            from .mc import empirical_moment
-            est, se = empirical_moment(dist, p)
-            vals.append(est)
-            ses.append(se)
-        vals = np.maximum.accumulate(np.asarray(vals))  # enforce Lyapunov against MC noise
-        return MomentCurve(p_grid, vals, stderr=np.asarray(ses))
-    raise ValueError("method must be 'quadrature' or 'monte_carlo'")
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 _EXACT_COVER_LIMIT = 20
+_SUP_MOMENT_BUDGET = 3.0   # slack factor on the sup-field moment majorant
 
 
 @dataclass
@@ -352,30 +353,26 @@ def profile_csv(profile: EntropyProfile) -> str:
     return "\n".join(lines) + "\n"
 
 
-def field_G(pk: ParametricKernel, dists, p: float) -> float:
-    """Product over axes of the worst used factor moment under the sampling laws."""
-    return math.prod(_axis_moment_max(pk, dists, p))
-
-
 def check_theorem_8(pk: ParametricKernel, level, L_family, dists, N: int,
                     rng: RngSpec, limit_n: int = 100_000, final_ks: float = 0.05,
-                    eps_grid=None, budget: float = 3.0, workers: int = 1) -> Theorem8Report:
+                    workers: int = 1) -> Theorem8Report:
     """Evaluate a field-level limit theorem's hypotheses and its empirical content.
 
     ``level`` is ``("power", p)`` or ``("exponential", tau)``.  Hypotheses:
     the entropy integral at the scaled metric must converge (power), or
     ``sigma_lambda`` finite plus the generalized integral convergent
-    (exponential).  The empirical side runs the KS pipeline per grid point
-    against the shared-beta limit field and checks the sup-field moment
-    against its majorant times the configured budget factor.
+    (exponential).  Coverings are taken on 64 geometric radii from 1 to 1e-4.
+    The empirical side runs the KS pipeline per grid point against the
+    shared-beta limit field and checks the sup-field moment against its
+    majorant times ``_SUP_MOMENT_BUDGET``.  ``G`` is the product over axes of
+    the worst used factor moment under the sampling laws.
     """
     kind, arg = level
-    if eps_grid is None:
-        eps_grid = np.geomspace(1.0, 1e-4, 64)
+    eps_grid = np.geomspace(1.0, 1e-4, 64)
     sigma = sigma_lambda(pk)
+    p_ref = float(arg) if kind == "power" else 2.0
+    g_val = math.prod(_axis_moment_max(pk, dists, p_ref))
     if kind == "power":
-        p_ref = float(arg)
-        g_val = field_G(pk, dists, p_ref)
         scale = rosenthal_K(p_ref) ** pk.d * g_val
         profile = covering_profile(pk, eps_grid, scale=scale)
         integral = entropy_integral_power(profile, p_ref)
@@ -385,8 +382,6 @@ def check_theorem_8(pk: ParametricKernel, level, L_family, dists, N: int,
         majorant = rosenthal_K(p_ref) ** pk.d * g_val * sigma + integral.value
     else:
         tau = arg
-        p_ref = 2.0
-        g_val = field_G(pk, dists, p_ref)
         profile = covering_profile(pk, eps_grid, scale=1.0)
         integral = entropy_integral_exp(profile, tau)
         hyp = {"tau_family": tau.family, "sigma_lambda": sigma,
@@ -407,9 +402,9 @@ def check_theorem_8(pk: ParametricKernel, level, L_family, dists, N: int,
         sup_final = sup
     ks_ok = _ks_verdict([s["max_ks"] for s in stages], crit, final_ks)
     emp_sup, emp_se = empirical_moment(sup_final, p_ref)
-    sup_ok = bool(emp_sup <= budget * majorant + 3 * emp_se)
-    sup_report = {"p": p_ref, "empirical": emp_sup, "se": emp_se,
-                  "majorant": majorant, "budget": budget, "passed": sup_ok}
+    sup_ok = bool(emp_sup <= _SUP_MOMENT_BUDGET * majorant + 3 * emp_se)
+    sup_report = {"p": p_ref, "empirical": emp_sup, "se": emp_se, "majorant": majorant,
+                  "budget": _SUP_MOMENT_BUDGET, "passed": sup_ok}
     if not met:
         verdict = "hypotheses not met"
     else:

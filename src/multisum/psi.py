@@ -18,6 +18,8 @@ Built-in families:
   failing the Cramer condition.
 * ``product_of`` / ``rosenthal_scaled`` -- closures of the family under
   pointwise products and multiplication by powers of the Rosenthal function.
+  The natural generating function of a rank-one product kernel over d
+  sampled axes is ``rosenthal_scaled(product_of(factors), d)``.
 * ``tabulated``         -- log-linear interpolation of measured values.
 
 :func:`young_fenchel` and :func:`tail_bound_eval` take a scalar or an array.
@@ -54,7 +56,6 @@ __all__ = [
     "natural_psi",
     "young_fenchel",
     "tail_bound_eval",
-    "compose_psi_product",
     "psi_to_json",
     "psi_from_json",
 ]
@@ -248,7 +249,6 @@ class MomentCurve:
 
     p_grid: np.ndarray
     values: np.ndarray
-    stderr: np.ndarray | None = None
 
     def __post_init__(self):
         p = np.asarray(self.p_grid, dtype=float)
@@ -265,10 +265,6 @@ class MomentCurve:
         p.flags.writeable = False; v.flags.writeable = False
         object.__setattr__(self, "p_grid", p)
         object.__setattr__(self, "values", v)
-        if self.stderr is not None:
-            se = np.asarray(self.stderr, dtype=float).copy()
-            se.flags.writeable = False
-            object.__setattr__(self, "stderr", se)
 
 
 def gls_norm(curve: MomentCurve, psi: PsiFunction) -> float:
@@ -436,26 +432,6 @@ def tail_bound_eval(tb: TailBound, y):
         out[above] = [0.0 if math.isinf(v) else min(1.0, math.exp(-v)) for v in v_star.tolist()]
         return out
     return _elementwise(bound, y)
-
-
-def compose_psi_product(factors, rosenthal_power: int = 1) -> PsiFunction:
-    """Product of generating functions scaled by the d-th power of the Rosenthal function.
-
-    This is the natural generating function for normalized multi-indexed sums
-    of a rank-one product kernel whose per-axis factors live in the given
-    spaces; ``rosenthal_power`` is the number of independently sampled axes.
-    With ``rosenthal_power = 0`` the bare product is returned.
-    """
-    factors = tuple(factors)
-    if not factors:
-        raise ValueError("compose_psi_product requires at least one factor")
-    d = int(rosenthal_power)
-    if d < 0:
-        raise ValueError("rosenthal_power must be >= 0")
-    base = product_of(factors)
-    if d == 0:
-        return base
-    return rosenthal_scaled(base, d)
 
 
 # -- JSON schema -----------------------------------------------------------

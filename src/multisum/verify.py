@@ -19,7 +19,7 @@ from .index_sets import nclt_condition_report
 from .kernels import DegenerateKernel
 from .mc import (AxisDistribution, EmpiricalDist, RngSpec, empirical_moment,
                  empirical_tail, sample_S_infty, simulate_S_L)
-from .psi import PsiFunction, TailBound, compose_psi_product, tabulated_psi
+from .psi import PsiFunction, TailBound, product_of, rosenthal_scaled, tabulated_psi
 from .rosenthal import klesov_bound
 
 __all__ = [
@@ -293,17 +293,19 @@ def natural_composite(kernel: DegenerateKernel, dists, p_grid) -> PsiFunction:
         raise ValueError("composite bounds live on p >= 2")
     table = np.array([_axis_moment_max(kernel, dists, p) for p in p_grid])
     factors = [tabulated_psi(p_grid, table[:, axis]) for axis in range(kernel.d)]
-    return compose_psi_product(factors, rosenthal_power=kernel.d)
+    return rosenthal_scaled(product_of(factors), kernel.d)
 
 
 def verify_tail_domination(kernel: DegenerateKernel, dists, L_list,
                            psi_composite: PsiFunction, N: int, rng: RngSpec,
-                           y_points: int = 40, workers: int = 1) -> TailDominationReport:
+                           workers: int = 1) -> TailDominationReport:
     """Check the composite exponential tail bound against simulated tails.
 
     The bound's norm is ``sum |lambda|`` (the l1 weight of the kernel, which
-    majorizes the GLS norm of every S_L).  Points are probed wherever the
-    empirical tail is at least 10/N, the estimability floor.
+    majorizes the GLS norm of every S_L).  The levels are 40 geometric steps
+    from the bound's validity threshold to the largest simulated value; a
+    level is probed wherever the empirical tail is at least 10/N, the
+    estimability floor.
     """
     norm = kernel.lambda_l1
     tb = TailBound(gls_norm=norm, psi=psi_composite)
@@ -315,7 +317,7 @@ def verify_tail_domination(kernel: DegenerateKernel, dists, L_list,
     if y_max <= y_lo:
         y_grid = np.array([y_lo])
     else:
-        y_grid = np.geomspace(y_lo, y_max, y_points)
+        y_grid = np.geomspace(y_lo, y_max, 40)
     bounds = tb(y_grid)
     rows = []
     violations = 0

@@ -13,12 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from multisum import (AxisDistribution, DegenerateKernel, ParametricKernel,
-                      RngSpec, TabulatedKernel, compute_S_L, covering_profile,
-                      entropy_integral_power, explicit_set,
-                      hermite_family, klesov_bound, lshape_family, make_rect,
+from multisum import (AxisDistribution, DegenerateKernel, FactorFamily,
+                      ParametricKernel, RngSpec, TabulatedKernel, compute_S_L,
+                      covering_profile, entropy_integral_power, explicit_set,
+                      klesov_bound, lshape_family, make_rect,
                       naive_S_L, natural_composite, power_log,
-                      rademacher_family, simulate_Q_L, simulate_S_L,
+                      simulate_Q_L, simulate_S_L,
                       squares_minus_corner_family,
                       staircase_set, verify_nclt,
                       verify_tail_domination, young_fenchel, TailBound,
@@ -51,7 +51,7 @@ def random_orthonormal_kernel(rng):
     w = rng.normal(size=len(keys))
     w = w / np.linalg.norm(w) * float(rng.uniform(0.5, 2.0))
     return DegenerateKernel(2, dict(zip(sorted(keys), w)),
-                            [hermite_family(), hermite_family()],
+                            [FactorFamily("hermite"), FactorFamily("hermite")],
                             orthonormal=True)
 
 
@@ -130,7 +130,7 @@ def test_criterion_02_klesov_domination():
             worst = max(worst, m4)
             ok = ok and m4 <= bound + 1e-12
     # Monte Carlo spot check at |L| = 10^4
-    kernel = DegenerateKernel(2, {(1, 1): 1.0}, [rademacher_family()] * 2,
+    kernel = DegenerateKernel(2, {(1, 1): 1.0}, [FactorFamily("rademacher_sign")] * 2,
                               orthonormal=True)
     dist = simulate_S_L(kernel, make_rect([100, 100]),
                         [AxisDistribution("rademacher")] * 2, 20_000, RngSpec(202))
@@ -144,11 +144,11 @@ def test_criterion_02_klesov_domination():
 
 def test_criterion_03_rectangular_nclt():
     start = time.perf_counter()
-    k2 = DegenerateKernel(2, {(1, 1): 1.0}, [hermite_family()] * 2,
+    k2 = DegenerateKernel(2, {(1, 1): 1.0}, [FactorFamily("hermite")] * 2,
                           orthonormal=True)
     r2 = verify_nclt(k2, GAUSS2, [make_rect([n] * 2) for n in [4, 16, 64]], 20_000,
                      RngSpec(303), limit_n=100_000, final_ks=0.05)
-    k3 = DegenerateKernel(3, {(1, 1, 1): 1.0}, [hermite_family()] * 3,
+    k3 = DegenerateKernel(3, {(1, 1, 1): 1.0}, [FactorFamily("hermite")] * 3,
                           orthonormal=True)
     r3 = verify_nclt(k3, [AxisDistribution("standard_normal")] * 3,
                      [make_rect([n] * 3) for n in [4, 8, 16]], 20_000, RngSpec(304),
@@ -163,7 +163,7 @@ def test_criterion_03_rectangular_nclt():
 
 def test_criterion_04_irregular_nclt():
     start = time.perf_counter()
-    kernel = DegenerateKernel(2, {(1, 1): 1.0}, [hermite_family()] * 2,
+    kernel = DegenerateKernel(2, {(1, 1): 1.0}, [FactorFamily("hermite")] * 2,
                               orthonormal=True)
     sizes = [8, 16, 32, 64]
     fam = squares_minus_corner_family(sizes)
@@ -227,7 +227,7 @@ def test_criterion_06_young_fenchel_closed_form():
 
 def test_criterion_07_tail_domination():
     start = time.perf_counter()
-    kernel = DegenerateKernel(2, {(1, 1): 1.0}, [hermite_family()] * 2,
+    kernel = DegenerateKernel(2, {(1, 1): 1.0}, [FactorFamily("hermite")] * 2,
                               orthonormal=True)
     composite = natural_composite(kernel, GAUSS2, np.geomspace(2.0, 64.0, 25))
     sets = [make_rect([1, 1]), make_rect([4, 4]), make_rect([16, 16]),
@@ -250,7 +250,7 @@ def test_criterion_08_factorized_sum():
         keys = {(int(rng.integers(1, 4)), int(rng.integers(1, 4)))
                 for _ in range(int(rng.integers(1, 4)))}
         kernel = DegenerateKernel(2, {k: float(rng.normal()) for k in keys},
-                                  [hermite_family()] * 2)
+                                  [FactorFamily("hermite")] * 2)
         samples = [rng.normal(size=n1), rng.normal(size=n2)]
         fast = compute_S_L(kernel, L, samples)
         slow = naive_S_L(kernel, L, samples)
@@ -259,7 +259,7 @@ def test_criterion_08_factorized_sum():
     eq_ok = worst <= 1e-12
     # performance: full rank-4 kernel on a 512 x 512 box
     lam = {(i, j): 1.0 / (i * j) for i in range(1, 5) for j in range(1, 5)}
-    kernel = DegenerateKernel(2, lam, [hermite_family()] * 2)
+    kernel = DegenerateKernel(2, lam, [FactorFamily("hermite")] * 2)
     L = make_rect([512, 512])
     samples = [rng.normal(size=512), rng.normal(size=512)]
     t_fast = min(_time_call(compute_S_L, kernel, L, samples) for _ in range(5))
@@ -281,7 +281,7 @@ def test_criterion_09_entropy_integrals():
     # exact minimal covers on the 11-point grid
     v = np.linspace(0.0, 1.0, 11)
     pk = ParametricKernel(v[:, None], {(1, 1): v.copy()},
-                          [hermite_family()] * 2, orthonormal=True)
+                          [FactorFamily("hermite")] * 2, orthonormal=True)
     eps_grid = np.array([1.0, 0.5, 0.3, 0.25, 0.2, 0.15, 0.1, 0.05, 0.04])
     prof = covering_profile(pk, eps_grid)
     dist = pk.rho_matrix()
@@ -300,7 +300,7 @@ def test_criterion_09_entropy_integrals():
     # Hoelder slope recovery (corrected exponent sign: N grows like eps^-1)
     v4 = np.linspace(0.0, 1.0, 401)
     pk4 = ParametricKernel(v4[:, None], {(1, 1): v4.copy()},
-                           [hermite_family()] * 2)
+                           [FactorFamily("hermite")] * 2)
     prof4 = covering_profile(pk4, np.geomspace(0.1, 0.01, 20))
     mask = (prof4.counts >= 3) & (prof4.counts <= 100)
     slope = float(np.polyfit(np.log(1 / prof4.eps[mask]),
@@ -315,7 +315,7 @@ def test_criterion_10_parametric_field():
     start = time.perf_counter()
     # singleton grid: bit-identical reduction
     pk1 = ParametricKernel(np.array([[0.3]]), {(1, 1): np.array([0.9])},
-                           [hermite_family()] * 2, orthonormal=True)
+                           [FactorFamily("hermite")] * 2, orthonormal=True)
     L = make_rect([6, 7])
     per_v, _ = simulate_Q_L(pk1, L, GAUSS2, 5000, RngSpec(1010))
     scalar = simulate_S_L(pk1.slice_kernel(0), L, GAUSS2, 5000, RngSpec(1010))
@@ -323,7 +323,7 @@ def test_criterion_10_parametric_field():
     # two-point limit-field covariance
     lam = {(1, 1): np.array([1.0, 0.5]), (2, 2): np.array([0.0, 0.7])}
     pk2 = ParametricKernel(np.array([[0.0], [1.0]]), lam,
-                           [hermite_family()] * 2, orthonormal=True)
+                           [FactorFamily("hermite")] * 2, orthonormal=True)
     mat = sample_Q_infty(pk2, 100_000, RngSpec(1011))
     prods = mat[:, 0] * mat[:, 1]
     expected = sum(w[0] * w[1] for w in lam.values())
@@ -332,7 +332,7 @@ def test_criterion_10_parametric_field():
     # power-level hypotheses for the Lipschitz family
     v = np.linspace(0.0, 1.0, 9)
     pk3 = ParametricKernel(v[:, None], {(1, 1): v.copy()},
-                           [hermite_family()] * 2, orthonormal=True)
+                           [FactorFamily("hermite")] * 2, orthonormal=True)
     rep = check_theorem_8(pk3, ("power", 2.0), [make_rect([4, 4])],
                           GAUSS2, 2000, RngSpec(1012), limit_n=20_000)
     hyp_ok = rep.hypotheses_met and math.isfinite(rep.hypotheses["entropy_integral"])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import eval_laguerre, gammaln
 
 from multisum import (AxisDistribution, DegenerateKernel, FactorFamily, RngSpec,
-                      compute_S_L, explicit_set, hermite_family, make_rect, naive_S_L,
+                      compute_S_L, explicit_set, make_rect, naive_S_L,
                       simulate_S_L, staircase_set, tabulated_family)
 from multisum import mc
 
@@ -31,7 +31,7 @@ def instances(draw):
     kvec = st.tuples(*[st.integers(1, 3)] * L.d)
     weight = st.floats(-2.0, 2.0, allow_nan=False)
     lam = draw(st.dictionaries(kvec, weight, min_size=1, max_size=4))
-    kernel = DegenerateKernel(L.d, lam, [hermite_family()] * L.d)
+    kernel = DegenerateKernel(L.d, lam, [FactorFamily("hermite")] * L.d)
     samples = [np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n + 2)))
                for n in (L.axis_max(axis) for axis in range(L.d))]
     return kernel, L, samples

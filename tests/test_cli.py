@@ -165,6 +165,36 @@ def test_simulate_summary_names_explicit_sets_by_their_boxes(tmp_path):
     assert index_set_from_json(written).boxes == lshape_family([256])[0].boxes
 
 
+def _listed(kind, **params):
+    return {"list": [{"d": 2, "kind": kind, "params": params}]}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("index_sets", {"family": "squares", "sizes": [4.5]}),
+    ("index_sets", {"family": "squares", "sizes": [True]}),
+    ("index_sets", {"family": "squares_minus_corner", "sizes": [4.5]}),
+    ("index_sets", {"family": "lshape_fixed_fraction", "sizes": [8.5]}),
+    ("index_sets", {"family": "lshape_fixed_fraction", "sizes": [4], "fraction": 0.0}),
+    ("index_sets", {"family": "lshape_fixed_fraction", "sizes": [4], "fraction": -0.3}),
+    ("index_sets", _listed("rect", n=[3.9, 2])),
+    ("index_sets", _listed("staircase", profile=[3.5, 2])),
+    ("index_sets", _listed("explicit", boxes=[[[1.5, 1], [2, 2]]])),
+    ("index_sets", _listed("explicit", cells=[[1, 1], [1.7, 2]])),
+    ("N", True),
+    ("seed", True),
+], ids=["square-size-float", "square-size-bool", "corner-size-float", "lshape-size-float",
+        "fraction-zero", "fraction-negative", "rect-float", "staircase-float",
+        "box-corner-float", "cell-float", "N-bool", "seed-bool"])
+def test_simulate_non_integer_or_out_of_range_input_exits_2(tmp_path, field, value):
+    # each of these once ran on a truncated or altered set, or with N or seed 1
+    cfg = json.loads((CONFIG_DIR / "simulate_smoke.json").read_text())
+    cfg[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    code, _ = run_cmd(tmp_path, "simulate", path)
+    assert code == 2
+
+
 # ---------------------------------------------------------------------------
 # verify command
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multisum import (explicit_set, lshape_family, make_rect,
-                      nclt_condition_report, rect_pair, squares_family,
+                      nclt_condition_report, rect_pair,
                       squares_minus_corner_family, staircase_set)
 from multisum.index_sets import index_set_from_json
 
@@ -269,7 +269,7 @@ def test_inscribed_matches_brute_force_up_to_4_cubed(cells):
 
 
 def test_growing_squares_pass():
-    report = nclt_condition_report(squares_family([4, 8, 16]))
+    report = nclt_condition_report([make_rect([n, n]) for n in (4, 8, 16)])
     assert report.inscribed_ok and report.circumscribed_ok
     assert report.hypotheses_met
     assert all(k == 0 for k in report.kappa_minus)
@@ -296,7 +296,7 @@ def test_lshape_fixed_fraction_fails():
 
 
 def test_condition_report_rows_and_threshold():
-    report = nclt_condition_report(squares_family([2, 4]), kappa_threshold=0.1)
+    report = nclt_condition_report([make_rect([2, 2]), make_rect([4, 4])], kappa_threshold=0.1)
     rows = list(report.rows())
     assert rows[0]["L_size"] == 4 and rows[1]["L_size"] == 16
     assert report.kappa_threshold == 0.1

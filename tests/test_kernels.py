@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
 from multisum import (DegenerateKernel, FactorFamily, TabulatedKernel,
-                      exponential_poly_family, hermite_family,
-                      kernel_from_json, kernel_moment_curve, kernel_to_json,
-                      poisson_charlier_family, quadrature_rule,
-                      rademacher_family, theorem_W_bound)
+                      kernel_from_json, kernel_to_json, quadrature_rule,
+                      theorem_W_bound)
 
 
 def gaussian_pair(lam, orthonormal=True):
-    return DegenerateKernel(2, lam, [hermite_family(), hermite_family()],
+    return DegenerateKernel(2, lam, [FactorFamily("hermite"), FactorFamily("hermite")],
                             orthonormal=orthonormal)
 
 
@@ -25,8 +23,8 @@ def gaussian_pair(lam, orthonormal=True):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("family", [hermite_family(), poisson_charlier_family(),
-                                    exponential_poly_family()])
+@pytest.mark.parametrize("family", [FactorFamily("hermite"), FactorFamily("poisson_charlier"),
+                                    FactorFamily("exponential_poly")])
 def test_orthonormality_audit(family):
     x, w = quadrature_rule(family.canonical_base)
     block = family.evaluate_block(6, x)
@@ -36,7 +34,7 @@ def test_orthonormality_audit(family):
 
 
 def test_rademacher_family_single_member():
-    fam = rademacher_family()
+    fam = FactorFamily("rademacher_sign")
     assert np.array_equal(fam.evaluate(1, np.array([-1.0, 1.0])), [-1.0, 1.0])
     with pytest.raises(ValueError):
         fam.evaluate(2, np.array([1.0]))
@@ -44,7 +42,7 @@ def test_rademacher_family_single_member():
 
 
 def test_hermite_second_member_value():
-    fam = hermite_family()
+    fam = FactorFamily("hermite")
     # (x^2 - 1)/sqrt(2) vanishes at 1
     assert fam.evaluate(2, np.array([1.0]))[0] == pytest.approx(0.0, abs=1e-14)
     assert fam.evaluate(2, np.array([2.0]))[0] == pytest.approx(3 / math.sqrt(2))
@@ -52,7 +50,7 @@ def test_hermite_second_member_value():
 
 def test_factor_index_zero_rejected():
     with pytest.raises(ValueError):
-        hermite_family().evaluate(0, np.array([1.0]))
+        FactorFamily("hermite").evaluate(0, np.array([1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -98,25 +96,15 @@ def test_variance_identity_under_orthonormality():
 
 def test_moment_curve_product_normal():
     k = gaussian_pair({(1, 1): 1.0})
-    curve = kernel_moment_curve(k, [2.0, 4.0])
-    assert curve.values[0] == pytest.approx(1.0, rel=1e-10)
+    assert k.moment(2.0) == pytest.approx(1.0, rel=1e-10)
     # E xi^4 = 3 on each axis: |xy|_4 = 3 ** 0.5
-    assert curve.values[1] == pytest.approx(math.sqrt(3.0), rel=1e-10)
+    assert k.moment(4.0) == pytest.approx(math.sqrt(3.0), rel=1e-10)
 
 
 def test_moment_curve_nondecreasing():
     k = gaussian_pair({(1, 1): 0.5, (2, 2): 0.5})
-    curve = kernel_moment_curve(k, np.geomspace(1.5, 12, 9))
-    assert np.all(np.diff(curve.values) >= -1e-12)
-
-
-def test_moment_curve_monte_carlo_agrees():
-    k = gaussian_pair({(1, 1): 1.0})
-    mc = kernel_moment_curve(k, [2.0, 4.0], method="monte_carlo", n=40_000, seed=3)
-    exact = kernel_moment_curve(k, [2.0, 4.0])
-    assert mc.stderr is not None
-    for est, se, ref in zip(mc.values, mc.stderr, exact.values):
-        assert abs(est - ref) < 4 * se + 1e-9
+    values = [k.moment(p) for p in np.geomspace(1.5, 12, 9)]
+    assert np.all(np.diff(values) >= -1e-12)
 
 
 def test_moment_curve_quadrature_oracle_dblquad():
@@ -170,7 +158,7 @@ def analytic_kernels(draw):
                                     unique=True))
 def test_quadrature_moment_curve_is_lyapunov_monotone(kernel, ps):
     # the quadrature rules are probability measures, so |f|_p is nondecreasing in p
-    values = kernel_moment_curve(kernel, sorted(ps), "quadrature").values
+    values = np.array([kernel.moment(p) for p in sorted(ps)])
     assert np.all(values[1:] >= values[:-1] * (1.0 - 1e-12))
 
 

@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from multisum import (AxisDistribution, DegenerateKernel, EmpiricalDist,
-                      ParametricKernel, RngSpec, compute_S_L, empirical_moment,
-                      empirical_tail, explicit_set, hermite_family,
+                      FactorFamily, ParametricKernel, RngSpec, compute_S_L,
+                      empirical_moment, empirical_tail, explicit_set,
                       kernel_to_json, load_empirical, lshape_family, make_rect,
-                      naive_S_L, poisson_charlier_family, sample_S_infty,
-                      save_empirical, simulate_Q_L, simulate_S_L, staircase_set)
+                      naive_S_L, sample_S_infty, save_empirical, simulate_Q_L,
+                      simulate_S_L, staircase_set)
 from multisum import mc
 from test_box_contraction import shaped_sets
 
@@ -26,7 +26,7 @@ GAUSS = [AxisDistribution("standard_normal")] * 2
 
 
 def hermite_kernel(lam, d=2, orthonormal=True):
-    return DegenerateKernel(d, lam, [hermite_family()] * d, orthonormal=orthonormal)
+    return DegenerateKernel(d, lam, [FactorFamily("hermite")] * d, orthonormal=orthonormal)
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +57,8 @@ def field_runs(draw):
     weights = st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=nv, max_size=nv)
     lam = draw(st.dictionaries(kvec, weights, min_size=1, max_size=3))
     pk = ParametricKernel(np.arange(nv)[:, None], {k: np.array(w) for k, w in lam.items()},
-                          [hermite_family(), poisson_charlier_family()], orthonormal=False)
+                          [FactorFamily("hermite"), FactorFamily("poisson_charlier")],
+                          orthonormal=False)
     return pk, explicit_set(sorted(cells)), draw(st.integers(1, 40)), draw(st.integers(0, 999))
 
 

@@ -9,8 +9,8 @@ import pytest
 
 pytest.importorskip("pytest_benchmark")
 
-from multisum import (AxisDistribution, EmpiricalDist, ParametricKernel, RngSpec,
-                      covering_profile, hermite_family, ks_distance, lshape_family,
+from multisum import (AxisDistribution, EmpiricalDist, FactorFamily, ParametricKernel,
+                      RngSpec, covering_profile, ks_distance, lshape_family,
                       make_rect, power_log, product_of, rect_pair, rosenthal_scaled,
                       staircase_set, tabulated_psi, young_fenchel)
 from multisum import mc
@@ -34,7 +34,7 @@ def test_covering_profile_12_points(benchmark):
     # the field workload's exponential-level kernel: 0.2 + 0.8 t and 0.5 t^2 over t in [0, 1]
     t = np.linspace(0.0, 1.0, 12)
     pk = ParametricKernel(t[:, None], {(1, 1): 0.2 + 0.8 * t, (2, 2): 0.5 * t * t},
-                          [hermite_family()] * 2, orthonormal=True)
+                          [FactorFamily("hermite")] * 2, orthonormal=True)
     eps = np.geomspace(1.0, 1e-4, 64)
     prof = benchmark.pedantic(covering_profile, args=(pk, eps), rounds=5)
     assert prof.exact
@@ -71,7 +71,7 @@ def test_sum_field_sim_box_block(benchmark):
     # the sim-box kernel, lambda(k, k) = 1/k for k <= 4 on a 256 x 256 box; 51
     # replications make one block (the default budget allows 1632 at 2569 floats each)
     lam = mc._weight_columns({(k, k): 1.0 / k for k in range(1, 5)})
-    args = ([hermite_family()] * 2, lam, 1, make_rect([256, 256]),
+    args = ([FactorFamily("hermite")] * 2, lam, 1, make_rect([256, 256]),
             [AxisDistribution("standard_normal")] * 2, 51, RngSpec(1), 1)
     vals = benchmark.pedantic(mc._sum_field, args=args, rounds=5)
     assert hashlib.sha256(vals.tobytes()).hexdigest() == SIM_BOX_BLOCK

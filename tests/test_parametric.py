@@ -9,13 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from multisum import (AxisDistribution, EntropyProfile,
+from multisum import (AxisDistribution, EntropyProfile, FactorFamily,
                       ParametricKernel, RngSpec, check_theorem_8,
                       covering_profile, entropy_integral_exp,
-                      entropy_integral_power, extremal, hermite_family,
+                      entropy_integral_power, extremal,
                       lshape_family, make_rect, power_log, rho_lambda,
-                      sigma_lambda, simulate_Q_L, simulate_S_L,
-                      squares_family, verify_nclt)
+                      sigma_lambda, simulate_Q_L, simulate_S_L, verify_nclt)
 from multisum.parametric import (_exact_cover_count, _greedy_radii,
                                  parametric_kernel_from_json,
                                  parametric_kernel_to_json, sample_Q_infty)
@@ -27,7 +26,7 @@ def line_grid_pk(nv=11, orthonormal=True):
     """lambda(v, (1,1)) = v on an equispaced [0, 1] grid: rho = |v - w|."""
     v = np.linspace(0.0, 1.0, nv)
     return ParametricKernel(v[:, None], {(1, 1): v.copy()},
-                            [hermite_family()] * 2, orthonormal=orthonormal)
+                            [FactorFamily("hermite")] * 2, orthonormal=orthonormal)
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +39,7 @@ def test_sigma_lambda_examples():
     assert sigma_lambda(pk) == 1.0
     const = ParametricKernel(np.zeros((4, 1)),
                              {(1, 1): np.full(4, 0.6), (2, 2): np.full(4, 0.4)},
-                             [hermite_family()] * 2)
+                             [FactorFamily("hermite")] * 2)
     assert sigma_lambda(const) == pytest.approx(1.0, rel=1e-14)
 
 
@@ -48,7 +47,7 @@ def test_sigma_lambda_matches_scan_oracle():
     rng = np.random.default_rng(7)
     lam = {(1, 1): rng.normal(size=6), (2, 1): rng.normal(size=6),
            (1, 2): rng.normal(size=6)}
-    pk = ParametricKernel(np.arange(6)[:, None], lam, [hermite_family()] * 2)
+    pk = ParametricKernel(np.arange(6)[:, None], lam, [FactorFamily("hermite")] * 2)
     oracle = max(sum(abs(w[v]) for w in lam.values()) for v in range(6))
     assert sigma_lambda(pk) == pytest.approx(oracle, rel=1e-14)
 
@@ -61,7 +60,7 @@ def test_rho_lambda_basics_and_triangle():
         rho_lambda(pk, 0, 7)
     rng = np.random.default_rng(11)
     lam = {(1, 1): rng.normal(size=9), (2, 2): rng.normal(size=9)}
-    pk2 = ParametricKernel(np.arange(9)[:, None], lam, [hermite_family()] * 2)
+    pk2 = ParametricKernel(np.arange(9)[:, None], lam, [FactorFamily("hermite")] * 2)
     for a, b, c in itertools.islice(itertools.permutations(range(9), 3), 100):
         assert rho_lambda(pk2, a, c) <= (rho_lambda(pk2, a, b)
                                          + rho_lambda(pk2, b, c) + 1e-12)
@@ -108,7 +107,7 @@ def test_greedy_within_factor_two_of_exact():
     for _ in range(5):
         nv = int(rng.integers(5, 15))
         lam = {(1, 1): rng.uniform(0, 1, nv), (2, 2): rng.uniform(0, 1, nv)}
-        pk = ParametricKernel(np.arange(nv)[:, None], lam, [hermite_family()] * 2)
+        pk = ParametricKernel(np.arange(nv)[:, None], lam, [FactorFamily("hermite")] * 2)
         dist = pk.rho_matrix()
         radii = _greedy_radii(dist)
         for eps in (0.8, 0.4, 0.2, 0.1):
@@ -253,7 +252,7 @@ def test_exp_integral_monotone_in_tau():
 def test_singleton_grid_reduces_to_scalar_sim():
     v = np.array([[0.7]])
     pk = ParametricKernel(v, {(1, 1): np.array([0.8]), (2, 2): np.array([0.2])},
-                          [hermite_family()] * 2, orthonormal=True)
+                          [FactorFamily("hermite")] * 2, orthonormal=True)
     for L in (make_rect([4, 5]), lshape_family([6])[0]):
         per_v, sup = simulate_Q_L(pk, L, GAUSS2, 800, RngSpec(61))
         scalar = simulate_S_L(pk.slice_kernel(0), L, GAUSS2, 800, RngSpec(61))
@@ -263,7 +262,7 @@ def test_singleton_grid_reduces_to_scalar_sim():
 
 def test_constant_weights_sup_is_absolute_value():
     pk = ParametricKernel(np.arange(3)[:, None],
-                          {(1, 1): np.full(3, 1.0)}, [hermite_family()] * 2,
+                          {(1, 1): np.full(3, 1.0)}, [FactorFamily("hermite")] * 2,
                           orthonormal=True)
     L = make_rect([3, 3])
     per_v, sup = simulate_Q_L(pk, L, GAUSS2, 500, RngSpec(67))
@@ -275,7 +274,7 @@ def test_constant_weights_sup_is_absolute_value():
 def test_two_point_limit_covariance():
     lam = {(1, 1): np.array([1.0, 0.6]), (2, 2): np.array([0.0, 0.8])}
     pk = ParametricKernel(np.array([[0.0], [1.0]]), lam,
-                          [hermite_family()] * 2, orthonormal=True)
+                          [FactorFamily("hermite")] * 2, orthonormal=True)
     mat = sample_Q_infty(pk, 100_000, RngSpec(71))
     prods = mat[:, 0] * mat[:, 1]
     expected = sum(w[0] * w[1] for w in lam.values())
@@ -295,11 +294,11 @@ def test_check_theorem8_power_level_holder():
 
 def test_check_theorem8_singleton_matches_rect_verifier():
     v = np.array([[0.0]])
-    pk = ParametricKernel(v, {(1, 1): np.array([1.0])}, [hermite_family()] * 2,
+    pk = ParametricKernel(v, {(1, 1): np.array([1.0])}, [FactorFamily("hermite")] * 2,
                           orthonormal=True)
     rep8 = check_theorem_8(pk, ("power", 2.0), [make_rect([4, 4]), make_rect([16, 16])],
                            GAUSS2, 3000, RngSpec(79), limit_n=20_000)
-    rect = verify_nclt(pk.slice_kernel(0), GAUSS2, squares_family([4, 16]), 3000,
+    rect = verify_nclt(pk.slice_kernel(0), GAUSS2, [make_rect([4, 4]), make_rect([16, 16])], 3000,
                        RngSpec(79), limit_n=20_000)
     ks8 = [s["max_ks"] for s in rep8.stages]
     ksr = [row["ks"] for row in rect.stages]

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from multisum import (MomentCurve, SupportError, TailBound, bounded_support,
-                      compose_psi_product, exp_power, extremal,
+                      exp_power, extremal,
                       gls_norm, natural_psi, power_log, product_of, psi_from_json,
                       psi_to_json, rosenthal_scaled, tabulated_psi, tail_bound_eval,
                       young_fenchel)
@@ -466,7 +466,7 @@ def test_round_trip_moment_refit_within_factor_four():
 
 def test_compose_identity_at_power_zero():
     psi = extremal(3)
-    comp = compose_psi_product([psi], rosenthal_power=0)
+    comp = product_of([psi])
     assert comp(2.0) == 1.0
     assert comp.support_upper == 3.0
 
@@ -476,7 +476,7 @@ def test_compose_growth_exponent_matches_formula():
     # m0 = 1 / (d + sum 1/m_k); fit far out so the log corrections decay
     m = (2.0, 2.0)
     d = 2
-    comp = compose_psi_product([power_log(mk, 0) for mk in m], rosenthal_power=d)
+    comp = rosenthal_scaled(product_of([power_log(mk, 0) for mk in m]), d)
     inv_m0 = d + sum(1.0 / mk for mk in m)
     p = np.geomspace(math.exp(12), math.exp(40), 60)
     slope = np.polyfit(np.log(p), np.log(comp(p)), 1)[0]
@@ -488,8 +488,7 @@ def test_compose_bounded_support_blowup_exponent():
     # sum (theta_k + 1) / b0
     b0 = 8.0
     thetas = (1.0, 2.0)
-    comp = compose_psi_product(
-        [bounded_support(b0, th) for th in thetas], rosenthal_power=2)
+    comp = rosenthal_scaled(product_of([bounded_support(b0, th) for th in thetas]), 2)
     theta_total = sum((th + 1.0) / b0 for th in thetas)
     gaps = np.geomspace(1e-6, 1e-3, 30)
     p = b0 - gaps
@@ -499,11 +498,11 @@ def test_compose_bounded_support_blowup_exponent():
 
 def test_compose_empty_intersection_raises():
     with pytest.raises(SupportError):
-        compose_psi_product([extremal(1.5)], rosenthal_power=1)
+        rosenthal_scaled(product_of([extremal(1.5)]), 1)
 
 
 def test_compose_restricts_to_p_at_least_two():
-    comp = compose_psi_product([power_log(2, 0)], rosenthal_power=1)
+    comp = rosenthal_scaled(product_of([power_log(2, 0)]), 1)
     assert comp.p_min == 2.0
     with pytest.raises(SupportError):
         comp(1.5)
@@ -522,7 +521,7 @@ TABLE = tabulated_psi([1.0, 2.0, 4.0, 8.0], [1.0, 1.5, 2.0, 3.0])
     extremal(4),
     bounded_support(6, 1.5, r=1.0),
     exp_power(0.5, 2.0),
-    compose_psi_product([power_log(2, 0), extremal(8)], rosenthal_power=2),
+    rosenthal_scaled(product_of([power_log(2, 0), extremal(8)]), 2),
     TABLE,
     product_of([power_log(3, 1.0), TABLE]),
     rosenthal_scaled(exp_power(0.5, 0.2), 3),

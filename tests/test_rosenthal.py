@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multisum import (BoundReport, DegenerateKernel, TabulatedKernel,
-                      dp_quasinorm, hermite_family, klesov_bound,
-                      poisson_charlier_family, rosenthal_K, tabulated_family,
+from multisum import (BoundReport, DegenerateKernel, FactorFamily, TabulatedKernel,
+                      dp_quasinorm, klesov_bound, rosenthal_K, tabulated_family,
                       theorem_W_bound, trivial_bound, ROSENTHAL_CONSTANT)
 
 E = math.e
@@ -107,7 +106,7 @@ def test_klesov_dominates_enumerated_fourth_moments():
 
 
 def unit_hermite_kernel(lam):
-    return DegenerateKernel(2, lam, [hermite_family(), hermite_family()],
+    return DegenerateKernel(2, lam, [FactorFamily("hermite"), FactorFamily("hermite")],
                             orthonormal=True)
 
 
@@ -211,7 +210,7 @@ def degenerate_kernels(draw):
     # 140 Poisson nodes per axis: at d = 3 keep one Charlier axis at most
     kinds = draw(st.lists(st.sampled_from(["hermite", "charlier"]), min_size=d, max_size=d)
                  .filter(lambda ks: d == 2 or ks.count("charlier") <= 1))
-    families = [hermite_family() if kind == "hermite" else poisson_charlier_family()
+    families = [FactorFamily("hermite") if kind == "hermite" else FactorFamily("poisson_charlier")
                 for kind in kinds]
     keys = draw(st.lists(st.tuples(*[st.integers(1, 3)] * d), min_size=1, max_size=8,
                          unique=True))

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from multisum import (AxisDistribution, DegenerateKernel, EmpiricalDist,
-                      RngSpec, hermite_family, ks_critical, ks_distance,
+                      FactorFamily, RngSpec, ks_critical, ks_distance,
                       lshape_family, make_rect, natural_composite,
-                      poisson_charlier_family, rademacher_family,
-                      sample_S_infty, simulate_S_L, squares_family,
+                      sample_S_infty, simulate_S_L,
                       squares_minus_corner_family, staircase_set,
                       verify_moment_sandwich, verify_nclt,
                       verify_tail_domination)
@@ -21,7 +20,7 @@ GAUSS2 = [AxisDistribution("standard_normal")] * 2
 
 
 def gauss_rank1(d=2):
-    return DegenerateKernel(d, {tuple([1] * d): 1.0}, [hermite_family()] * d,
+    return DegenerateKernel(d, {tuple([1] * d): 1.0}, [FactorFamily("hermite")] * d,
                             orthonormal=True)
 
 
@@ -87,7 +86,7 @@ def test_ks_two_normal_batches_small():
 
 
 def test_rect_nclt_gaussian_rank1_passes():
-    report = verify_nclt(gauss_rank1(), GAUSS2, squares_family([4, 16]), 5000,
+    report = verify_nclt(gauss_rank1(), GAUSS2, [make_rect([4, 4]), make_rect([16, 16])], 5000,
                          RngSpec(42), limit_n=20_000)
     assert report.verdict == "pass"
     assert report.stages[-1]["ks"] <= 0.05
@@ -95,19 +94,19 @@ def test_rect_nclt_gaussian_rank1_passes():
 
 
 def test_rect_nclt_requires_orthonormal_and_nondegenerate():
-    k = DegenerateKernel(2, {(1, 1): 1.0}, [hermite_family()] * 2, orthonormal=False)
+    k = DegenerateKernel(2, {(1, 1): 1.0}, [FactorFamily("hermite")] * 2, orthonormal=False)
     with pytest.raises(ValueError):
-        verify_nclt(k, GAUSS2, squares_family([4]), 100, RngSpec(1))
-    k0 = DegenerateKernel(2, {(1, 1): 0.0}, [hermite_family()] * 2, orthonormal=True)
+        verify_nclt(k, GAUSS2, [make_rect([4, 4])], 100, RngSpec(1))
+    k0 = DegenerateKernel(2, {(1, 1): 0.0}, [FactorFamily("hermite")] * 2, orthonormal=True)
     with pytest.raises(ValueError):
-        verify_nclt(k0, GAUSS2, squares_family([4]), 100, RngSpec(1))
+        verify_nclt(k0, GAUSS2, [make_rect([4, 4])], 100, RngSpec(1))
 
 
 def test_rademacher_single_cell_far_from_chaos_limit():
-    k = DegenerateKernel(2, {(1, 1): 1.0}, [rademacher_family()] * 2,
+    k = DegenerateKernel(2, {(1, 1): 1.0}, [FactorFamily("rademacher_sign")] * 2,
                          orthonormal=True)
     dists = [AxisDistribution("rademacher")] * 2
-    report = verify_nclt(k, dists, squares_family([1]), 5000, RngSpec(9),
+    report = verify_nclt(k, dists, [make_rect([1, 1])], 5000, RngSpec(9),
                          limit_n=20_000)
     # a four-point law against a continuous one: KS stays large
     assert report.stages[0]["ks"] > 0.1
@@ -148,7 +147,7 @@ def test_irregular_lshape_flagged():
 
 
 def test_report_csv_layout():
-    report = verify_nclt(gauss_rank1(), GAUSS2, squares_family([4]), 500,
+    report = verify_nclt(gauss_rank1(), GAUSS2, [make_rect([4, 4])], 500,
                          RngSpec(1), limit_n=2000)
     lines = report.to_csv().strip().split("\n")
     assert lines[0] == "stage,L_size,kappa_minus,kappa_plus,ks,verdict"
@@ -180,7 +179,7 @@ def test_sandwich_p2_orthonormal_all_one():
 
 
 def test_sandwich_rejects_higher_rank():
-    k = DegenerateKernel(2, {(1, 1): 0.5, (2, 2): 0.5}, [hermite_family()] * 2,
+    k = DegenerateKernel(2, {(1, 1): 0.5, (2, 2): 0.5}, [FactorFamily("hermite")] * 2,
                          orthonormal=True)
     with pytest.raises(ValueError):
         verify_moment_sandwich(k, GAUSS2, [make_rect([1, 1])], [2.0], 100,
@@ -191,7 +190,7 @@ def test_sandwich_poisson_shape():
     # rank-one compensated Poisson product: the p / ln p power shape describes
     # both envelopes on [4, 16] within 10 percent pointwise (free log-log fit);
     # the fitted exponent itself only settles to d once p is large
-    k = DegenerateKernel(2, {(1, 1): 1.0}, [poisson_charlier_family()] * 2,
+    k = DegenerateKernel(2, {(1, 1): 1.0}, [FactorFamily("poisson_charlier")] * 2,
                          orthonormal=True)
     dists = [AxisDistribution("compensated_poisson")] * 2
     p_grid = [4.0, 6.0, 8.0, 12.0, 16.0]
@@ -203,7 +202,7 @@ def test_sandwich_poisson_shape():
         fit = np.exp(np.polyval(coef, shape))
         assert np.max(np.abs(fit / np.asarray(vals) - 1.0)) <= 0.10
     # asymptotic exponent oracle: quadrature moments far out approach d = 2
-    fam = poisson_charlier_family()
+    fam = FactorFamily("poisson_charlier")
     p_far = np.geomspace(8.0, 256.0, 9)
     lower_far = np.array([fam.moment(1, p) for p in p_far]) ** 2
     slope_far = np.polyfit(np.log(p_far / np.log(p_far)), np.log(lower_far), 1)[0]
@@ -236,7 +235,7 @@ def test_tail_domination_log_weibull_two_sided():
     # keeps the ln(1+y)^(1+1/beta) shape and must dominate, while the single
     # cell's own tail has the same shape from below (two-sided envelope)
     beta = 1.0
-    kernel = DegenerateKernel(2, {(1, 1): 1.0}, [hermite_family()] * 2)
+    kernel = DegenerateKernel(2, {(1, 1): 1.0}, [FactorFamily("hermite")] * 2)
     dists = [AxisDistribution("log_weibull", beta=beta)] * 2
     composite = natural_composite(kernel, dists, np.geomspace(2, 24, 17))
     sets = [make_rect([1, 1]), make_rect([3, 3])]
@@ -269,7 +268,7 @@ def test_natural_composite_requires_p_at_least_two():
 
 def test_scale_equivariance_of_sums_and_ks():
     base_k = gauss_rank1()
-    scaled_k = DegenerateKernel(2, {(1, 1): 2.0}, [hermite_family()] * 2,
+    scaled_k = DegenerateKernel(2, {(1, 1): 2.0}, [FactorFamily("hermite")] * 2,
                                 orthonormal=True)
     L = make_rect([5, 5])
     a = simulate_S_L(base_k, L, GAUSS2, 2000, RngSpec(83))
@@ -297,7 +296,7 @@ def test_domination_chain_empirical_w_trivial():
 
 def test_variances_agree_between_sum_and_limit():
     kernel = DegenerateKernel(2, {(1, 1): 0.6, (2, 2): 0.8},
-                              [hermite_family()] * 2, orthonormal=True)
+                              [FactorFamily("hermite")] * 2, orthonormal=True)
     sim = simulate_S_L(kernel, make_rect([16, 16]), GAUSS2, 30_000, RngSpec(97))
     lim = sample_S_infty(kernel.lam, 2, 30_000, RngSpec(98))
     tol = 3 * (sim.variance_se() + lim.variance_se())
