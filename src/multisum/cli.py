@@ -105,7 +105,12 @@ def load_config(path: str, seed_override=None):
 def _require(cfg, key, kind=None):
     if key not in cfg:
         raise ConfigError(f"config is missing '{key}'")
-    val = cfg[key]
+    return _typed(cfg, key, kind)
+
+
+def _typed(cfg, key, kind, default=None):
+    """``cfg[key]`` (or ``default`` when absent), which must be a ``kind`` and not a bool."""
+    val = cfg.get(key, default)
     if kind is not None and (not isinstance(val, kind) or isinstance(val, bool)):
         raise ConfigError(f"config field '{key}' has the wrong type")
     return val
@@ -150,8 +155,8 @@ def cmd_bound(cfg, out: OutputSet, workers: int) -> int:
     spec = _require(cfg, "bound", dict)
     p_grid = [float(p) for p in _require(cfg, "p_grid", list)]
     routes = spec.get("routes", ["klesov_product"])
-    l_size = int(spec.get("L_size", 1))
-    m_max = int(spec.get("M_max", max(kernel.M, 1)))
+    l_size = _typed(spec, "L_size", int, 1)
+    m_max = _typed(spec, "M_max", int, max(kernel.M, 1))
     reports = []
     for p in p_grid:
         for route in routes:
@@ -182,7 +187,7 @@ def cmd_simulate(cfg, out: OutputSet, workers: int) -> int:
     kernel = _load_kernel(cfg)
     dists = _load_dists(cfg, kernel.d)
     sets = _load_index_sets(cfg, kernel.d)
-    n = int(_require(cfg, "N", int))
+    n = _require(cfg, "N", int)
     rng = RngSpec(cfg["seed"])
     summary = []
     for i, L in enumerate(sets):
@@ -215,9 +220,9 @@ def cmd_verify(cfg, out: OutputSet, workers: int) -> int:
     spec = _require(cfg, "verify", dict)
     which = spec.get("which")
     rng = RngSpec(cfg["seed"])
-    n = int(_require(cfg, "N", int))
+    n = _require(cfg, "N", int)
     final_ks = float(spec.get("final_ks", 0.05))
-    limit_n = int(spec.get("limit_n", 100_000))
+    limit_n = _typed(spec, "limit_n", int, 100_000)
 
     if which == "parametric":
         pk = parametric_kernel_from_json(_require(cfg, "parametric_kernel", dict))

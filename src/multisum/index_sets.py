@@ -183,6 +183,9 @@ def explicit_set(cells) -> IndexSet:
     other axis and abut along this one merge.  A rectangle is one box and an
     L-shape two.
     """
+    if not isinstance(cells, np.ndarray) and any(
+            isinstance(v, (bool, np.bool_)) for v in np.asarray(cells, dtype=object).ravel()):
+        raise ValueError("cells must be integers, got a bool")
     cells = np.asarray(cells)
     if cells.ndim != 2 or 0 in cells.shape:
         raise ValueError("an index set is a nonempty array of d-tuples")

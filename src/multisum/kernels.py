@@ -41,6 +41,9 @@ __all__ = [
 
 _POISSON_NODE_COUNT = 140  # pmf underflows past ~170!; 140 is exact to double precision
 _GAUSS_NODE_COUNT = 64     # Gauss-Hermite and Gauss-Laguerre nodes per axis
+_SLAB_FLOATS = 1 << 17     # values per quadrature slab: 1 MiB, cache-sized
+_NODE_LIMIT = 1 << 31      # largest tensor grid a moment walks
+_EXP_FLOOR = -708.0        # exp below this is subnormal or 0
 
 
 # ---------------------------------------------------------------------------
@@ -77,27 +80,38 @@ def quadrature_rule(base: str):
     return x, w
 
 
-def _lp_norm(vals: np.ndarray, weights, p: float) -> float:
-    """``(sum w |v|**p)**(1/p)`` over a tensor grid, in the log domain; overwrites vals.
+def _lp_norm(slabs, p: float) -> float:
+    """``(sum w |v|**p)**(1/p)`` over a grid given as slabs, by a running log-sum-exp.
 
-    ``weights`` holds one weight vector per axis of ``vals``; the grid weight
-    is their product.  Neither ``|v|**p`` nor the weight product is formed,
-    so large values at high p cannot overflow and tiny weight products cannot
-    underflow to 0.
+    Each slab is ``(vals, log_weights)``: a block of grid values, overwritten
+    here, and arrays that broadcast against it and add up to the block's
+    ``log w``.  Neither ``|v|**p`` nor ``w`` is formed, so large values at
+    high p cannot overflow and tiny weights cannot underflow to 0.  ``exp``
+    runs only where ``p log|v| + log w`` is within ``-_EXP_FLOOR`` of the
+    largest so far: below that a term is subnormal or 0 and cannot move a sum
+    whose largest term is 1.  A NaN or infinite value makes the norm NaN; an
+    all-zero grid gives 0.
     """
-    with np.errstate(divide="ignore"):
-        np.log(np.abs(vals, out=vals), out=vals)
+    top, total = -math.inf, 0.0
+    for vals, log_weights in slabs:
+        with np.errstate(divide="ignore"):
+            np.log(np.abs(vals, out=vals), out=vals)
         vals *= p
-        for axis, w in enumerate(weights):
-            shape = [1] * vals.ndim
-            shape[axis] = -1
-            vals += np.log(w).reshape(shape)
-    top = vals.max()
-    if top == -np.inf:
+        for log_w in log_weights:
+            vals += log_w
+        peak = vals.max()
+        if not peak < math.inf:
+            return math.nan
+        if peak > top:
+            total *= math.exp(top - peak)
+            top = peak
+        live = vals[vals > top + _EXP_FLOOR]
+        live -= top
+        total += np.exp(live, out=live).sum()
+        del live    # a copy: free it before the next slab is made
+    if top == -math.inf:
         return 0.0
-    vals -= top
-    np.exp(vals, out=vals)
-    return float(np.exp((top + math.log(vals.sum())) / p))
+    return float(np.exp((top + math.log(total)) / p))
 
 
 def _recurrence_rows(kmax: int, first: np.ndarray, coef, norm: np.ndarray):
@@ -215,7 +229,7 @@ class FactorFamily:
     def moment(self, k: int, p: float) -> float:
         """``|g_k|_p`` by quadrature against the family's base measure."""
         x, w = self.rule
-        return _lp_norm(self.evaluate(k, x), [w], p)
+        return _lp_norm([(self.evaluate(k, x), [np.log(w)])], p)
 
 
 def tabulated_family(nodes, table, weights) -> FactorFamily:
@@ -311,22 +325,54 @@ class DegenerateKernel:
         """``|f(xi)|_p`` by tensor-product quadrature over the canonical bases.
 
         ``terms``, a sub-dict of ``lam``, restricts the sum to those terms.
+        The value grid is never formed.  The axes split into a leading group
+        and a trailing group, whichever split makes the larger of the two
+        node counts smallest, and the grid is the product of a left factor
+        (leading nodes x terms: the leading axes' factor rows scaled by
+        lambda) and a right factor (terms x trailing nodes: the outer
+        products of the trailing rows).  The leading nodes are walked in
+        slabs of at most ``_SLAB_FLOATS`` values (one row at least): one
+        ``matmul`` into a reused buffer, then one step of ``_lp_norm``.
+        Working memory is the two factors, ``T * (n_lead + n_trail)`` floats
+        for T terms, plus about two slabs: 64 nodes on each of 4 axes peak
+        near 2.4 MiB, where the whole grid would take 128 MiB.  A grid of
+        more than ``_NODE_LIMIT`` (2**31) nodes is a ValueError, raised
+        before any work.
         """
         terms = self.lam if terms is None else terms
+        if not terms:
+            return 0.0
         rules = [fam.rule for fam in self.factors]
-        vals = np.zeros(tuple(x.size for x, _ in rules))
-        blocks = []
-        for axis, fam in enumerate(self.factors):
-            kmax = max((kvec[axis] for kvec in terms), default=0)
-            blocks.append(fam.evaluate_block(kmax, rules[axis][0]) if kmax else None)
-        for kvec, w in terms.items():
-            term = w
-            for axis, k in enumerate(kvec):
-                shape = [1] * self.d
-                shape[axis] = -1
-                term = term * blocks[axis][k - 1].reshape(shape)
-            vals += term
-        return _lp_norm(vals, [w for _, w in rules], p)
+        sizes = [x.size for x, _ in rules]
+        nodes = math.prod(sizes)
+        if nodes > _NODE_LIMIT:
+            raise ValueError(f"tensor quadrature over {nodes} nodes exceeds the limit "
+                             f"of {_NODE_LIMIT}")
+        split = min(range(1, self.d), default=1,
+                    key=lambda a: max(math.prod(sizes[:a]), math.prod(sizes[a:])))
+        index = np.array(list(terms), dtype=np.intp) - 1
+        count = len(terms)
+        left = np.fromiter(terms.values(), float, count)[None, :]
+        right = np.ones((count, 1))
+        log_left = log_right = np.zeros(1)
+        for axis, (fam, (x, w)) in enumerate(zip(self.factors, rules)):
+            rows = fam.evaluate_block(index[:, axis].max() + 1, x)[index[:, axis]]
+            if axis < split:
+                left = (left[:, None, :] * rows.T).reshape(-1, count)
+                log_left = (log_left[:, None] + np.log(w)).ravel()
+            else:
+                right = (right[:, :, None] * rows[:, None, :]).reshape(count, -1)
+                log_right = (log_right[:, None] + np.log(w)).ravel()
+        step = max(1, _SLAB_FLOATS // right.shape[1])
+        buf = np.empty((min(step, left.shape[0]), right.shape[1]))
+
+        def slabs():
+            for start in range(0, left.shape[0], step):
+                out = buf[:min(step, left.shape[0] - start)]
+                np.matmul(left[start:start + step], right, out=out)
+                yield out, [log_left[start:start + step, None], log_right]
+
+        return _lp_norm(slabs(), p)
 
     # -- low-rank structure ------------------------------------------------
 
@@ -387,7 +433,7 @@ class TabulatedKernel:
         return cls(x, wx, y, wy, vals)
 
     def moment(self, p: float) -> float:
-        return _lp_norm(self.values.copy(), [self.x_weights, self.y_weights], p)
+        return _lp_norm([(self.values.copy(), self._log_weights)], p)
 
     def spectral(self):
         """Weighted singular value decomposition ``(singular_values, left, right)``.
@@ -440,7 +486,11 @@ class TabulatedKernel:
         if p == 2.0:
             return math.sqrt(np.sum(s[M:] ** 2))
         recon = (left[:M].T * s[:M]) @ right[:M]
-        return _lp_norm(self.values - recon, [self.x_weights, self.y_weights], p)
+        return _lp_norm([(self.values - recon, self._log_weights)], p)
+
+    @property
+    def _log_weights(self):
+        return [np.log(self.x_weights)[:, None], np.log(self.y_weights)]
 
     def digest_payload(self):
         arrays = (self.x_nodes, self.x_weights, self.y_nodes, self.y_weights, self.values)

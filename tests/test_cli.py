@@ -64,6 +64,33 @@ def test_invalid_json_is_schema_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("field, value", [
+    ("L_size", 2.5), ("L_size", 2.0), ("L_size", True),
+    ("M_max", 1.5), ("M_max", True),
+], ids=["L_size-fractional", "L_size-float", "L_size-bool", "M_max-fractional", "M_max-bool"])
+def test_bound_non_integer_size_or_rank_exits_2(tmp_path, capsys, field, value):
+    # int() once truncated these: L_size 2, 2.5 and 2.9 wrote the same bytes
+    cfg = json.loads((CONFIG_DIR / "bound_rank1.json").read_text())
+    cfg["bound"][field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    code, _ = run_cmd(tmp_path, "bound", path)
+    assert code == 2
+    assert field in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_bound_grid_past_the_node_limit_exits_2(tmp_path, capsys):
+    # 140**5 Poisson nodes would take 430 GB as one grid; the limit stops it before any work
+    cfg = {"seed": 1, "p_grid": [2.0], "bound": {"routes": ["trivial"], "L_size": 4},
+           "kernel": {"d": 5, "factors": [{"kind": "poisson_charlier", "params": {}}] * 5,
+                      "lambda": [{"k": [1] * 5, "w": 1.0}], "orthonormal": True}}
+    path = tmp_path / "d5.json"
+    path.write_text(json.dumps(cfg))
+    code, _ = run_cmd(tmp_path, "bound", path)
+    assert code == 2
+    assert str(140 ** 5) in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_bound_reruns_byte_identical(tmp_path):
     _, out1 = run_cmd(tmp_path, "bound", CONFIG_DIR / "bound_rank1.json",
                       out_name="a")
@@ -287,6 +314,18 @@ def test_verify_parametric_point_index_out_of_range_exits_2(tmp_path, capsys, v_
     code, _ = run_cmd(tmp_path, "verify", path)
     assert code == 2
     assert "v_index" in json.loads(capsys.readouterr().err)["error"]
+
+
+@pytest.mark.parametrize("value", [5_000.5, 5_000.0, True],
+                         ids=["fractional", "float", "bool"])
+def test_verify_non_integer_limit_n_exits_2(tmp_path, capsys, value):
+    cfg = json.loads((CONFIG_DIR / "gauss_rank1.json").read_text())
+    cfg["verify"]["limit_n"] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    code, _ = run_cmd(tmp_path, "verify", path)
+    assert code == 2
+    assert "limit_n" in json.loads(capsys.readouterr().err)["error"]
 
 
 # ---------------------------------------------------------------------------

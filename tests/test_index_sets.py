@@ -124,6 +124,16 @@ def test_explicit_set_sorted_deduplicated():
         explicit_set([(0, 1)])
 
 
+@pytest.mark.parametrize("cells", [[[1, True], [2, 1]], [[1, 1], [2, np.True_]]],
+                         ids=["python-bool", "numpy-bool"])
+def test_explicit_set_rejects_a_bool_cell_index(cells):
+    # np.asarray would read True as 1 and build {(1, 1), (2, 1)}
+    with pytest.raises(ValueError, match="bool"):
+        explicit_set(cells)
+    with pytest.raises(ValueError, match="bool"):
+        index_set_from_json({"d": 2, "kind": "explicit", "params": {"cells": cells}})
+
+
 def test_staircase_profile():
     L = staircase_set([4, 4, 3, 2])
     assert L.size == 13

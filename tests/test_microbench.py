@@ -1,5 +1,5 @@
 """Micro-benchmarks: KS distance, exact covering, the inscribed-rectangle search,
-Young-Fenchel conjugates and one block of streamed box sums."""
+Young-Fenchel conjugates, one block of streamed box sums and one tensor quadrature."""
 
 import hashlib
 import math
@@ -9,12 +9,13 @@ import pytest
 
 pytest.importorskip("pytest_benchmark")
 
-from multisum import (AxisDistribution, EmpiricalDist, FactorFamily, ParametricKernel,
-                      RngSpec, covering_profile, ks_distance, lshape_family,
-                      make_rect, power_log, product_of, rect_pair, rosenthal_scaled,
-                      staircase_set, tabulated_psi, young_fenchel)
+from multisum import (AxisDistribution, DegenerateKernel, EmpiricalDist, FactorFamily,
+                      ParametricKernel, RngSpec, covering_profile, ks_distance,
+                      lshape_family, make_rect, power_log, product_of, rect_pair,
+                      rosenthal_scaled, staircase_set, tabulated_psi, young_fenchel)
 from multisum import mc
 from test_psi import reference_young_fenchel
+from test_quadrature import reference_moment
 
 # values the exhaustive-search and concatenate-and-search versions also give
 KS_20K_50K = 0.013400000000000079
@@ -75,3 +76,12 @@ def test_sum_field_sim_box_block(benchmark):
             [AxisDistribution("standard_normal")] * 2, 51, RngSpec(1), 1)
     vals = benchmark.pedantic(mc._sum_field, args=args, rounds=5)
     assert hashlib.sha256(vals.tobytes()).hexdigest() == SIM_BOX_BLOCK
+
+
+def test_moment_bounds_kernel(benchmark):
+    # the bounds workload's kernel: d = 3 Poisson-Charlier, lambda(k, k, k) = 2**-k
+    # for k <= 8, on 140**3 nodes
+    lam = {(k,) * 3: 2.0 ** -k for k in range(1, 9)}
+    kernel = DegenerateKernel(3, lam, [FactorFamily("poisson_charlier")] * 3, orthonormal=True)
+    got = benchmark.pedantic(kernel.moment, args=(8.0,), rounds=5)
+    assert got == pytest.approx(reference_moment(kernel, 8.0), rel=1e-13)

@@ -1,0 +1,188 @@
+"""Tensor quadrature by slabs: the slab product against the whole value grid."""
+
+import math
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from multisum import DegenerateKernel, FactorFamily, tabulated_family
+from multisum import kernels
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+# ---------------------------------------------------------------------------
+# the whole-grid path: every node's value in one array, then one log-sum-exp
+# over all of it.  The slab product must agree with it, so it is kept here as
+# the reference.
+# ---------------------------------------------------------------------------
+
+
+def reference_lp_norm(vals, weights, p):
+    with np.errstate(divide="ignore"):
+        np.log(np.abs(vals, out=vals), out=vals)
+        vals *= p
+        for axis, w in enumerate(weights):
+            shape = [1] * vals.ndim
+            shape[axis] = -1
+            vals += np.log(w).reshape(shape)
+    top = vals.max()
+    if top == -np.inf:
+        return 0.0
+    vals -= top
+    np.exp(vals, out=vals)
+    return float(np.exp((top + math.log(vals.sum())) / p))
+
+
+def value_grid(kernel, terms, absolute=False):
+    """The kernel's values on its whole tensor grid, or the sum of the terms' magnitudes."""
+    rules = [fam.rule for fam in kernel.factors]
+    vals = np.zeros(tuple(x.size for x, _ in rules))
+    for kvec, w in terms.items():
+        term = abs(w) if absolute else w
+        for axis, k in enumerate(kvec):
+            shape = [1] * kernel.d
+            shape[axis] = -1
+            row = kernel.factors[axis].evaluate_block(k, rules[axis][0])[k - 1]
+            term = term * (np.abs(row) if absolute else row).reshape(shape)
+        vals += term
+    return vals, [w for _, w in rules]
+
+
+def reference_moment(kernel, p, terms=None):
+    terms = kernel.lam if terms is None else terms
+    return reference_lp_norm(*value_grid(kernel, terms), p)
+
+
+# ---------------------------------------------------------------------------
+# random kernels over every factor kind
+# ---------------------------------------------------------------------------
+
+_MAX_INDEX = {"hermite": 6, "poisson_charlier": 6, "exponential_poly": 6,
+              "rademacher_sign": 1}
+_NODES = {"hermite": 64, "poisson_charlier": 140, "exponential_poly": 64,
+          "rademacher_sign": 2}
+_GRID_CAP = 1 << 18   # the reference holds the whole grid
+
+
+@st.composite
+def tabulated(draw):
+    n = draw(st.integers(2, 9))
+    members = draw(st.integers(1, 3))
+    table = draw(st.lists(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n),
+                          min_size=members, max_size=members))
+    weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+    return tabulated_family(np.arange(n, dtype=float), table, weights / weights.sum())
+
+
+def _nodes(fam):
+    return fam.nodes.size if fam.kind == "tabulated" else _NODES[fam.kind]
+
+
+def _members(fam):
+    return fam.table.shape[0] if fam.kind == "tabulated" else _MAX_INDEX[fam.kind]
+
+
+@st.composite
+def families(draw, d):
+    kinds = st.sampled_from(sorted(_NODES) + ["tabulated"])
+    fams = []
+    for _ in range(d):
+        kind = draw(kinds)
+        fams.append(draw(tabulated()) if kind == "tabulated" else FactorFamily(kind))
+    return fams
+
+
+@st.composite
+def instances(draw):
+    """A kernel of 1..4 axes, a nonempty subset of its terms, p and a slab budget."""
+    d = draw(st.integers(1, 4))
+    fams = draw(families(d).filter(lambda fs: math.prod(map(_nodes, fs)) <= _GRID_CAP))
+    kvec = st.tuples(*[st.integers(1, _members(fam)) for fam in fams])
+    weight = st.one_of(st.just(0.0), st.floats(0.01, 2.0), st.floats(-2.0, -0.01))
+    lam = draw(st.dictionaries(kvec, weight, min_size=1, max_size=6))
+    keys = draw(st.lists(st.sampled_from(sorted(lam)), min_size=1, unique=True))
+    p = draw(st.floats(2.0, 64.0))
+    budget = draw(st.integers(1, 5_000))
+    return DegenerateKernel(d, lam, fams), {k: lam[k] for k in keys}, p, budget
+
+
+@SETTINGS
+@given(instances())
+def test_slab_product_matches_the_whole_grid(instance):
+    kernel, terms, p, budget = instance
+    with mock.patch.object(kernels, "_SLAB_FLOATS", budget):
+        got = kernel.moment(p, terms)
+    want = reference_moment(kernel, p, terms)
+    # relative to the norm of the summed magnitudes, which is the value itself
+    # unless the terms cancel, where the order of the additions shows
+    scale = reference_lp_norm(*value_grid(kernel, terms, absolute=True), p)
+    assert got == pytest.approx(want, rel=1e-13, abs=1e-13 * scale)
+
+
+def test_uneven_slabs_cover_every_leading_row():
+    # 64 leading rows in slabs of 5 (budget 5 * 64 + 7): the last slab holds 4
+    fam = FactorFamily("hermite")
+    kernel = DegenerateKernel(2, {(1, 1): 1.0, (2, 3): -0.5, (4, 1): 0.25}, [fam, fam])
+    with mock.patch.object(kernels, "_SLAB_FLOATS", 5 * 64 + 7):
+        got = kernel.moment(6.0)
+    assert got == pytest.approx(reference_moment(kernel, 6.0), rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# fixed cases
+# ---------------------------------------------------------------------------
+
+
+def _poisson(d, lam):
+    return DegenerateKernel(d, lam, [FactorFamily("poisson_charlier")] * d, orthonormal=True)
+
+
+def test_empty_terms_and_zero_grid_give_zero():
+    kernel = _poisson(3, {(1, 1, 1): 0.5})
+    assert kernel.moment(4.0, {}) == 0.0
+    assert _poisson(3, {(1, 1, 1): 0.0, (2, 1, 1): 0.0}).moment(4.0) == 0.0
+
+
+@pytest.mark.parametrize("w", [math.inf, -math.inf, math.nan])
+def test_non_finite_grid_value_gives_nan(w):
+    fam = FactorFamily("hermite")    # no node at 0, so w * x is never 0 * inf
+    kernel = DegenerateKernel(2, {(1, 1): 1.0, (2, 2): w}, [fam, fam])
+    assert math.isnan(kernel.moment(2.0))
+    assert math.isnan(kernel.residual_norm(1, 2.0))
+
+
+def test_one_axis_factor_moment_matches_the_reference():
+    for kind in sorted(_NODES):
+        fam = FactorFamily(kind)
+        x, w = fam.rule
+        for p in (2.0, 5.5, 64.0):
+            want = reference_lp_norm(fam.evaluate(1, x), [w], p)
+            assert fam.moment(1, p) == pytest.approx(want, rel=1e-15)
+
+
+def test_node_limit_is_checked_before_any_work():
+    kernel = _poisson(5, {(1,) * 5: 1.0})
+    with mock.patch.object(FactorFamily, "evaluate_block") as evaluate:
+        with pytest.raises(ValueError, match=str(140 ** 5)):
+            kernel.moment(2.0)
+    evaluate.assert_not_called()
+
+
+def test_four_axis_moment_stays_in_a_few_mib():
+    # 64**4 Hermite nodes: the whole grid would take 128 MiB
+    fam = FactorFamily("hermite")
+    lam = {(k,) * 4: 1.0 / k for k in range(1, 4)}
+    kernel = DegenerateKernel(4, lam, [fam] * 4, orthonormal=True)
+    tracemalloc.start()
+    try:
+        got = kernel.moment(2.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    assert got == pytest.approx(math.sqrt(sum(w * w for w in lam.values())), rel=1e-10)
