@@ -116,6 +116,11 @@ def _typed(cfg, key, kind, default=None):
     return val
 
 
+def _floats(values, key) -> list:
+    """Entries of the config list ``values`` as floats, each checked by ``_typed`` as a number."""
+    return [float(_typed({key: v}, key, (int, float))) for v in values]
+
+
 def _load_kernel(cfg):
     return kernel_from_json(_require(cfg, "kernel", dict))
 
@@ -141,7 +146,7 @@ def _load_index_sets(cfg, d):
     if family == "squares_minus_corner":
         return squares_minus_corner_family(sizes)
     if family == "lshape_fixed_fraction":
-        return lshape_family(sizes, float(spec.get("fraction", 0.5)))
+        return lshape_family(sizes, float(_typed(spec, "fraction", (int, float), 0.5)))
     raise ConfigError(f"unknown index set family '{family}'")
 
 
@@ -153,7 +158,7 @@ def _load_index_sets(cfg, d):
 def cmd_bound(cfg, out: OutputSet, workers: int) -> int:
     kernel = _load_kernel(cfg)
     spec = _require(cfg, "bound", dict)
-    p_grid = [float(p) for p in _require(cfg, "p_grid", list)]
+    p_grid = _floats(_require(cfg, "p_grid", list), "p_grid")
     routes = spec.get("routes", ["klesov_product"])
     l_size = _typed(spec, "L_size", int, 1)
     m_max = _typed(spec, "M_max", int, max(kernel.M, 1))
@@ -221,7 +226,7 @@ def cmd_verify(cfg, out: OutputSet, workers: int) -> int:
     which = spec.get("which")
     rng = RngSpec(cfg["seed"])
     n = _require(cfg, "N", int)
-    final_ks = float(spec.get("final_ks", 0.05))
+    final_ks = float(_typed(spec, "final_ks", (int, float), 0.05))
     limit_n = _typed(spec, "limit_n", int, 100_000)
 
     if which == "parametric":
@@ -230,7 +235,7 @@ def cmd_verify(cfg, out: OutputSet, workers: int) -> int:
         sets = _load_index_sets(cfg, pk.d)
         level_spec = spec.get("level", {"kind": "power", "p": 2.0})
         if level_spec["kind"] == "power":
-            level = ("power", float(level_spec["p"]))
+            level = ("power", float(_require(level_spec, "p", (int, float))))
         else:
             level = ("exponential", psi_from_json(level_spec["tau"]))
         report = check_theorem_8(pk, level, sets, dists, n, rng, limit_n=limit_n,
@@ -258,7 +263,7 @@ def cmd_verify(cfg, out: OutputSet, workers: int) -> int:
         return _VERDICT_EXIT.get(report.verdict, EXIT_FAILED)
 
     if which == "sandwich":
-        p_grid = [float(p) for p in _require(cfg, "p_grid", list)]
+        p_grid = _floats(_require(cfg, "p_grid", list), "p_grid")
         report = verify_moment_sandwich(kernel, dists, sets, p_grid, n, rng, workers=workers)
         out.add("verdict", "json", _dump_json(report.to_json()))
         csv = "p,lower,empirical,empirical_se,upper\n" + "".join(
@@ -270,7 +275,7 @@ def cmd_verify(cfg, out: OutputSet, workers: int) -> int:
         return EXIT_OK if report.passed else EXIT_FAILED
 
     p_grid = cfg.get("p_grid") or list(np.geomspace(2.0, 64.0, 25))
-    composite = natural_composite(kernel, dists, [float(p) for p in p_grid])
+    composite = natural_composite(kernel, dists, _floats(p_grid, "p_grid"))
     report = verify_tail_domination(kernel, dists, sets, composite, n, rng,
                                     workers=workers)
     out.add("verdict", "json", _dump_json(report.to_json()))
@@ -284,13 +289,13 @@ def cmd_verify(cfg, out: OutputSet, workers: int) -> int:
 def cmd_psi(cfg, out: OutputSet, workers: int) -> int:
     spec = _require(cfg, "psi", dict)
     psi = psi_from_json(_require(spec, "spec", dict))
-    p_grid = [float(p) for p in spec.get("p_grid", np.geomspace(
-        psi.p_min, min(psi.inner_top(), 64.0), 25).tolist())]
-    x_grid = [float(x) for x in spec.get("x_grid", np.linspace(1.0, 5.0, 17).tolist())]
-    norm = float(spec.get("gls_norm", 1.0))
+    p_grid = _floats(spec.get("p_grid", np.geomspace(
+        psi.p_min, min(psi.inner_top(), 64.0), 25).tolist()), "p_grid")
+    x_grid = _floats(spec.get("x_grid", np.linspace(1.0, 5.0, 17).tolist()), "x_grid")
+    norm = float(_typed(spec, "gls_norm", (int, float), 1.0))
     tb = TailBound(gls_norm=norm, psi=psi)
-    y_grid = [float(y) for y in spec.get("y_grid", np.geomspace(
-        tb.validity_threshold, tb.validity_threshold * 50.0, 17).tolist())]
+    y_grid = _floats(spec.get("y_grid", np.geomspace(
+        tb.validity_threshold, tb.validity_threshold * 50.0, 17).tolist()), "y_grid")
     rows = ["p,psi,v"]
     for p in p_grid:
         val = psi(p)

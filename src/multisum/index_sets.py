@@ -11,7 +11,6 @@ computes them exactly in every dimension.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,16 +39,6 @@ class Rect:
     lo: tuple
     hi: tuple
 
-    def __post_init__(self):
-        if len(self.lo) != len(self.hi):
-            raise ValueError("corner dimension mismatch")
-        if any(a < 1 or b < a for a, b in zip(self.lo, self.hi)):
-            raise ValueError("need 1 <= lo <= hi per axis")
-
-    @property
-    def d(self):
-        return len(self.lo)
-
     @property
     def size(self) -> int:
         return math.prod(b - a + 1 for a, b in zip(self.lo, self.hi))
@@ -58,59 +47,70 @@ class Rect:
     def min_side(self) -> int:
         return min(b - a + 1 for a, b in zip(self.lo, self.hi))
 
-    def cells(self):
-        return _grid_cells(self.lo, self.hi)
 
-
-def _grid_cells(lo, hi) -> np.ndarray:
-    """(m, d) array of the lattice box [lo, hi] in lexicographic row order."""
-    axes = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
-    grid = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grid], axis=1)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndexSet:
     """Finite subset of Z_+^d with a named representation (rect, staircase, explicit).
 
-    ``boxes`` are disjoint lattice boxes (``Rect``) whose union is the set,
-    sorted by corners; the constructors below build them.
+    The rows of the read-only ``(B, d)`` int64 arrays ``lo`` and ``hi`` are the
+    inclusive corners of B disjoint lattice boxes, sorted by corners, whose union is the set.
     """
 
-    d: int
     kind: str
-    boxes: tuple
+    lo: np.ndarray
+    hi: np.ndarray
     params: tuple = ()
 
     @property
-    def size(self) -> int:
-        return sum(box.size for box in self.boxes)
+    def d(self) -> int:
+        return self.lo.shape[1]
 
-    def __len__(self):
-        return self.size
+    @property
+    def size(self) -> int:
+        return int(np.prod(self.hi - self.lo + 1, axis=1).sum())
 
     def axis_max(self, axis: int) -> int:
-        return max(box.hi[axis] for box in self.boxes)
+        return int(self.hi[:, axis].max())
 
     @cached_property
     def cells(self) -> np.ndarray:
         """(|L|, d) array of the cells in lexicographic row order, built on first use."""
-        cells = np.concatenate([box.cells() for box in self.boxes])
+        cells = _box_cells(self)
         cells = cells[np.lexsort(cells.T[::-1])]
         cells.flags.writeable = False
         return cells
 
     def bounding_box(self) -> Rect:
-        return Rect(tuple(min(b.lo[s] for b in self.boxes) for s in range(self.d)),
-                    tuple(self.axis_max(s) for s in range(self.d)))
+        return Rect(tuple(self.lo.min(axis=0).tolist()), tuple(self.hi.max(axis=0).tolist()))
 
     def to_json(self) -> dict:
         if self.kind == "rect":
             return {"d": self.d, "kind": "rect", "params": {"n": list(self.params)}}
         if self.kind == "staircase":
             return {"d": self.d, "kind": "staircase", "params": {"profile": list(self.params)}}
-        boxes = [[list(box.lo), list(box.hi)] for box in self.boxes]
+        boxes = np.stack([self.lo, self.hi], axis=1).tolist()
         return {"d": self.d, "kind": "explicit", "params": {"boxes": boxes}}
+
+
+def _box_cells(L: IndexSet) -> np.ndarray:
+    """(|L|, d) cells of L's boxes, box after box, each box in lexicographic order.
+
+    The first cells of a box's lines along the last axis are mixed-radix
+    numbers over its leading sides; ``np.repeat`` and a ragged ``arange`` run
+    each line out from there.
+    """
+    side = L.hi - L.lo + 1
+    lines = np.prod(side[:, :-1], axis=1)
+    box = np.repeat(np.arange(len(side)), lines)
+    rank = np.arange(len(box)) - np.repeat(np.cumsum(lines) - lines, lines)
+    first = L.lo[box]
+    for axis in range(L.d - 2, -1, -1):
+        rank, digit = np.divmod(rank, side[box, axis])
+        first[:, axis] += digit
+    run = side[box, -1]
+    cells = np.repeat(first, run, axis=0)
+    cells[:, -1] += np.arange(len(cells)) - np.repeat(np.cumsum(run) - run, run)
+    return cells
 
 
 def index_set_from_json(obj: dict) -> IndexSet:
@@ -121,9 +121,8 @@ def index_set_from_json(obj: dict) -> IndexSet:
         L = staircase_set(obj["params"]["profile"])
     elif kind == "explicit" and "boxes" in obj["params"]:
         # the boxes' cells go through ``explicit_set``, which rejects overlaps
-        boxes = [Rect(tuple(_integers(lo, "box corners")), tuple(_integers(hi, "box corners")))
-                 for lo, hi in obj["params"]["boxes"]]
-        L = explicit_set(np.concatenate([box.cells() for box in boxes]))
+        lo, hi = _int_array(obj["params"]["boxes"], "box corners", 3).swapaxes(0, 1)
+        L = explicit_set(_box_cells(_box_set("explicit", lo, hi)))
     elif kind == "explicit":
         L = explicit_set(obj["params"]["cells"])
     else:
@@ -134,45 +133,46 @@ def index_set_from_json(obj: dict) -> IndexSet:
     return L
 
 
-def _integers(values, what: str) -> list:
-    """``values`` as a list of ints; a bool, a float or any other non-integer is a ValueError."""
-    values = list(values)
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise ValueError(f"{what} must be integers, got {v!r}")
-    return [int(v) for v in values]
+def _int_array(values, what: str, ndim: int) -> np.ndarray:
+    """``values`` as an int64 array of ``ndim`` axes; a bool or other non-integer is an error."""
+    if not isinstance(values, np.ndarray) and {bool, np.bool_} & set(
+            map(type, np.asarray(values, dtype=object).flat)):
+        raise ValueError(f"{what} must be integers, got a bool")   # NumPy would read 0 or 1
+    arr = np.asarray(values)    # a ragged list is a ValueError here
+    if (arr.size and arr.dtype.kind not in "iu") or arr.ndim != ndim:
+        raise ValueError(f"{what} must be integers in {ndim} axes, got {arr.dtype} in {arr.ndim}")
+    return arr.astype(np.int64)
 
 
-def _box_set(kind, boxes, params=()) -> IndexSet:
-    """Index set of already disjoint boxes given as ``(lo, hi)`` corner pairs in corner order."""
-    boxes = tuple(Rect(tuple(lo), tuple(hi)) for lo, hi in boxes)
-    return IndexSet(boxes[0].d, kind, boxes, params)
+def _box_set(kind, lo, hi, params=()) -> IndexSet:
+    """Index set of disjoint boxes, their corners the rows of ``lo`` and ``hi`` in corner order."""
+    lo, hi = (np.array(c, dtype=np.int64, ndmin=2) for c in (lo, hi))
+    if lo.shape != hi.shape or lo.ndim != 2 or 0 in lo.shape:
+        raise ValueError(f"need B >= 1 boxes of one dimension, got corners {lo.shape}, {hi.shape}")
+    if np.any(lo < 1) or np.any(hi < lo):
+        raise ValueError("need 1 <= lo <= hi per axis")
+    lo.flags.writeable = hi.flags.writeable = False
+    return IndexSet(kind, lo, hi, params)
 
 
 def make_rect(nvec) -> IndexSet:
     """Full box [1, n_1] x ... x [1, n_d]."""
-    nvec = _integers(nvec, "axis bounds")
-    if not nvec:
-        raise ValueError("need at least one axis bound")
-    if any(n < 1 for n in nvec):
-        raise ValueError("axis bounds must be >= 1")
-    return _box_set("rect", [((1,) * len(nvec), nvec)], tuple(nvec))
+    nvec = _int_array(nvec, "axis bounds", 1).tolist()
+    return _box_set("rect", [1] * len(nvec), nvec, tuple(nvec))
 
 
 def staircase_set(profile) -> IndexSet:
     """d = 2 staircase: column i holds rows 1..profile[i], one box per run of equal heights."""
-    profile = _integers(profile, "profile heights")
-    if not profile or any(h < 0 for h in profile):
+    h = _int_array(profile, "profile heights", 1)
+    if not h.size or np.any(h < 0):
         raise ValueError("profile heights must be nonnegative, at least one column")
-    if not any(profile):
+    if not h.any():
         raise ValueError("empty staircase")
-    boxes, i = [], 1
-    for h, run in itertools.groupby(profile):
-        width = len(list(run))
-        if h:
-            boxes.append(((i, 1), (i + width - 1, h)))
-        i += width
-    return _box_set("staircase", boxes, tuple(profile))
+    first = np.flatnonzero(np.diff(h, prepend=-1))      # first column of each run, 0-based
+    last = np.append(first[1:], h.size)
+    keep = h[first] > 0
+    return _box_set("staircase", np.column_stack([first + 1, np.ones_like(first)])[keep],
+                    np.column_stack([last, h[first]])[keep], tuple(h.tolist()))
 
 
 def explicit_set(cells) -> IndexSet:
@@ -183,17 +183,9 @@ def explicit_set(cells) -> IndexSet:
     other axis and abut along this one merge.  A rectangle is one box and an
     L-shape two.
     """
-    if not isinstance(cells, np.ndarray) and any(
-            isinstance(v, (bool, np.bool_)) for v in np.asarray(cells, dtype=object).ravel()):
-        raise ValueError("cells must be integers, got a bool")
-    cells = np.asarray(cells)
-    if cells.ndim != 2 or 0 in cells.shape:
+    cells = _int_array(cells, "cells", 2)
+    if 0 in cells.shape:
         raise ValueError("an index set is a nonempty array of d-tuples")
-    if cells.dtype.kind not in "iu":
-        raise ValueError(f"cells must be integers, got {cells.dtype} values")
-    cells = cells.astype(np.int64)
-    if np.any(cells < 1):
-        raise ValueError("indices are 1-based")
     cells = cells[np.lexsort(cells.T[::-1])]
     if np.any(np.all(np.diff(cells, axis=0) == 0, axis=1)):
         raise ValueError("duplicate cells")
@@ -217,7 +209,7 @@ def explicit_set(cells) -> IndexSet:
         starts = np.flatnonzero(new)
         lo, hi = lo[starts], hi[np.append(starts[1:], len(new)) - 1]
     order = np.lexsort(np.concatenate([lo, hi], axis=1).T[::-1])
-    return _box_set("explicit", [(map(int, lo[i]), map(int, hi[i])) for i in order])
+    return _box_set("explicit", lo[order], hi[order])
 
 
 @dataclass(frozen=True)
@@ -299,8 +291,7 @@ def rect_pair(L: IndexSet) -> RectPair:
     box), so each of its faces lies on a cut, and the heaviest all-true box
     of the interval grid, weighed by interval widths, is a maximum box of L.
     """
-    lo = np.array([box.lo for box in L.boxes])
-    end = np.array([box.hi for box in L.boxes]) + 1
+    lo, end = L.lo, L.hi + 1
     cuts = [np.unique(np.concatenate([lo[:, s], end[:, s]])) for s in range(L.d)]
     grid = np.zeros([len(c) - 1 for c in cuts], dtype=bool)
     for a, b in zip(lo, end):
@@ -394,10 +385,10 @@ def nclt_condition_report(sets, kappa_threshold: float = 0.25) -> ConditionRepor
 def squares_minus_corner_family(sizes) -> list:
     """n x n squares with the far corner cell removed; kappa_plus = 1/sqrt(n^2-1)."""
     out = []
-    for n in _integers(sizes, "sizes"):
+    for n in _int_array(sizes, "sizes", 1).tolist():
         if n < 2:
             raise ValueError("need n >= 2 to remove a corner")
-        out.append(_box_set("explicit", [((1, 1), (n - 1, n)), ((n, 1), (n, n - 1))]))
+        out.append(_box_set("explicit", [(1, 1), (n, 1)], [(n - 1, n), (n, n - 1)]))
     return out
 
 
@@ -410,9 +401,9 @@ def lshape_family(sizes, fraction: float = 0.5) -> list:
     if not 0 < fraction < 1:
         raise ValueError(f"fraction must lie in (0, 1), got {fraction!r}")
     out = []
-    for n in _integers(sizes, "sizes"):
+    for n in _int_array(sizes, "sizes", 1).tolist():
         c = max(1, round(n * fraction))
         if c >= n:
             raise ValueError("fraction too large")
-        out.append(_box_set("explicit", [((1, 1), (n - c, n)), ((n - c + 1, 1), (n, n - c))]))
+        out.append(_box_set("explicit", [(1, 1), (n - c + 1, 1)], [(n - c, n), (n, n - c)]))
     return out

@@ -8,15 +8,15 @@ CDF on those uniforms.
 
 The normalized sum over an index set L is ``S_L = |L|**-0.5 *
 sum_{k in L} f(xi_{k_1}(1), ..., xi_{k_d}(d))``.  Every L is a disjoint union
-of lattice boxes (``IndexSet.boxes``), and over one box the sum factorizes:
-per axis, a slice sum ``F_s[k] = sum_{i in box_s} g_k(xi_i(s))`` of the factor
-values, then ``sum_k lambda(k) prod_s F_s[k_s]``.  One contraction sums that
-over the boxes, costing O(rank * boxes * sum n_s) instead of O(rank * |L|),
-and applies weight vectors last, so a parametric field ``Q_L(v)`` is the
-same computation with ``|V|`` weights and ``S_L`` its ``|V| = 1`` row.  The
-Gaussian-chaos limit ``sum_k lambda(k) prod_s beta_s[k_s]`` is the same
-contraction over one single-cell box whose slice sums are fresh standard
-normal draws per replication.
+of lattice boxes (corner rows ``IndexSet.lo``, ``IndexSet.hi``), and over one
+box the sum factorizes: per axis, a slice sum ``F_s[k] = sum_{i in box_s}
+g_k(xi_i(s))`` of the factor values, then ``sum_k lambda(k) prod_s F_s[k_s]``.
+One contraction sums that over the boxes, costing O(rank * boxes * sum n_s)
+instead of O(rank * |L|), and applies weight vectors last, so a parametric
+field ``Q_L(v)`` is the same computation with ``|V|`` weights and ``S_L`` its
+``|V| = 1`` row.  The Gaussian-chaos limit ``sum_k lambda(k) prod_s
+beta_s[k_s]`` is the same contraction over one single-cell box whose slice
+sums are fresh standard normal draws per replication.
 
 No factor table is built: each factor family yields its rows ``g_1, g_2, ...``
 one at a time (``FactorFamily.rows``), and every row is slice-summed into the
@@ -274,24 +274,26 @@ def _kmax(lam, d: int) -> list:
     return [max((k[axis] for k, _ in lam), default=1) for axis in range(d)]
 
 
-def _spans(boxes, axis: int) -> list:
-    """The distinct ``(lo, hi)`` sides of the boxes on one axis."""
-    return sorted({(box.lo[axis], box.hi[axis]) for box in boxes})
+def _spans(L: IndexSet, axis: int):
+    """The distinct ``(lo, hi)`` box sides on one axis, sorted, and each box's index among them."""
+    sides = list(zip(L.lo[:, axis].tolist(), L.hi[:, axis].tolist()))
+    index = {span: i for i, span in enumerate(sorted(set(sides)))}
+    return list(index), [index[side] for side in sides]
 
 
-def _box_sums(fam, kmax: int, x: np.ndarray, boxes, axis: int) -> list:
+def _box_sums(fam, kmax: int, x: np.ndarray, spans, inverse) -> list:
     """Per box, ``F[k - 1] = sum_{i in box_axis} g_k(x[:, i - 1])`` for k = 1..kmax.
 
     ``x`` holds one axis' samples, shape (reps, columns); each result has shape
     (kmax, reps).  Every factor row is slice-summed as soon as it exists, so no
-    (kmax, reps, columns) table is ever built, and once per distinct side:
-    boxes that share their side on this axis share its sums.
+    (kmax, reps, columns) table is ever built, and once per distinct side
+    (``_spans``): boxes that share their side on this axis share its sums.
     """
-    sums = {span: np.empty((kmax, x.shape[0])) for span in _spans(boxes, axis)}
+    sums = np.empty((len(spans), kmax, x.shape[0]))
     for k, row in enumerate(fam.rows(kmax, x)):
-        for (lo, hi), out in sums.items():
+        for (lo, hi), out in zip(spans, sums):
             row[:, lo - 1:hi].sum(axis=1, out=out[k])
-    return [sums[box.lo[axis], box.hi[axis]] for box in boxes]
+    return [sums[i] for i in inverse]
 
 
 def _contract(sums, lam, nv: int) -> np.ndarray:
@@ -314,10 +316,10 @@ def _contract(sums, lam, nv: int) -> np.ndarray:
     return out
 
 
-def _field_sums(factors, kmax, boxes, samples) -> list:
-    """``sums[B][s]`` for ``_contract``, from one (reps, columns) sample array per axis."""
-    per_axis = [_box_sums(fam, k, x, boxes, axis)
-                for axis, (fam, k, x) in enumerate(zip(factors, kmax, samples))]
+def _field_sums(factors, kmax, sides, samples) -> list:
+    """``sums[B][s]`` for ``_contract``; per axis, (reps, columns) samples and their ``_spans``."""
+    per_axis = [_box_sums(fam, k, x, *spans)
+                for fam, k, x, spans in zip(factors, kmax, samples, sides)]
     return list(zip(*per_axis))
 
 
@@ -332,7 +334,8 @@ def compute_S_L(kernel, L: IndexSet, axis_samples) -> float:
     _check_cover(kernel, L, axis_samples)
     lam = _weight_columns(kernel.lam)
     samples = [np.asarray(x, dtype=float)[None, :] for x in axis_samples]
-    sums = _field_sums(kernel.factors, _kmax(lam, kernel.d), L.boxes, samples)
+    sums = _field_sums(kernel.factors, _kmax(lam, kernel.d),
+                       [_spans(L, axis) for axis in range(L.d)], samples)
     return float(_contract(sums, lam, 1)[0, 0]) / math.sqrt(L.size)
 
 
@@ -409,17 +412,17 @@ def _sum_field(factors, lam, nv, L, dists, N, rng, workers) -> np.ndarray:
         raise ValueError(f"index set has dimension {L.d}, the kernel {len(factors)}")
     kmax = _kmax(lam, len(factors))
     ncols = [L.axis_max(axis) for axis in range(len(factors))]
-    boxes = L.boxes
+    sides = [_spans(L, axis) for axis in range(L.d)]
     root = math.sqrt(L.size)
 
     def batch(rep_start, rep_count):
         samples = (dist.sample_block(rng, axis, rep_start, rep_count, n)
                    for axis, (dist, n) in enumerate(zip(dists, ncols)))
-        return _contract(_field_sums(factors, kmax, boxes, samples), lam, nv) / root
+        return _contract(_field_sums(factors, kmax, sides, samples), lam, nv) / root
 
     # per axis: uniforms, samples, three row buffers, side sums; plus the nv outputs
-    per_rep = sum(n * (dist.uniforms_per_coord + 4) + len(_spans(boxes, axis)) * k
-                  for axis, (n, k, dist) in enumerate(zip(ncols, kmax, dists))) + nv
+    per_rep = sum(n * (dist.uniforms_per_coord + 4) + len(spans) * k
+                  for (spans, _), n, k, dist in zip(sides, ncols, kmax, dists)) + nv
     return _run_blocks(batch, N, nv, workers, per_rep)
 
 

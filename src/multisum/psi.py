@@ -338,14 +338,14 @@ def _elementwise(fun, values):
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def young_fenchel(psi: PsiFunction, x, grid_points: int = _GRID_POINTS):
+def young_fenchel(psi: PsiFunction, x):
     """Conjugate ``v*(x) = sup_p (x p - p ln psi(p))`` over the support of psi.
 
     ``x`` is a scalar (the result is a float) or an array (the result has its
     shape, and each element equals the scalar call).  Log-spaced grid search
     refined by golden section around the grid argmax: ``ln psi`` is evaluated
     once per grid cap for every x, the objective is one ``(len(x),
-    grid_points)`` matrix, and the refinement runs one lockstep golden search
+    _GRID_POINTS)`` matrix, and the refinement runs one lockstep golden search
     over all x.  On unbounded supports each x pushes its own grid cap out by
     decades while its objective still climbs at the edge; if it climbs through
     the final decade at the hard cap that conjugate is reported as ``inf``.
@@ -353,12 +353,12 @@ def young_fenchel(psi: PsiFunction, x, grid_points: int = _GRID_POINTS):
     def blocks(xs):
         out = np.empty(xs.size)
         for s in range(0, xs.size, _X_BLOCK):
-            out[s:s + _X_BLOCK] = _conjugate_block(psi, xs[s:s + _X_BLOCK], grid_points)
+            out[s:s + _X_BLOCK] = _conjugate_block(psi, xs[s:s + _X_BLOCK])
         return out
     return _elementwise(blocks, x)
 
 
-def _conjugate_block(psi: PsiFunction, xs: np.ndarray, grid_points: int) -> np.ndarray:
+def _conjugate_block(psi: PsiFunction, xs: np.ndarray) -> np.ndarray:
     n = xs.size
     a, b, top = np.empty(n), np.empty(n), np.empty(n)   # bracket and grid max per x
     diverged = np.zeros(n, dtype=bool)
@@ -366,10 +366,10 @@ def _conjugate_block(psi: PsiFunction, xs: np.ndarray, grid_points: int) -> np.n
     bounded = math.isfinite(psi.support_upper)
     cap = psi.inner_top() if bounded else _GRID_CAP_INITIAL
     while pending.size:
-        grid = np.geomspace(psi.p_min, cap, grid_points)
+        grid = np.geomspace(psi.p_min, cap, _GRID_POINTS)
         obj = xs[pending, None] * grid - grid * psi._log_eval_raw(grid)
         k = np.nanargmax(obj, axis=1)
-        done = bounded | (k < grid_points - 8)
+        done = bounded | (k < _GRID_POINTS - 8)
         if not bounded and cap >= _GRID_CAP_MAX:
             # increasing over the whole last decade: divergent conjugate
             climbing = np.diff(obj[~done][:, grid >= cap / 10.0], axis=1)
@@ -377,7 +377,7 @@ def _conjugate_block(psi: PsiFunction, xs: np.ndarray, grid_points: int) -> np.n
             done[:] = True
         rows, k = pending[done], k[done]
         a[rows] = grid[np.maximum(k - 1, 0)]
-        b[rows] = grid[np.minimum(k + 1, grid_points - 1)]
+        b[rows] = grid[np.minimum(k + 1, _GRID_POINTS - 1)]
         top[rows] = obj[np.flatnonzero(done), k]
         pending = pending[~done]
         cap = min(cap * 100.0, _GRID_CAP_MAX)

@@ -12,6 +12,7 @@ from multisum import (AxisDistribution, DegenerateKernel, FactorFamily, RngSpec,
                       compute_S_L, explicit_set, make_rect, naive_S_L,
                       simulate_S_L, staircase_set, tabulated_family)
 from multisum import mc
+from multisum.index_sets import _box_cells
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -40,7 +41,7 @@ def instances(draw):
 @SETTINGS
 @given(index_sets())
 def test_boxes_partition_the_set(L):
-    covered = np.concatenate([box.cells() for box in L.boxes])
+    covered = _box_cells(L)
     assert len(covered) == L.size                  # no cell counted twice ...
     assert set(map(tuple, covered)) == set(map(tuple, L.cells))   # ... and none missed
 
@@ -115,9 +116,9 @@ def table(fam, kmax, x):
     return np.stack([np.interp(x, fam.nodes, row) for row in fam.table[:kmax]])
 
 
-def table_contract(tables, boxes, lam, nv):
-    sums = [[t[:, :, a - 1:b].sum(axis=2) for t, a, b in zip(tables, box.lo, box.hi)]
-            for box in boxes]
+def table_contract(tables, L, lam, nv):
+    sums = [[t[:, :, a - 1:b].sum(axis=2) for t, a, b in zip(tables, lo, hi)]
+            for lo, hi in zip(L.lo, L.hi)]
     out = np.zeros((nv, tables[0].shape[1]))
     for kvec, wv in lam:
         core = None
@@ -138,7 +139,7 @@ def table_sum_field(factors, lam, nv, L, dists, N, rng):
         ncols = L.axis_max(axis)
         x = dist.sample_block(rng, axis, 0, N, ncols)
         tables.append(table(fam, kmax[axis], x.ravel()).reshape(kmax[axis], N, ncols))
-    return (table_contract(tables, L.boxes, lam, nv) / math.sqrt(L.size)).T
+    return (table_contract(tables, L, lam, nv) / math.sqrt(L.size)).T
 
 
 @st.composite

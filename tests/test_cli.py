@@ -4,6 +4,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from multisum.cli import main
@@ -189,7 +190,34 @@ def test_simulate_summary_names_explicit_sets_by_their_boxes(tmp_path):
     path = out / manifest["files"]["summary"]
     assert path.stat().st_size < 1024
     written = json.loads(path.read_text())[0]["index_set"]
-    assert index_set_from_json(written).boxes == lshape_family([256])[0].boxes
+    clone, L = index_set_from_json(written), lshape_family([256])[0]
+    assert np.array_equal(clone.lo, L.lo) and np.array_equal(clone.hi, L.hi)
+
+
+# the files the simulate below wrote before index sets held corner arrays; each
+# name carries its content digest, so this map pins every output byte
+LSHAPE_FILES = {
+    "dist_0": "dist_0-22c1d86128a1.bin", "dist_1": "dist_1-46ad5ad6b608.bin",
+    "quantiles_0": "quantiles_0-18bcd714da48.csv", "quantiles_1": "quantiles_1-130ebf82883f.csv",
+    "summary": "summary-63db9e6233fa.json",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_simulate_explicit_lshapes_pinned_bytes(tmp_path, workers):
+    base = json.loads((CONFIG_DIR / "lshape_fixed_fraction.json").read_text())
+    cfg = {key: base[key] for key in ("kernel", "distributions", "seed")}
+    cfg["N"] = 200
+    cfg["index_sets"] = {"list": [
+        {"d": 2, "kind": "explicit", "params": {"boxes": [[[1, 1], [4, 8]], [[5, 1], [8, 4]]]}},
+        {"d": 2, "kind": "explicit",
+         "params": {"boxes": [[[1, 1], [8, 16]], [[9, 1], [16, 8]]]}},
+    ]}
+    path = tmp_path / "lshapes.json"
+    path.write_text(json.dumps(cfg))
+    code, out = run_cmd(tmp_path, "simulate", path, args=["--workers", str(workers)])
+    assert code == 0
+    assert json.loads((out / "manifest.json").read_text())["files"] == LSHAPE_FILES
 
 
 def _listed(kind, **params):
@@ -326,6 +354,34 @@ def test_verify_non_integer_limit_n_exits_2(tmp_path, capsys, value):
     code, _ = run_cmd(tmp_path, "verify", path)
     assert code == 2
     assert "limit_n" in json.loads(capsys.readouterr().err)["error"]
+
+
+@pytest.mark.parametrize("command, config, path, value", [
+    ("verify", "gauss_rank1.json", ("verify", "final_ks"), True),
+    ("verify", "parametric_power.json", ("verify", "level", "p"), True),
+    ("verify", "lshape_fixed_fraction.json", ("index_sets", "fraction"), True),
+    ("verify", "poisson_9c.json", ("p_grid",), [4.0, True]),
+    ("verify", "tail_gauss.json", ("p_grid",), [2.0, True]),
+    ("bound", "bound_rank1.json", ("p_grid",), [True, 4.0]),
+    ("psi", "psi_tables.json", ("psi", "gls_norm"), True),
+    ("psi", "psi_tables.json", ("psi", "p_grid"), [True]),
+    ("psi", "psi_tables.json", ("psi", "x_grid"), [True]),
+    ("psi", "psi_tables.json", ("psi", "y_grid"), [True, 5.0]),
+], ids=["final_ks", "level-p", "fraction", "sandwich-p_grid", "tail-p_grid", "bound-p_grid",
+        "gls_norm", "psi-p_grid", "x_grid", "y_grid"])
+def test_bool_config_number_exits_2(tmp_path, capsys, command, config, path, value):
+    # a bool once read as 1.0: final_ks true made any KS trajectory pass
+    cfg = json.loads((CONFIG_DIR / config).read_text())
+    *parents, key = path
+    node = cfg
+    for name in parents:
+        node = node[name]
+    node[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    code, _ = run_cmd(tmp_path, command, bad)
+    assert code == 2
+    assert key in json.loads(capsys.readouterr().err)["error"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Index-set geometry: rectangles, deficiencies, growth-condition verdicts."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -8,12 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multisum import (explicit_set, lshape_family, make_rect,
+from multisum import (Rect, explicit_set, lshape_family, make_rect,
                       nclt_condition_report, rect_pair,
                       squares_minus_corner_family, staircase_set)
-from multisum.index_sets import index_set_from_json
+from multisum.index_sets import _box_cells, index_set_from_json
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+def corners(L):
+    """The set's boxes as the lists ``(lo, hi)`` of their corner rows."""
+    return L.lo.tolist(), L.hi.tolist()
 
 
 def brute_force_best_rect(cells):
@@ -344,10 +350,10 @@ def test_index_set_json_round_trip():
     L = lshape_family([8])[0]
     assert L.to_json() == {"d": 2, "kind": "explicit",
                            "params": {"boxes": [[[1, 1], [4, 8]], [[5, 1], [8, 4]]]}}
-    assert index_set_from_json(L.to_json()).boxes == L.boxes
+    assert corners(index_set_from_json(L.to_json())) == corners(L)
     # the older cells form still reads
     cells = {"d": 2, "kind": "explicit", "params": {"cells": L.cells.tolist()}}
-    assert index_set_from_json(cells).boxes == L.boxes
+    assert corners(index_set_from_json(cells)) == corners(L)
 
 
 @pytest.mark.parametrize("boxes, message", [
@@ -356,6 +362,9 @@ def test_index_set_json_round_trip():
     ([[[1, 1], [2, 2]], [[1], [3]]], None),                   # boxes of two dimensions
     ([[[1, 1], [2]]], "dimension"),
     ([[[0, 1], [2, 2]]], "lo <= hi"),
+    ([[[1, True], [2, 2]]], "bool"),
+    ([[[1, 1], [2, 2 ** 70]]], "integers"),                  # past int64
+    ([[[1, 1], [2, 2], [3, 3]]], None),                      # three corners
 ])
 def test_explicit_boxes_json_rejects_bad_boxes(boxes, message):
     with pytest.raises(ValueError, match=message):
@@ -363,13 +372,10 @@ def test_explicit_boxes_json_rejects_bad_boxes(boxes, message):
 
 
 def test_boxes_of_stock_shapes():
-    assert [(b.lo, b.hi) for b in make_rect([3, 4, 2]).boxes] == [((1, 1, 1), (3, 4, 2))]
-    assert [(b.lo, b.hi) for b in lshape_family([8])[0].boxes] == [
-        ((1, 1), (4, 8)), ((5, 1), (8, 4))]
-    assert [(b.lo, b.hi) for b in staircase_set([3, 3, 1]).boxes] == [
-        ((1, 1), (2, 3)), ((3, 1), (3, 1))]
-    assert [(b.lo, b.hi) for b in explicit_set([(2,), (3,), (5,)]).boxes] == [
-        ((2,), (3,)), ((5,), (5,))]
+    assert corners(make_rect([3, 4, 2])) == ([[1, 1, 1]], [[3, 4, 2]])
+    assert corners(lshape_family([8])[0]) == ([[1, 1], [5, 1]], [[4, 8], [8, 4]])
+    assert corners(staircase_set([3, 3, 1])) == ([[1, 1], [3, 1]], [[2, 3], [3, 1]])
+    assert corners(explicit_set([(2,), (3,), (5,)])) == ([[2], [5]], [[3], [5]])
 
 
 @SETTINGS
@@ -388,16 +394,61 @@ def test_stock_constructors_agree_with_explicit_sets(kind, sizes, fraction):
     else:
         L = squares_minus_corner_family([n])[0]
     clone = explicit_set(L.cells)
-    assert L.boxes == clone.boxes
+    assert corners(L) == corners(clone)
     assert np.array_equal(L.cells, clone.cells)
     assert L.size == clone.size == len(L.cells)
     if L.kind == "explicit":
         assert L.to_json() == clone.to_json()
-    assert index_set_from_json(L.to_json()).boxes == L.boxes
+    assert corners(index_set_from_json(L.to_json())) == corners(L)
+
+
+def meshgrid_cells(lo, hi):
+    """Reference expansion: one ``np.meshgrid`` per box, box after box."""
+    parts = []
+    for a, b in zip(lo, hi):
+        grid = np.meshgrid(*[np.arange(x, y + 1) for x, y in zip(a, b)], indexing="ij")
+        parts.append(np.stack([g.ravel() for g in grid], axis=1))
+    return np.concatenate(parts)
+
+
+@st.composite
+def cell_lists(draw):
+    """Sorted distinct cells of a random subset of a small box, d in {1, 2, 3}."""
+    d = draw(st.integers(1, 3))
+    side = {1: 30, 2: 9, 3: 5}[d]
+    cell = st.tuples(*[st.integers(1, side)] * d)
+    return sorted(draw(st.sets(cell, min_size=1, max_size=60)))
+
+
+def check_corner_arrays(L, cells):
+    assert L.lo.dtype == L.hi.dtype == np.int64
+    assert L.lo.shape == L.hi.shape == (len(L.lo), L.d)
+    assert not (L.lo.flags.writeable or L.hi.flags.writeable)
+    covered = meshgrid_cells(L.lo, L.hi)
+    np.testing.assert_array_equal(_box_cells(L), covered)
+    assert len(np.unique(covered, axis=0)) == len(covered) == L.size   # disjoint boxes
+    np.testing.assert_array_equal(L.cells, cells)
+    for form in (L.to_json(), {"d": L.d, "kind": "explicit", "params": {"cells": cells.tolist()}}):
+        assert corners(index_set_from_json(json.loads(json.dumps(form)))) == corners(L)
+
+
+@SETTINGS
+@given(cell_lists())
+def test_corner_arrays_cover_the_cells_once_and_read_back(cells):
+    check_corner_arrays(explicit_set(cells), np.array(cells))
+
+
+def test_checkerboard_corner_arrays_round_trip():
+    i, j = np.indices((200, 200)) + 1
+    black = ((i + j) % 2 == 0).ravel()
+    cells = np.stack([i.ravel(), j.ravel()], axis=1)[black]
+    L = explicit_set(cells)
+    assert len(L.lo) == L.size == 20_000
+    check_corner_arrays(L, cells)
 
 
 def test_rect_geometry_needs_no_cells():
     L = make_rect([4096, 4096, 4096])
     assert L.size == 4096 ** 3 and L.axis_max(2) == 4096
-    assert rect_pair(L).l_minus == L.bounding_box() == L.boxes[0]
+    assert rect_pair(L).l_minus == L.bounding_box() == Rect((1, 1, 1), (4096, 4096, 4096))
     assert "cells" not in vars(L)

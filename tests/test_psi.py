@@ -174,12 +174,14 @@ def test_conjugate_monotone_convex():
         assert np.all(second >= -1e-9 * np.maximum(1.0, np.abs(vals[1:-1])))
 
 
-def test_conjugate_grid_density_stable():
+def test_conjugate_grid_density_stable(monkeypatch):
     for psi in (power_log(2, 0), power_log(4, 0), exp_power(1, 1),
                 bounded_support(8, 1.0), extremal(6)):
         for x in (1.0, 3.0, 5.0):
-            a = young_fenchel(psi, x, grid_points=512)
-            b = young_fenchel(psi, x, grid_points=1024)
+            monkeypatch.setattr(psi_module, "_GRID_POINTS", 512)
+            a = young_fenchel(psi, x)
+            monkeypatch.setattr(psi_module, "_GRID_POINTS", 1024)
+            b = young_fenchel(psi, x)
             assert a == pytest.approx(b, rel=5e-3)
 
 
