@@ -26,8 +26,7 @@ from . import __version__
 from .index_sets import (index_set_from_json, lshape_family, make_rect,
                          squares_minus_corner_family)
 from .kernels import kernel_from_json
-from .mc import (RngSpec, axis_distribution_from_json, empirical_bytes,
-                 quantile_csv, simulate_S_L)
+from .mc import RngSpec, axis_distribution_from_json, empirical_bytes, simulate_S_L
 from .parametric import check_theorem_8, parametric_kernel_from_json
 from .psi import psi_from_json, young_fenchel, TailBound, tail_bound_eval
 from .rosenthal import (BoundReport, dp_quasinorm, klesov_bound, rosenthal_K,
@@ -48,8 +47,11 @@ class ConfigError(ValueError):
     pass
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+def _csv(header: str, rows) -> bytes:
+    """One CSV table, a row a line: floats (NumPy's too) as ``repr(float(v))``, else ``str(v)``."""
+    lines = [header] + [",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+                                 for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
 
 
 def _dump_json(obj) -> bytes:
@@ -182,8 +184,8 @@ def cmd_bound(cfg, out: OutputSet, workers: int) -> int:
             else:
                 raise ConfigError(f"unknown bound route '{route}'")
             reports.append(rep)
-    csv = "p,route,M_star,value\n" + "".join(r.to_csv_row() + "\n" for r in reports)
-    out.add("bounds", "csv", csv.encode())
+    out.add("bounds", "csv", _csv("p,route,M_star,value", (
+        (r.p, r.route, "" if r.m_star is None else r.m_star, r.bound_value) for r in reports)))
     out.add("bounds_rows", "json", _dump_json([r.to_json_row() for r in reports]))
     return EXIT_OK
 
@@ -194,11 +196,12 @@ def cmd_simulate(cfg, out: OutputSet, workers: int) -> int:
     sets = _load_index_sets(cfg, kernel.d)
     n = _require(cfg, "N", int)
     rng = RngSpec(cfg["seed"])
+    qs = np.linspace(0.0, 1.0, 101)
     summary = []
     for i, L in enumerate(sets):
         dist = simulate_S_L(kernel, L, dists, n, rng.child(i), workers=workers)
         name = out.add(f"dist_{i}", "bin", empirical_bytes(dist))
-        out.add(f"quantiles_{i}", "csv", quantile_csv(dist).encode())
+        out.add(f"quantiles_{i}", "csv", _csv("q,value", zip(qs, dist.quantile(qs))))
         var = dist.variance()
         row = {"index_set": L.to_json(), "file": name, "N": n,
                "variance": var, "variance_se": dist.variance_se(),
@@ -241,9 +244,9 @@ def cmd_verify(cfg, out: OutputSet, workers: int) -> int:
         report = check_theorem_8(pk, level, sets, dists, n, rng, limit_n=limit_n,
                                  final_ks=final_ks, workers=workers)
         out.add("verdict", "json", _dump_json(report.to_json()))
-        if report.profile is not None:
-            from .parametric import profile_csv
-            out.add("entropy_profile", "csv", profile_csv(report.profile).encode())
+        prof = report.profile
+        out.add("entropy_profile", "csv",
+                _csv("epsilon,N,H", zip(prof.eps, prof.counts, prof.entropy)))
         if math.isinf(report.hypotheses["entropy_integral"]):
             return EXIT_DIVERGENCE
         return _VERDICT_EXIT.get(report.verdict, EXIT_FAILED)
@@ -257,7 +260,10 @@ def cmd_verify(cfg, out: OutputSet, workers: int) -> int:
     if which == "nclt":
         report = verify_nclt(kernel, dists, sets, n, rng, limit_n=limit_n,
                              final_ks=final_ks, workers=workers)
-        csv_name = out.add("stages", "csv", report.to_csv().encode())
+        csv_name = out.add("stages", "csv", _csv(
+            "stage,L_size,kappa_minus,kappa_plus,ks,verdict",
+            ((r["stage"], r["L_size"], r["kappa_minus"], r["kappa_plus"], r["ks"], report.verdict)
+             for r in report.stages)))
         out.add("verdict", "json", _dump_json(report.to_json()))
         out.add("plot", "gp", _gnuplot_script(csv_name, 5, "KS distance"))
         return _VERDICT_EXIT.get(report.verdict, EXIT_FAILED)
@@ -266,11 +272,9 @@ def cmd_verify(cfg, out: OutputSet, workers: int) -> int:
         p_grid = _floats(_require(cfg, "p_grid", list), "p_grid")
         report = verify_moment_sandwich(kernel, dists, sets, p_grid, n, rng, workers=workers)
         out.add("verdict", "json", _dump_json(report.to_json()))
-        csv = "p,lower,empirical,empirical_se,upper\n" + "".join(
-            f"{_fmt(p)},{_fmt(l)},{_fmt(e)},{_fmt(se)},{_fmt(u)}\n"
-            for p, l, e, se, u in zip(report.p_grid, report.lower, report.empirical,
-                                      report.empirical_se, report.upper))
-        csv_name = out.add("sandwich", "csv", csv.encode())
+        csv_name = out.add("sandwich", "csv", _csv(
+            "p,lower,empirical,empirical_se,upper",
+            zip(report.p_grid, report.lower, report.empirical, report.empirical_se, report.upper)))
         out.add("plot", "gp", _gnuplot_script(csv_name, 3, "|S_L|_p"))
         return EXIT_OK if report.passed else EXIT_FAILED
 
@@ -279,10 +283,10 @@ def cmd_verify(cfg, out: OutputSet, workers: int) -> int:
     report = verify_tail_domination(kernel, dists, sets, composite, n, rng,
                                     workers=workers)
     out.add("verdict", "json", _dump_json(report.to_json()))
-    csv = "y,bound\n" + "".join(
-        f"{_fmt(y)},{_fmt(b)}\n" for y, b in zip(report.y_grid, report.bounds))
-    csv_name = out.add("tailbound", "csv", csv.encode())
+    csv_name = out.add("tailbound", "csv", _csv("y,bound", zip(report.y_grid, report.bounds)))
     out.add("plot", "gp", _gnuplot_script(csv_name, 2, "tail bound"))
+    if not any(row["probed_points"] for row in report.rows):
+        return EXIT_HYPOTHESES      # no level reached the estimability floor: nothing was checked
     return EXIT_OK if report.dominated else EXIT_FAILED
 
 
@@ -296,18 +300,11 @@ def cmd_psi(cfg, out: OutputSet, workers: int) -> int:
     tb = TailBound(gls_norm=norm, psi=psi)
     y_grid = _floats(spec.get("y_grid", np.geomspace(
         tb.validity_threshold, tb.validity_threshold * 50.0, 17).tolist()), "y_grid")
-    rows = ["p,psi,v"]
-    for p in p_grid:
-        val = psi(p)
-        rows.append(f"{_fmt(p)},{_fmt(val)},{_fmt(p * math.log(val))}")
-    out.add("psi_table", "csv", ("\n".join(rows) + "\n").encode())
+    out.add("psi_table", "csv", _csv("p,psi,v", (
+        (p, val, p * math.log(val)) for p, val in zip(p_grid, map(psi, p_grid)))))
     v_star = young_fenchel(psi, x_grid)
-    rows = ["x,v_star"] + [f"{_fmt(x)},{'inf' if math.isinf(v) else _fmt(v)}"
-                           for x, v in zip(x_grid, v_star)]
-    out.add("conjugate", "csv", ("\n".join(rows) + "\n").encode())
-    rows = ["y,tail_bound"] + [f"{_fmt(y)},{_fmt(b)}"
-                               for y, b in zip(y_grid, tail_bound_eval(tb, y_grid))]
-    out.add("tail", "csv", ("\n".join(rows) + "\n").encode())
+    out.add("conjugate", "csv", _csv("x,v_star", zip(x_grid, v_star)))
+    out.add("tail", "csv", _csv("y,tail_bound", zip(y_grid, tail_bound_eval(tb, y_grid))))
     return EXIT_DIVERGENCE if np.any(np.isinf(v_star)) else EXIT_OK
 
 

@@ -31,6 +31,8 @@ __all__ = [
     "lshape_family",
 ]
 
+_KAPPA_THRESHOLD = 0.25     # the last deficiency of a family must fall below this
+
 
 @dataclass(frozen=True)
 class Rect:
@@ -319,7 +321,7 @@ class ConditionReport:
     lengths of the paired rectangle (a translated box of growing sides has the
     same sum distribution, the variables being i.i.d.).  The vanishing-kappa
     condition is proxied by a nonincreasing trend whose last value falls below
-    the configured threshold.  Thresholds are configuration, not theory.
+    ``_KAPPA_THRESHOLD``, a convention rather than theory.
     """
 
     sizes: tuple
@@ -354,7 +356,7 @@ def _trend_ok(kappas, sides, threshold):
     return growing and shrinking and kappas[-1] <= threshold
 
 
-def nclt_condition_report(sets, kappa_threshold: float = 0.25) -> ConditionReport:
+def nclt_condition_report(sets) -> ConditionReport:
     """Evaluate the rectangle-growth and kappa-decay conditions along a family of sets."""
     sets = list(sets)
     if not sets:
@@ -371,9 +373,9 @@ def nclt_condition_report(sets, kappa_threshold: float = 0.25) -> ConditionRepor
         outer_min_sides=outer_sides,
         kappa_minus=km,
         kappa_plus=kp,
-        inscribed_ok=_trend_ok(km, inner_sides, kappa_threshold),
-        circumscribed_ok=_trend_ok(kp, outer_sides, kappa_threshold),
-        kappa_threshold=kappa_threshold,
+        inscribed_ok=_trend_ok(km, inner_sides, _KAPPA_THRESHOLD),
+        circumscribed_ok=_trend_ok(kp, outer_sides, _KAPPA_THRESHOLD),
+        kappa_threshold=_KAPPA_THRESHOLD,
     )
 
 

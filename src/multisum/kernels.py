@@ -29,6 +29,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.special import eval_laguerre, gammaln
 
+from .index_sets import _int_array
+
 __all__ = [
     "FactorFamily",
     "tabulated_family",
@@ -246,6 +248,16 @@ def tabulated_family(nodes, table, weights) -> FactorFamily:
 # ---------------------------------------------------------------------------
 
 
+def _multi_indices(keys, d: int) -> list:
+    """The lambda keys ``keys`` as tuples of ``d`` integer factor indices, each at least 1."""
+    if any(len(kvec) != d for kvec in keys):
+        raise ValueError(f"every lambda key needs {d} factor indices")
+    idx = _int_array([*keys] or np.empty((0, d), int), "factor indices", 2)
+    if np.any(idx < 1):
+        raise ValueError("factor indices are 1-based")
+    return list(map(tuple, idx.tolist()))
+
+
 @dataclass
 class DegenerateKernel:
     """Finite-rank kernel ``sum_k lambda(k) prod_s g_{k_s}(x_s)``.
@@ -266,15 +278,8 @@ class DegenerateKernel:
             raise ValueError("kernel dimension must be >= 1")
         if len(self.factors) != self.d:
             raise ValueError("need one factor family per axis")
-        clean = {}
-        for kvec, w in self.lam.items():
-            kvec = tuple(int(k) for k in kvec)
-            if len(kvec) != self.d:
-                raise ValueError(f"lambda key {kvec} has wrong dimension")
-            if any(k < 1 for k in kvec):
-                raise ValueError("factor indices are 1-based")
-            clean[kvec] = float(w)
-        self.lam = clean
+        self.lam = {k: float(w) for k, w in zip(_multi_indices(self.lam, self.d),
+                                                self.lam.values())}
 
     # -- structure -------------------------------------------------------
 

@@ -470,7 +470,7 @@ def sample_S_infty(lam: dict, d: int, N: int, rng: RngSpec,
 
 
 # ---------------------------------------------------------------------------
-# persistence: binary column file with a JSON header, CSV quantile export
+# persistence: binary column file with a JSON header
 # ---------------------------------------------------------------------------
 
 
@@ -494,11 +494,3 @@ def load_empirical(path) -> EmpiricalDist:
         raise ValueError("corrupt empirical distribution file")
     return EmpiricalDist(vals, header.get("provenance", ""),
                          seed=header.get("seed"))
-
-
-def quantile_csv(dist: EmpiricalDist, qs=None) -> str:
-    qs = np.linspace(0.0, 1.0, 101) if qs is None else np.asarray(qs, dtype=float)
-    lines = ["q,value"]
-    for q, v in zip(qs, dist.quantile(qs)):
-        lines.append(f"{q!r},{v!r}")
-    return "\n".join(lines) + "\n"

@@ -25,12 +25,13 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .kernels import DegenerateKernel, kernel_to_json
+from .kernels import DegenerateKernel, _multi_indices, kernel_to_json
 from .mc import (EmpiricalDist, RngSpec, _limit_field, _sum_field,
                  _weight_columns, empirical_moment)
 from .psi import PsiFunction, _golden_max
 from .rosenthal import rosenthal_K
-from .verify import _axis_moment_max, _ks_verdict, ks_critical, ks_distance
+from .verify import (_axis_moment_max, _ks_verdict, _require_orthonormal, ks_critical,
+                     ks_distance)
 
 __all__ = [
     "ParametricKernel",
@@ -73,17 +74,16 @@ class ParametricKernel:
         nv = self.points.shape[0]
         if nv < 1:
             raise ValueError("parameter grid must be nonempty")
+        if not self.lam:
+            raise ValueError("parametric kernel needs at least one multi-index")
+        self.d = len(next(iter(self.lam)))
         clean = {}
-        for kvec, w in self.lam.items():
-            kvec = tuple(int(k) for k in kvec)
+        for kvec, w in zip(_multi_indices(self.lam, self.d), self.lam.values()):
             w = np.asarray(w, dtype=float)
             if w.shape != (nv,):
                 raise ValueError(f"weight vector for {kvec} must cover the grid")
             clean[kvec] = w
-        if not clean:
-            raise ValueError("parametric kernel needs at least one multi-index")
         self.lam = clean
-        self.d = len(next(iter(clean)))
         if len(self.factors) != self.d:
             raise ValueError("need one factor family per axis")
 
@@ -346,13 +346,6 @@ class Theorem8Report:
         return out
 
 
-def profile_csv(profile: EntropyProfile) -> str:
-    lines = ["epsilon,N,H"]
-    for e, n, h in zip(profile.eps, profile.counts, profile.entropy):
-        lines.append(f"{float(e)!r},{float(n)!r},{float(h)!r}")
-    return "\n".join(lines) + "\n"
-
-
 def check_theorem_8(pk: ParametricKernel, level, L_family, dists, N: int,
                     rng: RngSpec, limit_n: int = 100_000, final_ks: float = 0.05,
                     workers: int = 1) -> Theorem8Report:
@@ -365,8 +358,10 @@ def check_theorem_8(pk: ParametricKernel, level, L_family, dists, N: int,
     The empirical side runs the KS pipeline per grid point against the
     shared-beta limit field and checks the sup-field moment against its
     majorant times ``_SUP_MOMENT_BUDGET``.  ``G`` is the product over axes of
-    the worst used factor moment under the sampling laws.
+    the worst used factor moment under the sampling laws.  As for
+    ``verify_nclt``, the factors must be orthonormal.
     """
+    _require_orthonormal(pk)
     kind, arg = level
     eps_grid = np.geomspace(1.0, 1e-4, 64)
     sigma = sigma_lambda(pk)

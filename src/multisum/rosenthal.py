@@ -130,10 +130,6 @@ class BoundReport:
             "inputs_digest": self.inputs_digest,
         }
 
-    def to_csv_row(self) -> str:
-        m = "" if self.m_star is None else str(self.m_star)
-        return f"{self.p!r},{self.route},{m},{self.bound_value!r}"
-
 
 def _digest(payload) -> str:
     blob = json.dumps(payload, sort_keys=True, default=str).encode()

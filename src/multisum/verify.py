@@ -35,6 +35,8 @@ __all__ = [
     "natural_composite",
 ]
 
+_KS_ALPHA = 0.01            # level of the KS critical value
+
 
 def ks_distance(a: EmpiricalDist, b: EmpiricalDist) -> float:
     """Two-sample Kolmogorov-Smirnov sup-distance between empirical CDFs.
@@ -57,9 +59,9 @@ def ks_distance(a: EmpiricalDist, b: EmpiricalDist) -> float:
     return float(max(at_step.max(), before_next.max(initial=0.0), below[0] / m))
 
 
-def ks_critical(n: int, m: int, alpha: float = 0.01) -> float:
-    """Distribution-free two-sample KS critical value at level alpha."""
-    c = math.sqrt(-math.log(alpha / 2.0) / 2.0)
+def ks_critical(n: int, m: int) -> float:
+    """Distribution-free two-sample KS critical value at level ``_KS_ALPHA``."""
+    c = math.sqrt(-math.log(_KS_ALPHA / 2.0) / 2.0)
     return c * math.sqrt((n + m) / (n * m))
 
 
@@ -74,22 +76,15 @@ class ConvergenceReport:
     noise_budget: float
     hypotheses_met: bool
 
-    def to_csv(self) -> str:
-        lines = ["stage,L_size,kappa_minus,kappa_plus,ks,verdict"]
-        for row in self.stages:
-            lines.append(
-                f"{row['stage']},{row['L_size']},{row['kappa_minus']!r},"
-                f"{row['kappa_plus']!r},{row['ks']!r},{self.verdict}")
-        return "\n".join(lines) + "\n"
-
     def to_json(self) -> dict:
         return asdict(self)
 
 
-def _require_orthonormal(kernel: DegenerateKernel):
+def _require_orthonormal(kernel):
+    """``kernel`` is a degenerate kernel or a parametric one (a weight vector per multi-index)."""
     if not kernel.orthonormal:
         raise ValueError("the chaos limit comparison requires orthonormal factors")
-    if kernel.sigma_sq <= 0:
+    if sum(np.square(w).sum() for w in kernel.lam.values()) <= 0:
         raise ValueError("degenerate limit: sum lambda^2 must be positive")
 
 
@@ -101,13 +96,13 @@ def _ks_verdict(ks, crit, final_ks):
 
 def verify_nclt(kernel: DegenerateKernel, dists, sets, N: int, rng: RngSpec, *,
                 limit_n: int = 100_000, final_ks: float = 0.05,
-                kappa_threshold: float = 0.25, workers: int = 1) -> ConvergenceReport:
+                workers: int = 1) -> ConvergenceReport:
     """KS trajectory of S_L along a growing family of index sets against the chaos limit.
 
     The family must meet the irregular-domain conditions: the inscribed or
     circumscribed rectangles grow strictly while their deficiency decays
-    below ``kappa_threshold``.  Rectangles have zero deficiency, so for a
-    family of cubes only the growth of the sides counts.  When neither
+    below ``index_sets._KAPPA_THRESHOLD``.  Rectangles have zero deficiency,
+    so for a family of cubes only the growth of the sides counts.  When neither
     condition holds the verdict is "hypotheses not met" and the KS
     trajectory is still reported.  Otherwise pass requires the KS sequence
     nonincreasing within twice the KS critical value and the final stage
@@ -115,7 +110,7 @@ def verify_nclt(kernel: DegenerateKernel, dists, sets, N: int, rng: RngSpec, *,
     """
     _require_orthonormal(kernel)
     sets = list(sets)
-    cond = nclt_condition_report(sets, kappa_threshold)
+    cond = nclt_condition_report(sets)
     limit = sample_S_infty(kernel.lam, kernel.d, limit_n, rng.child(997), workers)
     rows = []
     for i, L in enumerate(sets):

@@ -41,7 +41,7 @@ def test_bound_rank_one_rows(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     csv = (out / manifest["files"]["bounds"]).read_text().strip().split("\n")
     assert csv[0] == "p,route,M_star,value"
-    klesov_p2 = [r for r in csv if r.startswith("2.0,klesov_product")][0]
+    klesov_p2 = [r for r in csv if r.startswith("2.0,klesov_product,,")][0]
     parts = klesov_p2.split(",")
     assert parts[2] == ""                      # no rank for this route
     assert float(parts[3]) == pytest.approx(1.0, rel=1e-10)
@@ -194,11 +194,11 @@ def test_simulate_summary_names_explicit_sets_by_their_boxes(tmp_path):
     assert np.array_equal(clone.lo, L.lo) and np.array_equal(clone.hi, L.hi)
 
 
-# the files the simulate below wrote before index sets held corner arrays; each
-# name carries its content digest, so this map pins every output byte
+# the files the simulate below writes; each name carries its content digest, so
+# this map pins every output byte
 LSHAPE_FILES = {
     "dist_0": "dist_0-22c1d86128a1.bin", "dist_1": "dist_1-46ad5ad6b608.bin",
-    "quantiles_0": "quantiles_0-18bcd714da48.csv", "quantiles_1": "quantiles_1-130ebf82883f.csv",
+    "quantiles_0": "quantiles_0-78c8a7b3a328.csv", "quantiles_1": "quantiles_1-82c5d08c3520.csv",
     "summary": "summary-63db9e6233fa.json",
 }
 
@@ -262,6 +262,9 @@ def test_verify_gauss_rank1_passes(tmp_path):
     verdict = json.loads((out / manifest["files"]["verdict"]).read_text())
     assert verdict["verdict"] == "pass"
     assert manifest["files"]["plot"].endswith(".gp")
+    lines = (out / manifest["files"]["stages"]).read_text().strip().split("\n")
+    assert lines[0] == "stage,L_size,kappa_minus,kappa_plus,ks,verdict"
+    assert lines[1].startswith("0,16,")
 
 
 def test_verify_failed_check_exits_5(tmp_path):
@@ -321,6 +324,33 @@ def test_verify_tail_dominates(tmp_path):
     verdict = json.loads((out / manifest["files"]["verdict"]).read_text())
     assert verdict["dominated"]
     assert verdict["violations"] == 0
+
+
+def test_verify_tail_probing_no_level_exits_3(tmp_path):
+    # 20 terms of weight 0.1: the bound starts at e * sum|lambda| ~ 5.4, about
+    # 12 standard deviations out, so no level reaches the estimability floor
+    cfg = json.loads((CONFIG_DIR / "tail_gauss.json").read_text())
+    cfg["N"] = 2000
+    cfg["kernel"]["lambda"] = [{"k": [k, k], "w": 0.1} for k in range(1, 21)]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(cfg))
+    code, out = run_cmd(tmp_path, "verify", path)
+    assert code == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    verdict = json.loads((out / manifest["files"]["verdict"]).read_text())
+    assert [row["probed_points"] for row in verdict["rows"]] == [0, 0]
+
+
+@pytest.mark.parametrize("config, key", [("gauss_rank1.json", "kernel"),
+                                         ("parametric_power.json", "parametric_kernel")])
+def test_verify_limit_check_requires_orthonormal_factors(tmp_path, capsys, config, key):
+    cfg = json.loads((CONFIG_DIR / config).read_text())
+    cfg[key]["orthonormal"] = False
+    path = tmp_path / "plain.json"
+    path.write_text(json.dumps(cfg))
+    code, _ = run_cmd(tmp_path, "verify", path)
+    assert code == 2
+    assert "orthonormal" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_verify_parametric_power(tmp_path):
@@ -458,3 +488,25 @@ def test_parametric_entropy_profile_csv(tmp_path):
     assert prof[0] == "epsilon,N,H"
     eps, n, h = prof[1].split(",")
     assert float(n) >= 1.0 and float(h) == pytest.approx(math.log(float(n)), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# every table
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+def test_demo_csv_cells_parse_as_numbers(tmp_path, config):
+    # repr of a NumPy 2 float is np.float64(0.5), which no CSV reader parses
+    cfg = json.loads((CONFIG_DIR / config).read_text())
+    command = next((c for c in ("verify", "psi", "bound") if c in cfg), "simulate")
+    _, out = run_cmd(tmp_path, command, CONFIG_DIR / config)
+    tables = sorted(out.glob("*.csv"))
+    assert tables
+    for table in tables:
+        header, *rows = [line.split(",") for line in table.read_text().splitlines()]
+        for row in rows:
+            assert len(row) == len(header), table.name
+            for name, cell in zip(header, row):
+                if name not in ("route", "verdict") and not (name == "M_star" and cell == ""):
+                    float(cell)

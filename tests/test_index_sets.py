@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from multisum import (Rect, explicit_set, lshape_family, make_rect,
                       nclt_condition_report, rect_pair,
                       squares_minus_corner_family, staircase_set)
+from multisum import index_sets
 from multisum.index_sets import _box_cells, index_set_from_json
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -311,8 +312,9 @@ def test_lshape_fixed_fraction_fails():
     assert min(report.kappa_plus) >= 0.3
 
 
-def test_condition_report_rows_and_threshold():
-    report = nclt_condition_report([make_rect([2, 2]), make_rect([4, 4])], kappa_threshold=0.1)
+def test_condition_report_rows_and_threshold(monkeypatch):
+    monkeypatch.setattr(index_sets, "_KAPPA_THRESHOLD", 0.1)
+    report = nclt_condition_report([make_rect([2, 2]), make_rect([4, 4])])
     rows = list(report.rows())
     assert rows[0]["L_size"] == 4 and rows[1]["L_size"] == 16
     assert report.kappa_threshold == 0.1

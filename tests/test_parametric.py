@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from multisum import (AxisDistribution, EntropyProfile, FactorFamily,
+from multisum import (AxisDistribution, DegenerateKernel, EntropyProfile, FactorFamily,
                       ParametricKernel, RngSpec, check_theorem_8,
                       covering_profile, entropy_integral_exp,
                       entropy_integral_power, extremal,
@@ -324,6 +324,26 @@ def test_parametric_json_rejects_bad_point_rows():
     repeated = dict(obj, **{"lambda": obj["lambda"] + obj["lambda"][:1]})
     with pytest.raises(ValueError, match="repeated"):
         parametric_kernel_from_json(repeated)
+
+
+@pytest.mark.parametrize("lam", [
+    {(0, 1): [1.0, 1.0], (2, 1): [0.0, 0.0]},
+    {(1, 1): [1.0, 1.0], (1, 1, 1): [1.0, 1.0]},
+    {(1.5, 1): [1.0, 1.0]},
+], ids=["index-zero", "mixed-length", "fractional"])
+def test_parametric_keys_follow_the_degenerate_rule(lam):
+    # a zero index would make simulate_Q_L read factor row -1, which is g_2
+    hermite = [FactorFamily("hermite")] * 2
+    with pytest.raises(ValueError):
+        ParametricKernel(np.arange(2)[:, None], lam, hermite)
+    with pytest.raises(ValueError):
+        DegenerateKernel(2, {k: 1.0 for k in lam}, hermite)
+
+
+def test_check_theorem8_requires_orthonormal_factors():
+    with pytest.raises(ValueError, match="orthonormal"):
+        check_theorem_8(line_grid_pk(5, orthonormal=False), ("power", 2.0),
+                        [make_rect([4, 4])], GAUSS2, 100, RngSpec(1))
 
 
 def test_power_integral_nonincreasing_in_p():

@@ -320,8 +320,6 @@ def test_bounds_nondecreasing_in_p_above_e():
 
 
 def test_bound_report_rows():
-    rep = BoundReport(2.0, 1.0, "klesov_product")
-    assert rep.to_csv_row() == "2.0,klesov_product,,1.0"
     rep = BoundReport(4.0, 2.5, "theorem_W", m_star=3, inputs_digest="abc")
     row = rep.to_json_row()
     assert row["M_star"] == 3 and row["route"] == "theorem_W"

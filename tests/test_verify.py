@@ -146,14 +146,6 @@ def test_irregular_lshape_flagged():
     assert len(report.stages) == 3        # KS still reported
 
 
-def test_report_csv_layout():
-    report = verify_nclt(gauss_rank1(), GAUSS2, [make_rect([4, 4])], 500,
-                         RngSpec(1), limit_n=2000)
-    lines = report.to_csv().strip().split("\n")
-    assert lines[0] == "stage,L_size,kappa_minus,kappa_plus,ks,verdict"
-    assert lines[1].startswith("0,16,")
-
-
 # ---------------------------------------------------------------------------
 # moment sandwich
 # ---------------------------------------------------------------------------
