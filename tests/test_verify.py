@@ -1,5 +1,6 @@
 """Limit-law verification: KS pipeline, moment sandwich, tail domination."""
 
+import json
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from multisum import (AxisDistribution, DegenerateKernel, EmpiricalDist,
                       squares_minus_corner_family, staircase_set,
                       verify_moment_sandwich, verify_nclt,
                       verify_tail_domination)
+from multisum.cli import main
 
 GAUSS2 = [AxisDistribution("standard_normal")] * 2
 
@@ -144,6 +146,23 @@ def test_irregular_lshape_flagged():
     assert report.verdict == "hypotheses not met"
     assert not report.hypotheses_met
     assert len(report.stages) == 3        # KS still reported
+
+
+def test_report_csv_layout(tmp_path):
+    # the stage table of an nclt report is written by `multisum verify`
+    cfg = {"N": 500, "seed": 1, "distributions": ["standard_normal"] * 2,
+           "index_sets": {"family": "squares", "sizes": [4]},
+           "kernel": {"d": 2, "factors": [{"kind": "hermite", "params": {}}] * 2,
+                      "lambda": [{"k": [1, 1], "w": 1.0}], "orthonormal": True},
+           "verify": {"which": "nclt", "limit_n": 2000}}
+    path = tmp_path / "rect.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    main(["verify", "--config", str(path), "--out", str(out)])
+    manifest = json.loads((out / "manifest.json").read_text())
+    lines = (out / manifest["files"]["stages"]).read_text().strip().split("\n")
+    assert lines[0] == "stage,L_size,kappa_minus,kappa_plus,ks,verdict"
+    assert lines[1].startswith("0,16,")
 
 
 # ---------------------------------------------------------------------------
