@@ -111,10 +111,12 @@ def _require(cfg, key, kind=None):
 
 
 def _typed(cfg, key, kind, default=None):
-    """``cfg[key]`` (or ``default`` when absent), which must be a ``kind`` and not a bool."""
+    """``cfg[key]`` (or ``default`` when absent): a ``kind``, not a bool, and finite if a float."""
     val = cfg.get(key, default)
     if kind is not None and (not isinstance(val, kind) or isinstance(val, bool)):
         raise ConfigError(f"config field '{key}' has the wrong type")
+    if isinstance(val, float) and not math.isfinite(val):
+        raise ConfigError(f"config field '{key}' must be finite")
     return val
 
 
@@ -227,67 +229,54 @@ def _gnuplot_script(csv_name: str, ycol: int, ylabel: str) -> bytes:
 def cmd_verify(cfg, out: OutputSet, workers: int) -> int:
     spec = _require(cfg, "verify", dict)
     which = spec.get("which")
+    if which not in ("nclt", "sandwich", "tail", "parametric"):
+        raise ConfigError("verify.which must be one of nclt | sandwich | tail | parametric")
     rng = RngSpec(cfg["seed"])
     n = _require(cfg, "N", int)
     final_ks = float(_typed(spec, "final_ks", (int, float), 0.05))
     limit_n = _typed(spec, "limit_n", int, 100_000)
+    kernel = (parametric_kernel_from_json(_require(cfg, "parametric_kernel", dict))
+              if which == "parametric" else _load_kernel(cfg))
+    dists = _load_dists(cfg, kernel.d)
+    sets = _load_index_sets(cfg, kernel.d)
 
     if which == "parametric":
-        pk = parametric_kernel_from_json(_require(cfg, "parametric_kernel", dict))
-        dists = _load_dists(cfg, pk.d)
-        sets = _load_index_sets(cfg, pk.d)
         level_spec = spec.get("level", {"kind": "power", "p": 2.0})
         if level_spec["kind"] == "power":
             level = ("power", float(_require(level_spec, "p", (int, float))))
         else:
             level = ("exponential", psi_from_json(level_spec["tau"]))
-        report = check_theorem_8(pk, level, sets, dists, n, rng, limit_n=limit_n,
+        report = check_theorem_8(kernel, level, sets, dists, n, rng, limit_n=limit_n,
                                  final_ks=final_ks, workers=workers)
-        out.add("verdict", "json", _dump_json(report.to_json()))
         prof = report.profile
         out.add("entropy_profile", "csv",
                 _csv("epsilon,N,H", zip(prof.eps, prof.counts, prof.entropy)))
-        if math.isinf(report.hypotheses["entropy_integral"]):
-            return EXIT_DIVERGENCE
-        return _VERDICT_EXIT.get(report.verdict, EXIT_FAILED)
-
-    if which not in ("nclt", "sandwich", "tail"):
-        raise ConfigError("verify.which must be one of nclt | sandwich | tail | parametric")
-    kernel = _load_kernel(cfg)
-    dists = _load_dists(cfg, kernel.d)
-    sets = _load_index_sets(cfg, kernel.d)
-
-    if which == "nclt":
+    elif which == "nclt":
         report = verify_nclt(kernel, dists, sets, n, rng, limit_n=limit_n,
                              final_ks=final_ks, workers=workers)
         csv_name = out.add("stages", "csv", _csv(
             "stage,L_size,kappa_minus,kappa_plus,ks,verdict",
             ((r["stage"], r["L_size"], r["kappa_minus"], r["kappa_plus"], r["ks"], report.verdict)
              for r in report.stages)))
-        out.add("verdict", "json", _dump_json(report.to_json()))
         out.add("plot", "gp", _gnuplot_script(csv_name, 5, "KS distance"))
-        return _VERDICT_EXIT.get(report.verdict, EXIT_FAILED)
-
-    if which == "sandwich":
+    elif which == "sandwich":
         p_grid = _floats(_require(cfg, "p_grid", list), "p_grid")
         report = verify_moment_sandwich(kernel, dists, sets, p_grid, n, rng, workers=workers)
-        out.add("verdict", "json", _dump_json(report.to_json()))
         csv_name = out.add("sandwich", "csv", _csv(
             "p,lower,empirical,empirical_se,upper",
             zip(report.p_grid, report.lower, report.empirical, report.empirical_se, report.upper)))
         out.add("plot", "gp", _gnuplot_script(csv_name, 3, "|S_L|_p"))
-        return EXIT_OK if report.passed else EXIT_FAILED
-
-    p_grid = cfg.get("p_grid") or list(np.geomspace(2.0, 64.0, 25))
-    composite = natural_composite(kernel, dists, _floats(p_grid, "p_grid"))
-    report = verify_tail_domination(kernel, dists, sets, composite, n, rng,
-                                    workers=workers)
+    else:
+        p_grid = _typed(cfg, "p_grid", list, np.geomspace(2.0, 64.0, 25).tolist())
+        composite = natural_composite(kernel, dists, _floats(p_grid, "p_grid"))
+        report = verify_tail_domination(kernel, dists, sets, composite, n, rng,
+                                        workers=workers)
+        csv_name = out.add("tailbound", "csv", _csv("y,bound", zip(report.y_grid, report.bounds)))
+        out.add("plot", "gp", _gnuplot_script(csv_name, 2, "tail bound"))
     out.add("verdict", "json", _dump_json(report.to_json()))
-    csv_name = out.add("tailbound", "csv", _csv("y,bound", zip(report.y_grid, report.bounds)))
-    out.add("plot", "gp", _gnuplot_script(csv_name, 2, "tail bound"))
-    if not any(row["probed_points"] for row in report.rows):
-        return EXIT_HYPOTHESES      # no level reached the estimability floor: nothing was checked
-    return EXIT_OK if report.dominated else EXIT_FAILED
+    if which == "parametric" and math.isinf(report.hypotheses["entropy_integral"]):
+        return EXIT_DIVERGENCE
+    return _VERDICT_EXIT.get(report.verdict, EXIT_FAILED)
 
 
 def cmd_psi(cfg, out: OutputSet, workers: int) -> int:

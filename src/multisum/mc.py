@@ -42,7 +42,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln, ndtri
 
 from .index_sets import IndexSet
-from .kernels import _lp_norm, quadrature_rule
+from .kernels import _lp_norm, kernel_to_json, quadrature_rule
 
 __all__ = [
     "RngSpec",
@@ -367,7 +367,6 @@ def _provenance(kind, kernel, L, dists, n, seed) -> str:
     The payload names the index set by its JSON, which lists an explicit
     set's boxes, so the hash costs O(boxes) whatever ``|L|``.
     """
-    from .kernels import kernel_to_json
     payload = {
         "kind": kind,
         "kernel": kernel_to_json(kernel) if hasattr(kernel, "factors") else kernel,

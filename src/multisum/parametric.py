@@ -25,13 +25,13 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .kernels import DegenerateKernel, _multi_indices, kernel_to_json
+from .kernels import DegenerateKernel, _multi_indices, kernel_from_json, kernel_to_json
 from .mc import (EmpiricalDist, RngSpec, _limit_field, _sum_field,
                  _weight_columns, empirical_moment)
 from .psi import PsiFunction, _golden_max
 from .rosenthal import rosenthal_K
-from .verify import (_axis_moment_max, _ks_verdict, _require_orthonormal, ks_critical,
-                     ks_distance)
+from .verify import (_axis_moment_max, _ks_verdict, _require_orthonormal, _verdict,
+                     ks_critical, ks_distance)
 
 __all__ = [
     "ParametricKernel",
@@ -359,9 +359,12 @@ def check_theorem_8(pk: ParametricKernel, level, L_family, dists, N: int,
     shared-beta limit field and checks the sup-field moment against its
     majorant times ``_SUP_MOMENT_BUDGET``.  ``G`` is the product over axes of
     the worst used factor moment under the sampling laws.  As for
-    ``verify_nclt``, the factors must be orthonormal.
+    ``verify_nclt``, the factors must be orthonormal and the family nonempty.
     """
     _require_orthonormal(pk)
+    L_family = list(L_family)
+    if not L_family:
+        raise ValueError("empty family")
     kind, arg = level
     eps_grid = np.geomspace(1.0, 1e-4, 64)
     sigma = sigma_lambda(pk)
@@ -400,13 +403,9 @@ def check_theorem_8(pk: ParametricKernel, level, L_family, dists, N: int,
     sup_ok = bool(emp_sup <= _SUP_MOMENT_BUDGET * majorant + 3 * emp_se)
     sup_report = {"p": p_ref, "empirical": emp_sup, "se": emp_se, "majorant": majorant,
                   "budget": _SUP_MOMENT_BUDGET, "passed": sup_ok}
-    if not met:
-        verdict = "hypotheses not met"
-    else:
-        verdict = "pass" if (ks_ok and sup_ok) else "fail"
     return Theorem8Report(level=kind, hypotheses=hyp, hypotheses_met=met,
                           stages=tuple(stages), sup_moment=sup_report,
-                          verdict=verdict, profile=profile)
+                          verdict=_verdict(met, ks_ok and sup_ok), profile=profile)
 
 
 # ---------------------------------------------------------------------------
@@ -429,10 +428,9 @@ def parametric_kernel_to_json(pk: ParametricKernel) -> dict:
 
 
 def parametric_kernel_from_json(obj: dict) -> ParametricKernel:
-    from .kernels import kernel_from_json
     points = np.array([row["coords"] for row in obj["V"]], dtype=float)
     nv = points.shape[0]
-    shell = kernel_from_json({"d": len(obj["lambda"][0]["k"]),
+    shell = kernel_from_json({"d": len(obj["factors"]),
                               "factors": obj["factors"],
                               "lambda": [], "orthonormal": obj.get("orthonormal", False)})
     lam = {}

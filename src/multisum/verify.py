@@ -88,6 +88,11 @@ def _require_orthonormal(kernel):
         raise ValueError("degenerate limit: sum lambda^2 must be positive")
 
 
+def _verdict(met: bool, ok: bool) -> str:
+    """The one verdict rule: "hypotheses not met" unless ``met``, else "pass" or "fail"."""
+    return ("pass" if ok else "fail") if met else "hypotheses not met"
+
+
 def _ks_verdict(ks, crit, final_ks):
     """KS sequence nonincreasing within twice the critical value, last stage below final_ks."""
     nonincreasing = all(b <= a + 2.0 * crit for a, b in zip(ks, ks[1:]))
@@ -124,11 +129,7 @@ def verify_nclt(kernel: DegenerateKernel, dists, sets, N: int, rng: RngSpec, *,
             "ks": ks_distance(dist, limit),
         })
     crit = ks_critical(N, limit_n)
-    if not cond.hypotheses_met:
-        verdict = "hypotheses not met"
-    else:
-        ok = _ks_verdict([r["ks"] for r in rows], crit, final_ks)
-        verdict = "pass" if ok else "fail"
+    verdict = _verdict(cond.hypotheses_met, _ks_verdict([r["ks"] for r in rows], crit, final_ks))
     return ConvergenceReport(
         description=f"|L| in {[L.size for L in sets]}",
         stages=tuple(rows), verdict=verdict,
@@ -150,7 +151,7 @@ class SandwichReport:
     empirical: tuple
     empirical_se: tuple
     upper: tuple
-    passed: bool
+    verdict: str             # pass | fail | hypotheses not met (an empty p-grid)
     shape_fits: dict         # log-log slopes of the two envelopes, see _shape_fits
 
     def ratios(self):
@@ -226,7 +227,8 @@ def verify_moment_sandwich(kernel: DegenerateKernel, dists, L_list, p_grid,
     Lower and upper bounds are the rank-one envelope (``_rank_one_envelope``).
     Empirical: the max over the supplied index sets of the simulated moment.
     Pass means lower <= empirical + 3 SE and empirical <= upper + 3 SE
-    pointwise on the p-grid.  The report also carries the envelopes' shape
+    pointwise on the p-grid; an empty p-grid checks nothing, so its verdict
+    is "hypotheses not met".  The report also carries the envelopes' shape
     fits, whose expected slopes are d (lower) and 2d (upper).
     """
     if len(kernel.lam) != 1:
@@ -243,10 +245,10 @@ def verify_moment_sandwich(kernel: DegenerateKernel, dists, L_list, p_grid,
         best = max(range(len(ests)), key=lambda i: ests[i][0])
         emp.append(ests[best][0])
         emp_se.append(ests[best][1])
-    passed = all(l <= e + 3 * se and e <= u + 3 * se
-                 for l, e, se, u in zip(lower, emp, emp_se, upper))
+    ok = all(l <= e + 3 * se and e <= u + 3 * se
+             for l, e, se, u in zip(lower, emp, emp_se, upper))
     return SandwichReport(tuple(p_grid), tuple(lower), tuple(emp),
-                          tuple(emp_se), tuple(upper), passed,
+                          tuple(emp_se), tuple(upper), _verdict(len(lower) > 0, ok),
                           _shape_fits(kernel, dists))
 
 
@@ -265,13 +267,10 @@ class TailDominationReport:
     estimability_floor: float
     violations: int
     min_margin: float        # min over probed points of bound / empirical tail
-
-    @property
-    def dominated(self) -> bool:
-        return self.violations == 0
+    verdict: str             # pass | fail | hypotheses not met (no level probed)
 
     def to_json(self) -> dict:
-        out = dict(asdict(self), dominated=self.dominated)
+        out = asdict(self)
         del out["bounds"]
         return out
 
@@ -284,8 +283,8 @@ def natural_composite(kernel: DegenerateKernel, dists, p_grid) -> PsiFunction:
     functions and the d-th power of the Rosenthal function.
     """
     p_grid = np.asarray(p_grid, dtype=float)
-    if p_grid[0] < 2.0:
-        raise ValueError("composite bounds live on p >= 2")
+    if not p_grid.size or p_grid[0] < 2.0:
+        raise ValueError("composite bounds live on a nonempty p-grid with p >= 2")
     table = np.array([_axis_moment_max(kernel, dists, p) for p in p_grid])
     factors = [tabulated_psi(p_grid, table[:, axis]) for axis in range(kernel.d)]
     return rosenthal_scaled(product_of(factors), kernel.d)
@@ -300,7 +299,7 @@ def verify_tail_domination(kernel: DegenerateKernel, dists, L_list,
     majorizes the GLS norm of every S_L).  The levels are 40 geometric steps
     from the bound's validity threshold to the largest simulated value; a
     level is probed wherever the empirical tail is at least 10/N, the
-    estimability floor.
+    estimability floor.  With no level probed the verdict is "hypotheses not met".
     """
     norm = kernel.lambda_l1
     tb = TailBound(gls_norm=norm, psi=psi_composite)
@@ -339,4 +338,5 @@ def verify_tail_domination(kernel: DegenerateKernel, dists, L_list,
         rows=tuple(rows),
         estimability_floor=floor,
         violations=violations,
-        min_margin=min_margin)
+        min_margin=min_margin,
+        verdict=_verdict(any(row["probed_points"] for row in rows), violations == 0))

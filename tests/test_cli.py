@@ -309,7 +309,7 @@ def test_verify_poisson_sandwich_shape_fits(tmp_path):
     assert code == 0
     manifest = json.loads((out / "manifest.json").read_text())
     verdict = json.loads((out / manifest["files"]["verdict"]).read_text())
-    assert verdict["passed"]
+    assert verdict["verdict"] == "pass"
     fits = verdict["shape_fits"]
     assert fits["expected_lower_slope"] == 2.0
     assert fits["expected_upper_slope"] == 4.0
@@ -322,23 +322,61 @@ def test_verify_tail_dominates(tmp_path):
     assert code == 0
     manifest = json.loads((out / "manifest.json").read_text())
     verdict = json.loads((out / manifest["files"]["verdict"]).read_text())
-    assert verdict["dominated"]
+    assert verdict["verdict"] == "pass"
     assert verdict["violations"] == 0
 
 
-def test_verify_tail_probing_no_level_exits_3(tmp_path):
+def _wide_tail_config():
     # 20 terms of weight 0.1: the bound starts at e * sum|lambda| ~ 5.4, about
     # 12 standard deviations out, so no level reaches the estimability floor
     cfg = json.loads((CONFIG_DIR / "tail_gauss.json").read_text())
     cfg["N"] = 2000
     cfg["kernel"]["lambda"] = [{"k": [k, k], "w": 0.1} for k in range(1, 21)]
+    return cfg
+
+
+def test_verify_tail_probing_no_level_exits_3(tmp_path):
     path = tmp_path / "wide.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(_wide_tail_config()))
     code, out = run_cmd(tmp_path, "verify", path)
     assert code == 3
     manifest = json.loads((out / "manifest.json").read_text())
     verdict = json.loads((out / manifest["files"]["verdict"]).read_text())
     assert [row["probed_points"] for row in verdict["rows"]] == [0, 0]
+    assert verdict["verdict"] == "hypotheses not met"
+
+
+def test_verify_tail_empty_p_grid_exits_2(tmp_path, capsys):
+    # an explicit empty grid once fell back to the default grid and exited 0
+    cfg = json.loads((CONFIG_DIR / "tail_gauss.json").read_text())
+    cfg["p_grid"] = []
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(cfg))
+    code, _ = run_cmd(tmp_path, "verify", path)
+    assert code == 2
+    assert "p-grid" in json.loads(capsys.readouterr().err)["error"]
+
+
+def _verify_cases():
+    """Every verify demo config, plus variants that reach the other verdicts."""
+    cases = {p.stem: json.loads(p.read_text()) for p in sorted(CONFIG_DIR.glob("*.json"))}
+    cases = {name: cfg for name, cfg in cases.items() if "verify" in cfg}
+    cases["tail-no-level-probed"] = _wide_tail_config()
+    cases["sandwich-empty-p_grid"] = dict(cases["poisson_9c"], p_grid=[])
+    strict = json.loads((CONFIG_DIR / "gauss_rank1.json").read_text())
+    strict["verify"]["final_ks"] = 1e-6
+    cases["nclt-strict"] = strict
+    return [pytest.param(cfg, id=name) for name, cfg in sorted(cases.items())]
+
+
+@pytest.mark.parametrize("cfg", _verify_cases())
+def test_verify_exit_code_follows_the_verdict(tmp_path, cfg):
+    path = tmp_path / "verify.json"
+    path.write_text(json.dumps(cfg))
+    code, out = run_cmd(tmp_path, "verify", path)
+    manifest = json.loads((out / "manifest.json").read_text())
+    verdict = json.loads((out / manifest["files"]["verdict"]).read_text())
+    assert code == {"pass": 0, "hypotheses not met": 3, "fail": 5}[verdict["verdict"]]
 
 
 @pytest.mark.parametrize("config, key", [("gauss_rank1.json", "kernel"),
@@ -374,6 +412,22 @@ def test_verify_parametric_point_index_out_of_range_exits_2(tmp_path, capsys, v_
     assert "v_index" in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize("path, value", [
+    (("parametric_kernel", "lambda"), []),
+    (("index_sets", "sizes"), []),
+], ids=["lambda", "sizes"])
+def test_verify_parametric_empty_input_exits_2(tmp_path, capsys, path, value):
+    # each once ended in an uncaught IndexError (exit 1)
+    cfg = json.loads((CONFIG_DIR / "parametric_power.json").read_text())
+    section, key = path
+    cfg[section][key] = value
+    bad = tmp_path / "field.json"
+    bad.write_text(json.dumps(cfg))
+    code, _ = run_cmd(tmp_path, "verify", bad)
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"]
+
+
 @pytest.mark.parametrize("value", [5_000.5, 5_000.0, True],
                          ids=["fractional", "float", "bool"])
 def test_verify_non_integer_limit_n_exits_2(tmp_path, capsys, value):
@@ -401,6 +455,11 @@ def test_verify_non_integer_limit_n_exits_2(tmp_path, capsys, value):
         "gls_norm", "psi-p_grid", "x_grid", "y_grid"])
 def test_bool_config_number_exits_2(tmp_path, capsys, command, config, path, value):
     # a bool once read as 1.0: final_ks true made any KS trajectory pass
+    _assert_field_rejected(tmp_path, capsys, command, config, path, value)
+
+
+def _assert_field_rejected(tmp_path, capsys, command, config, path, value):
+    """Setting ``path`` in the demo ``config`` to ``value`` exits 2 with an error naming it."""
     cfg = json.loads((CONFIG_DIR / config).read_text())
     *parents, key = path
     node = cfg
@@ -412,6 +471,20 @@ def test_bool_config_number_exits_2(tmp_path, capsys, command, config, path, val
     code, _ = run_cmd(tmp_path, command, bad)
     assert code == 2
     assert key in json.loads(capsys.readouterr().err)["error"]
+
+
+@pytest.mark.parametrize("command, config, path, value", [
+    ("bound", "bound_rank1.json", ("p_grid",), [math.nan]),
+    ("bound", "bound_rank1.json", ("p_grid",), [2.0, math.inf]),
+    ("psi", "psi_tables.json", ("psi", "x_grid"), [1.0, math.nan]),
+    ("psi", "psi_tables.json", ("psi", "gls_norm"), math.inf),
+    ("verify", "gauss_rank1.json", ("verify", "final_ks"), math.inf),
+    ("verify", "tail_gauss.json", ("p_grid",), [2.0, 4.0, math.inf]),
+], ids=["bound-p_grid-nan", "bound-p_grid-inf", "x_grid-nan", "gls_norm-inf", "final_ks-inf",
+        "tail-p_grid-inf"])
+def test_non_finite_config_number_exits_2(tmp_path, capsys, command, config, path, value):
+    # JSON NaN and Infinity parse as floats: a NaN p_grid once wrote a NaN in every row
+    _assert_field_rejected(tmp_path, capsys, command, config, path, value)
 
 
 # ---------------------------------------------------------------------------

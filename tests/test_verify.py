@@ -173,7 +173,7 @@ def test_report_csv_layout(tmp_path):
 def test_sandwich_single_cell_product():
     report = verify_moment_sandwich(gauss_rank1(), GAUSS2, [make_rect([1, 1])],
                                     [2.0, 3.0, 4.0], 40_000, RngSpec(37))
-    assert report.passed
+    assert report.verdict == "pass"
     for p, lo, emp, se in zip(report.p_grid, report.lower, report.empirical,
                               report.empirical_se):
         assert abs(emp - lo) <= 3 * se    # independence product, exact at |L| = 1
@@ -186,7 +186,7 @@ def test_sandwich_p2_orthonormal_all_one():
     assert report.lower[0] == pytest.approx(1.0, rel=1e-10)
     assert report.upper[0] == pytest.approx(1.0, rel=1e-10)
     assert abs(report.empirical[0] - 1.0) <= 3 * report.empirical_se[0]
-    assert report.passed
+    assert report.verdict == "pass"
 
 
 def test_sandwich_rejects_higher_rank():
@@ -231,7 +231,7 @@ def test_tail_domination_gaussian_rank1():
     sets = [make_rect([1, 1]), make_rect([4, 4]), staircase_set([4, 3, 2])]
     report = verify_tail_domination(kernel, GAUSS2, sets, composite,
                                     30_000, RngSpec(47))
-    assert report.dominated
+    assert report.verdict == "pass"
     assert report.min_margin >= 1.0
 
 
@@ -252,7 +252,7 @@ def test_tail_domination_log_weibull_two_sided():
     sets = [make_rect([1, 1]), make_rect([3, 3])]
     report = verify_tail_domination(kernel, dists, sets, composite,
                                     30_000, RngSpec(53))
-    assert report.dominated
+    assert report.verdict == "pass"
     # lower envelope at |L| = 1: the empirical tail must cross above
     # exp(-C6 ln(1+y)^(1+1/beta)) for a large C6 somewhere on the grid
     sim = EmpiricalDist(np.abs(
