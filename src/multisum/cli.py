@@ -136,6 +136,15 @@ def _load_dists(cfg, d):
     return [axis_distribution_from_json(s) for s in spec]
 
 
+def _load_level(spec):
+    """The parametric ``level`` object as ``("power", p)`` or ``("exponential", tau)``."""
+    if not isinstance(spec, dict) or spec.get("kind") not in ("power", "exponential"):
+        raise ConfigError("verify.level needs 'kind' power | exponential")
+    if spec["kind"] == "power":
+        return ("power", float(_require(spec, "p", (int, float))))
+    return ("exponential", psi_from_json(_require(spec, "tau", (dict, str))))
+
+
 def _load_index_sets(cfg, d):
     """The config's index sets; ``squares`` and ``boxes`` are cubes in dimension d."""
     spec = _require(cfg, "index_sets", dict)
@@ -241,11 +250,7 @@ def cmd_verify(cfg, out: OutputSet, workers: int) -> int:
     sets = _load_index_sets(cfg, kernel.d)
 
     if which == "parametric":
-        level_spec = spec.get("level", {"kind": "power", "p": 2.0})
-        if level_spec["kind"] == "power":
-            level = ("power", float(_require(level_spec, "p", (int, float))))
-        else:
-            level = ("exponential", psi_from_json(level_spec["tau"]))
+        level = _load_level(spec.get("level", {"kind": "power", "p": 2.0}))
         report = check_theorem_8(kernel, level, sets, dists, n, rng, limit_n=limit_n,
                                  final_ks=final_ks, workers=workers)
         prof = report.profile

@@ -11,6 +11,7 @@ computes them exactly in every dimension.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -292,12 +293,20 @@ def rect_pair(L: IndexSet) -> RectPair:
     step along any axis (the union with its shifted copy would be a larger
     box), so each of its faces lies on a cut, and the heaviest all-true box
     of the interval grid, weighed by interval widths, is a maximum box of L.
+    The grid is filled as a difference array: each box adds ``(-1)**k`` at
+    its corners that take the far face on k axes, and a cumulative sum per
+    axis turns that into the count of boxes over each grid cell.
     """
     lo, end = L.lo, L.hi + 1
     cuts = [np.unique(np.concatenate([lo[:, s], end[:, s]])) for s in range(L.d)]
-    grid = np.zeros([len(c) - 1 for c in cuts], dtype=bool)
-    for a, b in zip(lo, end):
-        grid[tuple(slice(*np.searchsorted(c, (x, y))) for c, x, y in zip(cuts, a, b))] = True
+    faces = [(np.searchsorted(c, lo[:, s]), np.searchsorted(c, end[:, s]))
+             for s, c in enumerate(cuts)]
+    count = np.zeros([len(c) for c in cuts], dtype=np.int32)
+    for corner in itertools.product((0, 1), repeat=L.d):
+        np.add.at(count, tuple(f[k] for f, k in zip(faces, corner)), (-1) ** sum(corner))
+    for s in range(L.d):
+        np.cumsum(count, axis=s, out=count)
+    grid = count[(slice(-1),) * L.d] > 0
     _, i, j = _best_box(grid, [np.diff(c) for c in cuts])
     inner = Rect(tuple(int(c[k]) for c, k in zip(cuts, i)),
                  tuple(int(c[k + 1]) - 1 for c, k in zip(cuts, j)))

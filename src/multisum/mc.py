@@ -200,7 +200,6 @@ class EmpiricalDist:
         v = np.sort(np.asarray(self.values, dtype=float))
         if v.size < 1:
             raise ValueError("need at least one replication")
-        v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -381,12 +380,16 @@ def _provenance(kind, kernel, L, dists, n, seed) -> str:
 def _run_blocks(batch, N, nv, workers, floats_per_rep):
     """(N, nv) matrix assembled from ``batch(start, count)`` blocks of shape (nv, count).
 
+    The blocks fill an (nv, N) array, one row per weight vector, and the
+    result is its transposed view: column ``v`` of the result is contiguous,
+    so a per-point distribution sorts it without a strided gather.
+
     Worker chunks partition the replications in order; within a chunk a
     block holds as many replications as fit the float budget, given what one
     replication's block holds, so peak memory follows the real footprint.
     """
     block_cap = max(1, _BLOCK_BUDGET // floats_per_rep)
-    out = np.empty((N, nv))
+    out = np.empty((nv, N))
     edges = np.linspace(0, N, num=max(1, int(workers)) + 1, dtype=int)
     chunks = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
@@ -394,7 +397,7 @@ def _run_blocks(batch, N, nv, workers, floats_per_rep):
         a, b = bounds
         for start in range(a, b, block_cap):
             count = min(block_cap, b - start)
-            out[start:start + count] = batch(start, count).T
+            out[:, start:start + count] = batch(start, count)
 
     if len(chunks) <= 1:
         for c in chunks:
@@ -402,7 +405,7 @@ def _run_blocks(batch, N, nv, workers, floats_per_rep):
     else:
         with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
             list(pool.map(run_chunk, chunks))
-    return out
+    return out.T
 
 
 def _sum_field(factors, lam, nv, L, dists, N, rng, workers) -> np.ndarray:

@@ -319,7 +319,11 @@ def simulate_Q_L(pk: ParametricKernel, L, dists, N: int, rng: RngSpec,
 
 
 def sample_Q_infty(pk: ParametricKernel, N: int, rng: RngSpec, workers: int = 1):
-    """Per-point limit samples sharing betas across v within each replication."""
+    """Per-point limit samples sharing betas across v within each replication.
+
+    The result has shape (N, |V|); each column ``[:, v]`` is contiguous, the
+    rows of its transpose being the per-point samples.
+    """
     return _limit_field(_weight_columns(pk.lam), pk.n_points, pk.d, N, rng, workers)
 
 
@@ -387,8 +391,8 @@ def check_theorem_8(pk: ParametricKernel, level, L_family, dists, N: int,
         met = math.isfinite(sigma) and not integral.diverged
         majorant = float(tau(p_ref)) * (sigma + integral.value)
 
-    limit_mat = sample_Q_infty(pk, limit_n, rng.child(997), workers)
-    limit_dists = [EmpiricalDist(limit_mat[:, v]) for v in range(pk.n_points)]
+    limit_dists = [EmpiricalDist(row)
+                   for row in sample_Q_infty(pk, limit_n, rng.child(997), workers).T]
     crit = ks_critical(N, limit_n)
     stages = []
     sup_final = None

@@ -45,6 +45,10 @@ def ks_distance(a: EmpiricalDist, b: EmpiricalDist) -> float:
     and the other CDF is monotone, so the sup is reached at the two ends of
     each step (or before the first), and those ends evaluate the same float
     expression as the sample points they stand for.
+
+    One binary search per step counts the ``y`` below it.  The count up to
+    and including the step is the same when the next ``y`` is larger; only
+    the other steps (a tie, a NaN, or no larger ``y``) are searched again.
     """
     x, y = a.values, b.values
     if x.size > y.size:
@@ -54,7 +58,10 @@ def ks_distance(a: EmpiricalDist, b: EmpiricalDist) -> float:
     steps = x[last]
     fx = (last + 1) / n
     below = np.searchsorted(y, steps, side="left")
-    at_step = np.abs(fx - np.searchsorted(y, steps, side="right") / m)
+    upto = below.copy()
+    tie = ~(y[np.minimum(below, m - 1)] > steps)
+    upto[tie] = np.searchsorted(y, steps[tie], side="right")
+    at_step = np.abs(fx - upto / m)
     before_next = np.abs(fx[:-1] - below[1:] / m)
     return float(max(at_step.max(), before_next.max(initial=0.0), below[0] / m))
 

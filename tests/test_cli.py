@@ -428,6 +428,25 @@ def test_verify_parametric_empty_input_exits_2(tmp_path, capsys, path, value):
     assert json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize("level, named", [
+    ({"kind": "powr", "tau": {"family": "power_log", "params": {"m": 2, "r": 0}}},
+     "power | exponential"),
+    ({"p": 2.0}, "power | exponential"),
+    ({"kind": "exponential"}, "tau"),
+    ("power", "power | exponential"),
+], ids=["misspelt_kind", "missing_kind", "missing_tau", "not_an_object"])
+def test_verify_parametric_bad_level_exits_2(tmp_path, capsys, level, named):
+    # a misspelt kind was once checked silently as the exponential level
+    cfg = json.loads((CONFIG_DIR / "parametric_power.json").read_text())
+    cfg["verify"]["level"] = level
+    bad = tmp_path / "field.json"
+    bad.write_text(json.dumps(cfg))
+    code, out = run_cmd(tmp_path, "verify", bad)
+    assert code == 2
+    assert named in json.loads(capsys.readouterr().err)["error"]
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("value", [5_000.5, 5_000.0, True],
                          ids=["fractional", "float", "bool"])
 def test_verify_non_integer_limit_n_exits_2(tmp_path, capsys, value):

@@ -20,6 +20,7 @@ from multisum import (AxisDistribution, DegenerateKernel, EmpiricalDist,
                       naive_S_L, sample_S_infty, save_empirical, simulate_Q_L,
                       simulate_S_L, staircase_set)
 from multisum import mc
+from multisum.parametric import sample_Q_infty
 from test_box_contraction import shaped_sets
 
 GAUSS = [AxisDistribution("standard_normal")] * 2
@@ -67,16 +68,32 @@ def field_runs(draw):
 def test_worker_and_block_size_invariance(run, budget):
     pk, L, N, seed = run
     base_S = simulate_S_L(pk.slice_kernel(0), L, FIELD_DISTS, N, RngSpec(seed)).values
-    base_Q = np.stack([d.values for d in simulate_Q_L(pk, L, FIELD_DISTS, N, RngSpec(seed))[0]])
+    base_Q, base_sup = simulate_Q_L(pk, L, FIELD_DISTS, N, RngSpec(seed))
+    base_Q = np.stack([d.values for d in base_Q])
     # a budget of a few floats forces blocks of one or a few replications; then
     # a cache-sized budget and the default
     for size in (budget, 1 << 17, mc._BLOCK_BUDGET):
         with mock.patch.object(mc, "_BLOCK_BUDGET", size):
             for workers in (1, 2, 3):
                 S = simulate_S_L(pk.slice_kernel(0), L, FIELD_DISTS, N, RngSpec(seed), workers)
-                Q, _ = simulate_Q_L(pk, L, FIELD_DISTS, N, RngSpec(seed), workers)
+                Q, sup = simulate_Q_L(pk, L, FIELD_DISTS, N, RngSpec(seed), workers)
                 assert np.array_equal(S.values, base_S)
                 assert np.array_equal(np.stack([d.values for d in Q]), base_Q)
+                assert np.array_equal(sup.values, base_sup.values)
+
+
+@pytest.mark.parametrize("budget", [5, 1 << 17], ids=["one_rep_blocks", "cache_sized"])
+def test_limit_field_worker_and_block_size_invariance(budget):
+    pk = ParametricKernel(np.arange(3)[:, None],
+                          {(1, 1): np.array([1.0, 0.5, -0.3]),
+                           (2, 3): np.array([0.0, 0.8, 0.6])},
+                          [FactorFamily("hermite")] * 2, orthonormal=True)
+    base = sample_Q_infty(pk, 300, RngSpec(17))
+    assert base.shape == (300, 3)
+    assert all(base[:, v].flags.c_contiguous for v in range(3))
+    with mock.patch.object(mc, "_BLOCK_BUDGET", budget):
+        for workers in (1, 2, 3):
+            assert np.array_equal(sample_Q_infty(pk, 300, RngSpec(17), workers), base)
 
 
 def test_single_replication_reproducible():

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
@@ -68,6 +68,12 @@ ks_samples = st.one_of(
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(ks_samples, ks_samples)
+@example(EmpiricalDist(np.array([-np.inf, 0.0, np.inf])),             # infinite steps
+         EmpiricalDist(np.array([-np.inf, -1.0, 0.5, np.inf, np.inf])))
+@example(EmpiricalDist(np.array([0.0, 2.0])),                         # tie at y's top
+         EmpiricalDist(np.array([1.0, 2.0, 2.0])))
+@example(EmpiricalDist(np.array([0.0, np.nan])),                      # NaN step, sorted last
+         EmpiricalDist(np.array([1.0, np.nan, np.nan])))
 def test_ks_distance_equals_reference_bit_for_bit(a, b):
     assert ks_distance(a, b) == ks_reference(a, b)
     assert ks_distance(b, a) == ks_reference(b, a)
