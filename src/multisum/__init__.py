@@ -7,7 +7,7 @@ from .psi import (PsiFunction, MomentCurve, TailBound, SupportError,
                   gls_norm, natural_psi, young_fenchel,
                   tail_bound_eval, psi_to_json, psi_from_json)
 from .rosenthal import (ROSENTHAL_CONSTANT, ROSENTHAL_ARGMAX_P, rosenthal_K,
-                        trivial_bound, klesov_bound, dp_quasinorm,
+                        trivial_bound, dp_quasinorm,
                         theorem_W_bound, BoundReport)
 from .kernels import (FactorFamily, DegenerateKernel, TabulatedKernel,
                       tabulated_family, kernel_to_json, kernel_from_json,
@@ -22,7 +22,7 @@ from .mc import (RngSpec, AxisDistribution, EmpiricalDist, compute_S_L,
 from .verify import (ks_distance, ks_critical, ConvergenceReport,
                      SandwichReport, TailDominationReport, verify_nclt,
                      verify_moment_sandwich, verify_tail_domination,
-                     natural_composite, factor_moment_under)
+                     natural_composite)
 from .parametric import (ParametricKernel, EntropyProfile, IntegralResult,
                          sigma_lambda, rho_lambda, covering_profile,
                          entropy_integral_power, entropy_integral_exp,

@@ -29,8 +29,7 @@ from .kernels import kernel_from_json
 from .mc import RngSpec, axis_distribution_from_json, empirical_bytes, simulate_S_L
 from .parametric import check_theorem_8, parametric_kernel_from_json
 from .psi import psi_from_json, young_fenchel, TailBound, tail_bound_eval
-from .rosenthal import (BoundReport, dp_quasinorm, klesov_bound, rosenthal_K,
-                        theorem_W_bound, trivial_bound)
+from .rosenthal import BoundReport, dp_quasinorm, rosenthal_K, theorem_W_bound, trivial_bound
 from .verify import (natural_composite, verify_moment_sandwich, verify_nclt,
                      verify_tail_domination)
 
@@ -41,6 +40,7 @@ EXIT_DIVERGENCE = 4
 EXIT_FAILED = 5
 
 _VERDICT_EXIT = {"pass": EXIT_OK, "hypotheses not met": EXIT_HYPOTHESES}
+_BOUND_ROUTES = ("trivial", "dp_quasinorm", "theorem_W")
 
 
 class ConfigError(ValueError):
@@ -146,20 +146,23 @@ def _load_level(spec):
 
 
 def _load_index_sets(cfg, d):
-    """The config's index sets; ``squares`` and ``boxes`` are cubes in dimension d."""
+    """The config's index sets, at least one; ``squares`` and ``boxes`` are d-cubes."""
     spec = _require(cfg, "index_sets", dict)
-    if "list" in spec:
-        return [index_set_from_json(s) for s in spec["list"]]
+    key = "list" if "list" in spec else "sizes"
     family = spec.get("family")
-    sizes = spec.get("sizes")
-    if family is None or sizes is None:
+    if (key == "sizes" and family is None) or spec.get(key) is None:
         raise ConfigError("index_sets needs either 'list' or 'family' plus 'sizes'")
+    items = _typed(spec, key, list)
+    if not items:
+        raise ConfigError(f"index_sets field '{key}' must be a non-empty list")
+    if key == "list":
+        return [index_set_from_json(s) for s in items]
     if family in ("squares", "boxes"):
-        return [make_rect([n] * d) for n in sizes]
+        return [make_rect([n] * d) for n in items]
     if family == "squares_minus_corner":
-        return squares_minus_corner_family(sizes)
+        return squares_minus_corner_family(items)
     if family == "lshape_fixed_fraction":
-        return lshape_family(sizes, float(_typed(spec, "fraction", (int, float), 0.5)))
+        return lshape_family(items, float(_typed(spec, "fraction", (int, float), 0.5)))
     raise ConfigError(f"unknown index set family '{family}'")
 
 
@@ -172,7 +175,12 @@ def cmd_bound(cfg, out: OutputSet, workers: int) -> int:
     kernel = _load_kernel(cfg)
     spec = _require(cfg, "bound", dict)
     p_grid = _floats(_require(cfg, "p_grid", list), "p_grid")
-    routes = spec.get("routes", ["klesov_product"])
+    if not p_grid:
+        raise ConfigError("config field 'p_grid' must be a non-empty list")
+    routes = _typed(spec, "routes", list, ["dp_quasinorm"])
+    if not routes or any(route not in _BOUND_ROUTES for route in routes):
+        raise ConfigError("config field 'routes' must be a non-empty list of "
+                          + " | ".join(_BOUND_ROUTES))
     l_size = _typed(spec, "L_size", int, 1)
     m_max = _typed(spec, "M_max", int, max(kernel.M, 1))
     reports = []
@@ -180,20 +188,11 @@ def cmd_bound(cfg, out: OutputSet, workers: int) -> int:
         for route in routes:
             if route == "trivial":
                 rep = BoundReport(p, trivial_bound(kernel.moment(p), p, l_size), "trivial")
-            elif route == "klesov_product":
-                if len(kernel.lam) != 1:
-                    raise ConfigError("klesov_product route needs a rank-one kernel")
-                (kvec, w), = kernel.lam.items()
-                moments = [kernel.factor_moment(axis, k, p)
-                           for axis, k in enumerate(kvec)]
-                rep = BoundReport(p, abs(w) * klesov_bound(moments, p), "klesov_product")
             elif route == "dp_quasinorm":
                 val = rosenthal_K(p) ** kernel.d * dp_quasinorm(kernel, p)
                 rep = BoundReport(p, val, "dp_quasinorm")
-            elif route == "theorem_W":
-                rep = theorem_W_bound(kernel, p, l_size, m_max)
             else:
-                raise ConfigError(f"unknown bound route '{route}'")
+                rep = theorem_W_bound(kernel, p, l_size, m_max)
             reports.append(rep)
     out.add("bounds", "csv", _csv("p,route,M_star,value", (
         (r.p, r.route, "" if r.m_star is None else r.m_star, r.bound_value) for r in reports)))

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -228,10 +228,21 @@ class FactorFamily:
             out[k] = row
         return out
 
-    def moment(self, k: int, p: float) -> float:
-        """``|g_k|_p`` by quadrature against the family's base measure."""
-        x, w = self.rule
-        return _lp_norm([(self.evaluate(k, x), [np.log(w)])], p)
+    def moment(self, k: int, p: float, law=None) -> float:
+        """``|g_k(xi)|_p`` when xi follows ``law``, an ``AxisDistribution``.
+
+        Quadrature against the base measure when ``law`` is None or is the
+        family's canonical base; the k = 1 member of every analytic family is
+        the identity, so any law works there through its raw absolute moment.
+        Any other pair has no moment rule and is a ValueError.
+        """
+        if law is None or law.kind == self.canonical_base:
+            x, w = self.rule
+            return _lp_norm([(self.evaluate(k, x), [np.log(w)])], p)
+        if k == 1 and self.canonical_base is not None:
+            return law.identity_moment(p)
+        raise ValueError(
+            f"no moment rule for factor family '{self.kind}' (k={k}) under '{law.kind}'")
 
 
 def tabulated_family(nodes, table, weights) -> FactorFamily:
@@ -263,15 +274,13 @@ class DegenerateKernel:
     """Finite-rank kernel ``sum_k lambda(k) prod_s g_{k_s}(x_s)``.
 
     ``lam`` maps d-tuples of 1-based factor indices to weights; the rank bound
-    M is the largest index component.  Immutable after construction; the
-    moment cache is idempotent and safe under concurrent readers.
+    M is the largest index component.  Immutable after construction.
     """
 
     d: int
     lam: dict
     factors: list
     orthonormal: bool = False
-    _moment_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 1:
@@ -319,12 +328,6 @@ class DegenerateKernel:
                 prod *= cache[key]
             total += prod
         return total
-
-    def factor_moment(self, axis: int, k: int, p: float) -> float:
-        key = (axis, k, float(p))
-        if key not in self._moment_cache:
-            self._moment_cache[key] = self.factors[axis].moment(k, p)
-        return self._moment_cache[key]
 
     def moment(self, p: float, terms: dict | None = None) -> float:
         """``|f(xi)|_p`` by tensor-product quadrature over the canonical bases.
@@ -508,32 +511,29 @@ class TabulatedKernel:
 # ---------------------------------------------------------------------------
 
 
+def _factors_to_json(factors) -> list:
+    """``[{kind, params}]``, one entry per axis; only tabulated factors have params."""
+    return [{"kind": fam.kind,
+             "params": {"nodes": fam.nodes.tolist(), "table": fam.table.tolist(),
+                        "weights": fam.weights.tolist()} if fam.kind == "tabulated" else {}}
+            for fam in factors]
+
+
+def _factors_from_json(entries) -> list:
+    """The factor families of a ``[{kind, params}]`` list, as ``_factors_to_json`` writes it."""
+    return [tabulated_family(e["params"]["nodes"], e["params"]["table"], e["params"]["weights"])
+            if e["kind"] == "tabulated" else FactorFamily(e["kind"]) for e in entries]
+
+
 def kernel_to_json(kernel: DegenerateKernel) -> dict:
     """Schema: {d, factors: [{kind, params}], lambda: [{k, w}], orthonormal}."""
-    factors = []
-    for fam in kernel.factors:
-        entry = {"kind": fam.kind, "params": {}}
-        if fam.kind == "tabulated":
-            entry["params"] = {
-                "nodes": fam.nodes.tolist(),
-                "table": fam.table.tolist(),
-                "weights": fam.weights.tolist(),
-            }
-        factors.append(entry)
     lam = [{"k": list(k), "w": w} for k, w in sorted(kernel.lam.items())]
-    return {"d": kernel.d, "factors": factors, "lambda": lam,
+    return {"d": kernel.d, "factors": _factors_to_json(kernel.factors), "lambda": lam,
             "orthonormal": kernel.orthonormal}
 
 
 def kernel_from_json(obj: dict) -> DegenerateKernel:
-    factors = []
-    for entry in obj["factors"]:
-        kind = entry["kind"]
-        if kind == "tabulated":
-            p = entry["params"]
-            factors.append(tabulated_family(p["nodes"], p["table"], p["weights"]))
-        else:
-            factors.append(FactorFamily(kind))
+    factors = _factors_from_json(obj["factors"])
     lam = {tuple(row["k"]): row["w"] for row in obj["lambda"]}
     return DegenerateKernel(obj["d"], lam, factors,
                             orthonormal=bool(obj.get("orthonormal", False)))

@@ -25,13 +25,13 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .kernels import DegenerateKernel, _multi_indices, kernel_from_json, kernel_to_json
+from .kernels import DegenerateKernel, _factors_from_json, _factors_to_json, _multi_indices
 from .mc import (EmpiricalDist, RngSpec, _limit_field, _sum_field,
                  _weight_columns, empirical_moment)
 from .psi import PsiFunction, _golden_max
 from .rosenthal import rosenthal_K
-from .verify import (_axis_moment_max, _ks_verdict, _require_orthonormal, _verdict,
-                     ks_critical, ks_distance)
+from .verify import (_LIMIT_STREAM, _axis_moment_max, _ks_verdict, _require_orthonormal,
+                     _verdict, ks_critical, ks_distance)
 
 __all__ = [
     "ParametricKernel",
@@ -392,7 +392,7 @@ def check_theorem_8(pk: ParametricKernel, level, L_family, dists, N: int,
         majorant = float(tau(p_ref)) * (sigma + integral.value)
 
     limit_dists = [EmpiricalDist(row)
-                   for row in sample_Q_infty(pk, limit_n, rng.child(997), workers).T]
+                   for row in sample_Q_infty(pk, limit_n, rng.child(_LIMIT_STREAM), workers).T]
     crit = ks_critical(N, limit_n)
     stages = []
     sup_final = None
@@ -418,7 +418,6 @@ def check_theorem_8(pk: ParametricKernel, level, L_family, dists, N: int,
 
 
 def parametric_kernel_to_json(pk: ParametricKernel) -> dict:
-    base = kernel_to_json(pk.slice_kernel(0))
     lam = []
     for kvec in sorted(pk.lam):
         for v in range(pk.n_points):
@@ -426,7 +425,7 @@ def parametric_kernel_to_json(pk: ParametricKernel) -> dict:
     return {
         "V": [{"coords": row.tolist()} for row in pk.points],
         "lambda": lam,
-        "factors": base["factors"],
+        "factors": _factors_to_json(pk.factors),
         "orthonormal": pk.orthonormal,
     }
 
@@ -434,9 +433,7 @@ def parametric_kernel_to_json(pk: ParametricKernel) -> dict:
 def parametric_kernel_from_json(obj: dict) -> ParametricKernel:
     points = np.array([row["coords"] for row in obj["V"]], dtype=float)
     nv = points.shape[0]
-    shell = kernel_from_json({"d": len(obj["factors"]),
-                              "factors": obj["factors"],
-                              "lambda": [], "orthonormal": obj.get("orthonormal", False)})
+    factors = _factors_from_json(obj["factors"])
     lam = {}
     seen = set()
     for row in obj["lambda"]:
@@ -447,5 +444,5 @@ def parametric_kernel_from_json(obj: dict) -> ParametricKernel:
             raise ValueError(f"lambda row (k={list(kvec)}, v_index={v}) is repeated")
         seen.add((kvec, v))
         lam.setdefault(kvec, np.zeros(nv))[v] = row["w"]
-    return ParametricKernel(points, lam, shell.factors,
+    return ParametricKernel(points, lam, factors,
                             orthonormal=bool(obj.get("orthonormal", False)))

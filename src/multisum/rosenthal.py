@@ -1,15 +1,15 @@
 """Moment bounds for normalized multi-indexed sums.
 
-Four routes, from crudest to sharpest:
+Three routes, from crudest to sharpest:
 
 * ``trivial_bound``    -- triangle inequality, grows like ``sqrt(|L|)``.
-* ``klesov_bound``     -- ``K(p)**d`` times the product of factor moments,
-  uniform over every finite index set, for rank-one product kernels.
-* ``dp_quasinorm``     -- the computable surrogate ``sum_k |lambda(k)| *
-  prod_s |g_k|_p`` of the representation quasi-norm; combined with
-  ``K(p)**d`` it bounds any finite-rank kernel.
+* ``dp_quasinorm``     -- the computable surrogate ``D_p = sum_k |lambda(k)| *
+  prod_s |g_k|_p`` of the representation quasi-norm; ``K(p)**d * D_p``
+  bounds any finite-rank kernel uniformly over every finite index set.  The
+  Klesov product bound ``K(p)**d * |w| prod_s |g_s|_p`` is its rank-one case.
 * ``theorem_W_bound``  -- splits an approximable kernel into a rank-M part
-  (Klesov route) plus a residual (trivial route) and minimizes over M.
+  (the ``K(p)**d * D_p`` route) plus a residual (trivial route) and minimizes
+  over M.
 
 The Rosenthal function ``K(p)`` is the constant of the moment inequality for
 normalized sums of centered independent variables: ``K(2) = 1`` exactly, and
@@ -32,7 +32,6 @@ __all__ = [
     "ROSENTHAL_ARGMAX_P",
     "rosenthal_K",
     "trivial_bound",
-    "klesov_bound",
     "dp_quasinorm",
     "theorem_W_bound",
     "BoundReport",
@@ -67,30 +66,23 @@ def trivial_bound(f_moment: float, p: float, L_size: int) -> float:
     return math.sqrt(L_size) * f_moment
 
 
-def klesov_bound(factor_moments, p: float) -> float:
-    """``K(p)**d * prod |g_s|_p`` -- uniform over all finite index sets (rank-one kernels)."""
-    moments = [float(m) for m in factor_moments]
-    if not moments:
-        raise ValueError("need at least one factor moment")
-    if any(m < 0 for m in moments):
-        raise ValueError("factor moments must be nonnegative")
-    return rosenthal_K(p) ** len(moments) * math.prod(moments)
-
-
-def dp_quasinorm(kernel, p: float) -> float:
+def dp_quasinorm(kernel, p: float, laws=None) -> float:
     """Single-representation surrogate ``sum_k |lambda(k)| * prod_s |g_{k_s}|_p``.
 
     The infimum over degenerate representations is not searched; the kernel's
     own representation is used, which always majorizes the true quasi-norm.
+    ``laws``, one ``AxisDistribution`` per axis, takes each factor moment under
+    that axis' law (``FactorFamily.moment``); None takes the base measures.
     """
-    return _dp_sum(_dp_terms(kernel, p))
+    return _dp_sum(_dp_terms(kernel, p, laws))
 
 
-def _dp_terms(kernel, p: float):
+def _dp_terms(kernel, p: float, laws=None):
     """``(largest index, |lambda(k)| * prod_s |g_{k_s}|_p)`` per nonzero term, in ``lam`` order."""
+    laws = [None] * kernel.d if laws is None else laws
     for kvec, w in kernel.lam.items():
         if w != 0.0:
-            moments = (kernel.factor_moment(axis, k, p) for axis, k in enumerate(kvec))
+            moments = (fam.moment(k, p, law) for fam, k, law in zip(kernel.factors, kvec, laws))
             yield max(kvec), abs(w) * math.prod(moments)
 
 
@@ -113,7 +105,7 @@ class BoundReport:
 
     p: float
     bound_value: float
-    route: str                 # trivial | klesov_product | dp_quasinorm | theorem_W
+    route: str                 # trivial | dp_quasinorm | theorem_W
     m_star: int | None = None
     inputs_digest: str = ""
 
@@ -142,8 +134,8 @@ def theorem_W_bound(kernel_family, p: float, L_size: int, M_max: int) -> BoundRe
     Minimizes ``K(p)**d * D_p(Z_M) + sqrt(|L|) * Q_{M,p}`` over ranks
     ``M = 1..M_max``.  The kernel family supplies a degenerate ``head`` whose
     rank-M truncation is ``Z_M``, and ``residual_norm(M, p)``, which is
-    ``Q_{M,p}``; each factor moment of the head is computed once per p, in its
-    own moment cache.  The index-set size enters through the residual
+    ``Q_{M,p}``; the head's ``D_p`` terms are listed once per call and summed
+    up to each rank.  The index-set size enters through the residual
     term only, so the caller supplies it per index set rather than a supremum
     over all of them.  A NaN candidate ends the search and is reported as the
     bound, at its rank, so that it cannot pass for a clean minimum.

@@ -17,10 +17,10 @@ import numpy as np
 
 from .index_sets import nclt_condition_report
 from .kernels import DegenerateKernel
-from .mc import (AxisDistribution, EmpiricalDist, RngSpec, empirical_moment,
-                 empirical_tail, sample_S_infty, simulate_S_L)
+from .mc import (EmpiricalDist, RngSpec, empirical_moment, empirical_tail,
+                 sample_S_infty, simulate_S_L)
 from .psi import PsiFunction, TailBound, product_of, rosenthal_scaled, tabulated_psi
-from .rosenthal import klesov_bound
+from .rosenthal import dp_quasinorm, rosenthal_K
 
 __all__ = [
     "ks_distance",
@@ -31,11 +31,11 @@ __all__ = [
     "verify_nclt",
     "verify_moment_sandwich",
     "verify_tail_domination",
-    "factor_moment_under",
     "natural_composite",
 ]
 
 _KS_ALPHA = 0.01            # level of the KS critical value
+_LIMIT_STREAM = 997         # rng child stream of the chaos-limit draws
 
 
 def ks_distance(a: EmpiricalDist, b: EmpiricalDist) -> float:
@@ -123,7 +123,7 @@ def verify_nclt(kernel: DegenerateKernel, dists, sets, N: int, rng: RngSpec, *,
     _require_orthonormal(kernel)
     sets = list(sets)
     cond = nclt_condition_report(sets)
-    limit = sample_S_infty(kernel.lam, kernel.d, limit_n, rng.child(997), workers)
+    limit = sample_S_infty(kernel.lam, kernel.d, limit_n, rng.child(_LIMIT_STREAM), workers)
     rows = []
     for i, L in enumerate(sets):
         dist = simulate_S_L(kernel, L, dists, N, rng.child(i), workers)
@@ -151,7 +151,7 @@ def verify_nclt(kernel: DegenerateKernel, dists, sets, N: int, rng: RngSpec, *,
 
 @dataclass(frozen=True)
 class SandwichReport:
-    """Lower product bound, empirical supremum over index sets, upper Klesov bound."""
+    """Lower bound ``D_p``, empirical supremum over index sets, upper bound ``K(p)**d * D_p``."""
 
     p_grid: tuple
     lower: tuple
@@ -171,52 +171,26 @@ class SandwichReport:
                     ratio_upper_over_empirical=hi_ratio)
 
 
-def factor_moment_under(dist: AxisDistribution, family, k: int, p: float) -> float:
-    """``|g_k(xi)|_p`` when xi follows ``dist``.
-
-    Exact when the distribution is the family's canonical base; the k = 1
-    member of every analytic family is the identity, so any axis law works
-    there through its raw absolute moment.
-    """
-    if family.canonical_base == dist.kind:
-        return family.moment(k, p)
-    if k == 1 and family.canonical_base is not None:
-        return dist.identity_moment(p)
-    raise ValueError(
-        f"no moment rule for factor family '{family.kind}' (k={k}) under '{dist.kind}'")
-
-
 def _axis_moment_max(kernel, dists, p: float) -> list:
     """Per axis, the largest ``|g_k|_p`` under the sampling law over the factor indices in use.
 
     ``kernel`` is anything with ``d``, per-axis ``factors`` and ``lam`` keyed
     by multi-indices: a degenerate or a parametric kernel.
     """
-    return [max(factor_moment_under(dists[axis], kernel.factors[axis], k, p)
+    return [max(kernel.factors[axis].moment(k, p, dists[axis])
                 for k in sorted({kvec[axis] for kvec in kernel.lam}))
             for axis in range(kernel.d)]
 
 
-def _rank_one_envelope(kernel: DegenerateKernel, dists, p: float):
-    """(lower, upper) moment envelope of S_L for a rank-one kernel ``w prod g``.
-
-    Lower: ``|w| prod |g|_p``, exact at |L| = 1 by independence.  Upper:
-    ``|w| K(p)**d prod |g|_p``, the Klesov bound, uniform in L.
-    """
-    (kvec, w), = kernel.lam.items()
-    moments = [factor_moment_under(dists[axis], kernel.factors[axis], k, p)
-               for axis, k in enumerate(kvec)]
-    return abs(w) * math.prod(moments), abs(w) * klesov_bound(moments, p)
-
-
 def _shape_fits(kernel: DegenerateKernel, dists) -> dict:
-    """Log-log slopes of the rank-one envelopes against p/ln(p) on [4, 16].
+    """Log-log slopes of the sandwich envelopes against p/ln(p) on [4, 16].
 
     Both envelopes are quadrature-backed, so the fit window is independent
     of what the Monte Carlo sandwich could estimate.
     """
     p = np.array([4.0, 6.0, 8.0, 12.0, 16.0])
-    lower, upper = zip(*(_rank_one_envelope(kernel, dists, pv) for pv in p))
+    lower = [dp_quasinorm(kernel, pv, dists) for pv in p]
+    upper = [rosenthal_K(pv) ** kernel.d * lo for pv, lo in zip(p, lower)]
     shape = np.log(p / np.log(p))
     return {
         "p_grid": p.tolist(),
@@ -229,9 +203,10 @@ def _shape_fits(kernel: DegenerateKernel, dists) -> dict:
 
 def verify_moment_sandwich(kernel: DegenerateKernel, dists, L_list, p_grid,
                            N: int, rng: RngSpec, workers: int = 1) -> SandwichReport:
-    """Two-sided moment check for rank-one kernels.
+    """Two-sided moment check for rank-one kernels ``w prod g``.
 
-    Lower and upper bounds are the rank-one envelope (``_rank_one_envelope``).
+    Lower: ``D_p = |w| prod |g|_p`` under the sampling laws, exact at |L| = 1
+    by independence.  Upper: ``K(p)**d * D_p``, the Klesov bound, uniform in L.
     Empirical: the max over the supplied index sets of the simulated moment.
     Pass means lower <= empirical + 3 SE and empirical <= upper + 3 SE
     pointwise on the p-grid; an empty p-grid checks nothing, so its verdict
@@ -245,9 +220,8 @@ def verify_moment_sandwich(kernel: DegenerateKernel, dists, L_list, p_grid,
             for i, L in enumerate(L_list)]
     lower, upper, emp, emp_se = [], [], [], []
     for p in p_grid:
-        lo, hi = _rank_one_envelope(kernel, dists, p)
-        lower.append(lo)
-        upper.append(hi)
+        lower.append(dp_quasinorm(kernel, p, dists))
+        upper.append(rosenthal_K(p) ** kernel.d * lower[-1])
         ests = [empirical_moment(s, p) for s in sims]
         best = max(range(len(ests)), key=lambda i: ests[i][0])
         emp.append(ests[best][0])

@@ -16,11 +16,11 @@ import pytest
 from multisum import (AxisDistribution, DegenerateKernel, FactorFamily,
                       ParametricKernel, RngSpec, TabulatedKernel, compute_S_L,
                       covering_profile, entropy_integral_power, explicit_set,
-                      klesov_bound, lshape_family, make_rect,
+                      dp_quasinorm, lshape_family, make_rect,
                       naive_S_L, natural_composite, power_log,
                       simulate_Q_L, simulate_S_L,
                       squares_minus_corner_family,
-                      staircase_set, verify_nclt,
+                      rosenthal_K, staircase_set, verify_nclt,
                       verify_tail_domination, young_fenchel, TailBound,
                       check_theorem_8)
 from multisum.cli import main as cli_main
@@ -109,7 +109,9 @@ def test_criterion_01_exact_variance():
 
 def test_criterion_02_klesov_domination():
     start = time.perf_counter()
-    bound = klesov_bound([1.0, 1.0], 4.0)       # = K(4)^2 for sign factors
+    kernel = DegenerateKernel(2, {(1, 1): 1.0}, [FactorFamily("rademacher_sign")] * 2,
+                              orthonormal=True)
+    bound = rosenthal_K(4.0) ** 2 * dp_quasinorm(kernel, 4.0)   # Klesov: K(4)^2 for signs
     grid = [(i, j) for i in range(1, 4) for j in range(1, 4)]
     worst = 0.0
     ok = True
@@ -130,8 +132,6 @@ def test_criterion_02_klesov_domination():
             worst = max(worst, m4)
             ok = ok and m4 <= bound + 1e-12
     # Monte Carlo spot check at |L| = 10^4
-    kernel = DegenerateKernel(2, {(1, 1): 1.0}, [FactorFamily("rademacher_sign")] * 2,
-                              orthonormal=True)
     dist = simulate_S_L(kernel, make_rect([100, 100]),
                         [AxisDistribution("rademacher")] * 2, 20_000, RngSpec(202))
     from multisum import empirical_moment

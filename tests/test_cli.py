@@ -41,8 +41,8 @@ def test_bound_rank_one_rows(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     csv = (out / manifest["files"]["bounds"]).read_text().strip().split("\n")
     assert csv[0] == "p,route,M_star,value"
-    klesov_p2 = [r for r in csv if r.startswith("2.0,klesov_product,,")][0]
-    parts = klesov_p2.split(",")
+    dp_p2 = [r for r in csv if r.startswith("2.0,dp_quasinorm,,")][0]
+    parts = dp_p2.split(",")
     assert parts[2] == ""                      # no rank for this route
     assert float(parts[3]) == pytest.approx(1.0, rel=1e-10)
     w_rows = [r for r in csv if ",theorem_W," in r]
@@ -504,6 +504,46 @@ def _assert_field_rejected(tmp_path, capsys, command, config, path, value):
 def test_non_finite_config_number_exits_2(tmp_path, capsys, command, config, path, value):
     # JSON NaN and Infinity parse as floats: a NaN p_grid once wrote a NaN in every row
     _assert_field_rejected(tmp_path, capsys, command, config, path, value)
+
+
+_SQUARES_NONE = {"family": "squares", "sizes": []}
+
+
+@pytest.mark.parametrize("command, config, path, value", [
+    ("bound", "bound_rank1.json", ("bound", "routes"), []),
+    ("bound", "bound_rank1.json", ("bound", "routes"), "trivial"),
+    ("bound", "bound_rank1.json", ("bound", "routes"), 5),
+    ("bound", "bound_rank1.json", ("bound", "routes"), ["trivial", "bogus"]),
+    ("bound", "bound_rank1.json", ("p_grid",), []),
+    ("simulate", "simulate_smoke.json", ("index_sets", "sizes"), []),
+    ("simulate", "simulate_smoke.json", ("index_sets", "sizes"), 6),
+    ("simulate", "simulate_smoke.json", ("index_sets",), {"list": []}),
+    ("verify", "poisson_9c.json", ("index_sets", "list"), []),
+    ("verify", "poisson_9c.json", ("index_sets",), _SQUARES_NONE),
+    ("verify", "tail_gauss.json", ("index_sets", "list"), []),
+    ("verify", "tail_gauss.json", ("index_sets",), _SQUARES_NONE),
+    ("verify", "gauss_rank1.json", ("index_sets", "sizes"), 4),
+], ids=["routes-empty", "routes-string", "routes-number", "routes-unknown", "bound-p_grid-empty",
+        "simulate-sizes-empty", "simulate-sizes-number", "simulate-list-empty",
+        "sandwich-list-empty", "sandwich-sizes-empty", "tail-list-empty", "tail-sizes-empty",
+        "nclt-sizes-number"])
+def test_empty_or_malformed_route_grid_or_family_exits_2(tmp_path, capsys, command, config,
+                                                        path, value):
+    # empty routes, p_grid or sizes once ran and exited 0 (bound with an empty table, simulate
+    # with an empty summary); the rest reached the catch-all handler or ran work first
+    _assert_field_rejected(tmp_path, capsys, command, config, path, value)
+
+
+def test_verify_tail_factor_without_a_moment_rule_exits_2(tmp_path, capsys):
+    # a degree-2 Hermite factor has no moment rule under a Rademacher axis
+    cfg = json.loads((CONFIG_DIR / "tail_gauss.json").read_text())
+    cfg["kernel"]["lambda"] = [{"k": [2, 1], "w": 1.0}]
+    cfg["distributions"] = ["rademacher", "rademacher"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    code, _ = run_cmd(tmp_path, "verify", path)
+    assert code == 2
+    assert "moment rule" in json.loads(capsys.readouterr().err)["error"]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multisum import (BoundReport, DegenerateKernel, FactorFamily, TabulatedKernel,
-                      dp_quasinorm, klesov_bound, rosenthal_K, tabulated_family,
+                      dp_quasinorm, rosenthal_K, tabulated_family,
                       theorem_W_bound, trivial_bound, ROSENTHAL_CONSTANT)
 
 E = math.e
@@ -62,13 +62,22 @@ def test_trivial_bound_values():
 
 
 # ---------------------------------------------------------------------------
-# Klesov product bound
+# Klesov product bound: K(p)**d * D_p of a rank-one kernel
 # ---------------------------------------------------------------------------
 
 
-def test_klesov_bound_values():
-    assert klesov_bound([1.0, 1.0], 2.0) == 1.0
-    assert klesov_bound([1.0], 4.0) == pytest.approx(1.8855841877051704, rel=1e-12)
+def sign_kernel(d):
+    return DegenerateKernel(d, {(1,) * d: 1.0}, [FactorFamily("rademacher_sign")] * d,
+                            orthonormal=True)
+
+
+def klesov(kernel, p):
+    return rosenthal_K(p) ** kernel.d * dp_quasinorm(kernel, p)
+
+
+def test_rank_one_product_bound_values():
+    assert klesov(sign_kernel(2), 2.0) == 1.0
+    assert klesov(sign_kernel(1), 4.0) == pytest.approx(1.8855841877051704, rel=1e-12)
 
 
 def exact_fourth_moment_rademacher(cells):
@@ -90,7 +99,7 @@ def exact_fourth_moment_rademacher(cells):
 def test_klesov_dominates_enumerated_fourth_moments():
     # every nonempty subset of the 3x3 grid, enumerated over all sign choices
     grid = [(i, j) for i in range(1, 4) for j in range(1, 4)]
-    bound = klesov_bound([1.0, 1.0], 4.0)       # Rademacher |g|_p = 1 for all p
+    bound = klesov(sign_kernel(2), 4.0)          # Rademacher |g|_p = 1 for all p
     worst = 0.0
     for r in range(1, 10):
         for cells in itertools.combinations(grid, r):
@@ -131,7 +140,7 @@ def test_dp_bounded_by_product_of_axis_maxima():
         p = 4.0
         cap = 1.0
         for axis in range(2):
-            cap *= max(k.factor_moment(axis, j, p) for j in range(1, 4))
+            cap *= max(k.factors[axis].moment(j, p) for j in range(1, 4))
         assert dp_quasinorm(k, p) <= cap + 1e-12
 
 
