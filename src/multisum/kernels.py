@@ -116,42 +116,51 @@ def _lp_norm(slabs, p: float) -> float:
     return float(np.exp((top + math.log(total)) / p))
 
 
-def _recurrence_rows(kmax: int, first: np.ndarray, coef, norm: np.ndarray):
+def _recurrence_rows(kmax: int, first: np.ndarray, coef, norm: np.ndarray, buffers=None):
     """Rows 1..kmax of ``p_{k+1} = coef(k) * p_k - k * p_{k-1}`` (``p_0 = 1``, ``p_1 = first``).
 
-    Row k is yielded as ``norm[k] * p_k`` in one reused buffer, valid until the
-    next row; the recurrence runs in place in two more.
+    Row k is yielded as ``norm[k] * p_k``, valid until the next row: ``p_k``
+    itself where ``norm[k]`` is 1.0 (an exact product), else the last of the
+    three ``buffers`` (arrays of first's shape, made here when absent).  The
+    recurrence runs in place in the other two and never writes ``first``; its
+    first step subtracts the scalar ``p_0 = 1``.
     """
-    prev, cur, row = np.ones_like(first), first, np.empty_like(first)
+    a, b, row = buffers if buffers is not None else [np.empty_like(first) for _ in range(3)]
+    prev, cur = None, first
     for k in range(1, kmax + 1):
-        yield np.multiply(cur, norm[k], out=row)
-        if k < kmax:
-            prev *= k
-            np.multiply(coef(k), cur, out=row)
-            prev, cur = cur, np.subtract(row, prev, out=prev)
+        yield cur if norm[k] == 1.0 else np.multiply(cur, norm[k], out=row)
+        if k == kmax:
+            return
+        np.multiply(coef(k), cur, out=row)
+        if prev is None:
+            nxt = np.subtract(row, 1.0, out=a)
+        else:
+            scaled = np.multiply(prev, k, out=b if prev is first else prev)
+            nxt = np.subtract(row, scaled, out=scaled)
+        prev, cur = cur, nxt
 
 
-def _hermite_rows(kmax: int, x: np.ndarray):
+def _hermite_rows(kmax: int, x: np.ndarray, buffers=None):
     """Normalized probabilists' Hermite polynomials, from the monic recurrence."""
     norm = np.exp(-0.5 * gammaln(np.arange(kmax + 1) + 1.0))
-    return _recurrence_rows(kmax, x.copy(), lambda k: x, norm)
+    return _recurrence_rows(kmax, x, lambda k: x, norm, buffers)
 
 
-def _charlier_rows(kmax: int, x: np.ndarray):
+def _charlier_rows(kmax: int, x: np.ndarray, buffers=None):
     """Normalized Charlier polynomials (a = 1) on the compensated count x = n - 1."""
     n = x + 1.0
     norm = (-1.0) ** np.arange(kmax + 1) * np.exp(-0.5 * gammaln(np.arange(kmax + 1) + 1.0))
-    return _recurrence_rows(kmax, 1.0 - n, lambda k: k + 1.0 - n, norm)
+    return _recurrence_rows(kmax, 1.0 - n, lambda k: k + 1.0 - n, norm, buffers)
 
 
-def _sign_rows(kmax: int, x: np.ndarray):
+def _sign_rows(kmax: int, x: np.ndarray, buffers=None):
     """The sign family's single member, the identity."""
     if kmax > 1:
         raise ValueError("the sign family has a single member (k = 1)")
     return [x][:kmax]
 
 
-def _laguerre_rows(kmax: int, x: np.ndarray):
+def _laguerre_rows(kmax: int, x: np.ndarray, buffers=None):
     """Signed Laguerre polynomials on the compensated value x = t - 1."""
     t = x + 1.0
     return ((-1.0) ** k * eval_laguerre(k, t) for k in range(1, kmax + 1))
@@ -205,17 +214,18 @@ class FactorFamily:
             return np.interp(np.asarray(x, dtype=float), self.nodes, self.table[k - 1])
         return self.evaluate_block(k, x)[k - 1]
 
-    def rows(self, kmax: int, x):
+    def rows(self, kmax: int, x, buffers=None):
         """Factors 1..kmax at points x, one array of x's shape per k, in order.
 
         A row may be x itself or a buffer that the next row reuses, so callers
-        only read rows and copy the ones they keep.  Nothing is computed past
-        the current row, and a kmax past the family's members fails here,
-        before the first row.
+        only read rows and copy the ones they keep.  ``buffers``, three arrays
+        of x's shape, hold the rows of the recurrence kinds; fresh ones are
+        made when absent.  Nothing is computed past the current row, and a
+        kmax past the family's members fails here, before the first row.
         """
         x = np.asarray(x, dtype=float)
         if self.kind != "tabulated":
-            return _ANALYTIC_KINDS[self.kind][1](kmax, x)
+            return _ANALYTIC_KINDS[self.kind][1](kmax, x, buffers)
         if kmax > self.table.shape[0]:
             raise ValueError(f"tabulated family has {self.table.shape[0]} members")
         return (np.interp(x, self.nodes, row) for row in self.table[:kmax])

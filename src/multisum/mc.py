@@ -21,8 +21,14 @@ sums are fresh standard normal draws per replication.
 No factor table is built: each factor family yields its rows ``g_1, g_2, ...``
 one at a time (``FactorFamily.rows``), and every row is slice-summed into the
 per-box sums as soon as it exists.  A replication therefore holds O(sum n_s)
-floats whatever the rank, and replications run in blocks of a fixed float
-budget (``_BLOCK_BUDGET``).
+floats whatever the rank.  Replications run in blocks (``_block_cap``) whose
+widest axis row fits a share of the cache, since a block is walked once per
+layer (uniforms, inverse CDF, each factor row); a set of many boxes or a
+field of many points makes blocks larger, so that the NumPy calls and
+output-row passes, whose count per block is fixed, do not dominate; and
+``_BLOCK_BUDGET`` caps them.  Each worker samples its blocks through buffers
+it allocates once.  The variates are counter-addressed, so block size moves
+no bit.
 
 Each simulated distribution carries a provenance digest of its inputs
 (kernel, index set, axis laws, N, seed); the index set enters by its JSON,
@@ -61,9 +67,20 @@ __all__ = [
 TAG_AXIS = 1      # axis sample streams
 TAG_BETA = 2      # limit-field Gaussian streams
 
-# Floats one replication block may hold; it caps peak memory.  Blocks are not
-# sized for cache: a block makes one NumPy call per factor row and distinct box
-# side, so on sets of many boxes smaller blocks cost more than they save.
+_POISSON_NODES = quadrature_rule("compensated_poisson")[0]
+_POISSON_CDF = np.cumsum(quadrature_rule("compensated_poisson")[1])
+
+# Replications per block (``_block_cap``).  A block walks each of its arrays
+# several times (uniforms, inverse CDF, factor rows, side sums), so its widest
+# axis row should stay in cache: _CACHE_FLOATS doubles, a share of a 2 MiB L2.
+# But part of a block's cost is per call, not per float: its NumPy calls (one
+# per factor row and distinct box side, one per term, box and axis of the
+# contraction) and each term's pass over each of the |V| output rows, which lie
+# apart in the (|V|, N) result.  Where those would dominate, on sets of many
+# boxes or fields of many points, a block grows to _FLOATS_PER_CALL floats per
+# call.  _BLOCK_BUDGET, the floats one block may hold, caps both and peak memory.
+_CACHE_FLOATS = 1 << 16
+_FLOATS_PER_CALL = 1 << 13
 _BLOCK_BUDGET = 1 << 22
 
 
@@ -89,14 +106,30 @@ class RngSpec:
         return RngSpec(mixed)
 
     def uniform_block(self, tag: int, axis: int, rep_start: int, rep_count: int,
-                      ncols: int) -> np.ndarray:
-        """Uniforms of shape (rep_count, ncols), positions keyed by (rep, col)."""
-        stride = 4 * ((ncols + 3) // 4)
+                      ncols: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Uniforms of shape (rep_count, ncols), positions keyed by (rep, col).
+
+        ``out``, a C-contiguous float array of ``_stride(ncols)`` columns and at
+        least ``rep_count`` rows, receives them instead of a fresh array; the
+        result is then a view of its leading rows.
+        """
+        stride = _stride(ncols)
         key = np.array([self.seed, (int(tag) << 32) | int(axis)], dtype=np.uint64)
         bg = np.random.Philox(key=key)
         bg.advance(rep_start * stride // 4)
-        u = np.random.Generator(bg).random((rep_count, stride))
+        if out is None:
+            u = np.random.Generator(bg).random((rep_count, stride))
+        elif out.shape[1] != stride or out.shape[0] < rep_count:
+            raise ValueError(f"a uniform buffer for {rep_count} x {ncols} needs {stride} columns"
+                             f" and {rep_count} rows")
+        else:
+            u = np.random.Generator(bg).random(out=out[:rep_count])
         return u[:, :ncols]
+
+
+def _stride(ncols: int) -> int:
+    """Doubles one replication owns in a stream: ``ncols`` rounded up to a Philox step of 4."""
+    return 4 * ((ncols + 3) // 4)
 
 
 @dataclass(frozen=True)
@@ -124,30 +157,51 @@ class AxisDistribution:
     def uniforms_per_coord(self) -> int:
         return 2 if self.kind == "log_weibull" else 1
 
-    def transform(self, u: np.ndarray) -> np.ndarray:
-        """Inverse-CDF map from uniforms; pairs of columns for two-uniform kinds."""
-        u = np.clip(u, 2.0 ** -60, 1.0 - 2.0 ** -53)
+    def transform(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Inverse-CDF map from uniforms; pairs of columns for two-uniform kinds.
+
+        Uniforms are clipped to ``[2**-60, 1 - 2**-53]`` first.  Without ``out``
+        the input is left alone.  With ``out`` the values are written there
+        and ``u`` is scratch: ``out`` may be ``u`` itself or, for a two-uniform
+        kind, ``u``'s even columns, so a block is transformed in place.
+        """
+        if out is None:
+            u = np.array(u, dtype=float)
+            out = u[..., ::self.uniforms_per_coord]
+        if self.kind == "rademacher":     # the clip never moves a uniform across 0.5
+            return np.copysign(1.0, np.subtract(u, 0.5, out=out), out=out)
+        if self.kind == "log_weibull":
+            # magnitude from even columns, sign from odd columns
+            v = np.clip(u[..., 0::2], 2.0 ** -60, 1.0 - 2.0 ** -53, out=out)
+            np.log1p(np.negative(v, out=v), out=v)
+            np.negative(v, out=v)
+            v **= self.beta / (1.0 + self.beta)
+            np.exp(v, out=v)
+            v -= 1.0
+            sign = np.subtract(u[..., 1::2], 0.5, out=u[..., 1::2])
+            return np.copysign(v, sign, out=v)
+        v = np.clip(u, 2.0 ** -60, 1.0 - 2.0 ** -53, out=out)
         if self.kind == "standard_normal":
-            return ndtri(u)
-        if self.kind == "rademacher":
-            return np.where(u < 0.5, -1.0, 1.0)
+            return ndtri(v, out=v)
         if self.kind == "centered_exponential":
-            return -np.log1p(-u) - 1.0
-        if self.kind == "compensated_poisson":
-            x, pmf = quadrature_rule("compensated_poisson")
-            return x[np.searchsorted(np.cumsum(pmf), u)]
-        # log_weibull: magnitude from even columns, sign from odd columns
-        u1 = u[..., 0::2]
-        u2 = u[..., 1::2]
-        expo = self.beta / (1.0 + self.beta)
-        mag = np.exp((-np.log1p(-u1)) ** expo) - 1.0
-        return np.where(u2 < 0.5, -mag, mag)
+            np.log1p(np.negative(v, out=v), out=v)
+            np.negative(v, out=v)
+            v -= 1.0
+            return v
+        # compensated_poisson: the clipped uniform lies below the last cdf value, 1.0
+        return _POISSON_NODES.take(np.searchsorted(_POISSON_CDF, v), out=v, mode="clip")
 
     def sample_block(self, rng: RngSpec, axis: int, rep_start: int, rep_count: int,
-                     ncols: int, tag: int = TAG_AXIS) -> np.ndarray:
+                     ncols: int, tag: int = TAG_AXIS,
+                     out: np.ndarray | None = None) -> np.ndarray:
+        """Samples of shape (rep_count, ncols), transformed in place in their uniforms.
+
+        ``out`` is the uniform buffer (see ``RngSpec.uniform_block``), so the
+        result is a view of it.
+        """
         u = rng.uniform_block(tag, axis, rep_start, rep_count,
-                              ncols * self.uniforms_per_coord)
-        return self.transform(u)
+                              ncols * self.uniforms_per_coord, out)
+        return self.transform(u, out=u[:, ::self.uniforms_per_coord])
 
     def identity_moment(self, p: float) -> float:
         """``|xi|_p`` of the raw axis variable (the centered identity factor)."""
@@ -280,30 +334,32 @@ def _spans(L: IndexSet, axis: int):
     return list(index), [index[side] for side in sides]
 
 
-def _box_sums(fam, kmax: int, x: np.ndarray, spans, inverse) -> list:
+def _box_sums(fam, kmax: int, x: np.ndarray, spans, inverse, buffers=None) -> list:
     """Per box, ``F[k - 1] = sum_{i in box_axis} g_k(x[:, i - 1])`` for k = 1..kmax.
 
     ``x`` holds one axis' samples, shape (reps, columns); each result has shape
     (kmax, reps).  Every factor row is slice-summed as soon as it exists, so no
     (kmax, reps, columns) table is ever built, and once per distinct side
     (``_spans``): boxes that share their side on this axis share its sums.
+    ``buffers`` go to ``FactorFamily.rows``.
     """
     sums = np.empty((len(spans), kmax, x.shape[0]))
-    for k, row in enumerate(fam.rows(kmax, x)):
+    for k, row in enumerate(fam.rows(kmax, x, buffers)):
         for (lo, hi), out in zip(spans, sums):
             row[:, lo - 1:hi].sum(axis=1, out=out[k])
     return [sums[i] for i in inverse]
 
 
-def _contract(sums, lam, nv: int) -> np.ndarray:
-    """``sum_k w_k sum_B prod_s sums[B][s][k_s - 1]``, shape (|V|, reps).
+def _contract(sums, lam, out: np.ndarray, scratch=None) -> np.ndarray:
+    """``sum_k w_k sum_B prod_s sums[B][s][k_s - 1]``, written into ``out`` of shape (|V|, reps).
 
     ``sums[B][s]`` is box B's slice sum on axis s, shape (kmax_s, reps);
     ``lam`` pairs multi-indices with (|V|, 1) weight columns.  Weights multiply
     the assembled core last, so each row is bit-identical to the ``|V| = 1``
-    contraction of its slice kernel.
+    contraction of its slice kernel.  ``scratch``, shaped like ``out``, holds
+    each weighted term; a fresh one is made per term when absent.
     """
-    out = np.zeros((nv, sums[0][0].shape[1]))
+    out[...] = 0.0
     for kvec, wv in lam:
         core = None
         for box_sums in sums:
@@ -311,14 +367,20 @@ def _contract(sums, lam, nv: int) -> np.ndarray:
             for axis in range(1, len(kvec)):
                 term = term * box_sums[axis][kvec[axis] - 1]
             core = term if core is None else core + term
-        out += wv * core
+        out += np.multiply(wv, core, out=scratch)
     return out
 
 
-def _field_sums(factors, kmax, sides, samples) -> list:
-    """``sums[B][s]`` for ``_contract``; per axis, (reps, columns) samples and their ``_spans``."""
-    per_axis = [_box_sums(fam, k, x, *spans)
-                for fam, k, x, spans in zip(factors, kmax, samples, sides)]
+def _field_sums(factors, kmax, sides, samples, rows=None) -> list:
+    """``sums[B][s]`` for ``_contract``; per axis, (reps, columns) samples and their ``_spans``.
+
+    ``rows``, three flat buffers of at least reps x columns floats, hold every
+    axis' factor rows in turn; fresh ones are made when absent.
+    """
+    per_axis = []
+    for fam, k, x, spans in zip(factors, kmax, samples, sides):
+        buffers = None if rows is None else [r[:x.size].reshape(x.shape) for r in rows]
+        per_axis.append(_box_sums(fam, k, x, *spans, buffers))
     return list(zip(*per_axis))
 
 
@@ -335,7 +397,7 @@ def compute_S_L(kernel, L: IndexSet, axis_samples) -> float:
     samples = [np.asarray(x, dtype=float)[None, :] for x in axis_samples]
     sums = _field_sums(kernel.factors, _kmax(lam, kernel.d),
                        [_spans(L, axis) for axis in range(L.d)], samples)
-    return float(_contract(sums, lam, 1)[0, 0]) / math.sqrt(L.size)
+    return float(_contract(sums, lam, np.empty((1, 1)))[0, 0]) / math.sqrt(L.size)
 
 
 def naive_S_L(kernel, L: IndexSet, axis_samples) -> float:
@@ -377,27 +439,43 @@ def _provenance(kind, kernel, L, dists, n, seed) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _run_blocks(batch, N, nv, workers, floats_per_rep):
-    """(N, nv) matrix assembled from ``batch(start, count)`` blocks of shape (nv, count).
+def _block_cap(floats_per_rep: int, widest: int, calls: int) -> int:
+    """Replications per block: cache-sized, unless NumPy calls would dominate, within the budget.
 
-    The blocks fill an (nv, N) array, one row per weight vector, and the
-    result is its transposed view: column ``v`` of the result is contiguous,
-    so a per-point distribution sorts it without a strided gather.
-
-    Worker chunks partition the replications in order; within a chunk a
-    block holds as many replications as fit the float budget, given what one
-    replication's block holds, so peak memory follows the real footprint.
+    ``widest`` is the widest axis row one replication adds to a block (its
+    uniforms, which the inverse CDF and the factor rows walk again) and
+    ``calls`` the NumPy calls and output-row passes one block makes whatever
+    its size.
     """
-    block_cap = max(1, _BLOCK_BUDGET // floats_per_rep)
+    cache = _CACHE_FLOATS // widest
+    amortized = -(-_FLOATS_PER_CALL * calls // floats_per_rep)
+    return max(1, min(max(cache, amortized), _BLOCK_BUDGET // floats_per_rep))
+
+
+def _run_blocks(make_batch, N, nv, workers, block_cap):
+    """(N, nv) matrix assembled from blocks of shape (nv, count).
+
+    ``make_batch(cap)`` allocates the buffers for blocks of up to ``cap``
+    replications and returns ``batch(start, count, out)``, which samples one
+    block through them into ``out``.  Each worker chunk, a run of
+    replications in order, makes its own batch once, at the chunk's block
+    size, and reuses it.
+
+    The blocks fill an (nv, N) array in place, one row per weight vector, and
+    the result is its transposed view: column ``v`` of the result is
+    contiguous, so a per-point distribution sorts it without a strided gather.
+    """
     out = np.empty((nv, N))
     edges = np.linspace(0, N, num=max(1, int(workers)) + 1, dtype=int)
     chunks = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
     def run_chunk(bounds):
         a, b = bounds
-        for start in range(a, b, block_cap):
-            count = min(block_cap, b - start)
-            out[:, start:start + count] = batch(start, count)
+        cap = min(block_cap, b - a)
+        batch = make_batch(cap)
+        for start in range(a, b, cap):
+            count = min(cap, b - start)
+            batch(start, count, out[:, start:start + count])
 
     if len(chunks) <= 1:
         for c in chunks:
@@ -414,18 +492,32 @@ def _sum_field(factors, lam, nv, L, dists, N, rng, workers) -> np.ndarray:
         raise ValueError(f"index set has dimension {L.d}, the kernel {len(factors)}")
     kmax = _kmax(lam, len(factors))
     ncols = [L.axis_max(axis) for axis in range(len(factors))]
+    strides = [_stride(n * dist.uniforms_per_coord) for n, dist in zip(ncols, dists)]
     sides = [_spans(L, axis) for axis in range(L.d)]
     root = math.sqrt(L.size)
 
-    def batch(rep_start, rep_count):
-        samples = (dist.sample_block(rng, axis, rep_start, rep_count, n)
-                   for axis, (dist, n) in enumerate(zip(dists, ncols)))
-        return _contract(_field_sums(factors, kmax, sides, samples), lam, nv) / root
+    def make_batch(cap):
+        uniforms = [np.empty((cap, stride)) for stride in strides]
+        rows = np.empty((3, cap * max(ncols)))
+        scratch = np.empty((nv, cap))
 
-    # per axis: uniforms, samples, three row buffers, side sums; plus the nv outputs
+        def batch(rep_start, rep_count, out):
+            samples = (dist.sample_block(rng, axis, rep_start, rep_count, n, out=u)
+                       for axis, (dist, n, u) in enumerate(zip(dists, ncols, uniforms)))
+            sums = _field_sums(factors, kmax, sides, samples, rows)
+            np.divide(_contract(sums, lam, out, scratch[:, :rep_count]), root, out=out)
+
+        return batch
+
+    # per axis: uniforms, three row buffers and a temporary, side sums; plus nv of scratch
     per_rep = sum(n * (dist.uniforms_per_coord + 4) + len(spans) * k
                   for (spans, _), n, k, dist in zip(sides, ncols, kmax, dists)) + nv
-    return _run_blocks(batch, N, nv, workers, per_rep)
+    # a slice sum per factor row and distinct side; per term, a product per box and
+    # axis and a pass over each output row
+    calls = (sum(len(spans) * k for (spans, _), k in zip(sides, kmax))
+             + len(lam) * (len(L.lo) * L.d + nv))
+    return _run_blocks(make_batch, N, nv, workers,
+                       _block_cap(per_rep, max(strides), calls))
 
 
 def _limit_field(lam, nv, d, N, rng, workers) -> np.ndarray:
@@ -433,13 +525,20 @@ def _limit_field(lam, nv, d, N, rng, workers) -> np.ndarray:
     kmax = _kmax(lam, d)
     normal = AxisDistribution("standard_normal")
 
-    def batch(rep_start, rep_count):
-        betas = [normal.sample_block(rng, axis, rep_start, rep_count, k, tag=TAG_BETA).T
-                 for axis, k in enumerate(kmax)]
-        return _contract([betas], lam, nv)
+    def make_batch(cap):
+        uniforms = [np.empty((cap, _stride(k))) for k in kmax]
+        scratch = np.empty((nv, cap))
 
-    per_rep = sum(3 * k for k in kmax) + nv     # uniforms, clipped, betas; outputs
-    return _run_blocks(batch, N, nv, workers, per_rep)
+        def batch(rep_start, rep_count, out):
+            betas = [normal.sample_block(rng, axis, rep_start, rep_count, k, TAG_BETA, u).T
+                     for axis, (k, u) in enumerate(zip(kmax, uniforms))]
+            _contract([betas], lam, out, scratch[:, :rep_count])
+
+        return batch
+
+    per_rep = sum(3 * k for k in kmax) + nv     # uniforms, contraction products; outputs
+    return _run_blocks(make_batch, N, nv, workers,
+                       _block_cap(per_rep, max(_stride(k) for k in kmax), len(lam) * (d + nv)))
 
 
 def simulate_S_L(kernel, L: IndexSet, dists, N: int, rng: RngSpec,

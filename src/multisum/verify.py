@@ -48,9 +48,14 @@ def ks_distance(a: EmpiricalDist, b: EmpiricalDist) -> float:
 
     One binary search per step counts the ``y`` below it.  The count up to
     and including the step is the same when the next ``y`` is larger; only
-    the other steps (a tie, a NaN, or no larger ``y``) are searched again.
+    the other steps (a tie or no larger ``y``) are searched again.
+
+    A NaN has no place in a CDF, so a sample holding one is a ValueError;
+    sorted, a NaN sits last, so one look at each sample's top finds it.
     """
     x, y = a.values, b.values
+    if np.isnan(x[-1]) or np.isnan(y[-1]):
+        raise ValueError("KS distance of a sample holding NaN")
     if x.size > y.size:
         x, y = y, x
     n, m = x.size, y.size

@@ -29,13 +29,18 @@ def test_package_reexports_resolve():
     assert [name for name in names if not hasattr(multisum, name)] == []
 
 
-def test_benchmark_trace_targets_resolve(monkeypatch):
-    # the traced benchmark patches these names in place and fails on a missing one
+def _bench_tracer(monkeypatch):
     path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracer)    # dataclasses look it up
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_trace_targets_resolve(monkeypatch):
+    # the traced benchmark patches these names in place and fails on a missing one
+    tracer = _bench_tracer(monkeypatch)
     missing = []
     for target in tracer.LAYERS:
         module = importlib.import_module(target.module)
@@ -48,3 +53,25 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
             missing.append(f"{target.module}.{target.attr}")
     assert tracer.LAYERS
     assert missing == []
+
+
+def test_benchmark_trace_counters_read_the_sampling_arguments(monkeypatch):
+    # the counters read arguments by position, so a reordered signature breaks them
+    tracer = _bench_tracer(monkeypatch)
+    active = tracer.Tracer()
+    active.install(tracer.LAYERS)
+    try:
+        kernel = multisum.DegenerateKernel(2, {(1, 1): 1.0, (2, 2): 0.5},
+                                           [multisum.FactorFamily("hermite")] * 2)
+        laws = [multisum.AxisDistribution("standard_normal"),
+                multisum.AxisDistribution("log_weibull", beta=1.0)]
+        multisum.simulate_S_L(kernel, multisum.make_rect([5, 3]), laws, 10,
+                              multisum.RngSpec(1))
+    finally:
+        active.uninstall()
+    layers = tracer.summarize(active.spans)
+    assert layers["mc.simulate_S_L"]["cells"] == 10 * 15
+    # 5 normal columns, 3 log-Weibull ones of two uniforms; each padded to 8 doubles
+    assert (layers["mc.uniform_block"]["doubles"], layers["mc.uniform_block"]["used"]) == \
+        (10 * (8 + 8), 10 * (5 + 6))
+    assert layers["mc.transform"]["values"] == 10 * (5 + 3)

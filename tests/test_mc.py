@@ -44,15 +44,22 @@ def test_worker_count_invariance(workers):
         assert np.array_equal(base.values, split.values)
 
 
-# a Hermite axis under the normal law and a Charlier axis under the compensated Poisson
-FIELD_DISTS = [AxisDistribution("standard_normal"), AxisDistribution("compensated_poisson")]
+# one law of each kind; log-Weibull takes two uniforms per variate
+AXIS_LAWS = [AxisDistribution("standard_normal"), AxisDistribution("rademacher"),
+             AxisDistribution("centered_exponential"), AxisDistribution("compensated_poisson"),
+             AxisDistribution("log_weibull", beta=0.7)]
 
 
 @st.composite
 def field_runs(draw):
-    """A random 2-D set, a field kernel over <= 3 points, N and a seed."""
-    cells = draw(st.sets(st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=1,
-                         max_size=12))
+    """A random 2-D set, a field kernel over <= 3 points, axis laws, N and a seed.
+
+    The set always holds its top corner, whose coordinates are not multiples
+    of 4, so no axis' column count is a multiple of 4.
+    """
+    corner = draw(st.tuples(*[st.sampled_from([1, 2, 3, 5, 6, 7])] * 2))
+    cells = draw(st.sets(st.tuples(st.integers(1, corner[0]), st.integers(1, corner[1])),
+                         max_size=12)) | {corner}
     nv = draw(st.integers(1, 3))
     kvec = st.tuples(st.integers(1, 3), st.integers(1, 3))
     weights = st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=nv, max_size=nv)
@@ -60,23 +67,25 @@ def field_runs(draw):
     pk = ParametricKernel(np.arange(nv)[:, None], {k: np.array(w) for k, w in lam.items()},
                           [FactorFamily("hermite"), FactorFamily("poisson_charlier")],
                           orthonormal=False)
-    return pk, explicit_set(sorted(cells)), draw(st.integers(1, 40)), draw(st.integers(0, 999))
+    dists = [draw(st.sampled_from(AXIS_LAWS)) for _ in range(2)]
+    return (pk, explicit_set(sorted(cells)), dists, draw(st.integers(1, 40)),
+            draw(st.integers(0, 999)))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(field_runs(), st.integers(1, 120))
 def test_worker_and_block_size_invariance(run, budget):
-    pk, L, N, seed = run
-    base_S = simulate_S_L(pk.slice_kernel(0), L, FIELD_DISTS, N, RngSpec(seed)).values
-    base_Q, base_sup = simulate_Q_L(pk, L, FIELD_DISTS, N, RngSpec(seed))
+    pk, L, dists, N, seed = run
+    base_S = simulate_S_L(pk.slice_kernel(0), L, dists, N, RngSpec(seed)).values
+    base_Q, base_sup = simulate_Q_L(pk, L, dists, N, RngSpec(seed))
     base_Q = np.stack([d.values for d in base_Q])
     # a budget of a few floats forces blocks of one or a few replications; then
     # a cache-sized budget and the default
     for size in (budget, 1 << 17, mc._BLOCK_BUDGET):
         with mock.patch.object(mc, "_BLOCK_BUDGET", size):
             for workers in (1, 2, 3):
-                S = simulate_S_L(pk.slice_kernel(0), L, FIELD_DISTS, N, RngSpec(seed), workers)
-                Q, sup = simulate_Q_L(pk, L, FIELD_DISTS, N, RngSpec(seed), workers)
+                S = simulate_S_L(pk.slice_kernel(0), L, dists, N, RngSpec(seed), workers)
+                Q, sup = simulate_Q_L(pk, L, dists, N, RngSpec(seed), workers)
                 assert np.array_equal(S.values, base_S)
                 assert np.array_equal(np.stack([d.values for d in Q]), base_Q)
                 assert np.array_equal(sup.values, base_sup.values)
@@ -94,6 +103,42 @@ def test_limit_field_worker_and_block_size_invariance(budget):
     with mock.patch.object(mc, "_BLOCK_BUDGET", budget):
         for workers in (1, 2, 3):
             assert np.array_equal(sample_Q_infty(pk, 300, RngSpec(17), workers), base)
+
+
+def _block_cap(kernel, L):
+    """Replications per block that ``simulate_S_L`` (or ``simulate_Q_L``) chooses over ``L``."""
+    simulate = simulate_Q_L if isinstance(kernel, ParametricKernel) else simulate_S_L
+    with mock.patch.object(mc, "_run_blocks", wraps=mc._run_blocks) as spy:
+        simulate(kernel, L, GAUSS, 3, RngSpec(1))
+    return spy.call_args.args[4]
+
+
+def test_block_size_rule():
+    sim_box = hermite_kernel({(k, k): 1.0 / k for k in range(1, 5)})
+    # one box: a block's widest row, 256 uniforms a replication, fits the cache share
+    assert _block_cap(sim_box, make_rect([256, 256])) == mc._CACHE_FLOATS // 256
+    # many boxes: one NumPy call per term, box and axis of the contraction and per
+    # factor row and distinct side, so the block stays at the float budget.  Per
+    # replication it holds, per axis, 64 columns x (1 uniform + 4) and 64 sides x 4
+    # rows, then one output: 1153 floats.
+    checker = explicit_set([(i, j) for i in range(1, 65) for j in range(1, 65)
+                            if (i + j) % 2 == 0])
+    assert _block_cap(sim_box, checker) == mc._BLOCK_BUDGET // 1153
+    # 256 columns of distinct heights: 256 x 5 + 256 x 4 floats per axis, one output
+    stair = staircase_set([37 * i % 257 for i in range(1, 257)])
+    assert _block_cap(sim_box, stair) == mc._BLOCK_BUDGET // 4609
+    # a 200-point field makes two passes over 200 output rows per block, so on a
+    # 64^2 box its block holds more than a cache share: 64 x 5 + 2 floats per axis
+    # and 200 outputs per replication; 2 x 2 + 2 x (2 + 200) calls
+    t = np.linspace(0.0, 1.0, 200)
+    field = ParametricKernel(t[:, None], {(1, 1): 0.2 + 0.8 * t, (2, 2): 0.5 * t * t},
+                             [FactorFamily("hermite")] * 2)
+    assert _block_cap(field, make_rect([64, 64])) == -(-mc._FLOATS_PER_CALL * 408 // 844)
+    assert mc._CACHE_FLOATS // 64 < -(-mc._FLOATS_PER_CALL * 408 // 844) < mc._BLOCK_BUDGET // 844
+    # a budget of a few floats still forces one-replication blocks
+    for L in (make_rect([256, 256]), checker, stair):
+        with mock.patch.object(mc, "_BLOCK_BUDGET", 5):
+            assert _block_cap(sim_box, L) == 1
 
 
 def test_single_replication_reproducible():
@@ -332,6 +377,37 @@ def test_centered_exponential_mean_zero():
     vals = d.transform(RngSpec(12).uniform_block(1, 0, 0, 100_000, 1)).ravel()
     assert abs(vals.mean()) < 3 / math.sqrt(vals.size) + 0.01
     assert vals.min() >= -1.0
+
+
+# sha256 of sample_block(RngSpec(2024), axis 1, replications 5..44, 7 columns), per
+# law, as the allocating transform wrote them before sampling ran in place
+SAMPLE_BLOCK_SHA256 = {
+    "standard_normal": "a26e27e07ff8dfe836fb7b5857e0302fcb57a61e8a2c87ececa59ab4829cbdbc",
+    "rademacher": "92827537d0ae08a0f6d0973eecad7bc0137355c40c6ca6a191880a71adbebb1f",
+    "centered_exponential": "c32213dfa947d81fc6ed2f5be94202d37545d3fbf4d4dc39183787ec37484b2f",
+    "compensated_poisson": "6e41f7c30e96eeb709389648c456c3152855d0f5a91a2c63faba6562dc6daa63",
+    "log_weibull": "05ab7653e3fb06543206ae32a526d85d7b0b335873956bc778a8e9080b7d6c1e",
+}
+
+
+@pytest.mark.parametrize("law", AXIS_LAWS, ids=lambda law: law.kind)
+def test_sample_block_bytes_pinned(law):
+    rng = RngSpec(2024)
+    fresh = law.sample_block(rng, 1, 5, 40, 7)
+    # through a reused buffer with spare rows and stale contents
+    buffer = np.full((45, mc._stride(7 * law.uniforms_per_coord)), np.nan)
+    reused = law.sample_block(rng, 1, 5, 40, 7, out=buffer)
+    assert np.shares_memory(reused, buffer)
+    for x in (fresh, reused):
+        assert x.shape == (40, 7)
+        assert hashlib.sha256(x.tobytes()).hexdigest() == SAMPLE_BLOCK_SHA256[law.kind]
+    # without out, transform leaves its uniforms alone
+    u = rng.uniform_block(1, 1, 5, 40, 7 * law.uniforms_per_coord)
+    kept = u.copy()
+    assert np.array_equal(law.transform(u), fresh)
+    assert np.array_equal(u, kept)
+    with pytest.raises(ValueError, match="columns"):
+        law.sample_block(rng, 1, 5, 40, 7, out=np.empty((45, 7 * law.uniforms_per_coord)))
 
 
 def test_unknown_axis_distribution_rejected():

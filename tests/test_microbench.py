@@ -70,7 +70,7 @@ def test_conjugate_grid_600(benchmark):
 
 def test_sum_field_sim_box_block(benchmark):
     # the sim-box kernel, lambda(k, k) = 1/k for k <= 4 on a 256 x 256 box; 51
-    # replications make one block (the default budget allows 1632 at 2569 floats each)
+    # replications make one block (the cache rule allows 256 on 256 columns)
     lam = mc._weight_columns({(k, k): 1.0 / k for k in range(1, 5)})
     args = ([FactorFamily("hermite")] * 2, lam, 1, make_rect([256, 256]),
             [AxisDistribution("standard_normal")] * 2, 51, RngSpec(1), 1)

@@ -63,6 +63,8 @@ ks_samples = st.one_of(
     st.lists(st.integers(-4, 4), min_size=1, max_size=300),       # tie-heavy integers
     st.builds(_rounded_normals, st.integers(0, 2**32 - 1), st.integers(1, 300),
               st.integers(0, 2), st.sampled_from([0.0, 0.3])),
+    st.lists(st.sampled_from([-np.inf, -1.0, 0.0, 0.5, 2.0, np.inf, np.nan]),  # ties, ±inf, NaN
+             min_size=1, max_size=40),
 ).map(lambda v: EmpiricalDist(np.asarray(v, dtype=float)))
 
 
@@ -74,7 +76,15 @@ ks_samples = st.one_of(
          EmpiricalDist(np.array([1.0, 2.0, 2.0])))
 @example(EmpiricalDist(np.array([0.0, np.nan])),                      # NaN step, sorted last
          EmpiricalDist(np.array([1.0, np.nan, np.nan])))
+@example(EmpiricalDist(np.array([0.1, np.nan, np.nan, 0.3])),         # NaN in one sample only
+         EmpiricalDist(np.array([0.1, 0.2, 0.3, 0.4, np.nan])))
+@example(EmpiricalDist(np.array([0.1, np.nan])), EmpiricalDist(np.array([0.1, 0.2])))
 def test_ks_distance_equals_reference_bit_for_bit(a, b):
+    if np.isnan(a.values).any() or np.isnan(b.values).any():
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="NaN"):
+                ks_distance(x, y)
+        return
     assert ks_distance(a, b) == ks_reference(a, b)
     assert ks_distance(b, a) == ks_reference(b, a)
 
