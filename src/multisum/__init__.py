@@ -19,13 +19,13 @@ from .index_sets import (IndexSet, Rect, RectPair, make_rect, staircase_set,
 from .mc import (RngSpec, AxisDistribution, EmpiricalDist, compute_S_L,
                  naive_S_L, simulate_S_L, sample_S_infty, empirical_moment,
                  empirical_tail, save_empirical, load_empirical)
-from .verify import (ks_distance, ks_critical, ConvergenceReport,
-                     SandwichReport, TailDominationReport, verify_nclt,
-                     verify_moment_sandwich, verify_tail_domination,
-                     natural_composite)
 from .parametric import (ParametricKernel, EntropyProfile, IntegralResult,
                          sigma_lambda, rho_lambda, covering_profile,
                          entropy_integral_power, entropy_integral_exp,
-                         simulate_Q_L, check_theorem_8, Theorem8Report)
+                         simulate_Q_L)
+from .verify import (ks_distance, ks_critical, ConvergenceReport,
+                     SandwichReport, TailDominationReport, Theorem8Report,
+                     verify_nclt, check_theorem_8, verify_moment_sandwich,
+                     verify_tail_domination, natural_composite)
 
 __version__ = "0.1.0"

@@ -27,11 +27,11 @@ from .index_sets import (index_set_from_json, lshape_family, make_rect,
                          squares_minus_corner_family)
 from .kernels import kernel_from_json
 from .mc import RngSpec, axis_distribution_from_json, empirical_bytes, simulate_S_L
-from .parametric import check_theorem_8, parametric_kernel_from_json
+from .parametric import parametric_kernel_from_json
 from .psi import psi_from_json, young_fenchel, TailBound, tail_bound_eval
 from .rosenthal import BoundReport, dp_quasinorm, rosenthal_K, theorem_W_bound, trivial_bound
-from .verify import (natural_composite, verify_moment_sandwich, verify_nclt,
-                     verify_tail_domination)
+from .verify import (FINAL_KS, LIMIT_N, check_theorem_8, natural_composite,
+                     verify_moment_sandwich, verify_nclt, verify_tail_domination)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -241,8 +241,8 @@ def cmd_verify(cfg, out: OutputSet, workers: int) -> int:
         raise ConfigError("verify.which must be one of nclt | sandwich | tail | parametric")
     rng = RngSpec(cfg["seed"])
     n = _require(cfg, "N", int)
-    final_ks = float(_typed(spec, "final_ks", (int, float), 0.05))
-    limit_n = _typed(spec, "limit_n", int, 100_000)
+    final_ks = float(_typed(spec, "final_ks", (int, float), FINAL_KS))
+    limit_n = _typed(spec, "limit_n", int, LIMIT_N)
     kernel = (parametric_kernel_from_json(_require(cfg, "parametric_kernel", dict))
               if which == "parametric" else _load_kernel(cfg))
     dists = _load_dists(cfg, kernel.d)

@@ -490,6 +490,8 @@ def _sum_field(factors, lam, nv, L, dists, N, rng, workers) -> np.ndarray:
     """(N, nv) normalized sums over L; one sampling pass serves every weight vector."""
     if L.d != len(factors):
         raise ValueError(f"index set has dimension {L.d}, the kernel {len(factors)}")
+    if len(dists) != len(factors):
+        raise ValueError("need one axis distribution per kernel axis")
     kmax = _kmax(lam, len(factors))
     ncols = [L.axis_max(axis) for axis in range(len(factors))]
     strides = [_stride(n * dist.uniforms_per_coord) for n, dist in zip(ncols, dists)]
@@ -550,8 +552,6 @@ def simulate_S_L(kernel, L: IndexSet, dists, N: int, rng: RngSpec,
     """
     if N < 1:
         raise ValueError("need at least one replication")
-    if len(dists) != kernel.d:
-        raise ValueError("need one axis distribution per kernel axis")
     vals = _sum_field(kernel.factors, _weight_columns(kernel.lam), 1, L, dists, N, rng,
                       workers)
     return EmpiricalDist(vals[:, 0], _provenance("S_L", kernel, L, dists, N, rng.seed),

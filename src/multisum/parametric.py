@@ -1,4 +1,4 @@
-"""Parametric kernel fields, metric entropy, and uniform limit checks.
+"""Parametric kernel fields: the field model, its metric entropy and its sampling.
 
 A parametric kernel carries weights ``lambda(v, k)`` over a finite grid V of
 parameter points; each slice is an ordinary degenerate kernel and the
@@ -15,23 +15,20 @@ Coverings are greedy farthest-point selections (an upper bound, the safe
 direction for the integrals), replaced by exact minimal covers on grids of at
 most 20 points.  The exact search is breadth-first over bitmasks of covered
 points and branches only on the balls that hold the lowest uncovered point,
-so each layer holds at most ``2**|V|`` distinct masks.
+so each layer holds at most ``2**|V|`` distinct masks.  The checks of the
+field-level theorem live in ``verify``, with every other check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import DegenerateKernel, _factors_from_json, _factors_to_json, _multi_indices
-from .mc import (EmpiricalDist, RngSpec, _limit_field, _sum_field,
-                 _weight_columns, empirical_moment)
+from .mc import EmpiricalDist, RngSpec, _limit_field, _sum_field, _weight_columns
 from .psi import PsiFunction, _golden_max
-from .rosenthal import rosenthal_K
-from .verify import (_LIMIT_STREAM, _axis_moment_max, _ks_verdict, _require_orthonormal,
-                     _verdict, ks_critical, ks_distance)
 
 __all__ = [
     "ParametricKernel",
@@ -43,14 +40,11 @@ __all__ = [
     "entropy_integral_power",
     "entropy_integral_exp",
     "simulate_Q_L",
-    "check_theorem_8",
-    "Theorem8Report",
     "parametric_kernel_from_json",
     "parametric_kernel_to_json",
 ]
 
 _EXACT_COVER_LIMIT = 20
-_SUP_MOMENT_BUDGET = 3.0   # slack factor on the sup-field moment majorant
 
 
 @dataclass
@@ -67,7 +61,6 @@ class ParametricKernel:
     lam: dict
     factors: list
     orthonormal: bool = False
-    _slices: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -96,11 +89,8 @@ class ParametricKernel:
         v_index = int(v_index)
         if not (0 <= v_index < self.n_points):
             raise ValueError("parameter index off the grid")
-        if v_index not in self._slices:
-            lam = {k: float(w[v_index]) for k, w in self.lam.items()}
-            self._slices[v_index] = DegenerateKernel(
-                self.d, lam, self.factors, self.orthonormal)
-        return self._slices[v_index]
+        return DegenerateKernel(self.d, {k: w[v_index] for k, w in self.lam.items()},
+                                self.factors, self.orthonormal)
 
     def rho_matrix(self) -> np.ndarray:
         """``rho_lambda`` between all grid points, accumulated one multi-index at a time."""
@@ -325,91 +315,6 @@ def sample_Q_infty(pk: ParametricKernel, N: int, rng: RngSpec, workers: int = 1)
     rows of its transpose being the per-point samples.
     """
     return _limit_field(_weight_columns(pk.lam), pk.n_points, pk.d, N, rng, workers)
-
-
-# ---------------------------------------------------------------------------
-# theorem-level checks
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Theorem8Report:
-    """Hypothesis evaluation plus grid-marginal KS and sup-moment domination."""
-
-    level: str                       # power | exponential
-    hypotheses: dict
-    hypotheses_met: bool
-    stages: tuple                    # per stage: dict(L_size, ks_per_v, max_final_ks)
-    sup_moment: dict
-    verdict: str
-    profile: EntropyProfile | None = None
-
-    def to_json(self) -> dict:
-        out = asdict(self)
-        del out["profile"]
-        return out
-
-
-def check_theorem_8(pk: ParametricKernel, level, L_family, dists, N: int,
-                    rng: RngSpec, limit_n: int = 100_000, final_ks: float = 0.05,
-                    workers: int = 1) -> Theorem8Report:
-    """Evaluate a field-level limit theorem's hypotheses and its empirical content.
-
-    ``level`` is ``("power", p)`` or ``("exponential", tau)``.  Hypotheses:
-    the entropy integral at the scaled metric must converge (power), or
-    ``sigma_lambda`` finite plus the generalized integral convergent
-    (exponential).  Coverings are taken on 64 geometric radii from 1 to 1e-4.
-    The empirical side runs the KS pipeline per grid point against the
-    shared-beta limit field and checks the sup-field moment against its
-    majorant times ``_SUP_MOMENT_BUDGET``.  ``G`` is the product over axes of
-    the worst used factor moment under the sampling laws.  As for
-    ``verify_nclt``, the factors must be orthonormal and the family nonempty.
-    """
-    _require_orthonormal(pk)
-    L_family = list(L_family)
-    if not L_family:
-        raise ValueError("empty family")
-    kind, arg = level
-    eps_grid = np.geomspace(1.0, 1e-4, 64)
-    sigma = sigma_lambda(pk)
-    p_ref = float(arg) if kind == "power" else 2.0
-    g_val = math.prod(_axis_moment_max(pk, dists, p_ref))
-    if kind == "power":
-        scale = rosenthal_K(p_ref) ** pk.d * g_val
-        profile = covering_profile(pk, eps_grid, scale=scale)
-        integral = entropy_integral_power(profile, p_ref)
-        hyp = {"p": p_ref, "G": g_val, "sigma_lambda": sigma,
-               "entropy_integral": integral.value}
-        met = math.isfinite(g_val) and not integral.diverged
-        majorant = rosenthal_K(p_ref) ** pk.d * g_val * sigma + integral.value
-    else:
-        tau = arg
-        profile = covering_profile(pk, eps_grid, scale=1.0)
-        integral = entropy_integral_exp(profile, tau)
-        hyp = {"tau_family": tau.family, "sigma_lambda": sigma,
-               "entropy_integral": integral.value}
-        met = math.isfinite(sigma) and not integral.diverged
-        majorant = float(tau(p_ref)) * (sigma + integral.value)
-
-    limit_dists = [EmpiricalDist(row)
-                   for row in sample_Q_infty(pk, limit_n, rng.child(_LIMIT_STREAM), workers).T]
-    crit = ks_critical(N, limit_n)
-    stages = []
-    sup_final = None
-    for i, L in enumerate(L_family):
-        per_v, sup = simulate_Q_L(pk, L, dists, N, rng.child(i), workers)
-        ks_vals = [ks_distance(per_v[v], limit_dists[v]) for v in range(pk.n_points)]
-        stages.append({"L_size": L.size, "ks_per_v": ks_vals,
-                       "max_ks": max(ks_vals)})
-        sup_final = sup
-    ks_ok = _ks_verdict([s["max_ks"] for s in stages], crit, final_ks)
-    emp_sup, emp_se = empirical_moment(sup_final, p_ref)
-    sup_ok = bool(emp_sup <= _SUP_MOMENT_BUDGET * majorant + 3 * emp_se)
-    sup_report = {"p": p_ref, "empirical": emp_sup, "se": emp_se, "majorant": majorant,
-                  "budget": _SUP_MOMENT_BUDGET, "passed": sup_ok}
-    return Theorem8Report(level=kind, hypotheses=hyp, hypotheses_met=met,
-                          stages=tuple(stages), sup_moment=sup_report,
-                          verdict=_verdict(met, ks_ok and sup_ok), profile=profile)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""Empirical verification of the Gaussian-chaos limit laws and bound sharpness.
+"""Every check of the paper's theorems against seeded simulation, under one stream policy.
 
 Weak convergence is proxied by the two-sample Kolmogorov-Smirnov distance
 between simulated sums and direct samples of the chaos limit, with a noise
-budget from the distribution-free KS critical value.  Moment and tail bounds
-are checked as dominations: the simulated side must sit below the computed
-bound at every probed point, within Monte Carlo slack where the check is
-two-sided.
+budget from the distribution-free KS critical value.  One routine checks a
+parametric field, and the irregular-domain CLT is its one-point case; stage
+``i`` samples ``rng.child(i)``, the limit ``rng.child(_LIMIT_STREAM)``.  Moment
+and tail bounds are checked as dominations: the simulated side must sit below
+the computed bound at every probed point, within Monte Carlo slack where the
+check is two-sided.
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ import numpy as np
 
 from .index_sets import nclt_condition_report
 from .kernels import DegenerateKernel
-from .mc import (EmpiricalDist, RngSpec, empirical_moment, empirical_tail,
-                 sample_S_infty, simulate_S_L)
+from .mc import EmpiricalDist, RngSpec, empirical_moment, empirical_tail, simulate_S_L
+from .parametric import (EntropyProfile, ParametricKernel, covering_profile,
+                         entropy_integral_exp, entropy_integral_power, sample_Q_infty,
+                         sigma_lambda, simulate_Q_L)
 from .psi import PsiFunction, TailBound, product_of, rosenthal_scaled, tabulated_psi
 from .rosenthal import dp_quasinorm, rosenthal_K
 
@@ -26,9 +30,11 @@ __all__ = [
     "ks_distance",
     "ks_critical",
     "ConvergenceReport",
+    "Theorem8Report",
     "SandwichReport",
     "TailDominationReport",
     "verify_nclt",
+    "check_theorem_8",
     "verify_moment_sandwich",
     "verify_tail_domination",
     "natural_composite",
@@ -36,6 +42,9 @@ __all__ = [
 
 _KS_ALPHA = 0.01            # level of the KS critical value
 _LIMIT_STREAM = 997         # rng child stream of the chaos-limit draws
+LIMIT_N = 100_000           # default chaos-limit sample size of the KS checks
+FINAL_KS = 0.05             # default KS bound at the last stage
+_SUP_MOMENT_BUDGET = 3.0    # slack factor on the sup-field moment majorant
 
 
 def ks_distance(a: EmpiricalDist, b: EmpiricalDist) -> float:
@@ -111,8 +120,25 @@ def _ks_verdict(ks, crit, final_ks):
     return nonincreasing and ks[-1] <= final_ks
 
 
+def _chaos_limit_ks(pk: ParametricKernel, dists, sets, N, rng, limit_n, final_ks, workers):
+    """KS distances of the field ``Q_L`` against its shared-beta chaos limit, drawn once.
+
+    Returns the distances (a list per stage, one entry per grid point), the
+    ``_ks_verdict`` of each stage's largest, the noise budget and the last
+    stage's sup-field.
+    """
+    limit = [EmpiricalDist(row)
+             for row in sample_Q_infty(pk, limit_n, rng.child(_LIMIT_STREAM), workers).T]
+    ks = []
+    for i, L in enumerate(sets):
+        per_v, sup = simulate_Q_L(pk, L, dists, N, rng.child(i), workers)
+        ks.append([ks_distance(q, lim) for q, lim in zip(per_v, limit)])
+    crit = ks_critical(N, limit_n)
+    return ks, _ks_verdict([max(row) for row in ks], crit, final_ks), 2.0 * crit, sup
+
+
 def verify_nclt(kernel: DegenerateKernel, dists, sets, N: int, rng: RngSpec, *,
-                limit_n: int = 100_000, final_ks: float = 0.05,
+                limit_n: int = LIMIT_N, final_ks: float = FINAL_KS,
                 workers: int = 1) -> ConvergenceReport:
     """KS trajectory of S_L along a growing family of index sets against the chaos limit.
 
@@ -123,30 +149,97 @@ def verify_nclt(kernel: DegenerateKernel, dists, sets, N: int, rng: RngSpec, *,
     condition holds the verdict is "hypotheses not met" and the KS
     trajectory is still reported.  Otherwise pass requires the KS sequence
     nonincreasing within twice the KS critical value and the final stage
-    below ``final_ks``.
+    below ``final_ks``.  The KS side is ``check_theorem_8``'s on the one-point
+    field ``lambda(0, k) = lambda(k)``.
     """
     _require_orthonormal(kernel)
     sets = list(sets)
     cond = nclt_condition_report(sets)
-    limit = sample_S_infty(kernel.lam, kernel.d, limit_n, rng.child(_LIMIT_STREAM), workers)
-    rows = []
-    for i, L in enumerate(sets):
-        dist = simulate_S_L(kernel, L, dists, N, rng.child(i), workers)
-        rows.append({
-            "stage": i,
-            "L_size": L.size,
-            "kappa_minus": cond.kappa_minus[i],
-            "kappa_plus": cond.kappa_plus[i],
-            "min_corner": cond.inner_min_sides[i],
-            "ks": ks_distance(dist, limit),
-        })
-    crit = ks_critical(N, limit_n)
-    verdict = _verdict(cond.hypotheses_met, _ks_verdict([r["ks"] for r in rows], crit, final_ks))
+    point = ParametricKernel(np.zeros((1, 1)), {k: [w] for k, w in kernel.lam.items()},
+                             kernel.factors, kernel.orthonormal)
+    ks, ks_ok, budget, _ = _chaos_limit_ks(point, dists, sets, N, rng, limit_n, final_ks,
+                                           workers)
+    rows = [{"stage": i, "L_size": L.size, "kappa_minus": cond.kappa_minus[i],
+             "kappa_plus": cond.kappa_plus[i], "min_corner": cond.inner_min_sides[i],
+             "ks": row[0]} for i, (L, row) in enumerate(zip(sets, ks))]
     return ConvergenceReport(
         description=f"|L| in {[L.size for L in sets]}",
-        stages=tuple(rows), verdict=verdict,
-        final_threshold=final_ks, noise_budget=2.0 * crit,
+        stages=tuple(rows), verdict=_verdict(cond.hypotheses_met, ks_ok),
+        final_threshold=final_ks, noise_budget=budget,
         hypotheses_met=cond.hypotheses_met)
+
+
+@dataclass(frozen=True)
+class Theorem8Report:
+    """Hypothesis evaluation plus grid-marginal KS and sup-moment domination."""
+
+    level: str                       # power | exponential
+    hypotheses: dict
+    hypotheses_met: bool
+    stages: tuple                    # per stage: dict(L_size, ks_per_v, max_ks)
+    sup_moment: dict
+    verdict: str
+    profile: EntropyProfile | None = None
+
+    def to_json(self) -> dict:
+        out = asdict(self)
+        del out["profile"]
+        return out
+
+
+def check_theorem_8(pk: ParametricKernel, level, L_family, dists, N: int,
+                    rng: RngSpec, limit_n: int = LIMIT_N, final_ks: float = FINAL_KS,
+                    workers: int = 1) -> Theorem8Report:
+    """Evaluate a field-level limit theorem's hypotheses and its empirical content.
+
+    ``level`` is ``("power", p)`` or ``("exponential", tau)``.  Hypotheses:
+    the entropy integral at the scaled metric must converge (power), or
+    ``sigma_lambda`` finite plus the generalized integral convergent
+    (exponential).  Coverings are taken on 64 geometric radii from 1 to 1e-4.
+    The empirical side runs the KS check of ``verify_nclt`` at every grid
+    point against the shared-beta limit field and checks the sup-field
+    moment at p (power) or 2 (exponential) against its majorant times
+    ``_SUP_MOMENT_BUDGET``.  On the power level ``G`` is the product over
+    axes of the worst used factor moment under the sampling laws.  As for
+    ``verify_nclt``, the factors must be orthonormal and the family nonempty.
+    """
+    _require_orthonormal(pk)
+    L_family = list(L_family)
+    if not L_family:
+        raise ValueError("empty family")
+    kind, arg = level
+    eps_grid = np.geomspace(1.0, 1e-4, 64)
+    sigma = sigma_lambda(pk)
+    if kind == "power":
+        p_ref = float(arg)
+        g_val = math.prod(_axis_moment_max(pk, dists, p_ref))
+        scale = rosenthal_K(p_ref) ** pk.d * g_val
+        profile = covering_profile(pk, eps_grid, scale=scale)
+        integral = entropy_integral_power(profile, p_ref)
+        hyp = {"p": p_ref, "G": g_val, "sigma_lambda": sigma,
+               "entropy_integral": integral.value}
+        met = math.isfinite(g_val) and not integral.diverged
+        majorant = scale * sigma + integral.value
+    else:
+        p_ref, tau = 2.0, arg
+        profile = covering_profile(pk, eps_grid, scale=1.0)
+        integral = entropy_integral_exp(profile, tau)
+        hyp = {"tau_family": tau.family, "sigma_lambda": sigma,
+               "entropy_integral": integral.value}
+        met = math.isfinite(sigma) and not integral.diverged
+        majorant = float(tau(p_ref)) * (sigma + integral.value)
+
+    ks, ks_ok, _, sup = _chaos_limit_ks(pk, dists, L_family, N, rng, limit_n, final_ks,
+                                        workers)
+    stages = tuple({"L_size": L.size, "ks_per_v": row, "max_ks": max(row)}
+                   for L, row in zip(L_family, ks))
+    emp_sup, emp_se = empirical_moment(sup, p_ref)
+    sup_ok = bool(emp_sup <= _SUP_MOMENT_BUDGET * majorant + 3 * emp_se)
+    sup_report = {"p": p_ref, "empirical": emp_sup, "se": emp_se, "majorant": majorant,
+                  "budget": _SUP_MOMENT_BUDGET, "passed": sup_ok}
+    return Theorem8Report(level=kind, hypotheses=hyp, hypotheses_met=met,
+                          stages=stages, sup_moment=sup_report,
+                          verdict=_verdict(met, ks_ok and sup_ok), profile=profile)
 
 
 # ---------------------------------------------------------------------------

@@ -546,6 +546,74 @@ def test_verify_tail_factor_without_a_moment_rule_exits_2(tmp_path, capsys):
     assert "moment rule" in json.loads(capsys.readouterr().err)["error"]
 
 
+# the verdict file each demo check writes, named by its content digest: a
+# change to the KS rule or to the sampling that moves any bit renames it
+VERDICT_FILES = {
+    "gauss_rank1.json": "verdict-3bfe2ca74073.json",
+    "lshape_fixed_fraction.json": "verdict-0cc95a22dca8.json",
+    "parametric_power.json": "verdict-129f9df2d5ef.json",
+}
+
+
+@pytest.mark.parametrize("config", sorted(VERDICT_FILES))
+def test_verify_verdict_bytes_pinned(tmp_path, config):
+    _, out = run_cmd(tmp_path, "verify", CONFIG_DIR / config)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["files"]["verdict"] == VERDICT_FILES[config]
+
+
+def _rademacher_h2_h1(tmp_path, name, cfg):
+    """``cfg`` with an ``h_2 (x) h_1`` kernel on Rademacher axes, written to ``name``.
+
+    ``g_2(x) = (x^2 - 1)/sqrt(2)`` is 0 at x = +-1, so every ``S_L`` is 0 and
+    cannot approach the chaos limit, which has no atom: a sound KS check fails.
+    """
+    cfg = dict(cfg, N=2000, distributions=["rademacher", "rademacher"],
+               index_sets={"family": "squares", "sizes": [4, 8, 16]})
+    cfg["verify"] = dict(cfg["verify"], limit_n=5000)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    return run_cmd(tmp_path, "verify", path, out_name=name)
+
+
+def _verdict_json(out):
+    manifest = json.loads((out / "manifest.json").read_text())
+    return json.loads((out / manifest["files"]["verdict"]).read_text())
+
+
+def test_verify_nclt_negative_control_fails(tmp_path):
+    cfg = json.loads((CONFIG_DIR / "gauss_rank1.json").read_text())
+    cfg["kernel"]["lambda"] = [{"k": [2, 1], "w": 1.0}]
+    code, out = _rademacher_h2_h1(tmp_path, "nclt", cfg)
+    assert code == 5
+    verdict = _verdict_json(out)
+    assert verdict["hypotheses_met"] and verdict["verdict"] == "fail"
+    assert all(stage["ks"] > 0.45 for stage in verdict["stages"])
+
+
+def test_verify_parametric_negative_control_fails(tmp_path, capsys):
+    # the exponential level needs no factor moment, so the KS check decides;
+    # the power level's G does, and g_2 has no moment rule under Rademacher
+    ts = [v / 5 for v in range(6)]
+    tau = {"family": "power_log", "params": {"m": 2, "r": 0}, "support_upper": None}
+    cfg = json.loads((CONFIG_DIR / "parametric_power.json").read_text())
+    cfg["parametric_kernel"]["V"] = [{"coords": [t]} for t in ts]
+    cfg["parametric_kernel"]["lambda"] = [{"k": [2, 1], "v_index": v, "w": 0.2 + 0.8 * t}
+                                          for v, t in enumerate(ts)]
+    cfg["verify"] = dict(cfg["verify"], level={"kind": "exponential", "tau": tau})
+    code, out = _rademacher_h2_h1(tmp_path, "exponential", cfg)
+    assert code == 5
+    verdict = _verdict_json(out)
+    assert verdict["hypotheses_met"] and verdict["sup_moment"]["passed"]
+    assert verdict["verdict"] == "fail"
+    assert all(stage["max_ks"] > 0.45 for stage in verdict["stages"])
+
+    cfg["verify"] = dict(cfg["verify"], level={"kind": "power", "p": 2.0})
+    code, _ = _rademacher_h2_h1(tmp_path, "power", cfg)
+    assert code == 2
+    assert "moment rule" in json.loads(capsys.readouterr().err)["error"]
+
+
 # ---------------------------------------------------------------------------
 # psi command
 # ---------------------------------------------------------------------------

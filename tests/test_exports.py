@@ -29,6 +29,17 @@ def test_package_reexports_resolve():
     assert [name for name in names if not hasattr(multisum, name)] == []
 
 
+def test_parametric_imports_nothing_from_verify():
+    # the field model sits below the checks: verify imports parametric, never the reverse
+    tree = ast.parse(Path(multisum.__file__).with_name("parametric.py").read_text())
+    sources = [(node.module or "").split(".") + [alias.name for alias in node.names]
+               for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    sources += [alias.name.split(".") for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names]
+    assert sources
+    assert [names for names in sources if "verify" in names] == []
+
+
 def _bench_tracer(monkeypatch):
     path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)

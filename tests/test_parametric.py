@@ -271,6 +271,16 @@ def test_constant_weights_sup_is_absolute_value():
     assert np.array_equal(sup.values, np.sort(np.abs(per_v[0].values)))
 
 
+def test_field_needs_one_axis_law_per_axis():
+    # a short list of laws is refused, not zipped down to fewer axes than the kernel has
+    pk = ParametricKernel(np.zeros((1, 1)), {(1, 1): np.array([1.0])},
+                          [FactorFamily("hermite")] * 2, orthonormal=True)
+    with pytest.raises(ValueError, match="one axis distribution per kernel axis"):
+        simulate_Q_L(pk, make_rect([4, 4]), GAUSS2[:1], 10, RngSpec(1))
+    with pytest.raises(ValueError, match="one axis distribution per kernel axis"):
+        verify_nclt(pk.slice_kernel(0), GAUSS2[:1], [make_rect([4, 4])], 10, RngSpec(1))
+
+
 def test_two_point_limit_covariance():
     lam = {(1, 1): np.array([1.0, 0.6]), (2, 2): np.array([0.0, 0.8])}
     pk = ParametricKernel(np.array([[0.0], [1.0]]), lam,
@@ -302,7 +312,7 @@ def test_check_theorem8_singleton_matches_rect_verifier():
                        RngSpec(79), limit_n=20_000)
     ks8 = [s["max_ks"] for s in rep8.stages]
     ksr = [row["ks"] for row in rect.stages]
-    assert ks8 == pytest.approx(ksr, abs=1e-12)
+    assert ks8 == ksr         # one KS routine: nclt is the one-point field
     assert rep8.verdict == rect.verdict == "pass"
 
 
