@@ -306,6 +306,39 @@ def empirical_tail(dist: EmpiricalDist, y: float) -> float:
     return max(right, left) / v.size
 
 
+def ks_distance(a: EmpiricalDist, b: EmpiricalDist) -> float:
+    """Two-sample Kolmogorov-Smirnov sup-distance between empirical CDFs.
+
+    Between two distinct values of the smaller sample its CDF is constant
+    and the other CDF is monotone, so the sup is reached at the two ends of
+    each step (or before the first), and those ends evaluate the same float
+    expression as the sample points they stand for.
+
+    One binary search per step counts the ``y`` below it.  The count up to
+    and including the step is the same when the next ``y`` is larger; only
+    the other steps (a tie or no larger ``y``) are searched again.
+
+    A NaN has no place in a CDF, so a sample holding one is a ValueError;
+    sorted, a NaN sits last, so one look at each sample's top finds it.
+    """
+    x, y = a.values, b.values
+    if np.isnan(x[-1]) or np.isnan(y[-1]):
+        raise ValueError("KS distance of a sample holding NaN")
+    if x.size > y.size:
+        x, y = y, x
+    n, m = x.size, y.size
+    last = np.append(np.flatnonzero(x[1:] != x[:-1]), n - 1)    # end of each tie run
+    steps = x[last]
+    fx = (last + 1) / n
+    below = np.searchsorted(y, steps, side="left")
+    upto = below.copy()
+    tie = ~(y[np.minimum(below, m - 1)] > steps)
+    upto[tie] = np.searchsorted(y, steps[tie], side="right")
+    at_step = np.abs(fx - upto / m)
+    before_next = np.abs(fx[:-1] - below[1:] / m)
+    return float(max(at_step.max(), before_next.max(initial=0.0), below[0] / m))
+
+
 # ---------------------------------------------------------------------------
 # single-realization sums
 # ---------------------------------------------------------------------------
@@ -465,6 +498,8 @@ def _run_blocks(make_batch, N, nv, workers, block_cap):
     the result is its transposed view: column ``v`` of the result is
     contiguous, so a per-point distribution sorts it without a strided gather.
     """
+    if N < 1:
+        raise ValueError("need at least one replication")
     out = np.empty((nv, N))
     edges = np.linspace(0, N, num=max(1, int(workers)) + 1, dtype=int)
     chunks = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
@@ -550,8 +585,6 @@ def simulate_S_L(kernel, L: IndexSet, dists, N: int, rng: RngSpec,
     Worker counts partition replications without changing any variate, so the
     result is identical to a serial run.
     """
-    if N < 1:
-        raise ValueError("need at least one replication")
     vals = _sum_field(kernel.factors, _weight_columns(kernel.lam), 1, L, dists, N, rng,
                       workers)
     return EmpiricalDist(vals[:, 0], _provenance("S_L", kernel, L, dists, N, rng.seed),
@@ -561,8 +594,6 @@ def simulate_S_L(kernel, L: IndexSet, dists, N: int, rng: RngSpec,
 def sample_S_infty(lam: dict, d: int, N: int, rng: RngSpec,
                    workers: int = 1) -> EmpiricalDist:
     """Gaussian-chaos limit ``sum_k lambda(k) prod_s beta_s(k_s)``, fresh betas per replication."""
-    if N < 1:
-        raise ValueError("need at least one replication")
     lam = {tuple(k): float(w) for k, w in lam.items()}
     vals = _limit_field(_weight_columns(lam), 1, d, N, rng, workers)
     payload = {"lambda": sorted((list(k), w) for k, w in lam.items()), "d": d}

@@ -1,4 +1,4 @@
-"""Parametric kernel fields: the field model, its metric entropy and its sampling.
+"""Parametric kernel fields: the field model, its metric entropy, sampling and KS distances.
 
 A parametric kernel carries weights ``lambda(v, k)`` over a finite grid V of
 parameter points; each slice is an ordinary degenerate kernel and the
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import DegenerateKernel, _factors_from_json, _factors_to_json, _multi_indices
-from .mc import EmpiricalDist, RngSpec, _limit_field, _sum_field, _weight_columns
+from .mc import EmpiricalDist, RngSpec, _limit_field, _sum_field, _weight_columns, ks_distance
 from .psi import PsiFunction, _golden_max
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "entropy_integral_power",
     "entropy_integral_exp",
     "simulate_Q_L",
+    "pointwise_ks",
     "parametric_kernel_from_json",
     "parametric_kernel_to_json",
 ]
@@ -105,7 +106,7 @@ class ParametricKernel:
 
 def sigma_lambda(pk: ParametricKernel) -> float:
     """``max_v sum_k |lambda(v, k)|``."""
-    w = np.stack([v for v in pk.lam.values()])
+    w = np.stack(list(pk.lam.values()))
     return float(np.abs(w).sum(axis=0).max())
 
 
@@ -298,8 +299,6 @@ def simulate_Q_L(pk: ParametricKernel, L, dists, N: int, rng: RngSpec,
     replication.  Each marginal is bit-identical to ``simulate_S_L`` of the
     slice kernel under the same stream policy.
     """
-    if N < 1:
-        raise ValueError("need at least one replication")
     mat = _sum_field(pk.factors, _weight_columns(pk.lam), pk.n_points, L, dists, N, rng,
                      workers)
     per_v = [EmpiricalDist(mat[:, v], f"Q_L[v={v}]", seed=rng.seed)
@@ -315,6 +314,11 @@ def sample_Q_infty(pk: ParametricKernel, N: int, rng: RngSpec, workers: int = 1)
     rows of its transpose being the per-point samples.
     """
     return _limit_field(_weight_columns(pk.lam), pk.n_points, pk.d, N, rng, workers)
+
+
+def pointwise_ks(field, limit) -> list:
+    """KS distance at each grid point between two sampled fields, an EmpiricalDist per point."""
+    return [ks_distance(q, lim) for q, lim in zip(field, limit, strict=True)]
 
 
 # ---------------------------------------------------------------------------

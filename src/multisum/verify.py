@@ -19,10 +19,10 @@ import numpy as np
 
 from .index_sets import nclt_condition_report
 from .kernels import DegenerateKernel
-from .mc import EmpiricalDist, RngSpec, empirical_moment, empirical_tail, simulate_S_L
+from .mc import EmpiricalDist, RngSpec, empirical_moment, empirical_tail, ks_distance, simulate_S_L
 from .parametric import (EntropyProfile, ParametricKernel, covering_profile,
-                         entropy_integral_exp, entropy_integral_power, sample_Q_infty,
-                         sigma_lambda, simulate_Q_L)
+                         entropy_integral_exp, entropy_integral_power, pointwise_ks,
+                         sample_Q_infty, sigma_lambda, simulate_Q_L)
 from .psi import PsiFunction, TailBound, product_of, rosenthal_scaled, tabulated_psi
 from .rosenthal import dp_quasinorm, rosenthal_K
 
@@ -45,39 +45,6 @@ _LIMIT_STREAM = 997         # rng child stream of the chaos-limit draws
 LIMIT_N = 100_000           # default chaos-limit sample size of the KS checks
 FINAL_KS = 0.05             # default KS bound at the last stage
 _SUP_MOMENT_BUDGET = 3.0    # slack factor on the sup-field moment majorant
-
-
-def ks_distance(a: EmpiricalDist, b: EmpiricalDist) -> float:
-    """Two-sample Kolmogorov-Smirnov sup-distance between empirical CDFs.
-
-    Between two distinct values of the smaller sample its CDF is constant
-    and the other CDF is monotone, so the sup is reached at the two ends of
-    each step (or before the first), and those ends evaluate the same float
-    expression as the sample points they stand for.
-
-    One binary search per step counts the ``y`` below it.  The count up to
-    and including the step is the same when the next ``y`` is larger; only
-    the other steps (a tie or no larger ``y``) are searched again.
-
-    A NaN has no place in a CDF, so a sample holding one is a ValueError;
-    sorted, a NaN sits last, so one look at each sample's top finds it.
-    """
-    x, y = a.values, b.values
-    if np.isnan(x[-1]) or np.isnan(y[-1]):
-        raise ValueError("KS distance of a sample holding NaN")
-    if x.size > y.size:
-        x, y = y, x
-    n, m = x.size, y.size
-    last = np.append(np.flatnonzero(x[1:] != x[:-1]), n - 1)    # end of each tie run
-    steps = x[last]
-    fx = (last + 1) / n
-    below = np.searchsorted(y, steps, side="left")
-    upto = below.copy()
-    tie = ~(y[np.minimum(below, m - 1)] > steps)
-    upto[tie] = np.searchsorted(y, steps[tie], side="right")
-    at_step = np.abs(fx - upto / m)
-    before_next = np.abs(fx[:-1] - below[1:] / m)
-    return float(max(at_step.max(), before_next.max(initial=0.0), below[0] / m))
 
 
 def ks_critical(n: int, m: int) -> float:
@@ -132,7 +99,7 @@ def _chaos_limit_ks(pk: ParametricKernel, dists, sets, N, rng, limit_n, final_ks
     ks = []
     for i, L in enumerate(sets):
         per_v, sup = simulate_Q_L(pk, L, dists, N, rng.child(i), workers)
-        ks.append([ks_distance(q, lim) for q, lim in zip(per_v, limit)])
+        ks.append(pointwise_ks(per_v, limit))
     crit = ks_critical(N, limit_n)
     return ks, _ks_verdict([max(row) for row in ks], crit, final_ks), 2.0 * crit, sup
 
@@ -155,10 +122,9 @@ def verify_nclt(kernel: DegenerateKernel, dists, sets, N: int, rng: RngSpec, *,
     _require_orthonormal(kernel)
     sets = list(sets)
     cond = nclt_condition_report(sets)
-    point = ParametricKernel(np.zeros((1, 1)), {k: [w] for k, w in kernel.lam.items()},
-                             kernel.factors, kernel.orthonormal)
-    ks, ks_ok, budget, _ = _chaos_limit_ks(point, dists, sets, N, rng, limit_n, final_ks,
-                                           workers)
+    pk = ParametricKernel(np.zeros((1, 1)), {k: [w] for k, w in kernel.lam.items()},
+                          kernel.factors, kernel.orthonormal)
+    ks, ks_ok, budget, _ = _chaos_limit_ks(pk, dists, sets, N, rng, limit_n, final_ks, workers)
     rows = [{"stage": i, "L_size": L.size, "kappa_minus": cond.kappa_minus[i],
              "kappa_plus": cond.kappa_plus[i], "min_corner": cond.inner_min_sides[i],
              "ks": row[0]} for i, (L, row) in enumerate(zip(sets, ks))]

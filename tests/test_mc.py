@@ -448,3 +448,16 @@ def test_provenance_hashes_the_whole_json_dump(L, n):
                "dists": [d.to_json() for d in dists], "N": n, "seed": 7}
     whole = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
     assert mc._provenance("S_L", kernel, L, dists, n, 7) == whole
+
+
+@pytest.mark.parametrize("N", [0, -3])
+def test_every_sampler_needs_a_replication(N):
+    kernel = hermite_kernel({(1, 2): 1.0})
+    pk = ParametricKernel(np.zeros((2, 1)), {(1, 2): [1.0, 0.5]}, kernel.factors, True)
+    L = make_rect([3, 3])
+    for run in (lambda: simulate_S_L(kernel, L, GAUSS, N, RngSpec(1)),
+                lambda: sample_S_infty(kernel.lam, 2, N, RngSpec(1)),
+                lambda: simulate_Q_L(pk, L, GAUSS, N, RngSpec(1)),
+                lambda: sample_Q_infty(pk, N, RngSpec(1))):
+        with pytest.raises(ValueError, match="at least one replication"):
+            run()

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from multisum import (AxisDistribution, DegenerateKernel, EntropyProfile, FactorFamily,
+from multisum import (AxisDistribution, EmpiricalDist, ks_distance, DegenerateKernel, EntropyProfile, FactorFamily,
                       ParametricKernel, RngSpec, check_theorem_8,
                       covering_profile, entropy_integral_exp,
                       entropy_integral_power, extremal,
@@ -17,7 +17,7 @@ from multisum import (AxisDistribution, DegenerateKernel, EntropyProfile, Factor
                       sigma_lambda, simulate_Q_L, simulate_S_L, verify_nclt)
 from multisum.parametric import (_exact_cover_count, _greedy_radii,
                                  parametric_kernel_from_json,
-                                 parametric_kernel_to_json, sample_Q_infty)
+                                 parametric_kernel_to_json, pointwise_ks, sample_Q_infty)
 
 GAUSS2 = [AxisDistribution("standard_normal")] * 2
 
@@ -376,3 +376,12 @@ def test_check_theorem8_exponential_level():
     assert math.isfinite(report.hypotheses["entropy_integral"])
     assert report.hypotheses["sigma_lambda"] == 1.0
     assert report.verdict == "pass"
+
+
+def test_pointwise_ks_is_one_ks_distance_per_grid_point():
+    pk = line_grid_pk(nv=3)
+    field, _ = simulate_Q_L(pk, make_rect([4, 4]), GAUSS2, 300, RngSpec(5))
+    limit = [EmpiricalDist(row) for row in sample_Q_infty(pk, 500, RngSpec(6)).T]
+    assert pointwise_ks(field, limit) == [ks_distance(q, lim) for q, lim in zip(field, limit)]
+    with pytest.raises(ValueError):
+        pointwise_ks(field, limit[:2])
