@@ -27,8 +27,9 @@ layer (uniforms, inverse CDF, each factor row); a set of many boxes or a
 field of many points makes blocks larger, so that the NumPy calls and
 output-row passes, whose count per block is fixed, do not dominate; and
 ``_BLOCK_BUDGET`` caps them.  Each worker samples its blocks through buffers
-it allocates once.  The variates are counter-addressed, so block size moves
-no bit.
+it allocates once, from one Philox generator per axis stream, advanced once
+to its first replication.  The variates are counter-addressed, so block size
+moves no bit.
 
 Each simulated distribution carries a provenance digest of its inputs
 (kernel, index set, axis laws, N, seed); the index set enters by its JSON,
@@ -44,7 +45,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln, ndtri
 
 from .index_sets import IndexSet
@@ -105,25 +105,39 @@ class RngSpec:
         mixed = (self.seed * 0x9E3779B97F4A7C15 + (index + 1) * 0xD1B54A32D192ED03) % 2 ** 64
         return RngSpec(mixed)
 
+    def generator(self, tag: int, axis: int, start: int) -> np.random.Generator:
+        """Philox generator of stream ``(tag, axis)`` standing at double ``start``.
+
+        ``start`` is a multiple of 4, one Philox step.  A draw of whole
+        replications is a multiple of 4 doubles too, so it leaves the generator
+        at the next replication, and one generator serves consecutive blocks.
+        """
+        key = np.array([self.seed, (int(tag) << 32) | int(axis)], dtype=np.uint64)
+        bg = np.random.Philox(key=key)
+        bg.advance(start // 4)
+        return np.random.Generator(bg)
+
     def uniform_block(self, tag: int, axis: int, rep_start: int, rep_count: int,
-                      ncols: int, out: np.ndarray | None = None) -> np.ndarray:
+                      ncols: int, out: np.ndarray | None = None,
+                      gen: np.random.Generator | None = None) -> np.ndarray:
         """Uniforms of shape (rep_count, ncols), positions keyed by (rep, col).
 
         ``out``, a C-contiguous float array of ``_stride(ncols)`` columns and at
         least ``rep_count`` rows, receives them instead of a fresh array; the
-        result is then a view of its leading rows.
+        result is then a view of its leading rows.  ``gen``, this stream's
+        ``generator`` standing at ``rep_start``, is drawn from and moved on to
+        ``rep_start + rep_count``; without it a fresh one is made.
         """
         stride = _stride(ncols)
-        key = np.array([self.seed, (int(tag) << 32) | int(axis)], dtype=np.uint64)
-        bg = np.random.Philox(key=key)
-        bg.advance(rep_start * stride // 4)
+        if gen is None:
+            gen = self.generator(tag, axis, rep_start * stride)
         if out is None:
-            u = np.random.Generator(bg).random((rep_count, stride))
+            u = gen.random((rep_count, stride))
         elif out.shape[1] != stride or out.shape[0] < rep_count:
             raise ValueError(f"a uniform buffer for {rep_count} x {ncols} needs {stride} columns"
                              f" and {rep_count} rows")
         else:
-            u = np.random.Generator(bg).random(out=out[:rep_count])
+            u = gen.random(out=out[:rep_count])
         return u[:, :ncols]
 
 
@@ -192,15 +206,15 @@ class AxisDistribution:
         return _POISSON_NODES.take(np.searchsorted(_POISSON_CDF, v), out=v, mode="clip")
 
     def sample_block(self, rng: RngSpec, axis: int, rep_start: int, rep_count: int,
-                     ncols: int, tag: int = TAG_AXIS,
-                     out: np.ndarray | None = None) -> np.ndarray:
+                     ncols: int, tag: int = TAG_AXIS, out: np.ndarray | None = None,
+                     gen: np.random.Generator | None = None) -> np.ndarray:
         """Samples of shape (rep_count, ncols), transformed in place in their uniforms.
 
-        ``out`` is the uniform buffer (see ``RngSpec.uniform_block``), so the
-        result is a view of it.
+        ``out`` is the uniform buffer and ``gen`` the stream's generator (see
+        ``RngSpec.uniform_block``), so the result is a view of ``out``.
         """
         u = rng.uniform_block(tag, axis, rep_start, rep_count,
-                              ncols * self.uniforms_per_coord, out)
+                              ncols * self.uniforms_per_coord, out, gen)
         return self.transform(u, out=u[:, ::self.uniforms_per_coord])
 
     def identity_moment(self, p: float) -> float:
@@ -211,7 +225,7 @@ class AxisDistribution:
             return math.sqrt(2.0) * math.exp(
                 (gammaln((p + 1.0) / 2.0) - 0.5 * math.log(math.pi)) / p)
         if self.kind == "centered_exponential":
-            val, _ = quad(lambda t: abs(t - 1.0) ** p * math.exp(-t), 0, np.inf)
+            val = _quad(lambda t: abs(t - 1.0) ** p * math.exp(-t), 0, np.inf)
             return val ** (1.0 / p)
         if self.kind == "compensated_poisson":
             x, pmf = quadrature_rule("compensated_poisson")
@@ -222,13 +236,24 @@ class AxisDistribution:
             y = math.expm1(u)
             return p * y ** (p - 1.0) * math.exp(u - u ** (1.0 + 1.0 / b))
         hi = max(10.0, (4.0 * p) ** (b / (b + 1.0)) + 20.0)
-        val, _ = quad(integrand, 0, hi, limit=200)
+        val = _quad(integrand, 0, hi, limit=200)
         return val ** (1.0 / p)
 
     def to_json(self):
         if self.kind == "log_weibull":
             return {"kind": "log_weibull", "beta": self.beta}
         return self.kind
+
+
+def _quad(f, lo: float, hi: float, **options) -> float:
+    """``scipy.integrate.quad(f, lo, hi, **options)``'s value, importing it on first use.
+
+    ``scipy.integrate`` loads ``scipy.optimize``, ``scipy.sparse`` and
+    ``scipy.linalg`` with it, about a third of ``import multisum``, and only
+    these two identity moments need it.
+    """
+    from scipy.integrate import quad
+    return quad(f, lo, hi, **options)[0]
 
 
 def axis_distribution_from_json(obj) -> AxisDistribution:
@@ -488,11 +513,12 @@ def _block_cap(floats_per_rep: int, widest: int, calls: int) -> int:
 def _run_blocks(make_batch, N, nv, workers, block_cap):
     """(N, nv) matrix assembled from blocks of shape (nv, count).
 
-    ``make_batch(cap)`` allocates the buffers for blocks of up to ``cap``
-    replications and returns ``batch(start, count, out)``, which samples one
+    ``make_batch(start, cap)`` allocates the buffers for blocks of up to
+    ``cap`` replications, and the random streams from replication ``start``
+    on, and returns ``batch(start, count, out)``, which samples the next
     block through them into ``out``.  Each worker chunk, a run of
-    replications in order, makes its own batch once, at the chunk's block
-    size, and reuses it.
+    replications in order, makes its own batch once, at the chunk's start and
+    block size, and reuses it for its consecutive blocks.
 
     The blocks fill an (nv, N) array in place, one row per weight vector, and
     the result is its transposed view: column ``v`` of the result is
@@ -507,7 +533,7 @@ def _run_blocks(make_batch, N, nv, workers, block_cap):
     def run_chunk(bounds):
         a, b = bounds
         cap = min(block_cap, b - a)
-        batch = make_batch(cap)
+        batch = make_batch(a, cap)
         for start in range(a, b, cap):
             count = min(cap, b - start)
             batch(start, count, out[:, start:start + count])
@@ -533,14 +559,16 @@ def _sum_field(factors, lam, nv, L, dists, N, rng, workers) -> np.ndarray:
     sides = [_spans(L, axis) for axis in range(L.d)]
     root = math.sqrt(L.size)
 
-    def make_batch(cap):
+    def make_batch(chunk_start, cap):
         uniforms = [np.empty((cap, stride)) for stride in strides]
+        gens = [rng.generator(TAG_AXIS, axis, chunk_start * stride)
+                for axis, stride in enumerate(strides)]
         rows = np.empty((3, cap * max(ncols)))
         scratch = np.empty((nv, cap))
 
         def batch(rep_start, rep_count, out):
-            samples = (dist.sample_block(rng, axis, rep_start, rep_count, n, out=u)
-                       for axis, (dist, n, u) in enumerate(zip(dists, ncols, uniforms)))
+            samples = (dist.sample_block(rng, axis, rep_start, rep_count, n, out=u, gen=g)
+                       for axis, (dist, n, u, g) in enumerate(zip(dists, ncols, uniforms, gens)))
             sums = _field_sums(factors, kmax, sides, samples, rows)
             np.divide(_contract(sums, lam, out, scratch[:, :rep_count]), root, out=out)
 
@@ -561,21 +589,24 @@ def _limit_field(lam, nv, d, N, rng, workers) -> np.ndarray:
     """(N, nv) chaos-limit values: the beta draws are the sums of one single-cell box."""
     kmax = _kmax(lam, d)
     normal = AxisDistribution("standard_normal")
+    strides = [_stride(k) for k in kmax]
 
-    def make_batch(cap):
-        uniforms = [np.empty((cap, _stride(k))) for k in kmax]
+    def make_batch(chunk_start, cap):
+        uniforms = [np.empty((cap, stride)) for stride in strides]
+        gens = [rng.generator(TAG_BETA, axis, chunk_start * stride)
+                for axis, stride in enumerate(strides)]
         scratch = np.empty((nv, cap))
 
         def batch(rep_start, rep_count, out):
-            betas = [normal.sample_block(rng, axis, rep_start, rep_count, k, TAG_BETA, u).T
-                     for axis, (k, u) in enumerate(zip(kmax, uniforms))]
+            betas = [normal.sample_block(rng, axis, rep_start, rep_count, k, TAG_BETA, u, g).T
+                     for axis, (k, u, g) in enumerate(zip(kmax, uniforms, gens))]
             _contract([betas], lam, out, scratch[:, :rep_count])
 
         return batch
 
     per_rep = sum(3 * k for k in kmax) + nv     # uniforms, contraction products; outputs
     return _run_blocks(make_batch, N, nv, workers,
-                       _block_cap(per_rep, max(_stride(k) for k in kmax), len(lam) * (d + nv)))
+                       _block_cap(per_rep, max(strides), len(lam) * (d + nv)))
 
 
 def simulate_S_L(kernel, L: IndexSet, dists, N: int, rng: RngSpec,

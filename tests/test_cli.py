@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from multisum import FactorFamily, dp_quasinorm, kernel_from_json, rosenthal_K, theorem_W_bound
 from multisum.cli import main
 from multisum.index_sets import index_set_from_json, lshape_family
 
@@ -90,6 +91,40 @@ def test_bound_grid_past_the_node_limit_exits_2(tmp_path, capsys):
     code, _ = run_cmd(tmp_path, "bound", path)
     assert code == 2
     assert str(140 ** 5) in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_bound_computes_each_factor_moment_once(tmp_path, monkeypatch):
+    # d = 3 Poisson-Charlier with 8 diagonal terms at three orders: the dp_quasinorm and
+    # theorem_W routes read 144 factor moments, of 24 distinct (k, p)
+    kernel = {"d": 3, "factors": [{"kind": "poisson_charlier", "params": {}}] * 3,
+              "lambda": [{"k": [k] * 3, "w": 2.0 ** -k} for k in range(1, 9)],
+              "orthonormal": True}
+    cfg = {"seed": 1, "p_grid": [2.0, 4.0, 8.0], "kernel": kernel,
+           "bound": {"routes": ["trivial", "dp_quasinorm", "theorem_W"], "M_max": 8,
+                     "L_size": 10_000}}
+    path = tmp_path / "bounds.json"
+    path.write_text(json.dumps(cfg))
+    calls = []
+    moment = FactorFamily.moment
+
+    def counted(self, k, p, law=None):
+        calls.append((self.kind, k, p, law))
+        return moment(self, k, p, law)
+
+    monkeypatch.setattr(FactorFamily, "moment", counted)
+    code, out = run_cmd(tmp_path, "bound", path)
+    monkeypatch.undo()
+    assert code == 0
+    assert len(calls) == len(set(calls)) == 24
+    # the same floats as routes that compute every moment afresh
+    rows = json.loads((out / json.loads((out / "manifest.json").read_text())
+                       ["files"]["bounds_rows"]).read_text())
+    k = kernel_from_json(kernel)
+    for row in rows:
+        if row["route"] == "dp_quasinorm":
+            assert row["value"] == rosenthal_K(row["p"]) ** 3 * dp_quasinorm(k, row["p"])
+        elif row["route"] == "theorem_W":
+            assert row["value"] == theorem_W_bound(k, row["p"], 10_000, 8).bound_value
 
 
 def test_bound_reruns_byte_identical(tmp_path):

@@ -3,7 +3,10 @@
 import ast
 import importlib
 import importlib.util
+import json
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -38,6 +41,36 @@ def test_parametric_imports_nothing_from_verify():
                 if isinstance(node, ast.Import) for alias in node.names]
     assert sources
     assert [names for names in sources if "verify" in names] == []
+
+
+# what scipy.integrate brings with it; only the quadrature-backed identity moments need it
+HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg")
+
+IMPORT_PROBE = """
+import json, sys
+import multisum.cli
+
+def heavy():
+    return sorted(m for m in sys.modules if m.startswith(HEAVY))
+
+HEAVY = tuple(sys.argv[1].split(","))
+after_import = heavy()
+code = multisum.cli.main(["simulate", "--config", sys.argv[2], "--out", sys.argv[3]])
+print(json.dumps({"import": after_import, "simulate": heavy(), "exit": code}))
+"""
+
+
+def test_cli_and_a_normal_simulate_load_no_heavy_scipy(tmp_path):
+    # a fresh interpreter, so no other test's imports count
+    config = Path(__file__).resolve().parent.parent / "demos" / "configs" / "simulate_smoke.json"
+    src = str(Path(multisum.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, ",".join(HEAVY_SCIPY),
+                           str(config), str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, check=True)
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert loaded == {"import": [], "simulate": [], "exit": 0}
 
 
 def _bench_tracer(monkeypatch):
