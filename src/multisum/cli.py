@@ -184,16 +184,15 @@ def cmd_bound(cfg, out: OutputSet, workers: int) -> int:
     l_size = _typed(spec, "L_size", int, 1)
     m_max = _typed(spec, "M_max", int, max(kernel.M, 1))
     reports = []
-    moments = {}    # factor moments, shared by every route and order
     for p in p_grid:
         for route in routes:
             if route == "trivial":
                 rep = BoundReport(p, trivial_bound(kernel.moment(p), p, l_size), "trivial")
             elif route == "dp_quasinorm":
-                val = rosenthal_K(p) ** kernel.d * dp_quasinorm(kernel, p, moments=moments)
+                val = rosenthal_K(p) ** kernel.d * dp_quasinorm(kernel, p)
                 rep = BoundReport(p, val, "dp_quasinorm")
             else:
-                rep = theorem_W_bound(kernel, p, l_size, m_max, moments)
+                rep = theorem_W_bound(kernel, p, l_size, m_max)
             reports.append(rep)
     out.add("bounds", "csv", _csv("p,route,M_star,value", (
         (r.p, r.route, "" if r.m_star is None else r.m_star, r.bound_value) for r in reports)))

@@ -116,24 +116,22 @@ def _lp_norm(slabs, p: float) -> float:
     return float(np.exp((top + math.log(total)) / p))
 
 
-def _recurrence_rows(kmax: int, first: np.ndarray, times_coef, norm: np.ndarray, buffers):
+def _recurrence_rows(kmax: int, first: np.ndarray, coef, norm: np.ndarray, buffers=None):
     """Rows 1..kmax of ``p_{k+1} = coef(k) * p_k - k * p_{k-1}`` (``p_0 = 1``, ``p_1 = first``).
 
-    ``times_coef(k, p, out)`` writes ``coef(k) * p`` into ``out``.  Row k is
-    yielded as ``norm[k] * p_k``, valid until the next row: ``p_k`` itself
-    where ``norm[k]`` is 1.0 (an exact product), else the last of the three
-    ``buffers``.  The recurrence runs in place in the other two.  It writes
-    ``first`` only when ``first`` is the second buffer, and then only after
-    reading it for the last time.  Its first step subtracts the scalar
-    ``p_0 = 1``.
+    Row k is yielded as ``norm[k] * p_k``, valid until the next row: ``p_k``
+    itself where ``norm[k]`` is 1.0 (an exact product), else the last of the
+    three ``buffers`` (arrays of first's shape, made here when absent).  The
+    recurrence runs in place in the other two and never writes ``first``; its
+    first step subtracts the scalar ``p_0 = 1``.
     """
-    a, b, row = buffers
+    a, b, row = buffers if buffers is not None else [np.empty_like(first) for _ in range(3)]
     prev, cur = None, first
     for k in range(1, kmax + 1):
         yield cur if norm[k] == 1.0 else np.multiply(cur, norm[k], out=row)
         if k == kmax:
             return
-        times_coef(k, cur, row)
+        np.multiply(coef(k), cur, out=row)
         if prev is None:
             nxt = np.subtract(row, 1.0, out=a)
         else:
@@ -142,34 +140,17 @@ def _recurrence_rows(kmax: int, first: np.ndarray, times_coef, norm: np.ndarray,
         prev, cur = cur, nxt
 
 
-def _row_buffers(x: np.ndarray, buffers) -> list:
-    """The three row buffers of ``_recurrence_rows``: ``buffers``, or fresh arrays of x's shape."""
-    return buffers if buffers is not None else [np.empty_like(x) for _ in range(3)]
-
-
 def _hermite_rows(kmax: int, x: np.ndarray, buffers=None):
     """Normalized probabilists' Hermite polynomials, from the monic recurrence."""
     norm = np.exp(-0.5 * gammaln(np.arange(kmax + 1) + 1.0))
-    return _recurrence_rows(kmax, x, lambda k, p, out: np.multiply(x, p, out=out), norm,
-                            _row_buffers(x, buffers))
+    return _recurrence_rows(kmax, x, lambda k: x, norm, buffers)
 
 
 def _charlier_rows(kmax: int, x: np.ndarray, buffers=None):
-    """Normalized Charlier polynomials (a = 1) on the compensated count x = n - 1.
-
-    ``p_1 = 1 - n`` is written into the second buffer, and ``coef(k) = k + 1
-    - n`` into the product buffer at each step, with ``n = x + 1`` formed
-    again each time, so the rows take no array beyond the three buffers.
-    """
-    buffers = _row_buffers(x, buffers)
+    """Normalized Charlier polynomials (a = 1) on the compensated count x = n - 1."""
+    n = x + 1.0
     norm = (-1.0) ** np.arange(kmax + 1) * np.exp(-0.5 * gammaln(np.arange(kmax + 1) + 1.0))
-    first = np.subtract(1.0, np.add(x, 1.0, out=buffers[1]), out=buffers[1])
-
-    def times_coef(k, p, out):
-        np.subtract(k + 1.0, np.add(x, 1.0, out=out), out=out)
-        return np.multiply(out, p, out=out)
-
-    return _recurrence_rows(kmax, first, times_coef, norm, buffers)
+    return _recurrence_rows(kmax, 1.0 - n, lambda k: k + 1.0 - n, norm, buffers)
 
 
 def _sign_rows(kmax: int, x: np.ndarray, buffers=None):

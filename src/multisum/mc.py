@@ -27,9 +27,8 @@ layer (uniforms, inverse CDF, each factor row); a set of many boxes or a
 field of many points makes blocks larger, so that the NumPy calls and
 output-row passes, whose count per block is fixed, do not dominate; and
 ``_BLOCK_BUDGET`` caps them.  Each worker samples its blocks through buffers
-it allocates once, from one Philox generator per axis stream, advanced once
-to its first replication.  The variates are counter-addressed, so block size
-moves no bit.
+it allocates once.  The variates are counter-addressed, so block size moves
+no bit.
 
 Each simulated distribution carries a provenance digest of its inputs
 (kernel, index set, axis laws, N, seed); the index set enters by its JSON,
@@ -105,39 +104,25 @@ class RngSpec:
         mixed = (self.seed * 0x9E3779B97F4A7C15 + (index + 1) * 0xD1B54A32D192ED03) % 2 ** 64
         return RngSpec(mixed)
 
-    def generator(self, tag: int, axis: int, start: int) -> np.random.Generator:
-        """Philox generator of stream ``(tag, axis)`` standing at double ``start``.
-
-        ``start`` is a multiple of 4, one Philox step.  A draw of whole
-        replications is a multiple of 4 doubles too, so it leaves the generator
-        at the next replication, and one generator serves consecutive blocks.
-        """
-        key = np.array([self.seed, (int(tag) << 32) | int(axis)], dtype=np.uint64)
-        bg = np.random.Philox(key=key)
-        bg.advance(start // 4)
-        return np.random.Generator(bg)
-
     def uniform_block(self, tag: int, axis: int, rep_start: int, rep_count: int,
-                      ncols: int, out: np.ndarray | None = None,
-                      gen: np.random.Generator | None = None) -> np.ndarray:
+                      ncols: int, out: np.ndarray | None = None) -> np.ndarray:
         """Uniforms of shape (rep_count, ncols), positions keyed by (rep, col).
 
         ``out``, a C-contiguous float array of ``_stride(ncols)`` columns and at
         least ``rep_count`` rows, receives them instead of a fresh array; the
-        result is then a view of its leading rows.  ``gen``, this stream's
-        ``generator`` standing at ``rep_start``, is drawn from and moved on to
-        ``rep_start + rep_count``; without it a fresh one is made.
+        result is then a view of its leading rows.
         """
         stride = _stride(ncols)
-        if gen is None:
-            gen = self.generator(tag, axis, rep_start * stride)
+        key = np.array([self.seed, (int(tag) << 32) | int(axis)], dtype=np.uint64)
+        bg = np.random.Philox(key=key)
+        bg.advance(rep_start * stride // 4)
         if out is None:
-            u = gen.random((rep_count, stride))
+            u = np.random.Generator(bg).random((rep_count, stride))
         elif out.shape[1] != stride or out.shape[0] < rep_count:
             raise ValueError(f"a uniform buffer for {rep_count} x {ncols} needs {stride} columns"
                              f" and {rep_count} rows")
         else:
-            u = gen.random(out=out[:rep_count])
+            u = np.random.Generator(bg).random(out=out[:rep_count])
         return u[:, :ncols]
 
 
@@ -206,15 +191,15 @@ class AxisDistribution:
         return _POISSON_NODES.take(np.searchsorted(_POISSON_CDF, v), out=v, mode="clip")
 
     def sample_block(self, rng: RngSpec, axis: int, rep_start: int, rep_count: int,
-                     ncols: int, tag: int = TAG_AXIS, out: np.ndarray | None = None,
-                     gen: np.random.Generator | None = None) -> np.ndarray:
+                     ncols: int, tag: int = TAG_AXIS,
+                     out: np.ndarray | None = None) -> np.ndarray:
         """Samples of shape (rep_count, ncols), transformed in place in their uniforms.
 
-        ``out`` is the uniform buffer and ``gen`` the stream's generator (see
-        ``RngSpec.uniform_block``), so the result is a view of ``out``.
+        ``out`` is the uniform buffer (see ``RngSpec.uniform_block``), so the
+        result is a view of it.
         """
         u = rng.uniform_block(tag, axis, rep_start, rep_count,
-                              ncols * self.uniforms_per_coord, out, gen)
+                              ncols * self.uniforms_per_coord, out)
         return self.transform(u, out=u[:, ::self.uniforms_per_coord])
 
     def identity_moment(self, p: float) -> float:
@@ -513,12 +498,11 @@ def _block_cap(floats_per_rep: int, widest: int, calls: int) -> int:
 def _run_blocks(make_batch, N, nv, workers, block_cap):
     """(N, nv) matrix assembled from blocks of shape (nv, count).
 
-    ``make_batch(start, cap)`` allocates the buffers for blocks of up to
-    ``cap`` replications, and the random streams from replication ``start``
-    on, and returns ``batch(start, count, out)``, which samples the next
+    ``make_batch(cap)`` allocates the buffers for blocks of up to ``cap``
+    replications and returns ``batch(start, count, out)``, which samples one
     block through them into ``out``.  Each worker chunk, a run of
-    replications in order, makes its own batch once, at the chunk's start and
-    block size, and reuses it for its consecutive blocks.
+    replications in order, makes its own batch once, at the chunk's block
+    size, and reuses it.
 
     The blocks fill an (nv, N) array in place, one row per weight vector, and
     the result is its transposed view: column ``v`` of the result is
@@ -533,7 +517,7 @@ def _run_blocks(make_batch, N, nv, workers, block_cap):
     def run_chunk(bounds):
         a, b = bounds
         cap = min(block_cap, b - a)
-        batch = make_batch(a, cap)
+        batch = make_batch(cap)
         for start in range(a, b, cap):
             count = min(cap, b - start)
             batch(start, count, out[:, start:start + count])
@@ -559,16 +543,14 @@ def _sum_field(factors, lam, nv, L, dists, N, rng, workers) -> np.ndarray:
     sides = [_spans(L, axis) for axis in range(L.d)]
     root = math.sqrt(L.size)
 
-    def make_batch(chunk_start, cap):
+    def make_batch(cap):
         uniforms = [np.empty((cap, stride)) for stride in strides]
-        gens = [rng.generator(TAG_AXIS, axis, chunk_start * stride)
-                for axis, stride in enumerate(strides)]
         rows = np.empty((3, cap * max(ncols)))
         scratch = np.empty((nv, cap))
 
         def batch(rep_start, rep_count, out):
-            samples = (dist.sample_block(rng, axis, rep_start, rep_count, n, out=u, gen=g)
-                       for axis, (dist, n, u, g) in enumerate(zip(dists, ncols, uniforms, gens)))
+            samples = (dist.sample_block(rng, axis, rep_start, rep_count, n, out=u)
+                       for axis, (dist, n, u) in enumerate(zip(dists, ncols, uniforms)))
             sums = _field_sums(factors, kmax, sides, samples, rows)
             np.divide(_contract(sums, lam, out, scratch[:, :rep_count]), root, out=out)
 
@@ -589,24 +571,21 @@ def _limit_field(lam, nv, d, N, rng, workers) -> np.ndarray:
     """(N, nv) chaos-limit values: the beta draws are the sums of one single-cell box."""
     kmax = _kmax(lam, d)
     normal = AxisDistribution("standard_normal")
-    strides = [_stride(k) for k in kmax]
 
-    def make_batch(chunk_start, cap):
-        uniforms = [np.empty((cap, stride)) for stride in strides]
-        gens = [rng.generator(TAG_BETA, axis, chunk_start * stride)
-                for axis, stride in enumerate(strides)]
+    def make_batch(cap):
+        uniforms = [np.empty((cap, _stride(k))) for k in kmax]
         scratch = np.empty((nv, cap))
 
         def batch(rep_start, rep_count, out):
-            betas = [normal.sample_block(rng, axis, rep_start, rep_count, k, TAG_BETA, u, g).T
-                     for axis, (k, u, g) in enumerate(zip(kmax, uniforms, gens))]
+            betas = [normal.sample_block(rng, axis, rep_start, rep_count, k, TAG_BETA, u).T
+                     for axis, (k, u) in enumerate(zip(kmax, uniforms))]
             _contract([betas], lam, out, scratch[:, :rep_count])
 
         return batch
 
     per_rep = sum(3 * k for k in kmax) + nv     # uniforms, contraction products; outputs
     return _run_blocks(make_batch, N, nv, workers,
-                       _block_cap(per_rep, max(strides), len(lam) * (d + nv)))
+                       _block_cap(per_rep, max(_stride(k) for k in kmax), len(lam) * (d + nv)))
 
 
 def simulate_S_L(kernel, L: IndexSet, dists, N: int, rng: RngSpec,

@@ -66,40 +66,37 @@ def trivial_bound(f_moment: float, p: float, L_size: int) -> float:
     return math.sqrt(L_size) * f_moment
 
 
-def dp_quasinorm(kernel, p: float, laws=None, moments: dict | None = None) -> float:
+def dp_quasinorm(kernel, p: float, laws=None) -> float:
     """Single-representation surrogate ``sum_k |lambda(k)| * prod_s |g_{k_s}|_p``.
 
     The infimum over degenerate representations is not searched; the kernel's
     own representation is used, which always majorizes the true quasi-norm.
     ``laws``, one ``AxisDistribution`` per axis, takes each factor moment under
     that axis' law (``FactorFamily.moment``); None takes the base measures.
-    ``moments`` memoises the factor moments (see ``_dp_terms``).
     """
-    return _dp_sum(_dp_terms(kernel, p, laws, moments))
+    return _dp_sum(_dp_terms(kernel, p, laws))
 
 
-def _dp_terms(kernel, p: float, laws=None, moments: dict | None = None):
+def _dp_terms(kernel, p: float, laws=None):
     """``(largest index, |lambda(k)| * prod_s |g_{k_s}|_p)`` per nonzero term, in ``lam`` order.
 
-    Each distinct factor moment is computed once, into ``moments``: a fresh
-    dict, or one the caller shares between the calls of one run, across
-    routes and orders.  Analytic families are equal by kind, a tabulated one
-    only to itself; the memo holds each family it keys by ``id``, so no other
-    family can take that id while the memo lives.
+    Each distinct factor moment is computed once per call.  Analytic families
+    are equal by kind, a tabulated one only to itself (keyed by ``id``; the
+    kernel holds it for the whole call).
     """
     laws = [None] * kernel.d if laws is None else laws
-    moments = {} if moments is None else moments
+    memo = {}
 
     def moment(fam, k, law):
-        key = (fam.kind if fam.canonical_base else id(fam), k, p, law)
-        if key not in moments:
-            moments[key] = fam, fam.moment(k, p, law)
-        return moments[key][1]
+        key = (fam.kind if fam.canonical_base else id(fam), k, law)
+        if key not in memo:
+            memo[key] = fam.moment(k, p, law)
+        return memo[key]
 
     for kvec, w in kernel.lam.items():
         if w != 0.0:
-            factors = (moment(fam, k, law) for fam, k, law in zip(kernel.factors, kvec, laws))
-            yield max(kvec), abs(w) * math.prod(factors)
+            moments = (moment(fam, k, law) for fam, k, law in zip(kernel.factors, kvec, laws))
+            yield max(kvec), abs(w) * math.prod(moments)
 
 
 def _dp_sum(terms, rank: float = math.inf) -> float:
@@ -144,8 +141,7 @@ def _digest(payload) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def theorem_W_bound(kernel_family, p: float, L_size: int, M_max: int,
-                    moments: dict | None = None) -> BoundReport:
+def theorem_W_bound(kernel_family, p: float, L_size: int, M_max: int) -> BoundReport:
     """Best split of an approximable kernel into rank-M head plus residual.
 
     Minimizes ``K(p)**d * D_p(Z_M) + sqrt(|L|) * Q_{M,p}`` over ranks
@@ -156,7 +152,6 @@ def theorem_W_bound(kernel_family, p: float, L_size: int, M_max: int,
     term only, so the caller supplies it per index set rather than a supremum
     over all of them.  A NaN candidate ends the search and is reported as the
     bound, at its rank, so that it cannot pass for a clean minimum.
-    ``moments`` memoises the head's factor moments (see ``_dp_terms``).
     """
     if M_max < 1:
         raise ValueError("M_max must be >= 1")
@@ -167,7 +162,7 @@ def theorem_W_bound(kernel_family, p: float, L_size: int, M_max: int,
     root_l = math.sqrt(L_size)
     best_val = math.inf
     best_m = None
-    terms = list(_dp_terms(kernel_family.head, p, moments=moments))
+    terms = list(_dp_terms(kernel_family.head, p))
     for m in range(1, M_max + 1):
         q_m = kernel_family.residual_norm(m, p)
         val = kd * _dp_sum(terms, m) + root_l * q_m

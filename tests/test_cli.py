@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from multisum import FactorFamily, dp_quasinorm, kernel_from_json, rosenthal_K, theorem_W_bound
+from multisum import FactorFamily, kernel_from_json, rosenthal_K
 from multisum.cli import main
 from multisum.index_sets import index_set_from_json, lshape_family
 
@@ -93,9 +93,9 @@ def test_bound_grid_past_the_node_limit_exits_2(tmp_path, capsys):
     assert str(140 ** 5) in json.loads(capsys.readouterr().err)["error"]
 
 
-def test_bound_computes_each_factor_moment_once(tmp_path, monkeypatch):
-    # d = 3 Poisson-Charlier with 8 diagonal terms at three orders: the dp_quasinorm and
-    # theorem_W routes read 144 factor moments, of 24 distinct (k, p)
+def test_bound_computes_each_factor_moment_once_per_call(tmp_path, monkeypatch):
+    # d = 3 Poisson-Charlier with 8 diagonal terms at three orders: each of the dp_quasinorm
+    # and theorem_W calls reads 24 factor moments, of 8 distinct k
     kernel = {"d": 3, "factors": [{"kind": "poisson_charlier", "params": {}}] * 3,
               "lambda": [{"k": [k] * 3, "w": 2.0 ** -k} for k in range(1, 9)],
               "orthonormal": True}
@@ -115,16 +115,18 @@ def test_bound_computes_each_factor_moment_once(tmp_path, monkeypatch):
     code, out = run_cmd(tmp_path, "bound", path)
     monkeypatch.undo()
     assert code == 0
-    assert len(calls) == len(set(calls)) == 24
-    # the same floats as routes that compute every moment afresh
+    assert len(calls) == 48
+    assert all(calls.count(call) == 2 for call in calls)    # one per route
+    # the floats of every moment computed afresh, added left to right
+    fams = kernel_from_json(kernel).factors
     rows = json.loads((out / json.loads((out / "manifest.json").read_text())
                        ["files"]["bounds_rows"]).read_text())
-    k = kernel_from_json(kernel)
     for row in rows:
         if row["route"] == "dp_quasinorm":
-            assert row["value"] == rosenthal_K(row["p"]) ** 3 * dp_quasinorm(k, row["p"])
-        elif row["route"] == "theorem_W":
-            assert row["value"] == theorem_W_bound(k, row["p"], 10_000, 8).bound_value
+            p, total = row["p"], 0.0
+            for k in range(1, 9):
+                total += 2.0 ** -k * math.prod(fam.moment(k, p) for fam in fams)
+            assert row["value"] == rosenthal_K(p) ** 3 * total
 
 
 def test_bound_reruns_byte_identical(tmp_path):

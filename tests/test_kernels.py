@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad
-from scipy.special import gammaln
 
 from multisum import (AxisDistribution, DegenerateKernel, FactorFamily, TabulatedKernel,
                       dp_quasinorm, kernel_from_json, kernel_to_json, quadrature_rule,
@@ -47,37 +46,6 @@ def test_hermite_second_member_value():
     # (x^2 - 1)/sqrt(2) vanishes at 1
     assert fam.evaluate(2, np.array([1.0]))[0] == pytest.approx(0.0, abs=1e-14)
     assert fam.evaluate(2, np.array([2.0]))[0] == pytest.approx(3 / math.sqrt(2))
-
-
-def _charlier_reference(kmax, x):
-    """Normalized Charlier rows from the recurrence, every step in fresh arrays."""
-    n = x + 1.0
-    norm = (-1.0) ** np.arange(kmax + 1) * np.exp(-0.5 * gammaln(np.arange(kmax + 1) + 1.0))
-    prev, cur = 1.0, 1.0 - n
-    rows = [cur * norm[1]]
-    for k in range(1, kmax):
-        prev, cur = cur, (k + 1.0 - n) * cur - prev * k
-        rows.append(cur * norm[k + 1])
-    return rows
-
-
-@pytest.mark.parametrize("kmax", [1, 2, 3, 9])
-def test_charlier_rows_in_stale_buffers_match_fresh_rows(kmax):
-    fam = FactorFamily("poisson_charlier")
-    x = np.array([[-1.0, 0.0, 1.0, 2.0, 7.0, 30.0],
-                  [-0.7, 0.3, 1.5, 2.25, 1e-9, 11.125]])
-    kept = x.copy()
-    # buffers left holding another block's rows, then NaN
-    buffers = list(np.full((3,) + x.shape, np.nan))
-    for _ in fam.rows(4, np.flip(x), buffers):
-        pass
-    reused = [row.copy() for row in fam.rows(kmax, x, buffers)]
-    fresh = [row.copy() for row in fam.rows(kmax, x)]
-    expected = _charlier_reference(kmax, x)
-    assert len(reused) == len(fresh) == kmax
-    for got, again, want in zip(reused, fresh, expected):
-        assert got.tobytes() == again.tobytes() == want.tobytes()
-    assert np.array_equal(x, kept)      # the samples are left alone
 
 
 def test_factor_index_zero_rejected():

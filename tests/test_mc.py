@@ -410,22 +410,6 @@ def test_sample_block_bytes_pinned(law):
         law.sample_block(rng, 1, 5, 40, 7, out=np.empty((45, 7 * law.uniforms_per_coord)))
 
 
-@pytest.mark.parametrize("law", AXIS_LAWS, ids=lambda law: law.kind)
-def test_consecutive_blocks_share_one_generator(law):
-    # one generator, advanced once to replication 5, draws blocks of 1, 12 and 27
-    # replications through one stale buffer: the pinned bytes of one 40-replication block
-    rng = RngSpec(2024)
-    stride = mc._stride(7 * law.uniforms_per_coord)
-    buffer = np.full((27, stride), np.nan)
-    gen = rng.generator(mc.TAG_AXIS, 1, 5 * stride)
-    blocks, start = [], 5
-    for count in (1, 12, 27):
-        blocks.append(law.sample_block(rng, 1, start, count, 7, out=buffer, gen=gen).copy())
-        start += count
-    x = np.concatenate(blocks)
-    assert hashlib.sha256(x.tobytes()).hexdigest() == SAMPLE_BLOCK_SHA256[law.kind]
-
-
 def test_quadrature_identity_moments_match_closed_forms():
     # these two laws integrate numerically, through the scipy.integrate loaded on first use
     exp = AxisDistribution("centered_exponential")
