@@ -6,7 +6,7 @@ from .psi import (PsiFunction, MomentCurve, TailBound, SupportError,
                   product_of, rosenthal_scaled, tabulated_psi,
                   gls_norm, natural_psi, young_fenchel,
                   tail_bound_eval, psi_to_json, psi_from_json)
-from .rosenthal import (ROSENTHAL_CONSTANT, ROSENTHAL_ARGMAX_P, rosenthal_K,
+from .rosenthal import (ROSENTHAL_CONSTANT, rosenthal_K,
                         trivial_bound, dp_quasinorm,
                         theorem_W_bound, BoundReport)
 from .kernels import (FactorFamily, DegenerateKernel, TabulatedKernel,
@@ -18,7 +18,7 @@ from .index_sets import (IndexSet, Rect, RectPair, make_rect, staircase_set,
                          lshape_family)
 from .mc import (RngSpec, AxisDistribution, EmpiricalDist, compute_S_L,
                  naive_S_L, simulate_S_L, sample_S_infty, empirical_moment,
-                 empirical_tail, save_empirical, load_empirical)
+                 empirical_tail, load_empirical)
 from .parametric import (ParametricKernel, EntropyProfile, IntegralResult,
                          sigma_lambda, rho_lambda, covering_profile,
                          entropy_integral_power, entropy_integral_exp,

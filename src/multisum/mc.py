@@ -59,7 +59,6 @@ __all__ = [
     "sample_S_infty",
     "empirical_moment",
     "empirical_tail",
-    "save_empirical",
     "load_empirical",
 ]
 
@@ -316,6 +315,9 @@ def empirical_tail(dist: EmpiricalDist, y: float) -> float:
     return max(right, left) / v.size
 
 
+_KS_BLOCK = 16   # steps per block of ``ks_distance``; 32 costs about the same on ``field``, 8 and 64 more
+
+
 def ks_distance(a: EmpiricalDist, b: EmpiricalDist) -> float:
     """Two-sample Kolmogorov-Smirnov sup-distance between empirical CDFs.
 
@@ -324,9 +326,21 @@ def ks_distance(a: EmpiricalDist, b: EmpiricalDist) -> float:
     each step (or before the first), and those ends evaluate the same float
     expression as the sample points they stand for.
 
-    One binary search per step counts the ``y`` below it.  The count up to
-    and including the step is the same when the next ``y`` is larger; only
-    the other steps (a tie or no larger ``y``) are searched again.
+    Only the steps that can hold the sup are searched.  The steps are split
+    into blocks of ``_KS_BLOCK``, and one binary search per block counts the
+    ``y`` below its first step (``head``; ``after`` is the next block's, or
+    ``m`` after the last block).  Every count of ``y`` in a block lies
+    between its ``head`` and ``after``, and float division and subtraction
+    are monotone, so ``hi = max(fx[end] - head/m, after/m - fx[first])``
+    bounds every candidate of the block.  The candidates before the first
+    step and before each block's first step use only these counts, so they
+    are exact already; ``lo`` is their max.  A block with ``hi < lo`` cannot
+    hold the sup and is skipped, so the float result is that of searching
+    every step.  In each remaining block one search per step counts the
+    ``y`` below it, and the count up to and including the step is the same
+    unless a ``y`` ties the step, which is searched again.  So the search
+    count is about steps/16 plus the steps of the kept blocks; on two
+    samples of one law only the blocks near the sup are kept.
 
     A NaN has no place in a CDF, so a sample holding one is a ValueError;
     sorted, a NaN sits last, so one look at each sample's top finds it.
@@ -340,13 +354,23 @@ def ks_distance(a: EmpiricalDist, b: EmpiricalDist) -> float:
     last = np.append(np.flatnonzero(x[1:] != x[:-1]), n - 1)    # end of each tie run
     steps = x[last]
     fx = (last + 1) / n
-    below = np.searchsorted(y, steps, side="left")
+    first = np.arange(0, steps.size, _KS_BLOCK)                  # first step of each block
+    head = np.searchsorted(y, steps[first], side="left")
+    after = np.append(head[1:], m)
+    end = np.append(first[1:], steps.size) - 1
+    hi = np.maximum(fx[end] - head / m, after / m - fx[first])
+    lo = max(head[0] / m, np.abs(fx[first[1:] - 1] - head[1:] / m).max(initial=0.0))
+    idx = (first[hi >= lo, None] + np.arange(_KS_BLOCK)).ravel()
+    idx = idx[idx < steps.size]                                  # the steps of the kept blocks
+    kept, f = steps[idx], fx[idx]
+    below = np.searchsorted(y, kept, side="left")
     upto = below.copy()
-    tie = ~(y[np.minimum(below, m - 1)] > steps)
-    upto[tie] = np.searchsorted(y, steps[tie], side="right")
-    at_step = np.abs(fx - upto / m)
-    before_next = np.abs(fx[:-1] - below[1:] / m)
-    return float(max(at_step.max(), before_next.max(initial=0.0), below[0] / m))
+    tie = ~(y[np.minimum(below, m - 1)] > kept)
+    upto[tie] = np.searchsorted(y, kept[tie], side="right")
+    at_step = np.abs(f - upto / m)
+    # before the next step of the same block; before the next block's first is in ``lo``
+    before_next = np.abs(f[:-1] - below[1:] / m)[idx[1:] % _KS_BLOCK != 0]
+    return float(max(at_step.max(initial=0.0), before_next.max(initial=0.0), lo))
 
 
 # ---------------------------------------------------------------------------
@@ -621,11 +645,6 @@ def empirical_bytes(dist: EmpiricalDist) -> bytes:
                          "provenance": dist.provenance, "seed": dist.seed},
                         sort_keys=True)
     return header.encode() + b"\n" + dist.values.astype("<f8").tobytes()
-
-
-def save_empirical(dist: EmpiricalDist, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(empirical_bytes(dist))
 
 
 def load_empirical(path) -> EmpiricalDist:

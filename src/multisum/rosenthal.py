@@ -29,7 +29,6 @@ import numpy as np
 
 __all__ = [
     "ROSENTHAL_CONSTANT",
-    "ROSENTHAL_ARGMAX_P",
     "rosenthal_K",
     "trivial_bound",
     "dp_quasinorm",
@@ -38,7 +37,6 @@ __all__ = [
 ]
 
 ROSENTHAL_CONSTANT = 1.77638
-ROSENTHAL_ARGMAX_P = 33.4610
 
 
 def rosenthal_K(p):

@@ -583,22 +583,6 @@ def test_verify_tail_factor_without_a_moment_rule_exits_2(tmp_path, capsys):
     assert "moment rule" in json.loads(capsys.readouterr().err)["error"]
 
 
-# the verdict file each demo check writes, named by its content digest: a
-# change to the KS rule or to the sampling that moves any bit renames it
-VERDICT_FILES = {
-    "gauss_rank1.json": "verdict-3bfe2ca74073.json",
-    "lshape_fixed_fraction.json": "verdict-0cc95a22dca8.json",
-    "parametric_power.json": "verdict-129f9df2d5ef.json",
-}
-
-
-@pytest.mark.parametrize("config", sorted(VERDICT_FILES))
-def test_verify_verdict_bytes_pinned(tmp_path, config):
-    _, out = run_cmd(tmp_path, "verify", CONFIG_DIR / config)
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["files"]["verdict"] == VERDICT_FILES[config]
-
-
 def _rademacher_h2_h1(tmp_path, name, cfg):
     """``cfg`` with an ``h_2 (x) h_1`` kernel on Rademacher axes, written to ``name``.
 

@@ -17,6 +17,7 @@ from multisum import (AxisDistribution, DegenerateKernel, EmpiricalDist,
                       verify_moment_sandwich, verify_nclt,
                       verify_tail_domination)
 from multisum.cli import main
+from multisum.mc import _KS_BLOCK as _B
 
 GAUSS2 = [AxisDistribution("standard_normal")] * 2
 
@@ -63,13 +64,38 @@ ks_samples = st.one_of(
     st.lists(st.integers(-4, 4), min_size=1, max_size=300),       # tie-heavy integers
     st.builds(_rounded_normals, st.integers(0, 2**32 - 1), st.integers(1, 300),
               st.integers(0, 2), st.sampled_from([0.0, 0.3])),
+    st.builds(_rounded_normals, st.integers(0, 2**32 - 1), st.integers(300, 3000),   # many blocks
+              st.integers(1, 3), st.sampled_from([0.0, 0.05])),
     st.lists(st.sampled_from([-np.inf, -1.0, 0.0, 0.5, 2.0, np.inf, np.nan]),  # ties, ±inf, NaN
              min_size=1, max_size=40),
 ).map(lambda v: EmpiricalDist(np.asarray(v, dtype=float)))
 
 
+_STEPS = np.arange(4.0 * _B)       # four blocks of distinct steps
+
+
+def _pair(x, y):
+    return EmpiricalDist(x), EmpiricalDist(y)
+
+
+def _field_size_pair(shift):
+    """20 000 against 50 000 normals, the size of one `field` check: most blocks are skipped."""
+    rng = np.random.default_rng(7)
+    return _pair(rng.normal(shift, 1.0, 20_000), rng.normal(0.0, 1.0, 50_000))
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(ks_samples, ks_samples)
+@example(*_field_size_pair(0.0))
+@example(*_field_size_pair(0.01))
+@example(*_field_size_pair(0.1))
+@example(*_pair(_STEPS, np.arange(1000.0, 1300.0)))      # smaller sample wholly below: 1 at its top
+@example(*_pair(_STEPS + 1000.0, np.arange(300.0)))      # wholly above: 1 before the first step
+@example(*_pair(_STEPS, np.repeat([-1.0, 100.0], [60, 40])))   # sup below[0]/m = 0.6
+@example(*_pair(_STEPS, np.full(100, _B - 0.5)))         # sup 0.75 just before block 2's first step
+@example(*_pair(np.concatenate([np.arange(_B - 1.0), np.full(5, _B - 1.0), np.arange(_B, 3.0 * _B)]),
+                np.concatenate([np.repeat([_B - 1.0, 2 * _B - 1.0, 2.0 * _B], 7),
+                                np.arange(0.0, 3 * _B, 0.25)])))  # ties over block edges
 @example(EmpiricalDist(np.array([-np.inf, 0.0, np.inf])),             # infinite steps
          EmpiricalDist(np.array([-np.inf, -1.0, 0.5, np.inf, np.inf])))
 @example(EmpiricalDist(np.array([0.0, 2.0])),                         # tie at y's top
