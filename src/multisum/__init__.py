@@ -17,7 +17,7 @@ from .index_sets import (IndexSet, Rect, RectPair, make_rect, staircase_set,
                          ConditionReport, squares_minus_corner_family,
                          lshape_family)
 from .mc import (RngSpec, AxisDistribution, EmpiricalDist, compute_S_L,
-                 naive_S_L, simulate_S_L, sample_S_infty, empirical_moment,
+                 simulate_S_L, sample_S_infty, empirical_moment,
                  empirical_tail, load_empirical)
 from .parametric import (ParametricKernel, EntropyProfile, IntegralResult,
                          sigma_lambda, rho_lambda, covering_profile,

@@ -318,9 +318,6 @@ class DegenerateKernel:
     def lambda_l1(self) -> float:
         return float(sum(abs(w) for w in self.lam.values()))
 
-    def axis_max_index(self, axis: int) -> int:
-        return max((kvec[axis] for kvec in self.lam), default=0)
-
     # -- evaluation ------------------------------------------------------
 
     def evaluate(self, point) -> float:

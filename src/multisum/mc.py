@@ -54,7 +54,6 @@ __all__ = [
     "AxisDistribution",
     "EmpiricalDist",
     "compute_S_L",
-    "naive_S_L",
     "simulate_S_L",
     "sample_S_infty",
     "empirical_moment",
@@ -378,12 +377,6 @@ def ks_distance(a: EmpiricalDist, b: EmpiricalDist) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _check_cover(kernel, L, axis_samples):
-    for axis in range(kernel.d):
-        if L.axis_max(axis) > len(axis_samples[axis]):
-            raise ValueError(f"axis {axis} samples do not cover the index set")
-
-
 def _weight_columns(lam: dict) -> list:
     """``(k, (|V|, 1) weight column)`` pairs; a scalar weight is the ``|V| = 1`` field."""
     return [(k, np.asarray(w, dtype=float).reshape(-1, 1)) for k, w in lam.items()]
@@ -457,31 +450,16 @@ def compute_S_L(kernel, L: IndexSet, axis_samples) -> float:
     The set is contracted box by box: per box and axis, one slice sum of the
     factor values, multiplied across axes and summed over the boxes.  A
     rectangle is a single box, so it costs O(rank * sum n_s) rather than the
-    O(rank * prod n_s) of ``naive_S_L``.
+    O(rank * prod n_s) of summing cell by cell.
     """
-    _check_cover(kernel, L, axis_samples)
+    for axis in range(kernel.d):
+        if L.axis_max(axis) > len(axis_samples[axis]):
+            raise ValueError(f"axis {axis} samples do not cover the index set")
     lam = _weight_columns(kernel.lam)
     samples = [np.asarray(x, dtype=float)[None, :] for x in axis_samples]
     sums = _field_sums(kernel.factors, _kmax(lam, kernel.d),
                        [_spans(L, axis) for axis in range(L.d)], samples)
     return float(_contract(sums, lam, np.empty((1, 1)))[0, 0]) / math.sqrt(L.size)
-
-
-def naive_S_L(kernel, L: IndexSet, axis_samples) -> float:
-    """Reference direct summation over all cells, ignoring box structure."""
-    _check_cover(kernel, L, axis_samples)
-    if not kernel.lam:
-        return 0.0
-    blocks = [fam.evaluate_block(kernel.axis_max_index(axis), x)
-              for axis, (fam, x) in enumerate(zip(kernel.factors, axis_samples))]
-    cells = L.cells
-    total = 0.0
-    for kvec, w in kernel.lam.items():
-        prod = np.ones(cells.shape[0])
-        for axis, k in enumerate(kvec):
-            prod = prod * blocks[axis][k - 1][cells[:, axis] - 1]
-        total += w * float(prod.sum())
-    return total / math.sqrt(L.size)
 
 
 # ---------------------------------------------------------------------------
@@ -520,17 +498,13 @@ def _block_cap(floats_per_rep: int, widest: int, calls: int) -> int:
 
 
 def _run_blocks(make_batch, N, nv, workers, block_cap):
-    """(N, nv) matrix assembled from blocks of shape (nv, count).
+    """C-contiguous (nv, N) field, one row per weight vector, filled block by block.
 
     ``make_batch(cap)`` allocates the buffers for blocks of up to ``cap``
     replications and returns ``batch(start, count, out)``, which samples one
     block through them into ``out``.  Each worker chunk, a run of
     replications in order, makes its own batch once, at the chunk's block
-    size, and reuses it.
-
-    The blocks fill an (nv, N) array in place, one row per weight vector, and
-    the result is its transposed view: column ``v`` of the result is
-    contiguous, so a per-point distribution sorts it without a strided gather.
+    size, and reuses it.  A block fills columns ``[start, start + count)`` of every row.
     """
     if N < 1:
         raise ValueError("need at least one replication")
@@ -552,11 +526,11 @@ def _run_blocks(make_batch, N, nv, workers, block_cap):
     else:
         with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
             list(pool.map(run_chunk, chunks))
-    return out.T
+    return out
 
 
 def _sum_field(factors, lam, nv, L, dists, N, rng, workers) -> np.ndarray:
-    """(N, nv) normalized sums over L; one sampling pass serves every weight vector."""
+    """(nv, N) normalized sums over L, a row per weight vector; one sampling pass serves all."""
     if L.d != len(factors):
         raise ValueError(f"index set has dimension {L.d}, the kernel {len(factors)}")
     if len(dists) != len(factors):
@@ -592,7 +566,7 @@ def _sum_field(factors, lam, nv, L, dists, N, rng, workers) -> np.ndarray:
 
 
 def _limit_field(lam, nv, d, N, rng, workers) -> np.ndarray:
-    """(N, nv) chaos-limit values: the beta draws are the sums of one single-cell box."""
+    """(nv, N) chaos-limit values, a row per weight vector; betas are a one-cell box's sums."""
     kmax = _kmax(lam, d)
     normal = AxisDistribution("standard_normal")
 
@@ -621,7 +595,7 @@ def simulate_S_L(kernel, L: IndexSet, dists, N: int, rng: RngSpec,
     """
     vals = _sum_field(kernel.factors, _weight_columns(kernel.lam), 1, L, dists, N, rng,
                       workers)
-    return EmpiricalDist(vals[:, 0], _provenance("S_L", kernel, L, dists, N, rng.seed),
+    return EmpiricalDist(vals[0], _provenance("S_L", kernel, L, dists, N, rng.seed),
                          seed=rng.seed)
 
 
@@ -631,7 +605,7 @@ def sample_S_infty(lam: dict, d: int, N: int, rng: RngSpec,
     lam = {tuple(k): float(w) for k, w in lam.items()}
     vals = _limit_field(_weight_columns(lam), 1, d, N, rng, workers)
     payload = {"lambda": sorted((list(k), w) for k, w in lam.items()), "d": d}
-    return EmpiricalDist(vals[:, 0], _provenance("S_infty", payload, None, None, N, rng.seed),
+    return EmpiricalDist(vals[0], _provenance("S_infty", payload, None, None, N, rng.seed),
                          seed=rng.seed)
 
 

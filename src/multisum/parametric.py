@@ -100,9 +100,6 @@ class ParametricKernel:
             out += np.abs(w[:, None] - w[None, :])
         return out
 
-    def digest_payload(self):
-        return parametric_kernel_to_json(self)
-
 
 def sigma_lambda(pk: ParametricKernel) -> float:
     """``max_v sum_k |lambda(v, k)|``."""
@@ -299,19 +296,17 @@ def simulate_Q_L(pk: ParametricKernel, L, dists, N: int, rng: RngSpec,
     replication.  Each marginal is bit-identical to ``simulate_S_L`` of the
     slice kernel under the same stream policy.
     """
-    mat = _sum_field(pk.factors, _weight_columns(pk.lam), pk.n_points, L, dists, N, rng,
-                     workers)
-    per_v = [EmpiricalDist(mat[:, v], f"Q_L[v={v}]", seed=rng.seed)
-             for v in range(pk.n_points)]
-    sup = EmpiricalDist(np.abs(mat).max(axis=1), "sup_field", seed=rng.seed)
+    field = _sum_field(pk.factors, _weight_columns(pk.lam), pk.n_points, L, dists, N, rng,
+                       workers)
+    per_v = [EmpiricalDist(row, f"Q_L[v={v}]", seed=rng.seed) for v, row in enumerate(field)]
+    sup = EmpiricalDist(np.abs(field).max(axis=0), "sup_field", seed=rng.seed)
     return per_v, sup
 
 
 def sample_Q_infty(pk: ParametricKernel, N: int, rng: RngSpec, workers: int = 1):
     """Per-point limit samples sharing betas across v within each replication.
 
-    The result has shape (N, |V|); each column ``[:, v]`` is contiguous, the
-    rows of its transpose being the per-point samples.
+    The result has shape (|V|, N): row ``v`` holds the N samples at grid point v.
     """
     return _limit_field(_weight_columns(pk.lam), pk.n_points, pk.d, N, rng, workers)
 

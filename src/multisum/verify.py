@@ -95,7 +95,7 @@ def _chaos_limit_ks(pk: ParametricKernel, dists, sets, N, rng, limit_n, final_ks
     stage's sup-field.
     """
     limit = [EmpiricalDist(row)
-             for row in sample_Q_infty(pk, limit_n, rng.child(_LIMIT_STREAM), workers).T]
+             for row in sample_Q_infty(pk, limit_n, rng.child(_LIMIT_STREAM), workers)]
     ks = []
     for i, L in enumerate(sets):
         per_v, sup = simulate_Q_L(pk, L, dists, N, rng.child(i), workers)
@@ -366,11 +366,8 @@ def verify_tail_domination(kernel: DegenerateKernel, dists, L_list,
         probed = tails >= floor
         bad = int(np.sum(probed & (tails > bounds)))
         violations += bad
-        with np.errstate(divide="ignore"):
-            margins = np.where(probed & (tails > 0), bounds / np.maximum(tails, 1e-300),
-                               np.inf)
         if np.any(probed):
-            min_margin = min(min_margin, float(np.min(margins[probed])))
+            min_margin = min(min_margin, float(np.min(bounds[probed] / tails[probed])))
         rows.append({
             "L_size": L.size,
             "probed_points": int(np.sum(probed)),

@@ -17,7 +17,7 @@ from multisum import (AxisDistribution, DegenerateKernel, FactorFamily,
                       ParametricKernel, RngSpec, TabulatedKernel, compute_S_L,
                       covering_profile, entropy_integral_power, explicit_set,
                       dp_quasinorm, lshape_family, make_rect,
-                      naive_S_L, natural_composite, power_log,
+                      natural_composite, power_log,
                       simulate_Q_L, simulate_S_L,
                       squares_minus_corner_family,
                       rosenthal_K, staircase_set, verify_nclt,
@@ -25,6 +25,7 @@ from multisum import (AxisDistribution, DegenerateKernel, FactorFamily,
                       check_theorem_8)
 from multisum.cli import main as cli_main
 from multisum.parametric import sample_Q_infty
+from test_box_contraction import naive_S_L
 
 GAUSS2 = [AxisDistribution("standard_normal")] * 2
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "demos" / "configs"
@@ -325,7 +326,7 @@ def test_criterion_10_parametric_field():
     pk2 = ParametricKernel(np.array([[0.0], [1.0]]), lam,
                            [FactorFamily("hermite")] * 2, orthonormal=True)
     mat = sample_Q_infty(pk2, 100_000, RngSpec(1011))
-    prods = mat[:, 0] * mat[:, 1]
+    prods = mat[0] * mat[1]
     expected = sum(w[0] * w[1] for w in lam.values())
     se = float(prods.std(ddof=1)) / math.sqrt(prods.size)
     cov_ok = abs(float(prods.mean()) - expected) <= 3 * se

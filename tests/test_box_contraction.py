@@ -9,12 +9,36 @@ from hypothesis import strategies as st
 from scipy.special import eval_laguerre, gammaln
 
 from multisum import (AxisDistribution, DegenerateKernel, FactorFamily, RngSpec,
-                      compute_S_L, explicit_set, make_rect, naive_S_L,
+                      compute_S_L, explicit_set, make_rect,
                       simulate_S_L, staircase_set, tabulated_family)
 from multisum import mc
 from multisum.index_sets import _box_cells
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+def _axis_tables(kernel, axis_samples):
+    """Per axis, the factor table ``g_1..g_kmax`` over that axis' samples."""
+    return [fam.evaluate_block(max(kvec[axis] for kvec in kernel.lam), x)
+            for axis, (fam, x) in enumerate(zip(kernel.factors, axis_samples))]
+
+
+def naive_S_L(kernel, L, axis_samples) -> float:
+    """Reference direct summation over all cells, ignoring box structure."""
+    for axis in range(kernel.d):
+        if L.axis_max(axis) > len(axis_samples[axis]):
+            raise ValueError(f"axis {axis} samples do not cover the index set")
+    if not kernel.lam:
+        return 0.0
+    tables = _axis_tables(kernel, axis_samples)
+    cells = L.cells
+    total = 0.0
+    for kvec, w in kernel.lam.items():
+        prod = np.ones(cells.shape[0])
+        for axis, k in enumerate(kvec):
+            prod = prod * tables[axis][k - 1][cells[:, axis] - 1]
+        total += w * float(prod.sum())
+    return total / math.sqrt(L.size)
 
 
 @st.composite
@@ -54,8 +78,7 @@ def test_box_contraction_matches_naive(instance):
     slow = naive_S_L(kernel, L, samples)
     # relative to the sum of absolute terms, which bounds |slow| from above
     # and so floors the tolerance where the terms cancel
-    tables = [fam.evaluate_block(kernel.axis_max_index(axis), x)
-              for axis, (fam, x) in enumerate(zip(kernel.factors, samples))]
+    tables = _axis_tables(kernel, samples)
     scale = sum(abs(w) * np.prod([np.abs(tables[s][k - 1][L.cells[:, s] - 1])
                                   for s, k in enumerate(kvec)], axis=0).sum()
                 for kvec, w in kernel.lam.items()) / math.sqrt(L.size)
@@ -132,14 +155,14 @@ def table_contract(tables, L, lam, nv):
 
 
 def table_sum_field(factors, lam, nv, L, dists, N, rng):
-    """(N, nv) normalized sums over L from whole tables, all replications in one block."""
+    """(nv, N) normalized sums over L from whole tables, all replications in one block."""
     kmax = mc._kmax(lam, L.d)
     tables = []
     for axis, (fam, dist) in enumerate(zip(factors, dists)):
         ncols = L.axis_max(axis)
         x = dist.sample_block(rng, axis, 0, N, ncols)
         tables.append(table(fam, kmax[axis], x.ravel()).reshape(kmax[axis], N, ncols))
-    return (table_contract(tables, L, lam, nv) / math.sqrt(L.size)).T
+    return table_contract(tables, L, lam, nv) / math.sqrt(L.size)
 
 
 @st.composite

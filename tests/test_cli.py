@@ -1,5 +1,6 @@
 """Batch front-end: exit codes, schemas, and byte-level determinism."""
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -7,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from multisum import FactorFamily, kernel_from_json, rosenthal_K
+from multisum import (AxisDistribution, FactorFamily, RngSpec, kernel_from_json,
+                      load_empirical, make_rect, rosenthal_K, simulate_S_L)
 from multisum.cli import main
 from multisum.index_sets import index_set_from_json, lshape_family
 
@@ -571,6 +573,66 @@ def test_empty_or_malformed_route_grid_or_family_exits_2(tmp_path, capsys, comma
     _assert_field_rejected(tmp_path, capsys, command, config, path, value)
 
 
+def _staircase(profile):
+    return {"list": [{"d": 2, "kind": "staircase", "params": {"profile": profile}}]}
+
+
+@pytest.mark.parametrize("command, config, path, value, message", [
+    ("simulate", None, None, None, "cannot read config"),
+    ("simulate", "simulate_smoke.json", (), [1, 2], "must be a JSON object"),
+    ("simulate", "simulate_smoke.json", ("distributions",), ["standard_normal"],
+     "need 2 axis distributions"),
+    ("simulate", "simulate_smoke.json", ("index_sets",), {"sizes": [4]},
+     "either 'list' or 'family'"),
+    ("simulate", "simulate_smoke.json", ("index_sets", "family"), "circles",
+     "unknown index set family"),
+    ("verify", "gauss_rank1.json", ("verify", "which"), "bogus", "verify.which"),
+    ("simulate", "simulate_smoke.json", ("index_sets",),
+     {"list": [{"d": 2, "kind": "disc", "params": {}}]}, "unknown index set kind"),
+    ("simulate", "simulate_smoke.json", ("index_sets",), _staircase([2, -1]), "nonnegative"),
+    ("simulate", "simulate_smoke.json", ("index_sets",), _staircase([0, 0]), "empty staircase"),
+    ("simulate", "simulate_smoke.json", ("index_sets",),
+     {"family": "squares_minus_corner", "sizes": [1]}, "need n >= 2"),
+    ("simulate", "simulate_smoke.json", ("index_sets",),
+     {"family": "lshape_fixed_fraction", "fraction": 0.99, "sizes": [2]}, "fraction too large"),
+], ids=["unreadable", "json-array", "distributions-length", "index_sets-neither",
+        "unknown-family", "unknown-which", "unknown-kind", "staircase-negative",
+        "staircase-zero", "corner-size-1", "lshape-fraction"])
+def test_config_error_exits_2(tmp_path, capsys, command, config, path, value, message):
+    bad = tmp_path / "bad.json"          # never written for the unreadable case
+    if config is not None:
+        cfg = json.loads((CONFIG_DIR / config).read_text())
+        if path:
+            *parents, key = path
+            node = cfg
+            for name in parents:
+                node = node[name]
+            node[key] = value
+        else:
+            cfg = value
+        bad.write_text(json.dumps(cfg))
+    code, _ = run_cmd(tmp_path, command, bad)
+    assert code == 2
+    assert message in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_simulate_reads_a_law_given_as_an_object(tmp_path):
+    cfg = json.loads((CONFIG_DIR / "simulate_smoke.json").read_text())
+    cfg["N"] = 50
+    cfg["distributions"][0] = {"kind": "log_weibull", "beta": 2}
+    path = tmp_path / "lw.json"
+    path.write_text(json.dumps(cfg))
+    code, out = run_cmd(tmp_path, "simulate", path)
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    dist = load_empirical(out / manifest["files"]["dist_0"])
+    laws = [AxisDistribution("log_weibull", beta=2), AxisDistribution("standard_normal")]
+    direct = simulate_S_L(kernel_from_json(cfg["kernel"]), make_rect([6, 6]), laws, 50,
+                          RngSpec(cfg["seed"]).child(0))
+    assert np.array_equal(dist.values, direct.values)
+    assert dist.provenance == direct.provenance
+
+
 def test_verify_tail_factor_without_a_moment_rule_exits_2(tmp_path, capsys):
     # a degree-2 Hermite factor has no moment rule under a Rademacher axis
     cfg = json.loads((CONFIG_DIR / "tail_gauss.json").read_text())
@@ -633,6 +695,28 @@ def test_verify_parametric_negative_control_fails(tmp_path, capsys):
     code, _ = _rademacher_h2_h1(tmp_path, "power", cfg)
     assert code == 2
     assert "moment rule" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_verify_parametric_divergent_entropy_integral_exits_4(tmp_path):
+    # 3^6 grid points, each multi-index weighted 0.3 + i * 1e-4 with i in {0, 1, 2}: the
+    # covering numbers grow faster than eps^-2, so the power-level integral at p = 2 diverges
+    ks = [(1, 1), (2, 2), (1, 2), (2, 1), (3, 3), (1, 3)]
+    grid = list(itertools.product(range(3), repeat=len(ks)))
+    cfg = json.loads((CONFIG_DIR / "parametric_power.json").read_text())
+    cfg["N"] = 200
+    cfg["index_sets"] = {"family": "squares", "sizes": [2, 4]}
+    cfg["verify"] = dict(cfg["verify"], level={"kind": "power", "p": 2.0}, limit_n=400)
+    cfg["parametric_kernel"]["V"] = [{"coords": list(point)} for point in grid]
+    cfg["parametric_kernel"]["lambda"] = [
+        {"k": list(k), "v_index": v, "w": 0.3 + point[j] * 1e-4}
+        for v, point in enumerate(grid) for j, k in enumerate(ks)]
+    path = tmp_path / "divergent.json"
+    path.write_text(json.dumps(cfg))
+    code, out = run_cmd(tmp_path, "verify", path)
+    assert code == 4
+    verdict = _verdict_json(out)
+    assert verdict["hypotheses"]["entropy_integral"] == math.inf
+    assert not verdict["hypotheses_met"] and verdict["verdict"] == "hypotheses not met"
 
 
 # ---------------------------------------------------------------------------

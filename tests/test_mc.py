@@ -17,11 +17,11 @@ from multisum import (AxisDistribution, DegenerateKernel, EmpiricalDist,
                       FactorFamily, ParametricKernel, RngSpec, compute_S_L,
                       empirical_moment, empirical_tail, explicit_set,
                       kernel_to_json, load_empirical, lshape_family, make_rect,
-                      naive_S_L, sample_S_infty, simulate_Q_L,
+                      sample_S_infty, simulate_Q_L,
                       simulate_S_L, staircase_set)
 from multisum import mc
 from multisum.parametric import sample_Q_infty
-from test_box_contraction import shaped_sets
+from test_box_contraction import naive_S_L, shaped_sets
 
 GAUSS = [AxisDistribution("standard_normal")] * 2
 
@@ -98,8 +98,8 @@ def test_limit_field_worker_and_block_size_invariance(budget):
                            (2, 3): np.array([0.0, 0.8, 0.6])},
                           [FactorFamily("hermite")] * 2, orthonormal=True)
     base = sample_Q_infty(pk, 300, RngSpec(17))
-    assert base.shape == (300, 3)
-    assert all(base[:, v].flags.c_contiguous for v in range(3))
+    assert base.shape == (3, 300)
+    assert base.flags.c_contiguous         # so each grid point's row is contiguous
     with mock.patch.object(mc, "_BLOCK_BUDGET", budget):
         for workers in (1, 2, 3):
             assert np.array_equal(sample_Q_infty(pk, 300, RngSpec(17), workers), base)
@@ -424,6 +424,18 @@ def test_quadrature_identity_moments_match_closed_forms():
     assert lw.identity_moment(2.0) ** 2 == pytest.approx(second, rel=1e-10)
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.5, 8.0])
+def test_identity_moment_closed_forms_reach_other_families(p):
+    # k = 1 of any analytic family is the identity, so under a foreign law its moment
+    # is that law's identity moment: E|Z|^p = 2^(p/2) Gamma((p+1)/2) / sqrt(pi)
+    normal = FactorFamily("rademacher_sign").moment(1, p, AxisDistribution("standard_normal"))
+    exact = (2.0 ** (p / 2.0) * math.gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)) ** (1.0 / p)
+    assert normal == pytest.approx(exact, rel=1e-14)
+    # the compensated Poisson identity is the first Charlier polynomial, on the same nodes
+    poisson = FactorFamily("hermite").moment(1, p, AxisDistribution("compensated_poisson"))
+    assert poisson == FactorFamily("poisson_charlier").moment(1, p)
+
+
 def test_unknown_axis_distribution_rejected():
     with pytest.raises(ValueError):
         AxisDistribution("uniform")
@@ -444,6 +456,20 @@ def test_save_load_round_trip(tmp_path):
     clone = load_empirical(path)
     assert np.array_equal(clone.values, dist.values)
     assert clone.provenance == dist.provenance
+
+
+def test_load_empirical_rejects_bad_files(tmp_path):
+    dist = EmpiricalDist(np.arange(3.0), "x", seed=1)
+    header, values = mc.empirical_bytes(dist).split(b"\n", 1)
+    path = tmp_path / "dist.bin"
+    for bad in (header.replace(b"empirical-dist-v1", b"empirical-dist-v0") + b"\n" + values,
+                header + b"\n" + values[:-8]):
+        path.write_bytes(bad)
+        with pytest.raises(ValueError, match="corrupt"):
+            load_empirical(path)
+    path.write_bytes(header.replace(b'"n": 3', b'"n": 0') + b"\n")
+    with pytest.raises(ValueError, match="at least one replication"):
+        load_empirical(path)
 
 
 def test_provenance_distinguishes_inputs():

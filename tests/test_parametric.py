@@ -286,7 +286,7 @@ def test_two_point_limit_covariance():
     pk = ParametricKernel(np.array([[0.0], [1.0]]), lam,
                           [FactorFamily("hermite")] * 2, orthonormal=True)
     mat = sample_Q_infty(pk, 100_000, RngSpec(71))
-    prods = mat[:, 0] * mat[:, 1]
+    prods = mat[0] * mat[1]
     expected = sum(w[0] * w[1] for w in lam.values())
     se = prods.std(ddof=1) / math.sqrt(prods.size)
     assert abs(prods.mean() - expected) <= 3 * se
@@ -381,7 +381,7 @@ def test_check_theorem8_exponential_level():
 def test_pointwise_ks_is_one_ks_distance_per_grid_point():
     pk = line_grid_pk(nv=3)
     field, _ = simulate_Q_L(pk, make_rect([4, 4]), GAUSS2, 300, RngSpec(5))
-    limit = [EmpiricalDist(row) for row in sample_Q_infty(pk, 500, RngSpec(6)).T]
+    limit = [EmpiricalDist(row) for row in sample_Q_infty(pk, 500, RngSpec(6))]
     assert pointwise_ks(field, limit) == [ks_distance(q, lim) for q, lim in zip(field, limit)]
     with pytest.raises(ValueError):
         pointwise_ks(field, limit[:2])
