@@ -12,23 +12,25 @@ of lattice boxes (corner rows ``IndexSet.lo``, ``IndexSet.hi``), and over one
 box the sum factorizes: per axis, a slice sum ``F_s[k] = sum_{i in box_s}
 g_k(xi_i(s))`` of the factor values, then ``sum_k lambda(k) prod_s F_s[k_s]``.
 One contraction sums that over the boxes, costing O(rank * boxes * sum n_s)
-instead of O(rank * |L|), and applies weight vectors last, so a parametric
-field ``Q_L(v)`` is the same computation with ``|V|`` weights and ``S_L`` its
-``|V| = 1`` row.  The Gaussian-chaos limit ``sum_k lambda(k) prod_s
-beta_s[k_s]`` is the same contraction over one single-cell box whose slice
-sums are fresh standard normal draws per replication.
+instead of O(rank * |L|).  It stops short of the weights: it writes the T
+per-term cores ``sum_B prod_s F_s[k_s]``, one per multi-index, and a grid
+point's values are their weighted sum (``_weigh``).  So a parametric field
+``Q_L(v)`` has rank T whatever ``|V|``, ``S_L`` is its ``|V| = 1`` row, and a
+check that walks the grid point by point keeps only the T cores.  The
+Gaussian-chaos limit ``sum_k lambda(k) prod_s beta_s[k_s]`` is the same
+contraction over one single-cell box whose slice sums are fresh standard
+normal draws per replication.
 
 No factor table is built: each factor family yields its rows ``g_1, g_2, ...``
 one at a time (``FactorFamily.rows``), and every row is slice-summed into the
 per-box sums as soon as it exists.  A replication therefore holds O(sum n_s)
 floats whatever the rank.  Replications run in blocks (``_block_cap``) whose
 widest axis row fits a share of the cache, since a block is walked once per
-layer (uniforms, inverse CDF, each factor row); a set of many boxes or a
-field of many points makes blocks larger, so that the NumPy calls and
-output-row passes, whose count per block is fixed, do not dominate; and
-``_BLOCK_BUDGET`` caps them.  Each worker samples its blocks through buffers
-it allocates once.  The variates are counter-addressed, so block size moves
-no bit.
+layer (uniforms, inverse CDF, each factor row); a set of many boxes makes
+blocks larger, so that the NumPy calls, whose count per block is fixed, do
+not dominate; and ``_BLOCK_BUDGET`` caps them.  Each worker samples its
+blocks through buffers it allocates once.  The variates are
+counter-addressed, so block size moves no bit.
 
 Each simulated distribution carries a provenance digest of its inputs
 (kernel, index set, axis laws, N, seed); the index set enters by its JSON,
@@ -72,10 +74,11 @@ _POISSON_CDF = np.cumsum(quadrature_rule("compensated_poisson")[1])
 # axis row should stay in cache: _CACHE_FLOATS doubles, a share of a 2 MiB L2.
 # But part of a block's cost is per call, not per float: its NumPy calls (one
 # per factor row and distinct box side, one per term, box and axis of the
-# contraction) and each term's pass over each of the |V| output rows, which lie
-# apart in the (|V|, N) result.  Where those would dominate, on sets of many
-# boxes or fields of many points, a block grows to _FLOATS_PER_CALL floats per
-# call.  _BLOCK_BUDGET, the floats one block may hold, caps both and peak memory.
+# contraction).  Where those would dominate, on sets of many boxes, a block
+# grows to _FLOATS_PER_CALL floats per call.  Weighing the cores into grid
+# points is not counted: a field that keeps its rows weighs them per block,
+# and a larger block would only make its rows' strided slices larger.
+# _BLOCK_BUDGET, the floats one block may hold, caps both and peak memory.
 _CACHE_FLOATS = 1 << 16
 _FLOATS_PER_CALL = 1 << 13
 _BLOCK_BUDGET = 1 << 22
@@ -147,8 +150,11 @@ class AxisDistribution:
                  "compensated_poisson", "log_weibull"}
         if self.kind not in kinds:
             raise ValueError(f"unknown axis distribution '{self.kind}'")
-        if self.kind == "log_weibull" and not (self.beta and self.beta > 0):
-            raise ValueError("log_weibull requires beta > 0")
+        if self.kind == "log_weibull":
+            if not (self.beta and self.beta > 0):
+                raise ValueError("log_weibull requires beta > 0")
+            # one law, one digest: a beta of 2 and of 2.0 are the same law
+            object.__setattr__(self, "beta", float(self.beta))
 
     @property
     def uniforms_per_coord(self) -> int:
@@ -265,6 +271,18 @@ class EmpiricalDist:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
+    @classmethod
+    def _sorted_in_place(cls, values: np.ndarray) -> "EmpiricalDist":
+        """Sort the float array ``values`` in place and wrap a read-only view of it, uncopied.
+
+        ``values`` must not be written while the result is in use.
+        """
+        values.sort()
+        dist = cls.__new__(cls)
+        object.__setattr__(dist, "values", values.view())
+        dist.values.flags.writeable = False
+        return dist
+
     @property
     def n(self) -> int:
         return int(self.values.size)
@@ -377,14 +395,18 @@ def ks_distance(a: EmpiricalDist, b: EmpiricalDist) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _weight_columns(lam: dict) -> list:
-    """``(k, (|V|, 1) weight column)`` pairs; a scalar weight is the ``|V| = 1`` field."""
-    return [(k, np.asarray(w, dtype=float).reshape(-1, 1)) for k, w in lam.items()]
+def _terms(lam: dict):
+    """The multi-indices of ``lam`` and its (|V|, T) weights, a row per grid point.
+
+    A scalar weight is the ``|V| = 1`` field; an empty kernel is one point of no terms.
+    """
+    weights = np.array([np.ravel(w) for w in lam.values()], dtype=float).T
+    return list(lam), weights if lam else np.zeros((1, 0))
 
 
-def _kmax(lam, d: int) -> list:
+def _kmax(kvecs, d: int) -> list:
     """Largest factor index per axis (1 for an empty kernel, whose sum is zero)."""
-    return [max((k[axis] for k, _ in lam), default=1) for axis in range(d)]
+    return [max((k[axis] for k in kvecs), default=1) for axis in range(d)]
 
 
 def _spans(L: IndexSet, axis: int):
@@ -410,24 +432,42 @@ def _box_sums(fam, kmax: int, x: np.ndarray, spans, inverse, buffers=None) -> li
     return [sums[i] for i in inverse]
 
 
-def _contract(sums, lam, out: np.ndarray, scratch=None) -> np.ndarray:
-    """``sum_k w_k sum_B prod_s sums[B][s][k_s - 1]``, written into ``out`` of shape (|V|, reps).
+def _contract(sums, kvecs, out: np.ndarray) -> np.ndarray:
+    """Per term t, the core ``sum_B prod_s sums[B][s][k_s - 1]``, written into ``out[t]``.
 
-    ``sums[B][s]`` is box B's slice sum on axis s, shape (kmax_s, reps);
-    ``lam`` pairs multi-indices with (|V|, 1) weight columns.  Weights multiply
-    the assembled core last, so each row is bit-identical to the ``|V| = 1``
-    contraction of its slice kernel.  ``scratch``, shaped like ``out``, holds
-    each weighted term; a fresh one is made per term when absent.
+    ``sums[B][s]`` is box B's slice sum on axis s, shape (kmax_s, reps), and
+    ``out`` has shape (T, reps), a row per multi-index of ``kvecs``.  The cores
+    are unweighted: every grid point of a field is a weighted sum of the same
+    T cores (``_weigh``).
     """
-    out[...] = 0.0
-    for kvec, wv in lam:
-        core = None
-        for box_sums in sums:
+    for kvec, core in zip(kvecs, out):
+        for b, box_sums in enumerate(sums):
             term = box_sums[0][kvec[0] - 1]
             for axis in range(1, len(kvec)):
                 term = term * box_sums[axis][kvec[axis] - 1]
-            core = term if core is None else core + term
-        out += np.multiply(wv, core, out=scratch)
+            if b:
+                core += term
+            else:
+                core[...] = term
+    return out
+
+
+def _weigh(cores, w, out: np.ndarray, scratch=None) -> np.ndarray:
+    """One grid point's values ``0.0 + w[0] * cores[0] + w[1] * cores[1] + ...`` into ``out``.
+
+    The terms are added in this order everywhere, so a point's values are the
+    same floats whichever path weighs it.  The leading ``0.0 +``, taken as
+    ``cores[0] * w[0] + 0.0`` (the same float, -0.0 included), makes a sum of
+    no terms 0.0.  ``scratch``, shaped like ``out``, holds each later term; a
+    fresh one is made per term when absent, and one term needs none.
+    """
+    if not len(w):
+        out[...] = 0.0
+        return out
+    np.multiply(cores[0], w[0], out=out)
+    out += 0.0
+    for core, wt in zip(cores[1:], w[1:]):
+        out += np.multiply(core, wt, out=scratch)
     return out
 
 
@@ -455,11 +495,12 @@ def compute_S_L(kernel, L: IndexSet, axis_samples) -> float:
     for axis in range(kernel.d):
         if L.axis_max(axis) > len(axis_samples[axis]):
             raise ValueError(f"axis {axis} samples do not cover the index set")
-    lam = _weight_columns(kernel.lam)
+    kvecs, weights = _terms(kernel.lam)
     samples = [np.asarray(x, dtype=float)[None, :] for x in axis_samples]
-    sums = _field_sums(kernel.factors, _kmax(lam, kernel.d),
+    sums = _field_sums(kernel.factors, _kmax(kvecs, kernel.d),
                        [_spans(L, axis) for axis in range(L.d)], samples)
-    return float(_contract(sums, lam, np.empty((1, 1)))[0, 0]) / math.sqrt(L.size)
+    cores = _contract(sums, kvecs, np.empty((len(kvecs), 1)))
+    return float(_weigh(cores, weights[0], np.empty(1))[0]) / math.sqrt(L.size)
 
 
 # ---------------------------------------------------------------------------
@@ -489,26 +530,27 @@ def _block_cap(floats_per_rep: int, widest: int, calls: int) -> int:
 
     ``widest`` is the widest axis row one replication adds to a block (its
     uniforms, which the inverse CDF and the factor rows walk again) and
-    ``calls`` the NumPy calls and output-row passes one block makes whatever
-    its size.
+    ``calls`` the NumPy calls one block makes whatever its size.
     """
     cache = _CACHE_FLOATS // widest
     amortized = -(-_FLOATS_PER_CALL * calls // floats_per_rep)
     return max(1, min(max(cache, amortized), _BLOCK_BUDGET // floats_per_rep))
 
 
-def _run_blocks(make_batch, N, nv, workers, block_cap):
-    """C-contiguous (nv, N) field, one row per weight vector, filled block by block.
+def _run_blocks(sampler, N, nrows, workers):
+    """C-contiguous (nrows, N) array, filled block by block.
 
-    ``make_batch(cap)`` allocates the buffers for blocks of up to ``cap``
-    replications and returns ``batch(start, count, out)``, which samples one
-    block through them into ``out``.  Each worker chunk, a run of
+    ``sampler`` is ``(make_batch, block_cap)``.  ``make_batch(cap)`` allocates
+    the buffers for blocks of up to ``cap`` replications and returns
+    ``batch(start, count, out)``, which samples one block through them into
+    ``out``.  Each worker chunk, a run of
     replications in order, makes its own batch once, at the chunk's block
     size, and reuses it.  A block fills columns ``[start, start + count)`` of every row.
     """
     if N < 1:
         raise ValueError("need at least one replication")
-    out = np.empty((nv, N))
+    make_batch, block_cap = sampler
+    out = np.empty((nrows, N))
     edges = np.linspace(0, N, num=max(1, int(workers)) + 1, dtype=int)
     chunks = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
@@ -529,61 +571,101 @@ def _run_blocks(make_batch, N, nv, workers, block_cap):
     return out
 
 
-def _sum_field(factors, lam, nv, L, dists, N, rng, workers) -> np.ndarray:
-    """(nv, N) normalized sums over L, a row per weight vector; one sampling pass serves all."""
+def _sum_sampler(factors, kvecs, L, dists, rng):
+    """``(make_batch, block_cap)`` of the T unnormalized cores of the sums over L."""
     if L.d != len(factors):
         raise ValueError(f"index set has dimension {L.d}, the kernel {len(factors)}")
     if len(dists) != len(factors):
         raise ValueError("need one axis distribution per kernel axis")
-    kmax = _kmax(lam, len(factors))
+    kmax = _kmax(kvecs, len(factors))
     ncols = [L.axis_max(axis) for axis in range(len(factors))]
     strides = [_stride(n * dist.uniforms_per_coord) for n, dist in zip(ncols, dists)]
     sides = [_spans(L, axis) for axis in range(L.d)]
-    root = math.sqrt(L.size)
 
     def make_batch(cap):
         uniforms = [np.empty((cap, stride)) for stride in strides]
         rows = np.empty((3, cap * max(ncols)))
-        scratch = np.empty((nv, cap))
 
         def batch(rep_start, rep_count, out):
             samples = (dist.sample_block(rng, axis, rep_start, rep_count, n, out=u)
                        for axis, (dist, n, u) in enumerate(zip(dists, ncols, uniforms)))
-            sums = _field_sums(factors, kmax, sides, samples, rows)
-            np.divide(_contract(sums, lam, out, scratch[:, :rep_count]), root, out=out)
+            _contract(_field_sums(factors, kmax, sides, samples, rows), kvecs, out)
 
         return batch
 
-    # per axis: uniforms, three row buffers and a temporary, side sums; plus nv of scratch
+    # per axis: uniforms, three row buffers and a temporary, side sums; plus T cores
     per_rep = sum(n * (dist.uniforms_per_coord + 4) + len(spans) * k
-                  for (spans, _), n, k, dist in zip(sides, ncols, kmax, dists)) + nv
-    # a slice sum per factor row and distinct side; per term, a product per box and
-    # axis and a pass over each output row
+                  for (spans, _), n, k, dist in zip(sides, ncols, kmax, dists)) + len(kvecs)
+    # a slice sum per factor row and distinct side; per term, a product per box and axis
     calls = (sum(len(spans) * k for (spans, _), k in zip(sides, kmax))
-             + len(lam) * (len(L.lo) * L.d + nv))
-    return _run_blocks(make_batch, N, nv, workers,
-                       _block_cap(per_rep, max(strides), calls))
+             + len(kvecs) * len(L.lo) * L.d)
+    return make_batch, _block_cap(per_rep, max(strides), calls)
 
 
-def _limit_field(lam, nv, d, N, rng, workers) -> np.ndarray:
-    """(nv, N) chaos-limit values, a row per weight vector; betas are a one-cell box's sums."""
-    kmax = _kmax(lam, d)
+def _limit_sampler(kvecs, d, rng):
+    """``(make_batch, block_cap)`` of the T chaos-limit cores; betas are a one-cell box's sums."""
+    kmax = _kmax(kvecs, d)
     normal = AxisDistribution("standard_normal")
 
     def make_batch(cap):
         uniforms = [np.empty((cap, _stride(k))) for k in kmax]
-        scratch = np.empty((nv, cap))
 
         def batch(rep_start, rep_count, out):
             betas = [normal.sample_block(rng, axis, rep_start, rep_count, k, TAG_BETA, u).T
                      for axis, (k, u) in enumerate(zip(kmax, uniforms))]
-            _contract([betas], lam, out, scratch[:, :rep_count])
+            _contract([betas], kvecs, out)
 
         return batch
 
-    per_rep = sum(3 * k for k in kmax) + nv     # uniforms, contraction products; outputs
-    return _run_blocks(make_batch, N, nv, workers,
-                       _block_cap(per_rep, max(_stride(k) for k in kmax), len(lam) * (d + nv)))
+    per_rep = sum(3 * k for k in kmax) + len(kvecs)    # uniforms, contraction products; cores
+    return make_batch, _block_cap(per_rep, max(_stride(k) for k in kmax), len(kvecs) * d)
+
+
+def _weighed(sampler, weights, root=None):
+    """``sampler``'s cores weighed per block into a row per grid point, divided by ``root`` for sums.
+
+    Only one block's cores are held, so a kept field costs no T x N floats more.
+    """
+    make_cores, block_cap = sampler
+
+    def make_batch(cap):
+        cores_of, cores = make_cores(cap), np.empty((weights.shape[1], cap))
+        scratch = np.empty(cap if len(cores) > 1 else 0)    # a second term's products
+
+        def batch(rep_start, rep_count, out):
+            cores_of(rep_start, rep_count, cores[:, :rep_count])
+            for w, row in zip(weights, out):
+                _weigh(cores[:, :rep_count], w, row, scratch[:rep_count])
+            if root is not None:
+                np.divide(out, root, out=out)
+
+        return batch
+
+    return make_batch, block_cap
+
+
+def _sum_cores(factors, kvecs, L, dists, N, rng, workers) -> np.ndarray:
+    """(T, N) unnormalized cores of the sums over L, a row per multi-index of ``kvecs``."""
+    return _run_blocks(_sum_sampler(factors, kvecs, L, dists, rng), N, len(kvecs), workers)
+
+
+def _sum_field(factors, lam, L, dists, N, rng, workers) -> np.ndarray:
+    """(|V|, N) normalized sums over L, a row per grid point; one sampling pass serves all."""
+    kvecs, weights = _terms(lam)
+    sampler = _sum_sampler(factors, kvecs, L, dists, rng)
+    return _run_blocks(_weighed(sampler, weights, math.sqrt(L.size)), N, len(weights), workers)
+
+
+def _limit_cores(kvecs, d, N, rng, workers) -> np.ndarray:
+    """(T, N) chaos-limit cores, a row per multi-index of ``kvecs``."""
+    return _run_blocks(_limit_sampler(kvecs, d, rng), N, len(kvecs), workers)
+
+
+def _limit_field(lam, d, N, rng, workers) -> np.ndarray:
+    """(|V|, N) chaos-limit values, a row per grid point; the betas are shared across points."""
+    kvecs, weights = _terms(lam)
+    return _run_blocks(_weighed(_limit_sampler(kvecs, d, rng), weights), N, len(weights),
+                       workers)
 
 
 def simulate_S_L(kernel, L: IndexSet, dists, N: int, rng: RngSpec,
@@ -593,8 +675,7 @@ def simulate_S_L(kernel, L: IndexSet, dists, N: int, rng: RngSpec,
     Worker counts partition replications without changing any variate, so the
     result is identical to a serial run.
     """
-    vals = _sum_field(kernel.factors, _weight_columns(kernel.lam), 1, L, dists, N, rng,
-                      workers)
+    vals = _sum_field(kernel.factors, kernel.lam, L, dists, N, rng, workers)
     return EmpiricalDist(vals[0], _provenance("S_L", kernel, L, dists, N, rng.seed),
                          seed=rng.seed)
 
@@ -603,7 +684,7 @@ def sample_S_infty(lam: dict, d: int, N: int, rng: RngSpec,
                    workers: int = 1) -> EmpiricalDist:
     """Gaussian-chaos limit ``sum_k lambda(k) prod_s beta_s(k_s)``, fresh betas per replication."""
     lam = {tuple(k): float(w) for k, w in lam.items()}
-    vals = _limit_field(_weight_columns(lam), 1, d, N, rng, workers)
+    vals = _limit_field(lam, d, N, rng, workers)
     payload = {"lambda": sorted((list(k), w) for k, w in lam.items()), "d": d}
     return EmpiricalDist(vals[0], _provenance("S_infty", payload, None, None, N, rng.seed),
                          seed=rng.seed)

@@ -1,4 +1,4 @@
-"""Parametric kernel fields: the field model, its metric entropy, sampling and KS distances.
+"""Parametric kernel fields: the field model, its metric entropy and sampling.
 
 A parametric kernel carries weights ``lambda(v, k)`` over a finite grid V of
 parameter points; each slice is an ordinary degenerate kernel and the
@@ -27,7 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import DegenerateKernel, _factors_from_json, _factors_to_json, _multi_indices
-from .mc import EmpiricalDist, RngSpec, _limit_field, _sum_field, _weight_columns, ks_distance
+# ks_distance is no longer called here but stays importable from this module:
+# bench/test_bench.py checks that the tracer rebinds it here (ROADMAP item 9)
+from .mc import EmpiricalDist, RngSpec, _limit_field, _sum_field, ks_distance  # noqa: F401
 from .psi import PsiFunction, _golden_max
 
 __all__ = [
@@ -40,7 +42,6 @@ __all__ = [
     "entropy_integral_power",
     "entropy_integral_exp",
     "simulate_Q_L",
-    "pointwise_ks",
     "parametric_kernel_from_json",
     "parametric_kernel_to_json",
 ]
@@ -294,10 +295,11 @@ def simulate_Q_L(pk: ParametricKernel, L, dists, N: int, rng: RngSpec,
     Axis samples are shared across grid points within each replication (the
     field structure); the sup-field collects ``max_v |Q_L(v)|`` per
     replication.  Each marginal is bit-identical to ``simulate_S_L`` of the
-    slice kernel under the same stream policy.
+    slice kernel under the same stream policy.  The (|V|, N) field is weighed
+    from the per-term cores block by block and held whole, so memory grows
+    with |V|; ``verify.check_theorem_8`` walks the grid from the cores instead.
     """
-    field = _sum_field(pk.factors, _weight_columns(pk.lam), pk.n_points, L, dists, N, rng,
-                       workers)
+    field = _sum_field(pk.factors, pk.lam, L, dists, N, rng, workers)
     per_v = [EmpiricalDist(row, f"Q_L[v={v}]", seed=rng.seed) for v, row in enumerate(field)]
     sup = EmpiricalDist(np.abs(field).max(axis=0), "sup_field", seed=rng.seed)
     return per_v, sup
@@ -306,14 +308,10 @@ def simulate_Q_L(pk: ParametricKernel, L, dists, N: int, rng: RngSpec,
 def sample_Q_infty(pk: ParametricKernel, N: int, rng: RngSpec, workers: int = 1):
     """Per-point limit samples sharing betas across v within each replication.
 
-    The result has shape (|V|, N): row ``v`` holds the N samples at grid point v.
+    The result has shape (|V|, N): row ``v`` holds the N samples at grid point v,
+    weighed from the per-term limit cores block by block.
     """
-    return _limit_field(_weight_columns(pk.lam), pk.n_points, pk.d, N, rng, workers)
-
-
-def pointwise_ks(field, limit) -> list:
-    """KS distance at each grid point between two sampled fields, an EmpiricalDist per point."""
-    return [ks_distance(q, lim) for q, lim in zip(field, limit, strict=True)]
+    return _limit_field(pk.lam, pk.d, N, rng, workers)
 
 
 # ---------------------------------------------------------------------------

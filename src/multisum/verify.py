@@ -19,10 +19,10 @@ import numpy as np
 
 from .index_sets import nclt_condition_report
 from .kernels import DegenerateKernel
-from .mc import EmpiricalDist, RngSpec, empirical_moment, empirical_tail, ks_distance, simulate_S_L
+from .mc import (EmpiricalDist, RngSpec, _limit_cores, _sum_cores, _terms, _weigh,
+                 empirical_moment, empirical_tail, ks_distance, simulate_S_L)
 from .parametric import (EntropyProfile, ParametricKernel, covering_profile,
-                         entropy_integral_exp, entropy_integral_power, pointwise_ks,
-                         sample_Q_infty, sigma_lambda, simulate_Q_L)
+                         entropy_integral_exp, entropy_integral_power, sigma_lambda)
 from .psi import PsiFunction, TailBound, product_of, rosenthal_scaled, tabulated_psi
 from .rosenthal import dp_quasinorm, rosenthal_K
 
@@ -92,15 +92,32 @@ def _chaos_limit_ks(pk: ParametricKernel, dists, sets, N, rng, limit_n, final_ks
 
     Returns the distances (a list per stage, one entry per grid point), the
     ``_ks_verdict`` of each stage's largest, the noise budget and the last
-    stage's sup-field.
+    stage's sup-field.  The limit's and every stage's T per-term cores are
+    sampled once; then the grid is walked one point at a time, each row
+    weighed from the cores into a reused buffer and sorted there.  So memory
+    is O(T (stages N + limit_n) + N + limit_n), whatever |V|, and every row,
+    distance and sup-field value is that of ``sample_Q_infty`` and
+    ``simulate_Q_L``.
     """
-    limit = [EmpiricalDist(row)
-             for row in sample_Q_infty(pk, limit_n, rng.child(_LIMIT_STREAM), workers)]
-    ks = []
-    for i, L in enumerate(sets):
-        per_v, sup = simulate_Q_L(pk, L, dists, N, rng.child(i), workers)
-        ks.append(pointwise_ks(per_v, limit))
+    kvecs, weights = _terms(pk.lam)
+    limit = _limit_cores(kvecs, pk.d, limit_n, rng.child(_LIMIT_STREAM), workers)
+    stages = [(_sum_cores(pk.factors, kvecs, L, dists, N, rng.child(i), workers),
+               math.sqrt(L.size)) for i, L in enumerate(sets)]
+    limit_row, row, sup = np.empty(limit_n), np.empty(N), np.zeros(N)
+    # |row| for the sup-field, and a second term's products in _weigh
+    scratch = np.empty(max(N, limit_n if len(kvecs) > 1 else 0))
+    ks = [[] for _ in stages]
+    for w in weights:
+        lim = EmpiricalDist._sorted_in_place(
+            _weigh(limit, w, limit_row, scratch[:limit_n]))
+        for i, (cores, root) in enumerate(stages):
+            _weigh(cores, w, row, scratch[:N])
+            row /= root
+            if i == len(stages) - 1:
+                np.maximum(sup, np.abs(row, out=scratch[:N]), out=sup)
+            ks[i].append(ks_distance(EmpiricalDist._sorted_in_place(row), lim))
     crit = ks_critical(N, limit_n)
+    sup = EmpiricalDist(sup, "sup_field", seed=rng.child(len(stages) - 1).seed)
     return ks, _ks_verdict([max(row) for row in ks], crit, final_ks), 2.0 * crit, sup
 
 

@@ -140,10 +140,12 @@ def table(fam, kmax, x):
 
 
 def table_contract(tables, L, lam, nv):
+    """The weighted field from whole tables; ``lam`` maps multi-indices to ``nv`` weights."""
     sums = [[t[:, :, a - 1:b].sum(axis=2) for t, a, b in zip(tables, lo, hi)]
             for lo, hi in zip(L.lo, L.hi)]
     out = np.zeros((nv, tables[0].shape[1]))
-    for kvec, wv in lam:
+    for kvec, w in lam.items():
+        wv = np.asarray(w, dtype=float).reshape(-1, 1)
         core = None
         for box_sums in sums:
             term = box_sums[0][kvec[0] - 1]
@@ -210,8 +212,8 @@ def field_instances(draw):
     nv = draw(st.sampled_from([1, 3]))
     kvec = st.tuples(*[st.integers(1, top) for _, _, top in axes])
     weight = st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=nv, max_size=nv)
-    lam = draw(st.dictionaries(kvec, weight, min_size=1, max_size=4))
-    lam = mc._weight_columns({k: np.array(w) for k, w in lam.items()})
+    lam = {k: np.array(w) for k, w in
+           draw(st.dictionaries(kvec, weight, min_size=1, max_size=4)).items()}
     return ([fam for fam, _, _ in axes], [law for _, law, _ in axes], lam, nv, L,
             draw(st.integers(1, 30)), draw(st.integers(0, 999)))
 
@@ -223,9 +225,15 @@ def test_streamed_sums_equal_the_table_path(instance):
     for axis, (fam, dist, kmax) in enumerate(zip(factors, dists, mc._kmax(lam, L.d))):
         x = dist.sample_block(RngSpec(seed), axis, 0, 1, 9).ravel()
         assert np.array_equal(fam.evaluate_block(kmax, x), table(fam, kmax, x))
-    streamed = mc._sum_field(factors, lam, nv, L, dists, N, RngSpec(seed), 1)
-    assert np.array_equal(streamed, table_sum_field(factors, lam, nv, L, dists, N,
-                                                    RngSpec(seed)))
+    reference = table_sum_field(factors, lam, nv, L, dists, N, RngSpec(seed))
+    streamed = mc._sum_field(factors, lam, L, dists, N, RngSpec(seed), 1)
+    assert np.array_equal(streamed, reference)
+    # the per-term cores: each grid point's row weighed from them is its table row
+    kvecs, weights = mc._terms(lam)
+    cores = mc._sum_cores(factors, kvecs, L, dists, N, RngSpec(seed), 1)
+    assert cores.shape == (len(kvecs), N)
+    for w, ref in zip(weights, reference, strict=True):
+        assert np.array_equal(mc._weigh(cores, w, np.empty(N)) / math.sqrt(L.size), ref)
 
 
 def test_members_past_a_family_fail_before_any_row():

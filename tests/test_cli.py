@@ -633,6 +633,32 @@ def test_simulate_reads_a_law_given_as_an_object(tmp_path):
     assert dist.provenance == direct.provenance
 
 
+def test_simulate_integer_and_float_beta_are_one_law(tmp_path):
+    # a log-Weibull beta of 2 and of 2.0 draw the same samples, so they must
+    # name them with one provenance digest and write the same bytes; only the
+    # manifest's digest of the config text differs
+    outputs, digests = [], []
+    for beta in (2, 2.0):
+        cfg = json.loads((CONFIG_DIR / "simulate_smoke.json").read_text())
+        cfg["N"] = 50
+        cfg["distributions"][0] = {"kind": "log_weibull", "beta": beta}
+        path = tmp_path / f"lw_{beta!r}.json"
+        path.write_text(json.dumps(cfg))
+        code, out = run_cmd(tmp_path, "simulate", path, out_name=f"out_{beta!r}")
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        digests.append(load_empirical(out / manifest["files"]["dist_0"]).provenance)
+        outputs.append((manifest["files"], {name: data for name, data in read_outputs(out).items()
+                                            if name != "manifest.json"}))
+    assert digests[0] == digests[1]
+    assert outputs[0] == outputs[1]
+    assert AxisDistribution("log_weibull", beta=2) == AxisDistribution("log_weibull", beta=2.0)
+    assert isinstance(AxisDistribution("log_weibull", beta=2).beta, float)
+    for beta in (0, -1.5, None):
+        with pytest.raises(ValueError, match="beta > 0"):
+            AxisDistribution("log_weibull", beta=beta)
+
+
 def test_verify_tail_factor_without_a_moment_rule_exits_2(tmp_path, capsys):
     # a degree-2 Hermite factor has no moment rule under a Rademacher axis
     cfg = json.loads((CONFIG_DIR / "tail_gauss.json").read_text())

@@ -79,6 +79,12 @@ def test_worker_and_block_size_invariance(run, budget):
     base_S = simulate_S_L(pk.slice_kernel(0), L, dists, N, RngSpec(seed)).values
     base_Q, base_sup = simulate_Q_L(pk, L, dists, N, RngSpec(seed))
     base_Q = np.stack([d.values for d in base_Q])
+    kvecs, weights = mc._terms(pk.lam)
+    base_cores = mc._sum_cores(pk.factors, kvecs, L, dists, N, RngSpec(seed), 1)
+    root = math.sqrt(L.size)
+    # every grid point's row, weighed from the cores, is its simulated row
+    for w, row in zip(weights, base_Q, strict=True):
+        assert np.array_equal(np.sort(mc._weigh(base_cores, w, np.empty(N)) / root), row)
     # a budget of a few floats forces blocks of one or a few replications; then
     # a cache-sized budget and the default
     for size in (budget, 1 << 17, mc._BLOCK_BUDGET):
@@ -89,6 +95,8 @@ def test_worker_and_block_size_invariance(run, budget):
                 assert np.array_equal(S.values, base_S)
                 assert np.array_equal(np.stack([d.values for d in Q]), base_Q)
                 assert np.array_equal(sup.values, base_sup.values)
+                cores = mc._sum_cores(pk.factors, kvecs, L, dists, N, RngSpec(seed), workers)
+                assert np.array_equal(cores, base_cores)
 
 
 @pytest.mark.parametrize("budget", [5, 1 << 17], ids=["one_rep_blocks", "cache_sized"])
@@ -100,9 +108,16 @@ def test_limit_field_worker_and_block_size_invariance(budget):
     base = sample_Q_infty(pk, 300, RngSpec(17))
     assert base.shape == (3, 300)
     assert base.flags.c_contiguous         # so each grid point's row is contiguous
+    kvecs, weights = mc._terms(pk.lam)
+    base_cores = mc._limit_cores(kvecs, 2, 300, RngSpec(17), 1)
+    assert base_cores.shape == (2, 300) and base_cores.flags.c_contiguous
+    for w, row in zip(weights, base, strict=True):
+        assert np.array_equal(mc._weigh(base_cores, w, np.empty(300)), row)
     with mock.patch.object(mc, "_BLOCK_BUDGET", budget):
         for workers in (1, 2, 3):
             assert np.array_equal(sample_Q_infty(pk, 300, RngSpec(17), workers), base)
+            assert np.array_equal(mc._limit_cores(kvecs, 2, 300, RngSpec(17), workers),
+                                  base_cores)
 
 
 def _block_cap(kernel, L):
@@ -110,7 +125,7 @@ def _block_cap(kernel, L):
     simulate = simulate_Q_L if isinstance(kernel, ParametricKernel) else simulate_S_L
     with mock.patch.object(mc, "_run_blocks", wraps=mc._run_blocks) as spy:
         simulate(kernel, L, GAUSS, 3, RngSpec(1))
-    return spy.call_args.args[4]
+    return spy.call_args.args[0][1]
 
 
 def test_block_size_rule():
@@ -120,21 +135,23 @@ def test_block_size_rule():
     # many boxes: one NumPy call per term, box and axis of the contraction and per
     # factor row and distinct side, so the block stays at the float budget.  Per
     # replication it holds, per axis, 64 columns x (1 uniform + 4) and 64 sides x 4
-    # rows, then one output: 1153 floats.
+    # rows, then four cores: 1156 floats.
     checker = explicit_set([(i, j) for i in range(1, 65) for j in range(1, 65)
                             if (i + j) % 2 == 0])
-    assert _block_cap(sim_box, checker) == mc._BLOCK_BUDGET // 1153
-    # 256 columns of distinct heights: 256 x 5 + 256 x 4 floats per axis, one output
+    assert _block_cap(sim_box, checker) == mc._BLOCK_BUDGET // 1156
+    # 256 columns of distinct heights: 256 x 5 + 256 x 4 floats per axis, four cores
     stair = staircase_set([37 * i % 257 for i in range(1, 257)])
-    assert _block_cap(sim_box, stair) == mc._BLOCK_BUDGET // 4609
-    # a 200-point field makes two passes over 200 output rows per block, so on a
-    # 64^2 box its block holds more than a cache share: 64 x 5 + 2 floats per axis
-    # and 200 outputs per replication; 2 x 2 + 2 x (2 + 200) calls
+    assert _block_cap(sim_box, stair) == mc._BLOCK_BUDGET // 4612
+    # a 200-point field contracts its two cores as one point does, and weighing its
+    # 200 rows is not counted as calls: on a 64^2 box its block is the cache share
+    # (64 x 5 + 2 floats per axis and 2 cores per replication; 2 x 2 + 2 x 2 calls)
     t = np.linspace(0.0, 1.0, 200)
     field = ParametricKernel(t[:, None], {(1, 1): 0.2 + 0.8 * t, (2, 2): 0.5 * t * t},
                              [FactorFamily("hermite")] * 2)
-    assert _block_cap(field, make_rect([64, 64])) == -(-mc._FLOATS_PER_CALL * 408 // 844)
-    assert mc._CACHE_FLOATS // 64 < -(-mc._FLOATS_PER_CALL * 408 // 844) < mc._BLOCK_BUDGET // 844
+    assert _block_cap(field, make_rect([64, 64])) == mc._CACHE_FLOATS // 64
+    assert _block_cap(field, make_rect([64, 64])) == \
+        _block_cap(field.slice_kernel(0), make_rect([64, 64]))
+    assert -(-mc._FLOATS_PER_CALL * 8 // 646) < mc._CACHE_FLOATS // 64 < mc._BLOCK_BUDGET // 646
     # a budget of a few floats still forces one-replication blocks
     for L in (make_rect([256, 256]), checker, stair):
         with mock.patch.object(mc, "_BLOCK_BUDGET", 5):

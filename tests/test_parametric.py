@@ -17,7 +17,8 @@ from multisum import (AxisDistribution, EmpiricalDist, ks_distance, DegenerateKe
                       sigma_lambda, simulate_Q_L, simulate_S_L, verify_nclt)
 from multisum.parametric import (_exact_cover_count, _greedy_radii,
                                  parametric_kernel_from_json,
-                                 parametric_kernel_to_json, pointwise_ks, sample_Q_infty)
+                                 parametric_kernel_to_json, sample_Q_infty)
+from multisum import verify
 
 GAUSS2 = [AxisDistribution("standard_normal")] * 2
 
@@ -379,9 +380,14 @@ def test_check_theorem8_exponential_level():
 
 
 def test_pointwise_ks_is_one_ks_distance_per_grid_point():
+    # the field check's distances are ks_distance at each point of the sampled
+    # field against the sampled limit, on the streams the check draws from
     pk = line_grid_pk(nv=3)
-    field, _ = simulate_Q_L(pk, make_rect([4, 4]), GAUSS2, 300, RngSpec(5))
-    limit = [EmpiricalDist(row) for row in sample_Q_infty(pk, 500, RngSpec(6))]
-    assert pointwise_ks(field, limit) == [ks_distance(q, lim) for q, lim in zip(field, limit)]
+    rng = RngSpec(5)
+    field, _ = simulate_Q_L(pk, make_rect([4, 4]), GAUSS2, 300, rng.child(0))
+    limit = [EmpiricalDist(row)
+             for row in sample_Q_infty(pk, 500, rng.child(verify._LIMIT_STREAM))]
+    ks = verify._chaos_limit_ks(pk, GAUSS2, [make_rect([4, 4])], 300, rng, 500, 0.05, 1)[0]
+    assert ks == [[ks_distance(q, lim) for q, lim in zip(field, limit)]]
     with pytest.raises(ValueError):
-        pointwise_ks(field, limit[:2])
+        [ks_distance(q, lim) for q, lim in zip(field, limit[:2], strict=True)]
