@@ -34,7 +34,7 @@ for k in range(1, 6):
     exact = 4 / (math.pi ** 2 * (2 * k - 1) ** 2)
     print(f"  {k}   {s[k - 1]:.6f}       {exact:.6f}")
 
-print(f"\n  rank-1 truncation: L2 error {tk.residual_norm(1, 2.0):.6f}, "
+print(f"\n  rank-1 truncation: L2 error {tk.residual_norms(1, [2.0])[0]:.6f}, "
       f"trace tail {np.sum(s[1:]):.6f}")
 print(f"  (1/2 - 4/pi^2 = {0.5 - 4 / math.pi ** 2:.6f})")
 

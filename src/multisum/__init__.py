@@ -8,7 +8,7 @@ from .psi import (PsiFunction, MomentCurve, TailBound, SupportError,
                   tail_bound_eval, psi_to_json, psi_from_json)
 from .rosenthal import (ROSENTHAL_CONSTANT, rosenthal_K,
                         trivial_bound, dp_quasinorm,
-                        theorem_W_bound, BoundReport)
+                        theorem_W_bound, theorem_W_bounds, BoundReport)
 from .kernels import (FactorFamily, DegenerateKernel, TabulatedKernel,
                       tabulated_family, kernel_to_json, kernel_from_json,
                       quadrature_rule)

@@ -29,7 +29,7 @@ from .kernels import kernel_from_json
 from .mc import RngSpec, axis_distribution_from_json, empirical_bytes, simulate_S_L
 from .parametric import parametric_kernel_from_json
 from .psi import psi_from_json, young_fenchel, TailBound, tail_bound_eval
-from .rosenthal import BoundReport, dp_quasinorm, rosenthal_K, theorem_W_bound, trivial_bound
+from .rosenthal import BoundReport, dp_quasinorm, rosenthal_K, theorem_W_bounds, trivial_bound
 from .verify import (FINAL_KS, LIMIT_N, check_theorem_8, natural_composite,
                      verify_moment_sandwich, verify_nclt, verify_tail_domination)
 
@@ -183,17 +183,21 @@ def cmd_bound(cfg, out: OutputSet, workers: int) -> int:
                           + " | ".join(_BOUND_ROUTES))
     l_size = _typed(spec, "L_size", int, 1)
     m_max = _typed(spec, "M_max", int, max(kernel.M, 1))
-    reports = []
-    for p in p_grid:
-        for route in routes:
-            if route == "trivial":
-                rep = BoundReport(p, trivial_bound(kernel.moment(p), p, l_size), "trivial")
-            elif route == "dp_quasinorm":
-                val = rosenthal_K(p) ** kernel.d * dp_quasinorm(kernel, p)
-                rep = BoundReport(p, val, "dp_quasinorm")
-            else:
-                rep = theorem_W_bound(kernel, p, l_size, m_max)
-            reports.append(rep)
+    for key, val in (("L_size", l_size), ("M_max", m_max)):
+        if val < 1:
+            raise ConfigError(f"config field '{key}' must be >= 1")
+    # each route over the whole grid, so a term set's quadrature walks once for every p
+    column = {}
+    for route in dict.fromkeys(routes):
+        if route == "trivial":
+            column[route] = [BoundReport(p, trivial_bound(f_p, p, l_size), "trivial")
+                             for p, f_p in zip(p_grid, kernel.moments(p_grid))]
+        elif route == "dp_quasinorm":
+            column[route] = [BoundReport(p, rosenthal_K(p) ** kernel.d * dp_quasinorm(kernel, p),
+                                         "dp_quasinorm") for p in p_grid]
+        else:
+            column[route] = theorem_W_bounds(kernel, p_grid, l_size, m_max)
+    reports = [column[route][i] for i in range(len(p_grid)) for route in routes]
     out.add("bounds", "csv", _csv("p,route,M_star,value", (
         (r.p, r.route, "" if r.m_star is None else r.m_star, r.bound_value) for r in reports)))
     out.add("bounds_rows", "json", _dump_json([r.to_json_row() for r in reports]))

@@ -82,38 +82,52 @@ def quadrature_rule(base: str):
     return x, w
 
 
-def _lp_norm(slabs, p: float) -> float:
-    """``(sum w |v|**p)**(1/p)`` over a grid given as slabs, by a running log-sum-exp.
+def _lp_norm(slabs, p_grid) -> list:
+    """``(sum w |v|**p)**(1/p)`` at each p of ``p_grid``, by running log-sum-exps over one walk.
 
     Each slab is ``(vals, log_weights)``: a block of grid values, overwritten
     here, and arrays that broadcast against it and add up to the block's
-    ``log w``.  Neither ``|v|**p`` nor ``w`` is formed, so large values at
-    high p cannot overflow and tiny weights cannot underflow to 0.  ``exp``
-    runs only where ``p log|v| + log w`` is within ``-_EXP_FLOOR`` of the
-    largest so far: below that a term is subnormal or 0 and cannot move a sum
-    whose largest term is 1.  A NaN or infinite value makes the norm NaN; an
-    all-zero grid gives 0.
+    ``log w``.  ``log|v|`` is taken once per slab; then, for each p in turn,
+    ``p log|v| + log w`` is formed in one reused slab-sized buffer (in
+    ``vals`` itself for the last p) and added to that p's sum, with the float
+    operations a walk at that p alone would make, so each norm is the one-p
+    norm bit for bit.  Neither ``|v|**p`` nor ``w`` is formed, so large
+    values at high p cannot overflow and tiny weights cannot underflow to 0.
+    ``exp`` runs only where ``p log|v| + log w`` is within ``-_EXP_FLOOR`` of
+    the largest so far: below that a term is subnormal or 0 and cannot move a
+    sum whose largest term is 1.  A NaN or infinite value makes a p's norm
+    NaN, and the walk stops once every p is NaN; an all-zero grid gives 0.
     """
-    top, total = -math.inf, 0.0
+    top = [-math.inf] * len(p_grid)
+    total = [0.0] * len(p_grid)
+    live = list(range(len(p_grid)))
+    buf = np.empty(0)
     for vals, log_weights in slabs:
         with np.errstate(divide="ignore"):
             np.log(np.abs(vals, out=vals), out=vals)
-        vals *= p
-        for log_w in log_weights:
-            vals += log_w
-        peak = vals.max()
-        if not peak < math.inf:
-            return math.nan
-        if peak > top:
-            total *= math.exp(top - peak)
-            top = peak
-        live = vals[vals > top + _EXP_FLOOR]
-        live -= top
-        total += np.exp(live, out=live).sum()
-        del live    # a copy: free it before the next slab is made
-    if top == -math.inf:
-        return 0.0
-    return float(np.exp((top + math.log(total)) / p))
+        if buf.size < vals.size and len(live) > 1:
+            buf = np.empty(vals.size)
+        for i in live:
+            out = vals if i == live[-1] else buf[:vals.size].reshape(vals.shape)
+            np.multiply(vals, p_grid[i], out=out)
+            for log_w in log_weights:
+                out += log_w
+            peak = out.max()
+            if not peak < math.inf:
+                top[i] = math.nan
+                continue
+            if peak > top[i]:
+                total[i] *= math.exp(top[i] - peak)
+                top[i] = peak
+            terms = out[out > top[i] + _EXP_FLOOR]
+            terms -= top[i]
+            total[i] += np.exp(terms, out=terms).sum()
+            del terms   # a copy: free it before the next one is made
+        live = [i for i in live if not math.isnan(top[i])]
+        if not live:
+            break
+    return [math.nan if math.isnan(t) else 0.0 if t == -math.inf
+            else float(np.exp((t + math.log(s)) / p)) for t, s, p in zip(top, total, p_grid)]
 
 
 def _recurrence_rows(kmax: int, first: np.ndarray, coef, norm: np.ndarray, buffers=None):
@@ -248,7 +262,7 @@ class FactorFamily:
         """
         if law is None or law.kind == self.canonical_base:
             x, w = self.rule
-            return _lp_norm([(self.evaluate(k, x), [np.log(w)])], p)
+            return _lp_norm([(self.evaluate(k, x), [np.log(w)])], [p])[0]
         if k == 1 and self.canonical_base is not None:
             return law.identity_moment(p)
         raise ValueError(
@@ -337,7 +351,11 @@ class DegenerateKernel:
         return total
 
     def moment(self, p: float, terms: dict | None = None) -> float:
-        """``|f(xi)|_p`` by tensor-product quadrature over the canonical bases.
+        """``|f(xi)|_p``: ``moments([p], terms)``, as one float."""
+        return self.moments([p], terms)[0]
+
+    def moments(self, p_grid, terms: dict | None = None) -> list:
+        """``|f(xi)|_p`` at each p of ``p_grid``, by one tensor-product quadrature walk.
 
         ``terms``, a sub-dict of ``lam``, restricts the sum to those terms.
         The value grid is never formed.  The axes split into a leading group
@@ -347,16 +365,18 @@ class DegenerateKernel:
         lambda) and a right factor (terms x trailing nodes: the outer
         products of the trailing rows).  The leading nodes are walked in
         slabs of at most ``_SLAB_FLOATS`` values (one row at least): one
-        ``matmul`` into a reused buffer, then one step of ``_lp_norm``.
-        Working memory is the two factors, ``T * (n_lead + n_trail)`` floats
-        for T terms, plus about two slabs: 64 nodes on each of 4 axes peak
-        near 2.4 MiB, where the whole grid would take 128 MiB.  A grid of
-        more than ``_NODE_LIMIT`` (2**31) nodes is a ValueError, raised
-        before any work.
+        ``matmul`` into a reused buffer, then one step of ``_lp_norm``, which
+        takes ``log|v|`` once and serves every p, so each value is the one-p
+        call's bit for bit.  Working memory is the two factors,
+        ``T * (n_lead + n_trail)`` floats for T terms, plus about two slabs
+        (three for more than one p): 64 nodes on each of 4 axes peak near
+        2.4 MiB, where the whole grid would take 128 MiB.  A grid of more
+        than ``_NODE_LIMIT`` (2**31) nodes is a ValueError, raised before any
+        work.
         """
         terms = self.lam if terms is None else terms
         if not terms:
-            return 0.0
+            return [0.0] * len(p_grid)
         rules = [fam.rule for fam in self.factors]
         sizes = [x.size for x, _ in rules]
         nodes = math.prod(sizes)
@@ -387,7 +407,7 @@ class DegenerateKernel:
                 np.matmul(left[start:start + step], right, out=out)
                 yield out, [log_left[start:start + step, None], log_right]
 
-        return _lp_norm(slabs(), p)
+        return _lp_norm(slabs(), p_grid)
 
     # -- low-rank structure ------------------------------------------------
 
@@ -396,10 +416,9 @@ class DegenerateKernel:
         """The kernel whose rank-M truncation (every index <= M) is ``Z_M``: itself."""
         return self
 
-    def residual_norm(self, M: int, p: float) -> float:
-        """``Q_{M,p}``: the L_p norm of the terms with an index above M."""
-        tail = {k: w for k, w in self.lam.items() if max(k) > M}
-        return self.moment(p, tail) if tail else 0.0
+    def residual_norms(self, M: int, p_grid) -> list:
+        """``Q_{M,p}`` at each p of ``p_grid``: the L_p norms of the terms with an index above M."""
+        return self.moments(p_grid, {k: w for k, w in self.lam.items() if max(k) > M})
 
     def digest_payload(self):
         return kernel_to_json(self)
@@ -448,7 +467,7 @@ class TabulatedKernel:
         return cls(x, wx, y, wy, vals)
 
     def moment(self, p: float) -> float:
-        return _lp_norm([(self.values.copy(), self._log_weights)], p)
+        return _lp_norm([(self.values.copy(), self._log_weights)], [p])[0]
 
     def spectral(self):
         """Weighted singular value decomposition ``(singular_values, left, right)``.
@@ -489,19 +508,22 @@ class TabulatedKernel:
         lam = {(k + 1, k + 1): float(s[k]) for k in range(s.size)}
         return DegenerateKernel(2, lam, [fam_x, fam_y], orthonormal=True)
 
-    def residual_norm(self, M: int, p: float) -> float:
-        """``Q_{M,p}``: the weighted L_p norm of ``values`` minus the rank-M truncation.
+    def residual_norms(self, M: int, p_grid) -> list:
+        """``Q_{M,p}`` at each p of ``p_grid``: the weighted L_p norm of the rank-M residual.
 
-        0 at or above the numerical rank.  At p = 2 it is the Frobenius-style
-        tail ``sqrt(sum_{k>M} s_k**2)``; the trace-style tail is ``sum(s[M:])``.
+        The residual is ``values`` minus the rank-M truncation: 0 at or above
+        the numerical rank.  At p = 2 it is the Frobenius-style tail
+        ``sqrt(sum_{k>M} s_k**2)``; the trace-style tail is ``sum(s[M:])``.
+        Every other p is read off one walk of the residual grid.
         """
         s, left, right = self.spectral()
         if M >= int(np.sum(s > s[0] * 1e-13)):
-            return 0.0
-        if p == 2.0:
-            return math.sqrt(np.sum(s[M:] ** 2))
-        recon = (left[:M].T * s[:M]) @ right[:M]
-        return _lp_norm([(self.values - recon, self._log_weights)], p)
+            return [0.0] * len(p_grid)
+        others = [p for p in p_grid if p != 2.0]
+        if others:
+            recon = (left[:M].T * s[:M]) @ right[:M]
+            norms = iter(_lp_norm([(self.values - recon, self._log_weights)], others))
+        return [math.sqrt(np.sum(s[M:] ** 2)) if p == 2.0 else next(norms) for p in p_grid]
 
     @property
     def _log_weights(self):

@@ -218,7 +218,7 @@ class AxisDistribution:
             return val ** (1.0 / p)
         if self.kind == "compensated_poisson":
             x, pmf = quadrature_rule("compensated_poisson")
-            return _lp_norm([(x.copy(), [np.log(pmf)])], p)
+            return _lp_norm([(x.copy(), [np.log(pmf)])], [p])[0]
         # log_weibull: p * int y^(p-1) P(|xi|>y) dy, integrated in u = ln(1+y)
         b = self.beta
         def integrand(u):

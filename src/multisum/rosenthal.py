@@ -9,7 +9,7 @@ Three routes, from crudest to sharpest:
   Klesov product bound ``K(p)**d * |w| prod_s |g_s|_p`` is its rank-one case.
 * ``theorem_W_bound``  -- splits an approximable kernel into a rank-M part
   (the ``K(p)**d * D_p`` route) plus a residual (trivial route) and minimizes
-  over M.
+  over M; ``theorem_W_bounds`` does so for a whole p-grid at once.
 
 The Rosenthal function ``K(p)`` is the constant of the moment inequality for
 normalized sums of centered independent variables: ``K(2) = 1`` exactly, and
@@ -33,6 +33,7 @@ __all__ = [
     "trivial_bound",
     "dp_quasinorm",
     "theorem_W_bound",
+    "theorem_W_bounds",
     "BoundReport",
 ]
 
@@ -143,35 +144,54 @@ def theorem_W_bound(kernel_family, p: float, L_size: int, M_max: int) -> BoundRe
     """Best split of an approximable kernel into rank-M head plus residual.
 
     Minimizes ``K(p)**d * D_p(Z_M) + sqrt(|L|) * Q_{M,p}`` over ranks
-    ``M = 1..M_max``.  The kernel family supplies a degenerate ``head`` whose
-    rank-M truncation is ``Z_M``, and ``residual_norm(M, p)``, which is
-    ``Q_{M,p}``; the head's ``D_p`` terms are listed once per call and summed
-    up to each rank.  The index-set size enters through the residual
-    term only, so the caller supplies it per index set rather than a supremum
-    over all of them.  A NaN candidate ends the search and is reported as the
-    bound, at its rank, so that it cannot pass for a clean minimum.
+    ``M = 1..M_max``: ``theorem_W_bounds`` at the one p.  The kernel family
+    supplies a degenerate ``head`` whose rank-M truncation is ``Z_M``, and
+    ``residual_norms(M, p_grid)``, which is ``Q_{M,p}`` at each p of the
+    grid.  The index-set size enters through the residual term only, so the
+    caller supplies it per index set rather than a supremum over all of
+    them.  A NaN candidate ends the search and is reported as the bound, at
+    its rank, so that it cannot pass for a clean minimum.
+    """
+    return theorem_W_bounds(kernel_family, [p], L_size, M_max)[0]
+
+
+def theorem_W_bounds(kernel_family, p_grid, L_size: int, M_max: int) -> list:
+    """``theorem_W_bound`` at each p of ``p_grid``, one report per p, rank by rank.
+
+    The head's ``D_p`` terms are listed once per p and summed up to each
+    rank.  Each rank's residual norms come from one ``residual_norms`` call
+    over the p still searching, so a quadrature-backed family walks its
+    residual grid once per rank, not once per rank and p.  Each p keeps its
+    own best value and rank, and stops on its own zero or NaN residual; the
+    ranks end when every p has stopped.  Each report equals the one-p call's.
     """
     if M_max < 1:
         raise ValueError("M_max must be >= 1")
     if L_size < 1:
         raise ValueError("index sets are nonempty")
     d = kernel_family.d
-    kd = rosenthal_K(p) ** d
+    kd = [rosenthal_K(p) ** d for p in p_grid]
+    terms = [list(_dp_terms(kernel_family.head, p)) for p in p_grid]
     root_l = math.sqrt(L_size)
-    best_val = math.inf
-    best_m = None
-    terms = list(_dp_terms(kernel_family.head, p))
+    best_val = [math.inf] * len(p_grid)
+    best_m = [None] * len(p_grid)
+    searching = list(range(len(p_grid)))
     for m in range(1, M_max + 1):
-        q_m = kernel_family.residual_norm(m, p)
-        val = kd * _dp_sum(terms, m) + root_l * q_m
-        if val < best_val or math.isnan(val):
-            best_val = val
-            best_m = m
-        if q_m == 0.0 or math.isnan(val):
-            break  # higher ranks cannot improve either term, or NaN is the answer
-    digest = _digest({
-        "kernel": kernel_family.digest_payload(),
-        "p": p, "L_size": L_size, "M_max": M_max,
-    })
-    return BoundReport(p=p, bound_value=best_val, route="theorem_W",
-                       m_star=best_m, inputs_digest=digest)
+        if not searching:
+            break
+        norms = kernel_family.residual_norms(m, [p_grid[i] for i in searching])
+        still = []
+        for i, q_m in zip(searching, norms):
+            val = kd[i] * _dp_sum(terms[i], m) + root_l * q_m
+            if val < best_val[i] or math.isnan(val):
+                best_val[i] = val
+                best_m[i] = m
+            # a zero residual: higher ranks cannot improve either term; NaN is the answer
+            if q_m != 0.0 and not math.isnan(val):
+                still.append(i)
+        searching = still
+    payload = kernel_family.digest_payload()
+    return [BoundReport(p=p, bound_value=val, route="theorem_W", m_star=m,
+                        inputs_digest=_digest({"kernel": payload, "p": p, "L_size": L_size,
+                                               "M_max": M_max}))
+            for p, val, m in zip(p_grid, best_val, best_m)]

@@ -10,6 +10,7 @@ import pytest
 
 from multisum import (AxisDistribution, FactorFamily, RngSpec, kernel_from_json,
                       load_empirical, make_rect, rosenthal_K, simulate_S_L)
+from multisum import kernels
 from multisum.cli import main
 from multisum.index_sets import index_set_from_json, lshape_family
 
@@ -83,6 +84,29 @@ def test_bound_non_integer_size_or_rank_exits_2(tmp_path, capsys, field, value):
     assert field in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize("field, value, routes", [
+    ("L_size", 0, ["dp_quasinorm"]), ("L_size", 0, ["trivial"]),
+    ("L_size", -3, ["theorem_W"]), ("M_max", 0, ["trivial", "theorem_W"]),
+    ("M_max", -1, ["dp_quasinorm"]),
+], ids=["L_size-0-dp", "L_size-0-trivial", "L_size-negative-W", "M_max-0-trivial-W",
+        "M_max-negative-dp"])
+def test_bound_size_or_rank_below_one_exits_2_before_any_quadrature(
+        tmp_path, capsys, monkeypatch, field, value, routes):
+    # an L_size of 0 once wrote dp_quasinorm rows and exited 0, and M_max 0 surfaced
+    # only after the trivial route's quadrature
+    cfg = json.loads((CONFIG_DIR / "bound_rank1.json").read_text())
+    cfg["bound"].update({field: value, "routes": routes})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    walks, lp_norm = [], kernels._lp_norm
+    monkeypatch.setattr(kernels, "_lp_norm",
+                        lambda slabs, p_grid: walks.append(p_grid) or lp_norm(slabs, p_grid))
+    code, _ = run_cmd(tmp_path, "bound", path)
+    assert code == 2
+    assert f"'{field}'" in json.loads(capsys.readouterr().err)["error"]
+    assert walks == []
+
+
 def test_bound_grid_past_the_node_limit_exits_2(tmp_path, capsys):
     # 140**5 Poisson nodes would take 430 GB as one grid; the limit stops it before any work
     cfg = {"seed": 1, "p_grid": [2.0], "bound": {"routes": ["trivial"], "L_size": 4},
@@ -129,6 +153,40 @@ def test_bound_computes_each_factor_moment_once_per_call(tmp_path, monkeypatch):
             for k in range(1, 9):
                 total += 2.0 ** -k * math.prod(fam.moment(k, p) for fam in fams)
             assert row["value"] == rosenthal_K(p) ** 3 * total
+
+
+def test_bound_walks_each_term_set_once_for_the_whole_grid(tmp_path, monkeypatch):
+    # the same kernel: the trivial route's whole kernel and theorem_W's 7 non-empty
+    # tails are 8 term sets, and one tensor-quadrature walk of each serves p = 2, 4
+    # and 8 (24 walks when every p walked its own)
+    kernel = {"d": 3, "factors": [{"kind": "poisson_charlier", "params": {}}] * 3,
+              "lambda": [{"k": [k] * 3, "w": 2.0 ** -k} for k in range(1, 9)],
+              "orthonormal": True}
+    cfg = {"seed": 1, "p_grid": [2.0, 4.0, 8.0], "kernel": kernel,
+           "bound": {"routes": ["trivial", "dp_quasinorm", "theorem_W"], "M_max": 8,
+                     "L_size": 10_000}}
+    path = tmp_path / "bounds.json"
+    path.write_text(json.dumps(cfg))
+    walks, in_factor_moment = [], []
+    lp_norm, moment = kernels._lp_norm, FactorFamily.moment
+
+    def counted_walk(slabs, p_grid):
+        if not in_factor_moment:    # the one-axis factor moments are not grid walks
+            walks.append(p_grid)
+        return lp_norm(slabs, p_grid)
+
+    def flagged_moment(self, k, p, law=None):
+        in_factor_moment.append(k)
+        try:
+            return moment(self, k, p, law)
+        finally:
+            in_factor_moment.pop()
+
+    monkeypatch.setattr(kernels, "_lp_norm", counted_walk)
+    monkeypatch.setattr(FactorFamily, "moment", flagged_moment)
+    code, _ = run_cmd(tmp_path, "bound", path)
+    assert code == 0
+    assert walks == [[2.0, 4.0, 8.0]] * 8
 
 
 def test_bound_reruns_byte_identical(tmp_path):

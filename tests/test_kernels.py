@@ -244,14 +244,13 @@ def test_spectral_factors_orthonormal_under_weights():
 
 def test_approx_full_rank_gives_zero_error():
     tk = TabulatedKernel.from_function(lambda x, y: np.minimum(x, y), n=16)
-    assert tk.residual_norm(16, 2.0) == 0.0
-    assert tk.residual_norm(16, 3.0) == 0.0
+    assert tk.residual_norms(16, [2.0, 3.0]) == [0.0, 0.0]
 
 
 def test_approx_frobenius_and_trace_tails():
     tk = TabulatedKernel.from_function(lambda x, y: np.minimum(x, y), n=128)
     s, left, right = tk.spectral()
-    q = tk.residual_norm(3, 2.0)
+    [q] = tk.residual_norms(3, [2.0])
     assert q == pytest.approx(math.sqrt(float(np.sum(s[3:] ** 2))), rel=1e-10)
     # the p = 2 closed form agrees with the weighted norm of the residual grid
     recon = (left[:3].T * s[:3]) @ right[:3]
@@ -272,8 +271,7 @@ def test_approx_residual_monotone():
     tk = TabulatedKernel.from_function(lambda x, y: np.minimum(x, y) ** 2 + x * y, n=64)
     prev2, prev3 = math.inf, math.inf
     for m in range(1, 9):
-        q2 = tk.residual_norm(m, 2.0)
-        q3 = tk.residual_norm(m, 3.0)
+        q2, q3 = tk.residual_norms(m, [2.0, 3.0])
         assert q2 <= prev2 + 1e-12
         assert q3 <= prev3 + 1e-12
         prev2, prev3 = q2, q3
@@ -290,7 +288,7 @@ def test_eckart_young_optimality_against_perturbations():
                for k in range(1, m + 1))
     w2 = np.outer(tk.x_weights, tk.y_weights)
     base_resid = math.sqrt(float((w2 * (tk.values - grid) ** 2).sum()))
-    assert base_resid == pytest.approx(tk.residual_norm(m, 2.0), rel=1e-8)
+    assert [base_resid] == pytest.approx(tk.residual_norms(m, [2.0]), rel=1e-8)
     rng = np.random.default_rng(17)
     s, left, right = tk.spectral()
     for _ in range(100):
@@ -306,9 +304,9 @@ def test_degenerate_kernel_truncation_route():
     k = gaussian_pair({(1, 1): 0.7, (2, 2): 0.2, (3, 3): 0.1})
     assert k.head is k
     # orthonormal residual: L2 error is the root of the discarded weight mass
-    assert k.residual_norm(2, 2.0) == pytest.approx(0.1, rel=1e-9)
-    assert k.residual_norm(1, 2.0) == pytest.approx(math.hypot(0.2, 0.1), rel=1e-9)
-    assert k.residual_norm(3, 2.0) == 0.0
+    assert k.residual_norms(2, [2.0]) == pytest.approx([0.1], rel=1e-9)
+    assert k.residual_norms(1, [2.0]) == pytest.approx([math.hypot(0.2, 0.1)], rel=1e-9)
+    assert k.residual_norms(3, [2.0]) == [0.0]
 
 
 def test_tabulated_head_is_the_weighted_svd():

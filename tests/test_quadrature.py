@@ -111,6 +111,92 @@ def instances(draw):
     return DegenerateKernel(d, lam, fams), {k: lam[k] for k in keys}, p, budget
 
 
+# ---------------------------------------------------------------------------
+# one walk for a whole p-grid against one walk per p: the one-p slab walk is
+# kept here as the reference, so each grid value must equal it bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def one_p_lp_norm(slabs, p):
+    top, total = -math.inf, 0.0
+    for vals, log_weights in slabs:
+        with np.errstate(divide="ignore"):
+            np.log(np.abs(vals, out=vals), out=vals)
+        vals *= p
+        for log_w in log_weights:
+            vals += log_w
+        peak = vals.max()
+        if not peak < math.inf:
+            return math.nan
+        if peak > top:
+            total *= math.exp(top - peak)
+            top = peak
+        live = vals[vals > top + kernels._EXP_FLOOR]
+        live -= top
+        total += np.exp(live, out=live).sum()
+    if top == -math.inf:
+        return 0.0
+    return float(np.exp((top + math.log(total)) / p))
+
+
+def _same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@st.composite
+def slab_streams(draw):
+    """1-4 slabs of one width, each on its own scale: some all zero, one maybe non-finite."""
+    cols = draw(st.integers(1, 12))
+    log_right = np.array(draw(st.lists(st.floats(-40.0, 0.0), min_size=cols, max_size=cols)))
+    slabs = []
+    for _ in range(draw(st.integers(1, 4))):
+        rows = draw(st.integers(1, 6))
+        if draw(st.booleans()) and draw(st.booleans()):
+            vals = np.zeros((rows, cols))
+        else:
+            scale = 10.0 ** draw(st.integers(-150, 150))    # moves the running top between slabs
+            vals = scale * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=rows * cols,
+                                                  max_size=rows * cols))).reshape(rows, cols)
+        log_left = np.array(draw(st.lists(st.floats(-40.0, 0.0), min_size=rows,
+                                          max_size=rows)))[:, None]
+        slabs.append((vals, [log_left, log_right]))
+    if draw(st.booleans()) and draw(st.booleans()):
+        vals = slabs[draw(st.integers(0, len(slabs) - 1))][0]
+        vals.flat[draw(st.integers(0, vals.size - 1))] = draw(
+            st.sampled_from([math.inf, -math.inf, math.nan]))
+    p_grid = draw(st.lists(st.floats(1.0, 16.0) | st.sampled_from([2.0, 8.0]),
+                           min_size=1, max_size=5))
+    p_grid += draw(st.lists(st.sampled_from(p_grid), max_size=2))    # repeated p
+    return slabs, p_grid
+
+
+def _fresh(slabs):
+    return [(vals.copy(), log_weights) for vals, log_weights in slabs]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(slab_streams())
+def test_grid_walk_equals_the_one_p_walks(stream):
+    slabs, p_grid = stream
+    got = kernels._lp_norm(_fresh(slabs), p_grid)
+    want = [one_p_lp_norm(_fresh(slabs), p) for p in p_grid]
+    assert len(got) == len(want)
+    assert all(map(_same, got, want)), (got, want)
+    assert all(map(_same, got, [kernels._lp_norm(_fresh(slabs), [p])[0] for p in p_grid]))
+
+
+@SETTINGS
+@given(instances(), st.lists(st.floats(2.0, 64.0), min_size=1, max_size=4))
+def test_kernel_grid_moments_equal_the_one_p_moments(instance, p_grid):
+    kernel, terms, _, budget = instance
+    with mock.patch.object(kernels, "_SLAB_FLOATS", budget):
+        got = kernel.moments(p_grid, terms)
+        with mock.patch.object(kernels, "_lp_norm",
+                               lambda slabs, one_p: [one_p_lp_norm(slabs, *one_p)]):
+            want = [kernel.moment(p, terms) for p in p_grid]
+    assert all(map(_same, got, want)), (got, want)
+
+
 @SETTINGS
 @given(instances())
 def test_slab_product_matches_the_whole_grid(instance):
@@ -153,7 +239,7 @@ def test_non_finite_grid_value_gives_nan(w):
     fam = FactorFamily("hermite")    # no node at 0, so w * x is never 0 * inf
     kernel = DegenerateKernel(2, {(1, 1): 1.0, (2, 2): w}, [fam, fam])
     assert math.isnan(kernel.moment(2.0))
-    assert math.isnan(kernel.residual_norm(1, 2.0))
+    assert math.isnan(kernel.residual_norms(1, [2.0])[0])
 
 
 def test_one_axis_factor_moment_matches_the_reference():
@@ -178,11 +264,18 @@ def test_four_axis_moment_stays_in_a_few_mib():
     fam = FactorFamily("hermite")
     lam = {(k,) * 4: 1.0 / k for k in range(1, 4)}
     kernel = DegenerateKernel(4, lam, [fam] * 4, orthonormal=True)
-    tracemalloc.start()
-    try:
-        got = kernel.moment(2.0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2 ** 20
-    assert got == pytest.approx(math.sqrt(sum(w * w for w in lam.values())), rel=1e-10)
+    peaks = []
+    for p_grid in ([2.0], [2.0, 4.0, 8.0], [2.0, 3.0, 4.0, 5.0, 6.0, 8.0]):
+        tracemalloc.start()
+        try:
+            got = kernel.moments(p_grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[0] < 4 * 2 ** 20
+    assert got[0] == pytest.approx(math.sqrt(sum(w * w for w in lam.values())), rel=1e-10)
+    # a grid of any length adds one slab-sized buffer, never a value grid per p
+    slab = kernels._SLAB_FLOATS * 8
+    assert abs(peaks[1] - peaks[0] - slab) < 2 ** 16
+    assert abs(peaks[2] - peaks[1]) < 2 ** 12

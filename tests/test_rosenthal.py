@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from multisum import (BoundReport, DegenerateKernel, FactorFamily, TabulatedKernel,
                       dp_quasinorm, rosenthal_K, tabulated_family,
-                      theorem_W_bound, trivial_bound, ROSENTHAL_CONSTANT)
+                      theorem_W_bound, theorem_W_bounds, trivial_bound, ROSENTHAL_CONSTANT)
 
 E = math.e
 
@@ -303,8 +303,8 @@ def test_theorem_w_nan_residual_is_reported_not_skipped():
         d = 2
         head = unit_hermite_kernel({(1, 1): 1.0})
 
-        def residual_norm(self, m, p):
-            return {1: 1.0, 2: math.nan}.get(m, 0.0)
+        def residual_norms(self, m, p_grid):
+            return [{1: 1.0, 2: math.nan}.get(m, 0.0) for _ in p_grid]
 
         def digest_payload(self):
             return "nan-at-rank-two"
@@ -312,6 +312,64 @@ def test_theorem_w_nan_residual_is_reported_not_skipped():
     rep = theorem_W_bound(NanAtRankTwo(), 4.0, L_size=50, M_max=6)
     assert math.isnan(rep.bound_value)
     assert rep.m_star == 2
+
+
+def test_theorem_w_nan_at_one_p_stops_that_p_only():
+    # rank 2 is NaN at p = 4 only; at p = 3 the residual falls to 0 at rank 3, the best split
+    class NanAtRankTwoForFour:
+        d = 2
+        head = unit_hermite_kernel({(1, 1): 1.0})
+
+        def __init__(self):
+            self.calls = []
+
+        def residual_norms(self, m, p_grid):
+            self.calls.append((m, list(p_grid)))
+            return [math.nan if (m, p) == (2, 4.0) else {1: 1.0, 2: 0.5}.get(m, 0.0)
+                    for p in p_grid]
+
+        def digest_payload(self):
+            return "nan-at-rank-two-for-four"
+
+    family = NanAtRankTwoForFour()
+    at_four, at_three = theorem_W_bounds(family, [4.0, 3.0], L_size=50, M_max=6)
+    assert math.isnan(at_four.bound_value)
+    assert at_four.m_star == 2
+    assert at_three.m_star == 3
+    assert at_three.bound_value == rosenthal_K(3.0) ** 2 * dp_quasinorm(family.head, 3.0)
+    # one call per rank for every p still searching; the ranks end once both have stopped
+    assert family.calls == [(1, [4.0, 3.0]), (2, [4.0, 3.0]), (3, [3.0])]
+    assert theorem_W_bound(NanAtRankTwoForFour(), 3.0, L_size=50, M_max=6) == at_three
+
+
+def _report_key(rep):
+    """A report's fields, with the value as its repr, so NaN equals NaN and -0.0 is not 0.0."""
+    return rep.p, repr(rep.bound_value), rep.route, rep.m_star, rep.inputs_digest
+
+
+GRIDS = st.lists(st.sampled_from([2.0, 3.0, 4.5, 8.0]), min_size=1, max_size=4)
+
+
+@PER_RANK
+@given(degenerate_kernels(), GRIDS, st.integers(1, 10_000), st.integers(1, 5))
+def test_theorem_w_grid_equals_per_p_calls_degenerate(kernel, p_grid, L_size, M_max):
+    grid = theorem_W_bounds(kernel, p_grid, L_size, M_max)
+    assert list(map(_report_key, grid)) == [
+        _report_key(theorem_W_bound(kernel, p, L_size, M_max)) for p in p_grid]
+    assert [(rep.bound_value, rep.m_star) for rep in grid] == [
+        per_rank_theorem_w(kernel, p, L_size, M_max) for p in p_grid]
+
+
+@PER_RANK
+@given(tabulated_kernels(),
+       GRIDS.filter(lambda grid: 2.0 in grid and set(grid) != {2.0}),   # closed form and walks
+       st.integers(1, 10_000), st.integers(1, 14))
+def test_theorem_w_grid_equals_per_p_calls_tabulated(kernel, p_grid, L_size, M_max):
+    grid = theorem_W_bounds(kernel, p_grid, L_size, M_max)
+    assert list(map(_report_key, grid)) == [
+        _report_key(theorem_W_bound(kernel, p, L_size, M_max)) for p in p_grid]
+    assert [(rep.bound_value, rep.m_star) for rep in grid] == [
+        per_rank_theorem_w(kernel, p, L_size, M_max) for p in p_grid]
 
 
 # ---------------------------------------------------------------------------
