@@ -120,6 +120,14 @@ def _typed(cfg, key, kind, default=None):
     return val
 
 
+def _count(cfg, key, default=None) -> int:
+    """The int ``cfg[key]`` (required unless ``default`` is given), checked to be >= 1."""
+    val = _require(cfg, key, int) if default is None else _typed(cfg, key, int, default)
+    if val < 1:
+        raise ConfigError(f"config field '{key}' must be >= 1")
+    return val
+
+
 def _floats(values, key) -> list:
     """Entries of the config list ``values`` as floats, each checked by ``_typed`` as a number."""
     return [float(_typed({key: v}, key, (int, float))) for v in values]
@@ -181,11 +189,8 @@ def cmd_bound(cfg, out: OutputSet, workers: int) -> int:
     if not routes or any(route not in _BOUND_ROUTES for route in routes):
         raise ConfigError("config field 'routes' must be a non-empty list of "
                           + " | ".join(_BOUND_ROUTES))
-    l_size = _typed(spec, "L_size", int, 1)
-    m_max = _typed(spec, "M_max", int, max(kernel.M, 1))
-    for key, val in (("L_size", l_size), ("M_max", m_max)):
-        if val < 1:
-            raise ConfigError(f"config field '{key}' must be >= 1")
+    l_size = _count(spec, "L_size", 1)
+    m_max = _count(spec, "M_max", max(kernel.M, 1))
     # each route over the whole grid, so a term set's quadrature walks once for every p
     column = {}
     for route in dict.fromkeys(routes):
@@ -208,7 +213,7 @@ def cmd_simulate(cfg, out: OutputSet, workers: int) -> int:
     kernel = _load_kernel(cfg)
     dists = _load_dists(cfg, kernel.d)
     sets = _load_index_sets(cfg, kernel.d)
-    n = _require(cfg, "N", int)
+    n = _count(cfg, "N")
     rng = RngSpec(cfg["seed"])
     qs = np.linspace(0.0, 1.0, 101)
     summary = []
@@ -244,9 +249,11 @@ def cmd_verify(cfg, out: OutputSet, workers: int) -> int:
     if which not in ("nclt", "sandwich", "tail", "parametric"):
         raise ConfigError("verify.which must be one of nclt | sandwich | tail | parametric")
     rng = RngSpec(cfg["seed"])
-    n = _require(cfg, "N", int)
+    n = _count(cfg, "N")
     final_ks = float(_typed(spec, "final_ks", (int, float), FINAL_KS))
-    limit_n = _typed(spec, "limit_n", int, LIMIT_N)
+    if not 0.0 < final_ks <= 1.0:
+        raise ConfigError("config field 'final_ks' must be in (0, 1]")
+    limit_n = _count(spec, "limit_n", LIMIT_N)
     kernel = (parametric_kernel_from_json(_require(cfg, "parametric_kernel", dict))
               if which == "parametric" else _load_kernel(cfg))
     dists = _load_dists(cfg, kernel.d)

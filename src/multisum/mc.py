@@ -332,32 +332,38 @@ def empirical_tail(dist: EmpiricalDist, y: float) -> float:
     return max(right, left) / v.size
 
 
-_KS_BLOCK = 16   # steps per block of ``ks_distance``; 32 costs about the same on ``field``, 8 and 64 more
+# positions per block of ``ks_distance``: on field-size pairs 24 and 32 cost about the same at
+# shift 0 and more at shift 0.1; 8 costs about 1.5 times as much, 64 about 2.5 times
+_KS_BLOCK = 16
 
 
 def ks_distance(a: EmpiricalDist, b: EmpiricalDist) -> float:
     """Two-sample Kolmogorov-Smirnov sup-distance between empirical CDFs.
 
-    Between two distinct values of the smaller sample its CDF is constant
-    and the other CDF is monotone, so the sup is reached at the two ends of
-    each step (or before the first), and those ends evaluate the same float
-    expression as the sample points they stand for.
+    Over a tie run of the smaller sample ``x`` (positions ``s..e`` holding
+    one value) the CDF of ``x`` is constant and that of ``y`` is monotone,
+    so the sup is reached just before the run (``x`` count ``s`` against
+    the ``y`` below ``x[s]``) or at its end (``e + 1`` against the ``y`` up
+    to and including ``x[e]``).  Each candidate is the float
+    ``|k/n - c/m|`` that the sample points it stands for give.
 
-    Only the steps that can hold the sup are searched.  The steps are split
-    into blocks of ``_KS_BLOCK``, and one binary search per block counts the
-    ``y`` below its first step (``head``; ``after`` is the next block's, or
-    ``m`` after the last block).  Every count of ``y`` in a block lies
-    between its ``head`` and ``after``, and float division and subtraction
-    are monotone, so ``hi = max(fx[end] - head/m, after/m - fx[first])``
-    bounds every candidate of the block.  The candidates before the first
-    step and before each block's first step use only these counts, so they
-    are exact already; ``lo`` is their max.  A block with ``hi < lo`` cannot
-    hold the sup and is skipped, so the float result is that of searching
-    every step.  In each remaining block one search per step counts the
-    ``y`` below it, and the count up to and including the step is the same
-    unless a ``y`` ties the step, which is searched again.  So the search
-    count is about steps/16 plus the steps of the kept blocks; on two
-    samples of one law only the blocks near the sup are kept.
+    Only the positions that can hold the sup are searched.  The sorted
+    positions of ``x`` are split into blocks of ``_KS_BLOCK``, and one
+    binary search per distinct lead (a block's first value) counts the
+    ``y`` below it (``head``).  A lead that begins a run is a candidate of
+    these counts alone, so exact already; ``lo`` is the max of those.  Any
+    other candidate of a block has an ``x`` count from ``first + 1`` to the
+    block's end and a ``y`` count from its ``head`` to the next block's (or
+    ``m``), and float division and subtraction are monotone, so ``hi``
+    bounds it.  A block with ``hi < lo`` cannot hold the sup, and neither
+    can a block whose lead is the next block's: it lies inside a run that
+    goes on, so its only candidate is its lead.  So the float result is
+    that of searching every position.  In each remaining block only run
+    starts and ends are searched, once for the ``y`` below, and a run end
+    again for the ``y`` up to it when a ``y`` ties it.  No array of the
+    sample's size is formed.  On two samples of one law only the blocks
+    near the sup are kept, and a sample of few values keeps about one block
+    per run.
 
     A NaN has no place in a CDF, so a sample holding one is a ValueError;
     sorted, a NaN sits last, so one look at each sample's top finds it.
@@ -368,26 +374,40 @@ def ks_distance(a: EmpiricalDist, b: EmpiricalDist) -> float:
     if x.size > y.size:
         x, y = y, x
     n, m = x.size, y.size
-    last = np.append(np.flatnonzero(x[1:] != x[:-1]), n - 1)    # end of each tie run
-    steps = x[last]
-    fx = (last + 1) / n
-    first = np.arange(0, steps.size, _KS_BLOCK)                  # first step of each block
-    head = np.searchsorted(y, steps[first], side="left")
-    after = np.append(head[1:], m)
-    end = np.append(first[1:], steps.size) - 1
-    hi = np.maximum(fx[end] - head / m, after / m - fx[first])
-    lo = max(head[0] / m, np.abs(fx[first[1:] - 1] - head[1:] / m).max(initial=0.0))
-    idx = (first[hi >= lo, None] + np.arange(_KS_BLOCK)).ravel()
-    idx = idx[idx < steps.size]                                  # the steps of the kept blocks
-    kept, f = steps[idx], fx[idx]
-    below = np.searchsorted(y, kept, side="left")
+    lead = x[::_KS_BLOCK]
+    k = lead.size
+    edge = np.arange(0, n + _KS_BLOCK, _KS_BLOCK)        # block edges; the last block ends at n
+    edge[k] = n
+    new = np.empty(k + 1, bool)                          # lead j differs from lead j - 1
+    new[0] = new[k] = True                               # (no lead follows the last block)
+    np.not_equal(lead[1:], lead[:-1], out=new[1:k])
+    head = np.searchsorted(y, lead[new[:k]], side="left")
+    if head.size < k:                                    # a lead repeats: one count per block
+        head = head[np.cumsum(new[:k]) - 1]
+    f = edge / n
+    h = np.empty(k + 1)
+    np.divide(head, m, out=h[:k])
+    h[k] = 1.0                                           # m / m after the last block
+    begins = new[:k].copy()                              # leads that begin a tie run
+    np.not_equal(x[_KS_BLOCK - 1:n - 1:_KS_BLOCK], lead[1:], out=begins[1:])
+    lo = np.abs(f[:k] - h[:k])[begins].max()
+    hi = np.maximum(f[1:] - h[:k], h[1:] - (edge[:k] + 1) / n)
+    # kept: the bound reaches ``lo`` and the next lead differs
+    pos = (edge[:k][(hi >= lo) & new[1:]][:, None] + np.arange(_KS_BLOCK)).ravel()
+    pos = pos[pos < n]                                   # the positions of the kept blocks
+    val = x[pos]
+    nxt = np.minimum(pos + 1, n - 1)
+    starts = val != x[pos - 1]                           # position 0 is in ``lo``
+    ends = (val != x[nxt]) | (pos == nxt)
+    cand = starts | ends
+    pos, val, starts, ends = pos[cand], val[cand], starts[cand], ends[cand]
+    below = np.searchsorted(y, val, side="left")
     upto = below.copy()
-    tie = ~(y[np.minimum(below, m - 1)] > kept)
-    upto[tie] = np.searchsorted(y, kept[tie], side="right")
-    at_step = np.abs(f - upto / m)
-    # before the next step of the same block; before the next block's first is in ``lo``
-    before_next = np.abs(f[:-1] - below[1:] / m)[idx[1:] % _KS_BLOCK != 0]
-    return float(max(at_step.max(initial=0.0), before_next.max(initial=0.0), lo))
+    tie = ends & ~(y[np.minimum(below, m - 1)] > val)
+    upto[tie] = np.searchsorted(y, val[tie], side="right")
+    at_start = np.abs(pos / n - below / m)[starts]
+    at_end = np.abs((pos + 1) / n - upto / m)[ends]
+    return float(max(at_start.max(initial=0.0), at_end.max(initial=0.0), lo))
 
 
 # ---------------------------------------------------------------------------

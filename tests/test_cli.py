@@ -10,7 +10,7 @@ import pytest
 
 from multisum import (AxisDistribution, FactorFamily, RngSpec, kernel_from_json,
                       load_empirical, make_rect, rosenthal_K, simulate_S_L)
-from multisum import kernels
+from multisum import kernels, mc
 from multisum.cli import main
 from multisum.index_sets import index_set_from_json, lshape_family
 
@@ -554,6 +554,42 @@ def test_verify_non_integer_limit_n_exits_2(tmp_path, capsys, value):
     code, _ = run_cmd(tmp_path, "verify", path)
     assert code == 2
     assert "limit_n" in json.loads(capsys.readouterr().err)["error"]
+
+
+@pytest.mark.parametrize("command, config, path, value", [
+    ("verify", "gauss_rank1.json", ("verify", "final_ks"), -1.0),
+    ("verify", "gauss_rank1.json", ("verify", "final_ks"), 0.0),
+    ("verify", "gauss_rank1.json", ("verify", "final_ks"), 1.5),
+    ("verify", "gauss_rank1.json", ("verify", "limit_n"), 0),
+    ("verify", "gauss_rank1.json", ("N",), 0),
+    ("verify", "parametric_power.json", ("verify", "final_ks"), 0.0),
+    ("verify", "parametric_power.json", ("verify", "limit_n"), -2),
+    ("verify", "parametric_power.json", ("N",), 0),
+    ("simulate", "simulate_smoke.json", ("N",), 0),
+    ("simulate", "simulate_smoke.json", ("N",), -5),
+], ids=["nclt-final_ks-negative", "nclt-final_ks-0", "nclt-final_ks-above-1", "nclt-limit_n-0",
+        "nclt-N-0", "parametric-final_ks-0", "parametric-limit_n-negative", "parametric-N-0",
+        "simulate-N-0", "simulate-N-negative"])
+def test_out_of_range_count_or_threshold_exits_2_before_any_sampling(
+        tmp_path, capsys, monkeypatch, command, config, path, value):
+    # a final_ks of -1 or 0 once ran the whole check and exited 5; N or limit_n 0 reached
+    # the catch-all handler, after nclt had sampled every limit replication
+    cfg = json.loads((CONFIG_DIR / config).read_text())
+    *parents, key = path
+    node = cfg
+    for name in parents:
+        node = node[name]
+    node[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    draws, uniform_block = [], mc.RngSpec.uniform_block
+    monkeypatch.setattr(mc.RngSpec, "uniform_block",
+                        lambda *args, **kw: draws.append(args[1:3]) or uniform_block(*args, **kw))
+    code, out = run_cmd(tmp_path, command, bad)
+    assert code == 2
+    assert f"'{key}'" in json.loads(capsys.readouterr().err)["error"]
+    assert not out.exists() or not any(out.iterdir())
+    assert draws == []
 
 
 @pytest.mark.parametrize("command, config, path, value", [

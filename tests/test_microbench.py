@@ -16,6 +16,7 @@ from multisum import (AxisDistribution, DegenerateKernel, EmpiricalDist, FactorF
 from multisum import mc
 from test_psi import reference_young_fenchel
 from test_quadrature import reference_moment
+from test_verify import ks_reference
 
 # values the exhaustive-search and concatenate-and-search versions also give
 KS_20K_50K = 0.013400000000000079
@@ -29,6 +30,14 @@ def test_ks_distance_20k_vs_50k(benchmark):
     a = EmpiricalDist(rng.normal(size=20_000))
     b = EmpiricalDist(rng.normal(0.01, 1.0, size=50_000))
     assert benchmark.pedantic(ks_distance, args=(a, b), rounds=5) == KS_20K_50K
+
+
+def test_ks_distance_20k_vs_50k_tie_heavy(benchmark):
+    # Poisson(3) counts, a dozen distinct values, against their normal approximation
+    rng = np.random.default_rng(20)
+    a = EmpiricalDist(rng.poisson(3.0, size=20_000).astype(float))
+    b = EmpiricalDist(rng.normal(3.0, math.sqrt(3.0), size=50_000))
+    assert benchmark.pedantic(ks_distance, args=(a, b), rounds=5) == ks_reference(a, b)
 
 
 def test_covering_profile_12_points(benchmark):

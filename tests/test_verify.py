@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,17 @@ def _field_size_pair(shift):
 @example(EmpiricalDist(np.array([0.1, np.nan, np.nan, 0.3])),         # NaN in one sample only
          EmpiricalDist(np.array([0.1, 0.2, 0.3, 0.4, np.nan])))
 @example(EmpiricalDist(np.array([0.1, np.nan])), EmpiricalDist(np.array([0.1, 0.2])))
+@example(*_pair(_rounded_normals(1, _B - 1, 1, 0.0), _rounded_normals(2, 3 * _B, 1, 0.3)))
+@example(*_pair(_rounded_normals(3, _B, 1, 0.0), _rounded_normals(4, 3 * _B, 1, 0.3)))
+@example(*_pair(_rounded_normals(5, _B + 1, 1, 0.0), _rounded_normals(6, 3 * _B, 1, 0.3)))
+@example(*_pair(_rounded_normals(7, 2 * _B + 1, 1, 0.0), _rounded_normals(8, 5 * _B, 1, 0.3)))
+@example(*_pair(np.concatenate([np.arange(3.0), np.full(3 * _B + 5, 3.0), np.arange(4.0, 24.0)]),
+                np.concatenate([np.full(4, 3.0), np.arange(3.5, 60.0, 0.5)])))  # run over whole blocks
+@example(*_pair(np.concatenate([np.arange(2 * _B + 3.0), np.full(7, 100.0)]),
+                np.concatenate([[100.0], np.arange(50.0, 150.0, 0.5)])))  # run to n - 1, partial block
+@example(*_pair(np.full(2 * _B + 8, 1.0), np.arange(0.9, 3.0, 0.01)))  # all equal: sup at its end
+@example(*_pair(_rounded_normals(9, 5 * _B + 3, 1, 0.0), _rounded_normals(10, 5 * _B + 3, 1, 0.2)))
+@example(*_pair(np.arange(2.5 * _B), np.repeat([_B - 0.5, _B + 0.5], [95, 5])))  # sup before x[_B + 1]
 def test_ks_distance_equals_reference_bit_for_bit(a, b):
     if np.isnan(a.values).any() or np.isnan(b.values).any():
         for x, y in ((a, b), (b, a)):
@@ -113,6 +125,52 @@ def test_ks_distance_equals_reference_bit_for_bit(a, b):
         return
     assert ks_distance(a, b) == ks_reference(a, b)
     assert ks_distance(b, a) == ks_reference(b, a)
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.01, 0.1])
+def test_ks_distance_forms_no_sample_sized_array(shift):
+    # the peak of one field-size call stays below one float array of the smaller sample
+    a, b = _field_size_pair(shift)
+    tracemalloc.start()
+    try:
+        ks_distance(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * a.n
+
+
+def _searched_keys(monkeypatch, a, b):
+    """The number of keys ``ks_distance(a, b)`` passes to ``np.searchsorted``."""
+    keys, searchsorted = [], np.searchsorted
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "searchsorted", lambda arr, v, *args, **kw: keys.append(np.size(v))
+                      or searchsorted(arr, v, *args, **kw))
+        ks_distance(a, b)
+    return sum(keys)
+
+
+# keys searched on the field-size pairs by blocks of 16 distinct values of the smaller
+# sample; blocks of 16 positions search no more
+_FIELD_SIZE_KEYS = {0.0: 1426, 0.01: 1794, 0.1: 1826}
+
+
+@pytest.mark.parametrize("shift", sorted(_FIELD_SIZE_KEYS))
+def test_ks_distance_searches_few_keys_on_a_continuous_pair(monkeypatch, shift):
+    assert _searched_keys(monkeypatch, *_field_size_pair(shift)) <= _FIELD_SIZE_KEYS[shift]
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng, n: rng.poisson(0.5, n), lambda rng, n: rng.poisson(3.0, n),
+    lambda rng, n: rng.poisson(20.0, n), lambda rng, n: rng.integers(0, 2, n),
+], ids=["poisson-0.5", "poisson-3", "poisson-20", "two-valued"])
+def test_ks_distance_searches_about_the_runs_on_a_tie_heavy_pair(monkeypatch, draw):
+    # against its normal approximation: one search per distinct block lead, plus a run
+    # start and a run end per value in the kept blocks, never one per block or position
+    rng = np.random.default_rng(11)
+    x = draw(rng, 20_000).astype(float)
+    a, b = _pair(x, rng.normal(x.mean(), x.std(), 50_000))
+    assert _searched_keys(monkeypatch, a, b) <= 3 * np.unique(x).size
 
 
 def test_ks_two_normal_batches_small():
