@@ -385,13 +385,11 @@ class DegenerateKernel:
                              f"of {_NODE_LIMIT}")
         split = min(range(1, self.d), default=1,
                     key=lambda a: max(math.prod(sizes[:a]), math.prod(sizes[a:])))
-        index = np.array(list(terms), dtype=np.intp) - 1
         count = len(terms)
         left = np.fromiter(terms.values(), float, count)[None, :]
         right = np.ones((count, 1))
         log_left = log_right = np.zeros(1)
-        for axis, (fam, (x, w)) in enumerate(zip(self.factors, rules)):
-            rows = fam.evaluate_block(index[:, axis].max() + 1, x)[index[:, axis]]
+        for axis, (rows, w) in enumerate(self._term_rows(terms)):
             if axis < split:
                 left = (left[:, None, :] * rows.T).reshape(-1, count)
                 log_left = (log_left[:, None] + np.log(w)).ravel()
@@ -409,6 +407,13 @@ class DegenerateKernel:
 
         return _lp_norm(slabs(), p_grid)
 
+    def _term_rows(self, keys):
+        """Per axis, ``(rows, weights)``: row t holds the factor of ``keys[t]`` at the axis' rule nodes."""
+        index = np.array(list(keys), dtype=np.intp) - 1
+        for fam, k in zip(self.factors, index.T):
+            x, w = fam.rule
+            yield fam.evaluate_block(k.max() + 1, x)[k], w
+
     # -- low-rank structure ------------------------------------------------
 
     @property
@@ -419,6 +424,49 @@ class DegenerateKernel:
     def residual_norms(self, M: int, p_grid) -> list:
         """``Q_{M,p}`` at each p of ``p_grid``: the L_p norms of the terms with an index above M."""
         return self.moments(p_grid, {k: w for k, w in self.lam.items() if max(k) > M})
+
+    def residual_l2_floors(self, M_max: int) -> list:
+        """Per rank M = 1..M_max, a lower bound on the residual's L_2 norm on the rules, or None.
+
+        The residual at M is ``residual_norms``' term set, the terms with an
+        index above M.  Its squared L_2 norm on the tensor rule is
+        ``sum_{k,k'} lambda(k) lambda(k') prod_s G_s[k_s, k'_s]``, where
+        ``G_s`` is the Gram matrix of axis s's factor rows under the rule's
+        weights, so no walk is needed.  The bound subtracts
+        ``(d (n + 2) + 2 T) 2**-50 D_2**2`` (n nodes on the longest axis, T
+        terms, ``D_2`` the sum of the terms' own L_2 norms), 8 times the
+        first-order rounding of these sums, and is 0.0 where that leaves less
+        than ``2**-1000``, near the subnormal range.
+
+        None marks a rank whose walk is not certified finite: its terms (zero
+        weights included) have a factor value that is not finite, or
+        ``sum max(1, |lambda|) prod_s max(1, max |g|)`` over them is not below
+        half the largest float, or the grid is past ``_NODE_LIMIT``.  Every
+        product and partial sum of a certified walk is below that sum, so its
+        norm is never NaN, and it is 0.0 when every weight of the residual
+        is 0.  An empty residual is certified: ``moments`` returns 0.0
+        without a walk.
+        """
+        keys = sorted(self.lam, key=max, reverse=True)     # each residual is a leading run
+        runs = [sum(max(k) > m for k in keys) for m in range(1, M_max + 1)]
+        rules = [fam.rule for fam in self.factors]
+        if not keys or math.prod(x.size for x, _ in rules) > _NODE_LIMIT:
+            return [0.0 if run == 0 else None for run in runs]
+        lam = np.array([self.lam[k] for k in keys])
+        gram = np.ones((lam.size, lam.size))
+        size = np.maximum(1.0, np.abs(lam))
+        slack = (self.d * (max(x.size for x, _ in rules) + 2) + 2 * lam.size) * 2.0 ** -50
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rows, w in self._term_rows(keys):
+                gram *= (rows * w) @ rows.T
+                size *= np.maximum(1.0, np.abs(rows).max(axis=1))
+            squares = np.cumsum(np.cumsum(lam[:, None] * gram * lam, axis=0), axis=1).diagonal()
+            d2 = np.cumsum(np.abs(lam) * np.sqrt(gram.diagonal()))
+            l2_sq = squares - slack * d2 * d2
+            certified = 2.0 * np.cumsum(size) < math.inf
+        return [0.0 if run == 0 else None if not certified[run - 1]
+                else math.sqrt(l2_sq[run - 1]) if l2_sq[run - 1] > 2.0 ** -1000 else 0.0
+                for run in runs]
 
     def digest_payload(self):
         return kernel_to_json(self)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import DegenerateKernel, _factors_from_json, _factors_to_json, _multi_indices
+from .kernels import _factors_from_json, _factors_to_json, _multi_indices
 # ks_distance is no longer called here but stays importable from this module:
 # bench/test_bench.py checks that the tracer rebinds it here (ROADMAP item 9)
 from .mc import EmpiricalDist, RngSpec, _limit_field, _sum_field, ks_distance  # noqa: F401
@@ -85,14 +85,6 @@ class ParametricKernel:
     @property
     def n_points(self) -> int:
         return int(self.points.shape[0])
-
-    def slice_kernel(self, v_index: int) -> DegenerateKernel:
-        """The degenerate kernel at one grid point (lambda keys keep grid order)."""
-        v_index = int(v_index)
-        if not (0 <= v_index < self.n_points):
-            raise ValueError("parameter index off the grid")
-        return DegenerateKernel(self.d, {k: w[v_index] for k, w in self.lam.items()},
-                                self.factors, self.orthonormal)
 
     def rho_matrix(self) -> np.ndarray:
         """``rho_lambda`` between all grid points, accumulated one multi-index at a time."""

@@ -147,10 +147,12 @@ def theorem_W_bound(kernel_family, p: float, L_size: int, M_max: int) -> BoundRe
     ``M = 1..M_max``: ``theorem_W_bounds`` at the one p.  The kernel family
     supplies a degenerate ``head`` whose rank-M truncation is ``Z_M``, and
     ``residual_norms(M, p_grid)``, which is ``Q_{M,p}`` at each p of the
-    grid.  The index-set size enters through the residual term only, so the
-    caller supplies it per index set rather than a supremum over all of
-    them.  A NaN candidate ends the search and is reported as the bound, at
-    its rank, so that it cannot pass for a clean minimum.
+    grid; a family may also supply ``residual_l2_floors(M_max)``, which lets
+    the search skip the residual walks that cannot change the result.  The
+    index-set size enters through the residual term only, so the caller
+    supplies it per index set rather than a supremum over all of them.  A
+    NaN candidate ends the search and is reported as the bound, at its rank,
+    so that it cannot pass for a clean minimum.
     """
     return theorem_W_bounds(kernel_family, [p], L_size, M_max)[0]
 
@@ -159,11 +161,19 @@ def theorem_W_bounds(kernel_family, p_grid, L_size: int, M_max: int) -> list:
     """``theorem_W_bound`` at each p of ``p_grid``, one report per p, rank by rank.
 
     The head's ``D_p`` terms are listed once per p and summed up to each
-    rank.  Each rank's residual norms come from one ``residual_norms`` call
-    over the p still searching, so a quadrature-backed family walks its
-    residual grid once per rank, not once per rank and p.  Each p keeps its
-    own best value and rank, and stops on its own zero or NaN residual; the
-    ranks end when every p has stopped.  Each report equals the one-p call's.
+    rank.  Each p keeps its own best value and rank, and stops on its own
+    zero or NaN residual; the ranks end when every p has stopped.  Each rank
+    asks ``residual_norms`` once for the p still searching that its floor
+    (``_residual_floors``) does not rule out.  A rank is skipped at p when
+    its walk is certified finite, so it cannot stop the search, and
+    ``K(p)**d * D_p(Z_M) + sqrt(|L|) * floor`` exceeds the bar: the lower of
+    the best value so far and the free rank's.  The free rank, the first
+    whose residual holds no nonzero weight, has ``Q`` 0.0 with no walk.  The
+    search reaches it, or stops before it at a zero residual, whose value is
+    at most the free rank's since ``D_p(Z_M)`` grows with M, or at a NaN,
+    which is then the report.  So a skipped rank is never the first minimum,
+    and each report equals the walk-every-rank search's, and the one-p
+    call's, bit for bit.
     """
     if M_max < 1:
         raise ValueError("M_max must be >= 1")
@@ -173,25 +183,91 @@ def theorem_W_bounds(kernel_family, p_grid, L_size: int, M_max: int) -> list:
     kd = [rosenthal_K(p) ** d for p in p_grid]
     terms = [list(_dp_terms(kernel_family.head, p)) for p in p_grid]
     root_l = math.sqrt(L_size)
+    floors, free = _residual_floors(kernel_family, terms, M_max)
+    bar = [math.inf] * len(p_grid)
+    if free is not None:
+        for i, p_terms in enumerate(terms):
+            val = kd[i] * _dp_sum(p_terms, free)
+            if val < math.inf:      # NaN is no bar
+                bar[i] = val
     best_val = [math.inf] * len(p_grid)
     best_m = [None] * len(p_grid)
     searching = list(range(len(p_grid)))
     for m in range(1, M_max + 1):
         if not searching:
             break
-        norms = kernel_family.residual_norms(m, [p_grid[i] for i in searching])
-        still = []
-        for i, q_m in zip(searching, norms):
-            val = kd[i] * _dp_sum(terms[i], m) + root_l * q_m
+        heads = {i: kd[i] * _dp_sum(terms[i], m) for i in searching}
+        # no floor: NaN, whose sum compares false, so the rank is walked
+        walk = [i for i in searching
+                if not heads[i] + root_l * floors.get((i, m), math.nan) > bar[i]]
+        if m == free:
+            norms = [0.0] * len(walk)
+        else:
+            norms = kernel_family.residual_norms(m, [p_grid[i] for i in walk]) if walk else []
+        stopped = set()
+        for i, q_m in zip(walk, norms):
+            val = heads[i] + root_l * q_m
             if val < best_val[i] or math.isnan(val):
                 best_val[i] = val
                 best_m[i] = m
+                bar[i] = min(bar[i], val)
             # a zero residual: higher ranks cannot improve either term; NaN is the answer
-            if q_m != 0.0 and not math.isnan(val):
-                still.append(i)
-        searching = still
+            if q_m == 0.0 or math.isnan(val):
+                stopped.add(i)
+        searching = [i for i in searching if i not in stopped]
     payload = kernel_family.digest_payload()
     return [BoundReport(p=p, bound_value=val, route="theorem_W", m_star=m,
                         inputs_digest=_digest({"kernel": payload, "p": p, "L_size": L_size,
                                                "M_max": M_max}))
             for p, val, m in zip(p_grid, best_val, best_m)]
+
+
+_FLOOR_MARGIN = 2.0 ** -20   # relative slack of a floor, far above the walk's rounding
+_FLOOR_MIN = 2.0 ** -500     # smaller floors are unused: there, products may underflow
+
+
+def _residual_floors(kernel_family, terms, M_max: int):
+    """``(floors, free)``: ``floors[i, M]`` bounds the walk's ``Q_{M,p}`` at the i-th p from below.
+
+    ``terms[i]`` is the head's ``_dp_terms`` list at the i-th p.  A rank has
+    no floor when the family has no ``residual_l2_floors``, when the rank's
+    walk is not certified finite, or when the bound is below ``_FLOOR_MIN``.
+    Otherwise its floor is the larger of
+
+    * the reverse triangle inequality on the residual's own terms: the
+      largest ``t`` times ``1 - eps``, less the others times ``1 + eps``.
+      Each rank-one term's L_p norm on the tensor rule is exactly
+      ``|lambda| prod |g|_p``, its ``_dp_terms`` entry;
+    * the residual's L_2 floor times ``1 - eps``, less ``eps * D_p`` (the
+      residual's ``D_p``, the scale of the walk's rounding), since the rules
+      are probability measures and Lyapunov's inequality gives
+      ``Q_{M,p} >= Q_{M,2}`` for p >= 2.
+
+    ``eps`` is ``_FLOOR_MARGIN``, 2**-20: it covers the rounding of the
+    terms, of these sums and of the walk, which is relative to ``D_p`` and
+    about ``(T + d) 2**-53`` for T terms.  ``free`` is the first rank whose
+    residual holds no nonzero-weight term, when it is at most ``M_max`` and
+    certified: its walk would return 0.0 exactly.  Else it is None.  No
+    search passes that rank, so no floor is made there or past it.
+    """
+    floors = {}
+    l2_floors = getattr(kernel_family, "residual_l2_floors", None)
+    if l2_floors is None or not terms:
+        return floors, None
+    free = max((top for top, _ in terms[0]), default=1)
+    l2 = l2_floors(min(free, M_max))
+    if free > M_max or l2[-1] is None:
+        free = None
+    ranks = l2 if free is None else l2[:free - 1]
+    for i, p_terms in enumerate(terms):
+        for m, q2 in enumerate(ranks, 1):
+            residual = [t for top, t in p_terms if top > m]
+            d_p = sum(residual)
+            if q2 is None or not residual or not d_p < math.inf:
+                continue
+            largest = max(residual)
+            floor = max((1.0 - _FLOOR_MARGIN) * largest - (1.0 + _FLOOR_MARGIN) * (d_p - largest),
+                        (1.0 - _FLOOR_MARGIN) * q2 - _FLOOR_MARGIN * d_p)
+            if _FLOOR_MIN <= floor < math.inf:
+                floors[i, m] = floor
+    return floors, free

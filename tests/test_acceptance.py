@@ -26,6 +26,7 @@ from multisum import (AxisDistribution, DegenerateKernel, FactorFamily,
 from multisum.cli import main as cli_main
 from multisum.parametric import sample_Q_infty
 from test_box_contraction import naive_S_L
+from test_parametric import point_kernel
 
 GAUSS2 = [AxisDistribution("standard_normal")] * 2
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "demos" / "configs"
@@ -319,7 +320,7 @@ def test_criterion_10_parametric_field():
                            [FactorFamily("hermite")] * 2, orthonormal=True)
     L = make_rect([6, 7])
     per_v, _ = simulate_Q_L(pk1, L, GAUSS2, 5000, RngSpec(1010))
-    scalar = simulate_S_L(pk1.slice_kernel(0), L, GAUSS2, 5000, RngSpec(1010))
+    scalar = simulate_S_L(point_kernel(pk1, 0), L, GAUSS2, 5000, RngSpec(1010))
     bit_ok = bool(np.array_equal(per_v[0].values, scalar.values))
     # two-point limit-field covariance
     lam = {(1, 1): np.array([1.0, 0.5]), (2, 2): np.array([0.0, 0.7])}

@@ -107,6 +107,42 @@ def test_bound_size_or_rank_below_one_exits_2_before_any_quadrature(
     assert walks == []
 
 
+@pytest.mark.parametrize("p_grid, routes", [
+    ([0.0], ["trivial"]), ([-1.0], ["trivial"]), ([0.5], ["trivial"]),
+    ([1.5], ["dp_quasinorm"]), ([2.0, 1.5], ["theorem_W"]), ([1.0, 4.0], ["trivial", "theorem_W"]),
+], ids=["zero-trivial", "negative-trivial", "half-trivial", "below-two-dp", "below-two-W",
+        "one-trivial-W"])
+def test_bound_p_below_its_routes_range_exits_2_before_any_quadrature(
+        tmp_path, capsys, monkeypatch, p_grid, routes):
+    # p = 0, -1 and 0.5 with the trivial route once exited 0 with numbers no theorem backs
+    # (inf at p = 0); K(p) needs p >= 2 and once failed only through the blanket handler
+    cfg = json.loads((CONFIG_DIR / "bound_rank1.json").read_text())
+    cfg.update({"p_grid": p_grid, "bound": dict(cfg["bound"], routes=routes)})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    walks, lp_norm = [], kernels._lp_norm
+    monkeypatch.setattr(kernels, "_lp_norm",
+                        lambda slabs, p_grid: walks.append(p_grid) or lp_norm(slabs, p_grid))
+    code, out = run_cmd(tmp_path, "bound", path)
+    assert code == 2
+    assert "'p_grid'" in json.loads(capsys.readouterr().err)["error"]
+    assert walks == []
+    assert not any(out.iterdir())
+
+
+def test_bound_trivial_route_takes_p_from_one(tmp_path):
+    cfg = json.loads((CONFIG_DIR / "bound_rank1.json").read_text())
+    cfg.update({"p_grid": [1.0, 1.5], "bound": dict(cfg["bound"], routes=["trivial"])})
+    path = tmp_path / "p1.json"
+    path.write_text(json.dumps(cfg))
+    code, out = run_cmd(tmp_path, "bound", path)
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    rows = json.loads((out / manifest["files"]["bounds_rows"]).read_text())
+    assert [(row["p"], row["route"]) for row in rows] == [(1.0, "trivial"), (1.5, "trivial")]
+    assert all(0.0 < row["value"] < math.inf for row in rows)
+
+
 def test_bound_grid_past_the_node_limit_exits_2(tmp_path, capsys):
     # 140**5 Poisson nodes would take 430 GB as one grid; the limit stops it before any work
     cfg = {"seed": 1, "p_grid": [2.0], "bound": {"routes": ["trivial"], "L_size": 4},
@@ -156,9 +192,11 @@ def test_bound_computes_each_factor_moment_once_per_call(tmp_path, monkeypatch):
 
 
 def test_bound_walks_each_term_set_once_for_the_whole_grid(tmp_path, monkeypatch):
-    # the same kernel: the trivial route's whole kernel and theorem_W's 7 non-empty
-    # tails are 8 term sets, and one tensor-quadrature walk of each serves p = 2, 4
-    # and 8 (24 walks when every p walked its own)
+    # the same kernel: one tensor-quadrature walk of the whole kernel serves the
+    # trivial route at p = 2, 4 and 8 (3 walks when every p walked its own).
+    # theorem_W walks none of its 7 non-empty tails: rank 8 leaves no residual and
+    # wins at every p, and each tail's walk-free floor proves it cannot beat rank 8
+    # (8 walks when every tail was walked)
     kernel = {"d": 3, "factors": [{"kind": "poisson_charlier", "params": {}}] * 3,
               "lambda": [{"k": [k] * 3, "w": 2.0 ** -k} for k in range(1, 9)],
               "orthonormal": True}
@@ -186,7 +224,7 @@ def test_bound_walks_each_term_set_once_for_the_whole_grid(tmp_path, monkeypatch
     monkeypatch.setattr(FactorFamily, "moment", flagged_moment)
     code, _ = run_cmd(tmp_path, "bound", path)
     assert code == 0
-    assert walks == [[2.0, 4.0, 8.0]] * 8
+    assert walks == [[2.0, 4.0, 8.0]]
 
 
 def test_bound_reruns_byte_identical(tmp_path):

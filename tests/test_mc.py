@@ -22,6 +22,7 @@ from multisum import (AxisDistribution, DegenerateKernel, EmpiricalDist,
 from multisum import mc
 from multisum.parametric import sample_Q_infty
 from test_box_contraction import naive_S_L, shaped_sets
+from test_parametric import point_kernel
 
 GAUSS = [AxisDistribution("standard_normal")] * 2
 
@@ -76,7 +77,7 @@ def field_runs(draw):
 @given(field_runs(), st.integers(1, 120))
 def test_worker_and_block_size_invariance(run, budget):
     pk, L, dists, N, seed = run
-    base_S = simulate_S_L(pk.slice_kernel(0), L, dists, N, RngSpec(seed)).values
+    base_S = simulate_S_L(point_kernel(pk, 0), L, dists, N, RngSpec(seed)).values
     base_Q, base_sup = simulate_Q_L(pk, L, dists, N, RngSpec(seed))
     base_Q = np.stack([d.values for d in base_Q])
     kvecs, weights = mc._terms(pk.lam)
@@ -90,7 +91,7 @@ def test_worker_and_block_size_invariance(run, budget):
     for size in (budget, 1 << 17, mc._BLOCK_BUDGET):
         with mock.patch.object(mc, "_BLOCK_BUDGET", size):
             for workers in (1, 2, 3):
-                S = simulate_S_L(pk.slice_kernel(0), L, dists, N, RngSpec(seed), workers)
+                S = simulate_S_L(point_kernel(pk, 0), L, dists, N, RngSpec(seed), workers)
                 Q, sup = simulate_Q_L(pk, L, dists, N, RngSpec(seed), workers)
                 assert np.array_equal(S.values, base_S)
                 assert np.array_equal(np.stack([d.values for d in Q]), base_Q)
@@ -150,7 +151,7 @@ def test_block_size_rule():
                              [FactorFamily("hermite")] * 2)
     assert _block_cap(field, make_rect([64, 64])) == mc._CACHE_FLOATS // 64
     assert _block_cap(field, make_rect([64, 64])) == \
-        _block_cap(field.slice_kernel(0), make_rect([64, 64]))
+        _block_cap(point_kernel(field, 0), make_rect([64, 64]))
     assert -(-mc._FLOATS_PER_CALL * 8 // 646) < mc._CACHE_FLOATS // 64 < mc._BLOCK_BUDGET // 646
     # a budget of a few floats still forces one-replication blocks
     for L in (make_rect([256, 256]), checker, stair):

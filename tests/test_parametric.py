@@ -23,6 +23,12 @@ from multisum import verify
 GAUSS2 = [AxisDistribution("standard_normal")] * 2
 
 
+def point_kernel(pk, v):
+    """The degenerate kernel of ``pk`` at grid point ``v``, its lambda keys in ``pk``'s order."""
+    return DegenerateKernel(pk.d, {k: w[v] for k, w in pk.lam.items()}, pk.factors,
+                            pk.orthonormal)
+
+
 def line_grid_pk(nv=11, orthonormal=True):
     """lambda(v, (1,1)) = v on an equispaced [0, 1] grid: rho = |v - w|."""
     v = np.linspace(0.0, 1.0, nv)
@@ -256,7 +262,7 @@ def test_singleton_grid_reduces_to_scalar_sim():
                           [FactorFamily("hermite")] * 2, orthonormal=True)
     for L in (make_rect([4, 5]), lshape_family([6])[0]):
         per_v, sup = simulate_Q_L(pk, L, GAUSS2, 800, RngSpec(61))
-        scalar = simulate_S_L(pk.slice_kernel(0), L, GAUSS2, 800, RngSpec(61))
+        scalar = simulate_S_L(point_kernel(pk, 0), L, GAUSS2, 800, RngSpec(61))
         assert np.array_equal(per_v[0].values, scalar.values)       # bit-identical
         assert np.array_equal(sup.values, np.sort(np.abs(scalar.values)))
 
@@ -279,7 +285,7 @@ def test_field_needs_one_axis_law_per_axis():
     with pytest.raises(ValueError, match="one axis distribution per kernel axis"):
         simulate_Q_L(pk, make_rect([4, 4]), GAUSS2[:1], 10, RngSpec(1))
     with pytest.raises(ValueError, match="one axis distribution per kernel axis"):
-        verify_nclt(pk.slice_kernel(0), GAUSS2[:1], [make_rect([4, 4])], 10, RngSpec(1))
+        verify_nclt(point_kernel(pk, 0), GAUSS2[:1], [make_rect([4, 4])], 10, RngSpec(1))
 
 
 def test_two_point_limit_covariance():
@@ -309,7 +315,7 @@ def test_check_theorem8_singleton_matches_rect_verifier():
                           orthonormal=True)
     rep8 = check_theorem_8(pk, ("power", 2.0), [make_rect([4, 4]), make_rect([16, 16])],
                            GAUSS2, 3000, RngSpec(79), limit_n=20_000)
-    rect = verify_nclt(pk.slice_kernel(0), GAUSS2, [make_rect([4, 4]), make_rect([16, 16])], 3000,
+    rect = verify_nclt(point_kernel(pk, 0), GAUSS2, [make_rect([4, 4]), make_rect([16, 16])], 3000,
                        RngSpec(79), limit_n=20_000)
     ks8 = [s["max_ks"] for s in rep8.stages]
     ksr = [row["ks"] for row in rect.stages]

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from multisum import (BoundReport, DegenerateKernel, FactorFamily, TabulatedKernel,
                       dp_quasinorm, rosenthal_K, tabulated_family,
                       theorem_W_bound, theorem_W_bounds, trivial_bound, ROSENTHAL_CONSTANT)
+from multisum.rosenthal import _dp_terms, _residual_floors
 
 E = math.e
 
@@ -197,12 +199,17 @@ def degenerate_rank_split(kernel, m, p):
     return z_m, DegenerateKernel(kernel.d, tail, kernel.factors, kernel.orthonormal).moment(p)
 
 
-def per_rank_theorem_w(kernel, p, L_size, M_max):
-    """Reference best split: build Z_M and its residual from scratch at every rank."""
+def per_rank_theorem_w(kernel, p, L_size, M_max, visited=None):
+    """Reference best split: build Z_M and its residual from scratch at every rank.
+
+    ``visited``, a list, receives each rank the search reaches.
+    """
     split = tabulated_rank_split if isinstance(kernel, TabulatedKernel) else degenerate_rank_split
     kd = rosenthal_K(p) ** kernel.d
     best_val, best_m = math.inf, None
     for m in range(1, M_max + 1):
+        if visited is not None:
+            visited.append(m)
         z_m, q_m = split(kernel, m, p)
         val = kd * dp_quasinorm(z_m, p) + math.sqrt(L_size) * q_m
         if val < best_val or math.isnan(val):
@@ -214,18 +221,22 @@ def per_rank_theorem_w(kernel, p, L_size, M_max):
 
 @st.composite
 def degenerate_kernels(draw):
-    """Hermite or Charlier terms, off-diagonal keys in any order, some zero weights."""
+    """Hermite, Charlier or Laguerre terms, off-diagonal keys in any order, some zero weights.
+
+    Weights span 12 decades, so some residuals are far below the head and some far above.
+    """
     d = draw(st.integers(2, 3))
     # 140 Poisson nodes per axis: at d = 3 keep one Charlier axis at most
-    kinds = draw(st.lists(st.sampled_from(["hermite", "charlier"]), min_size=d, max_size=d)
-                 .filter(lambda ks: d == 2 or ks.count("charlier") <= 1))
-    families = [FactorFamily("hermite") if kind == "hermite" else FactorFamily("poisson_charlier")
-                for kind in kinds]
+    kinds = draw(st.lists(st.sampled_from(["hermite", "poisson_charlier", "exponential_poly"]),
+                          min_size=d, max_size=d)
+                 .filter(lambda ks: d == 2 or ks.count("poisson_charlier") <= 1))
     keys = draw(st.lists(st.tuples(*[st.integers(1, 3)] * d), min_size=1, max_size=8,
                          unique=True))
-    weight = st.just(0.0) | st.floats(-3.0, 3.0, allow_subnormal=False)
+    weight = st.just(0.0) | st.builds(lambda w, e: w * 10.0 ** e,
+                                      st.floats(-3.0, 3.0, allow_subnormal=False),
+                                      st.integers(-6, 6))
     lam = {k: draw(weight) for k in keys}
-    return DegenerateKernel(d, lam, families, orthonormal=True)
+    return DegenerateKernel(d, lam, list(map(FactorFamily, kinds)), orthonormal=True)
 
 
 @st.composite
@@ -244,11 +255,27 @@ PER_RANK = settings(max_examples=60, deadline=None, derandomize=True)
 ORDERS = st.sampled_from([2.0, 3.0, 4.5])
 
 
-@PER_RANK
-@given(degenerate_kernels(), ORDERS, st.integers(1, 10_000), st.integers(1, 5))
-def test_theorem_w_equals_per_rank_reference_degenerate(kernel, p, L_size, M_max):
-    rep = theorem_W_bound(kernel, p, L_size=L_size, M_max=M_max)
-    assert (rep.bound_value, rep.m_star) == per_rank_theorem_w(kernel, p, L_size, M_max)
+def test_theorem_w_equals_per_rank_reference_degenerate():
+    # the floors skip rank walks, so count the skips: a run that skipped none would
+    # pass without testing them
+    walks = {"reached": 0, "skipped": 0}
+
+    @PER_RANK
+    @given(degenerate_kernels(), ORDERS, st.integers(1, 10 ** 6), st.integers(1, 5))
+    def check(kernel, p, L_size, M_max):
+        with mock.patch.object(kernel, "residual_norms", wraps=kernel.residual_norms) as spy:
+            rep = theorem_W_bound(kernel, p, L_size=L_size, M_max=M_max)
+        visited = []
+        assert (rep.bound_value, rep.m_star) == per_rank_theorem_w(kernel, p, L_size, M_max,
+                                                                   visited)
+        walked = {call.args[0] for call in spy.call_args_list}
+        # ranks whose residual holds a nonzero weight: only a floor can skip their walk
+        weighted = [m for m in visited if any(w and max(k) > m for k, w in kernel.lam.items())]
+        walks["reached"] += len(weighted)
+        walks["skipped"] += len(set(weighted) - walked)
+
+    check()
+    assert walks["skipped"] > 0
 
 
 @PER_RANK
@@ -342,6 +369,19 @@ def test_theorem_w_nan_at_one_p_stops_that_p_only():
     assert theorem_W_bound(NanAtRankTwoForFour(), 3.0, L_size=50, M_max=6) == at_three
 
 
+def test_theorem_w_overflowing_residual_is_nan_at_its_rank():
+    # rank 1's residual 1e300 * C_3 (x) C_3 overflows on the Poisson grid, so its walk is
+    # NaN.  Rank 3 leaves no residual, and its finite value would win if a floor skipped
+    # rank 1: the walk is certified finite nowhere below it
+    kernel = DegenerateKernel(2, {(3, 3): 1e300, (1, 1): 1.0},
+                              [FactorFamily("poisson_charlier")] * 2, orthonormal=True)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        reports = theorem_W_bounds(kernel, [2.0, 4.0, 8.0], L_size=100, M_max=3)
+    assert [math.isnan(rep.bound_value) for rep in reports] == [True] * 3
+    assert [rep.m_star for rep in reports] == [1] * 3
+    assert kernel.residual_l2_floors(3)[:2] == [None, None]
+
+
 def _report_key(rep):
     """A report's fields, with the value as its repr, so NaN equals NaN and -0.0 is not 0.0."""
     return rep.p, repr(rep.bound_value), rep.route, rep.m_star, rep.inputs_digest
@@ -370,6 +410,25 @@ def test_theorem_w_grid_equals_per_p_calls_tabulated(kernel, p_grid, L_size, M_m
         _report_key(theorem_W_bound(kernel, p, L_size, M_max)) for p in p_grid]
     assert [(rep.bound_value, rep.m_star) for rep in grid] == [
         per_rank_theorem_w(kernel, p, L_size, M_max) for p in p_grid]
+
+
+def test_residual_floors_are_below_the_walks():
+    floored = []
+
+    @PER_RANK
+    @given(degenerate_kernels(), GRIDS, st.integers(1, 5))
+    def check(kernel, p_grid, M_max):
+        terms = [list(_dp_terms(kernel, p)) for p in p_grid]
+        floors, free = _residual_floors(kernel, terms, M_max)
+        floored.extend(floors)
+        for m in range(1, (free or M_max) + 1):
+            norms = kernel.residual_norms(m, p_grid)
+            assert all(floors[i, m] <= q for i, q in enumerate(norms) if (i, m) in floors)
+            if m == free:
+                assert norms == [0.0] * len(p_grid)
+
+    check()
+    assert floored
 
 
 # ---------------------------------------------------------------------------
