@@ -341,11 +341,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.workers < 1:
+            raise ConfigError("--workers must be >= 1")
         cfg, digest = load_config(args.config, args.seed_override)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         out = OutputSet(out_dir)
-        code = _COMMANDS[args.command](cfg, out, max(1, args.workers))
+        code = _COMMANDS[args.command](cfg, out, args.workers)
         out.finish(digest)
         return code
     except ConfigError as exc:

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import eval_laguerre, gammaln
 
+from ._special import eval_laguerre, gammaln
 from .index_sets import _int_array
 
 __all__ = [

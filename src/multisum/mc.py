@@ -46,8 +46,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, ndtri
 
+from ._special import gammaln, ndtri
 from .index_sets import IndexSet
 from .kernels import _lp_norm, kernel_to_json, quadrature_rule
 

@@ -271,6 +271,16 @@ def test_simulate_worker_flag_changes_nothing(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_worker_count_below_one_exits_2_before_the_output_directory(tmp_path, capsys, workers):
+    # such a count once ran as 1 and exited 0
+    code, out = run_cmd(tmp_path, "simulate", CONFIG_DIR / "simulate_smoke.json",
+                        args=("--workers", workers))
+    assert code == 2
+    assert "--workers" in json.loads(capsys.readouterr().err)["error"]
+    assert not out.exists()
+
+
 def test_seed_override_changes_samples(tmp_path):
     _, out1 = run_cmd(tmp_path, "simulate", CONFIG_DIR / "simulate_smoke.json",
                       out_name="a")

@@ -1,4 +1,5 @@
-"""Public names: every advertised export resolves, so deleted names cannot linger."""
+"""Public names and imports: every advertised export resolves, so deleted names cannot
+linger, and a cold import loads no more of SciPy than ``multisum`` needs."""
 
 import ast
 import importlib
@@ -43,11 +44,45 @@ def test_parametric_imports_nothing_from_verify():
     assert [names for names in sources if "verify" in names] == []
 
 
-# what scipy.integrate brings with it; only the quadrature-backed identity moments need it
-HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg")
+def test_only_the_loader_imports_scipy_special():
+    # scipy.special's package init costs about 0.25 s of a cold start; multisum._special
+    # loads the ufuncs without it, and any other import of the package would bring it back
+    importers = []
+    for path in sorted(Path(multisum.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+                names.append(node.module)
+                names += [f"{node.module}.{alias.name}" for alias in node.names]
+        if any(name == "scipy.special" or name.startswith("scipy.special.") for name in names):
+            importers.append(path.name)
+    assert importers == ["_special.py"]
+
+
+# what scipy.integrate brings with it, which only the quadrature-backed identity moments
+# need, and what scipy.special's package init brings, which multisum never needs
+HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg",
+               "numpy.f2py", "numpy.testing", "scipy._lib.array_api_compat",
+               "scipy.special._support_alternative_backends")
+SIMULATE_SMOKE = "demos/configs/simulate_smoke.json"
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_fresh(code: str, *args: str) -> dict:
+    """The JSON last printed by ``code`` in a fresh interpreter, so no other test's imports count."""
+    src = str(Path(multisum.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", code, *args],
+                          env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
 
 IMPORT_PROBE = """
 import json, sys
+from pathlib import Path
 import multisum.cli
 
 def heavy():
@@ -55,22 +90,69 @@ def heavy():
 
 HEAVY = tuple(sys.argv[1].split(","))
 after_import = heavy()
-code = multisum.cli.main(["simulate", "--config", sys.argv[2], "--out", sys.argv[3]])
-print(json.dumps({"import": after_import, "simulate": heavy(), "exit": code}))
+code = multisum.cli.main(["simulate", "--config", sys.argv[2], "--out", sys.argv[3],
+                          "--workers", "1"])
+files = json.loads((Path(sys.argv[3]) / "manifest.json").read_text())["files"]
+print(json.dumps({"import": after_import, "simulate": heavy(), "exit": code, "files": files}))
 """
 
 
 def test_cli_and_a_normal_simulate_load_no_heavy_scipy(tmp_path):
-    # a fresh interpreter, so no other test's imports count
-    config = Path(__file__).resolve().parent.parent / "demos" / "configs" / "simulate_smoke.json"
-    src = str(Path(multisum.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, ",".join(HEAVY_SCIPY),
-                           str(config), str(tmp_path / "out")],
-                          env=env, capture_output=True, text=True, check=True)
-    loaded = json.loads(done.stdout.splitlines()[-1])
-    assert loaded == {"import": [], "simulate": [], "exit": 0}
+    # in-process golden tests usually run after some test imported scipy.special, so this
+    # is the check that the ufuncs loaded without its init give the pinned bytes
+    golden = json.loads((ROOT / "tests" / "golden_manifests.json").read_text())[SIMULATE_SMOKE]
+    loaded = run_fresh(IMPORT_PROBE, ",".join(HEAVY_SCIPY), str(ROOT / SIMULATE_SMOKE),
+                       str(tmp_path / "out"))
+    assert loaded == {"import": [], "simulate": [], "exit": golden["exit"],
+                      "files": golden["files"]}
+
+
+LOADER_PROBE = """
+import json, sys
+{before}
+from multisum import kernels, mc
+special_at_import = "scipy.special" in sys.modules
+import scipy.special
+real = sys.modules["scipy.special"]
+print(json.dumps({{
+    "special_at_import": special_at_import,
+    "same": [mc.ndtri is real.ndtri, mc.gammaln is real.gammaln,
+             kernels.gammaln is real.gammaln, kernels.eval_laguerre is real.eval_laguerre],
+    "real": [hasattr(real, "__file__"), hasattr(real, "logsumexp")],
+    "moment": mc.AxisDistribution("centered_exponential").identity_moment(2.0),
+    "integrate": "scipy.integrate" in sys.modules,
+    {extra}
+}}))
+"""
+
+REFUSE_UFUNCS_ONCE = """
+class RefuseOnce:
+    refused = 0
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy.special._ufuncs" and not self.refused:
+            self.refused += 1
+            raise ImportError("refused")
+        return None
+
+finder = RefuseOnce()
+sys.meta_path.insert(0, finder)
+"""
+
+
+@pytest.mark.parametrize("before, extra, special_at_import, refused", [
+    ("", "", False, None),
+    ("import scipy.special", "", True, None),
+    (REFUSE_UFUNCS_ONCE, '"refused": finder.refused,', True, 1),
+], ids=["multisum-first", "scipy-special-first", "private-load-refused"])
+def test_special_loader_serves_the_public_ufuncs(before, extra, special_at_import, refused):
+    # the private load leaves no stand-in behind, and a refused one falls back to the public
+    # names; either way multisum calls the very objects scipy.special exports
+    got = run_fresh(LOADER_PROBE.format(before=before, extra=extra))
+    assert got.pop("refused", None) == refused
+    assert got == {"special_at_import": special_at_import, "same": [True] * 4,
+                   "real": [True, True], "moment": pytest.approx(1.0, rel=1e-9),
+                   "integrate": True}
 
 
 def _bench_tracer(monkeypatch):
