@@ -189,11 +189,9 @@ def cmd_bound(cfg, out: OutputSet, workers: int) -> int:
     if not routes or any(route not in _BOUND_ROUTES for route in routes):
         raise ConfigError("config field 'routes' must be a non-empty list of "
                           + " | ".join(_BOUND_ROUTES))
-    # the trivial route rests on the triangle inequality, the others on K(p)
-    p_min = 1.0 if set(routes) == {"trivial"} else 2.0
-    if min(p_grid) < p_min:
-        raise ConfigError(f"config field 'p_grid' must hold only p >= {p_min:g} for the routes "
-                          + ", ".join(routes))
+    # K(p) is defined from 2, and below 2 the quadrature of |f|^p is not exact
+    if min(p_grid) < 2.0:
+        raise ConfigError("config field 'p_grid' must hold only p >= 2")
     l_size = _count(spec, "L_size", 1)
     m_max = _count(spec, "M_max", max(kernel.M, 1))
     # each route over the whole grid, so a term set's quadrature walks once for every p

@@ -609,8 +609,20 @@ def kernel_to_json(kernel: DegenerateKernel) -> dict:
             "orthonormal": kernel.orthonormal}
 
 
+def _json_weight(row: dict):
+    """A lambda row's ``w``: a finite JSON number, not a bool, a string or NaN."""
+    w = row["w"]
+    try:
+        ok = not isinstance(w, bool) and math.isfinite(w)
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError(f"lambda field 'w' must be a finite number, got {w!r}")
+    return w
+
+
 def kernel_from_json(obj: dict) -> DegenerateKernel:
     factors = _factors_from_json(obj["factors"])
-    lam = {tuple(row["k"]): row["w"] for row in obj["lambda"]}
+    lam = {tuple(row["k"]): _json_weight(row) for row in obj["lambda"]}
     return DegenerateKernel(obj["d"], lam, factors,
                             orthonormal=bool(obj.get("orthonormal", False)))

@@ -13,9 +13,12 @@ numbers enter the entropy integrals
 
 Coverings are greedy farthest-point selections (an upper bound, the safe
 direction for the integrals), replaced by exact minimal covers on grids of at
-most 20 points.  The exact search is breadth-first over bitmasks of covered
-points and branches only on the balls that hold the lowest uncovered point,
-so each layer holds at most ``2**|V|`` distinct masks.  The checks of the
+most 20 points.  Both read ``rho_lambda`` one row at a time
+(``ParametricKernel.rho_row``): the greedy search asks for one row per center
+and holds O(|V|) floats, and the exact search stacks its at most 20 rows.
+The exact search is breadth-first over bitmasks of covered points and
+branches only on the balls that hold the lowest uncovered point, so each
+layer holds at most ``2**|V|`` distinct masks.  The checks of the
 field-level theorem live in ``verify``, with every other check.
 """
 
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _factors_from_json, _factors_to_json, _multi_indices
+from .kernels import _factors_from_json, _factors_to_json, _json_weight, _multi_indices
 # ks_distance is no longer called here but stays importable from this module:
 # bench/test_bench.py checks that the tracer rebinds it here (ROADMAP item 9)
 from .mc import EmpiricalDist, RngSpec, _limit_field, _sum_field, ks_distance  # noqa: F401
@@ -86,11 +89,11 @@ class ParametricKernel:
     def n_points(self) -> int:
         return int(self.points.shape[0])
 
-    def rho_matrix(self) -> np.ndarray:
-        """``rho_lambda`` between all grid points, accumulated one multi-index at a time."""
-        out = np.zeros((self.n_points, self.n_points))
+    def rho_row(self, j: int) -> np.ndarray:
+        """``rho_lambda`` from grid point j to every grid point, one multi-index at a time."""
+        out = np.zeros(self.n_points)
         for w in self.lam.values():
-            out += np.abs(w[:, None] - w[None, :])
+            out += np.abs(w - w[j])
         return out
 
 
@@ -147,27 +150,25 @@ class EntropyProfile:
         return np.log(self.counts)
 
 
-def _greedy_radii(dist: np.ndarray) -> np.ndarray:
-    """radii[j] = covering radius achieved by the first j+1 greedy centers."""
-    n = dist.shape[0]
-    mind = dist[0].copy()
+def _greedy_radii(row, n: int) -> np.ndarray:
+    """radii[j] = covering radius of the first j+1 greedy centers; one ``row(i)`` per center."""
+    mind = row(0)
     radii = np.empty(n)
     radii[0] = mind.max()
     for j in range(1, n):
-        far = int(np.argmax(mind))
-        mind = np.minimum(mind, dist[far])
+        mind = np.minimum(mind, row(int(np.argmax(mind))))
         radii[j] = mind.max()
     return radii
 
 
-def _exact_cover_count(dist: np.ndarray, eps: float, upper: int) -> int:
+def _exact_cover_count(dist: np.ndarray, eps: float) -> int:
     """Fewest eps-balls (row j of ``dist <= eps`` is the ball at j) covering every point.
 
     Breadth-first over bitmasks of covered points: a state branches only on
     the balls that contain its lowest uncovered point, since every cover
     holds one of them, so layer k reaches the full mask exactly when some k
     balls cover.  Each layer is deduplicated, which bounds it by 2**n masks.
-    Returns ``upper`` when no layer up to ``upper`` covers.
+    Every ball holds its center, so layer n covers unless a NaN leaves a point out: then n.
     """
     cover = dist <= eps
     n = dist.shape[0]
@@ -176,12 +177,12 @@ def _exact_cover_count(dist: np.ndarray, eps: float, upper: int) -> int:
     containing = np.where(cover.T, balls[None, :], balls[:, None])
     full = (1 << n) - 1
     frontier = np.zeros(1, dtype=np.int64)
-    for k in range(1, upper + 1):
+    for k in range(1, n + 1):
         lowest = np.bitwise_count(frontier ^ (frontier + 1)) - 1
         frontier = np.unique(frontier[:, None] | containing[lowest])
         if frontier[-1] == full:
             return k
-    return upper
+    return n
 
 
 def covering_profile(pk: ParametricKernel, eps_grid, scale: float = 1.0) -> EntropyProfile:
@@ -189,18 +190,18 @@ def covering_profile(pk: ParametricKernel, eps_grid, scale: float = 1.0) -> Entr
 
     Greedy farthest-point coverings upper-bound the minimal covering number
     (the safe direction for the entropy integrals); for grids of at most
-    20 points the exact minimum is computed instead.
+    20 points the exact minimum is computed instead.  Both read ``pk.rho_row``
+    scaled after the sum; the greedy search holds one row, not a |V| x |V| matrix.
     """
     eps = np.sort(np.asarray(eps_grid, dtype=float))[::-1]
-    dist = scale * pk.rho_matrix()
-    radii = _greedy_radii(dist)
-    greedy = np.array([int(np.argmax(radii <= e)) + 1 if np.any(radii <= e)
-                       else pk.n_points for e in eps], dtype=float)
-    if pk.n_points <= _EXACT_COVER_LIMIT:
-        counts = np.array([_exact_cover_count(dist, e, int(g))
-                           for e, g in zip(eps, greedy)], dtype=float)
-        return EntropyProfile(eps, np.maximum.accumulate(counts), exact=True)
-    return EntropyProfile(eps, np.maximum.accumulate(greedy), exact=False)
+    n, exact = pk.n_points, pk.n_points <= _EXACT_COVER_LIMIT
+    if exact:
+        dist = scale * np.stack([pk.rho_row(j) for j in range(n)])
+        counts = [_exact_cover_count(dist, e) for e in eps]
+    else:
+        radii = _greedy_radii(lambda j: scale * pk.rho_row(j), n)
+        counts = [int(np.argmax(radii <= e)) + 1 if np.any(radii <= e) else n for e in eps]
+    return EntropyProfile(eps, np.maximum.accumulate(np.array(counts, dtype=float)), exact=exact)
 
 
 @dataclass(frozen=True)
@@ -332,11 +333,11 @@ def parametric_kernel_from_json(obj: dict) -> ParametricKernel:
     seen = set()
     for row in obj["lambda"]:
         kvec, v = tuple(row["k"]), row["v_index"]
-        if not isinstance(v, int) or not 0 <= v < nv:
+        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < nv:
             raise ValueError(f"v_index {v!r} is not a point index in [0, {nv})")
         if (kvec, v) in seen:
             raise ValueError(f"lambda row (k={list(kvec)}, v_index={v}) is repeated")
         seen.add((kvec, v))
-        lam.setdefault(kvec, np.zeros(nv))[v] = row["w"]
+        lam.setdefault(kvec, np.zeros(nv))[v] = _json_weight(row)
     return ParametricKernel(points, lam, factors,
                             orthonormal=bool(obj.get("orthonormal", False)))

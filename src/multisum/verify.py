@@ -359,7 +359,7 @@ def verify_tail_domination(kernel: DegenerateKernel, dists, L_list,
 
     The bound's norm is ``sum |lambda|`` (the l1 weight of the kernel, which
     majorizes the GLS norm of every S_L).  The levels are 40 geometric steps
-    from the bound's validity threshold to the largest simulated value; a
+    from the bound's validity threshold to the largest simulated |value|; a
     level is probed wherever the empirical tail is at least 10/N, the
     estimability floor.  With no level probed the verdict is "hypotheses not met".
     """
@@ -368,7 +368,7 @@ def verify_tail_domination(kernel: DegenerateKernel, dists, L_list,
     floor = 10.0 / N
     sims = [(L, simulate_S_L(kernel, L, dists, N, rng.child(i), workers))
             for i, L in enumerate(L_list)]
-    y_max = max(float(s.values[-1]) for _, s in sims)
+    y_max = max(float(max(-s.values[0], s.values[-1])) for _, s in sims)
     y_lo = tb.validity_threshold
     if y_max <= y_lo:
         y_grid = np.array([y_lo])

@@ -286,7 +286,7 @@ def test_criterion_09_entropy_integrals():
                           [FactorFamily("hermite")] * 2, orthonormal=True)
     eps_grid = np.array([1.0, 0.5, 0.3, 0.25, 0.2, 0.15, 0.1, 0.05, 0.04])
     prof = covering_profile(pk, eps_grid)
-    dist = pk.rho_matrix()
+    dist = np.abs(v[:, None] - v[None, :])   # rho_lambda of the one-term weights v
     cover_ok = prof.exact
     for e, n_found in zip(prof.eps, prof.counts):
         balls = dist <= float(e)

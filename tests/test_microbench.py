@@ -1,4 +1,4 @@
-"""Micro-benchmarks: KS distance, exact covering, the inscribed-rectangle search,
+"""Micro-benchmarks: KS distance, exact and greedy covering, the inscribed-rectangle search,
 Young-Fenchel conjugates, one block of streamed box sums and one tensor quadrature."""
 
 import hashlib
@@ -21,6 +21,10 @@ from test_verify import ks_reference
 # values the exhaustive-search and concatenate-and-search versions also give
 KS_20K_50K = 0.013400000000000079
 COUNTS_12 = [1] * 3 + [2] * 5 + [3] * 2 + [4] * 3 + [6, 7, 8, 10, 11] + [12] * 46
+COUNTS_2000 = ([3] * 5 + [5] * 4 + [9] * 5 + [17] * 5 + [33] * 4 + [35] + [65] * 4 + [117]
+               + [129] * 4 + [231] + [257] * 3
+               + [287, 443, 505, 513, 544, 648, 743, 798, 1028, 1296, 1497, 1680, 1855]
+               + [2000] * 14)
 # sha256 of the 51 sums below; the whole-table path gives the same bytes
 SIM_BOX_BLOCK = "842a34253b1c0d6aa57c867e1028e966b0b200d9a7f0f3cea07f1bab16468ffc"
 
@@ -49,6 +53,18 @@ def test_covering_profile_12_points(benchmark):
     prof = benchmark.pedantic(covering_profile, args=(pk, eps), rounds=5)
     assert prof.exact
     assert prof.counts.tolist() == COUNTS_12
+
+
+def test_covering_profile_2000_points(benchmark):
+    # the field workload's power-level kernel at 2000 points, at scale 1.7: greedy covering,
+    # one distance row per center; the whole-matrix greedy gave these counts
+    t = np.linspace(0.0, 1.0, 2000)
+    pk = ParametricKernel(t[:, None], {(1, 1): 0.2 + 0.8 * t, (2, 2): 0.5 * t * t},
+                          [FactorFamily("hermite")] * 2, orthonormal=True)
+    eps = np.geomspace(1.0, 1e-4, 64)
+    prof = benchmark.pedantic(covering_profile, args=(pk, eps, 1.7), rounds=3)
+    assert not prof.exact
+    assert prof.counts.tolist() == COUNTS_2000
 
 
 @pytest.mark.parametrize("shape, corners", [

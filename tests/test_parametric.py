@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,24 @@ def test_rho_lambda_basics_and_triangle():
 # ---------------------------------------------------------------------------
 
 
+def rho_reference(pk):
+    """The |V| x |V| matrix of ``rho_lambda`` by broadcasting, one multi-index at a time."""
+    out = np.zeros((pk.n_points, pk.n_points))
+    for w in pk.lam.values():
+        out += np.abs(w[:, None] - w[None, :])
+    return out
+
+
+def greedy_reference(dist):
+    """Farthest-point radii over a whole distance matrix: radii[j] for j+1 centers."""
+    mind = dist[0].copy()
+    radii = [mind.max()]
+    for _ in range(1, dist.shape[0]):
+        mind = np.minimum(mind, dist[int(np.argmax(mind))])
+        radii.append(mind.max())
+    return np.array(radii)
+
+
 def brute_force_min_cover(dist, eps):
     """Oracle: smallest center subset whose eps-balls cover everything."""
     n = dist.shape[0]
@@ -97,7 +116,7 @@ def test_single_point_profile():
 
 def test_eleven_point_grid_exact_covers():
     pk = line_grid_pk(11)
-    dist = pk.rho_matrix()
+    dist = rho_reference(pk)
     eps_grid = np.array([1.0, 0.5, 0.3, 0.25, 0.2, 0.15, 0.1, 0.05, 0.04])
     prof = covering_profile(pk, eps_grid)
     assert prof.exact
@@ -115,8 +134,8 @@ def test_greedy_within_factor_two_of_exact():
         nv = int(rng.integers(5, 15))
         lam = {(1, 1): rng.uniform(0, 1, nv), (2, 2): rng.uniform(0, 1, nv)}
         pk = ParametricKernel(np.arange(nv)[:, None], lam, [FactorFamily("hermite")] * 2)
-        dist = pk.rho_matrix()
-        radii = _greedy_radii(dist)
+        dist = rho_reference(pk)
+        radii = _greedy_radii(pk.rho_row, nv)
         for eps in (0.8, 0.4, 0.2, 0.1):
             greedy_n = int(np.argmax(radii <= eps)) + 1 if np.any(radii <= eps) else nv
             exact_n = brute_force_min_cover(dist, eps)
@@ -141,7 +160,7 @@ def metrics_and_radii(draw):
 def test_exact_cover_count_matches_brute_force(case):
     dist, eps = case
     n = dist.shape[0]
-    assert _exact_cover_count(dist, eps, n) == brute_force_min_cover(dist, eps)
+    assert _exact_cover_count(dist, eps) == brute_force_min_cover(dist, eps)
 
 
 def test_exact_cover_scales_to_twenty_points():
@@ -149,11 +168,62 @@ def test_exact_cover_scales_to_twenty_points():
     pk = line_grid_pk(20)
     eps = np.geomspace(1.0, 1e-3, 64)
     prof = covering_profile(pk, eps)
-    radii = _greedy_radii(pk.rho_matrix())
+    radii = greedy_reference(rho_reference(pk))
     greedy = [int(np.argmax(radii <= e)) + 1 if np.any(radii <= e) else 20 for e in prof.eps]
     assert prof.exact
     assert np.all(prof.counts <= greedy)
     assert prof.counts[0] == 1.0 and prof.counts[-1] == 20.0
+
+
+@st.composite
+def weight_grids(draw):
+    """A parametric kernel of 1-300 points and 1-4 multi-indices (ties likely) and a scale."""
+    nv = draw(st.one_of(st.integers(1, 20), st.integers(21, 300)))
+    n_terms = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    tied = draw(st.booleans())
+    lam = {(k, k): rng.integers(-3, 4, nv) / 4.0 if tied else rng.normal(size=nv)
+           for k in range(1, n_terms + 1)}
+    pk = ParametricKernel(np.arange(nv)[:, None], lam, [FactorFamily("hermite")] * 2)
+    return pk, draw(st.sampled_from([1.0, 1.7, 0.3]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(weight_grids())
+def test_distance_rows_match_the_broadcast_matrix(case):
+    pk, scale = case
+    n = pk.n_points
+    ref = scale * rho_reference(pk)
+    for j in {0, n // 2, n - 1}:
+        assert [float(x) for x in pk.rho_row(j)] == [rho_lambda(pk, j, i) for i in range(n)]
+    assert np.array_equal(_greedy_radii(lambda j: scale * pk.rho_row(j), n),
+                          greedy_reference(ref))
+    eps = np.geomspace(1.0, 1e-3, 16)
+    prof = covering_profile(pk, eps, scale=scale)
+    if n <= 20:
+        assert prof.exact
+        want = [_exact_cover_count(ref, e) for e in prof.eps]
+    else:
+        radii = greedy_reference(ref)
+        want = [int(np.argmax(radii <= e)) + 1 if np.any(radii <= e) else n for e in prof.eps]
+    assert np.array_equal(prof.counts, np.maximum.accumulate(want))
+
+
+def test_greedy_covering_holds_no_distance_matrix():
+    # the matrix alone would take 8 * 2000**2 bytes = 30.5 MiB; the whole-matrix search peaked
+    # at 92 MiB
+    t = np.linspace(0.0, 1.0, 2000)
+    pk = ParametricKernel(t[:, None], {(1, 1): 0.2 + 0.8 * t, (2, 2): 0.5 * t * t},
+                          [FactorFamily("hermite")] * 2, orthonormal=True)
+    eps = np.geomspace(1.0, 1e-4, 64)
+    tracemalloc.start()
+    try:
+        prof = covering_profile(pk, eps, scale=1.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not prof.exact and prof.counts[-1] == 2000.0
+    assert peak < 2 ** 20
 
 
 def test_holder_slope_recovery():
@@ -333,9 +403,9 @@ def test_parametric_json_round_trip():
 
 def test_parametric_json_rejects_bad_point_rows():
     obj = parametric_kernel_to_json(line_grid_pk(4))
-    for bad in (-1, 4, 1.0):
+    for bad in (-1, 4, 1.0, True):
         rows = [dict(row) for row in obj["lambda"]]
-        rows[-1]["v_index"] = bad
+        rows[1]["v_index"] = bad   # point 1's row: True repeats no row
         with pytest.raises(ValueError, match="v_index"):
             parametric_kernel_from_json(dict(obj, **{"lambda": rows}))
     repeated = dict(obj, **{"lambda": obj["lambda"] + obj["lambda"][:1]})

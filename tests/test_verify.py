@@ -335,6 +335,22 @@ def test_tail_domination_gaussian_rank1():
     assert report.min_margin >= 1.0
 
 
+def test_tail_levels_reach_the_largest_absolute_value():
+    # -h_2 is at most 1/sqrt(2) per cell, so the sums' largest |value| lies in the left tail;
+    # a grid that stopped at the largest value held only the validity threshold
+    kernel = DegenerateKernel(1, {(2,): -1.0}, [FactorFamily("hermite")], orthonormal=True)
+    dists = [AxisDistribution("standard_normal")]
+    composite = natural_composite(kernel, dists, np.geomspace(2, 64, 25))
+    sets, rng = [make_rect([1]), make_rect([4])], RngSpec(5)
+    report = verify_tail_domination(kernel, dists, sets, composite, 20_000, rng)
+    sims = [simulate_S_L(kernel, L, dists, 20_000, rng.child(i)).values
+            for i, L in enumerate(sets)]
+    assert max(s[-1] for s in sims) < report.y_grid[0] < max(-s[0] for s in sims)
+    assert report.y_grid[-1] == max(-s[0] for s in sims)
+    assert len(report.y_grid) == 40
+    assert all(row["probed_points"] > 1 for row in report.rows)
+
+
 def test_tail_bound_trivial_below_threshold():
     from multisum import TailBound, tail_bound_eval, power_log
     tb = TailBound(1.0, power_log(2, 0))
