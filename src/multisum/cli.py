@@ -26,7 +26,8 @@ from . import __version__
 from .index_sets import (index_set_from_json, lshape_family, make_rect,
                          squares_minus_corner_family)
 from .kernels import kernel_from_json
-from .mc import RngSpec, axis_distribution_from_json, empirical_bytes, simulate_S_L
+from .mc import RngSpec, axis_distribution_from_json, empirical_bytes, simulate_family
+from .mc import simulate_S_L  # noqa: F401  (a name bench/tracer.py wraps in every module)
 from .parametric import parametric_kernel_from_json
 from .psi import psi_from_json, young_fenchel, TailBound, tail_bound_eval
 from .rosenthal import BoundReport, dp_quasinorm, rosenthal_K, theorem_W_bounds, trivial_bound
@@ -220,8 +221,8 @@ def cmd_simulate(cfg, out: OutputSet, workers: int) -> int:
     rng = RngSpec(cfg["seed"])
     qs = np.linspace(0.0, 1.0, 101)
     summary = []
-    for i, L in enumerate(sets):
-        dist = simulate_S_L(kernel, L, dists, n, rng.child(i), workers=workers)
+    sims = simulate_family(kernel, sets, dists, n, rng.child(0), workers=workers)
+    for i, (L, dist) in enumerate(zip(sets, sims)):
         name = out.add(f"dist_{i}", "bin", empirical_bytes(dist))
         out.add(f"quantiles_{i}", "csv", _csv("q,value", zip(qs, dist.quantile(qs))))
         var = dist.variance()

@@ -623,6 +623,11 @@ def _json_weight(row: dict):
 
 def kernel_from_json(obj: dict) -> DegenerateKernel:
     factors = _factors_from_json(obj["factors"])
-    lam = {tuple(row["k"]): _json_weight(row) for row in obj["lambda"]}
+    lam = {}
+    for row in obj["lambda"]:
+        kvec = tuple(row["k"])
+        if kvec in lam:
+            raise ValueError(f"lambda row k={list(kvec)} is repeated")
+        lam[kvec] = _json_weight(row)
     return DegenerateKernel(obj["d"], lam, factors,
                             orthonormal=bool(obj.get("orthonormal", False)))

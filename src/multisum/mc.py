@@ -4,7 +4,13 @@ Randomness is counter-based: every uniform variate is addressed by
 ``(seed, stream tag, axis, replication, coordinate)`` through a Philox
 counter, so results are bit-identical no matter how replications are split
 across workers or how large a batch is requested.  All sampling is inverse
-CDF on those uniforms.
+CDF on those uniforms.  A family of index sets is sampled in one pass from
+one stream (``simulate_family``): per replication each axis draws the
+family's widest side, ``max_L axis_max(L)`` coordinates (``_columns``), so
+replication r owns the positions ``[r * stride, (r + 1) * stride)`` with
+``stride = _stride`` of that count, and every set sums its own cells of those
+draws.  The sets of a family are thus coupled by common random numbers, each
+with its own law, and a one-set family reads just what its set alone reads.
 
 The normalized sum over an index set L is ``S_L = |L|**-0.5 *
 sum_{k in L} f(xi_{k_1}(1), ..., xi_{k_d}(d))``.  Every L is a disjoint union
@@ -57,6 +63,7 @@ __all__ = [
     "EmpiricalDist",
     "compute_S_L",
     "simulate_S_L",
+    "simulate_family",
     "sample_S_infty",
     "empirical_moment",
     "empirical_tail",
@@ -429,27 +436,27 @@ def _kmax(kvecs, d: int) -> list:
     return [max((k[axis] for k in kvecs), default=1) for axis in range(d)]
 
 
-def _spans(L: IndexSet, axis: int):
-    """The distinct ``(lo, hi)`` box sides on one axis, sorted, and each box's index among them."""
-    sides = list(zip(L.lo[:, axis].tolist(), L.hi[:, axis].tolist()))
-    index = {span: i for i, span in enumerate(sorted(set(sides)))}
-    return list(index), [index[side] for side in sides]
+def _spans(sets, axis: int):
+    """A family's distinct ``(lo, hi)`` box sides on one axis, sorted; per set, each box's index."""
+    sides = [list(zip(L.lo[:, axis].tolist(), L.hi[:, axis].tolist())) for L in sets]
+    index = {span: i for i, span in enumerate(sorted({s for boxes in sides for s in boxes}))}
+    return list(index), [[index[side] for side in boxes] for boxes in sides]
 
 
 def _box_sums(fam, kmax: int, x: np.ndarray, spans, inverse, buffers=None) -> list:
-    """Per box, ``F[k - 1] = sum_{i in box_axis} g_k(x[:, i - 1])`` for k = 1..kmax.
+    """Per set and box, ``F[k - 1] = sum_{i in box_axis} g_k(x[:, i - 1])`` for k = 1..kmax.
 
     ``x`` holds one axis' samples, shape (reps, columns); each result has shape
     (kmax, reps).  Every factor row is slice-summed as soon as it exists, so no
     (kmax, reps, columns) table is ever built, and once per distinct side
-    (``_spans``): boxes that share their side on this axis share its sums.
-    ``buffers`` go to ``FactorFamily.rows``.
+    (``_spans``): boxes that share their side on this axis, in one set or
+    across the family, share its sums.  ``buffers`` go to ``FactorFamily.rows``.
     """
     sums = np.empty((len(spans), kmax, x.shape[0]))
     for k, row in enumerate(fam.rows(kmax, x, buffers)):
         for (lo, hi), out in zip(spans, sums):
             row[:, lo - 1:hi].sum(axis=1, out=out[k])
-    return [sums[i] for i in inverse]
+    return [[sums[i] for i in boxes] for boxes in inverse]
 
 
 def _contract(sums, kvecs, out: np.ndarray) -> np.ndarray:
@@ -492,7 +499,7 @@ def _weigh(cores, w, out: np.ndarray, scratch=None) -> np.ndarray:
 
 
 def _field_sums(factors, kmax, sides, samples, rows=None) -> list:
-    """``sums[B][s]`` for ``_contract``; per axis, (reps, columns) samples and their ``_spans``.
+    """Per set, ``sums[B][s]`` for ``_contract``; per axis, (reps, columns) samples and ``_spans``.
 
     ``rows``, three flat buffers of at least reps x columns floats, hold every
     axis' factor rows in turn; fresh ones are made when absent.
@@ -501,7 +508,7 @@ def _field_sums(factors, kmax, sides, samples, rows=None) -> list:
     for fam, k, x, spans in zip(factors, kmax, samples, sides):
         buffers = None if rows is None else [r[:x.size].reshape(x.shape) for r in rows]
         per_axis.append(_box_sums(fam, k, x, *spans, buffers))
-    return list(zip(*per_axis))
+    return [list(zip(*per_set)) for per_set in zip(*per_axis)]
 
 
 def compute_S_L(kernel, L: IndexSet, axis_samples) -> float:
@@ -517,8 +524,8 @@ def compute_S_L(kernel, L: IndexSet, axis_samples) -> float:
             raise ValueError(f"axis {axis} samples do not cover the index set")
     kvecs, weights = _terms(kernel.lam)
     samples = [np.asarray(x, dtype=float)[None, :] for x in axis_samples]
-    sums = _field_sums(kernel.factors, _kmax(kvecs, kernel.d),
-                       [_spans(L, axis) for axis in range(L.d)], samples)
+    sums, = _field_sums(kernel.factors, _kmax(kvecs, kernel.d),
+                        [_spans([L], axis) for axis in range(L.d)], samples)
     cores = _contract(sums, kvecs, np.empty((len(kvecs), 1)))
     return float(_weigh(cores, weights[0], np.empty(1))[0]) / math.sqrt(L.size)
 
@@ -528,11 +535,13 @@ def compute_S_L(kernel, L: IndexSet, axis_samples) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _provenance(kind, kernel, L, dists, n, seed) -> str:
+def _provenance(kind, kernel, L, dists, n, seed, columns=None) -> str:
     """First 16 hex digits of the sha256 of ``json.dumps(payload, sort_keys=True)``.
 
     The payload names the index set by its JSON, which lists an explicit
-    set's boxes, so the hash costs O(boxes) whatever ``|L|``.
+    set's boxes, so the hash costs O(boxes) whatever ``|L|``.  A set sampled
+    with a family reads the family's per-axis ``columns`` of each stream, so
+    they enter the payload when they differ from the set's own ``axis_max``.
     """
     payload = {
         "kind": kind,
@@ -542,6 +551,8 @@ def _provenance(kind, kernel, L, dists, n, seed) -> str:
         "N": n,
         "seed": seed,
     }
+    if columns is not None:
+        payload["columns"] = columns
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
@@ -591,16 +602,33 @@ def _run_blocks(sampler, N, nrows, workers):
     return out
 
 
-def _sum_sampler(factors, kvecs, L, dists, rng):
-    """``(make_batch, block_cap)`` of the T unnormalized cores of the sums over L."""
-    if L.d != len(factors):
-        raise ValueError(f"index set has dimension {L.d}, the kernel {len(factors)}")
-    if len(dists) != len(factors):
+def _columns(sets, d: int) -> list:
+    """Per axis, the columns one replication of a family draws: its sets' largest ``axis_max``."""
+    return [max(L.axis_max(axis) for L in sets) for axis in range(d)]
+
+
+def _sum_sampler(factors, kvecs, sets, dists, rng):
+    """``(make_batch, block_cap)`` of the T unnormalized cores of each set of a family's sums.
+
+    A block's output holds T rows per set, in the family's order.  The family
+    reads one stream: per replication each axis draws ``_columns`` variates,
+    each factor row is made once over them, and each distinct box side of the
+    whole family is slice-summed once, so a one-set family reads what that
+    set alone would.
+    """
+    d = len(factors)
+    if not sets:
+        raise ValueError("need at least one index set")
+    for L in sets:
+        if L.d != d:
+            raise ValueError(f"index set has dimension {L.d}, the kernel {d}")
+    if len(dists) != d:
         raise ValueError("need one axis distribution per kernel axis")
-    kmax = _kmax(kvecs, len(factors))
-    ncols = [L.axis_max(axis) for axis in range(len(factors))]
+    kmax = _kmax(kvecs, d)
+    ncols = _columns(sets, d)
     strides = [_stride(n * dist.uniforms_per_coord) for n, dist in zip(ncols, dists)]
-    sides = [_spans(L, axis) for axis in range(L.d)]
+    sides = [_spans(sets, axis) for axis in range(d)]
+    T = len(kvecs)
 
     def make_batch(cap):
         uniforms = [np.empty((cap, stride)) for stride in strides]
@@ -609,16 +637,17 @@ def _sum_sampler(factors, kvecs, L, dists, rng):
         def batch(rep_start, rep_count, out):
             samples = (dist.sample_block(rng, axis, rep_start, rep_count, n, out=u)
                        for axis, (dist, n, u) in enumerate(zip(dists, ncols, uniforms)))
-            _contract(_field_sums(factors, kmax, sides, samples, rows), kvecs, out)
+            for i, sums in enumerate(_field_sums(factors, kmax, sides, samples, rows)):
+                _contract(sums, kvecs, out[i * T:(i + 1) * T])
 
         return batch
 
-    # per axis: uniforms, three row buffers and a temporary, side sums; plus T cores
+    # per axis: uniforms, three row buffers and a temporary, side sums; plus T cores per set
     per_rep = sum(n * (dist.uniforms_per_coord + 4) + len(spans) * k
-                  for (spans, _), n, k, dist in zip(sides, ncols, kmax, dists)) + len(kvecs)
+                  for (spans, _), n, k, dist in zip(sides, ncols, kmax, dists)) + len(sets) * T
     # a slice sum per factor row and distinct side; per term, a product per box and axis
     calls = (sum(len(spans) * k for (spans, _), k in zip(sides, kmax))
-             + len(kvecs) * len(L.lo) * L.d)
+             + T * sum(len(L.lo) for L in sets) * d)
     return make_batch, _block_cap(per_rep, max(strides), calls)
 
 
@@ -641,39 +670,48 @@ def _limit_sampler(kvecs, d, rng):
     return make_batch, _block_cap(per_rep, max(_stride(k) for k in kmax), len(kvecs) * d)
 
 
-def _weighed(sampler, weights, root=None):
-    """``sampler``'s cores weighed per block into a row per grid point, divided by ``root`` for sums.
+def _weighed(sampler, weights, roots=None):
+    """``sampler``'s cores weighed per block into a row per grid point, a block of rows per set.
 
-    Only one block's cores are held, so a kept field costs no T x N floats more.
+    Set i's T cores give rows ``[i |V|, (i + 1) |V|)``, divided by its
+    ``roots[i]``, ``sqrt|L|``; the limit, with no ``roots``, is one block
+    left undivided.  Only one block's cores are held, so a kept field costs
+    no T x N floats more.
     """
     make_cores, block_cap = sampler
+    nv, T = weights.shape
+    roots = roots or [None]
 
     def make_batch(cap):
-        cores_of, cores = make_cores(cap), np.empty((weights.shape[1], cap))
-        scratch = np.empty(cap if len(cores) > 1 else 0)    # a second term's products
+        cores_of, cores = make_cores(cap), np.empty((len(roots) * T, cap))
+        scratch = np.empty(cap if T > 1 else 0)    # a second term's products
 
         def batch(rep_start, rep_count, out):
             cores_of(rep_start, rep_count, cores[:, :rep_count])
-            for w, row in zip(weights, out):
-                _weigh(cores[:, :rep_count], w, row, scratch[:rep_count])
-            if root is not None:
-                np.divide(out, root, out=out)
+            for i, root in enumerate(roots):
+                rows, set_cores = out[i * nv:(i + 1) * nv], cores[i * T:(i + 1) * T, :rep_count]
+                for w, row in zip(weights, rows):
+                    _weigh(set_cores, w, row, scratch[:rep_count])
+                if root is not None:
+                    np.divide(rows, root, out=rows)
 
         return batch
 
     return make_batch, block_cap
 
 
-def _sum_cores(factors, kvecs, L, dists, N, rng, workers) -> np.ndarray:
-    """(T, N) unnormalized cores of the sums over L, a row per multi-index of ``kvecs``."""
-    return _run_blocks(_sum_sampler(factors, kvecs, L, dists, rng), N, len(kvecs), workers)
+def _sum_cores(factors, kvecs, sets, dists, N, rng, workers) -> list:
+    """Per set of the family, its (T, N) unnormalized cores, a row per multi-index of ``kvecs``."""
+    sampler = _sum_sampler(factors, kvecs, sets, dists, rng)
+    return np.split(_run_blocks(sampler, N, len(sets) * len(kvecs), workers), len(sets))
 
 
-def _sum_field(factors, lam, L, dists, N, rng, workers) -> np.ndarray:
-    """(|V|, N) normalized sums over L, a row per grid point; one sampling pass serves all."""
+def _sum_field(factors, lam, sets, dists, N, rng, workers) -> list:
+    """Per set of the family, its (|V|, N) normalized sums, a row per grid point, in one pass."""
     kvecs, weights = _terms(lam)
-    sampler = _sum_sampler(factors, kvecs, L, dists, rng)
-    return _run_blocks(_weighed(sampler, weights, math.sqrt(L.size)), N, len(weights), workers)
+    sampler = _weighed(_sum_sampler(factors, kvecs, sets, dists, rng), weights,
+                       [math.sqrt(L.size) for L in sets])
+    return np.split(_run_blocks(sampler, N, len(sets) * len(weights), workers), len(sets))
 
 
 def _limit_cores(kvecs, d, N, rng, workers) -> np.ndarray:
@@ -688,16 +726,37 @@ def _limit_field(lam, d, N, rng, workers) -> np.ndarray:
                        workers)
 
 
+def simulate_family(kernel, sets, dists, N: int, rng: RngSpec,
+                    workers: int = 1) -> list:
+    """N independent replications of S_L for every set L of a family, in one pass over ``rng``.
+
+    The sets share their axis samples (common random numbers): per
+    replication each axis draws the family's largest ``axis_max`` once, and
+    each set sums its own cells of them.  So each set keeps its law, and a
+    one-set family is ``simulate_S_L``.  All S x N sums are held at once.
+    Worker counts partition replications without changing any variate.
+    """
+    sets = list(sets)
+    field = _sum_field(kernel.factors, kernel.lam, sets, dists, N, rng, workers)
+    columns = _columns(sets, kernel.d)
+    out = []
+    for L, rows in zip(sets, field):
+        own = [L.axis_max(axis) for axis in range(L.d)]
+        prov = _provenance("S_L", kernel, L, dists, N, rng.seed,
+                           None if own == columns else columns)
+        out.append(EmpiricalDist(rows[0], prov, seed=rng.seed))
+    return out
+
+
 def simulate_S_L(kernel, L: IndexSet, dists, N: int, rng: RngSpec,
                  workers: int = 1) -> EmpiricalDist:
     """N independent replications of S_L; deterministic under the stream policy.
 
-    Worker counts partition replications without changing any variate, so the
-    result is identical to a serial run.
+    The one-set family of ``simulate_family``.  Worker counts partition
+    replications without changing any variate, so the result is identical to
+    a serial run.
     """
-    vals = _sum_field(kernel.factors, kernel.lam, L, dists, N, rng, workers)
-    return EmpiricalDist(vals[0], _provenance("S_L", kernel, L, dists, N, rng.seed),
-                         seed=rng.seed)
+    return simulate_family(kernel, [L], dists, N, rng, workers)[0]
 
 
 def sample_S_infty(lam: dict, d: int, N: int, rng: RngSpec,

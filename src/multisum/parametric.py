@@ -292,7 +292,7 @@ def simulate_Q_L(pk: ParametricKernel, L, dists, N: int, rng: RngSpec,
     from the per-term cores block by block and held whole, so memory grows
     with |V|; ``verify.check_theorem_8`` walks the grid from the cores instead.
     """
-    field = _sum_field(pk.factors, pk.lam, L, dists, N, rng, workers)
+    field, = _sum_field(pk.factors, pk.lam, [L], dists, N, rng, workers)
     per_v = [EmpiricalDist(row, f"Q_L[v={v}]", seed=rng.seed) for v, row in enumerate(field)]
     sup = EmpiricalDist(np.abs(field).max(axis=0), "sup_field", seed=rng.seed)
     return per_v, sup

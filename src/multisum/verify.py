@@ -3,11 +3,12 @@
 Weak convergence is proxied by the two-sample Kolmogorov-Smirnov distance
 between simulated sums and direct samples of the chaos limit, with a noise
 budget from the distribution-free KS critical value.  One routine checks a
-parametric field, and the irregular-domain CLT is its one-point case; stage
-``i`` samples ``rng.child(i)``, the limit ``rng.child(_LIMIT_STREAM)``.  Moment
-and tail bounds are checked as dominations: the simulated side must sit below
-the computed bound at every probed point, within Monte Carlo slack where the
-check is two-sided.
+parametric field, and the irregular-domain CLT is its one-point case.  Every
+check samples its family of index sets in one pass from ``rng.child(0)``, so
+the stages share their axis draws (``mc.simulate_family``); the limit reads
+``rng.child(_LIMIT_STREAM)``.  Moment and tail bounds are checked as
+dominations: the simulated side must sit below the computed bound at every
+probed point, within Monte Carlo slack where the check is two-sided.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import numpy as np
 from .index_sets import nclt_condition_report
 from .kernels import DegenerateKernel
 from .mc import (EmpiricalDist, RngSpec, _limit_cores, _sum_cores, _terms, _weigh,
-                 empirical_moment, empirical_tail, ks_distance, simulate_S_L)
+                 empirical_moment, empirical_tail, ks_distance, simulate_family)
+from .mc import simulate_S_L  # noqa: F401  (a name bench/tracer.py wraps in every module)
 from .parametric import (EntropyProfile, ParametricKernel, covering_profile,
                          entropy_integral_exp, entropy_integral_power, sigma_lambda)
 from .psi import PsiFunction, TailBound, product_of, rosenthal_scaled, tabulated_psi
@@ -92,17 +94,17 @@ def _chaos_limit_ks(pk: ParametricKernel, dists, sets, N, rng, limit_n, final_ks
 
     Returns the distances (a list per stage, one entry per grid point), the
     ``_ks_verdict`` of each stage's largest, the noise budget and the last
-    stage's sup-field.  The limit's and every stage's T per-term cores are
-    sampled once; then the grid is walked one point at a time, each row
-    weighed from the cores into a reused buffer and sorted there.  So memory
-    is O(T (stages N + limit_n) + N + limit_n), whatever |V|, and every row,
-    distance and sup-field value is that of ``sample_Q_infty`` and
-    ``simulate_Q_L``.
+    stage's sup-field.  The limit's T per-term cores are sampled once, and
+    every stage's in one pass over the family; then the grid is walked one
+    point at a time, each row weighed from the cores into a reused buffer and
+    sorted there.  So memory is O(T (stages N + limit_n) + N + limit_n),
+    whatever |V|, and every row, distance and sup-field value is that of
+    ``sample_Q_infty`` and of the family's ``mc._sum_field``.
     """
     kvecs, weights = _terms(pk.lam)
     limit = _limit_cores(kvecs, pk.d, limit_n, rng.child(_LIMIT_STREAM), workers)
-    stages = [(_sum_cores(pk.factors, kvecs, L, dists, N, rng.child(i), workers),
-               math.sqrt(L.size)) for i, L in enumerate(sets)]
+    stages = list(zip(_sum_cores(pk.factors, kvecs, sets, dists, N, rng.child(0), workers),
+                      [math.sqrt(L.size) for L in sets]))
     limit_row, row, sup = np.empty(limit_n), np.empty(N), np.zeros(N)
     # |row| for the sup-field, and a second term's products in _weigh
     scratch = np.empty(max(N, limit_n if len(kvecs) > 1 else 0))
@@ -117,7 +119,7 @@ def _chaos_limit_ks(pk: ParametricKernel, dists, sets, N, rng, limit_n, final_ks
                 np.maximum(sup, np.abs(row, out=scratch[:N]), out=sup)
             ks[i].append(ks_distance(EmpiricalDist._sorted_in_place(row), lim))
     crit = ks_critical(N, limit_n)
-    sup = EmpiricalDist(sup, "sup_field", seed=rng.child(len(stages) - 1).seed)
+    sup = EmpiricalDist(sup, "sup_field", seed=rng.child(0).seed)
     return ks, _ks_verdict([max(row) for row in ks], crit, final_ks), 2.0 * crit, sup
 
 
@@ -297,8 +299,7 @@ def verify_moment_sandwich(kernel: DegenerateKernel, dists, L_list, p_grid,
     if len(kernel.lam) != 1:
         raise ValueError("the exact lower route needs a rank-one kernel")
     dists = list(dists)
-    sims = [simulate_S_L(kernel, L, dists, N, rng.child(i), workers)
-            for i, L in enumerate(L_list)]
+    sims = simulate_family(kernel, L_list, dists, N, rng.child(0), workers)
     lower, upper, emp, emp_se = [], [], [], []
     for p in p_grid:
         lower.append(dp_quasinorm(kernel, p, dists))
@@ -366,8 +367,8 @@ def verify_tail_domination(kernel: DegenerateKernel, dists, L_list,
     norm = kernel.lambda_l1
     tb = TailBound(gls_norm=norm, psi=psi_composite)
     floor = 10.0 / N
-    sims = [(L, simulate_S_L(kernel, L, dists, N, rng.child(i), workers))
-            for i, L in enumerate(L_list)]
+    L_list = list(L_list)
+    sims = list(zip(L_list, simulate_family(kernel, L_list, dists, N, rng.child(0), workers)))
     y_max = max(float(max(-s.values[0], s.values[-1])) for _, s in sims)
     y_lo = tb.validity_threshold
     if y_max <= y_lo:

@@ -7,14 +7,19 @@ invocation of each benchmark workload (``bench/workloads.py``) at
 digests, so one changed output byte changes the map.
 ``tests/test_golden.py`` runs every case at ``--workers`` 1 and 4 against it.
 
-After a declared output change, regenerate from the repository root and
-commit the diff with the change::
+After a declared output change, list the cases it moves, then regenerate
+from the repository root and commit the diff with the change::
 
+    PYTHONPATH=src python3 tests/make_golden_manifests.py --check
     PYTHONPATH=src python3 tests/make_golden_manifests.py
+
+``--check`` writes nothing: it prints every case whose exit code or
+``files`` map differs from the committed file and exits 1 if there is one.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import importlib.util
 import io
@@ -66,13 +71,26 @@ def run_case(command: str, config: dict, workdir: Path, workers: int) -> dict:
     return {"exit": code, "files": files}
 
 
-def main() -> None:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="print the cases that differ from the committed file; write nothing")
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         golden = {name: run_case(command, cfg, Path(tmp) / str(i), workers=1)
                   for i, (name, (command, cfg)) in enumerate(cases().items())}
+    if args.check:
+        committed = json.loads(GOLDEN.read_text())
+        differ = sorted(name for name in golden.keys() | committed.keys()
+                        if golden.get(name) != committed.get(name))
+        for name in differ:
+            print(f"{name}: {committed.get(name)} -> {golden.get(name)}")
+        print(f"{len(differ)} of {len(golden)} cases differ from {GOLDEN.name}")
+        return 1 if differ else 0
     GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(golden)} cases to {GOLDEN}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

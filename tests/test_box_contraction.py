@@ -10,7 +10,7 @@ from scipy.special import eval_laguerre, gammaln
 
 from multisum import (AxisDistribution, DegenerateKernel, FactorFamily, RngSpec,
                       compute_S_L, explicit_set, make_rect,
-                      simulate_S_L, staircase_set, tabulated_family)
+                      simulate_family, simulate_S_L, staircase_set, tabulated_family)
 from multisum import mc
 from multisum.index_sets import _box_cells
 
@@ -70,19 +70,24 @@ def test_boxes_partition_the_set(L):
     assert set(map(tuple, covered)) == set(map(tuple, L.cells))   # ... and none missed
 
 
+def absolute_term_sum(kernel, L, axis_samples) -> float:
+    """``naive_S_L`` with every term and factor value taken absolute: a bound on its magnitude.
+
+    It floors a tolerance where the terms cancel.
+    """
+    tables = _axis_tables(kernel, axis_samples)
+    return sum(abs(w) * np.prod([np.abs(tables[s][k - 1][L.cells[:, s] - 1])
+                                 for s, k in enumerate(kvec)], axis=0).sum()
+               for kvec, w in kernel.lam.items()) / math.sqrt(L.size)
+
+
 @SETTINGS
 @given(instances())
 def test_box_contraction_matches_naive(instance):
     kernel, L, samples = instance
     fast = compute_S_L(kernel, L, samples)
     slow = naive_S_L(kernel, L, samples)
-    # relative to the sum of absolute terms, which bounds |slow| from above
-    # and so floors the tolerance where the terms cancel
-    tables = _axis_tables(kernel, samples)
-    scale = sum(abs(w) * np.prod([np.abs(tables[s][k - 1][L.cells[:, s] - 1])
-                                  for s, k in enumerate(kvec)], axis=0).sum()
-                for kvec, w in kernel.lam.items()) / math.sqrt(L.size)
-    assert abs(fast - slow) <= 1e-12 * scale
+    assert abs(fast - slow) <= 1e-12 * absolute_term_sum(kernel, L, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -156,12 +161,16 @@ def table_contract(tables, L, lam, nv):
     return out
 
 
-def table_sum_field(factors, lam, nv, L, dists, N, rng):
-    """(nv, N) normalized sums over L from whole tables, all replications in one block."""
+def table_sum_field(factors, lam, nv, L, dists, N, rng, columns=None):
+    """(nv, N) normalized sums over L from whole tables, all replications in one block.
+
+    Each axis draws ``columns[axis]`` variates per replication (a family's
+    widest side, see ``mc._columns``), or ``L.axis_max`` when absent.
+    """
     kmax = mc._kmax(lam, L.d)
     tables = []
     for axis, (fam, dist) in enumerate(zip(factors, dists)):
-        ncols = L.axis_max(axis)
+        ncols = L.axis_max(axis) if columns is None else columns[axis]
         x = dist.sample_block(rng, axis, 0, N, ncols)
         tables.append(table(fam, kmax[axis], x.ravel()).reshape(kmax[axis], N, ncols))
     return table_contract(tables, L, lam, nv) / math.sqrt(L.size)
@@ -226,14 +235,59 @@ def test_streamed_sums_equal_the_table_path(instance):
         x = dist.sample_block(RngSpec(seed), axis, 0, 1, 9).ravel()
         assert np.array_equal(fam.evaluate_block(kmax, x), table(fam, kmax, x))
     reference = table_sum_field(factors, lam, nv, L, dists, N, RngSpec(seed))
-    streamed = mc._sum_field(factors, lam, L, dists, N, RngSpec(seed), 1)
+    streamed, = mc._sum_field(factors, lam, [L], dists, N, RngSpec(seed), 1)
     assert np.array_equal(streamed, reference)
     # the per-term cores: each grid point's row weighed from them is its table row
     kvecs, weights = mc._terms(lam)
-    cores = mc._sum_cores(factors, kvecs, L, dists, N, RngSpec(seed), 1)
+    cores, = mc._sum_cores(factors, kvecs, [L], dists, N, RngSpec(seed), 1)
     assert cores.shape == (len(kvecs), N)
     for w, ref in zip(weights, reference, strict=True):
         assert np.array_equal(mc._weigh(cores, w, np.empty(N)) / math.sqrt(L.size), ref)
+
+
+@st.composite
+def families(draw):
+    """A kernel over 1-3 mixed axes, a family of 1-3 shaped sets, N and a seed."""
+    d = draw(st.integers(1, 3))
+    axes = [draw(factor_axes()) for _ in range(d)]
+    kvec = st.tuples(*[st.integers(1, top) for _, _, top in axes])
+    lam = draw(st.dictionaries(kvec, st.floats(-2.0, 2.0, allow_nan=False),
+                               min_size=1, max_size=4))
+    kernel = DegenerateKernel(d, lam, [fam for fam, _, _ in axes])
+    sets = draw(st.lists(shaped_sets(d), min_size=1, max_size=3))
+    return (kernel, [law for _, law, _ in axes], sets, draw(st.integers(1, 12)),
+            draw(st.integers(0, 999)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(families())
+def test_family_sums_are_cell_sums_of_the_shared_draws(family):
+    kernel, dists, sets, N, seed = family
+    rng = RngSpec(seed).child(0)
+    field = mc._sum_field(kernel.factors, kernel.lam, sets, dists, N, rng, 1)
+    assert len(field) == len(sets)
+    for rows, other in zip(field, mc._sum_field(kernel.factors, kernel.lam, sets, dists, N,
+                                                rng, 3), strict=True):
+        assert rows.tobytes() == other.tobytes()
+    # every set reads the family's one draw: per axis, its widest side of columns
+    columns = [max(L.axis_max(axis) for L in sets) for axis in range(kernel.d)]
+    draws = [dist.sample_block(rng, axis, 0, N, n)
+             for axis, (dist, n) in enumerate(zip(dists, columns))]
+    for L, rows in zip(sets, field):
+        for r in range(N):
+            samples = [x[r] for x in draws]
+            assert abs(rows[0, r] - naive_S_L(kernel, L, samples)) <= \
+                1e-12 * absolute_term_sum(kernel, L, samples)
+        table = table_sum_field(kernel.factors, kernel.lam, 1, L, dists, N, rng, columns)
+        assert np.array_equal(rows, table)
+    # a one-set family reads what its set alone reads, output bytes included
+    L = sets[0]
+    one, = simulate_family(kernel, [L], dists, N, rng, 3)
+    alone = simulate_S_L(kernel, L, dists, N, rng)
+    assert mc.empirical_bytes(one) == mc.empirical_bytes(alone)
+    assert np.array_equal(alone.values,
+                          np.sort(table_sum_field(kernel.factors, kernel.lam, 1, L, dists, N,
+                                                  rng)[0]))
 
 
 def test_members_past_a_family_fail_before_any_row():

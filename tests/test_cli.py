@@ -152,6 +152,26 @@ def test_lambda_weight_that_is_no_finite_number_exits_2(tmp_path, capsys, comman
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("command, name", [
+    ("bound", "bound_rank1.json"),
+    ("simulate", "simulate_smoke.json"),
+    ("verify", "gauss_rank1.json"),
+])
+def test_repeated_lambda_multi_index_exits_2(tmp_path, capsys, command, name):
+    # a second row of the same k once replaced the first without a word, so the run
+    # used a kernel other than the one the config lists and exited 0
+    cfg = json.loads((CONFIG_DIR / name).read_text())
+    first = cfg["kernel"]["lambda"][0]
+    cfg["kernel"]["lambda"].append({"k": first["k"], "w": 2.0 * first["w"] + 1.0})
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(cfg))
+    code, out = run_cmd(tmp_path, command, path)
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert f"k={first['k']}" in error and "repeated" in error
+    assert not (out / "manifest.json").exists()
+
+
 def test_bound_grid_past_the_node_limit_exits_2(tmp_path, capsys):
     # 140**5 Poisson nodes would take 430 GB as one grid; the limit stops it before any work
     cfg = {"seed": 1, "p_grid": [2.0], "bound": {"routes": ["trivial"], "L_size": 4},
@@ -349,11 +369,11 @@ def test_simulate_summary_names_explicit_sets_by_their_boxes(tmp_path):
 
 
 # the files the simulate below writes; each name carries its content digest, so
-# this map pins every output byte
+# this map pins every output byte.  Both sets read one stream, 16 columns per axis
 LSHAPE_FILES = {
-    "dist_0": "dist_0-22c1d86128a1.bin", "dist_1": "dist_1-46ad5ad6b608.bin",
-    "quantiles_0": "quantiles_0-78c8a7b3a328.csv", "quantiles_1": "quantiles_1-82c5d08c3520.csv",
-    "summary": "summary-63db9e6233fa.json",
+    "dist_0": "dist_0-4b0beb5a351b.bin", "dist_1": "dist_1-21b93c7cd04c.bin",
+    "quantiles_0": "quantiles_0-4b259cb63f4a.csv", "quantiles_1": "quantiles_1-ff482ef2e209.csv",
+    "summary": "summary-2eef5ac7ddbd.json",
 }
 
 

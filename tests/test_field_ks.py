@@ -35,12 +35,18 @@ def table_limit_field(lam, nv, d, N, rng):
 
 
 def materialised_chaos_limit_ks(pk, dists, sets, N, rng, limit_n, final_ks):
-    """``verify._chaos_limit_ks`` from whole fields, every row copied and sorted."""
+    """``verify._chaos_limit_ks`` from whole fields, every row copied and sorted.
+
+    Every stage reads the family's one stream ``rng.child(0)``, each axis at
+    the family's widest side.
+    """
     limit = [EmpiricalDist(row) for row in
              table_limit_field(pk.lam, pk.n_points, pk.d, limit_n, rng.child(verify._LIMIT_STREAM))]
     ks = []
-    for i, L in enumerate(sets):
-        field = table_sum_field(pk.factors, pk.lam, pk.n_points, L, dists, N, rng.child(i))
+    columns = [max(L.axis_max(axis) for L in sets) for axis in range(pk.d)]
+    for L in sets:
+        field = table_sum_field(pk.factors, pk.lam, pk.n_points, L, dists, N, rng.child(0),
+                                columns)
         ks.append([ks_distance(EmpiricalDist(row), lim) for row, lim in zip(field, limit)])
         sup = np.abs(field).max(axis=0)
     crit = ks_critical(N, limit_n)

@@ -18,7 +18,7 @@ from multisum import (AxisDistribution, DegenerateKernel, EmpiricalDist,
                       empirical_moment, empirical_tail, explicit_set,
                       kernel_to_json, load_empirical, lshape_family, make_rect,
                       sample_S_infty, simulate_Q_L,
-                      simulate_S_L, staircase_set)
+                      simulate_family, simulate_S_L, staircase_set)
 from multisum import mc
 from multisum.parametric import sample_Q_infty
 from test_box_contraction import naive_S_L, shaped_sets
@@ -81,7 +81,7 @@ def test_worker_and_block_size_invariance(run, budget):
     base_Q, base_sup = simulate_Q_L(pk, L, dists, N, RngSpec(seed))
     base_Q = np.stack([d.values for d in base_Q])
     kvecs, weights = mc._terms(pk.lam)
-    base_cores = mc._sum_cores(pk.factors, kvecs, L, dists, N, RngSpec(seed), 1)
+    base_cores, = mc._sum_cores(pk.factors, kvecs, [L], dists, N, RngSpec(seed), 1)
     root = math.sqrt(L.size)
     # every grid point's row, weighed from the cores, is its simulated row
     for w, row in zip(weights, base_Q, strict=True):
@@ -96,7 +96,7 @@ def test_worker_and_block_size_invariance(run, budget):
                 assert np.array_equal(S.values, base_S)
                 assert np.array_equal(np.stack([d.values for d in Q]), base_Q)
                 assert np.array_equal(sup.values, base_sup.values)
-                cores = mc._sum_cores(pk.factors, kvecs, L, dists, N, RngSpec(seed), workers)
+                cores, = mc._sum_cores(pk.factors, kvecs, [L], dists, N, RngSpec(seed), workers)
                 assert np.array_equal(cores, base_cores)
 
 
@@ -495,6 +495,26 @@ def test_provenance_distinguishes_inputs():
     a = simulate_S_L(k, make_rect([2, 2]), GAUSS, 10, RngSpec(1))
     b = simulate_S_L(k, make_rect([2, 3]), GAUSS, 10, RngSpec(1))
     assert a.provenance != b.provenance
+
+
+def test_provenance_names_the_columns_a_family_draws():
+    # a set's values depend on its family's columns of each stream, so its digest names
+    # them; alone, or in a family no wider than itself, it keeps its one-set digest
+    k = hermite_kernel({(1, 1): 1.0, (2, 1): 0.5})
+    box, lshape = make_rect([3, 5]), lshape_family([6])[0]
+    alone = simulate_S_L(k, box, GAUSS, 10, RngSpec(1))
+    assert alone.provenance == "6084ad459bae90e4"        # the digest before families
+    assert simulate_S_L(k, lshape, GAUSS, 10, RngSpec(1)).provenance == "d5cd2105fa1cef9e"
+    narrow = simulate_family(k, [box, make_rect([2, 4])], GAUSS, 10, RngSpec(1))
+    wide = simulate_family(k, [box, lshape], GAUSS, 10, RngSpec(1))
+    tall = simulate_family(k, [box, make_rect([1, 9])], GAUSS, 10, RngSpec(1))
+    assert mc.empirical_bytes(narrow[0]) == mc.empirical_bytes(alone)
+    assert mc.empirical_bytes(wide[1]) == mc.empirical_bytes(simulate_S_L(k, lshape, GAUSS, 10,
+                                                                           RngSpec(1)))
+    assert wide[0].provenance == mc._provenance("S_L", k, box, GAUSS, 10, 1, [6, 6])
+    assert tall[0].provenance == mc._provenance("S_L", k, box, GAUSS, 10, 1, [3, 9])
+    assert len({alone.provenance, wide[0].provenance, tall[0].provenance}) == 3
+    assert not np.array_equal(wide[0].values, tall[0].values)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

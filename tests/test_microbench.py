@@ -97,9 +97,9 @@ def test_sum_field_sim_box_block(benchmark):
     # the sim-box kernel, lambda(k, k) = 1/k for k <= 4 on a 256 x 256 box; 51
     # replications make one block (the cache rule allows 256 on 256 columns)
     lam = {(k, k): 1.0 / k for k in range(1, 5)}
-    args = ([FactorFamily("hermite")] * 2, lam, make_rect([256, 256]),
+    args = ([FactorFamily("hermite")] * 2, lam, [make_rect([256, 256])],
             [AxisDistribution("standard_normal")] * 2, 51, RngSpec(1), 1)
-    vals = benchmark.pedantic(mc._sum_field, args=args, rounds=5)
+    vals, = benchmark.pedantic(mc._sum_field, args=args, rounds=5)
     assert hashlib.sha256(vals.tobytes()).hexdigest() == SIM_BOX_BLOCK
 
 

@@ -13,7 +13,7 @@ from scipy.stats import ks_2samp
 from multisum import (AxisDistribution, DegenerateKernel, EmpiricalDist,
                       FactorFamily, RngSpec, ks_critical, ks_distance,
                       lshape_family, make_rect, natural_composite,
-                      sample_S_infty, simulate_S_L,
+                      sample_S_infty, simulate_family, simulate_S_L,
                       squares_minus_corner_family, staircase_set,
                       verify_moment_sandwich, verify_nclt,
                       verify_tail_domination)
@@ -343,8 +343,7 @@ def test_tail_levels_reach_the_largest_absolute_value():
     composite = natural_composite(kernel, dists, np.geomspace(2, 64, 25))
     sets, rng = [make_rect([1]), make_rect([4])], RngSpec(5)
     report = verify_tail_domination(kernel, dists, sets, composite, 20_000, rng)
-    sims = [simulate_S_L(kernel, L, dists, 20_000, rng.child(i)).values
-            for i, L in enumerate(sets)]
+    sims = [s.values for s in simulate_family(kernel, sets, dists, 20_000, rng.child(0))]
     assert max(s[-1] for s in sims) < report.y_grid[0] < max(-s[0] for s in sims)
     assert report.y_grid[-1] == max(-s[0] for s in sims)
     assert len(report.y_grid) == 40
