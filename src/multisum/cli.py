@@ -60,20 +60,28 @@ def _dump_json(obj) -> bytes:
 
 
 class OutputSet:
-    """Collects output files, names them by content digest, writes a manifest."""
+    """Collects output files, names them by content digest, writes them and a manifest.
+
+    Nothing is written before ``finish``: a run that stops early, on a
+    config error found inside its command, leaves no ``--out`` behind.
+    """
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
         self.entries = {}
+        self.files = {}
 
     def add(self, kind: str, ext: str, data: bytes) -> str:
         digest = hashlib.sha256(data).hexdigest()[:12]
         name = f"{kind}-{digest}.{ext}"
-        (self.out_dir / name).write_bytes(data)
+        self.files[name] = data
         self.entries[kind] = name
         return name
 
     def finish(self, config_digest: str) -> None:
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        for name, data in self.files.items():
+            (self.out_dir / name).write_bytes(data)
         manifest = {"config_digest": config_digest, "files": self.entries,
                     "version": __version__}
         (self.out_dir / "manifest.json").write_bytes(_dump_json(manifest))
@@ -343,9 +351,7 @@ def main(argv=None) -> int:
         if args.workers < 1:
             raise ConfigError("--workers must be >= 1")
         cfg, digest = load_config(args.config, args.seed_override)
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        out = OutputSet(out_dir)
+        out = OutputSet(Path(args.out))
         code = _COMMANDS[args.command](cfg, out, args.workers)
         out.finish(digest)
         return code

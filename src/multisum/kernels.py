@@ -130,41 +130,59 @@ def _lp_norm(slabs, p_grid) -> list:
             else float(np.exp((t + math.log(s)) / p)) for t, s, p in zip(top, total, p_grid)]
 
 
-def _recurrence_rows(kmax: int, first: np.ndarray, coef, norm: np.ndarray, buffers=None):
-    """Rows 1..kmax of ``p_{k+1} = coef(k) * p_k - k * p_{k-1}`` (``p_0 = 1``, ``p_1 = first``).
+def _recurrence_rows(kmax: int, x: np.ndarray, first, step, norm: np.ndarray, buffers=None):
+    """Rows 1..kmax at points x of ``p_{k+1} = c_k * p_k - k * p_{k-1}`` (``p_0 = 1``).
 
-    Row k is yielded as ``norm[k] * p_k``, valid until the next row: ``p_k``
-    itself where ``norm[k]`` is 1.0 (an exact product), else the last of the
-    three ``buffers`` (arrays of first's shape, made here when absent).  The
-    recurrence runs in place in the other two and never writes ``first``; its
-    first step subtracts the scalar ``p_0 = 1``.
+    ``first(b)`` returns ``p_1``, either an array it leaves alone or ``b``
+    itself, which it fills; ``step(k, p, out)`` writes ``c_k * p`` into
+    ``out``.  Row k is yielded as ``norm[k] * p_k``, valid until the next
+    row: ``p_k`` itself where ``norm[k]`` is 1.0 (an exact product), else
+    the last of the three ``buffers`` (arrays of x's shape, made here when
+    absent).  The recurrence runs in place in the other two, never writes x,
+    and its first step subtracts the scalar ``p_0 = 1``.  So the rows of a
+    block make no array of their own when ``buffers`` are given.
     """
-    a, b, row = buffers if buffers is not None else [np.empty_like(first) for _ in range(3)]
-    prev, cur = None, first
+    a, b, row = buffers if buffers is not None else [np.empty_like(x) for _ in range(3)]
+    p1 = first(b)
+    prev, cur = None, p1
     for k in range(1, kmax + 1):
         yield cur if norm[k] == 1.0 else np.multiply(cur, norm[k], out=row)
         if k == kmax:
             return
-        np.multiply(coef(k), cur, out=row)
+        step(k, cur, row)
         if prev is None:
             nxt = np.subtract(row, 1.0, out=a)
         else:
-            scaled = np.multiply(prev, k, out=b if prev is first else prev)
+            scaled = np.multiply(prev, k, out=b if prev is p1 else prev)
             nxt = np.subtract(row, scaled, out=scaled)
         prev, cur = cur, nxt
 
 
 def _hermite_rows(kmax: int, x: np.ndarray, buffers=None):
-    """Normalized probabilists' Hermite polynomials, from the monic recurrence."""
+    """Normalized probabilists' Hermite polynomials, from the monic recurrence (``c_k = x``)."""
     norm = np.exp(-0.5 * gammaln(np.arange(kmax + 1) + 1.0))
-    return _recurrence_rows(kmax, x, lambda k: x, norm, buffers)
+    return _recurrence_rows(kmax, x, lambda b: x, lambda k, p, out: np.multiply(x, p, out=out),
+                            norm, buffers)
 
 
 def _charlier_rows(kmax: int, x: np.ndarray, buffers=None):
-    """Normalized Charlier polynomials (a = 1) on the compensated count x = n - 1."""
-    n = x + 1.0
+    """Normalized Charlier polynomials (a = 1) on the compensated count x = n - 1.
+
+    With ``n = x + 1``, ``p_1 = 1 - n`` and ``c_k = k + 1 - n``.  ``n`` is
+    remade where it is needed rather than kept, so the rows run in the three
+    buffers alone.
+    """
     norm = (-1.0) ** np.arange(kmax + 1) * np.exp(-0.5 * gammaln(np.arange(kmax + 1) + 1.0))
-    return _recurrence_rows(kmax, 1.0 - n, lambda k: k + 1.0 - n, norm, buffers)
+
+    def first(b):
+        n = np.add(x, 1.0, out=b)
+        return np.subtract(1.0, n, out=n)
+
+    def step(k, p, out):
+        n = np.add(x, 1.0, out=out)
+        np.multiply(np.subtract(k + 1.0, n, out=n), p, out=out)
+
+    return _recurrence_rows(kmax, x, first, step, norm, buffers)
 
 
 def _sign_rows(kmax: int, x: np.ndarray, buffers=None):

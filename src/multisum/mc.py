@@ -1,16 +1,21 @@
 """Seeded Monte Carlo for normalized multi-indexed sums and their chaos limits.
 
-Randomness is counter-based: every uniform variate is addressed by
-``(seed, stream tag, axis, replication, coordinate)`` through a Philox
-counter, so results are bit-identical no matter how replications are split
-across workers or how large a batch is requested.  All sampling is inverse
-CDF on those uniforms.  A family of index sets is sampled in one pass from
-one stream (``simulate_family``): per replication each axis draws the
-family's widest side, ``max_L axis_max(L)`` coordinates (``_columns``), so
-replication r owns the positions ``[r * stride, (r + 1) * stride)`` with
-``stride = _stride`` of that count, and every set sums its own cells of those
-draws.  The sets of a family are thus coupled by common random numbers, each
-with its own law, and a one-set family reads just what its set alone reads.
+Every variate is addressed by ``(seed, stream tag, axis, replication,
+coordinate)``, so results are bit-identical no matter how replications are
+split across workers or how large a batch is requested.  Standard normals,
+the axis law of every Gaussian run and of the chaos limit's betas, are drawn
+by NumPy's ziggurat (Marsaglia & Tsang 2000) from paged streams
+(``_NormalPages``): page j of a stream holds a fixed run of replications,
+drawn in row order by one SFC64 generator keyed by ``(seed, tag, axis, j)``,
+and a read that starts inside a page draws and drops the page's prefix.  The
+ziggurat's normals are not clipped: the inverse CDF that they replace
+bounded ``|xi|`` at about 8.1.  Every other law is an inverse CDF of Philox
+uniforms at counter addresses (``RngSpec.uniform_block``).  A family of
+index sets is sampled in one pass from one stream (``simulate_family``): per
+replication each axis draws the family's widest side, ``max_L axis_max(L)``
+coordinates (``_columns``), and every set sums its own cells of those draws.
+The sets of a family are thus coupled by common random numbers, each with
+its own law, and a one-set family reads just what its set alone reads.
 
 The normalized sum over an index set L is ``S_L = |L|**-0.5 *
 sum_{k in L} f(xi_{k_1}(1), ..., xi_{k_d}(d))``.  Every L is a disjoint union
@@ -32,11 +37,12 @@ one at a time (``FactorFamily.rows``), and every row is slice-summed into the
 per-box sums as soon as it exists.  A replication therefore holds O(sum n_s)
 floats whatever the rank.  Replications run in blocks (``_block_cap``) whose
 widest axis row fits a share of the cache, since a block is walked once per
-layer (uniforms, inverse CDF, each factor row); a set of many boxes makes
+layer (draws, inverse CDF, each factor row); a set of many boxes makes
 blocks larger, so that the NumPy calls, whose count per block is fixed, do
 not dominate; and ``_BLOCK_BUDGET`` caps them.  Each worker samples its
-blocks through buffers it allocates once.  The variates are
-counter-addressed, so block size moves no bit.
+blocks through buffers and stream readers (``AxisDistribution.reader``) it
+makes once, so a normal page's generator runs on from block to block.  The
+variates are addressed by replication, so block size moves no bit.
 
 Each simulated distribution carries a provenance digest of its inputs
 (kernel, index set, axis laws, N, seed); the index set enters by its JSON,
@@ -48,12 +54,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from ._special import gammaln, ndtri
+from ._special import gammaln
 from .index_sets import IndexSet
 from .kernels import _lp_norm, kernel_to_json, quadrature_rule
 
@@ -77,7 +85,7 @@ _POISSON_NODES = quadrature_rule("compensated_poisson")[0]
 _POISSON_CDF = np.cumsum(quadrature_rule("compensated_poisson")[1])
 
 # Replications per block (``_block_cap``).  A block walks each of its arrays
-# several times (uniforms, inverse CDF, factor rows, side sums), so its widest
+# several times (draws, inverse CDF, factor rows, side sums), so its widest
 # axis row should stay in cache: _CACHE_FLOATS doubles, a share of a 2 MiB L2.
 # But part of a block's cost is per call, not per float: its NumPy calls (one
 # per factor row and distinct box side, one per term, box and axis of the
@@ -90,15 +98,20 @@ _CACHE_FLOATS = 1 << 16
 _FLOATS_PER_CALL = 1 << 13
 _BLOCK_BUDGET = 1 << 22
 
+# A normal stream's page holds the fewest whole replications of at least this many values,
+# so building its generator (about 20 us) is small beside drawing it (about 12 ns a value).
+_PAGE_VALUES = 1 << 16
+
 
 @dataclass(frozen=True)
 class RngSpec:
     """Counter-based random stream policy rooted at a 64-bit seed.
 
-    Stream key = (seed, tag, axis); within a stream, replication r owns the
-    double positions [r * stride, (r + 1) * stride) where stride is the
-    column count rounded up to a multiple of 4 (one Philox counter step
-    yields 4 doubles, so chunks of replications can jump exactly).
+    Stream key = (seed, tag, axis).  Uniform streams are Philox counters:
+    replication r owns the double positions [r * stride, (r + 1) * stride)
+    where stride is the column count rounded up to a multiple of 4 (one
+    Philox counter step yields 4 doubles, so chunks of replications can jump
+    exactly).  Normal streams are paged (``_NormalPages``).
     """
 
     seed: int
@@ -126,10 +139,8 @@ class RngSpec:
         bg.advance(rep_start * stride // 4)
         if out is None:
             u = np.random.Generator(bg).random((rep_count, stride))
-        elif out.shape[1] != stride or out.shape[0] < rep_count:
-            raise ValueError(f"a uniform buffer for {rep_count} x {ncols} needs {stride} columns"
-                             f" and {rep_count} rows")
         else:
+            _check_buffer(out, rep_count, ncols)
             u = np.random.Generator(bg).random(out=out[:rep_count])
         return u[:, :ncols]
 
@@ -137,6 +148,60 @@ class RngSpec:
 def _stride(ncols: int) -> int:
     """Doubles one replication owns in a stream: ``ncols`` rounded up to a Philox step of 4."""
     return 4 * ((ncols + 3) // 4)
+
+
+def _check_buffer(out: np.ndarray, rep_count: int, ncols: int) -> None:
+    """Raise unless ``out`` can hold ``rep_count`` replications of ``ncols`` draws in place."""
+    if out.shape[1] != _stride(ncols) or out.shape[0] < rep_count or not out.flags.c_contiguous:
+        raise ValueError(f"a sample buffer for {rep_count} x {ncols} needs {_stride(ncols)}"
+                         f" columns and {rep_count} rows, C-contiguous")
+
+
+class _NormalPages:
+    """One ``(seed, tag, axis)`` stream of standard normals, ``ncols`` per replication.
+
+    Page j holds replications ``[j R, (j + 1) R)``, with R the fewest that
+    hold ``_PAGE_VALUES`` values, a function of ``ncols`` alone.  It is drawn
+    in row-major order by the ziggurat of one SFC64 generator seeded by
+    ``SeedSequence(seed, spawn_key=(tag, axis, j))``.  A draw fills values in
+    order, so a page's leading rows are the same whatever count is asked for,
+    and a read that starts inside a page draws and drops the page's rows
+    before it.  The reader keeps its page's generator live, so reads of
+    consecutive ranges draw each value once.
+    """
+
+    def __init__(self, seed: int, tag: int, axis: int, ncols: int):
+        self.key = (int(seed), int(tag), int(axis))
+        self.ncols = ncols
+        self.reps = -(-_PAGE_VALUES // ncols)
+        self.page, self.gen, self.at = -1, None, 0    # the live page, its generator, its next rep
+
+    def read(self, rep_start: int, rep_count: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Normals of shape (rep_count, ncols) for replications ``rep_start`` on.
+
+        ``out`` is a buffer as for ``RngSpec.uniform_block``; the result is
+        then a C-contiguous view of its leading ``rep_count * ncols`` floats.
+        """
+        if out is None:
+            flat = np.empty(rep_count * self.ncols)
+        else:
+            _check_buffer(out, rep_count, self.ncols)
+            flat = out.reshape(-1)[:rep_count * self.ncols]
+        rep, end, done = rep_start, rep_start + rep_count, 0
+        while rep < end:
+            page = rep // self.reps
+            if page != self.page or rep < self.at:
+                seed, tag, axis = self.key
+                seeds = np.random.SeedSequence(seed, spawn_key=(tag, axis, page))
+                self.gen = np.random.Generator(np.random.SFC64(seeds))
+                self.page, self.at = page, page * self.reps
+            if rep > self.at:
+                self.gen.standard_normal((rep - self.at) * self.ncols)
+            stop = min(end, (page + 1) * self.reps)
+            self.gen.standard_normal(out=flat[done:done + (stop - rep) * self.ncols])
+            done += (stop - rep) * self.ncols
+            rep = self.at = stop
+        return flat.reshape(rep_count, self.ncols)
 
 
 @dataclass(frozen=True)
@@ -173,8 +238,12 @@ class AxisDistribution:
         Uniforms are clipped to ``[2**-60, 1 - 2**-53]`` first.  Without ``out``
         the input is left alone.  With ``out`` the values are written there
         and ``u`` is scratch: ``out`` may be ``u`` itself or, for a two-uniform
-        kind, ``u``'s even columns, so a block is transformed in place.
+        kind, ``u``'s even columns, so a block is transformed in place.  The
+        normal law has no inverse CDF here: its streams are drawn by the
+        ziggurat (``reader``).
         """
+        if self.kind == "standard_normal":
+            raise ValueError("standard normals are drawn by the ziggurat, not from uniforms")
         if out is None:
             u = np.array(u, dtype=float)
             out = u[..., ::self.uniforms_per_coord]
@@ -191,8 +260,6 @@ class AxisDistribution:
             sign = np.subtract(u[..., 1::2], 0.5, out=u[..., 1::2])
             return np.copysign(v, sign, out=v)
         v = np.clip(u, 2.0 ** -60, 1.0 - 2.0 ** -53, out=out)
-        if self.kind == "standard_normal":
-            return ndtri(v, out=v)
         if self.kind == "centered_exponential":
             np.log1p(np.negative(v, out=v), out=v)
             np.negative(v, out=v)
@@ -201,17 +268,35 @@ class AxisDistribution:
         # compensated_poisson: the clipped uniform lies below the last cdf value, 1.0
         return _POISSON_NODES.take(np.searchsorted(_POISSON_CDF, v), out=v, mode="clip")
 
+    def reader(self, rng: RngSpec, axis: int, ncols: int, tag: int = TAG_AXIS):
+        """``read(rep_start, rep_count, out=None)``: samples of stream ``(rng.seed, tag, axis)``.
+
+        A read returns shape (rep_count, ncols).  ``out`` is a buffer as for
+        ``RngSpec.uniform_block`` and the result a view of it: normals are
+        drawn into its leading floats, any other law is transformed in place
+        in its uniforms.  A normal reader runs its page on from one read to
+        the next, so one reader should serve consecutive ranges.
+        """
+        if self.kind == "standard_normal":
+            return _NormalPages(rng.seed, tag, axis, ncols).read
+        per = self.uniforms_per_coord
+
+        def read(rep_start, rep_count, out=None):
+            u = rng.uniform_block(tag, axis, rep_start, rep_count, ncols * per, out)
+            return self.transform(u, out=u[:, ::per])
+
+        return read
+
     def sample_block(self, rng: RngSpec, axis: int, rep_start: int, rep_count: int,
                      ncols: int, tag: int = TAG_AXIS,
                      out: np.ndarray | None = None) -> np.ndarray:
-        """Samples of shape (rep_count, ncols), transformed in place in their uniforms.
+        """Samples of shape (rep_count, ncols), one read of a fresh ``reader``.
 
-        ``out`` is the uniform buffer (see ``RngSpec.uniform_block``), so the
-        result is a view of it.
+        A normal read that starts inside a page draws that page's leading rows
+        again, up to ``_PAGE_VALUES`` values a call, so consecutive ranges
+        should be read through one ``reader``.
         """
-        u = rng.uniform_block(tag, axis, rep_start, rep_count,
-                              ncols * self.uniforms_per_coord, out)
-        return self.transform(u, out=u[:, ::self.uniforms_per_coord])
+        return self.reader(rng, axis, ncols, tag)(rep_start, rep_count, out)
 
     def identity_moment(self, p: float) -> float:
         """``|xi|_p`` of the raw axis variable (the centered identity factor)."""
@@ -265,11 +350,18 @@ def axis_distribution_from_json(obj) -> AxisDistribution:
 
 @dataclass(frozen=True)
 class EmpiricalDist:
-    """Sorted replication batch of a scalar statistic with provenance."""
+    """Sorted replication batch of a scalar statistic with provenance.
+
+    ``law_moments``, when set, is a function of no arguments that returns the
+    exact (variance, fourth central moment) of the law the values were drawn
+    from, or None; it is called only by ``variance_se`` and not stored by
+    ``empirical_bytes``.
+    """
 
     values: np.ndarray
     provenance: str = ""
     seed: int | None = None
+    law_moments: Callable[[], tuple | None] | None = None
 
     def __post_init__(self):
         v = np.sort(np.asarray(self.values, dtype=float))
@@ -298,15 +390,25 @@ class EmpiricalDist:
         return float(np.var(self.values, ddof=1)) if self.n > 1 else 0.0
 
     def variance_se(self) -> float:
-        """Asymptotic delta-method standard error of the sample variance, kurtosis aware.
+        """Standard error of the sample variance: exact where the law's moments are known.
 
-        It uses the sample fourth moment, which converges slowly when the law
-        is heavy-tailed, so at small N it understates the spread: for diagonal
-        Hermite kernels of degree up to 3 at N = 2000, 7% of 300 seeded runs
-        fell more than 4 standard errors from the exact variance, the worst 8.9.
+        Where ``law_moments`` gives the sampled law's variance and fourth
+        central moment (``simulate_family`` passes ``_sum_moments``, which
+        knows them on standard normal axes) it is the exact ``sqrt(mu4/n -
+        sigma^4 (n-3)/(n(n-1)))``.  Otherwise it is the asymptotic delta-method
+        estimate from the sample fourth moment, which converges slowly when the
+        law is heavy-tailed, so it understates the spread and moves with the
+        sample variance: for diagonal Hermite kernels of degree up to 3 at
+        N = 2000, 7% of 300 seeded runs fell more than 4 estimated standard
+        errors from the exact variance, the worst 8.9.
         """
         if self.n < 2:
             return 0.0
+        moments = self.law_moments() if self.law_moments is not None else None
+        if moments is not None:
+            var, mu4 = moments
+            n = self.n
+            return float(math.sqrt(max(mu4 / n - var * var * (n - 3) / (n * (n - 1)), 0.0)))
         x = self.values - self.values.mean()
         m2 = np.mean(x ** 2)
         m4 = np.mean(x ** 4)
@@ -556,11 +658,21 @@ def _provenance(kind, kernel, L, dists, n, seed, columns=None) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
+def _sum_moments(kernel, L: IndexSet, dists):
+    """``_moments.sum_moments(kernel, L, dists)``, importing it on first use.
+
+    Only ``EmpiricalDist.variance_se`` reads the exact moments, so a run that
+    never reads a standard error never loads their rule.
+    """
+    from ._moments import sum_moments
+    return sum_moments(kernel, L, dists)
+
+
 def _block_cap(floats_per_rep: int, widest: int, calls: int) -> int:
     """Replications per block: cache-sized, unless NumPy calls would dominate, within the budget.
 
     ``widest`` is the widest axis row one replication adds to a block (its
-    uniforms, which the inverse CDF and the factor rows walk again) and
+    draws, which the inverse CDF and the factor rows walk again) and
     ``calls`` the NumPy calls one block makes whatever its size.
     """
     cache = _CACHE_FLOATS // widest
@@ -631,18 +743,18 @@ def _sum_sampler(factors, kvecs, sets, dists, rng):
     T = len(kvecs)
 
     def make_batch(cap):
-        uniforms = [np.empty((cap, stride)) for stride in strides]
+        draws = [np.empty((cap, stride)) for stride in strides]
+        reads = [dist.reader(rng, axis, n) for axis, (dist, n) in enumerate(zip(dists, ncols))]
         rows = np.empty((3, cap * max(ncols)))
 
         def batch(rep_start, rep_count, out):
-            samples = (dist.sample_block(rng, axis, rep_start, rep_count, n, out=u)
-                       for axis, (dist, n, u) in enumerate(zip(dists, ncols, uniforms)))
+            samples = (read(rep_start, rep_count, buf) for read, buf in zip(reads, draws))
             for i, sums in enumerate(_field_sums(factors, kmax, sides, samples, rows)):
                 _contract(sums, kvecs, out[i * T:(i + 1) * T])
 
         return batch
 
-    # per axis: uniforms, three row buffers and a temporary, side sums; plus T cores per set
+    # per axis: draws, three row buffers and a temporary, side sums; plus T cores per set
     per_rep = sum(n * (dist.uniforms_per_coord + 4) + len(spans) * k
                   for (spans, _), n, k, dist in zip(sides, ncols, kmax, dists)) + len(sets) * T
     # a slice sum per factor row and distinct side; per term, a product per box and axis
@@ -657,16 +769,16 @@ def _limit_sampler(kvecs, d, rng):
     normal = AxisDistribution("standard_normal")
 
     def make_batch(cap):
-        uniforms = [np.empty((cap, _stride(k))) for k in kmax]
+        draws = [np.empty((cap, _stride(k))) for k in kmax]
+        reads = [normal.reader(rng, axis, k, TAG_BETA) for axis, k in enumerate(kmax)]
 
         def batch(rep_start, rep_count, out):
-            betas = [normal.sample_block(rng, axis, rep_start, rep_count, k, TAG_BETA, u).T
-                     for axis, (k, u) in enumerate(zip(kmax, uniforms))]
+            betas = [read(rep_start, rep_count, buf).T for read, buf in zip(reads, draws)]
             _contract([betas], kvecs, out)
 
         return batch
 
-    per_rep = sum(3 * k for k in kmax) + len(kvecs)    # uniforms, contraction products; cores
+    per_rep = sum(3 * k for k in kmax) + len(kvecs)    # draws, contraction products; cores
     return make_batch, _block_cap(per_rep, max(_stride(k) for k in kmax), len(kvecs) * d)
 
 
@@ -735,6 +847,9 @@ def simulate_family(kernel, sets, dists, N: int, rng: RngSpec,
     each set sums its own cells of them.  So each set keeps its law, and a
     one-set family is ``simulate_S_L``.  All S x N sums are held at once.
     Worker counts partition replications without changing any variate.
+    Each distribution can compute its law's exact moments (``_sum_moments``,
+    called only when its ``variance_se`` is read), so that where they are
+    known its standard error is exact.
     """
     sets = list(sets)
     field = _sum_field(kernel.factors, kernel.lam, sets, dists, N, rng, workers)
@@ -744,7 +859,8 @@ def simulate_family(kernel, sets, dists, N: int, rng: RngSpec,
         own = [L.axis_max(axis) for axis in range(L.d)]
         prov = _provenance("S_L", kernel, L, dists, N, rng.seed,
                            None if own == columns else columns)
-        out.append(EmpiricalDist(rows[0], prov, seed=rng.seed))
+        out.append(EmpiricalDist(rows[0], prov, seed=rng.seed,
+                                 law_moments=partial(_sum_moments, kernel, L, dists)))
     return out
 
 

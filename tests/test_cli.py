@@ -130,7 +130,7 @@ def test_bound_p_below_its_routes_range_exits_2_before_any_quadrature(
     assert code == 2
     assert "'p_grid'" in json.loads(capsys.readouterr().err)["error"]
     assert walks == []
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("w", [True, "0.5", math.nan, -math.inf],
@@ -310,6 +310,31 @@ def test_worker_count_below_one_exits_2_before_the_output_directory(tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, name, path, value", [
+    ("psi", "psi_tables.json", ("psi", "y_grid"), [-1.0]),
+    ("psi", "psi_tables.json", ("psi", "spec", "family"), "no_such_family"),
+    ("simulate", "simulate_smoke.json", ("index_sets", "family"), "no_such_family"),
+    ("verify", "gauss_rank1.json", ("index_sets", "family"), "no_such_family"),
+], ids=["psi-negative-y", "psi-unknown-family", "simulate-unknown-family",
+        "verify-unknown-family"])
+def test_a_config_error_inside_a_command_creates_no_output_directory(tmp_path, capsys, command,
+                                                                    name, path, value):
+    # a negative psi level once exited 2 after its psi_table and conjugate files were written,
+    # with no manifest; an error found inside any command once left an empty --out behind
+    cfg = json.loads((CONFIG_DIR / name).read_text())
+    *parents, key = path
+    node = cfg
+    for part in parents:
+        node = node[part]
+    node[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    code, out = run_cmd(tmp_path, command, bad)
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"]
+    assert not out.exists()
+
+
 def test_seed_override_changes_samples(tmp_path):
     _, out1 = run_cmd(tmp_path, "simulate", CONFIG_DIR / "simulate_smoke.json",
                       out_name="a")
@@ -369,11 +394,12 @@ def test_simulate_summary_names_explicit_sets_by_their_boxes(tmp_path):
 
 
 # the files the simulate below writes; each name carries its content digest, so
-# this map pins every output byte.  Both sets read one stream, 16 columns per axis
+# this map pins every output byte (on these normal axes the summary's variance_se
+# is exact, from mc._sum_moments).  Both sets read one stream, 16 columns per axis
 LSHAPE_FILES = {
-    "dist_0": "dist_0-4b0beb5a351b.bin", "dist_1": "dist_1-21b93c7cd04c.bin",
-    "quantiles_0": "quantiles_0-4b259cb63f4a.csv", "quantiles_1": "quantiles_1-ff482ef2e209.csv",
-    "summary": "summary-2eef5ac7ddbd.json",
+    "dist_0": "dist_0-937db7afd903.bin", "dist_1": "dist_1-93545351a96b.bin",
+    "quantiles_0": "quantiles_0-bac6b76dfea0.csv", "quantiles_1": "quantiles_1-fb26eaa6940e.csv",
+    "summary": "summary-6366a893bea2.json",
 }
 
 
@@ -392,6 +418,57 @@ def test_simulate_explicit_lshapes_pinned_bytes(tmp_path, workers):
     code, out = run_cmd(tmp_path, "simulate", path, args=["--workers", str(workers)])
     assert code == 0
     assert json.loads((out / "manifest.json").read_text())["files"] == LSHAPE_FILES
+
+
+# a simulate on Poisson and Rademacher axes at N = 300: these laws are not drawn by
+# the ziggurat and keep the plug-in variance_se, so every output byte is the one
+# that the inverse-CDF sampler with the plug-in error wrote before normals moved
+NON_NORMAL_FILES = {
+    "dist_0": "dist_0-f049106bf4f5.bin", "dist_1": "dist_1-73a1d7f432f5.bin",
+    "quantiles_0": "quantiles_0-b0edfe0423c4.csv", "quantiles_1": "quantiles_1-fc2e0adfc719.csv",
+    "summary": "summary-87333615f043.json",
+}
+
+
+def test_simulate_non_normal_laws_pinned_bytes(tmp_path):
+    cfg = {"N": 300, "seed": 77, "distributions": ["compensated_poisson", "rademacher"],
+           "index_sets": {"family": "squares", "sizes": [4, 6]},
+           "kernel": {"d": 2, "orthonormal": True,
+                      "factors": [{"kind": "poisson_charlier", "params": {}},
+                                  {"kind": "rademacher_sign", "params": {}}],
+                      "lambda": [{"k": [1, 1], "w": 0.8}, {"k": [2, 1], "w": 0.5}]}}
+    path = tmp_path / "non_normal.json"
+    path.write_text(json.dumps(cfg))
+    code, out = run_cmd(tmp_path, "simulate", path)
+    assert code == 0
+    assert json.loads((out / "manifest.json").read_text())["files"] == NON_NORMAL_FILES
+
+
+def _normal_page_configs():
+    sim = json.loads((CONFIG_DIR / "simulate_smoke.json").read_text())
+    sim.update(N=3000, index_sets={"family": "squares", "sizes": [40, 64]})
+    nclt = json.loads((CONFIG_DIR / "gauss_rank1.json").read_text())
+    nclt["N"] = 3000
+    nclt["verify"]["limit_n"] = 70_000
+    return {"simulate": sim, "verify": nclt}
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_normal_runs_write_the_same_bytes_at_any_worker_count_and_block_cap(
+        tmp_path, monkeypatch, command):
+    # 64 normal columns make pages of 1 024 replications and limit_n 70 000 two pages of
+    # betas, so worker chunks and blocks start inside pages
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_normal_page_configs()[command]))
+    outputs = []
+    for budget in (1 << 12, mc._BLOCK_BUDGET):
+        monkeypatch.setattr(mc, "_BLOCK_BUDGET", budget)
+        for workers in (1, 2, 4):
+            code, out = run_cmd(tmp_path, command, path, args=("--workers", str(workers)),
+                                out_name=f"out-{budget}-{workers}")
+            assert code == 0
+            outputs.append(read_outputs(out))
+    assert all(got == outputs[0] for got in outputs[1:])
 
 
 def _listed(kind, **params):
@@ -660,13 +737,13 @@ def test_out_of_range_count_or_threshold_exits_2_before_any_sampling(
     node[key] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cfg))
-    draws, uniform_block = [], mc.RngSpec.uniform_block
-    monkeypatch.setattr(mc.RngSpec, "uniform_block",
-                        lambda *args, **kw: draws.append(args[1:3]) or uniform_block(*args, **kw))
+    draws, reader = [], mc.AxisDistribution.reader
+    monkeypatch.setattr(mc.AxisDistribution, "reader",
+                        lambda *args, **kw: draws.append(args[2:3]) or reader(*args, **kw))
     code, out = run_cmd(tmp_path, command, bad)
     assert code == 2
     assert f"'{key}'" in json.loads(capsys.readouterr().err)["error"]
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
     assert draws == []
 
 

@@ -116,8 +116,8 @@ import scipy.special
 real = sys.modules["scipy.special"]
 print(json.dumps({{
     "special_at_import": special_at_import,
-    "same": [mc.ndtri is real.ndtri, mc.gammaln is real.gammaln,
-             kernels.gammaln is real.gammaln, kernels.eval_laguerre is real.eval_laguerre],
+    "same": [mc.gammaln is real.gammaln, kernels.gammaln is real.gammaln,
+             kernels.eval_laguerre is real.eval_laguerre],
     "real": [hasattr(real, "__file__"), hasattr(real, "logsumexp")],
     "moment": mc.AxisDistribution("centered_exponential").identity_moment(2.0),
     "integrate": "scipy.integrate" in sys.modules,
@@ -150,7 +150,7 @@ def test_special_loader_serves_the_public_ufuncs(before, extra, special_at_impor
     # names; either way multisum calls the very objects scipy.special exports
     got = run_fresh(LOADER_PROBE.format(before=before, extra=extra))
     assert got.pop("refused", None) == refused
-    assert got == {"special_at_import": special_at_import, "same": [True] * 4,
+    assert got == {"special_at_import": special_at_import, "same": [True] * 3,
                    "real": [True, True], "moment": pytest.approx(1.0, rel=1e-9),
                    "integrate": True}
 
@@ -197,7 +197,8 @@ def test_benchmark_trace_counters_read_the_sampling_arguments(monkeypatch):
         active.uninstall()
     layers = tracer.summarize(active.spans)
     assert layers["mc.simulate_S_L"]["cells"] == 10 * 15
-    # 5 normal columns, 3 log-Weibull ones of two uniforms; each padded to 8 doubles
+    # 3 log-Weibull columns of two uniforms, padded to 8 doubles; the 5 normal columns are
+    # drawn by the ziggurat, through neither uniforms nor an inverse CDF
     assert (layers["mc.uniform_block"]["doubles"], layers["mc.uniform_block"]["used"]) == \
-        (10 * (8 + 8), 10 * (5 + 6))
-    assert layers["mc.transform"]["values"] == 10 * (5 + 3)
+        (10 * 8, 10 * 6)
+    assert layers["mc.transform"]["values"] == 10 * 3

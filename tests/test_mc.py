@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 
 from unittest import mock
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import norm
+from scipy.stats import kstwo, norm
 
 from multisum import (AxisDistribution, DegenerateKernel, EmpiricalDist,
                       FactorFamily, ParametricKernel, RngSpec, compute_S_L,
@@ -159,6 +160,24 @@ def test_block_size_rule():
             assert _block_cap(sim_box, L) == 1
 
 
+def test_charlier_rows_run_in_the_row_buffers():
+    # rank-4 diagonal kernels on a 256 x 256 box under one law (so one sampling cost): the
+    # Charlier rows once made three block-sized arrays of their own and peaked 1 MB above
+    # the Hermite rows (4.25 against 3.19 MB traced)
+    peaks = {}
+    for kind in ("poisson_charlier", "hermite"):
+        kernel = DegenerateKernel(2, {(k, k): 1.0 / k for k in range(1, 5)},
+                                  [FactorFamily(kind)] * 2)
+        laws = [AxisDistribution("compensated_poisson")] * 2
+        tracemalloc.start()
+        try:
+            simulate_S_L(kernel, make_rect([256, 256]), laws, 2000, RngSpec(1))
+            peaks[kind] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["poisson_charlier"] <= peaks["hermite"] + (64 << 10)
+
+
 def test_single_replication_reproducible():
     k = hermite_kernel({(1, 1): 1.0})
     a = simulate_S_L(k, make_rect([3, 3]), GAUSS, 1, RngSpec(7))
@@ -173,6 +192,39 @@ def test_same_coordinates_same_variates_across_batch_sizes():
     small = rng.uniform_block(1, 0, rep_start=2, rep_count=3, ncols=5)
     big = rng.uniform_block(1, 0, rep_start=0, rep_count=10, ncols=5)
     assert np.array_equal(big[2:5], small)
+
+
+@pytest.mark.parametrize("ncols", [1, 7, 256, 70_000])
+def test_normal_range_reads_equal_rows_of_a_read_from_zero(ncols):
+    # pages hold the fewest replications of at least 2**16 values: 65 536, 9 363, 256 and 1
+    normal = AxisDistribution("standard_normal")
+    R = mc._NormalPages(5, mc.TAG_AXIS, 0, ncols).reps
+    assert R == -(-mc._PAGE_VALUES // ncols)
+    total = 2 * R + 3
+    rng = RngSpec(5)
+    whole = normal.sample_block(rng, 0, 0, total, ncols)
+    for a, b in [(0, 1), (R - 1, R + 1), (1, total), (R, 2 * R), (R + 2, total), (2 * R + 2, total)]:
+        assert np.array_equal(normal.sample_block(rng, 0, a, b - a, ncols), whole[a:b])
+    # one reader through consecutive blocks, as a worker chunk reads, from a start inside a page
+    read, start = normal.reader(rng, 0, ncols), R // 2
+    buffer = np.empty((3, mc._stride(ncols)))
+    for rep in range(start, total, 3):
+        count = min(3, total - rep)
+        assert np.array_equal(read(rep, count, buffer), whole[rep:rep + count])
+    # the other axes and the beta stream are other streams
+    assert not np.array_equal(normal.sample_block(rng, 1, 0, 1, ncols), whole[:1])
+    assert not np.array_equal(normal.sample_block(rng, 0, 0, 1, ncols, mc.TAG_BETA), whole[:1])
+
+
+def test_paged_normals_pass_a_ks_gate():
+    # 1.05 M normals over 17 pages of 9 363 replications, from a start inside a page
+    normal = AxisDistribution("standard_normal")
+    x = normal.sample_block(RngSpec(31), 0, 4_000, 150_000, 7).ravel()
+    x.sort()
+    n = x.size
+    cdf = norm.cdf(x)
+    ks = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+    assert ks < kstwo.ppf(0.99, n)
 
 
 def test_s_infty_worker_invariance():
@@ -268,8 +320,9 @@ def test_variance_matches_weight_mass_mc():
 def diagonal_hermite_runs(draw):
     """Diagonal Hermite weights of degree 1-2 on a random box or staircase, and a seed.
 
-    At degree 3 the kurtosis of ``h_3(x) h_3(y)`` is in the thousands, and the
-    delta-method standard error of a 8000-sample variance is itself unreliable.
+    At degree 3 the kurtosis of ``h_3(x) h_3(y)`` is in the thousands, so the
+    law of a 8000-sample variance is far from normal and a gate of 4 standard
+    errors is no 4-sigma gate.
     """
     lam = {(k, k): draw(st.floats(0.2, 1.5)) * draw(st.sampled_from([-1.0, 1.0]))
            for k in draw(st.sets(st.integers(1, 2), min_size=1, max_size=2))}
@@ -287,6 +340,110 @@ def test_variance_is_weight_mass_on_random_sets(run):
     k, L, seed = run
     dist = simulate_S_L(k, L, GAUSS, 8000, RngSpec(seed))
     assert abs(dist.variance() - k.sigma_sq) <= 4 * dist.variance_se()
+
+
+# ---------------------------------------------------------------------------
+# exact moments of S_L
+# ---------------------------------------------------------------------------
+
+
+def quadrature_moments(kernel, cells):
+    """Oracle: (E S_L^2, E S_L^4) on normal axes, a 6-node Gauss rule per distinct coordinate.
+
+    The rule is exact to degree 11, so factors up to degree 2.
+    """
+    cells = [tuple(c) for c in cells]
+    variables = sorted({(s, c[s]) for c in cells for s in range(kernel.d)})
+    slot = {v: i for i, v in enumerate(variables)}
+    x, w = np.polynomial.hermite_e.hermegauss(6)
+    rules = [(x, w / math.sqrt(2.0 * math.pi))] * len(variables)
+    points, weight = [], 1.0
+    for i, (x, w) in enumerate(rules):
+        shape = [1] * len(rules)
+        shape[i] = -1
+        points.append(x.reshape(shape))
+        weight = weight * w.reshape(shape)
+    total = 0.0
+    for cell in cells:
+        for kvec, lam in kernel.lam.items():
+            term = lam
+            for s in range(kernel.d):
+                term = term * kernel.factors[s].evaluate(kvec[s], points[slot[(s, cell[s])]])
+            total = total + term
+    S = total / math.sqrt(len(cells))
+    return float(np.sum(weight * S ** 2)), float(np.sum(weight * S ** 4))
+
+
+SUM_MOMENT_CASES = [
+    (2, {(1, 2): 0.7, (2, 1): -0.4, (2, 2): 0.3}, [(1, 1), (1, 2), (2, 1)]),
+    (3, {(1, 1, 1): 0.6, (2, 1, 1): 0.5, (1, 1, 2): -0.4},
+     [(1, 1, 1), (1, 2, 1), (2, 1, 2), (2, 2, 1), (2, 2, 2)]),
+    (2, {(1, 1): 0.75, (2, 1): 0.2},
+     [(i, j) for i in range(1, 4) for j in range(1, 4) if (i, j) != (3, 3)]),
+    (1, {(1,): 0.5, (2,): 0.9}, [(1,), (2,), (4,)]),
+]
+
+
+@pytest.mark.parametrize("d, lam, cells", SUM_MOMENT_CASES)
+def test_sum_moments_match_a_tensor_quadrature(d, lam, cells):
+    # every coordinate its own variable: the oracle expands nothing and counts no tuple
+    kernel = hermite_kernel(lam, d)
+    dists = [AxisDistribution("standard_normal")] * d
+    var, fourth = mc._sum_moments(kernel, explicit_set(cells), dists)
+    want_var, want_fourth = quadrature_moments(kernel, cells)
+    assert var == pytest.approx(want_var, rel=1e-10)
+    assert fourth == pytest.approx(want_fourth, rel=1e-10)
+
+
+def test_sum_moments_apply_only_on_normal_axes():
+    # other laws keep the plug-in standard error, even under their own base law
+    k = hermite_kernel({(1, 1): 1.0, (2, 1): 0.5})
+    sign = [AxisDistribution("rademacher")] * 2
+    assert mc._sum_moments(k, make_rect([3, 3]), sign) is None
+    charlier = DegenerateKernel(2, {(1, 1): 1.0}, [FactorFamily("poisson_charlier")] * 2,
+                                orthonormal=True)
+    poisson = [AxisDistribution("compensated_poisson")] * 2
+    assert mc._sum_moments(charlier, make_rect([3, 3]), poisson) is None
+    for kernel, dists in ((k, sign), (charlier, poisson)):
+        dist = simulate_S_L(kernel, make_rect([3, 3]), dists, 500, RngSpec(5))
+        x = dist.values - dist.values.mean()
+        plug_in = math.sqrt((np.mean(x ** 4) - np.mean(x ** 2) ** 2) / dist.n)
+        assert dist.law_moments() is None
+        assert dist.variance_se() == pytest.approx(plug_in, rel=1e-12)
+
+
+def test_many_box_set_skips_the_moment_grid():
+    # 1000 diagonal cells cut each axis into 1000 segments: the grid would hold 1e9
+    # floats, so the rule declines before building it and the plug-in error is used
+    L = explicit_set([(i, i, i) for i in range(1, 1001)])
+    kernel = hermite_kernel({(1, 1, 1): 1.0}, 3)
+    dists = [AxisDistribution("standard_normal")] * 3
+    mc._sum_moments(kernel, make_rect([1, 1, 1]), dists)    # loads the rule's module
+    tracemalloc.start()
+    try:
+        assert mc._sum_moments(kernel, L, dists) is None
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+    dist = simulate_S_L(kernel, L, dists, 64, RngSpec(3))
+    x = dist.values - dist.values.mean()
+    plug_in = math.sqrt((np.mean(x ** 4) - np.mean(x ** 2) ** 2) / dist.n)
+    assert dist.variance_se() == pytest.approx(plug_in, rel=1e-12)
+
+
+def test_simulated_variance_se_is_exact():
+    # one cell of h_1(x) h_1(y): Var = 1 and E (xy)^4 = 9
+    dist = simulate_S_L(hermite_kernel({(1, 1): 1.0}), make_rect([1, 1]), GAUSS, 400,
+                        RngSpec(8))
+    assert dist.law_moments() == pytest.approx((1.0, 9.0), rel=1e-12)
+    n = dist.n
+    assert dist.variance_se() == pytest.approx(math.sqrt(9.0 / n - (n - 3) / (n * (n - 1))),
+                                               rel=1e-12)
+    # on growing boxes it nears the chaos limit's 0.6 b1 c1 + 0.8 b2 c2, iid normals
+    k = hermite_kernel({(1, 1): 0.6, (2, 2): 0.8})
+    limit = 9 * (0.6 ** 4 + 0.8 ** 4) + 6 * 0.6 ** 2 * 0.8 ** 2
+    gaps = [abs(mc._sum_moments(k, make_rect([n, n]), GAUSS)[1] - limit) for n in (50, 400)]
+    assert gaps[1] < gaps[0] / 4 and gaps[1] < 0.02 * limit
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +555,10 @@ def test_centered_exponential_mean_zero():
 
 
 # sha256 of sample_block(RngSpec(2024), axis 1, replications 5..44, 7 columns), per
-# law, as the allocating transform wrote them before sampling ran in place
+# law: the normal law from its ziggurat pages, every other one as the allocating
+# transform wrote it before sampling ran in place
 SAMPLE_BLOCK_SHA256 = {
-    "standard_normal": "a26e27e07ff8dfe836fb7b5857e0302fcb57a61e8a2c87ececa59ab4829cbdbc",
+    "standard_normal": "59841315bb61048f1e96070b2958f5893f6748ec1aad96dc5ae3db1790c90764",
     "rademacher": "92827537d0ae08a0f6d0973eecad7bc0137355c40c6ca6a191880a71adbebb1f",
     "centered_exponential": "c32213dfa947d81fc6ed2f5be94202d37545d3fbf4d4dc39183787ec37484b2f",
     "compensated_poisson": "6e41f7c30e96eeb709389648c456c3152855d0f5a91a2c63faba6562dc6daa63",
@@ -419,10 +577,15 @@ def test_sample_block_bytes_pinned(law):
     for x in (fresh, reused):
         assert x.shape == (40, 7)
         assert hashlib.sha256(x.tobytes()).hexdigest() == SAMPLE_BLOCK_SHA256[law.kind]
-    # without out, transform leaves its uniforms alone
     u = rng.uniform_block(1, 1, 5, 40, 7 * law.uniforms_per_coord)
     kept = u.copy()
-    assert np.array_equal(law.transform(u), fresh)
+    if law.kind == "standard_normal":
+        # no inverse CDF is kept beside the ziggurat
+        with pytest.raises(ValueError, match="ziggurat"):
+            law.transform(u)
+    else:
+        # without out, transform leaves its uniforms alone
+        assert np.array_equal(law.transform(u), fresh)
     assert np.array_equal(u, kept)
     with pytest.raises(ValueError, match="columns"):
         law.sample_block(rng, 1, 5, 40, 7, out=np.empty((45, 7 * law.uniforms_per_coord)))
