@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .index_sets import IndexSet
+from .index_sets import IndexSet, _sorted_unique
 from .kernels import _GAUSS_NODE_COUNT
 from .mc import _terms
 
@@ -101,7 +101,7 @@ def sum_moments(kernel, L: IndexSet, dists):
             or any(family.kind != "hermite" for family in kernel.factors)
             or any(law.kind != "standard_normal" for law in dists)):
         return None
-    edges = [np.unique(np.concatenate([L.lo[:, s], L.hi[:, s] + 1])) for s in range(L.d)]
+    edges = [_sorted_unique(np.concatenate([L.lo[:, s], L.hi[:, s] + 1])) for s in range(L.d)]
     if math.prod(len(e) - 1 for e in edges) > _MOMENT_GRID:
         return None
     tensors = _pattern_tensors(kernel.factors, kvecs)

@@ -147,6 +147,20 @@ def _int_array(values, what: str, ndim: int) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def _sorted_unique(values) -> np.ndarray:
+    """The distinct values of ``values``, flattened and ascending, as ``np.unique`` gives them.
+
+    NumPy 2.4's ``np.unique`` imports ``numpy.ma`` on its first call (about
+    11 ms and 1.3 MB); a sort and a mask of the steps do the same work.
+    Unlike ``np.unique``, each NaN is kept.
+    """
+    out = np.sort(values, axis=None)
+    step = np.empty(out.size, dtype=bool)
+    step[:1] = True
+    np.not_equal(out[1:], out[:-1], out=step[1:])
+    return out[step]
+
+
 def _box_set(kind, lo, hi, params=()) -> IndexSet:
     """Index set of disjoint boxes, their corners the rows of ``lo`` and ``hi`` in corner order."""
     lo, hi = (np.array(c, dtype=np.int64, ndmin=2) for c in (lo, hi))
@@ -298,7 +312,7 @@ def rect_pair(L: IndexSet) -> RectPair:
     axis turns that into the count of boxes over each grid cell.
     """
     lo, end = L.lo, L.hi + 1
-    cuts = [np.unique(np.concatenate([lo[:, s], end[:, s]])) for s in range(L.d)]
+    cuts = [_sorted_unique(np.concatenate([lo[:, s], end[:, s]])) for s in range(L.d)]
     faces = [(np.searchsorted(c, lo[:, s]), np.searchsorted(c, end[:, s]))
              for s, c in enumerate(cuts)]
     count = np.zeros([len(c) for c in cuts], dtype=np.int32)

@@ -13,6 +13,11 @@ orthonormal polynomial families under their canonical base measures:
 * ``tabulated``        -- value tables on a weighted node grid (the output of
   a spectral decomposition).
 
+The analytic families run their three-term recurrences in a block's row
+buffers, scaled by ``1/sqrt(k!)`` (``1/k!`` for Laguerre) from exact integer
+factorials, and the Poisson weights are ``e**-1 / k!`` the same way, so
+every norm and weight is within an ulp and no SciPy function is called.
+
 ``TabulatedKernel`` holds a two-variable kernel sampled on quadrature grids;
 its weighted singular value decomposition yields the best rank-M
 approximation in the weighted L2 sense, exactly (Eckart-Young).  For p != 2
@@ -28,7 +33,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._special import eval_laguerre, gammaln
 from .index_sets import _int_array
 
 __all__ = [
@@ -69,9 +73,11 @@ def quadrature_rule(base: str):
         x = np.array([-1.0, 1.0])
         w = np.array([0.5, 0.5])
     elif base == "compensated_poisson":
-        k = np.arange(_POISSON_NODE_COUNT)
-        x = k - 1.0
-        w = np.exp(-1.0 - gammaln(k + 1.0))
+        # e**-1 / k!, the double nearest e**-1 divided by k! with one rounding (exact
+        # integer division): within an ulp, where rounding k! to a double first is not
+        num, den = math.exp(-1.0).as_integer_ratio()
+        x = np.arange(_POISSON_NODE_COUNT) - 1.0
+        w = np.array([num / (den * math.factorial(k)) for k in range(_POISSON_NODE_COUNT)])
     elif base == "centered_exponential":
         t, w = np.polynomial.laguerre.laggauss(_GAUSS_NODE_COUNT)
         x = t - 1.0
@@ -130,17 +136,41 @@ def _lp_norm(slabs, p_grid) -> list:
             else float(np.exp((t + math.log(s)) / p)) for t, s, p in zip(top, total, p_grid)]
 
 
-def _recurrence_rows(kmax: int, x: np.ndarray, first, step, norm: np.ndarray, buffers=None):
-    """Rows 1..kmax at points x of ``p_{k+1} = c_k * p_k - k * p_{k-1}`` (``p_0 = 1``).
+@lru_cache(maxsize=None)
+def _inverse_factorials(kmax: int, root: bool) -> np.ndarray:
+    """``1/k!``, or ``1/sqrt(k!)`` when ``root``, for k = 0..kmax: a read-only array.
+
+    Each is within an ulp of the exact value: ``1/k!`` is Python's correctly
+    rounded integer division, and the square root rounds once more.  For the
+    root, a factorial of more than 1000 bits is first divided by a power of 4
+    that ``ldexp`` puts back, so the quotient stays in the normal range.
+    """
+    out = np.empty(kmax + 1)
+    fact = 1
+    for k in range(kmax + 1):
+        fact *= max(k, 1)
+        if root:
+            e = max(0, fact.bit_length() - 1000) // 2
+            out[k] = math.ldexp(math.sqrt(1 / (fact >> 2 * e)), -e)
+        else:
+            out[k] = 1 / fact
+    out.flags.writeable = False
+    return out
+
+
+def _recurrence_rows(kmax: int, x: np.ndarray, first, step, norm: np.ndarray, buffers=None,
+                     back=lambda k: k):
+    """Rows 1..kmax at points x of ``p_{k+1} = c_k * p_k - b_k * p_{k-1}`` (``p_0 = 1``).
 
     ``first(b)`` returns ``p_1``, either an array it leaves alone or ``b``
     itself, which it fills; ``step(k, p, out)`` writes ``c_k * p`` into
-    ``out``.  Row k is yielded as ``norm[k] * p_k``, valid until the next
-    row: ``p_k`` itself where ``norm[k]`` is 1.0 (an exact product), else
-    the last of the three ``buffers`` (arrays of x's shape, made here when
-    absent).  The recurrence runs in place in the other two, never writes x,
-    and its first step subtracts the scalar ``p_0 = 1``.  So the rows of a
-    block make no array of their own when ``buffers`` are given.
+    ``out``; ``back(k)`` is ``b_k``, k by default.  Row k is yielded as
+    ``norm[k] * p_k``, valid until the next row: ``p_k`` itself where
+    ``norm[k]`` is 1.0 (an exact product), else the last of the three
+    ``buffers`` (arrays of x's shape, made here when absent).  The recurrence
+    runs in place in the other two, never writes x, and its first step
+    subtracts the scalar ``b_1 * p_0 = b_1``.  So the rows of a block make no
+    array of their own when ``buffers`` are given.
     """
     a, b, row = buffers if buffers is not None else [np.empty_like(x) for _ in range(3)]
     p1 = first(b)
@@ -151,18 +181,17 @@ def _recurrence_rows(kmax: int, x: np.ndarray, first, step, norm: np.ndarray, bu
             return
         step(k, cur, row)
         if prev is None:
-            nxt = np.subtract(row, 1.0, out=a)
+            nxt = np.subtract(row, back(1), out=a)
         else:
-            scaled = np.multiply(prev, k, out=b if prev is p1 else prev)
+            scaled = np.multiply(prev, back(k), out=b if prev is p1 else prev)
             nxt = np.subtract(row, scaled, out=scaled)
         prev, cur = cur, nxt
 
 
 def _hermite_rows(kmax: int, x: np.ndarray, buffers=None):
     """Normalized probabilists' Hermite polynomials, from the monic recurrence (``c_k = x``)."""
-    norm = np.exp(-0.5 * gammaln(np.arange(kmax + 1) + 1.0))
     return _recurrence_rows(kmax, x, lambda b: x, lambda k, p, out: np.multiply(x, p, out=out),
-                            norm, buffers)
+                            _inverse_factorials(kmax, True), buffers)
 
 
 def _charlier_rows(kmax: int, x: np.ndarray, buffers=None):
@@ -172,7 +201,7 @@ def _charlier_rows(kmax: int, x: np.ndarray, buffers=None):
     remade where it is needed rather than kept, so the rows run in the three
     buffers alone.
     """
-    norm = (-1.0) ** np.arange(kmax + 1) * np.exp(-0.5 * gammaln(np.arange(kmax + 1) + 1.0))
+    norm = (-1.0) ** np.arange(kmax + 1) * _inverse_factorials(kmax, True)
 
     def first(b):
         n = np.add(x, 1.0, out=b)
@@ -193,9 +222,16 @@ def _sign_rows(kmax: int, x: np.ndarray, buffers=None):
 
 
 def _laguerre_rows(kmax: int, x: np.ndarray, buffers=None):
-    """Signed Laguerre polynomials on the compensated value x = t - 1."""
-    t = x + 1.0
-    return ((-1.0) ** k * eval_laguerre(k, t) for k in range(1, kmax + 1))
+    """Signed Laguerre polynomials ``(-1)**k L_k(t)`` on the compensated value x = t - 1.
+
+    ``p_k = (-1)**k k! L_k(t)`` has ``p_1 = x``, ``c_k = x - 2k`` and
+    ``b_k = k**2``, and row k is ``p_k / k!``.  ``p_k`` grows like ``k!``,
+    so rows past k = 170 are not finite.
+    """
+    return _recurrence_rows(kmax, x, lambda b: x,
+                            lambda k, p, out: np.multiply(np.subtract(x, 2.0 * k, out=out), p,
+                                                          out=out),
+                            _inverse_factorials(kmax, False), buffers, back=lambda k: k * k)
 
 
 # analytic factor kind -> (canonical base distribution, its rows 1..kmax)

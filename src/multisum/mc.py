@@ -61,7 +61,6 @@ from functools import partial
 
 import numpy as np
 
-from ._special import gammaln
 from .index_sets import IndexSet
 from .kernels import _lp_norm, kernel_to_json, quadrature_rule
 
@@ -299,12 +298,16 @@ class AxisDistribution:
         return self.reader(rng, axis, ncols, tag)(rep_start, rep_count, out)
 
     def identity_moment(self, p: float) -> float:
-        """``|xi|_p`` of the raw axis variable (the centered identity factor)."""
+        """``|xi|_p`` of the raw axis variable (the centered identity factor).
+
+        Closed forms for the Rademacher and normal laws (the latter by
+        ``math.lgamma``), the Poisson pmf nodes, and ``_quad`` for the rest.
+        """
         if self.kind == "rademacher":
             return 1.0
         if self.kind == "standard_normal":
             return math.sqrt(2.0) * math.exp(
-                (gammaln((p + 1.0) / 2.0) - 0.5 * math.log(math.pi)) / p)
+                (math.lgamma((p + 1.0) / 2.0) - 0.5 * math.log(math.pi)) / p)
         if self.kind == "centered_exponential":
             val = _quad(lambda t: abs(t - 1.0) ** p * math.exp(-t), 0, np.inf)
             return val ** (1.0 / p)
@@ -329,9 +332,10 @@ class AxisDistribution:
 def _quad(f, lo: float, hi: float, **options) -> float:
     """``scipy.integrate.quad(f, lo, hi, **options)``'s value, importing it on first use.
 
-    ``scipy.integrate`` loads ``scipy.optimize``, ``scipy.sparse`` and
-    ``scipy.linalg`` with it, about a third of ``import multisum``, and only
-    these two identity moments need it.
+    This is the only SciPy import in ``multisum``.  ``scipy.integrate`` loads
+    ``scipy.optimize``, ``scipy.sparse`` and ``scipy.linalg`` with it, more
+    than ``import multisum`` itself costs, and only these two identity
+    moments need it.
     """
     from scipy.integrate import quad
     return quad(f, lo, hi, **options)[0]
@@ -415,7 +419,30 @@ class EmpiricalDist:
         return float(math.sqrt(max(m4 - m2 ** 2, 0.0) / self.n))
 
     def quantile(self, q):
-        return np.quantile(self.values, q)
+        """``np.quantile(self.values, q)`` bit for bit at float ``q``, read off the sorted sample.
+
+        NumPy's linear rule: at ``i = (n - 1) q`` with weight ``g = i -
+        floor(i)``, ``a + (b - a) g`` from the neighbours a and b, or ``b -
+        (b - a)(1 - g)`` where ``g >= 1/2``; at or past the last index both
+        neighbours are the last value, and a NaN-topped sample gives NaN
+        everywhere.  ``np.quantile`` would partition a copy and, through
+        ``np.unique``, import ``numpy.ma``.
+        """
+        q = np.asarray(q, dtype=float)
+        if not np.all((q >= 0.0) & (q <= 1.0)):
+            raise ValueError("quantiles must be in the range [0, 1]")
+        v, top = self.values, self.values.size - 1
+        index = top * q.ravel()
+        lo = np.where(index >= top, -1.0, np.floor(index)).astype(np.intp)
+        a, b = v[lo], v[np.where(lo < 0, -1, lo + 1)]
+        gamma = index - lo
+        diff = b - a
+        out = a + diff * gamma
+        upper = gamma >= 0.5
+        out[upper] = b[upper] - diff[upper] * (1.0 - gamma[upper])
+        if np.isnan(v[-1]):
+            out[:] = v[-1]
+        return out.reshape(q.shape)[()]
 
 
 def empirical_moment(dist: EmpiricalDist, p: float):

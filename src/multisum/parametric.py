@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .index_sets import _sorted_unique
 from .kernels import _factors_from_json, _factors_to_json, _json_weight, _multi_indices
 # ks_distance is no longer called here but stays importable from this module:
 # bench/test_bench.py checks that the tracer rebinds it here (ROADMAP item 9)
@@ -179,7 +180,7 @@ def _exact_cover_count(dist: np.ndarray, eps: float) -> int:
     frontier = np.zeros(1, dtype=np.int64)
     for k in range(1, n + 1):
         lowest = np.bitwise_count(frontier ^ (frontier + 1)) - 1
-        frontier = np.unique(frontier[:, None] | containing[lowest])
+        frontier = _sorted_unique(frontier[:, None] | containing[lowest])
         if frontier[-1] == full:
             return k
     return n
@@ -270,8 +271,8 @@ def entropy_integral_exp(profile: EntropyProfile, tau: PsiFunction) -> IntegralR
     if profile.eps.size < 32:
         raise ValueError("profile too coarse: need at least 32 epsilon points")
     h = profile.entropy
-    uniq, inv = np.unique(h, return_inverse=True)
-    w_vals = _w_transform(tau, uniq)[inv]
+    uniq = _sorted_unique(h)
+    w_vals = _w_transform(tau, uniq)[np.searchsorted(uniq, h)]
     g = np.exp(w_vals)
     return _integrate_profile(profile.eps, g)
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import eval_laguerre, gammaln
 
 from multisum import (AxisDistribution, DegenerateKernel, FactorFamily, RngSpec,
                       compute_S_L, explicit_set, make_rect,
@@ -97,6 +96,12 @@ def test_box_contraction_matches_naive(instance):
 # ---------------------------------------------------------------------------
 
 
+def _inverse_factorials(kmax, root):
+    """``1/k!`` (``1/sqrt(k!)`` when ``root``), each from one correctly rounded division."""
+    inv = [1 / math.factorial(k) for k in range(kmax + 1)]
+    return np.sqrt(inv) if root else np.array(inv)
+
+
 def _hermite_table(kmax, x):
     out = np.empty((kmax + 1, x.size))
     out[0] = 1.0
@@ -104,8 +109,7 @@ def _hermite_table(kmax, x):
         out[1] = x
     for k in range(1, kmax):
         out[k + 1] = x * out[k] - k * out[k - 1]
-    norm = np.exp(-0.5 * gammaln(np.arange(kmax + 1) + 1.0))
-    return out * norm[:, None]
+    return out * _inverse_factorials(kmax, True)[:, None]
 
 
 def _charlier_table(kmax, x):
@@ -117,8 +121,7 @@ def _charlier_table(kmax, x):
     for k in range(1, kmax):
         out[k + 1] = (k + 1.0 - n) * out[k] - k * out[k - 1]
     signs = (-1.0) ** np.arange(kmax + 1)
-    norm = signs * np.exp(-0.5 * gammaln(np.arange(kmax + 1) + 1.0))
-    return out * norm[:, None]
+    return out * (signs * _inverse_factorials(kmax, True))[:, None]
 
 
 def _sign_table(kmax, x):
@@ -128,7 +131,14 @@ def _sign_table(kmax, x):
 
 
 def _laguerre_table(kmax, x):
-    return np.stack([(-1.0) ** k * eval_laguerre(k, x + 1.0) for k in range(kmax + 1)])
+    # (-1)**k k! L_k(x + 1): Q_{k+1} = (x - 2k) Q_k - k**2 Q_{k-1}
+    out = np.empty((kmax + 1, x.size))
+    out[0] = 1.0
+    if kmax >= 1:
+        out[1] = x
+    for k in range(1, kmax):
+        out[k + 1] = (x - 2.0 * k) * out[k] - k * k * out[k - 1]
+    return out * _inverse_factorials(kmax, False)[:, None]
 
 
 TABLES = {"hermite": _hermite_table, "poisson_charlier": _charlier_table,

@@ -44,29 +44,33 @@ def test_parametric_imports_nothing_from_verify():
     assert [names for names in sources if "verify" in names] == []
 
 
-def test_only_the_loader_imports_scipy_special():
-    # scipy.special's package init costs about 0.25 s of a cold start; multisum._special
-    # loads the ufuncs without it, and any other import of the package would bring it back
+def test_only_quad_imports_scipy():
+    # SciPy costs about 5 MB and 15-30 ms of a cold start: only mc._quad may load it, on
+    # first use, for the two identity moments that integrate numerically
     importers = []
     for path in sorted(Path(multisum.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
-        names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-                 for alias in node.names]
+        scopes = [(node.name, node) for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-                names.append(node.module)
-                names += [f"{node.module}.{alias.name}" for alias in node.names]
-        if any(name == "scipy.special" or name.startswith("scipy.special.") for name in names):
-            importers.append(path.name)
-    assert importers == ["_special.py"]
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name == "scipy" or name.startswith("scipy.") for name in names):
+                inner = [name for name, scope in scopes if node in ast.walk(scope)]
+                importers.append((path.name, inner[-1] if inner else None))
+    assert importers == [("mc.py", "_quad")]
 
 
-# what scipy.integrate brings with it, which only the quadrature-backed identity moments
-# need, and what scipy.special's package init brings, which multisum never needs
-HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg",
-               "numpy.f2py", "numpy.testing", "scipy._lib.array_api_compat",
-               "scipy.special._support_alternative_backends")
-SIMULATE_SMOKE = "demos/configs/simulate_smoke.json"
+# a cold CLI process loads no SciPy (mc._quad brings it only for two identity moments) and
+# no numpy.ma (np.unique and np.quantile would import it)
+UNLOADED = ("scipy", "numpy.ma")
+PROBED = {"simulate": "demos/configs/simulate_smoke.json",
+          "verify": "demos/configs/lshape_fixed_fraction.json",
+          "bound": "demos/configs/bound_rank1.json"}
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -81,78 +85,36 @@ def run_fresh(code: str, *args: str) -> dict:
 
 
 IMPORT_PROBE = """
-import json, sys
+import contextlib, io, json, sys
 from pathlib import Path
 import multisum.cli
 
-def heavy():
-    return sorted(m for m in sys.modules if m.startswith(HEAVY))
+def loaded():
+    return sorted(m for m in sys.modules if m in UNLOADED or m.startswith(PACKAGES))
 
-HEAVY = tuple(sys.argv[1].split(","))
-after_import = heavy()
-code = multisum.cli.main(["simulate", "--config", sys.argv[2], "--out", sys.argv[3],
-                          "--workers", "1"])
-files = json.loads((Path(sys.argv[3]) / "manifest.json").read_text())["files"]
-print(json.dumps({"import": after_import, "simulate": heavy(), "exit": code, "files": files}))
+UNLOADED = sys.argv[1].split(",")
+PACKAGES = tuple(name + "." for name in UNLOADED)
+runs = {"import": {"loaded": loaded()}}
+for command, config in zip(sys.argv[3::2], sys.argv[4::2]):
+    out = Path(sys.argv[2]) / command
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = multisum.cli.main([command, "--config", config, "--out", str(out),
+                                  "--workers", "1"])
+    files = json.loads((out / "manifest.json").read_text())["files"]
+    runs[command] = {"loaded": loaded(), "exit": code, "files": files}
+print(json.dumps(runs))
 """
 
 
 def test_cli_and_a_normal_simulate_load_no_heavy_scipy(tmp_path):
-    # in-process golden tests usually run after some test imported scipy.special, so this
-    # is the check that the ufuncs loaded without its init give the pinned bytes
-    golden = json.loads((ROOT / "tests" / "golden_manifests.json").read_text())[SIMULATE_SMOKE]
-    loaded = run_fresh(IMPORT_PROBE, ",".join(HEAVY_SCIPY), str(ROOT / SIMULATE_SMOKE),
-                       str(tmp_path / "out"))
-    assert loaded == {"import": [], "simulate": [], "exit": golden["exit"],
-                      "files": golden["files"]}
-
-
-LOADER_PROBE = """
-import json, sys
-{before}
-from multisum import kernels, mc
-special_at_import = "scipy.special" in sys.modules
-import scipy.special
-real = sys.modules["scipy.special"]
-print(json.dumps({{
-    "special_at_import": special_at_import,
-    "same": [mc.gammaln is real.gammaln, kernels.gammaln is real.gammaln,
-             kernels.eval_laguerre is real.eval_laguerre],
-    "real": [hasattr(real, "__file__"), hasattr(real, "logsumexp")],
-    "moment": mc.AxisDistribution("centered_exponential").identity_moment(2.0),
-    "integrate": "scipy.integrate" in sys.modules,
-    {extra}
-}}))
-"""
-
-REFUSE_UFUNCS_ONCE = """
-class RefuseOnce:
-    refused = 0
-
-    def find_spec(self, name, path=None, target=None):
-        if name == "scipy.special._ufuncs" and not self.refused:
-            self.refused += 1
-            raise ImportError("refused")
-        return None
-
-finder = RefuseOnce()
-sys.meta_path.insert(0, finder)
-"""
-
-
-@pytest.mark.parametrize("before, extra, special_at_import, refused", [
-    ("", "", False, None),
-    ("import scipy.special", "", True, None),
-    (REFUSE_UFUNCS_ONCE, '"refused": finder.refused,', True, 1),
-], ids=["multisum-first", "scipy-special-first", "private-load-refused"])
-def test_special_loader_serves_the_public_ufuncs(before, extra, special_at_import, refused):
-    # the private load leaves no stand-in behind, and a refused one falls back to the public
-    # names; either way multisum calls the very objects scipy.special exports
-    got = run_fresh(LOADER_PROBE.format(before=before, extra=extra))
-    assert got.pop("refused", None) == refused
-    assert got == {"special_at_import": special_at_import, "same": [True] * 3,
-                   "real": [True, True], "moment": pytest.approx(1.0, rel=1e-9),
-                   "integrate": True}
+    # in-process golden tests usually run after some test imported SciPy, so this is also the
+    # check that a process without it writes the pinned bytes
+    golden = json.loads((ROOT / "tests" / "golden_manifests.json").read_text())
+    args = [str(arg) for command, config in PROBED.items() for arg in (command, ROOT / config)]
+    loaded = run_fresh(IMPORT_PROBE, ",".join(UNLOADED), str(tmp_path), *args)
+    assert loaded == {"import": {"loaded": []}, **{
+        command: {"loaded": [], "exit": golden[config]["exit"],
+                  "files": golden[config]["files"]} for command, config in PROBED.items()}}
 
 
 def _bench_tracer(monkeypatch):

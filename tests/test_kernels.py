@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from scipy.integrate import dblquad
 from multisum import (AxisDistribution, DegenerateKernel, FactorFamily, TabulatedKernel,
                       dp_quasinorm, kernel_from_json, kernel_to_json, quadrature_rule,
                       rosenthal_K, tabulated_family, theorem_W_bound)
+from multisum.kernels import _inverse_factorials
 
 
 def gaussian_pair(lam, orthonormal=True):
@@ -51,6 +53,47 @@ def test_hermite_second_member_value():
 def test_factor_index_zero_rejected():
     with pytest.raises(ValueError):
         FactorFamily("hermite").evaluate(0, np.array([1.0]))
+
+
+def ulps(got: float, exact) -> float:
+    """``|got - exact|`` in units of the last place of the double nearest ``exact``."""
+    return float(abs(mpmath.mpf(got) - exact) / math.ulp(float(exact)))
+
+
+def test_poisson_weights_are_within_an_ulp():
+    with mpmath.workprec(200):
+        x, w = quadrature_rule("compensated_poisson")
+        assert np.array_equal(x, np.arange(140) - 1.0)
+        worst = max(ulps(w[k], mpmath.exp(-1) / mpmath.factorial(k)) for k in range(140))
+    assert worst <= 1.0
+
+
+@pytest.mark.parametrize("root", [True, False])
+def test_factorial_norms_are_within_an_ulp(root):
+    # 1/sqrt(k!) for Hermite and Charlier, 1/k! for Laguerre; past 2**1000 the root's
+    # factorial is scaled by a power of 4 (k = 300 is 2**2041)
+    ks = list(range(41)) + ([150, 170, 200, 300] if root else [150, 170])
+    table = _inverse_factorials(max(ks), root)
+    with mpmath.workprec(200):
+        worst = max(ulps(table[k], 1 / (mpmath.sqrt(mpmath.factorial(k)) if root
+                                        else mpmath.factorial(k))) for k in ks)
+    assert worst <= 1.0
+    assert not table.flags.writeable
+
+
+def test_laguerre_rows_match_mpmath():
+    # 64 Gauss-Laguerre nodes and 2000 Exp(1) points, compensated; the error is scaled by
+    # max(|ref|, 1), since rows near a root are not relatively exact
+    t = np.concatenate([np.polynomial.laguerre.laggauss(64)[0],
+                        np.random.default_rng(12).exponential(size=2000)])
+    rows = FactorFamily("exponential_poly").evaluate_block(12, t - 1.0)
+    worst = 0.0
+    with mpmath.workprec(120):
+        for k in range(1, 13):
+            ref = [(-1) ** k * mpmath.laguerre(k, 0, mpmath.mpf(v)) for v in t]
+            worst = max(worst, max(float(abs(row - r) / max(abs(r), 1))
+                                   for row, r in zip(rows[k - 1], ref)))
+    assert worst <= 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import tracemalloc
 
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -523,6 +524,33 @@ def test_empirical_tail_standard_normal():
     assert abs(empirical_tail(d, 2.0) - p_true) <= 3 * se
 
 
+@st.composite
+def quantile_cases(draw):
+    """A sample (from n = 1, tie-heavy or not, maybe NaN-topped) and quantile levels."""
+    finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    value = draw(st.sampled_from([finite, st.sampled_from([-1.5, 0.0, 2.0, 7.25])]))
+    values = draw(st.lists(value, min_size=1, max_size=60))
+    if draw(st.booleans()):
+        values[-1] = math.nan
+    qs = draw(st.lists(st.floats(0.0, 1.0), max_size=12)) + [0.0, 1.0, 0.5]
+    return np.array(values), np.array(draw(st.permutations(qs)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(quantile_cases())
+def test_quantile_is_numpys_bit_for_bit(case):
+    values, qs = case
+    dist = EmpiricalDist(values)
+    with np.errstate(invalid="ignore"):
+        assert dist.quantile(qs).tobytes() == np.quantile(dist.values, qs).tobytes()
+        for q in qs[:3]:
+            got, want = dist.quantile(float(q)), np.quantile(dist.values, float(q))
+            assert type(got) is type(want) and np.asarray(got).tobytes() == \
+                np.asarray(want).tobytes()
+    with pytest.raises(ValueError):
+        dist.quantile([0.5, 1.5])
+
+
 # ---------------------------------------------------------------------------
 # axis distributions
 # ---------------------------------------------------------------------------
@@ -615,6 +643,19 @@ def test_identity_moment_closed_forms_reach_other_families(p):
     # the compensated Poisson identity is the first Charlier polynomial, on the same nodes
     poisson = FactorFamily("hermite").moment(1, p, AxisDistribution("compensated_poisson"))
     assert poisson == FactorFamily("poisson_charlier").moment(1, p)
+
+
+def test_normal_identity_moment_matches_mpmath():
+    # |Z|_p = sqrt(2) (Gamma((p + 1)/2) / sqrt(pi))**(1/p), by math.lgamma
+    law = AxisDistribution("standard_normal")
+    worst = 0.0
+    with mpmath.workprec(120):
+        for p in np.linspace(1.0, 60.0, 237):
+            mp = mpmath.mpf(float(p))
+            exact = mpmath.sqrt(2) * (mpmath.gamma((mp + 1) / 2) / mpmath.sqrt(mpmath.pi)) \
+                ** (1 / mp)
+            worst = max(worst, float(abs(law.identity_moment(float(p)) - exact) / exact))
+    assert worst <= 2e-15
 
 
 def test_unknown_axis_distribution_rejected():
