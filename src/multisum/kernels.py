@@ -47,14 +47,84 @@ __all__ = [
 
 _POISSON_NODE_COUNT = 140  # pmf underflows past ~170!; 140 is exact to double precision
 _GAUSS_NODE_COUNT = 64     # Gauss-Hermite and Gauss-Laguerre nodes per axis
-_SLAB_FLOATS = 1 << 17     # values per quadrature slab: 1 MiB, cache-sized
+_SLAB_FLOATS = 1 << 16     # values per quadrature block: 512 KiB, cache-sized
 _NODE_LIMIT = 1 << 31      # largest tensor grid a moment walks
-_EXP_FLOOR = -708.0        # exp below this is subnormal or 0
+_RUNS = 32                 # most blocks a walk cuts each side of the grid into
+# A walk drops every term below e**_EXP_FLOOR times its largest one: at most _NODE_LIMIT
+# such terms add less than 2**31 * e**-64 < 2**-61 of the sum, far below the walk's rounding.
+_EXP_FLOOR = -64.0
+# A block's bound counts a value's log as at least this: a product below 2**-1021 may round
+# up by a subnormal ulp.
+_LOG_TINY = -1021 * math.log(2.0)
 
 
 # ---------------------------------------------------------------------------
 # quadrature rules per canonical base distribution
 # ---------------------------------------------------------------------------
+
+
+def _normed_hermite(x, n: int):
+    """The orthonormal probabilists' Hermite function of degree n >= 1 at x, as NumPy makes it."""
+    c0 = 0.
+    c1 = 1. / np.sqrt(np.sqrt(2 * np.pi))
+    nd = float(n)
+    for _ in range(n - 1):
+        tmp = c0
+        c0 = -c1 * np.sqrt((nd - 1.) / nd)
+        c1 = tmp + c1 * x * np.sqrt(1. / nd)
+        nd = nd - 1.0
+    return c0 + c1 * x
+
+
+def _hermite_gauss(n: int):
+    """``numpy.polynomial.hermite_e.hermegauss(n)``, n >= 2, by its own steps: bit for bit.
+
+    The nodes are the eigenvalues of the symmetric companion matrix, with one
+    Newton step; the weights come from the degree n - 1 function there.  Only
+    ``numpy.linalg`` is used, which ``import numpy`` loads anyway, where
+    ``numpy.polynomial`` would import 9 modules.
+    """
+    x = np.linalg.eigvalsh(np.diag(np.sqrt(np.arange(1, n)), -1))
+    x -= _normed_hermite(x, n) / (_normed_hermite(x, n - 1) * np.sqrt(n))
+    fm = _normed_hermite(x, n - 1)
+    fm /= np.abs(fm).max()
+    w = 1 / (fm * fm)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= np.sqrt(2 * np.pi) / w.sum()
+    return x, w
+
+
+def _laguerre_series(x, c):
+    """``numpy.polynomial.laguerre.lagval(x, c)`` for 3 or more coefficients, step for step."""
+    nd = len(c)
+    c0, c1 = c[-2], c[-1]
+    for i in range(3, len(c) + 1):
+        tmp = c0
+        nd = nd - 1
+        c0 = c[-i] - (c1 * (nd - 1)) / nd
+        c1 = tmp + (c1 * ((2 * nd - 1) - x)) / nd
+    return c0 + c1 * (1 - x)
+
+
+def _laguerre_gauss(n: int):
+    """``numpy.polynomial.laguerre.laggauss(n)``, n >= 2, by its own steps: bit for bit.
+
+    As ``_hermite_gauss``: companion-matrix eigenvalues and one Newton step,
+    with ``L_n' = -(L_0 + ... + L_{n-1})``, whose series is all -1.
+    """
+    k = np.arange(n)
+    x = np.linalg.eigvalsh(np.diag(2. * k + 1.) - np.diag(k[1:], -1))
+    unit = np.zeros(n + 1)
+    unit[-1] = 1.0
+    df = _laguerre_series(x, np.full(n, -1.0))
+    x -= _laguerre_series(x, unit) / df
+    fm = _laguerre_series(x, unit[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w /= w.sum()
+    return x, w
 
 
 @lru_cache(maxsize=None)
@@ -67,7 +137,7 @@ def quadrature_rule(base: str):
     the factor families consume.
     """
     if base == "standard_normal":
-        x, w = np.polynomial.hermite_e.hermegauss(_GAUSS_NODE_COUNT)
+        x, w = _hermite_gauss(_GAUSS_NODE_COUNT)
         w = w / math.sqrt(2.0 * math.pi)
     elif base == "rademacher":
         x = np.array([-1.0, 1.0])
@@ -79,7 +149,7 @@ def quadrature_rule(base: str):
         x = np.arange(_POISSON_NODE_COUNT) - 1.0
         w = np.array([num / (den * math.factorial(k)) for k in range(_POISSON_NODE_COUNT)])
     elif base == "centered_exponential":
-        t, w = np.polynomial.laguerre.laggauss(_GAUSS_NODE_COUNT)
+        t, w = _laguerre_gauss(_GAUSS_NODE_COUNT)
         x = t - 1.0
     else:
         raise ValueError(f"no quadrature rule for base distribution '{base}'")
@@ -91,30 +161,40 @@ def quadrature_rule(base: str):
 def _lp_norm(slabs, p_grid) -> list:
     """``(sum w |v|**p)**(1/p)`` at each p of ``p_grid``, by running log-sum-exps over one walk.
 
-    Each slab is ``(vals, log_weights)``: a block of grid values, overwritten
-    here, and arrays that broadcast against it and add up to the block's
-    ``log w``.  ``log|v|`` is taken once per slab; then, for each p in turn,
-    ``p log|v| + log w`` is formed in one reused slab-sized buffer (in
-    ``vals`` itself for the last p) and added to that p's sum, with the float
-    operations a walk at that p alone would make, so each norm is the one-p
-    norm bit for bit.  Neither ``|v|**p`` nor ``w`` is formed, so large
-    values at high p cannot overflow and tiny weights cannot underflow to 0.
-    ``exp`` runs only where ``p log|v| + log w`` is within ``-_EXP_FLOOR`` of
-    the largest so far: below that a term is subnormal or 0 and cannot move a
-    sum whose largest term is 1.  A NaN or infinite value makes a p's norm
-    NaN, and the walk stops once every p is NaN; an all-zero grid gives 0.
+    Each slab is ``(vals, log_weights, tops)``: a block of grid values,
+    overwritten here, or a function that makes it; arrays that broadcast
+    against it and add up to the block's ``log w``; and None or, per p, an
+    upper bound on the block's ``p log|v| + log w``, which is +inf or NaN
+    where a value is not finite.  A p skips a block whose bound lies more
+    than ``-_EXP_FLOOR`` below its top (the largest term it has seen), and
+    the block is made only when some p keeps it.  Then ``log|v|`` is taken
+    once; for each p that keeps it, ``p log|v| + log w`` is formed in one
+    reused block-sized buffer (in ``vals`` itself for the last p) and added
+    to that p's sum.  Every term of a skipped block would fall below the
+    floor, so a skip changes no bit, and each p makes the float operations
+    of a walk at that p alone: each norm is the one-p norm, and the norm of
+    a walk that skips nothing, bit for bit.  Neither ``|v|**p`` nor ``w`` is
+    formed, so large values at high p cannot overflow and tiny weights
+    cannot underflow to 0.  ``exp`` runs only on terms above the top plus
+    ``_EXP_FLOOR``.  A NaN or infinite value makes a p's norm NaN, and the
+    walk stops once every p is NaN; an all-zero grid gives 0.
     """
     top = [-math.inf] * len(p_grid)
     total = [0.0] * len(p_grid)
     live = list(range(len(p_grid)))
     buf = np.empty(0)
-    for vals, log_weights in slabs:
+    for vals, log_weights, tops in slabs:
+        keep = live if tops is None else [i for i in live if not tops[i] < top[i] + _EXP_FLOOR]
+        if not keep:
+            continue
+        if callable(vals):
+            vals = vals()
         with np.errstate(divide="ignore"):
             np.log(np.abs(vals, out=vals), out=vals)
-        if buf.size < vals.size and len(live) > 1:
+        if buf.size < vals.size and len(keep) > 1:
             buf = np.empty(vals.size)
-        for i in live:
-            out = vals if i == live[-1] else buf[:vals.size].reshape(vals.shape)
+        for i in keep:
+            out = vals if i == keep[-1] else buf[:vals.size].reshape(vals.shape)
             np.multiply(vals, p_grid[i], out=out)
             for log_w in log_weights:
                 out += log_w
@@ -134,6 +214,61 @@ def _lp_norm(slabs, p_grid) -> list:
             break
     return [math.nan if math.isnan(t) else 0.0 if t == -math.inf
             else float(np.exp((t + math.log(s)) / p)) for t, s, p in zip(top, total, p_grid)]
+
+
+def _blocks(left, right, log_left, log_right, p_grid):
+    """``_lp_norm``'s slabs for the grid ``left @ right``: 2-D blocks, each with its bounds.
+
+    ``left`` is (leading nodes, T terms), ``right`` (T, trailing nodes), and
+    ``log_left`` and ``log_right`` are their nodes' log weights.  A block
+    takes r leading rows and c trailing columns, about ``_SLAB_FLOATS``
+    values in the grid's aspect ratio, and the blocks run row-major.  Its
+    values are one ``matmul`` into a reused buffer, made only when
+    ``_lp_norm`` keeps the block.  As ``|v_ij| <= T max_t |L_it R_tj|``, its
+    bound at p is ``p log T + max_t [max_i (p log|L_it| + log w_i) +
+    max_j (p log|R_tj| + log w_j)]`` over its rows i and columns j, at
+    least ``p _LOG_TINY`` plus its largest ``log w``, plus ``2**-40`` times
+    the magnitudes in play (T included, for the ``matmul``), far above the
+    rounding of a term or of the bound.  Blocks get bounds only when every
+    p is positive and every value is certified finite (``T max|L| max|R|``
+    below ``2**1022``), so a NaN or infinite value is never skipped.  The
+    per-p state is one bound per term and column run.
+    """
+    (n_lead, count), n_trail = left.shape, right.shape[1]
+    rows = min(n_lead, max(1, math.isqrt(_SLAB_FLOATS * n_lead // n_trail), -(-n_lead // _RUNS)))
+    cols = min(n_trail, max(1, _SLAB_FLOATS // rows, -(-n_trail // _RUNS)))
+    starts = range(0, n_trail, cols)
+    buf = np.empty(rows * cols)
+    runs = None
+    finite = count * np.abs(left).max() * np.abs(right).max() < 2.0 ** 1022
+    if finite and all(p > 0 for p in p_grid):
+        with np.errstate(divide="ignore"):
+            log_lead = np.log(np.abs(left))
+        runs = [[] for _ in p_grid]     # per p and column run: max_j p log|R_tj| + log w_j
+        for c0 in starts:
+            with np.errstate(divide="ignore"):
+                log_run = np.log(np.abs(right[:, c0:c0 + cols]))
+            for run, p in zip(runs, p_grid):
+                run.append((log_run * p + log_right[c0:c0 + cols]).max(axis=1))
+        runs = [np.stack(run, axis=1) for run in runs]
+        run_weights = np.maximum.reduceat(log_right, starts)
+        # every finite nonzero double has |log|x|| < 745
+        scale = 1.0 + np.abs(log_left).max() + np.abs(log_right).max()
+        lifts = [p * math.log(count) + 2.0 ** -40 * (scale + p * (2 * count + 1490.0))
+                 for p in p_grid]
+    for r0 in range(0, n_lead, rows):
+        lead, log_w = left[r0:r0 + rows], log_left[r0:r0 + rows, None]
+        tops = [None] * len(starts)
+        if runs is not None:
+            heads = [(p * log_lead[r0:r0 + rows] + log_w).max(axis=0)[:, None] for p in p_grid]
+            floors = run_weights + log_w.max()
+            tops = np.array([np.maximum((head + run).max(axis=0), p * _LOG_TINY + floors) + lift
+                             for p, head, run, lift in zip(p_grid, heads, runs, lifts)]).T.tolist()
+        for c0, block_tops in zip(starts, tops):
+            trail = right[:, c0:c0 + cols]
+            out = buf[:lead.shape[0] * trail.shape[1]].reshape(lead.shape[0], trail.shape[1])
+            yield (lambda a=lead, b=trail, out=out: np.matmul(a, b, out=out),
+                   [log_w, log_right[c0:c0 + cols]], block_tops)
 
 
 @lru_cache(maxsize=None)
@@ -316,7 +451,7 @@ class FactorFamily:
         """
         if law is None or law.kind == self.canonical_base:
             x, w = self.rule
-            return _lp_norm([(self.evaluate(k, x), [np.log(w)])], [p])[0]
+            return _lp_norm([(self.evaluate(k, x), [np.log(w)], None)], [p])[0]
         if k == 1 and self.canonical_base is not None:
             return law.identity_moment(p)
         raise ValueError(
@@ -417,16 +552,21 @@ class DegenerateKernel:
         node counts smallest, and the grid is the product of a left factor
         (leading nodes x terms: the leading axes' factor rows scaled by
         lambda) and a right factor (terms x trailing nodes: the outer
-        products of the trailing rows).  The leading nodes are walked in
-        slabs of at most ``_SLAB_FLOATS`` values (one row at least): one
-        ``matmul`` into a reused buffer, then one step of ``_lp_norm``, which
-        takes ``log|v|`` once and serves every p, so each value is the one-p
-        call's bit for bit.  Working memory is the two factors,
-        ``T * (n_lead + n_trail)`` floats for T terms, plus about two slabs
-        (three for more than one p): 64 nodes on each of 4 axes peak near
-        2.4 MiB, where the whole grid would take 128 MiB.  A grid of more
-        than ``_NODE_LIMIT`` (2**31) nodes is a ValueError, raised before any
-        work.
+        products of the trailing rows).  Each side's nodes are walked
+        heaviest first (by their product of rule weights), so the largest
+        terms come early, in 2-D blocks of about ``_SLAB_FLOATS`` values
+        (``_blocks``), each with an upper bound on its terms at every p.
+        ``_lp_norm`` skips a block at a p where that bound lies more than
+        ``-_EXP_FLOOR`` below the p's largest term so far, and makes it (one
+        ``matmul`` into a reused buffer, one ``log|v|`` for every p) only
+        when some p keeps it, so each value is the one-p call's, and the
+        skip-nothing walk's, bit for bit.  On the d = 3 Poisson-Charlier bound kernel at p = 2, 4, 8
+        it makes a sixth of the grid.  Working memory is the two factors,
+        ``T * (n_lead + n_trail)`` floats for T terms, the left one's logs,
+        and about two blocks (three for more than one p): 64 nodes on each
+        of 4 axes peak near 1.5 MiB, where the whole grid would take
+        128 MiB.  A grid of more than ``_NODE_LIMIT`` (2**31) nodes is a
+        ValueError, raised before any work.
         """
         terms = self.lam if terms is None else terms
         if not terms:
@@ -450,16 +590,11 @@ class DegenerateKernel:
             else:
                 right = (right[:, :, None] * rows[:, None, :]).reshape(count, -1)
                 log_right = (log_right[:, None] + np.log(w)).ravel()
-        step = max(1, _SLAB_FLOATS // right.shape[1])
-        buf = np.empty((min(step, left.shape[0]), right.shape[1]))
-
-        def slabs():
-            for start in range(0, left.shape[0], step):
-                out = buf[:min(step, left.shape[0] - start)]
-                np.matmul(left[start:start + step], right, out=out)
-                yield out, [log_left[start:start + step, None], log_right]
-
-        return _lp_norm(slabs(), p_grid)
+        lead = np.argsort(-log_left, kind="stable")     # heaviest first
+        trail = np.argsort(-log_right, kind="stable")
+        left, log_left = left[lead], log_left[lead]
+        right, log_right = right[:, trail], log_right[trail]
+        return _lp_norm(_blocks(left, right, log_left, log_right, p_grid), p_grid)
 
     def _term_rows(self, keys):
         """Per axis, ``(rows, weights)``: row t holds the factor of ``keys[t]`` at the axis' rule nodes."""
@@ -569,7 +704,7 @@ class TabulatedKernel:
         return cls(x, wx, y, wy, vals)
 
     def moment(self, p: float) -> float:
-        return _lp_norm([(self.values.copy(), self._log_weights)], [p])[0]
+        return _lp_norm([(self.values.copy(), self._log_weights, None)], [p])[0]
 
     def spectral(self):
         """Weighted singular value decomposition ``(singular_values, left, right)``.
@@ -624,7 +759,7 @@ class TabulatedKernel:
         others = [p for p in p_grid if p != 2.0]
         if others:
             recon = (left[:M].T * s[:M]) @ right[:M]
-            norms = iter(_lp_norm([(self.values - recon, self._log_weights)], others))
+            norms = iter(_lp_norm([(self.values - recon, self._log_weights, None)], others))
         return [math.sqrt(np.sum(s[M:] ** 2)) if p == 2.0 else next(norms) for p in p_grid]
 
     @property

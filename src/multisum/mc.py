@@ -100,6 +100,9 @@ _BLOCK_BUDGET = 1 << 22
 # A normal stream's page holds the fewest whole replications of at least this many values,
 # so building its generator (about 20 us) is small beside drawing it (about 12 ns a value).
 _PAGE_VALUES = 1 << 16
+# A read that starts inside a page draws the rows before it into its own buffer, or into a
+# scratch of this many floats where the buffer is smaller, so a small read makes few calls.
+_SKIP_FLOATS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -165,7 +168,8 @@ class _NormalPages:
     ``SeedSequence(seed, spawn_key=(tag, axis, j))``.  A draw fills values in
     order, so a page's leading rows are the same whatever count is asked for,
     and a read that starts inside a page draws and drops the page's rows
-    before it.  The reader keeps its page's generator live, so reads of
+    before it, in chunks through its own buffer, so it holds no page-sized
+    array.  The reader keeps its page's generator live, so reads of
     consecutive ranges draw each value once.
     """
 
@@ -194,8 +198,12 @@ class _NormalPages:
                 seeds = np.random.SeedSequence(seed, spawn_key=(tag, axis, page))
                 self.gen = np.random.Generator(np.random.SFC64(seeds))
                 self.page, self.at = page, page * self.reps
-            if rep > self.at:
-                self.gen.standard_normal((rep - self.at) * self.ncols)
+            if rep > self.at:   # drop the page's rows before rep, drawn in chunks
+                skip, room = (rep - self.at) * self.ncols, flat[done:]
+                if room.size < min(skip, _SKIP_FLOATS):
+                    room = np.empty(min(skip, _SKIP_FLOATS))
+                for at in range(0, skip, room.size):
+                    self.gen.standard_normal(out=room[:min(room.size, skip - at)])
             stop = min(end, (page + 1) * self.reps)
             self.gen.standard_normal(out=flat[done:done + (stop - rep) * self.ncols])
             done += (stop - rep) * self.ncols
@@ -313,7 +321,7 @@ class AxisDistribution:
             return val ** (1.0 / p)
         if self.kind == "compensated_poisson":
             x, pmf = quadrature_rule("compensated_poisson")
-            return _lp_norm([(x.copy(), [np.log(pmf)])], [p])[0]
+            return _lp_norm([(x.copy(), [np.log(pmf)], None)], [p])[0]
         # log_weibull: p * int y^(p-1) P(|xi|>y) dy, integrated in u = ln(1+y)
         b = self.beta
         def integrand(u):

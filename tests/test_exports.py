@@ -65,9 +65,10 @@ def test_only_quad_imports_scipy():
     assert importers == [("mc.py", "_quad")]
 
 
-# a cold CLI process loads no SciPy (mc._quad brings it only for two identity moments) and
-# no numpy.ma (np.unique and np.quantile would import it)
-UNLOADED = ("scipy", "numpy.ma")
+# a cold CLI process loads no SciPy (mc._quad brings it only for two identity moments), no
+# numpy.ma (np.unique and np.quantile would import it) and no numpy.polynomial (the Gauss
+# rules are built on numpy.linalg)
+UNLOADED = ("scipy", "numpy.ma", "numpy.polynomial")
 PROBED = {"simulate": "demos/configs/simulate_smoke.json",
           "verify": "demos/configs/lshape_fixed_fraction.json",
           "bound": "demos/configs/bound_rank1.json"}

@@ -12,6 +12,7 @@ from scipy.integrate import dblquad
 from multisum import (AxisDistribution, DegenerateKernel, FactorFamily, TabulatedKernel,
                       dp_quasinorm, kernel_from_json, kernel_to_json, quadrature_rule,
                       rosenthal_K, tabulated_family, theorem_W_bound)
+from multisum import kernels
 from multisum.kernels import _inverse_factorials
 
 
@@ -79,6 +80,22 @@ def test_factorial_norms_are_within_an_ulp(root):
                                         else mpmath.factorial(k))) for k in ks)
     assert worst <= 1.0
     assert not table.flags.writeable
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 64, 100])
+def test_gauss_rules_match_numpy_polynomial_bit_for_bit(n):
+    # built on numpy.linalg alone, by numpy.polynomial's own steps, so no node or weight moves
+    from numpy.polynomial.hermite_e import hermegauss
+    from numpy.polynomial.laguerre import laggauss
+    for ours, theirs in [(kernels._hermite_gauss, hermegauss),
+                         (kernels._laguerre_gauss, laggauss)]:
+        got, want = ours(n), theirs(n)
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
+    x, w = hermegauss(64)
+    assert all(map(np.array_equal, quadrature_rule("standard_normal"),
+                   (x, w / math.sqrt(2.0 * math.pi))))
+    t, w = laggauss(64)
+    assert all(map(np.array_equal, quadrature_rule("centered_exponential"), (t - 1.0, w)))
 
 
 def test_laguerre_rows_match_mpmath():

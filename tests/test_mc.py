@@ -217,6 +217,27 @@ def test_normal_range_reads_equal_rows_of_a_read_from_zero(ncols):
     assert not np.array_equal(normal.sample_block(rng, 0, 0, 1, ncols, mc.TAG_BETA), whole[:1])
 
 
+@pytest.mark.parametrize("ncols, count", [(256, 64), (4, 8)], ids=["wide-buffer", "small-buffer"])
+def test_normal_read_inside_a_page_allocates_no_page_prefix(ncols, count):
+    # half a page (2**15 floats, 256 KiB) lies before the read; it is drawn through the read's
+    # own buffer, or through a scratch of _SKIP_FLOATS where the buffer is smaller
+    normal = AxisDistribution("standard_normal")
+    rng = RngSpec(9)
+    start = mc._NormalPages(9, mc.TAG_AXIS, 0, ncols).reps // 2
+    want = normal.sample_block(rng, 0, 0, start + count, ncols)[start:]
+    read = normal.reader(rng, 0, ncols)
+    buffer = np.empty((count, mc._stride(ncols)))
+    tracemalloc.start()
+    try:
+        got = read(start, count, buffer)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    scratch = 0 if buffer.size >= mc._SKIP_FLOATS else mc._SKIP_FLOATS * 8
+    assert peak < scratch + 2 ** 13
+
+
 def test_paged_normals_pass_a_ks_gate():
     # 1.05 M normals over 17 pages of 9 363 replications, from a start inside a page
     normal = AxisDistribution("standard_normal")

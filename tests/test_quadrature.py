@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multisum import DegenerateKernel, FactorFamily, tabulated_family
@@ -118,8 +118,10 @@ def instances(draw):
 
 
 def one_p_lp_norm(slabs, p):
+    """The one-p walk over every slab: it makes each block and reads no bound."""
     top, total = -math.inf, 0.0
-    for vals, log_weights in slabs:
+    for vals, log_weights, _ in slabs:
+        vals = vals() if callable(vals) else vals
         with np.errstate(divide="ignore"):
             np.log(np.abs(vals, out=vals), out=vals)
         vals *= p
@@ -143,9 +145,27 @@ def _same(a, b):
     return a == b or (math.isnan(a) and math.isnan(b))
 
 
+def block_tops(vals, log_weights, p_grid):
+    """Per p, the largest ``p log|v| + log w`` of a block, by the walk's own float operations."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.log(np.abs(vals))
+        tops = []
+        for p in p_grid:
+            terms = logs * p
+            for log_w in log_weights:
+                terms = terms + log_w
+            tops.append(float(terms.max()))
+    return tops
+
+
 @st.composite
 def slab_streams(draw):
-    """1-4 slabs of one width, each on its own scale: some all zero, one maybe non-finite."""
+    """1-4 slabs of one width, each on its own scale: some all zero, one maybe non-finite.
+
+    A slab is made eagerly or by a function, and carries no bounds or, per p,
+    its largest term plus a slack of 0 or more, so the walk skips the slabs
+    that the running top rules out.
+    """
     cols = draw(st.integers(1, 12))
     log_right = np.array(draw(st.lists(st.floats(-40.0, 0.0), min_size=cols, max_size=cols)))
     slabs = []
@@ -167,11 +187,19 @@ def slab_streams(draw):
     p_grid = draw(st.lists(st.floats(1.0, 16.0) | st.sampled_from([2.0, 8.0]),
                            min_size=1, max_size=5))
     p_grid += draw(st.lists(st.sampled_from(p_grid), max_size=2))    # repeated p
+    slack = st.sampled_from([0.0, 1e-9, 1.0, 100.0])
+    slabs = [(vals, log_weights, draw(st.booleans()),
+              draw(st.sampled_from([None, [t + draw(slack) for t in
+                                           block_tops(vals, log_weights, p_grid)]])))
+             for vals, log_weights in slabs]
     return slabs, p_grid
 
 
-def _fresh(slabs):
-    return [(vals.copy(), log_weights) for vals, log_weights in slabs]
+def _fresh(slabs, index=None):
+    """Copies of the slabs, with the bounds of the one p at ``index`` of the grid if given."""
+    return [((lambda v=vals: v.copy()) if lazy else vals.copy(), log_weights,
+             tops if tops is None or index is None else [tops[index]])
+            for vals, log_weights, lazy, tops in slabs]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -182,7 +210,8 @@ def test_grid_walk_equals_the_one_p_walks(stream):
     want = [one_p_lp_norm(_fresh(slabs), p) for p in p_grid]
     assert len(got) == len(want)
     assert all(map(_same, got, want)), (got, want)
-    assert all(map(_same, got, [kernels._lp_norm(_fresh(slabs), [p])[0] for p in p_grid]))
+    assert all(map(_same, got, [kernels._lp_norm(_fresh(slabs, i), [p])[0]
+                                for i, p in enumerate(p_grid)]))
 
 
 @SETTINGS
@@ -211,7 +240,7 @@ def test_slab_product_matches_the_whole_grid(instance):
 
 
 def test_uneven_slabs_cover_every_leading_row():
-    # 64 leading rows in slabs of 5 (budget 5 * 64 + 7): the last slab holds 4
+    # 64 x 64 nodes in blocks of 18 x 18 (budget 5 * 64 + 7): the last row and column runs hold 10
     fam = FactorFamily("hermite")
     kernel = DegenerateKernel(2, {(1, 1): 1.0, (2, 3): -0.5, (4, 1): 0.25}, [fam, fam])
     with mock.patch.object(kernels, "_SLAB_FLOATS", 5 * 64 + 7):
@@ -279,3 +308,101 @@ def test_four_axis_moment_stays_in_a_few_mib():
     slab = kernels._SLAB_FLOATS * 8
     assert abs(peaks[1] - peaks[0] - slab) < 2 ** 16
     assert abs(peaks[2] - peaks[1]) < 2 ** 12
+
+
+# ---------------------------------------------------------------------------
+# the blocks a walk makes
+# ---------------------------------------------------------------------------
+
+
+def counted_moments(kernel, p_grid, skip=True):
+    """``kernel.moments(p_grid)`` and the number of grid values its walk made.
+
+    Without ``skip`` the walk gets no block bounds, so it makes every block.
+    """
+    made, walk = [], kernels._lp_norm
+
+    def counting_walk(slabs, p_grid):
+        def counted():
+            for vals, log_weights, tops in slabs:
+                def make(vals=vals):
+                    out = vals() if callable(vals) else vals
+                    made.append(out.size)
+                    return out
+                yield make, log_weights, tops if skip else None
+        return walk(counted(), p_grid)
+
+    with mock.patch.object(kernels, "_lp_norm", counting_walk):
+        norms = kernel.moments(p_grid)
+    return norms, sum(made)
+
+
+def test_bounds_kernel_walk_makes_at_most_30_percent_of_its_grid():
+    # the benchmark's bound kernel: behind the e**-1 / k! weights almost every term lies
+    # more than e**64 below the largest, and heaviest-first blocks leave them unmade
+    kernel = _poisson(3, {(k,) * 3: 2.0 ** -k for k in range(1, 9)})
+    norms, made = counted_moments(kernel, [2.0, 4.0, 8.0])
+    assert made <= 0.3 * 140 ** 3
+    assert counted_moments(kernel, [2.0, 4.0, 8.0], skip=False) == (norms, 140 ** 3)
+
+
+def test_equal_weights_walk_makes_every_value():
+    # factor values within a factor of 3 of each other: no block can fall e**64 below another
+    n = 40
+    table = 1.0 + 0.5 * np.sin(np.arange(1, 3)[:, None] * np.arange(n)[None, :])
+    fam = tabulated_family(np.arange(n, dtype=float), table, np.full(n, 1.0 / n))
+    kernel = DegenerateKernel(3, {(1, 1, 1): 1.0, (2, 1, 2): -0.5, (2, 2, 2): 0.25}, [fam] * 3)
+    norms, made = counted_moments(kernel, [2.0, 4.0, 8.0])
+    assert made == n ** 3
+    assert counted_moments(kernel, [2.0, 4.0, 8.0], skip=False) == (norms, n ** 3)
+
+
+@st.composite
+def factor_pairs(draw):
+    """A left (n_lead, T) and right (T, n_trail) factor, log weights, a p-grid and a budget."""
+    n_lead, n_trail, count = draw(st.integers(1, 40)), draw(st.integers(1, 40)), draw(st.integers(1, 5))
+    scaled = st.tuples(st.floats(-1.0, 1.0), st.integers(-30, 30)).map(lambda m: m[0] * 10.0 ** m[1])
+    entry = st.one_of(st.just(0.0), scaled)
+    left = np.array(draw(st.lists(entry, min_size=n_lead * count, max_size=n_lead * count)))
+    right = np.array(draw(st.lists(entry, min_size=count * n_trail, max_size=count * n_trail)))
+    log_w = st.floats(-300.0, 0.0)
+    log_left = np.array(draw(st.lists(log_w, min_size=n_lead, max_size=n_lead)))
+    log_right = np.array(draw(st.lists(log_w, min_size=n_trail, max_size=n_trail)))
+    p_grid = draw(st.lists(st.floats(1.0, 64.0), min_size=1, max_size=4))
+    return (left.reshape(n_lead, count), right.reshape(count, n_trail), log_left, log_right,
+            p_grid, draw(st.integers(1, 400)))
+
+
+def _checked_blocks(left, right, log_left, log_right, p_grid):
+    """Per block, its bounds and its largest ``p log|v| + log w`` at each p, as the walk makes it."""
+    for vals, log_weights, tops in kernels._blocks(left, right, log_left, log_right, p_grid):
+        yield tops, block_tops(vals(), log_weights, p_grid)
+
+
+@SETTINGS
+@given(factor_pairs())
+@example((np.array([[1e-9]]), np.array([[2.0 ** -1022]]), np.zeros(1), np.zeros(1), [1.0], 1))
+def test_block_bounds_hold_every_term(pair):
+    # the example's product is subnormal, so it rounds up by far more than a relative ulp
+    *factors, budget = pair
+    with mock.patch.object(kernels, "_SLAB_FLOATS", budget):
+        for tops, largest in _checked_blocks(*factors):
+            assert all(t >= m for t, m in zip(tops, largest)), (tops, largest)
+
+
+def test_block_bound_is_tight_where_every_term_adds_up():
+    # every L_it R_tj is the same positive value, so |v| = T max_t |L_it R_tj|: the bound's
+    # p log T is needed in full
+    count = 6
+    left, right = np.full((30, count), 0.5), np.full((count, 50), 3.0)
+    log_left, log_right = np.linspace(-5.0, 0.0, 30), np.linspace(-9.0, -1.0, 50)
+    with mock.patch.object(kernels, "_SLAB_FLOATS", 64):
+        for tops, largest in _checked_blocks(left, right, log_left, log_right, [2.0, 7.5]):
+            assert all(m <= t <= m + 1e-6 for t, m in zip(tops, largest)), (tops, largest)
+
+
+def test_four_axis_poisson_l2_norm_is_the_lambda_norm():
+    # 140**4 nodes; orthonormal Charlier factors make |f|_2 = sqrt(sum lambda**2)
+    lam = {(k,) * 4: 2.0 ** -k for k in range(1, 9)}
+    [got] = _poisson(4, lam).moments([2.0])
+    assert got == pytest.approx(math.sqrt(sum(w * w for w in lam.values())), rel=1e-12)
