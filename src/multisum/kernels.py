@@ -798,14 +798,18 @@ def kernel_to_json(kernel: DegenerateKernel) -> dict:
             "orthonormal": kernel.orthonormal}
 
 
-def _json_weight(row: dict):
-    """A lambda row's ``w``: a finite JSON number, not a bool, a string or NaN."""
-    w = row["w"]
+def _finite_number(x) -> bool:
+    """Whether ``x`` is a finite number: not a bool (JSON's true), a string, NaN or Infinity."""
     try:
-        ok = not isinstance(w, bool) and math.isfinite(w)
+        return not isinstance(x, bool) and math.isfinite(x)
     except (TypeError, OverflowError):
-        ok = False
-    if not ok:
+        return False
+
+
+def _json_weight(row: dict):
+    """A lambda row's ``w``: a finite JSON number."""
+    w = row["w"]
+    if not _finite_number(w):
         raise ValueError(f"lambda field 'w' must be a finite number, got {w!r}")
     return w
 

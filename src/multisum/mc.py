@@ -2,20 +2,20 @@
 
 Every variate is addressed by ``(seed, stream tag, axis, replication,
 coordinate)``, so results are bit-identical no matter how replications are
-split across workers or how large a batch is requested.  Standard normals,
-the axis law of every Gaussian run and of the chaos limit's betas, are drawn
-by NumPy's ziggurat (Marsaglia & Tsang 2000) from paged streams
-(``_NormalPages``): page j of a stream holds a fixed run of replications,
+split across workers or how large a batch is requested.  Every stream is
+paged (``_Pages``): page j of a stream holds a fixed run of replications,
 drawn in row order by one SFC64 generator keyed by ``(seed, tag, axis, j)``,
-and a read that starts inside a page draws and drops the page's prefix.  The
-ziggurat's normals are not clipped: the inverse CDF that they replace
-bounded ``|xi|`` at about 8.1.  Every other law is an inverse CDF of Philox
-uniforms at counter addresses (``RngSpec.uniform_block``).  A family of
-index sets is sampled in one pass from one stream (``simulate_family``): per
-replication each axis draws the family's widest side, ``max_L axis_max(L)``
-coordinates (``_columns``), and every set sums its own cells of those draws.
-The sets of a family are thus coupled by common random numbers, each with
-its own law, and a one-set family reads just what its set alone reads.
+and a read that starts inside a page draws and drops the page's prefix.
+Standard normals, the axis law of every Gaussian run and of the chaos
+limit's betas, are drawn by NumPy's ziggurat (Marsaglia & Tsang 2000); they
+are not clipped, though the inverse CDF that they replace bounded ``|xi|`` at
+about 8.1.  Every other law is an inverse CDF of the pages' uniforms,
+transformed in place.  A family of index sets is sampled in one pass from
+one stream (``simulate_family``): per replication each axis draws the
+family's widest side, ``max_L axis_max(L)`` coordinates (``_columns``), and
+every set sums its own cells of those draws.  The sets of a family are thus
+coupled by common random numbers, each with its own law, and a one-set
+family reads just what its set alone reads.
 
 The normalized sum over an index set L is ``S_L = |L|**-0.5 *
 sum_{k in L} f(xi_{k_1}(1), ..., xi_{k_d}(d))``.  Every L is a disjoint union
@@ -41,7 +41,7 @@ layer (draws, inverse CDF, each factor row); a set of many boxes makes
 blocks larger, so that the NumPy calls, whose count per block is fixed, do
 not dominate; and ``_BLOCK_BUDGET`` caps them.  Each worker samples its
 blocks through buffers and stream readers (``AxisDistribution.reader``) it
-makes once, so a normal page's generator runs on from block to block.  The
+makes once, so a page's generator runs on from block to block.  The
 variates are addressed by replication, so block size moves no bit.
 
 Each simulated distribution carries a provenance digest of its inputs
@@ -62,7 +62,7 @@ from functools import partial
 import numpy as np
 
 from .index_sets import IndexSet
-from .kernels import _lp_norm, kernel_to_json, quadrature_rule
+from .kernels import _finite_number, _lp_norm, kernel_to_json, quadrature_rule
 
 __all__ = [
     "RngSpec",
@@ -97,7 +97,7 @@ _CACHE_FLOATS = 1 << 16
 _FLOATS_PER_CALL = 1 << 13
 _BLOCK_BUDGET = 1 << 22
 
-# A normal stream's page holds the fewest whole replications of at least this many values,
+# A stream's page holds the fewest whole replications of at least this many values,
 # so building its generator (about 20 us) is small beside drawing it (about 12 ns a value).
 _PAGE_VALUES = 1 << 16
 # A read that starts inside a page draws the rows before it into its own buffer, or into a
@@ -107,13 +107,10 @@ _SKIP_FLOATS = 1 << 12
 
 @dataclass(frozen=True)
 class RngSpec:
-    """Counter-based random stream policy rooted at a 64-bit seed.
+    """Random stream policy rooted at a 64-bit seed.
 
-    Stream key = (seed, tag, axis).  Uniform streams are Philox counters:
-    replication r owns the double positions [r * stride, (r + 1) * stride)
-    where stride is the column count rounded up to a multiple of 4 (one
-    Philox counter step yields 4 doubles, so chunks of replications can jump
-    exactly).  Normal streams are paged (``_NormalPages``).
+    Stream key = (seed, tag, axis); each stream is paged (``_Pages``), so a
+    value is addressed by (replication, column) whatever range is read.
     """
 
     seed: int
@@ -129,61 +126,46 @@ class RngSpec:
 
     def uniform_block(self, tag: int, axis: int, rep_start: int, rep_count: int,
                       ncols: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Uniforms of shape (rep_count, ncols), positions keyed by (rep, col).
-
-        ``out``, a C-contiguous float array of ``_stride(ncols)`` columns and at
-        least ``rep_count`` rows, receives them instead of a fresh array; the
-        result is then a view of its leading rows.
-        """
-        stride = _stride(ncols)
-        key = np.array([self.seed, (int(tag) << 32) | int(axis)], dtype=np.uint64)
-        bg = np.random.Philox(key=key)
-        bg.advance(rep_start * stride // 4)
-        if out is None:
-            u = np.random.Generator(bg).random((rep_count, stride))
-        else:
-            _check_buffer(out, rep_count, ncols)
-            u = np.random.Generator(bg).random(out=out[:rep_count])
-        return u[:, :ncols]
-
-
-def _stride(ncols: int) -> int:
-    """Doubles one replication owns in a stream: ``ncols`` rounded up to a Philox step of 4."""
-    return 4 * ((ncols + 3) // 4)
+        """Uniforms of shape (rep_count, ncols): one read of fresh pages of (seed, tag, axis)."""
+        return _Pages(self.seed, tag, axis, ncols, np.random.Generator.random).read(
+            rep_start, rep_count, out)
 
 
 def _check_buffer(out: np.ndarray, rep_count: int, ncols: int) -> None:
     """Raise unless ``out`` can hold ``rep_count`` replications of ``ncols`` draws in place."""
-    if out.shape[1] != _stride(ncols) or out.shape[0] < rep_count or not out.flags.c_contiguous:
-        raise ValueError(f"a sample buffer for {rep_count} x {ncols} needs {_stride(ncols)}"
+    if out.shape[1] != ncols or out.shape[0] < rep_count or not out.flags.c_contiguous:
+        raise ValueError(f"a sample buffer for {rep_count} x {ncols} needs {ncols}"
                          f" columns and {rep_count} rows, C-contiguous")
 
 
-class _NormalPages:
-    """One ``(seed, tag, axis)`` stream of standard normals, ``ncols`` per replication.
+class _Pages:
+    """One ``(seed, tag, axis)`` stream, ``ncols`` values per replication, drawn by ``draw``.
 
-    Page j holds replications ``[j R, (j + 1) R)``, with R the fewest that
-    hold ``_PAGE_VALUES`` values, a function of ``ncols`` alone.  It is drawn
-    in row-major order by the ziggurat of one SFC64 generator seeded by
-    ``SeedSequence(seed, spawn_key=(tag, axis, j))``.  A draw fills values in
-    order, so a page's leading rows are the same whatever count is asked for,
-    and a read that starts inside a page draws and drops the page's rows
-    before it, in chunks through its own buffer, so it holds no page-sized
-    array.  The reader keeps its page's generator live, so reads of
-    consecutive ranges draw each value once.
+    ``draw`` is ``np.random.Generator.standard_normal`` (the ziggurat) or
+    ``np.random.Generator.random`` (uniforms on [0, 1)).  Page j holds
+    replications ``[j R, (j + 1) R)``, with R the fewest that hold
+    ``_PAGE_VALUES`` values, a function of ``ncols`` alone.  It is drawn in
+    row-major order by one SFC64 generator seeded by ``SeedSequence(seed,
+    spawn_key=(tag, axis, j))``.  A draw fills values in order, so a page's
+    leading rows are the same whatever count is asked for, and a read that
+    starts inside a page draws and drops the page's rows before it, in chunks
+    through its own buffer, so it holds no page-sized array.  The reader keeps
+    its page's generator live, so reads of consecutive ranges draw each value
+    once.
     """
 
-    def __init__(self, seed: int, tag: int, axis: int, ncols: int):
+    def __init__(self, seed: int, tag: int, axis: int, ncols: int, draw):
         self.key = (int(seed), int(tag), int(axis))
-        self.ncols = ncols
+        self.ncols, self.draw = ncols, draw
         self.reps = -(-_PAGE_VALUES // ncols)
         self.page, self.gen, self.at = -1, None, 0    # the live page, its generator, its next rep
 
     def read(self, rep_start: int, rep_count: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Normals of shape (rep_count, ncols) for replications ``rep_start`` on.
+        """Values of shape (rep_count, ncols) for replications ``rep_start`` on.
 
-        ``out`` is a buffer as for ``RngSpec.uniform_block``; the result is
-        then a C-contiguous view of its leading ``rep_count * ncols`` floats.
+        ``out``, a C-contiguous float array of ``ncols`` columns and at least
+        ``rep_count`` rows, receives them instead of a fresh array; the result
+        is then a view of its leading rows.
         """
         if out is None:
             flat = np.empty(rep_count * self.ncols)
@@ -203,9 +185,9 @@ class _NormalPages:
                 if room.size < min(skip, _SKIP_FLOATS):
                     room = np.empty(min(skip, _SKIP_FLOATS))
                 for at in range(0, skip, room.size):
-                    self.gen.standard_normal(out=room[:min(room.size, skip - at)])
+                    self.draw(self.gen, out=room[:min(room.size, skip - at)])
             stop = min(end, (page + 1) * self.reps)
-            self.gen.standard_normal(out=flat[done:done + (stop - rep) * self.ncols])
+            self.draw(self.gen, out=flat[done:done + (stop - rep) * self.ncols])
             done += (stop - rep) * self.ncols
             rep = self.at = stop
         return flat.reshape(rep_count, self.ncols)
@@ -230,8 +212,8 @@ class AxisDistribution:
         if self.kind not in kinds:
             raise ValueError(f"unknown axis distribution '{self.kind}'")
         if self.kind == "log_weibull":
-            if not (self.beta and self.beta > 0):
-                raise ValueError("log_weibull requires beta > 0")
+            if not (_finite_number(self.beta) and self.beta > 0):
+                raise ValueError(f"log_weibull requires a finite beta > 0, got {self.beta!r}")
             # one law, one digest: a beta of 2 and of 2.0 are the same law
             object.__setattr__(self, "beta", float(self.beta))
 
@@ -278,18 +260,19 @@ class AxisDistribution:
     def reader(self, rng: RngSpec, axis: int, ncols: int, tag: int = TAG_AXIS):
         """``read(rep_start, rep_count, out=None)``: samples of stream ``(rng.seed, tag, axis)``.
 
-        A read returns shape (rep_count, ncols).  ``out`` is a buffer as for
-        ``RngSpec.uniform_block`` and the result a view of it: normals are
-        drawn into its leading floats, any other law is transformed in place
-        in its uniforms.  A normal reader runs its page on from one read to
-        the next, so one reader should serve consecutive ranges.
+        A read returns shape (rep_count, ncols).  ``out`` is a buffer of
+        ``ncols * uniforms_per_coord`` columns as for ``_Pages.read`` and the
+        result a view of it: normals are drawn into it, any other law is
+        transformed in place in its uniforms.  A reader runs its page on from
+        one read to the next, so one reader should serve consecutive ranges.
         """
         if self.kind == "standard_normal":
-            return _NormalPages(rng.seed, tag, axis, ncols).read
+            return _Pages(rng.seed, tag, axis, ncols, np.random.Generator.standard_normal).read
         per = self.uniforms_per_coord
+        pages = _Pages(rng.seed, tag, axis, ncols * per, np.random.Generator.random)
 
         def read(rep_start, rep_count, out=None):
-            u = rng.uniform_block(tag, axis, rep_start, rep_count, ncols * per, out)
+            u = pages.read(rep_start, rep_count, out)
             return self.transform(u, out=u[:, ::per])
 
         return read
@@ -299,9 +282,9 @@ class AxisDistribution:
                      out: np.ndarray | None = None) -> np.ndarray:
         """Samples of shape (rep_count, ncols), one read of a fresh ``reader``.
 
-        A normal read that starts inside a page draws that page's leading rows
-        again, up to ``_PAGE_VALUES`` values a call, so consecutive ranges
-        should be read through one ``reader``.
+        A read that starts inside a page draws that page's leading rows again,
+        up to ``_PAGE_VALUES`` values a call, so consecutive ranges should be
+        read through one ``reader``.
         """
         return self.reader(rng, axis, ncols, tag)(rep_start, rep_count, out)
 
@@ -773,12 +756,12 @@ def _sum_sampler(factors, kvecs, sets, dists, rng):
         raise ValueError("need one axis distribution per kernel axis")
     kmax = _kmax(kvecs, d)
     ncols = _columns(sets, d)
-    strides = [_stride(n * dist.uniforms_per_coord) for n, dist in zip(ncols, dists)]
+    widths = [n * dist.uniforms_per_coord for n, dist in zip(ncols, dists)]
     sides = [_spans(sets, axis) for axis in range(d)]
     T = len(kvecs)
 
     def make_batch(cap):
-        draws = [np.empty((cap, stride)) for stride in strides]
+        draws = [np.empty((cap, width)) for width in widths]
         reads = [dist.reader(rng, axis, n) for axis, (dist, n) in enumerate(zip(dists, ncols))]
         rows = np.empty((3, cap * max(ncols)))
 
@@ -795,7 +778,7 @@ def _sum_sampler(factors, kvecs, sets, dists, rng):
     # a slice sum per factor row and distinct side; per term, a product per box and axis
     calls = (sum(len(spans) * k for (spans, _), k in zip(sides, kmax))
              + T * sum(len(L.lo) for L in sets) * d)
-    return make_batch, _block_cap(per_rep, max(strides), calls)
+    return make_batch, _block_cap(per_rep, max(widths), calls)
 
 
 def _limit_sampler(kvecs, d, rng):
@@ -804,7 +787,7 @@ def _limit_sampler(kvecs, d, rng):
     normal = AxisDistribution("standard_normal")
 
     def make_batch(cap):
-        draws = [np.empty((cap, _stride(k))) for k in kmax]
+        draws = [np.empty((cap, k)) for k in kmax]
         reads = [normal.reader(rng, axis, k, TAG_BETA) for axis, k in enumerate(kmax)]
 
         def batch(rep_start, rep_count, out):
@@ -814,7 +797,7 @@ def _limit_sampler(kvecs, d, rng):
         return batch
 
     per_rep = sum(3 * k for k in kmax) + len(kvecs)    # draws, contraction products; cores
-    return make_batch, _block_cap(per_rep, max(_stride(k) for k in kmax), len(kvecs) * d)
+    return make_batch, _block_cap(per_rep, max(kmax), len(kvecs) * d)
 
 
 def _weighed(sampler, weights, roots=None):

@@ -420,13 +420,13 @@ def test_simulate_explicit_lshapes_pinned_bytes(tmp_path, workers):
     assert json.loads((out / "manifest.json").read_text())["files"] == LSHAPE_FILES
 
 
-# a simulate on Poisson and Rademacher axes at N = 300: these laws are not drawn by
-# the ziggurat and keep the plug-in variance_se, so every output byte is the one
-# that the inverse-CDF sampler with the plug-in error wrote before normals moved
+# a simulate on Poisson and Rademacher axes at N = 300: these laws are inverse CDFs of
+# the uniforms of their streams' pages and keep the plug-in variance_se, so these bytes
+# move only with the uniform pages, the inverse CDFs or the plug-in error
 NON_NORMAL_FILES = {
-    "dist_0": "dist_0-f049106bf4f5.bin", "dist_1": "dist_1-73a1d7f432f5.bin",
-    "quantiles_0": "quantiles_0-b0edfe0423c4.csv", "quantiles_1": "quantiles_1-fc2e0adfc719.csv",
-    "summary": "summary-87333615f043.json",
+    "dist_0": "dist_0-24a4a6808862.bin", "dist_1": "dist_1-5e3820bfec9a.bin",
+    "quantiles_0": "quantiles_0-e32430499df8.csv", "quantiles_1": "quantiles_1-c8f55964a3b8.csv",
+    "summary": "summary-9173861630f7.json",
 }
 
 
@@ -906,6 +906,20 @@ def test_simulate_integer_and_float_beta_are_one_law(tmp_path):
     for beta in (0, -1.5, None):
         with pytest.raises(ValueError, match="beta > 0"):
             AxisDistribution("log_weibull", beta=beta)
+
+
+@pytest.mark.parametrize("beta", [math.inf, True], ids=["infinity", "bool"])
+def test_simulate_log_weibull_beta_that_is_no_finite_real_exits_2(tmp_path, capsys, beta):
+    # an Infinity beta once drew NaN samples and wrote a NaN variance, and true ran as a
+    # beta of 1.0; both exited 0
+    cfg = json.loads((CONFIG_DIR / "simulate_smoke.json").read_text())
+    cfg["distributions"][0] = {"kind": "log_weibull", "beta": beta}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))   # Infinity as Python's json reads it
+    code, out = run_cmd(tmp_path, "simulate", path)
+    assert code == 2
+    assert "beta > 0" in json.loads(capsys.readouterr().err)["error"]
+    assert not (out / "manifest.json").exists()
 
 
 def test_verify_tail_factor_without_a_moment_rule_exits_2(tmp_path, capsys):

@@ -156,12 +156,15 @@ def test_benchmark_trace_counters_read_the_sampling_arguments(monkeypatch):
                 multisum.AxisDistribution("log_weibull", beta=1.0)]
         multisum.simulate_S_L(kernel, multisum.make_rect([5, 3]), laws, 10,
                               multisum.RngSpec(1))
+        # a sampler reads its uniforms from pages, not through uniform_block, so call it
+        multisum.RngSpec(1).uniform_block(multisum.mc.TAG_AXIS, 1, 0, 10, 6)
     finally:
         active.uninstall()
     layers = tracer.summarize(active.spans)
     assert layers["mc.simulate_S_L"]["cells"] == 10 * 15
-    # 3 log-Weibull columns of two uniforms, padded to 8 doubles; the 5 normal columns are
-    # drawn by the ziggurat, through neither uniforms nor an inverse CDF
-    assert (layers["mc.uniform_block"]["doubles"], layers["mc.uniform_block"]["used"]) == \
-        (10 * 8, 10 * 6)
+    # 10 rows of 6 uniforms, which the tracer counts padded to 8 doubles; the 3 log-Weibull
+    # columns are transformed, the 5 normal columns drawn by the ziggurat, through neither
+    # uniforms nor an inverse CDF
+    assert (layers["mc.uniform_block"]["calls"], layers["mc.uniform_block"]["doubles"],
+            layers["mc.uniform_block"]["used"]) == (1, 10 * 8, 10 * 6)
     assert layers["mc.transform"]["values"] == 10 * 3
