@@ -24,8 +24,7 @@ for row in cond.rows():
 print("  the inscribed deficiency saturates, but the circumscribed one vanishes:")
 print(f"  inscribed condition: {cond.inscribed_ok}, circumscribed: {cond.circumscribed_ok}")
 
-kernel = DegenerateKernel(2, {(1, 1): 1.0}, [FactorFamily("hermite")] * 2,
-                          orthonormal=True)
+kernel = DegenerateKernel(2, {(1, 1): 1.0}, [FactorFamily("hermite")] * 2)
 dists = [AxisDistribution("standard_normal")] * 2
 report = verify_nclt(kernel, dists, family, 20_000, RngSpec(7),
                      limit_n=100_000)

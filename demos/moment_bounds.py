@@ -15,8 +15,7 @@ for p in (2.0, math.e, 4.0, 8.0, 33.461):
     print(f"  K({p:7.3f}) = {rosenthal_K(p):.4f}")
 
 print("\n=== rank-one kernel f(x,y) = xy under the standard normal ===")
-kernel = DegenerateKernel(2, {(1, 1): 1.0}, [FactorFamily("hermite")] * 2,
-                          orthonormal=True)
+kernel = DegenerateKernel(2, {(1, 1): 1.0}, [FactorFamily("hermite")] * 2)
 p = 4.0
 f_moment = kernel.moment(p)
 L_size = 100

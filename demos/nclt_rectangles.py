@@ -13,8 +13,7 @@ def cubes(d, sizes):
 
 
 print("=== d = 2, rank-one kernel f(x,y) = xy ===")
-kernel = DegenerateKernel(2, {(1, 1): 1.0}, [FactorFamily("hermite")] * 2,
-                          orthonormal=True)
+kernel = DegenerateKernel(2, {(1, 1): 1.0}, [FactorFamily("hermite")] * 2)
 report = verify_nclt(kernel, [gauss] * 2, cubes(2, [4, 16, 64]), 20_000,
                      RngSpec(2024), limit_n=100_000)
 print(f"  limit: product of two standard normals; verdict = {report.verdict}")
@@ -25,7 +24,7 @@ print(f"  noise budget {report.noise_budget:.4f}, final threshold "
 
 print("\n=== a richer kernel: mixed Hermite degrees ===")
 kernel2 = DegenerateKernel(2, {(1, 1): 0.8, (2, 2): 0.6},
-                           [FactorFamily("hermite")] * 2, orthonormal=True)
+                           [FactorFamily("hermite")] * 2)
 report2 = verify_nclt(kernel2, [gauss] * 2, cubes(2, [4, 16, 64]), 20_000,
                       RngSpec(2025), limit_n=100_000)
 for row in report2.stages:
@@ -33,8 +32,7 @@ for row in report2.stages:
 print(f"  verdict = {report2.verdict}")
 
 print("\n=== d = 3 boxes ===")
-kernel3 = DegenerateKernel(3, {(1, 1, 1): 1.0}, [FactorFamily("hermite")] * 3,
-                           orthonormal=True)
+kernel3 = DegenerateKernel(3, {(1, 1, 1): 1.0}, [FactorFamily("hermite")] * 3)
 report3 = verify_nclt(kernel3, [gauss] * 3, cubes(3, [4, 8, 16]), 20_000,
                       RngSpec(2026), limit_n=100_000)
 for row in report3.stages:

@@ -15,7 +15,7 @@ gauss = [AxisDistribution("standard_normal")] * 2
 print("=== a Lipschitz weight family on [0, 1] ===")
 v = np.linspace(0.0, 1.0, 9)
 pk = ParametricKernel(v[:, None], {(1, 1): v.copy()},
-                      [FactorFamily("hermite")] * 2, orthonormal=True)
+                      [FactorFamily("hermite")] * 2)
 print(f"  grid of {pk.n_points} points, sigma_lambda = {sigma_lambda(pk)}")
 print(f"  rho(v_0, v_8) = {rho_lambda(pk, 0, 8):.3f} (the l1 weight distance)")
 

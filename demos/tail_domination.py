@@ -11,8 +11,7 @@ from multisum import (AxisDistribution, DegenerateKernel, FactorFamily, RngSpec,
                       tail_bound_eval, verify_tail_domination)
 
 gauss = [AxisDistribution("standard_normal")] * 2
-kernel = DegenerateKernel(2, {(1, 1): 1.0}, [FactorFamily("hermite")] * 2,
-                          orthonormal=True)
+kernel = DegenerateKernel(2, {(1, 1): 1.0}, [FactorFamily("hermite")] * 2)
 
 composite = natural_composite(kernel, gauss, np.geomspace(2.0, 64.0, 25))
 tb = TailBound(gls_norm=kernel.lambda_l1, psi=composite)

@@ -130,10 +130,17 @@ def index_set_from_json(obj: dict) -> IndexSet:
         L = explicit_set(obj["params"]["cells"])
     else:
         raise ValueError(f"unknown index set kind '{kind}'")
-    if obj.get("d") != L.d:
+    if _json_int(obj.get("d"), "index set dimension 'd'") != L.d:
         raise ValueError(f"index set declares dimension d={obj.get('d')}, "
                          f"its params have dimension {L.d}")
     return L
+
+
+def _json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer: a bool (JSON's true) or a float such as 2.0 is not."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _int_array(values, what: str, ndim: int) -> np.ndarray:

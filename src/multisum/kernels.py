@@ -33,7 +33,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .index_sets import _int_array
+from .index_sets import _int_array, _json_int
 
 __all__ = [
     "FactorFamily",
@@ -493,7 +493,6 @@ class DegenerateKernel:
     d: int
     lam: dict
     factors: list
-    orthonormal: bool = False
 
     def __post_init__(self):
         if self.d < 1:
@@ -743,7 +742,7 @@ class TabulatedKernel:
         fam_x = tabulated_family(self.x_nodes, left, self.x_weights)
         fam_y = tabulated_family(self.y_nodes, right, self.y_weights)
         lam = {(k + 1, k + 1): float(s[k]) for k in range(s.size)}
-        return DegenerateKernel(2, lam, [fam_x, fam_y], orthonormal=True)
+        return DegenerateKernel(2, lam, [fam_x, fam_y])
 
     def residual_norms(self, M: int, p_grid) -> list:
         """``Q_{M,p}`` at each p of ``p_grid``: the weighted L_p norm of the rank-M residual.
@@ -777,12 +776,18 @@ class TabulatedKernel:
 # ---------------------------------------------------------------------------
 
 
-def _factors_to_json(factors) -> list:
-    """``[{kind, params}]``, one entry per axis; only tabulated factors have params."""
-    return [{"kind": fam.kind,
-             "params": {"nodes": fam.nodes.tolist(), "table": fam.table.tolist(),
-                        "weights": fam.weights.tolist()} if fam.kind == "tabulated" else {}}
-            for fam in factors]
+def orthonormal_factors(factors) -> bool:
+    """Whether every factor is analytic, hence centered and orthonormal under its base law."""
+    return all(fam.canonical_base is not None for fam in factors)
+
+
+def _factors_to_json(factors) -> dict:
+    """``{factors: [{kind, params}], orthonormal}``; only tabulated factors have params."""
+    return {"factors": [{"kind": fam.kind,
+                         "params": {"nodes": fam.nodes.tolist(), "table": fam.table.tolist(),
+                                    "weights": fam.weights.tolist()}
+                         if fam.kind == "tabulated" else {}} for fam in factors],
+            "orthonormal": orthonormal_factors(factors)}
 
 
 def _factors_from_json(entries) -> list:
@@ -794,8 +799,7 @@ def _factors_from_json(entries) -> list:
 def kernel_to_json(kernel: DegenerateKernel) -> dict:
     """Schema: {d, factors: [{kind, params}], lambda: [{k, w}], orthonormal}."""
     lam = [{"k": list(k), "w": w} for k, w in sorted(kernel.lam.items())]
-    return {"d": kernel.d, "factors": _factors_to_json(kernel.factors), "lambda": lam,
-            "orthonormal": kernel.orthonormal}
+    return {"d": kernel.d, **_factors_to_json(kernel.factors), "lambda": lam}
 
 
 def _finite_number(x) -> bool:
@@ -822,5 +826,4 @@ def kernel_from_json(obj: dict) -> DegenerateKernel:
         if kvec in lam:
             raise ValueError(f"lambda row k={list(kvec)} is repeated")
         lam[kvec] = _json_weight(row)
-    return DegenerateKernel(obj["d"], lam, factors,
-                            orthonormal=bool(obj.get("orthonormal", False)))
+    return DegenerateKernel(_json_int(obj["d"], "kernel dimension 'd'"), lam, factors)

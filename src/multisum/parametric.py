@@ -66,7 +66,6 @@ class ParametricKernel:
     points: np.ndarray
     lam: dict
     factors: list
-    orthonormal: bool = False
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -321,8 +320,7 @@ def parametric_kernel_to_json(pk: ParametricKernel) -> dict:
     return {
         "V": [{"coords": row.tolist()} for row in pk.points],
         "lambda": lam,
-        "factors": _factors_to_json(pk.factors),
-        "orthonormal": pk.orthonormal,
+        **_factors_to_json(pk.factors),
     }
 
 
@@ -340,5 +338,4 @@ def parametric_kernel_from_json(obj: dict) -> ParametricKernel:
             raise ValueError(f"lambda row (k={list(kvec)}, v_index={v}) is repeated")
         seen.add((kvec, v))
         lam.setdefault(kvec, np.zeros(nv))[v] = _json_weight(row)
-    return ParametricKernel(points, lam, factors,
-                            orthonormal=bool(obj.get("orthonormal", False)))
+    return ParametricKernel(points, lam, factors)

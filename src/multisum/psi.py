@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import _finite_number
 from .rosenthal import rosenthal_K
 
 __all__ = [
@@ -186,9 +187,10 @@ def product_of(factors) -> PsiFunction:
 
 def rosenthal_scaled(base: PsiFunction, d: int) -> PsiFunction:
     """``K(p)**d * base(p)``; the Rosenthal factor restricts the support to p >= 2."""
+    if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 1:
+        raise ValueError(f"psi family 'rosenthal_scaled' param 'd' must be an integer >= 1, "
+                         f"got {d!r}")
     d = int(d)
-    if d < 1:
-        raise ValueError("rosenthal_scaled requires d >= 1")
     p_min = max(2.0, base.p_min)
     if base.support_upper < p_min or (base.support_upper == p_min and not base.closed_top):
         raise SupportError("empty support after restricting to p >= 2")
@@ -449,11 +451,15 @@ def psi_to_json(psi: PsiFunction) -> dict:
 
 
 def psi_from_json(obj) -> PsiFunction:
-    """Inverse of :func:`psi_to_json`; omitted params take the constructor defaults."""
+    """Inverse of :func:`psi_to_json`; omitted params take the constructor defaults.
+
+    A number, whether a scalar param or an entry of a list, must be finite and not a bool.
+    """
     if isinstance(obj, str):
         obj = json.loads(obj)
-    build = _family(obj["family"])[0]
-    return build(**{key: _param_from_json(value)
+    family = obj["family"]
+    build = _family(family)[0]
+    return build(**{key: _param_from_json(family, key, value)
                     for key, value in obj.get("params", {}).items()})
 
 
@@ -473,9 +479,13 @@ def _param_to_json(value):
     return value
 
 
-def _param_from_json(value):
+def _param_from_json(family: str, key: str, value):
     if isinstance(value, dict):
         return psi_from_json(value)
     if isinstance(value, list) and value and isinstance(value[0], dict):
         return [psi_from_json(v) for v in value]
+    for number in value if isinstance(value, list) else [value]:
+        if not _finite_number(number):
+            raise ValueError(f"psi family '{family}' param '{key}' must be a finite number, "
+                             f"got {number!r}")
     return value

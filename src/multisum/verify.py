@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .index_sets import nclt_condition_report
-from .kernels import DegenerateKernel
+from .kernels import DegenerateKernel, orthonormal_factors
 from .mc import (EmpiricalDist, RngSpec, _limit_cores, _sum_cores, _terms, _weigh,
                  empirical_moment, empirical_tail, ks_distance, simulate_family)
 from .mc import simulate_S_L  # noqa: F401  (a name bench/tracer.py wraps in every module)
@@ -71,9 +71,9 @@ class ConvergenceReport:
 
 
 def _require_orthonormal(kernel):
-    """``kernel`` is a degenerate kernel or a parametric one (a weight vector per multi-index)."""
-    if not kernel.orthonormal:
-        raise ValueError("the chaos limit comparison requires orthonormal factors")
+    """The chaos limit's hypothesis for either kernel kind: analytic factors, sum lambda^2 > 0."""
+    if not orthonormal_factors(kernel.factors):
+        raise ValueError("chaos limits need orthonormal factors: no law samples 'tabulated' grids")
     if sum(np.square(w).sum() for w in kernel.lam.values()) <= 0:
         raise ValueError("degenerate limit: sum lambda^2 must be positive")
 
@@ -136,13 +136,12 @@ def verify_nclt(kernel: DegenerateKernel, dists, sets, N: int, rng: RngSpec, *,
     trajectory is still reported.  Otherwise pass requires the KS sequence
     nonincreasing within twice the KS critical value and the final stage
     below ``final_ks``.  The KS side is ``check_theorem_8``'s on the one-point
-    field ``lambda(0, k) = lambda(k)``.
+    field ``lambda(0, k) = lambda(k)``, with its hypothesis: analytic factors.
     """
     _require_orthonormal(kernel)
     sets = list(sets)
     cond = nclt_condition_report(sets)
-    pk = ParametricKernel(np.zeros((1, 1)), {k: [w] for k, w in kernel.lam.items()},
-                          kernel.factors, kernel.orthonormal)
+    pk = ParametricKernel([[0.0]], {k: [w] for k, w in kernel.lam.items()}, kernel.factors)
     ks, ks_ok, budget, _ = _chaos_limit_ks(pk, dists, sets, N, rng, limit_n, final_ks, workers)
     rows = [{"stage": i, "L_size": L.size, "kappa_minus": cond.kappa_minus[i],
              "kappa_plus": cond.kappa_plus[i], "min_corner": cond.inner_min_sides[i],
@@ -186,7 +185,7 @@ def check_theorem_8(pk: ParametricKernel, level, L_family, dists, N: int,
     moment at p (power) or 2 (exponential) against its majorant times
     ``_SUP_MOMENT_BUDGET``.  On the power level ``G`` is the product over
     axes of the worst used factor moment under the sampling laws.  As for
-    ``verify_nclt``, the factors must be orthonormal and the family nonempty.
+    ``verify_nclt``, the factors must be analytic and the family nonempty.
     """
     _require_orthonormal(pk)
     L_family = list(L_family)

@@ -53,8 +53,7 @@ def random_orthonormal_kernel(rng):
     w = rng.normal(size=len(keys))
     w = w / np.linalg.norm(w) * float(rng.uniform(0.5, 2.0))
     return DegenerateKernel(2, dict(zip(sorted(keys), w)),
-                            [FactorFamily("hermite"), FactorFamily("hermite")],
-                            orthonormal=True)
+                            [FactorFamily("hermite"), FactorFamily("hermite")])
 
 
 def five_shapes():
@@ -111,8 +110,7 @@ def test_criterion_01_exact_variance():
 
 def test_criterion_02_klesov_domination():
     start = time.perf_counter()
-    kernel = DegenerateKernel(2, {(1, 1): 1.0}, [FactorFamily("rademacher_sign")] * 2,
-                              orthonormal=True)
+    kernel = DegenerateKernel(2, {(1, 1): 1.0}, [FactorFamily("rademacher_sign")] * 2)
     bound = rosenthal_K(4.0) ** 2 * dp_quasinorm(kernel, 4.0)   # Klesov: K(4)^2 for signs
     grid = [(i, j) for i in range(1, 4) for j in range(1, 4)]
     worst = 0.0
@@ -146,12 +144,10 @@ def test_criterion_02_klesov_domination():
 
 def test_criterion_03_rectangular_nclt():
     start = time.perf_counter()
-    k2 = DegenerateKernel(2, {(1, 1): 1.0}, [FactorFamily("hermite")] * 2,
-                          orthonormal=True)
+    k2 = DegenerateKernel(2, {(1, 1): 1.0}, [FactorFamily("hermite")] * 2)
     r2 = verify_nclt(k2, GAUSS2, [make_rect([n] * 2) for n in [4, 16, 64]], 20_000,
                      RngSpec(303), limit_n=100_000, final_ks=0.05)
-    k3 = DegenerateKernel(3, {(1, 1, 1): 1.0}, [FactorFamily("hermite")] * 3,
-                          orthonormal=True)
+    k3 = DegenerateKernel(3, {(1, 1, 1): 1.0}, [FactorFamily("hermite")] * 3)
     r3 = verify_nclt(k3, [AxisDistribution("standard_normal")] * 3,
                      [make_rect([n] * 3) for n in [4, 8, 16]], 20_000, RngSpec(304),
                      limit_n=100_000, final_ks=0.05)
@@ -165,8 +161,7 @@ def test_criterion_03_rectangular_nclt():
 
 def test_criterion_04_irregular_nclt():
     start = time.perf_counter()
-    kernel = DegenerateKernel(2, {(1, 1): 1.0}, [FactorFamily("hermite")] * 2,
-                              orthonormal=True)
+    kernel = DegenerateKernel(2, {(1, 1): 1.0}, [FactorFamily("hermite")] * 2)
     sizes = [8, 16, 32, 64]
     fam = squares_minus_corner_family(sizes)
     good = verify_nclt(kernel, GAUSS2, fam, 20_000, RngSpec(404),
@@ -229,8 +224,7 @@ def test_criterion_06_young_fenchel_closed_form():
 
 def test_criterion_07_tail_domination():
     start = time.perf_counter()
-    kernel = DegenerateKernel(2, {(1, 1): 1.0}, [FactorFamily("hermite")] * 2,
-                              orthonormal=True)
+    kernel = DegenerateKernel(2, {(1, 1): 1.0}, [FactorFamily("hermite")] * 2)
     composite = natural_composite(kernel, GAUSS2, np.geomspace(2.0, 64.0, 25))
     sets = [make_rect([1, 1]), make_rect([4, 4]), make_rect([16, 16]),
             staircase_set([6, 5, 3, 2]), squares_minus_corner_family([10])[0]]
@@ -292,7 +286,7 @@ def test_criterion_09_entropy_integrals():
     # exact minimal covers on the 11-point grid
     v = np.linspace(0.0, 1.0, 11)
     pk = ParametricKernel(v[:, None], {(1, 1): v.copy()},
-                          [FactorFamily("hermite")] * 2, orthonormal=True)
+                          [FactorFamily("hermite")] * 2)
     eps_grid = np.array([1.0, 0.5, 0.3, 0.25, 0.2, 0.15, 0.1, 0.05, 0.04])
     prof = covering_profile(pk, eps_grid)
     dist = np.abs(v[:, None] - v[None, :])   # rho_lambda of the one-term weights v
@@ -326,7 +320,7 @@ def test_criterion_10_parametric_field():
     start = time.perf_counter()
     # singleton grid: bit-identical reduction
     pk1 = ParametricKernel(np.array([[0.3]]), {(1, 1): np.array([0.9])},
-                           [FactorFamily("hermite")] * 2, orthonormal=True)
+                           [FactorFamily("hermite")] * 2)
     L = make_rect([6, 7])
     per_v, _ = simulate_Q_L(pk1, L, GAUSS2, 5000, RngSpec(1010))
     scalar = simulate_S_L(point_kernel(pk1, 0), L, GAUSS2, 5000, RngSpec(1010))
@@ -334,7 +328,7 @@ def test_criterion_10_parametric_field():
     # two-point limit-field covariance
     lam = {(1, 1): np.array([1.0, 0.5]), (2, 2): np.array([0.0, 0.7])}
     pk2 = ParametricKernel(np.array([[0.0], [1.0]]), lam,
-                           [FactorFamily("hermite")] * 2, orthonormal=True)
+                           [FactorFamily("hermite")] * 2)
     mat = sample_Q_infty(pk2, 100_000, RngSpec(1011))
     prods = mat[0] * mat[1]
     expected = sum(w[0] * w[1] for w in lam.values())
@@ -343,7 +337,7 @@ def test_criterion_10_parametric_field():
     # power-level hypotheses for the Lipschitz family
     v = np.linspace(0.0, 1.0, 9)
     pk3 = ParametricKernel(v[:, None], {(1, 1): v.copy()},
-                           [FactorFamily("hermite")] * 2, orthonormal=True)
+                           [FactorFamily("hermite")] * 2)
     rep = check_theorem_8(pk3, ("power", 2.0), [make_rect([4, 4])],
                           GAUSS2, 2000, RngSpec(1012), limit_n=20_000)
     hyp_ok = rep.hypotheses_met and math.isfinite(rep.hypotheses["entropy_integral"])

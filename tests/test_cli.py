@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from multisum import (AxisDistribution, FactorFamily, RngSpec, kernel_from_json,
-                      load_empirical, make_rect, rosenthal_K, simulate_S_L)
+                      kernel_to_json, load_empirical, make_rect, rosenthal_K, simulate_S_L)
 from multisum import kernels, mc
 from multisum.cli import main
 from multisum.index_sets import index_set_from_json, lshape_family
@@ -176,7 +176,7 @@ def test_bound_grid_past_the_node_limit_exits_2(tmp_path, capsys):
     # 140**5 Poisson nodes would take 430 GB as one grid; the limit stops it before any work
     cfg = {"seed": 1, "p_grid": [2.0], "bound": {"routes": ["trivial"], "L_size": 4},
            "kernel": {"d": 5, "factors": [{"kind": "poisson_charlier", "params": {}}] * 5,
-                      "lambda": [{"k": [1] * 5, "w": 1.0}], "orthonormal": True}}
+                      "lambda": [{"k": [1] * 5, "w": 1.0}]}}
     path = tmp_path / "d5.json"
     path.write_text(json.dumps(cfg))
     code, _ = run_cmd(tmp_path, "bound", path)
@@ -188,8 +188,7 @@ def test_bound_computes_each_factor_moment_once_per_call(tmp_path, monkeypatch):
     # d = 3 Poisson-Charlier with 8 diagonal terms at three orders: each of the dp_quasinorm
     # and theorem_W calls reads 24 factor moments, of 8 distinct k
     kernel = {"d": 3, "factors": [{"kind": "poisson_charlier", "params": {}}] * 3,
-              "lambda": [{"k": [k] * 3, "w": 2.0 ** -k} for k in range(1, 9)],
-              "orthonormal": True}
+              "lambda": [{"k": [k] * 3, "w": 2.0 ** -k} for k in range(1, 9)]}
     cfg = {"seed": 1, "p_grid": [2.0, 4.0, 8.0], "kernel": kernel,
            "bound": {"routes": ["trivial", "dp_quasinorm", "theorem_W"], "M_max": 8,
                      "L_size": 10_000}}
@@ -227,8 +226,7 @@ def test_bound_walks_each_term_set_once_for_the_whole_grid(tmp_path, monkeypatch
     # wins at every p, and each tail's walk-free floor proves it cannot beat rank 8
     # (8 walks when every tail was walked)
     kernel = {"d": 3, "factors": [{"kind": "poisson_charlier", "params": {}}] * 3,
-              "lambda": [{"k": [k] * 3, "w": 2.0 ** -k} for k in range(1, 9)],
-              "orthonormal": True}
+              "lambda": [{"k": [k] * 3, "w": 2.0 ** -k} for k in range(1, 9)]}
     cfg = {"seed": 1, "p_grid": [2.0, 4.0, 8.0], "kernel": kernel,
            "bound": {"routes": ["trivial", "dp_quasinorm", "theorem_W"], "M_max": 8,
                      "L_size": 10_000}}
@@ -348,7 +346,7 @@ def _cubic_simulate_config(tmp_path, index_sets):
     cfg.write_text(json.dumps({
         "seed": 5, "N": 200,
         "kernel": {"d": 3, "factors": [{"kind": "hermite", "params": {}}] * 3,
-                   "lambda": [{"k": [1, 1, 1], "w": 1.0}], "orthonormal": True},
+                   "lambda": [{"k": [1, 1, 1], "w": 1.0}]},
         "distributions": ["standard_normal"] * 3,
         "index_sets": index_sets,
     }))
@@ -433,7 +431,7 @@ NON_NORMAL_FILES = {
 def test_simulate_non_normal_laws_pinned_bytes(tmp_path):
     cfg = {"N": 300, "seed": 77, "distributions": ["compensated_poisson", "rademacher"],
            "index_sets": {"family": "squares", "sizes": [4, 6]},
-           "kernel": {"d": 2, "orthonormal": True,
+           "kernel": {"d": 2,
                       "factors": [{"kind": "poisson_charlier", "params": {}},
                                   {"kind": "rademacher_sign", "params": {}}],
                       "lambda": [{"k": [1, 1], "w": 0.8}, {"k": [2, 1], "w": 0.5}]}}
@@ -630,16 +628,61 @@ def test_verify_exit_code_follows_the_verdict(tmp_path, cfg):
     assert code == {"pass": 0, "hypotheses not met": 3, "fail": 5}[verdict["verdict"]]
 
 
-@pytest.mark.parametrize("config, key", [("gauss_rank1.json", "kernel"),
-                                         ("parametric_power.json", "parametric_kernel")])
+LIMIT_CHECKS = [("gauss_rank1.json", "kernel"), ("parametric_power.json", "parametric_kernel")]
+
+
+@pytest.mark.parametrize("config, key", LIMIT_CHECKS)
 def test_verify_limit_check_requires_orthonormal_factors(tmp_path, capsys, config, key):
+    # a tabulated factor is orthonormal only under its node weights, which no axis law samples
     cfg = json.loads((CONFIG_DIR / config).read_text())
-    cfg[key]["orthonormal"] = False
-    path = tmp_path / "plain.json"
+    cfg[key]["factors"][1] = {"kind": "tabulated", "params": {
+        "nodes": [-1.0, 1.0], "table": [[-1.0, 1.0]], "weights": [0.5, 0.5]}}
+    cfg[key]["orthonormal"] = True      # a declared flag does not override the factor kinds
+    path = tmp_path / "tabulated.json"
     path.write_text(json.dumps(cfg))
-    code, _ = run_cmd(tmp_path, "verify", path)
+    code, out = run_cmd(tmp_path, "verify", path)
     assert code == 2
-    assert "orthonormal" in json.loads(capsys.readouterr().err)["error"]
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert "orthonormal" in error and "'tabulated'" in error
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [False, "absent"])
+@pytest.mark.parametrize("config, key", LIMIT_CHECKS)
+def test_verify_limit_check_reads_the_factor_kinds_not_a_key(tmp_path, config, key, value):
+    # analytic factors are orthonormal under their base laws, whatever a legacy key says
+    cfg = json.loads((CONFIG_DIR / config).read_text())
+    cfg[key].pop("orthonormal", None)
+    if value != "absent":
+        cfg[key]["orthonormal"] = value
+    path = tmp_path / "analytic.json"
+    path.write_text(json.dumps(cfg))
+    code, out = run_cmd(tmp_path, "verify", path)
+    golden = json.loads((CONFIG_DIR.parent.parent / "tests" / "golden_manifests.json")
+                        .read_text())[f"demos/configs/{config}"]
+    assert code == golden["exit"] == 0
+    assert json.loads((out / "manifest.json").read_text())["files"] == golden["files"]
+
+
+def test_legacy_orthonormal_key_changes_no_byte(tmp_path):
+    # bench configs still write the key; any value, or none, gives one kernel JSON and one set
+    # of simulate outputs, since the key written is derived from the factor kinds
+    base = json.loads((CONFIG_DIR / "simulate_smoke.json").read_text())
+    seen = set()
+    for i, value in enumerate([True, False, "no", "absent"]):
+        cfg = json.loads(json.dumps(base))
+        cfg["kernel"].pop("orthonormal", None)
+        if value != "absent":
+            cfg["kernel"]["orthonormal"] = value
+        path = tmp_path / f"legacy{i}.json"
+        path.write_text(json.dumps(cfg))
+        code, out = run_cmd(tmp_path, "simulate", path, out_name=f"out{i}")
+        assert code == 0
+        files = json.loads((out / "manifest.json").read_text())["files"]
+        kernel = kernel_to_json(kernel_from_json(cfg["kernel"]))
+        assert kernel["orthonormal"] is True
+        seen.add((json.dumps(kernel, sort_keys=True), json.dumps(files, sort_keys=True)))
+    assert len(seen) == 1
 
 
 def test_verify_parametric_power(tmp_path):
@@ -1072,6 +1115,37 @@ def test_psi_default_grid_stays_inside_open_support(tmp_path):
     rows = [[float(v) for v in r.split(",")] for r in table[1:]]
     assert len(rows) == 25 and all(math.isfinite(v) for r in rows for v in r)
     assert rows[0][0] == 1.0 and 7.99 < rows[-1][0] < 8.0
+
+
+@pytest.mark.parametrize("spec, param", [
+    ({"family": "exp_power", "params": {"beta": math.nan, "C": 1}}, "beta"),
+    ({"family": "power_log", "params": {"m": True}}, "m"),
+    ({"family": "rosenthal_scaled", "params": {
+        "base": {"family": "power_log", "params": {"m": 2}}, "d": 2.5}}, "d"),
+    ({"family": "power_log", "params": {"m": "2"}}, "m"),
+    ({"family": "tabulated", "params": {"p_grid": [1.0, 2.0], "values": [1.0, True]}}, "values"),
+], ids=["nan", "bool", "fractional-d", "string", "bool-in-list"])
+def test_psi_spec_params_must_be_finite_numbers(tmp_path, capsys, spec, param):
+    # NaN once wrote NaN tables, true ran as m = 1 (or a value of 1) and d = 2.5 as d = 2
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps({"seed": 1, "psi": {"spec": spec}}))
+    code, out = run_cmd(tmp_path, "psi", path)
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert f"'{spec['family']}'" in error and f"'{param}'" in error
+    assert not out.exists()
+
+
+def test_verify_parametric_tau_params_must_be_finite_numbers(tmp_path, capsys):
+    cfg = json.loads((CONFIG_DIR / "parametric_power.json").read_text())
+    tau = {"family": "exp_power", "params": {"beta": math.nan, "C": 1}}
+    cfg["verify"] = dict(cfg["verify"], level={"kind": "exponential", "tau": tau})
+    path = tmp_path / "tau.json"
+    path.write_text(json.dumps(cfg))
+    code, _ = run_cmd(tmp_path, "verify", path)
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert "'exp_power'" in error and "'beta'" in error
 
 
 def test_parametric_entropy_profile_csv(tmp_path):

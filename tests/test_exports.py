@@ -168,3 +168,16 @@ def test_benchmark_trace_counters_read_the_sampling_arguments(monkeypatch):
     assert (layers["mc.uniform_block"]["calls"], layers["mc.uniform_block"]["doubles"],
             layers["mc.uniform_block"]["used"]) == (1, 10 * 8, 10 * 6)
     assert layers["mc.transform"]["values"] == 10 * 3
+
+
+def test_orthonormality_is_not_declared():
+    # the chaos-limit hypothesis is read off the factor kinds (kernels.orthonormal_factors),
+    # so no call passes it and no shipped config declares it
+    calls = []
+    for path in sorted(p for top in ("src", "demos", "tests") for p in (ROOT / top).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and any(kw.arg == "orthonormal" for kw in node.keywords):
+                calls.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    configs = [path.name for path in sorted((ROOT / "demos" / "configs").glob("*.json"))
+               if "orthonormal" in json.dumps(json.loads(path.read_text()))]
+    assert calls == [] and configs == []

@@ -63,8 +63,7 @@ def field_checks(draw):
                           max_size=nterms, unique=True))
     weight = st.one_of(st.just(0.0), st.floats(-2.0, 2.0, allow_nan=False))
     lam = {k: np.array(draw(st.lists(weight, min_size=nv, max_size=nv))) for k in kvecs}
-    pk = ParametricKernel(np.arange(nv)[:, None], lam, [FactorFamily("hermite")] * d,
-                          orthonormal=True)
+    pk = ParametricKernel(np.arange(nv)[:, None], lam, [FactorFamily("hermite")] * d)
     sets = draw(st.lists(shaped_sets(d), min_size=1, max_size=2))
     return (pk, sets, draw(st.integers(1, 40)), draw(st.integers(1, 60)),
             draw(st.integers(0, 999)), draw(st.sampled_from([1, 3])),
@@ -90,7 +89,7 @@ def _field_kernel(nv):
     """The benchmark's field: ``0.2 + 0.8 t`` on (1, 1) and ``0.5 t^2`` on (2, 2), t in [0, 1]."""
     t = np.linspace(0.0, 1.0, nv)
     return ParametricKernel(t[:, None], {(1, 1): 0.2 + 0.8 * t, (2, 2): 0.5 * t * t},
-                            [FactorFamily("hermite")] * 2, orthonormal=True)
+                            [FactorFamily("hermite")] * 2)
 
 
 def test_check_memory_does_not_grow_with_the_grid():

@@ -358,6 +358,13 @@ def test_index_set_json_round_trip():
     assert corners(index_set_from_json(cells)) == corners(L)
 
 
+@pytest.mark.parametrize("d, n", [(True, [3]), (2.0, [3, 4])], ids=["bool", "float"])
+def test_index_set_json_dimension_is_an_integer(d, n):
+    # true once read as 1 and 2.0 as 2
+    with pytest.raises(ValueError, match="'d'"):
+        index_set_from_json({"d": d, "kind": "rect", "params": {"n": n}})
+
+
 @pytest.mark.parametrize("boxes, message", [
     ([[[1, 1], [2, 2]], [[2, 2], [3, 3]]], "duplicate"),     # overlapping boxes
     ([[[1, 3], [2, 2]]], "lo <= hi"),

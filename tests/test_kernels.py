@@ -16,9 +16,8 @@ from multisum import kernels
 from multisum.kernels import _inverse_factorials
 
 
-def gaussian_pair(lam, orthonormal=True):
-    return DegenerateKernel(2, lam, [FactorFamily("hermite"), FactorFamily("hermite")],
-                            orthonormal=orthonormal)
+def gaussian_pair(lam):
+    return DegenerateKernel(2, lam, [FactorFamily("hermite"), FactorFamily("hermite")])
 
 
 # ---------------------------------------------------------------------------
@@ -406,14 +405,26 @@ def test_kernel_json_round_trip():
     k = gaussian_pair({(1, 2): 0.5, (2, 1): -0.25})
     clone = kernel_from_json(kernel_to_json(k))
     assert clone.lam == k.lam
-    assert clone.orthonormal == k.orthonormal
     pt = [0.7, -1.1]
     assert clone.evaluate(pt) == pytest.approx(k.evaluate(pt), rel=1e-14)
 
 
+@pytest.mark.parametrize("d, dims", [(True, 1), (2.0, 2)], ids=["bool", "float"])
+def test_kernel_json_dimension_is_an_integer(d, dims):
+    # true once loaded a 1-D kernel and entered provenance as true; 2.0 failed on a list product
+    hermite = [FactorFamily("hermite")] * dims
+    obj = kernel_to_json(DegenerateKernel(dims, {(1,) * dims: 1.0}, hermite))
+    with pytest.raises(ValueError, match="'d'"):
+        kernel_from_json(dict(obj, d=d))
+
+
 def test_tabulated_kernel_factors_serialize():
     tk = TabulatedKernel.from_function(lambda x, y: np.minimum(x, y), n=24)
-    clone = kernel_from_json(kernel_to_json(tk.head))
+    obj = kernel_to_json(tk.head)
+    clone = kernel_from_json(obj)
     pt = [float(tk.x_nodes[5]), float(tk.y_nodes[9])]
     assert clone.evaluate(pt) == pytest.approx(tk.head.evaluate(pt), rel=1e-12)
+    # the written key is derived: no axis law samples a tabulated factor's node grid
+    assert obj["orthonormal"] is False
+    assert kernel_to_json(gaussian_pair({(1, 1): 1.0}))["orthonormal"] is True
 

@@ -29,8 +29,8 @@ from test_parametric import point_kernel
 GAUSS = [AxisDistribution("standard_normal")] * 2
 
 
-def hermite_kernel(lam, d=2, orthonormal=True):
-    return DegenerateKernel(d, lam, [FactorFamily("hermite")] * d, orthonormal=orthonormal)
+def hermite_kernel(lam, d=2):
+    return DegenerateKernel(d, lam, [FactorFamily("hermite")] * d)
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +67,7 @@ def field_runs(draw):
     weights = st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=nv, max_size=nv)
     lam = draw(st.dictionaries(kvec, weights, min_size=1, max_size=3))
     pk = ParametricKernel(np.arange(nv)[:, None], {k: np.array(w) for k, w in lam.items()},
-                          [FactorFamily("hermite"), FactorFamily("poisson_charlier")],
-                          orthonormal=False)
+                          [FactorFamily("hermite"), FactorFamily("poisson_charlier")])
     dists = [draw(st.sampled_from(AXIS_LAWS)) for _ in range(2)]
     return (pk, explicit_set(sorted(cells)), dists, draw(st.integers(1, 40)),
             draw(st.integers(0, 999)))
@@ -106,7 +105,7 @@ def test_limit_field_worker_and_block_size_invariance(budget):
     pk = ParametricKernel(np.arange(3)[:, None],
                           {(1, 1): np.array([1.0, 0.5, -0.3]),
                            (2, 3): np.array([0.0, 0.8, 0.6])},
-                          [FactorFamily("hermite")] * 2, orthonormal=True)
+                          [FactorFamily("hermite")] * 2)
     base = sample_Q_infty(pk, 300, RngSpec(17))
     assert base.shape == (3, 300)
     assert base.flags.c_contiguous         # so each grid point's row is contiguous
@@ -434,8 +433,7 @@ def test_sum_moments_apply_only_on_normal_axes():
     k = hermite_kernel({(1, 1): 1.0, (2, 1): 0.5})
     sign = [AxisDistribution("rademacher")] * 2
     assert mc._sum_moments(k, make_rect([3, 3]), sign) is None
-    charlier = DegenerateKernel(2, {(1, 1): 1.0}, [FactorFamily("poisson_charlier")] * 2,
-                                orthonormal=True)
+    charlier = DegenerateKernel(2, {(1, 1): 1.0}, [FactorFamily("poisson_charlier")] * 2)
     poisson = [AxisDistribution("compensated_poisson")] * 2
     assert mc._sum_moments(charlier, make_rect([3, 3]), poisson) is None
     for kernel, dists in ((k, sign), (charlier, poisson)):
@@ -770,7 +768,7 @@ def test_provenance_hashes_the_whole_json_dump(L, n):
 @pytest.mark.parametrize("N", [0, -3])
 def test_every_sampler_needs_a_replication(N):
     kernel = hermite_kernel({(1, 2): 1.0})
-    pk = ParametricKernel(np.zeros((2, 1)), {(1, 2): [1.0, 0.5]}, kernel.factors, True)
+    pk = ParametricKernel(np.zeros((2, 1)), {(1, 2): [1.0, 0.5]}, kernel.factors)
     L = make_rect([3, 3])
     for run in (lambda: simulate_S_L(kernel, L, GAUSS, N, RngSpec(1)),
                 lambda: sample_S_infty(kernel.lam, 2, N, RngSpec(1)),

@@ -48,7 +48,7 @@ def test_covering_profile_12_points(benchmark):
     # the field workload's exponential-level kernel: 0.2 + 0.8 t and 0.5 t^2 over t in [0, 1]
     t = np.linspace(0.0, 1.0, 12)
     pk = ParametricKernel(t[:, None], {(1, 1): 0.2 + 0.8 * t, (2, 2): 0.5 * t * t},
-                          [FactorFamily("hermite")] * 2, orthonormal=True)
+                          [FactorFamily("hermite")] * 2)
     eps = np.geomspace(1.0, 1e-4, 64)
     prof = benchmark.pedantic(covering_profile, args=(pk, eps), rounds=5)
     assert prof.exact
@@ -60,7 +60,7 @@ def test_covering_profile_2000_points(benchmark):
     # one distance row per center; the whole-matrix greedy gave these counts
     t = np.linspace(0.0, 1.0, 2000)
     pk = ParametricKernel(t[:, None], {(1, 1): 0.2 + 0.8 * t, (2, 2): 0.5 * t * t},
-                          [FactorFamily("hermite")] * 2, orthonormal=True)
+                          [FactorFamily("hermite")] * 2)
     eps = np.geomspace(1.0, 1e-4, 64)
     prof = benchmark.pedantic(covering_profile, args=(pk, eps, 1.7), rounds=3)
     assert not prof.exact
@@ -107,6 +107,6 @@ def test_moment_bounds_kernel(benchmark):
     # the bounds workload's kernel: d = 3 Poisson-Charlier, lambda(k, k, k) = 2**-k
     # for k <= 8, on 140**3 nodes
     lam = {(k,) * 3: 2.0 ** -k for k in range(1, 9)}
-    kernel = DegenerateKernel(3, lam, [FactorFamily("poisson_charlier")] * 3, orthonormal=True)
+    kernel = DegenerateKernel(3, lam, [FactorFamily("poisson_charlier")] * 3)
     got = benchmark.pedantic(kernel.moment, args=(8.0,), rounds=5)
     assert got == pytest.approx(reference_moment(kernel, 8.0), rel=1e-13)

@@ -15,7 +15,8 @@ from multisum import (AxisDistribution, EmpiricalDist, ks_distance, DegenerateKe
                       covering_profile, entropy_integral_exp,
                       entropy_integral_power, extremal,
                       lshape_family, make_rect, power_log, rho_lambda,
-                      sigma_lambda, simulate_Q_L, simulate_S_L, verify_nclt)
+                      sigma_lambda, simulate_Q_L, simulate_S_L, tabulated_family,
+                      verify_nclt)
 from multisum.parametric import (_exact_cover_count, _greedy_radii,
                                  parametric_kernel_from_json,
                                  parametric_kernel_to_json, sample_Q_infty)
@@ -26,15 +27,13 @@ GAUSS2 = [AxisDistribution("standard_normal")] * 2
 
 def point_kernel(pk, v):
     """The degenerate kernel of ``pk`` at grid point ``v``, its lambda keys in ``pk``'s order."""
-    return DegenerateKernel(pk.d, {k: w[v] for k, w in pk.lam.items()}, pk.factors,
-                            pk.orthonormal)
+    return DegenerateKernel(pk.d, {k: w[v] for k, w in pk.lam.items()}, pk.factors)
 
 
-def line_grid_pk(nv=11, orthonormal=True):
+def line_grid_pk(nv=11):
     """lambda(v, (1,1)) = v on an equispaced [0, 1] grid: rho = |v - w|."""
     v = np.linspace(0.0, 1.0, nv)
-    return ParametricKernel(v[:, None], {(1, 1): v.copy()},
-                            [FactorFamily("hermite")] * 2, orthonormal=orthonormal)
+    return ParametricKernel(v[:, None], {(1, 1): v.copy()}, [FactorFamily("hermite")] * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +213,7 @@ def test_greedy_covering_holds_no_distance_matrix():
     # at 92 MiB
     t = np.linspace(0.0, 1.0, 2000)
     pk = ParametricKernel(t[:, None], {(1, 1): 0.2 + 0.8 * t, (2, 2): 0.5 * t * t},
-                          [FactorFamily("hermite")] * 2, orthonormal=True)
+                          [FactorFamily("hermite")] * 2)
     eps = np.geomspace(1.0, 1e-4, 64)
     tracemalloc.start()
     try:
@@ -329,7 +328,7 @@ def test_exp_integral_monotone_in_tau():
 def test_singleton_grid_reduces_to_scalar_sim():
     v = np.array([[0.7]])
     pk = ParametricKernel(v, {(1, 1): np.array([0.8]), (2, 2): np.array([0.2])},
-                          [FactorFamily("hermite")] * 2, orthonormal=True)
+                          [FactorFamily("hermite")] * 2)
     for L in (make_rect([4, 5]), lshape_family([6])[0]):
         per_v, sup = simulate_Q_L(pk, L, GAUSS2, 800, RngSpec(61))
         scalar = simulate_S_L(point_kernel(pk, 0), L, GAUSS2, 800, RngSpec(61))
@@ -339,8 +338,7 @@ def test_singleton_grid_reduces_to_scalar_sim():
 
 def test_constant_weights_sup_is_absolute_value():
     pk = ParametricKernel(np.arange(3)[:, None],
-                          {(1, 1): np.full(3, 1.0)}, [FactorFamily("hermite")] * 2,
-                          orthonormal=True)
+                          {(1, 1): np.full(3, 1.0)}, [FactorFamily("hermite")] * 2)
     L = make_rect([3, 3])
     per_v, sup = simulate_Q_L(pk, L, GAUSS2, 500, RngSpec(67))
     for v in range(3):
@@ -351,7 +349,7 @@ def test_constant_weights_sup_is_absolute_value():
 def test_field_needs_one_axis_law_per_axis():
     # a short list of laws is refused, not zipped down to fewer axes than the kernel has
     pk = ParametricKernel(np.zeros((1, 1)), {(1, 1): np.array([1.0])},
-                          [FactorFamily("hermite")] * 2, orthonormal=True)
+                          [FactorFamily("hermite")] * 2)
     with pytest.raises(ValueError, match="one axis distribution per kernel axis"):
         simulate_Q_L(pk, make_rect([4, 4]), GAUSS2[:1], 10, RngSpec(1))
     with pytest.raises(ValueError, match="one axis distribution per kernel axis"):
@@ -361,7 +359,7 @@ def test_field_needs_one_axis_law_per_axis():
 def test_two_point_limit_covariance():
     lam = {(1, 1): np.array([1.0, 0.6]), (2, 2): np.array([0.0, 0.8])}
     pk = ParametricKernel(np.array([[0.0], [1.0]]), lam,
-                          [FactorFamily("hermite")] * 2, orthonormal=True)
+                          [FactorFamily("hermite")] * 2)
     mat = sample_Q_infty(pk, 100_000, RngSpec(71))
     prods = mat[0] * mat[1]
     expected = sum(w[0] * w[1] for w in lam.values())
@@ -381,8 +379,7 @@ def test_check_theorem8_power_level_holder():
 
 def test_check_theorem8_singleton_matches_rect_verifier():
     v = np.array([[0.0]])
-    pk = ParametricKernel(v, {(1, 1): np.array([1.0])}, [FactorFamily("hermite")] * 2,
-                          orthonormal=True)
+    pk = ParametricKernel(v, {(1, 1): np.array([1.0])}, [FactorFamily("hermite")] * 2)
     rep8 = check_theorem_8(pk, ("power", 2.0), [make_rect([4, 4]), make_rect([16, 16])],
                            GAUSS2, 3000, RngSpec(79), limit_n=20_000)
     rect = verify_nclt(point_kernel(pk, 0), GAUSS2, [make_rect([4, 4]), make_rect([16, 16])], 3000,
@@ -428,8 +425,12 @@ def test_parametric_keys_follow_the_degenerate_rule(lam):
 
 
 def test_check_theorem8_requires_orthonormal_factors():
-    with pytest.raises(ValueError, match="orthonormal"):
-        check_theorem_8(line_grid_pk(5, orthonormal=False), ("power", 2.0),
+    # a tabulated factor is orthonormal only under its node weights, which no axis law samples
+    v = np.linspace(0.0, 1.0, 5)
+    tab = tabulated_family([-1.0, 1.0], [[-1.0, 1.0]], [0.5, 0.5])
+    pk = ParametricKernel(v[:, None], {(1, 1): v}, [FactorFamily("hermite"), tab])
+    with pytest.raises(ValueError, match="orthonormal.*'tabulated'"):
+        check_theorem_8(pk, ("power", 2.0),
                         [make_rect([4, 4])], GAUSS2, 100, RngSpec(1))
 
 

@@ -254,7 +254,7 @@ def test_uneven_slabs_cover_every_leading_row():
 
 
 def _poisson(d, lam):
-    return DegenerateKernel(d, lam, [FactorFamily("poisson_charlier")] * d, orthonormal=True)
+    return DegenerateKernel(d, lam, [FactorFamily("poisson_charlier")] * d)
 
 
 def test_empty_terms_and_zero_grid_give_zero():
@@ -292,7 +292,7 @@ def test_four_axis_moment_stays_in_a_few_mib():
     # 64**4 Hermite nodes: the whole grid would take 128 MiB
     fam = FactorFamily("hermite")
     lam = {(k,) * 4: 1.0 / k for k in range(1, 4)}
-    kernel = DegenerateKernel(4, lam, [fam] * 4, orthonormal=True)
+    kernel = DegenerateKernel(4, lam, [fam] * 4)
     peaks = []
     for p_grid in ([2.0], [2.0, 4.0, 8.0], [2.0, 3.0, 4.0, 5.0, 6.0, 8.0]):
         tracemalloc.start()

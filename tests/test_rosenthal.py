@@ -69,8 +69,7 @@ def test_trivial_bound_values():
 
 
 def sign_kernel(d):
-    return DegenerateKernel(d, {(1,) * d: 1.0}, [FactorFamily("rademacher_sign")] * d,
-                            orthonormal=True)
+    return DegenerateKernel(d, {(1,) * d: 1.0}, [FactorFamily("rademacher_sign")] * d)
 
 
 def klesov(kernel, p):
@@ -117,8 +116,7 @@ def test_klesov_dominates_enumerated_fourth_moments():
 
 
 def unit_hermite_kernel(lam):
-    return DegenerateKernel(2, lam, [FactorFamily("hermite"), FactorFamily("hermite")],
-                            orthonormal=True)
+    return DegenerateKernel(2, lam, [FactorFamily("hermite"), FactorFamily("hermite")])
 
 
 def test_dp_rank_one_unit():
@@ -178,7 +176,7 @@ def tabulated_rank_split(tk, m, p):
     fam_x = tabulated_family(tk.x_nodes, left[:m_eff], tk.x_weights)
     fam_y = tabulated_family(tk.y_nodes, right[:m_eff], tk.y_weights)
     lam = {(k + 1, k + 1): float(s[k]) for k in range(m_eff)}
-    z_m = DegenerateKernel(2, lam, [fam_x, fam_y], orthonormal=True)
+    z_m = DegenerateKernel(2, lam, [fam_x, fam_y])
     if m >= rank:
         return z_m, 0.0
     if p == 2.0:
@@ -193,10 +191,10 @@ def degenerate_rank_split(kernel, m, p):
     """Reference ``(Z_M, Q_{M,p})``: fresh kernels for the terms up to m and above it."""
     head = {k: w for k, w in kernel.lam.items() if max(k) <= m}
     tail = {k: w for k, w in kernel.lam.items() if max(k) > m}
-    z_m = DegenerateKernel(kernel.d, head, kernel.factors, kernel.orthonormal)
+    z_m = DegenerateKernel(kernel.d, head, kernel.factors)
     if not tail:
         return z_m, 0.0
-    return z_m, DegenerateKernel(kernel.d, tail, kernel.factors, kernel.orthonormal).moment(p)
+    return z_m, DegenerateKernel(kernel.d, tail, kernel.factors).moment(p)
 
 
 def per_rank_theorem_w(kernel, p, L_size, M_max, visited=None):
@@ -236,7 +234,7 @@ def degenerate_kernels(draw):
                                       st.floats(-3.0, 3.0, allow_subnormal=False),
                                       st.integers(-6, 6))
     lam = {k: draw(weight) for k in keys}
-    return DegenerateKernel(d, lam, list(map(FactorFamily, kinds)), orthonormal=True)
+    return DegenerateKernel(d, lam, list(map(FactorFamily, kinds)))
 
 
 @st.composite
@@ -374,7 +372,7 @@ def test_theorem_w_overflowing_residual_is_nan_at_its_rank():
     # NaN.  Rank 3 leaves no residual, and its finite value would win if a floor skipped
     # rank 1: the walk is certified finite nowhere below it
     kernel = DegenerateKernel(2, {(3, 3): 1e300, (1, 1): 1.0},
-                              [FactorFamily("poisson_charlier")] * 2, orthonormal=True)
+                              [FactorFamily("poisson_charlier")] * 2)
     with pytest.warns(RuntimeWarning, match="overflow"):
         reports = theorem_W_bounds(kernel, [2.0, 4.0, 8.0], L_size=100, M_max=3)
     assert [math.isnan(rep.bound_value) for rep in reports] == [True] * 3

@@ -14,7 +14,7 @@ from multisum import (AxisDistribution, DegenerateKernel, EmpiricalDist,
                       FactorFamily, RngSpec, ks_critical, ks_distance,
                       lshape_family, make_rect, natural_composite,
                       sample_S_infty, simulate_family, simulate_S_L,
-                      squares_minus_corner_family, staircase_set,
+                      squares_minus_corner_family, staircase_set, tabulated_family,
                       verify_moment_sandwich, verify_nclt,
                       verify_tail_domination)
 from multisum.cli import main
@@ -24,8 +24,7 @@ GAUSS2 = [AxisDistribution("standard_normal")] * 2
 
 
 def gauss_rank1(d=2):
-    return DegenerateKernel(d, {tuple([1] * d): 1.0}, [FactorFamily("hermite")] * d,
-                            orthonormal=True)
+    return DegenerateKernel(d, {tuple([1] * d): 1.0}, [FactorFamily("hermite")] * d)
 
 
 # ---------------------------------------------------------------------------
@@ -196,17 +195,18 @@ def test_rect_nclt_gaussian_rank1_passes():
 
 
 def test_rect_nclt_requires_orthonormal_and_nondegenerate():
-    k = DegenerateKernel(2, {(1, 1): 1.0}, [FactorFamily("hermite")] * 2, orthonormal=False)
-    with pytest.raises(ValueError):
+    # a tabulated factor is orthonormal only under its node weights, which no axis law samples
+    tab = tabulated_family([-1.0, 1.0], [[-1.0, 1.0]], [0.5, 0.5])
+    k = DegenerateKernel(2, {(1, 1): 1.0}, [FactorFamily("hermite"), tab])
+    with pytest.raises(ValueError, match="orthonormal.*'tabulated'"):
         verify_nclt(k, GAUSS2, [make_rect([4, 4])], 100, RngSpec(1))
-    k0 = DegenerateKernel(2, {(1, 1): 0.0}, [FactorFamily("hermite")] * 2, orthonormal=True)
-    with pytest.raises(ValueError):
+    k0 = DegenerateKernel(2, {(1, 1): 0.0}, [FactorFamily("hermite")] * 2)
+    with pytest.raises(ValueError, match="sum lambda"):
         verify_nclt(k0, GAUSS2, [make_rect([4, 4])], 100, RngSpec(1))
 
 
 def test_rademacher_single_cell_far_from_chaos_limit():
-    k = DegenerateKernel(2, {(1, 1): 1.0}, [FactorFamily("rademacher_sign")] * 2,
-                         orthonormal=True)
+    k = DegenerateKernel(2, {(1, 1): 1.0}, [FactorFamily("rademacher_sign")] * 2)
     dists = [AxisDistribution("rademacher")] * 2
     report = verify_nclt(k, dists, [make_rect([1, 1])], 5000, RngSpec(9),
                          limit_n=20_000)
@@ -253,7 +253,7 @@ def test_report_csv_layout(tmp_path):
     cfg = {"N": 500, "seed": 1, "distributions": ["standard_normal"] * 2,
            "index_sets": {"family": "squares", "sizes": [4]},
            "kernel": {"d": 2, "factors": [{"kind": "hermite", "params": {}}] * 2,
-                      "lambda": [{"k": [1, 1], "w": 1.0}], "orthonormal": True},
+                      "lambda": [{"k": [1, 1], "w": 1.0}]},
            "verify": {"which": "nclt", "limit_n": 2000}}
     path = tmp_path / "rect.json"
     path.write_text(json.dumps(cfg))
@@ -290,8 +290,7 @@ def test_sandwich_p2_orthonormal_all_one():
 
 
 def test_sandwich_rejects_higher_rank():
-    k = DegenerateKernel(2, {(1, 1): 0.5, (2, 2): 0.5}, [FactorFamily("hermite")] * 2,
-                         orthonormal=True)
+    k = DegenerateKernel(2, {(1, 1): 0.5, (2, 2): 0.5}, [FactorFamily("hermite")] * 2)
     with pytest.raises(ValueError):
         verify_moment_sandwich(k, GAUSS2, [make_rect([1, 1])], [2.0], 100,
                                RngSpec(1))
@@ -301,8 +300,7 @@ def test_sandwich_poisson_shape():
     # rank-one compensated Poisson product: the p / ln p power shape describes
     # both envelopes on [4, 16] within 10 percent pointwise (free log-log fit);
     # the fitted exponent itself only settles to d once p is large
-    k = DegenerateKernel(2, {(1, 1): 1.0}, [FactorFamily("poisson_charlier")] * 2,
-                         orthonormal=True)
+    k = DegenerateKernel(2, {(1, 1): 1.0}, [FactorFamily("poisson_charlier")] * 2)
     dists = [AxisDistribution("compensated_poisson")] * 2
     p_grid = [4.0, 6.0, 8.0, 12.0, 16.0]
     report = verify_moment_sandwich(k, dists, [make_rect([1, 1])], p_grid,
@@ -338,7 +336,7 @@ def test_tail_domination_gaussian_rank1():
 def test_tail_levels_reach_the_largest_absolute_value():
     # -h_2 is at most 1/sqrt(2) per cell, so the sums' largest |value| lies in the left tail;
     # a grid that stopped at the largest value held only the validity threshold
-    kernel = DegenerateKernel(1, {(2,): -1.0}, [FactorFamily("hermite")], orthonormal=True)
+    kernel = DegenerateKernel(1, {(2,): -1.0}, [FactorFamily("hermite")])
     dists = [AxisDistribution("standard_normal")]
     composite = natural_composite(kernel, dists, np.geomspace(2, 64, 25))
     sets, rng = [make_rect([1]), make_rect([4])], RngSpec(5)
@@ -394,8 +392,7 @@ def test_natural_composite_requires_p_at_least_two():
 
 def test_scale_equivariance_of_sums_and_ks():
     base_k = gauss_rank1()
-    scaled_k = DegenerateKernel(2, {(1, 1): 2.0}, [FactorFamily("hermite")] * 2,
-                                orthonormal=True)
+    scaled_k = DegenerateKernel(2, {(1, 1): 2.0}, [FactorFamily("hermite")] * 2)
     L = make_rect([5, 5])
     a = simulate_S_L(base_k, L, GAUSS2, 2000, RngSpec(83))
     b = simulate_S_L(scaled_k, L, GAUSS2, 2000, RngSpec(83))
@@ -422,7 +419,7 @@ def test_domination_chain_empirical_w_trivial():
 
 def test_variances_agree_between_sum_and_limit():
     kernel = DegenerateKernel(2, {(1, 1): 0.6, (2, 2): 0.8},
-                              [FactorFamily("hermite")] * 2, orthonormal=True)
+                              [FactorFamily("hermite")] * 2)
     sim = simulate_S_L(kernel, make_rect([16, 16]), GAUSS2, 30_000, RngSpec(97))
     lim = sample_S_infty(kernel.lam, 2, 30_000, RngSpec(98))
     tol = 3 * (sim.variance_se() + lim.variance_se())
