@@ -1,4 +1,4 @@
-"""Exact second and fourth moments of a normalized sum ``S_L`` on standard normal axes.
+"""Exact second and fourth moments of a normalized sum ``S_L``, from one law table per axis.
 
 ``mc.EmpiricalDist.variance_se`` uses them for the exact standard error of a
 simulated sample variance.  ``mc`` imports this module on first use, so a
@@ -12,38 +12,58 @@ import math
 import numpy as np
 
 from .index_sets import IndexSet, _sorted_unique
-from .kernels import _GAUSS_NODE_COUNT
+from .kernels import quadrature_rule
 from .mc import _terms
 
 
 _MOMENT_TERMS = 16    # at most: a term tensor holds M**4 floats, 0.5 MB at 16
 _MOMENT_GRID = 4096   # at most: cells of the compressed grid that each count walks
 _MOMENT_AXES = 4      # at most: there are 4**d agreement patterns
+_MEAN_TOL = 2.0 ** -30   # a factor mean counts as zero below this times its L_2 norm
+_GAUSS_LAWS = ("standard_normal", "centered_exponential")   # the other rules are the law itself
 _PAIRINGS = ("ab,cd->abcd", "ac,bd->abcd", "ad,bc->abcd")   # {01|23}, {02|13}, {03|12}
 _SECOND = ((), (2, 3), (1, 3), (1, 2))   # per pattern, the copies on a pairing's second value
 
 
-def _pattern_tensors(factors, kvecs):
-    """Per axis, four (M, M, M, M) tensors of the terms' Hermite factors, one per pattern.
+def axis_law_table(family, law, ks):
+    """``(E g_a, E g_a g_b, E g_a g_b g_c g_d)`` over ``family``'s factors ``ks`` under ``law``.
 
-    Pattern i (1 to 3) is the i-th pairing of Gram entries, e.g. ``G_ab G_cd``
-    with ``G_ab = [k_a = k_b]``, since the factors are orthonormal under the
-    standard normal law.  Pattern 0 (all four coordinates equal) is the joint
-    moment ``E[h_a h_b h_c h_d]``, by Gauss-Hermite quadrature, minus the
-    three pairings.  None when the rule is not exact for products of four
-    factors.
+    ``ks`` lists 1-based members, repeats allowed (``range(1, kmax + 1)`` gives
+    the 1..kmax table), and ``law`` is the axis' ``AxisDistribution``.  Each
+    entry is a sum over these rows on the law's own rule,
+    ``quadrature_rule(law.kind)``; a canonical pair (the family's base law)
+    has mean 0 and the Gram matrix of orthonormal factors exactly.  None where
+    the rule is not exact for four factors: a Gauss rule of n nodes is exact to
+    degree ``2n - 1``, so to ``4 max(ks) <= 127``; the Rademacher and Poisson
+    rules are the law itself but may overflow; log-Weibull laws and tabulated
+    factors have no rule.
+    """
+    if family.canonical_base is None or law.kind == "log_weibull":
+        return None
+    x, w = quadrature_rule(law.kind)
+    ks = np.asarray(ks)
+    kmax = int(ks.max())
+    if law.kind in _GAUSS_LAWS and 4 * kmax >= 2 * x.size:
+        return None
+    u = family.evaluate_block(kmax, x)[ks - 1]
+    four = np.einsum("aq,bq,cq,dq,q->abcd", u, u, u, u, w, optimize=True)
+    if not np.isfinite(four).all():
+        return None
+    if law.kind == family.canonical_base:
+        return np.zeros(ks.size), np.identity(kmax)[np.ix_(ks - 1, ks - 1)], four
+    return u @ w, (u * w) @ u.T, four
+
+
+def _pattern_tensors(tables):
+    """Per axis table, four (M, M, M, M) tensors of the terms' factors, one per pattern.
+
+    Pattern i (1 to 3) is the i-th pairing of Gram entries, e.g. ``G_ab G_cd``;
+    pattern 0 (all four coordinates equal) is the four-way moment minus the three.
     """
     out = []
-    for axis, family in enumerate(factors):
-        ks = np.array([k[axis] for k in kvecs])
-        if 4 * ks.max() >= 2 * _GAUSS_NODE_COUNT:
-            return None
-        x, w = family.rule
-        u = family.evaluate_block(int(ks.max()), x)[ks - 1]
-        gram = np.equal.outer(ks, ks).astype(float)
+    for _, gram, four in tables:
         pairs = [np.einsum(p, gram, gram) for p in _PAIRINGS]
-        full = np.einsum("aq,bq,cq,dq,q->abcd", u, u, u, u, w, optimize=True)
-        out.append([full - sum(pairs)] + pairs)
+        out.append([four - sum(pairs)] + pairs)
     return out
 
 
@@ -75,43 +95,50 @@ def _agreeing_tuples(lengths, grid, pattern) -> float:
 
 
 def sum_moments(kernel, L: IndexSet, dists):
-    """Exact ``(Var S_L, E S_L**4)`` on standard normal axes, or None where no rule applies.
+    """Exact ``(Var S_L, E S_L**4)`` under the axis laws ``dists``, or None where no rule applies.
 
-    The rule needs Hermite factors on every axis, which are centred and
-    orthonormal under the normal law: ``E S_L = 0`` and ``Var S_L =
-    sum lambda**2`` (``kernel.sigma_sq``).  In the expansion of ``E S_L**4``
-    over 4-tuples of cells and of terms, a tuple adds nothing when some
-    coordinate value of some axis occurs in it once, so on each axis the four
-    coordinates are all equal or equal in the two pairs of one of the three
-    pairings.  Counting the tuples that agree *at least* as a per-axis
-    pattern says (``_agreeing_tuples``) counts an all-equal axis under each
-    pairing too; the pattern-0 tensor subtracts the pairings from the
-    four-way factor moment (``_pattern_tensors``), so each tuple is weighed
-    once.  Hence ``E S_L**4 = |L|**-2 sum_patterns count * sum_{a,b,c,d}
-    lambda_a lambda_b lambda_c lambda_d prod_s T_s[pattern_s]``.  It applies
-    up to ``_MOMENT_TERMS`` terms, ``_MOMENT_AXES`` axes and a grid of
+    Every axis needs a law table (``axis_law_table``) of its terms' factors
+    whose means are zero: ``|E g_k| <= 2**-30 sqrt(E g_k**2)``, far above the
+    rules' rounding (below 1e-13 on the centred factors of degree 2 or less).
+    Then cells that differ on an axis are uncorrelated, and ``Var S_L =
+    sum_{a,b} lambda_a lambda_b prod_s G_s[a_s, b_s]``, summed in term order by
+    Python's ``sum``: where every ``G_s`` is the identity the off-diagonal
+    products are exact zeros, and it is ``kernel.sigma_sq`` bit for bit.  In
+    the expansion of ``E S_L**4`` over 4-tuples of cells and of terms, a tuple
+    adds nothing when some coordinate value of some axis occurs in it once, so
+    on each axis the four coordinates are all equal or equal in the two pairs
+    of one of the three pairings.  Counting the tuples that agree *at least*
+    as a per-axis pattern says (``_agreeing_tuples``) counts an all-equal axis
+    under each pairing too; the pattern-0 tensor subtracts the pairings from
+    the four-way moment (``_pattern_tensors``), so each tuple is weighed once.
+    Hence ``E S_L**4 = |L|**-2 sum_patterns count * sum_{a,b,c,d} lambda_a
+    lambda_b lambda_c lambda_d prod_s T_s[pattern_s]``.  It applies up to
+    ``_MOMENT_TERMS`` terms, ``_MOMENT_AXES`` axes and a grid of
     ``_MOMENT_GRID`` cells (a box is one cell, an L-shape four), and every
-    limit is checked before the grid is built.  Other laws keep the plug-in
-    standard error (ROADMAP item 10).
+    limit is checked before the grid is built.
     """
     kvecs, weights = _terms(kernel.lam)
     if not kvecs:
         return 0.0, 0.0
-    if (len(kvecs) > _MOMENT_TERMS or L.d > _MOMENT_AXES
-            or any(family.kind != "hermite" for family in kernel.factors)
-            or any(law.kind != "standard_normal" for law in dists)):
+    if len(kvecs) > _MOMENT_TERMS or L.d > _MOMENT_AXES:
         return None
     edges = [_sorted_unique(np.concatenate([L.lo[:, s], L.hi[:, s] + 1])) for s in range(L.d)]
     if math.prod(len(e) - 1 for e in edges) > _MOMENT_GRID:
         return None
-    tensors = _pattern_tensors(kernel.factors, kvecs)
-    if tensors is None:
+    tables = [axis_law_table(family, law, [k[s] for k in kvecs])
+              for s, (family, law) in enumerate(zip(kernel.factors, dists))]
+    if any(t is None or np.any(np.abs(t[0]) > _MEAN_TOL * np.sqrt(t[1].diagonal()))
+           for t in tables):
         return None
-    lengths, grid = _grid(L, edges)
     w = weights[0]
+    lam, grams = w.tolist(), [t[1].tolist() for t in tables]
+    var = sum(lam[a] * lam[b] * math.prod(g[a][b] for g in grams)
+              for a in range(len(lam)) for b in range(len(lam)))
+    tensors = _pattern_tensors(tables)
+    lengths, grid = _grid(L, edges)
     w4 = np.einsum("a,b,c,d->abcd", w, w, w, w)
     fourth = 0.0
     for pattern in np.ndindex(*[4] * L.d):
         moment = float(np.sum(w4 * math.prod(t[p] for t, p in zip(tensors, pattern))))
         fourth += _agreeing_tuples(lengths, grid, pattern) * moment
-    return kernel.sigma_sq, fourth / L.size ** 2
+    return var, fourth / L.size ** 2

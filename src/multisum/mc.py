@@ -277,17 +277,6 @@ class AxisDistribution:
 
         return read
 
-    def sample_block(self, rng: RngSpec, axis: int, rep_start: int, rep_count: int,
-                     ncols: int, tag: int = TAG_AXIS,
-                     out: np.ndarray | None = None) -> np.ndarray:
-        """Samples of shape (rep_count, ncols), one read of a fresh ``reader``.
-
-        A read that starts inside a page draws that page's leading rows again,
-        up to ``_PAGE_VALUES`` values a call, so consecutive ranges should be
-        read through one ``reader``.
-        """
-        return self.reader(rng, axis, ncols, tag)(rep_start, rep_count, out)
-
     def identity_moment(self, p: float) -> float:
         """``|xi|_p`` of the raw axis variable (the centered identity factor).
 
@@ -388,14 +377,16 @@ class EmpiricalDist:
         """Standard error of the sample variance: exact where the law's moments are known.
 
         Where ``law_moments`` gives the sampled law's variance and fourth
-        central moment (``simulate_family`` passes ``_sum_moments``, which
-        knows them on standard normal axes) it is the exact ``sqrt(mu4/n -
-        sigma^4 (n-3)/(n(n-1)))``.  Otherwise it is the asymptotic delta-method
-        estimate from the sample fourth moment, which converges slowly when the
-        law is heavy-tailed, so it understates the spread and moves with the
-        sample variance: for diagonal Hermite kernels of degree up to 3 at
-        N = 2000, 7% of 300 seeded runs fell more than 4 estimated standard
-        errors from the exact variance, the worst 8.9.
+        central moment it is the exact ``sqrt(mu4/n - sigma^4 (n-3)/(n(n-1)))``:
+        ``simulate_family`` passes ``_sum_moments``, which knows them where
+        every axis has a law table of centred factors (any analytic kind on
+        its base law, Hermite k <= 2 on a Poisson axis).  Otherwise (a
+        non-centred factor, a log-Weibull axis, a tabulated factor) it is the
+        asymptotic delta-method estimate from the sample fourth moment, which
+        converges slowly when the law is heavy-tailed, so it understates the
+        spread and moves with the sample variance: for diagonal Hermite kernels
+        of degree up to 3 at N = 2000, 7% of 300 seeded runs fell more than 4
+        estimated standard errors from the exact variance, the worst 8.9.
         """
         if self.n < 2:
             return 0.0
@@ -679,8 +670,9 @@ def _provenance(kind, kernel, L, dists, n, seed, columns=None) -> str:
 def _sum_moments(kernel, L: IndexSet, dists):
     """``_moments.sum_moments(kernel, L, dists)``, importing it on first use.
 
-    Only ``EmpiricalDist.variance_se`` reads the exact moments, so a run that
-    never reads a standard error never loads their rule.
+    The exact ``(Var S_L, E S_L**4)`` under the axis laws, or None where an axis has no
+    table of centred factors.  Only ``EmpiricalDist.variance_se`` reads them, so a run
+    that never reads a standard error (``bound``, ``verify``) never loads their rule.
     """
     from ._moments import sum_moments
     return sum_moments(kernel, L, dists)
@@ -866,8 +858,8 @@ def simulate_family(kernel, sets, dists, N: int, rng: RngSpec,
     one-set family is ``simulate_S_L``.  All S x N sums are held at once.
     Worker counts partition replications without changing any variate.
     Each distribution can compute its law's exact moments (``_sum_moments``,
-    called only when its ``variance_se`` is read), so that where they are
-    known its standard error is exact.
+    called only when its ``variance_se`` is read), so that its standard
+    error is exact wherever every axis law has a table of centred factors.
     """
     sets = list(sets)
     field = _sum_field(kernel.factors, kernel.lam, sets, dists, N, rng, workers)

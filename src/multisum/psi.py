@@ -133,35 +133,47 @@ class PsiFunction:
 # -- constructors ---------------------------------------------------------
 
 
+def _numbers(family: str, **params) -> tuple:
+    """``params``' values as floats, or a ValueError naming the first that is no finite number."""
+    for key, value in params.items():
+        if not _finite_number(value):
+            raise ValueError(f"psi family '{family}' param '{key}' must be a finite number, "
+                             f"got {value!r}")
+    return tuple(float(value) for value in params.values())
+
+
 def power_log(m: float, r: float = 0.0) -> PsiFunction:
     """``psi(p) = p**(1/m) * ln(p + e - 1)**(-r)`` on ``[1, inf)``."""
+    m, r = _numbers("power_log", m=m, r=r)
     if m <= 0:
         raise ValueError("power_log requires m > 0")
-    return PsiFunction("power_log", (float(m), float(r)))
+    return PsiFunction("power_log", (m, r))
 
 
 def extremal(r: float) -> PsiFunction:
     """Identically 1 on the closed support ``[1, r]``."""
+    r, = _numbers("extremal", r=r)
     if r < 1:
         raise ValueError("extremal requires r >= 1")
-    return PsiFunction("extremal", (float(r),), support_upper=float(r), closed_top=True)
+    return PsiFunction("extremal", (r,), support_upper=r, closed_top=True)
 
 
 def bounded_support(b: float, gamma: float, r: float = 0.0) -> PsiFunction:
     """Blow-up family ``(b - p)**(-(gamma+1)/b)`` with log correction, psi(1) = 1."""
+    b, gamma, r = _numbers("bounded_support", b=b, gamma=gamma, r=r)
     if b <= 1:
         raise ValueError("bounded_support requires b > 1")
     if gamma <= -1:
         raise ValueError("bounded_support requires gamma > -1")
-    return PsiFunction("bounded_support", (float(b), float(gamma), float(r)),
-                       support_upper=float(b))
+    return PsiFunction("bounded_support", (b, gamma, r), support_upper=b)
 
 
 def exp_power(beta: float, C: float) -> PsiFunction:
     """``psi(p) = exp(C * p**beta)`` on ``[1, inf)``."""
+    beta, C = _numbers("exp_power", beta=beta, C=C)
     if beta <= 0 or C <= 0:
         raise ValueError("exp_power requires beta > 0 and C > 0")
-    return PsiFunction("exp_power", (float(beta), float(C)))
+    return PsiFunction("exp_power", (beta, C))
 
 
 def _intersect_support(factors):
@@ -454,6 +466,7 @@ def psi_from_json(obj) -> PsiFunction:
     """Inverse of :func:`psi_to_json`; omitted params take the constructor defaults.
 
     A number, whether a scalar param or an entry of a list, must be finite and not a bool.
+    A list holds generating functions only when every entry is an object.
     """
     if isinstance(obj, str):
         obj = json.loads(obj)
@@ -482,10 +495,8 @@ def _param_to_json(value):
 def _param_from_json(family: str, key: str, value):
     if isinstance(value, dict):
         return psi_from_json(value)
-    if isinstance(value, list) and value and isinstance(value[0], dict):
+    if isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
         return [psi_from_json(v) for v in value]
     for number in value if isinstance(value, list) else [value]:
-        if not _finite_number(number):
-            raise ValueError(f"psi family '{family}' param '{key}' must be a finite number, "
-                             f"got {number!r}")
+        _numbers(family, **{key: number})
     return value

@@ -181,7 +181,7 @@ def table_sum_field(factors, lam, nv, L, dists, N, rng, columns=None):
     tables = []
     for axis, (fam, dist) in enumerate(zip(factors, dists)):
         ncols = L.axis_max(axis) if columns is None else columns[axis]
-        x = dist.sample_block(rng, axis, 0, N, ncols)
+        x = dist.reader(rng, axis, ncols)(0, N)
         tables.append(table(fam, kmax[axis], x.ravel()).reshape(kmax[axis], N, ncols))
     return table_contract(tables, L, lam, nv) / math.sqrt(L.size)
 
@@ -242,7 +242,7 @@ def field_instances(draw):
 def test_streamed_sums_equal_the_table_path(instance):
     factors, dists, lam, nv, L, N, seed = instance
     for axis, (fam, dist, kmax) in enumerate(zip(factors, dists, mc._kmax(lam, L.d))):
-        x = dist.sample_block(RngSpec(seed), axis, 0, 1, 9).ravel()
+        x = dist.reader(RngSpec(seed), axis, 9)(0, 1).ravel()
         assert np.array_equal(fam.evaluate_block(kmax, x), table(fam, kmax, x))
     reference = table_sum_field(factors, lam, nv, L, dists, N, RngSpec(seed))
     streamed, = mc._sum_field(factors, lam, [L], dists, N, RngSpec(seed), 1)
@@ -281,7 +281,7 @@ def test_family_sums_are_cell_sums_of_the_shared_draws(family):
         assert rows.tobytes() == other.tobytes()
     # every set reads the family's one draw: per axis, its widest side of columns
     columns = [max(L.axis_max(axis) for L in sets) for axis in range(kernel.d)]
-    draws = [dist.sample_block(rng, axis, 0, N, n)
+    draws = [dist.reader(rng, axis, n)(0, N)
              for axis, (dist, n) in enumerate(zip(dists, columns))]
     for L, rows in zip(sets, field):
         for r in range(N):

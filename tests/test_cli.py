@@ -419,12 +419,14 @@ def test_simulate_explicit_lshapes_pinned_bytes(tmp_path, workers):
 
 
 # a simulate on Poisson and Rademacher axes at N = 300: these laws are inverse CDFs of
-# the uniforms of their streams' pages and keep the plug-in variance_se, so these bytes
-# move only with the uniform pages, the inverse CDFs or the plug-in error
+# the uniforms of their streams' pages, so the dist and quantile bytes move only with the
+# uniform pages or the inverse CDFs.  Charlier and sign factors on their base laws have law
+# tables with mean 0 and G = I, so the summary's variance_se is exact (0.257 and 0.231,
+# where the plug-in read 0.141 and 0.082), from mc._sum_moments
 NON_NORMAL_FILES = {
     "dist_0": "dist_0-24a4a6808862.bin", "dist_1": "dist_1-5e3820bfec9a.bin",
     "quantiles_0": "quantiles_0-e32430499df8.csv", "quantiles_1": "quantiles_1-c8f55964a3b8.csv",
-    "summary": "summary-9173861630f7.json",
+    "summary": "summary-1d2abd47d033.json",
 }
 
 
@@ -1124,7 +1126,9 @@ def test_psi_default_grid_stays_inside_open_support(tmp_path):
         "base": {"family": "power_log", "params": {"m": 2}}, "d": 2.5}}, "d"),
     ({"family": "power_log", "params": {"m": "2"}}, "m"),
     ({"family": "tabulated", "params": {"p_grid": [1.0, 2.0], "values": [1.0, True]}}, "values"),
-], ids=["nan", "bool", "fractional-d", "string", "bool-in-list"])
+    ({"family": "product_of", "params": {"factors": [
+        {"family": "power_log", "params": {"m": 2}}, 3]}}, "factors"),
+], ids=["nan", "bool", "fractional-d", "string", "bool-in-list", "mixed-list"])
 def test_psi_spec_params_must_be_finite_numbers(tmp_path, capsys, spec, param):
     # NaN once wrote NaN tables, true ran as m = 1 (or a value of 1) and d = 2.5 as d = 2
     path = tmp_path / "psi.json"

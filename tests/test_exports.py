@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import multisum
+from make_golden_manifests import cases
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(multisum.__path__))
 
@@ -67,11 +68,15 @@ def test_only_quad_imports_scipy():
 
 # a cold CLI process loads no SciPy (mc._quad brings it only for two identity moments), no
 # numpy.ma (np.unique and np.quantile would import it) and no numpy.polynomial (the Gauss
-# rules are built on numpy.linalg)
-UNLOADED = ("scipy", "numpy.ma", "numpy.polynomial")
-PROBED = {"simulate": "demos/configs/simulate_smoke.json",
+# rules are built on numpy.linalg); the moment tables load with the first standard error a
+# run reads, so bound and verify never load them and simulate does.  Each command runs a
+# golden case (the smoke demo simulates N = 1 and reads no standard error), and the probe's
+# list is cumulative, so simulate runs last
+UNLOADED = ("scipy", "numpy.ma", "numpy.polynomial", "multisum._moments")
+PROBED = {"bound": "demos/configs/bound_rank1.json",
           "verify": "demos/configs/lshape_fixed_fraction.json",
-          "bound": "demos/configs/bound_rank1.json"}
+          "simulate": "bench/sim-box/seed1/0"}
+LOADED = {"simulate": ["multisum._moments"]}
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -111,10 +116,14 @@ def test_cli_and_a_normal_simulate_load_no_heavy_scipy(tmp_path):
     # in-process golden tests usually run after some test imported SciPy, so this is also the
     # check that a process without it writes the pinned bytes
     golden = json.loads((ROOT / "tests" / "golden_manifests.json").read_text())
-    args = [str(arg) for command, config in PROBED.items() for arg in (command, ROOT / config)]
+    configs, args = cases(), []
+    for command, case in PROBED.items():
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(configs[case][1]))
+        args += [command, str(path)]
     loaded = run_fresh(IMPORT_PROBE, ",".join(UNLOADED), str(tmp_path), *args)
     assert loaded == {"import": {"loaded": []}, **{
-        command: {"loaded": [], "exit": golden[config]["exit"],
+        command: {"loaded": LOADED.get(command, []), "exit": golden[config]["exit"],
                   "files": golden[config]["files"]} for command, config in PROBED.items()}}
 
 

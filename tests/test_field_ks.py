@@ -23,7 +23,7 @@ from test_box_contraction import shaped_sets, table_sum_field
 def table_limit_field(lam, nv, d, N, rng):
     """(nv, N) chaos-limit values from all N replications' betas at once."""
     normal = AxisDistribution("standard_normal")
-    betas = [normal.sample_block(rng, axis, 0, N, k, mc.TAG_BETA).T
+    betas = [normal.reader(rng, axis, k, mc.TAG_BETA)(0, N).T
              for axis, k in enumerate(mc._kmax(lam, d))]
     out = np.zeros((nv, N))
     for kvec, w in lam.items():

@@ -20,7 +20,7 @@ from multisum import (AxisDistribution, DegenerateKernel, EmpiricalDist,
                       empirical_moment, empirical_tail, explicit_set,
                       kernel_to_json, load_empirical, lshape_family, make_rect,
                       sample_S_infty, simulate_Q_L,
-                      simulate_family, simulate_S_L, staircase_set)
+                      simulate_family, simulate_S_L, staircase_set, tabulated_family)
 from multisum import mc
 from multisum.parametric import sample_Q_infty
 from test_box_contraction import naive_S_L, shaped_sets
@@ -210,9 +210,9 @@ def test_normal_range_reads_equal_rows_of_a_read_from_zero(law, ncols):
     assert R == -(-mc._PAGE_VALUES // width)
     total = 2 * R + 3
     rng = RngSpec(5)
-    whole = law.sample_block(rng, 0, 0, total, ncols)
+    whole = law.reader(rng, 0, ncols)(0, total)
     for a, b in [(0, 1), (R - 1, R + 1), (1, total), (R, 2 * R), (R + 2, total), (2 * R + 2, total)]:
-        assert np.array_equal(law.sample_block(rng, 0, a, b - a, ncols), whole[a:b])
+        assert np.array_equal(law.reader(rng, 0, ncols)(a, b - a), whole[a:b])
     # one reader through consecutive blocks, as a worker chunk reads, from a start inside a page
     read, start = law.reader(rng, 0, ncols), R // 2
     buffer = np.empty((3, width))
@@ -221,8 +221,8 @@ def test_normal_range_reads_equal_rows_of_a_read_from_zero(law, ncols):
         assert np.array_equal(read(rep, count, buffer), whole[rep:rep + count])
     # the other axes and the beta stream are other streams (a page of values, so that two
     # streams of a two-valued law do not agree by chance)
-    assert not np.array_equal(law.sample_block(rng, 1, 0, R, ncols), whole[:R])
-    assert not np.array_equal(law.sample_block(rng, 0, 0, R, ncols, mc.TAG_BETA), whole[:R])
+    assert not np.array_equal(law.reader(rng, 1, ncols)(0, R), whole[:R])
+    assert not np.array_equal(law.reader(rng, 0, ncols, mc.TAG_BETA)(0, R), whole[:R])
 
 
 @pytest.mark.parametrize("law, ncols, count", _per_law([(256, 64), (4, 8)],
@@ -233,7 +233,7 @@ def test_normal_read_inside_a_page_allocates_no_page_prefix(law, ncols, count):
     rng = RngSpec(9)
     width = ncols * law.uniforms_per_coord
     start = -(-mc._PAGE_VALUES // width) // 2
-    want = law.sample_block(rng, 0, 0, start + count, ncols)[start:]
+    want = law.reader(rng, 0, ncols)(0, start + count)[start:]
     read = law.reader(rng, 0, ncols)
     buffer = np.empty((count, width))
     tracemalloc.start()
@@ -252,7 +252,7 @@ def test_normal_read_inside_a_page_allocates_no_page_prefix(law, ncols, count):
 def test_paged_normals_pass_a_ks_gate():
     # 1.05 M normals over 17 pages of 9 363 replications, from a start inside a page
     normal = AxisDistribution("standard_normal")
-    x = normal.sample_block(RngSpec(31), 0, 4_000, 150_000, 7).ravel()
+    x = normal.reader(RngSpec(31), 0, 7)(4_000, 150_000).ravel()
     x.sort()
     n = x.size
     cdf = norm.cdf(x)
@@ -380,16 +380,29 @@ def test_variance_is_weight_mass_on_random_sets(run):
 # ---------------------------------------------------------------------------
 
 
-def quadrature_moments(kernel, cells):
-    """Oracle: (E S_L^2, E S_L^4) on normal axes, a 6-node Gauss rule per distinct coordinate.
+def oracle_rule(law: str):
+    """A small rule of ``law``, exact for products of four factors of degree up to 2.
 
-    The rule is exact to degree 11, so factors up to degree 2.
+    Six Gauss-Hermite nodes (degree 11), eight Gauss-Laguerre nodes (degree 15), the
+    two signs, and the Poisson pmf at counts below 30 (the rest weighs under 1e-32).
     """
+    if law == "standard_normal":
+        x, w = np.polynomial.hermite_e.hermegauss(6)
+        return x, w / math.sqrt(2.0 * math.pi)
+    if law == "centered_exponential":
+        t, w = np.polynomial.laguerre.laggauss(8)
+        return t - 1.0, w
+    if law == "rademacher":
+        return np.array([-1.0, 1.0]), np.array([0.5, 0.5])
+    return np.arange(30) - 1.0, np.array([math.exp(-1) / math.factorial(n) for n in range(30)])
+
+
+def quadrature_moments(kernel, cells, laws=("standard_normal",) * 4):
+    """Oracle: (E S_L^2, E S_L^4), axis s by ``oracle_rule(laws[s])`` per distinct coordinate."""
     cells = [tuple(c) for c in cells]
     variables = sorted({(s, c[s]) for c in cells for s in range(kernel.d)})
     slot = {v: i for i, v in enumerate(variables)}
-    x, w = np.polynomial.hermite_e.hermegauss(6)
-    rules = [(x, w / math.sqrt(2.0 * math.pi))] * len(variables)
+    rules = [oracle_rule(laws[s]) for s, _ in variables]
     points, weight = [], 1.0
     for i, (x, w) in enumerate(rules):
         shape = [1] * len(rules)
@@ -428,15 +441,60 @@ def test_sum_moments_match_a_tensor_quadrature(d, lam, cells):
     assert fourth == pytest.approx(want_fourth, rel=1e-10)
 
 
-def test_sum_moments_apply_only_on_normal_axes():
-    # other laws keep the plug-in standard error, even under their own base law
-    k = hermite_kernel({(1, 1): 1.0, (2, 1): 0.5})
-    sign = [AxisDistribution("rademacher")] * 2
-    assert mc._sum_moments(k, make_rect([3, 3]), sign) is None
-    charlier = DegenerateKernel(2, {(1, 1): 1.0}, [FactorFamily("poisson_charlier")] * 2)
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["hermite", "poisson_charlier", "exponential_poly"]),
+       st.dictionaries(st.tuples(st.integers(1, 5), st.integers(1, 5)),
+                       st.floats(-3.0, 3.0, allow_nan=False), min_size=1, max_size=12))
+def test_sum_moments_variance_is_sigma_sq_bit_for_bit_on_base_laws(kind, lam):
+    # G = I exactly: the off-diagonal products add exact zeros to sum(lambda**2)
+    kernel = DegenerateKernel(2, lam, [FactorFamily(kind)] * 2)
+    dists = [AxisDistribution(FactorFamily(kind).canonical_base)] * 2
+    assert mc._sum_moments(kernel, make_rect([2, 3]), dists)[0] == kernel.sigma_sq
+
+
+SIGN, CHARLIER, LAGUERRE, HERMITE = (FactorFamily(kind) for kind in (
+    "rademacher_sign", "poisson_charlier", "exponential_poly", "hermite"))
+LAW_MOMENT_CASES = {
+    "charlier-poisson": ([CHARLIER] * 2, {(1, 1): 0.7, (2, 1): -0.4, (2, 2): 0.3},
+                         ["compensated_poisson"] * 2),
+    "sign-rademacher": ([SIGN] * 2, {(1, 1): 0.8}, ["rademacher"] * 2),
+    "charlier-poisson-sign-rademacher": ([CHARLIER, SIGN], {(1, 1): 0.8, (2, 1): 0.5},
+                                         ["compensated_poisson", "rademacher"]),
+    "laguerre-exponential": ([LAGUERRE] * 2, {(1, 1): 0.6, (2, 1): 0.5, (2, 2): -0.3},
+                             ["centered_exponential"] * 2),
+    # centred but not orthonormal: G = [[1, 2**-0.5], [2**-0.5, 1.5]] on Poisson axes,
+    # and h_2 = 0 on the signs
+    "hermite-poisson": ([HERMITE] * 2, {(1, 1): 0.6, (2, 1): 0.5}, ["compensated_poisson"] * 2),
+    "hermite-rademacher": ([HERMITE] * 2, {(1, 1): 0.6, (2, 1): 0.5}, ["rademacher"] * 2),
+}
+
+
+@pytest.mark.parametrize("cells", [[(1, 1), (1, 2), (2, 1), (2, 2)], [(1, 1), (1, 2), (2, 1)]],
+                         ids=["box", "lshape"])
+@pytest.mark.parametrize("case", LAW_MOMENT_CASES)
+def test_law_moments_match_a_tensor_quadrature_on_every_law(case, cells):
+    # one law table per axis, under the law that samples it, in place of [k_a = k_b]
+    factors, lam, laws = LAW_MOMENT_CASES[case]
+    kernel = DegenerateKernel(2, lam, factors)
+    dists = [AxisDistribution(law) for law in laws]
+    dist = simulate_S_L(kernel, explicit_set(cells), dists, 50, RngSpec(4))
+    var, fourth = dist.law_moments()
+    want_var, want_fourth = quadrature_moments(kernel, cells, laws)
+    assert var == pytest.approx(want_var, rel=1e-10)
+    assert fourth == pytest.approx(want_fourth, rel=1e-10)
+
+
+def test_sum_moments_decline_without_a_centred_table():
+    # a non-centred factor (E h_3 = 6**-0.5 under Poisson), a law with no rule and a
+    # tabulated factor keep the plug-in standard error
     poisson = [AxisDistribution("compensated_poisson")] * 2
-    assert mc._sum_moments(charlier, make_rect([3, 3]), poisson) is None
-    for kernel, dists in ((k, sign), (charlier, poisson)):
+    cases = [(hermite_kernel({(3, 1): 1.0}), poisson),
+             (hermite_kernel({(1, 1): 1.0}), [AxisDistribution("log_weibull", beta=1.0)] * 2),
+             (DegenerateKernel(2, {(1, 1): 1.0}, [tabulated_family(
+                 [-1.0, 1.0], [[-1.0, 1.0]], [0.5, 0.5]), SIGN]),
+              [AxisDistribution("rademacher")] * 2)]
+    for kernel, dists in cases:
+        assert mc._sum_moments(kernel, make_rect([3, 3]), dists) is None
         dist = simulate_S_L(kernel, make_rect([3, 3]), dists, 500, RngSpec(5))
         x = dist.values - dist.values.mean()
         plug_in = math.sqrt((np.mean(x ** 4) - np.mean(x ** 2) ** 2) / dist.n)
@@ -613,7 +671,7 @@ def test_centered_exponential_mean_zero():
     assert vals.min() >= -1.0
 
 
-# sha256 of sample_block(RngSpec(2024), axis 1, replications 5..44, 7 columns), per
+# sha256 of one read of a fresh reader(RngSpec(2024), axis 1, 7 columns), replications 5..44, per
 # law: the normal law by the ziggurat of its pages, every other one the inverse CDF of
 # its pages' uniforms
 SAMPLE_BLOCK_SHA256 = {
@@ -628,10 +686,10 @@ SAMPLE_BLOCK_SHA256 = {
 @pytest.mark.parametrize("law", AXIS_LAWS, ids=lambda law: law.kind)
 def test_sample_block_bytes_pinned(law):
     rng = RngSpec(2024)
-    fresh = law.sample_block(rng, 1, 5, 40, 7)
+    fresh = law.reader(rng, 1, 7)(5, 40)
     # through a reused buffer with spare rows and stale contents
     buffer = np.full((45, 7 * law.uniforms_per_coord), np.nan)
-    reused = law.sample_block(rng, 1, 5, 40, 7, out=buffer)
+    reused = law.reader(rng, 1, 7)(5, 40, buffer)
     assert np.shares_memory(reused, buffer)
     for x in (fresh, reused):
         assert x.shape == (40, 7)
@@ -649,7 +707,7 @@ def test_sample_block_bytes_pinned(law):
     # a buffer padded to a multiple of 4 columns, as Philox counter streams once took, is refused
     padded = 4 * -(-7 * law.uniforms_per_coord // 4)
     with pytest.raises(ValueError, match="columns"):
-        law.sample_block(rng, 1, 5, 40, 7, out=np.empty((45, padded)))
+        law.reader(rng, 1, 7)(5, 40, np.empty((45, padded)))
 
 
 def test_quadrature_identity_moments_match_closed_forms():

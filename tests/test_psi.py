@@ -68,6 +68,20 @@ def test_support_errors_name_the_support():
         bounded_support(4, 1.0)(4.0)
 
 
+@pytest.mark.parametrize("build, params, bad", [
+    (power_log, {"m": math.nan}, "m"),
+    (power_log, {"m": 2.0, "r": math.inf}, "r"),
+    (extremal, {"r": True}, "r"),
+    (bounded_support, {"b": 3.0, "gamma": 1.0, "r": math.nan}, "r"),
+    (exp_power, {"beta": 1.0, "C": -math.inf}, "C"),
+], ids=["power_log-nan-m", "power_log-inf-r", "extremal-bool-r", "bounded_support-nan-r",
+        "exp_power-inf-C"])
+def test_constructors_refuse_non_finite_and_bool_params(build, params, bad):
+    # NaN once passed every range check (NaN <= 0 is false) and True ran as 1.0
+    with pytest.raises(ValueError, match=f"'{build.__name__}' param '{bad}'"):
+        build(**params)
+
+
 def test_bounded_support_normalized_at_one():
     psi = bounded_support(6, 2.0, r=1.0)
     assert psi(1.0) == pytest.approx(1.0, rel=1e-12)
