@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .index_sets import IndexSet, _sorted_unique
+from .index_sets import IndexSet, edge_grid
 from .kernels import quadrature_rule
 from .mc import _terms
 
@@ -67,15 +67,6 @@ def _pattern_tensors(tables):
     return out
 
 
-def _grid(L: IndexSet, edges):
-    """L on the grid cut at ``edges``, its box edges: per axis the segment lengths; L's 0/1 tensor."""
-    grid = np.zeros([len(e) - 1 for e in edges])
-    for lo, hi in zip(L.lo, L.hi):
-        grid[tuple(slice(np.searchsorted(e, a), np.searchsorted(e, b + 1))
-                   for e, a, b in zip(edges, lo, hi))] = 1.0
-    return [np.diff(e).astype(float) for e in edges], grid
-
-
 def _agreeing_tuples(lengths, grid, pattern) -> float:
     """Ordered 4-tuples of cells of L whose coordinates agree at least as ``pattern`` says.
 
@@ -113,7 +104,7 @@ def sum_moments(kernel, L: IndexSet, dists):
     the four-way moment (``_pattern_tensors``), so each tuple is weighed once.
     Hence ``E S_L**4 = |L|**-2 sum_patterns count * sum_{a,b,c,d} lambda_a
     lambda_b lambda_c lambda_d prod_s T_s[pattern_s]``.  It applies up to
-    ``_MOMENT_TERMS`` terms, ``_MOMENT_AXES`` axes and a grid of
+    ``_MOMENT_TERMS`` terms, ``_MOMENT_AXES`` axes and an ``edge_grid`` of
     ``_MOMENT_GRID`` cells (a box is one cell, an L-shape four), and every
     limit is checked before the grid is built.
     """
@@ -122,8 +113,7 @@ def sum_moments(kernel, L: IndexSet, dists):
         return 0.0, 0.0
     if len(kvecs) > _MOMENT_TERMS or L.d > _MOMENT_AXES:
         return None
-    edges = [_sorted_unique(np.concatenate([L.lo[:, s], L.hi[:, s] + 1])) for s in range(L.d)]
-    if math.prod(len(e) - 1 for e in edges) > _MOMENT_GRID:
+    if math.prod(len(e) - 1 for e in L.edges) > _MOMENT_GRID:
         return None
     tables = [axis_law_table(family, law, [k[s] for k in kvecs])
               for s, (family, law) in enumerate(zip(kernel.factors, dists))]
@@ -135,7 +125,7 @@ def sum_moments(kernel, L: IndexSet, dists):
     var = sum(lam[a] * lam[b] * math.prod(g[a][b] for g in grams)
               for a in range(len(lam)) for b in range(len(lam)))
     tensors = _pattern_tensors(tables)
-    lengths, grid = _grid(L, edges)
+    lengths, grid = [np.diff(e).astype(float) for e in L.edges], edge_grid(L).astype(float)
     w4 = np.einsum("a,b,c,d->abcd", w, w, w, w)
     fourth = 0.0
     for pattern in np.ndindex(*[4] * L.d):

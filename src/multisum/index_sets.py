@@ -26,6 +26,7 @@ __all__ = [
     "staircase_set",
     "explicit_set",
     "rect_pair",
+    "edge_grid",
     "nclt_condition_report",
     "ConditionReport",
     "squares_minus_corner_family",
@@ -83,6 +84,15 @@ class IndexSet:
         cells.flags.writeable = False
         return cells
 
+    @cached_property
+    def edges(self) -> tuple:
+        """Per axis, the sorted distinct box starts and ends ``hi + 1``: the cuts of L's box-edge grid."""
+        edges = tuple(_sorted_unique(np.concatenate([self.lo[:, s], self.hi[:, s] + 1]))
+                      for s in range(self.d))
+        for e in edges:
+            e.flags.writeable = False
+        return edges
+
     def bounding_box(self) -> Rect:
         return Rect(tuple(self.lo.min(axis=0).tolist()), tuple(self.hi.max(axis=0).tolist()))
 
@@ -123,9 +133,15 @@ def index_set_from_json(obj: dict) -> IndexSet:
     elif kind == "staircase":
         L = staircase_set(obj["params"]["profile"])
     elif kind == "explicit" and "boxes" in obj["params"]:
-        # the boxes' cells go through ``explicit_set``, which rejects overlaps
+        # the boxes' pieces on their edge grid go through ``explicit_set``, which
+        # merges them as it merges cells and rejects a repeated piece as an overlap
         lo, hi = _int_array(obj["params"]["boxes"], "box corners", 3).swapaxes(0, 1)
-        L = explicit_set(_box_cells(_box_set("explicit", lo, hi)))
+        boxes = _box_set("explicit", lo, hi)
+        first, end = _grid_faces(boxes)
+        merged = explicit_set(_box_cells(_box_set("explicit", first + 1, end)))
+        lo, end = (np.column_stack([e[c[:, s]] for s, e in enumerate(boxes.edges)])
+                   for c in (merged.lo - 1, merged.hi))
+        L = _box_set("explicit", lo, end - 1)
     elif kind == "explicit":
         L = explicit_set(obj["params"]["cells"])
     else:
@@ -300,6 +316,30 @@ def _best_box(grid: np.ndarray, widths: list):
     return best
 
 
+def _grid_faces(L: IndexSet):
+    """Per box and axis, its first segment of L's edge grid and one past its last: two (B, d) arrays."""
+    return (np.column_stack([np.searchsorted(e, c[:, s]) for s, e in enumerate(L.edges)])
+            for c in (L.lo, L.hi + 1))
+
+
+def edge_grid(L: IndexSet) -> np.ndarray:
+    """L on its box-edge grid: the boolean tensor, True on the segment products inside L.
+
+    Per axis, ``L.edges`` cut the line into segments, so every product of
+    segments lies wholly inside or wholly outside L.  The grid is filled as a
+    difference array: each box adds ``(-1)**k`` at its corners that take the
+    far face on k axes, and a cumulative sum per axis turns that into the
+    count of boxes over each grid cell.
+    """
+    first, end = _grid_faces(L)
+    count = np.zeros([len(e) for e in L.edges], dtype=np.int32)
+    for corner in itertools.product((0, 1), repeat=L.d):
+        np.add.at(count, tuple(np.where(corner, end, first).T), (-1) ** sum(corner))
+    for s in range(L.d):
+        np.cumsum(count, axis=s, out=count)
+    return count[(slice(-1),) * L.d] > 0
+
+
 def rect_pair(L: IndexSet) -> RectPair:
     """Best inscribed and circumscribed rectangles of L with both deficiencies.
 
@@ -308,26 +348,14 @@ def rect_pair(L: IndexSet) -> RectPair:
     ``kappa_minus = |L \\ L_minus| / sqrt(|L|)``; the circumscribed side is
     the bounding box, with ``kappa_plus = |L_plus \\ L| / sqrt(|L|)``.
 
-    The search is exact in every dimension.  Per axis, the box faces cut the
-    line into intervals, so the grid of interval products holds cells that
-    lie wholly inside or wholly outside L.  A maximum box cannot slide one
-    step along any axis (the union with its shifted copy would be a larger
-    box), so each of its faces lies on a cut, and the heaviest all-true box
-    of the interval grid, weighed by interval widths, is a maximum box of L.
-    The grid is filled as a difference array: each box adds ``(-1)**k`` at
-    its corners that take the far face on k axes, and a cumulative sum per
-    axis turns that into the count of boxes over each grid cell.
+    The search is exact in every dimension and runs on L's box-edge grid
+    (``edge_grid``).  A maximum box cannot slide one step along any axis
+    (the union with its shifted copy would be a larger box), so each of its
+    faces lies on a cut, and the heaviest all-true box of the grid, weighed
+    by segment widths, is a maximum box of L.
     """
-    lo, end = L.lo, L.hi + 1
-    cuts = [_sorted_unique(np.concatenate([lo[:, s], end[:, s]])) for s in range(L.d)]
-    faces = [(np.searchsorted(c, lo[:, s]), np.searchsorted(c, end[:, s]))
-             for s, c in enumerate(cuts)]
-    count = np.zeros([len(c) for c in cuts], dtype=np.int32)
-    for corner in itertools.product((0, 1), repeat=L.d):
-        np.add.at(count, tuple(f[k] for f, k in zip(faces, corner)), (-1) ** sum(corner))
-    for s in range(L.d):
-        np.cumsum(count, axis=s, out=count)
-    grid = count[(slice(-1),) * L.d] > 0
+    cuts = L.edges
+    grid = edge_grid(L)
     _, i, j = _best_box(grid, [np.diff(c) for c in cuts])
     inner = Rect(tuple(int(c[k]) for c, k in zip(cuts, i)),
                  tuple(int(c[k + 1]) - 1 for c, k in zip(cuts, j)))

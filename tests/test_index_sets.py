@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from multisum import (Rect, explicit_set, lshape_family, make_rect,
                       nclt_condition_report, rect_pair,
                       squares_minus_corner_family, staircase_set)
 from multisum import index_sets
-from multisum.index_sets import _box_cells, index_set_from_json
+from multisum.index_sets import _box_cells, edge_grid, index_set_from_json
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -461,3 +462,75 @@ def test_rect_geometry_needs_no_cells():
     assert L.size == 4096 ** 3 and L.axis_max(2) == 4096
     assert rect_pair(L).l_minus == L.bounding_box() == Rect((1, 1, 1), (4096, 4096, 4096))
     assert "cells" not in vars(L)
+
+
+def read_boxes(boxes, d):
+    return index_set_from_json({"d": d, "kind": "explicit", "params": {"boxes": boxes}})
+
+
+def split(draw, lo, hi):
+    """The box ``[lo, hi]`` cut at drawn faces into boxes that tile it."""
+    axis = draw(st.integers(0, len(lo) - 1))
+    if hi[axis] == lo[axis] or not draw(st.booleans()):
+        return [[lo, hi]]
+    cut = draw(st.integers(lo[axis], hi[axis] - 1))
+    return (split(draw, lo, hi[:axis] + [cut] + hi[axis + 1:])
+            + split(draw, lo[:axis] + [cut + 1] + lo[axis + 1:], hi))
+
+
+@st.composite
+def box_unions(draw):
+    """A union of at most 6 boxes in [1, 8]^d, d <= 3: ``(d, drawn boxes, cells, shuffled pieces)``.
+
+    The pieces tile the union: each box of its ``explicit_set`` cut at random faces.
+    """
+    d = draw(st.integers(1, 3))
+    corner = st.lists(st.integers(1, 8), min_size=d, max_size=d)
+    pairs = draw(st.lists(st.tuples(corner, corner), min_size=1, max_size=6))
+    boxes = [[list(map(min, a, b)), list(map(max, a, b))] for a, b in pairs]
+    cells = sorted({tuple(c) for lo, hi in boxes for c in meshgrid_cells([lo], [hi]).tolist()})
+    ref = explicit_set(cells)
+    pieces = [p for lo, hi in zip(ref.lo.tolist(), ref.hi.tolist()) for p in split(draw, lo, hi)]
+    return d, boxes, cells, draw(st.permutations(pieces))
+
+
+@SETTINGS
+@given(box_unions())
+def test_boxes_reader_merges_on_the_edge_grid_as_explicit_set_merges_cells(union):
+    d, boxes, cells, pieces = union
+    ref = explicit_set(cells)
+    L = read_boxes(pieces, d)
+    assert corners(L) == corners(ref) and L.to_json() == ref.to_json()
+    # a box read twice, or two drawn boxes that share a cell, overlap
+    with pytest.raises(ValueError, match="duplicate"):
+        read_boxes(pieces + pieces[-1:], d)
+    if sum(Rect(tuple(lo), tuple(hi)).size for lo, hi in boxes) > len(cells):
+        with pytest.raises(ValueError, match="duplicate"):
+            read_boxes(boxes, d)
+    else:
+        assert corners(read_boxes(boxes, d)) == corners(ref)
+    # each grid cell is a product of edge segments, wholly inside or wholly outside L
+    inside = np.zeros([10] * d, dtype=bool)
+    inside[tuple(L.cells.T)] = True
+    grid = edge_grid(L)
+    assert grid.shape == tuple(len(e) - 1 for e in L.edges)
+    for index in np.ndindex(*grid.shape):
+        segment = inside[tuple(slice(e[i], e[i + 1]) for e, i in zip(L.edges, index))]
+        assert segment.all() if grid[index] else not segment.any()
+
+
+@pytest.mark.parametrize("boxes", [
+    [[[1, 1], [4096, 4096]]],
+    [[[1, 1], [1024, 2048]], [[1025, 1], [2048, 1024]]],       # the 2048 L-shape
+], ids=["box", "lshape"])
+def test_boxes_reader_memory_does_not_grow_with_the_cells(boxes):
+    # expanding the boxes to their cells traced 640 MiB on the box, 120 MiB on the L-shape
+    tracemalloc.start()
+    try:
+        L = read_boxes(boxes, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert "cells" not in vars(L)
+    assert L.to_json()["params"]["boxes"] == boxes
