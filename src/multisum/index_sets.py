@@ -355,8 +355,7 @@ def rect_pair(L: IndexSet) -> RectPair:
     by segment widths, is a maximum box of L.
     """
     cuts = L.edges
-    grid = edge_grid(L)
-    _, i, j = _best_box(grid, [np.diff(c) for c in cuts])
+    _, i, j = _best_box(edge_grid(L), [np.diff(c) for c in cuts])
     inner = Rect(tuple(int(c[k]) for c, k in zip(cuts, i)),
                  tuple(int(c[k + 1]) - 1 for c, k in zip(cuts, j)))
     box = L.bounding_box()
