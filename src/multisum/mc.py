@@ -12,10 +12,16 @@ are not clipped, though the inverse CDF that they replace bounded ``|xi|`` at
 about 8.1.  Every other law is an inverse CDF of the pages' uniforms,
 transformed in place.  A family of index sets is sampled in one pass from
 one stream (``simulate_family``): per replication each axis draws the
-family's widest side, ``max_L axis_max(L)`` coordinates (``_columns``), and
-every set sums its own cells of those draws.  The sets of a family are thus
-coupled by common random numbers, each with its own law, and a one-set
-family reads just what its set alone reads.
+family's widest side, ``max_L axis_max(L)`` coordinates, and every set sums
+its own cells of those draws.  The sets of a family are thus coupled by
+common random numbers, each with its own law, and a one-set family reads
+just what its set alone reads.  An axis of identity factors (every term's
+k = 1) on standard normal variables is segmented instead (``_layouts``):
+the union of the family's box edges on it cuts the line into segments, and
+it draws one normal per segment, scaled by the root of the segment's
+length, which has the law of the segment's sum of unit normals.  There a
+variate is addressed by ``(seed, tag, axis, replication, segment)``, and a
+side sum is the sum of the segments it covers.
 
 The normalized sum over an index set L is ``S_L = |L|**-0.5 *
 sum_{k in L} f(xi_{k_1}(1), ..., xi_{k_d}(d))``.  Every L is a disjoint union
@@ -55,13 +61,12 @@ import hashlib
 import json
 import math
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .index_sets import IndexSet
+from .index_sets import IndexSet, _sorted_unique
 from .kernels import _finite_number, _lp_norm, kernel_to_json, quadrature_rule
 
 __all__ = [
@@ -651,8 +656,9 @@ def _provenance(kind, kernel, L, dists, n, seed, columns=None) -> str:
 
     The payload names the index set by its JSON, which lists an explicit
     set's boxes, so the hash costs O(boxes) whatever ``|L|``.  A set sampled
-    with a family reads the family's per-axis ``columns`` of each stream, so
-    they enter the payload when they differ from the set's own ``axis_max``.
+    with a family reads the family's per-axis draws of each stream
+    (``_layouts``: a column count, or a segmented axis' cuts), so they enter
+    the payload as ``columns`` when they differ from those of the set alone.
     """
     payload = {
         "kind": kind,
@@ -718,25 +724,53 @@ def _run_blocks(sampler, N, nrows, workers):
     if len(chunks) <= 1:
         for c in chunks:
             run_chunk(c)
-    else:
+    else:   # imported here: a one-chunk run loads no concurrent.futures, nor its logging
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
             list(pool.map(run_chunk, chunks))
     return out
 
 
-def _columns(sets, d: int) -> list:
-    """Per axis, the columns one replication of a family draws: its sets' largest ``axis_max``."""
-    return [max(L.axis_max(axis) for L in sets) for axis in range(d)]
+def _layouts(factors, kvecs, sets, dists) -> list:
+    """Per axis, what one replication of a family draws: segment cuts, or a column count.
+
+    An axis whose law is standard normal and whose terms all take the k = 1
+    member of an analytic family, the identity, is segmented: it draws one
+    normal per segment of the family's box-edge grid on that axis (the
+    union of its sets' ``edges``), scaled by the root of the segment's
+    length.  A sum of n i.i.d. N(0, 1) is N(0, n) and sums over disjoint
+    segments are independent, so every side sum, a run of whole segments,
+    keeps its joint law.  Its entry is the list of cuts.  Every other axis
+    draws one variate per lattice column, its sets' largest ``axis_max``.
+    """
+    out = []
+    for axis, (fam, dist) in enumerate(zip(factors, dists)):
+        if (dist.kind == "standard_normal" and fam.kind != "tabulated"
+                and all(k[axis] == 1 for k in kvecs)):
+            out.append(_sorted_unique(np.concatenate([L.edges[axis] for L in sets])).tolist())
+        else:
+            out.append(max(L.axis_max(axis) for L in sets))
+    return out
+
+
+def _scaled(read, scale):
+    """``read`` whose values are multiplied in place by ``scale``, one factor per column."""
+    def scaled_read(rep_start, rep_count, out=None):
+        x = read(rep_start, rep_count, out)
+        x *= scale
+        return x
+    return scaled_read
 
 
 def _sum_sampler(factors, kvecs, sets, dists, rng):
     """``(make_batch, block_cap)`` of the T unnormalized cores of each set of a family's sums.
 
     A block's output holds T rows per set, in the family's order.  The family
-    reads one stream: per replication each axis draws ``_columns`` variates,
-    each factor row is made once over them, and each distinct box side of the
-    whole family is slice-summed once, so a one-set family reads what that
-    set alone would.
+    reads one stream: per replication each axis draws what ``_layouts``
+    names, each factor row is made once over it, and each distinct box side
+    of the whole family is slice-summed once, so a one-set family reads what
+    that set alone would.  On a segmented axis a side is the run of segments
+    it covers, and the row is the identity on the scaled draws.
     """
     d = len(factors)
     if not sets:
@@ -747,14 +781,26 @@ def _sum_sampler(factors, kvecs, sets, dists, rng):
     if len(dists) != d:
         raise ValueError("need one axis distribution per kernel axis")
     kmax = _kmax(kvecs, d)
-    ncols = _columns(sets, d)
+    ncols, scales, sides = [], [], []
+    for axis, layout in enumerate(_layouts(factors, kvecs, sets, dists)):
+        spans, inverse = _spans(sets, axis)
+        if isinstance(layout, list):    # a side [lo, hi] is segments [at[lo], at[hi + 1])
+            at = {cut: i for i, cut in enumerate(layout)}
+            spans = [(at[lo] + 1, at[hi + 1]) for lo, hi in spans]
+            ncols.append(len(layout) - 1)
+            scales.append(np.sqrt(np.diff(layout)))
+        else:
+            ncols.append(layout)
+            scales.append(None)
+        sides.append((spans, inverse))
     widths = [n * dist.uniforms_per_coord for n, dist in zip(ncols, dists)]
-    sides = [_spans(sets, axis) for axis in range(d)]
     T = len(kvecs)
 
     def make_batch(cap):
         draws = [np.empty((cap, width)) for width in widths]
-        reads = [dist.reader(rng, axis, n) for axis, (dist, n) in enumerate(zip(dists, ncols))]
+        reads = [dist.reader(rng, axis, n) if scale is None
+                 else _scaled(dist.reader(rng, axis, n), scale)
+                 for axis, (dist, n, scale) in enumerate(zip(dists, ncols, scales))]
         rows = np.empty((3, cap * max(ncols)))
 
         def batch(rep_start, rep_count, out):
@@ -853,22 +899,24 @@ def simulate_family(kernel, sets, dists, N: int, rng: RngSpec,
     """N independent replications of S_L for every set L of a family, in one pass over ``rng``.
 
     The sets share their axis samples (common random numbers): per
-    replication each axis draws the family's largest ``axis_max`` once, and
-    each set sums its own cells of them.  So each set keeps its law, and a
-    one-set family is ``simulate_S_L``.  All S x N sums are held at once.
-    Worker counts partition replications without changing any variate.
+    replication each axis draws the family's largest ``axis_max`` once, or
+    on a segmented axis one normal per segment of the family's box edges
+    (``_layouts``), and each set sums its own cells or segments of them.  So
+    each set keeps its law, and a one-set family is ``simulate_S_L``.  All
+    S x N sums are held at once.  Worker counts partition replications
+    without changing any variate.
     Each distribution can compute its law's exact moments (``_sum_moments``,
     called only when its ``variance_se`` is read), so that its standard
     error is exact wherever every axis law has a table of centred factors.
     """
-    sets = list(sets)
+    sets, kvecs = list(sets), list(kernel.lam)
     field = _sum_field(kernel.factors, kernel.lam, sets, dists, N, rng, workers)
-    columns = _columns(sets, kernel.d)
+    layouts = _layouts(kernel.factors, kvecs, sets, dists)
     out = []
     for L, rows in zip(sets, field):
-        own = [L.axis_max(axis) for axis in range(L.d)]
+        own = _layouts(kernel.factors, kvecs, [L], dists)
         prov = _provenance("S_L", kernel, L, dists, N, rng.seed,
-                           None if own == columns else columns)
+                           None if own == layouts else layouts)
         out.append(EmpiricalDist(rows[0], prov, seed=rng.seed,
                                  law_moments=partial(_sum_moments, kernel, L, dists)))
     return out

@@ -1,12 +1,14 @@
-"""Exit codes of every ``verify`` demo config over a range of seeds.
+"""Exit codes of ``verify`` configs, the demo ones by default, over a range of seeds.
 
-Each config in ``demos/configs`` that runs ``verify`` is run through the CLI
-in-process with ``--seed-override`` 1..K, and one line per config lists its
-exit codes in seed order (0 pass, 3 hypotheses not met, 5 failed).  Nothing
-is written outside a temporary directory.  From the repository root::
+Each config given, or by default each config in ``demos/configs`` that runs
+``verify``, is run through the CLI in-process with ``--seed-override``
+1..K, and one line per config lists its exit codes in seed order (0 pass,
+3 hypotheses not met, 5 failed).  Nothing is written outside a temporary
+directory.  From the repository root::
 
     PYTHONPATH=src python3 tests/seed_sweep.py            # seeds 1-10
     PYTHONPATH=src python3 tests/seed_sweep.py --seeds 40 --workers 2
+    PYTHONPATH=src python3 tests/seed_sweep.py demos/configs/gauss_rank1.json
 
 The name does not match ``test_*.py``, so pytest does not collect it.
 """
@@ -47,10 +49,12 @@ def sweep(config: Path, seeds, workers: int = 1) -> list:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("configs", nargs="*", type=Path,
+                        help="verify configs to sweep (default: the demo configs that run verify)")
     parser.add_argument("--seeds", type=int, default=10, help="sweep seeds 1..SEEDS")
     parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args(argv)
-    for config in verify_configs():
+    for config in args.configs or verify_configs():
         codes = sweep(config, range(1, args.seeds + 1), args.workers)
         print(f"{config.name}: {','.join(map(str, codes))}"
               f"  ({sum(c == 0 for c in codes)} of {len(codes)} exit 0)")

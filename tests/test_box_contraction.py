@@ -175,7 +175,8 @@ def table_sum_field(factors, lam, nv, L, dists, N, rng, columns=None):
     """(nv, N) normalized sums over L from whole tables, all replications in one block.
 
     Each axis draws ``columns[axis]`` variates per replication (a family's
-    widest side, see ``mc._columns``), or ``L.axis_max`` when absent.
+    widest side, see ``mc._layouts``), or ``L.axis_max`` when absent.  It is
+    the reference of axes sampled cell by cell (``per_cell``).
     """
     kmax = mc._kmax(lam, L.d)
     tables = []
@@ -184,6 +185,21 @@ def table_sum_field(factors, lam, nv, L, dists, N, rng, columns=None):
         x = dist.reader(rng, axis, ncols)(0, N)
         tables.append(table(fam, kmax[axis], x.ravel()).reshape(kmax[axis], N, ncols))
     return table_contract(tables, L, lam, nv) / math.sqrt(L.size)
+
+
+def per_cell(factors, dists, lam) -> dict:
+    """``lam`` with a k = 2 term on each axis that would be segmented, so every axis is per-cell.
+
+    ``mc._layouts`` segments an axis of analytic factors on normal variables
+    whose terms all take k = 1; there the table path, which draws a variate
+    per cell, is no reference.  The first term takes k = 2 on such an axis.
+    """
+    keys = list(lam)
+    for axis, (fam, dist) in enumerate(zip(factors, dists)):
+        if (fam.kind != "tabulated" and dist.kind == "standard_normal"
+                and all(k[axis] == 1 for k in keys)):
+            keys[0] = keys[0][:axis] + (2,) + keys[0][axis + 1:]
+    return dict(zip(keys, lam.values()))
 
 
 @st.composite
@@ -233,7 +249,8 @@ def field_instances(draw):
     weight = st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=nv, max_size=nv)
     lam = {k: np.array(w) for k, w in
            draw(st.dictionaries(kvec, weight, min_size=1, max_size=4)).items()}
-    return ([fam for fam, _, _ in axes], [law for _, law, _ in axes], lam, nv, L,
+    factors, dists = [fam for fam, _, _ in axes], [law for _, law, _ in axes]
+    return (factors, dists, per_cell(factors, dists, lam), nv, L,
             draw(st.integers(1, 30)), draw(st.integers(0, 999)))
 
 
@@ -243,6 +260,7 @@ def test_streamed_sums_equal_the_table_path(instance):
     factors, dists, lam, nv, L, N, seed = instance
     for axis, (fam, dist, kmax) in enumerate(zip(factors, dists, mc._kmax(lam, L.d))):
         x = dist.reader(RngSpec(seed), axis, 9)(0, 1).ravel()
+        assert mc._layouts(factors, list(lam), [L], dists)[axis] == L.axis_max(axis)
         assert np.array_equal(fam.evaluate_block(kmax, x), table(fam, kmax, x))
     reference = table_sum_field(factors, lam, nv, L, dists, N, RngSpec(seed))
     streamed, = mc._sum_field(factors, lam, [L], dists, N, RngSpec(seed), 1)
@@ -263,10 +281,10 @@ def families(draw):
     kvec = st.tuples(*[st.integers(1, top) for _, _, top in axes])
     lam = draw(st.dictionaries(kvec, st.floats(-2.0, 2.0, allow_nan=False),
                                min_size=1, max_size=4))
-    kernel = DegenerateKernel(d, lam, [fam for fam, _, _ in axes])
+    factors, dists = [fam for fam, _, _ in axes], [law for _, law, _ in axes]
+    kernel = DegenerateKernel(d, per_cell(factors, dists, lam), factors)
     sets = draw(st.lists(shaped_sets(d), min_size=1, max_size=3))
-    return (kernel, [law for _, law, _ in axes], sets, draw(st.integers(1, 12)),
-            draw(st.integers(0, 999)))
+    return kernel, dists, sets, draw(st.integers(1, 12)), draw(st.integers(0, 999))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -310,3 +328,112 @@ def test_members_past_a_family_fail_before_any_row():
     sign = DegenerateKernel(1, {(2,): 1.0}, [FactorFamily("rademacher_sign")])
     with pytest.raises(ValueError, match="single member"):
         simulate_S_L(sign, make_rect([4]), [AxisDistribution("rademacher")], 5, RngSpec(1))
+
+
+# ---------------------------------------------------------------------------
+# the segment path: an axis of identity factors (every term's k = 1) on normal
+# variables draws one normal per segment of its family's box-edge grid
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def box_union_families(draw):
+    """A d = 2 kernel with (1, 1), maybe one k = 2 term, on normal axes; 1-3 box unions; N; seed.
+
+    Each set is the union of at most 6 boxes in [1, 16]^2.  The k = 2 term,
+    when drawn, puts one axis on the per-cell path, so families mix the two.
+    """
+    kinds = st.sampled_from(["hermite", "poisson_charlier", "exponential_poly"])
+    factors = [FactorFamily(draw(kinds)) for _ in range(2)]
+    weight = st.floats(-2.0, 2.0, allow_nan=False)
+    lam = {(1, 1): draw(weight)}
+    extra = draw(st.sampled_from([None, (1, 2), (2, 1)]))
+    if extra is not None:
+        lam[extra] = draw(weight)
+    corner = st.tuples(st.integers(1, 16), st.integers(1, 16))
+    sets = []
+    for _ in range(draw(st.integers(1, 3))):
+        pairs = draw(st.lists(st.tuples(corner, corner), min_size=1, max_size=6))
+        sets.append(explicit_set(sorted(
+            {(i, j) for a, b in pairs for i in range(min(a[0], b[0]), max(a[0], b[0]) + 1)
+             for j in range(min(a[1], b[1]), max(a[1], b[1]) + 1)})))
+    return (DegenerateKernel(2, lam, factors), [AxisDistribution("standard_normal")] * 2, sets,
+            draw(st.integers(1, 40)), draw(st.integers(0, 999)))
+
+
+def drawn_cores(kernel, sets, dists, N, rng):
+    """Per set, its (T, N) cores from whole per-axis tables of the draws the family reads.
+
+    A segmented axis reads one normal per segment between the sorted distinct
+    box edges of all sets, scaled by the root of the segment's length, and a
+    side sums the segments it covers; any other axis reads a variate per
+    column, up to the widest set, and a side sums its cells.
+    """
+    kvecs = list(kernel.lam)
+    tables, slices = [], []
+    for axis, (fam, dist, kmax) in enumerate(zip(kernel.factors, dists,
+                                                 mc._kmax(kvecs, kernel.d))):
+        if dist.kind == "standard_normal" and all(k[axis] == 1 for k in kvecs):
+            cuts = sorted({int(c) for L in sets for c in (*L.lo[:, axis], *(L.hi[:, axis] + 1))})
+            x = dist.reader(rng, axis, len(cuts) - 1)(0, N) * np.sqrt(np.diff(cuts))
+            slices.append(lambda lo, hi, cuts=cuts: slice(cuts.index(lo), cuts.index(hi + 1)))
+        else:
+            x = dist.reader(rng, axis, max(L.axis_max(axis) for L in sets))(0, N)
+            slices.append(lambda lo, hi: slice(lo - 1, hi))
+        tables.append(table(fam, kmax, x.ravel()).reshape(kmax, *x.shape))
+    out = []
+    for L in sets:
+        sums = [[t[:, :, where(a, b)].sum(axis=2) for t, where, a, b in
+                 zip(tables, slices, lo, hi)] for lo, hi in zip(L.lo.tolist(), L.hi.tolist())]
+        cores = np.empty((len(kvecs), N))
+        for kvec, core in zip(kvecs, cores):
+            for b, box_sums in enumerate(sums):
+                term = box_sums[0][kvec[0] - 1]
+                for axis in range(1, len(kvec)):
+                    term = term * box_sums[axis][kvec[axis] - 1]
+                core[...] = term if b == 0 else core + term
+        out.append(cores)
+    return out
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(box_union_families())
+def test_segment_side_sums_are_sums_of_the_scaled_page_draws(family):
+    kernel, dists, sets, N, seed = family
+    rng = RngSpec(seed).child(0)
+    kvecs, weights = mc._terms(kernel.lam)
+    layouts = mc._layouts(kernel.factors, kvecs, sets, dists)
+    assert [isinstance(layout, list) for layout in layouts] == \
+        [all(k[axis] == 1 for k in kvecs) for axis in range(2)]
+    reference = drawn_cores(kernel, sets, dists, N, rng)
+    for workers in (1, 3):
+        cores = mc._sum_cores(kernel.factors, kvecs, sets, dists, N, rng, workers)
+        for got, ref in zip(cores, reference, strict=True):
+            assert np.array_equal(got, ref)
+        for L, dist, ref in zip(sets, simulate_family(kernel, sets, dists, N, rng, workers),
+                                reference, strict=True):
+            values = mc._weigh(ref, weights[0], np.empty(N)) / math.sqrt(L.size)
+            assert np.array_equal(dist.values, np.sort(values))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(box_union_families())
+def test_the_cuts_split_every_side_into_whole_segments(family):
+    kernel, dists, sets, _, _ = family
+    for axis, cuts in enumerate(mc._layouts(kernel.factors, list(kernel.lam), sets, dists)):
+        if not isinstance(cuts, list):
+            assert cuts == max(L.axis_max(axis) for L in sets)
+            continue
+        # the cuts are the distinct box edges of the family, ascending
+        edges = {int(c) for L in sets for c in (*L.lo[:, axis], *(L.hi[:, axis] + 1))}
+        assert cuts == sorted(edges)
+        assert all(type(c) is int for c in cuts)      # the provenance writes them as JSON
+        for L in sets:
+            size = 0
+            for lo, hi in zip(L.lo.tolist(), L.hi.tolist()):
+                # a box side is a run of whole segments: no segment straddles its ends
+                a, b = cuts.index(lo[axis]), cuts.index(hi[axis] + 1)
+                assert sum(np.diff(cuts)[a:b]) == hi[axis] - lo[axis] + 1
+                other = 1 - axis
+                size += (hi[other] - lo[other] + 1) * sum(np.diff(cuts)[a:b])
+            assert size == L.size

@@ -393,11 +393,12 @@ def test_simulate_summary_names_explicit_sets_by_their_boxes(tmp_path):
 
 # the files the simulate below writes; each name carries its content digest, so
 # this map pins every output byte (on these normal axes the summary's variance_se
-# is exact, from mc._sum_moments).  Both sets read one stream, 16 columns per axis
+# is exact, from mc._sum_moments).  Both sets read one stream; the (1, 1) kernel's axes
+# are segmented, so each draws 3 normals, one per segment between the cuts 1, 5, 9, 17
 LSHAPE_FILES = {
-    "dist_0": "dist_0-937db7afd903.bin", "dist_1": "dist_1-93545351a96b.bin",
-    "quantiles_0": "quantiles_0-bac6b76dfea0.csv", "quantiles_1": "quantiles_1-fb26eaa6940e.csv",
-    "summary": "summary-6366a893bea2.json",
+    "dist_0": "dist_0-174850d9866a.bin", "dist_1": "dist_1-cee6158adb5c.bin",
+    "quantiles_0": "quantiles_0-f55a903ae8b1.csv", "quantiles_1": "quantiles_1-078e1f45973a.csv",
+    "summary": "summary-70e29231be93.json",
 }
 
 

@@ -69,10 +69,12 @@ def test_only_quad_imports_scipy():
 # a cold CLI process loads no SciPy (mc._quad brings it only for two identity moments), no
 # numpy.ma (np.unique and np.quantile would import it) and no numpy.polynomial (the Gauss
 # rules are built on numpy.linalg); the moment tables load with the first standard error a
-# run reads, so bound and verify never load them and simulate does.  Each command runs a
-# golden case (the smoke demo simulates N = 1 and reads no standard error), and the probe's
-# list is cumulative, so simulate runs last
-UNLOADED = ("scipy", "numpy.ma", "numpy.polynomial", "multisum._moments")
+# run reads, so bound and verify never load them and simulate does.  The thread pool (and
+# the logging it imports) loads only for a run of two or more worker chunks, so none of
+# these one-worker runs loads it.  Each command runs a golden case (the smoke demo
+# simulates N = 1 and reads no standard error), and the probe's list is cumulative, so
+# simulate runs last
+UNLOADED = ("scipy", "numpy.ma", "numpy.polynomial", "multisum._moments", "concurrent.futures")
 PROBED = {"bound": "demos/configs/bound_rank1.json",
           "verify": "demos/configs/lshape_fixed_fraction.json",
           "simulate": "bench/sim-box/seed1/0"}

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from multisum import (AxisDistribution, EmpiricalDist, FactorFamily, ParametricKernel,
                       RngSpec, ks_critical, ks_distance, make_rect)
 from multisum import mc, verify
-from test_box_contraction import shaped_sets, table_sum_field
+from test_box_contraction import per_cell, shaped_sets, table_sum_field
 
 
 def table_limit_field(lam, nv, d, N, rng):
@@ -55,7 +55,10 @@ def materialised_chaos_limit_ks(pk, dists, sets, N, rng, limit_n, final_ks):
 
 @st.composite
 def field_checks(draw):
-    """A Hermite field of 1-6 points and 1-4 terms, one or two sets, sizes, seed, workers."""
+    """A Hermite field of 1-6 points and 1-4 terms, one or two sets, sizes, seed, workers.
+
+    Every axis is sampled cell by cell (``per_cell``), as the materialised fields are.
+    """
     d = draw(st.integers(1, 2))
     nv = draw(st.integers(1, 6))
     nterms = draw(st.integers(1, 4))
@@ -63,7 +66,9 @@ def field_checks(draw):
                           max_size=nterms, unique=True))
     weight = st.one_of(st.just(0.0), st.floats(-2.0, 2.0, allow_nan=False))
     lam = {k: np.array(draw(st.lists(weight, min_size=nv, max_size=nv))) for k in kvecs}
-    pk = ParametricKernel(np.arange(nv)[:, None], lam, [FactorFamily("hermite")] * d)
+    factors = [FactorFamily("hermite")] * d
+    lam = per_cell(factors, [AxisDistribution("standard_normal")] * d, lam)
+    pk = ParametricKernel(np.arange(nv)[:, None], lam, factors)
     sets = draw(st.lists(shaped_sets(d), min_size=1, max_size=2))
     return (pk, sets, draw(st.integers(1, 40)), draw(st.integers(1, 60)),
             draw(st.integers(0, 999)), draw(st.sampled_from([1, 3])),

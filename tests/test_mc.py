@@ -794,12 +794,11 @@ def test_provenance_distinguishes_inputs():
 
 def test_provenance_names_the_columns_a_family_draws():
     # a set's values depend on its family's columns of each stream, so its digest names
-    # them; alone, or in a family no wider than itself, it keeps its one-set digest
-    k = hermite_kernel({(1, 1): 1.0, (2, 1): 0.5})
+    # them; alone, or in a family no wider than itself, it keeps its one-set digest.  Both
+    # axes of this kernel take k = 2, so both are sampled cell by cell
+    k = hermite_kernel({(1, 2): 1.0, (2, 1): 0.5})
     box, lshape = make_rect([3, 5]), lshape_family([6])[0]
     alone = simulate_S_L(k, box, GAUSS, 10, RngSpec(1))
-    assert alone.provenance == "6084ad459bae90e4"        # the digest before families
-    assert simulate_S_L(k, lshape, GAUSS, 10, RngSpec(1)).provenance == "d5cd2105fa1cef9e"
     narrow = simulate_family(k, [box, make_rect([2, 4])], GAUSS, 10, RngSpec(1))
     wide = simulate_family(k, [box, lshape], GAUSS, 10, RngSpec(1))
     tall = simulate_family(k, [box, make_rect([1, 9])], GAUSS, 10, RngSpec(1))
@@ -810,6 +809,29 @@ def test_provenance_names_the_columns_a_family_draws():
     assert tall[0].provenance == mc._provenance("S_L", k, box, GAUSS, 10, 1, [3, 9])
     assert len({alone.provenance, wide[0].provenance, tall[0].provenance}) == 3
     assert not np.array_equal(wide[0].values, tall[0].values)
+
+
+def test_provenance_names_the_cuts_of_a_segmented_axis():
+    # axis 1 takes only k = 1 on normal variables, so it draws one normal per segment of
+    # its family's box edges; a set's digest names the cuts when they are not its own
+    k = hermite_kernel({(1, 1): 1.0, (2, 1): 0.5})
+    box, lshape = make_rect([3, 5]), lshape_family([6])[0]
+    alone = simulate_S_L(k, box, GAUSS, 10, RngSpec(1))
+    assert alone.provenance == "6084ad459bae90e4"        # the digest before families
+    assert simulate_S_L(k, lshape, GAUSS, 10, RngSpec(1)).provenance == "d5cd2105fa1cef9e"
+    assert mc._layouts(k.factors, list(k.lam), [box, lshape], GAUSS) == [6, [1, 4, 6, 7]]
+    same = simulate_family(k, [box, make_rect([2, 5])], GAUSS, 10, RngSpec(1))
+    cut = simulate_family(k, [box, make_rect([2, 4])], GAUSS, 10, RngSpec(1))
+    wide = simulate_family(k, [box, lshape], GAUSS, 10, RngSpec(1))
+    assert mc.empirical_bytes(same[0]) == mc.empirical_bytes(alone)
+    assert cut[0].provenance == mc._provenance("S_L", k, box, GAUSS, 10, 1, [3, [1, 5, 6]])
+    assert not np.array_equal(cut[0].values, alone.values)
+    # in ``wide`` the L-shape is the widest set on axis 0, but the box cuts its axis 1
+    for L, dist in zip([box, lshape], wide):
+        assert dist.provenance == mc._provenance("S_L", k, L, GAUSS, 10, 1, [6, [1, 4, 6, 7]])
+    assert not np.array_equal(wide[1].values, simulate_S_L(k, lshape, GAUSS, 10,
+                                                           RngSpec(1)).values)
+    assert len({alone.provenance, cut[0].provenance, wide[0].provenance}) == 3
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
