@@ -11,17 +11,21 @@ limit's betas, are drawn by NumPy's ziggurat (Marsaglia & Tsang 2000); they
 are not clipped, though the inverse CDF that they replace bounded ``|xi|`` at
 about 8.1.  Every other law is an inverse CDF of the pages' uniforms,
 transformed in place.  A family of index sets is sampled in one pass from
-one stream (``simulate_family``): per replication each axis draws the
-family's widest side, ``max_L axis_max(L)`` coordinates, and every set sums
-its own cells of those draws.  The sets of a family are thus coupled by
+one stream per axis (``simulate_family``): per replication each axis draws
+the family's widest side, ``max_L axis_max(L)`` coordinates, and every set
+sums its own cells of those draws.  The sets of a family are thus coupled by
 common random numbers, each with its own law, and a one-set family reads
-just what its set alone reads.  An axis of identity factors (every term's
-k = 1) on standard normal variables is segmented instead (``_layouts``):
-the union of the family's box edges on it cuts the line into segments, and
-it draws one normal per segment, scaled by the root of the segment's
-length, which has the law of the segment's sum of unit normals.  There a
-variate is addressed by ``(seed, tag, axis, replication, segment)``, and a
-side sum is the sum of the segments it covers.
+just what its set alone reads.  An axis of standard normal variables whose
+terms take only the identity factor (k = 1) or Hermite k = 2 is segmented
+instead (``_layouts``): the union of the family's box edges on it cuts the
+line into segments, and it draws each segment's statistics, not its
+normals.  Over n unit normals ``sum xi = sqrt(n) Z`` and ``sum xi**2 = Z**2
++ C``, Z normal and C chi-square of n - 1 degrees, independent; so one
+normal per segment gives the identity rows, and a chi-square from a second
+paged stream (``TAG_CHI2``, NumPy's gamma sampler) the Hermite k = 2 rows
+(``_segment_rows``).  There a variate is addressed by ``(seed, tag, axis,
+replication, segment)``, and a side sum is the sum of the segments it
+covers.
 
 The normalized sum over an index set L is ``S_L = |L|**-0.5 *
 sum_{k in L} f(xi_{k_1}(1), ..., xi_{k_d}(d))``.  Every L is a disjoint union
@@ -84,6 +88,7 @@ __all__ = [
 
 TAG_AXIS = 1      # axis sample streams
 TAG_BETA = 2      # limit-field Gaussian streams
+TAG_CHI2 = 3      # chi-square streams of segmented Hermite k = 2 axes
 
 _POISSON_NODES = quadrature_rule("compensated_poisson")[0]
 _POISSON_CDF = np.cumsum(quadrature_rule("compensated_poisson")[1])
@@ -146,17 +151,19 @@ def _check_buffer(out: np.ndarray, rep_count: int, ncols: int) -> None:
 class _Pages:
     """One ``(seed, tag, axis)`` stream, ``ncols`` values per replication, drawn by ``draw``.
 
-    ``draw`` is ``np.random.Generator.standard_normal`` (the ziggurat) or
-    ``np.random.Generator.random`` (uniforms on [0, 1)).  Page j holds
-    replications ``[j R, (j + 1) R)``, with R the fewest that hold
-    ``_PAGE_VALUES`` values, a function of ``ncols`` alone.  It is drawn in
-    row-major order by one SFC64 generator seeded by ``SeedSequence(seed,
-    spawn_key=(tag, axis, j))``.  A draw fills values in order, so a page's
-    leading rows are the same whatever count is asked for, and a read that
-    starts inside a page draws and drops the page's rows before it, in chunks
-    through its own buffer, so it holds no page-sized array.  The reader keeps
-    its page's generator live, so reads of consecutive ranges draw each value
-    once.
+    ``draw(gen, out)`` fills the 2-d array ``out``, a run of whole rows, in
+    row-major order: ``np.random.Generator.standard_normal`` (the ziggurat),
+    ``np.random.Generator.random`` (uniforms on [0, 1)) or a gamma draw with
+    one shape per column (``_chi2``).  Page j holds replications ``[j R, (j +
+    1) R)``, with R the fewest that hold ``_PAGE_VALUES`` values, a function
+    of ``ncols`` alone.  It is drawn by one SFC64 generator seeded by
+    ``SeedSequence(seed, spawn_key=(tag, axis, j))``.  A draw fills values in
+    order, so a page's leading rows are the same whatever count is asked
+    for, and a read that starts inside a page draws and drops the page's
+    rows before it, whole rows at a time (a gamma page's law varies by
+    column), through its own buffer, so it holds no page-sized array.  The
+    reader keeps its page's generator live, so reads of consecutive ranges
+    draw each value once.
     """
 
     def __init__(self, seed: int, tag: int, axis: int, ncols: int, draw):
@@ -173,11 +180,11 @@ class _Pages:
         is then a view of its leading rows.
         """
         if out is None:
-            flat = np.empty(rep_count * self.ncols)
+            rows = np.empty((rep_count, self.ncols))
         else:
             _check_buffer(out, rep_count, self.ncols)
-            flat = out.reshape(-1)[:rep_count * self.ncols]
-        rep, end, done = rep_start, rep_start + rep_count, 0
+            rows = out[:rep_count]
+        rep, end = rep_start, rep_start + rep_count
         while rep < end:
             page = rep // self.reps
             if page != self.page or rep < self.at:
@@ -185,17 +192,31 @@ class _Pages:
                 seeds = np.random.SeedSequence(seed, spawn_key=(tag, axis, page))
                 self.gen = np.random.Generator(np.random.SFC64(seeds))
                 self.page, self.at = page, page * self.reps
-            if rep > self.at:   # drop the page's rows before rep, drawn in chunks
-                skip, room = (rep - self.at) * self.ncols, flat[done:]
-                if room.size < min(skip, _SKIP_FLOATS):
-                    room = np.empty(min(skip, _SKIP_FLOATS))
-                for at in range(0, skip, room.size):
-                    self.draw(self.gen, out=room[:min(room.size, skip - at)])
+            if rep > self.at:   # drop the page's rows before rep, drawn in runs of whole rows
+                skip, room = rep - self.at, rows[rep - rep_start:]
+                if room.size < min(skip * self.ncols, _SKIP_FLOATS):
+                    room = np.empty((min(skip, _SKIP_FLOATS // self.ncols), self.ncols))
+                for at in range(0, skip, len(room)):
+                    self.draw(self.gen, out=room[:min(len(room), skip - at)])
             stop = min(end, (page + 1) * self.reps)
-            self.draw(self.gen, out=flat[done:done + (stop - rep) * self.ncols])
-            done += (stop - rep) * self.ncols
+            self.draw(self.gen, out=rows[rep - rep_start:stop - rep_start])
             rep = self.at = stop
-        return flat.reshape(rep_count, self.ncols)
+        return rows
+
+
+def _chi2(dof: np.ndarray):
+    """A page draw of chi-square values, ``dof[c]`` degrees of freedom in column c.
+
+    ``2 Gamma(dof / 2)`` by NumPy's ``standard_gamma``, which draws a variable
+    number of bits per value; at 0 degrees it draws none and gives 0.
+    """
+    shape = dof / 2.0
+
+    def draw(gen, out):
+        gen.standard_gamma(shape, out=out)
+        out *= 2.0
+
+    return draw
 
 
 @dataclass(frozen=True)
@@ -359,18 +380,6 @@ class EmpiricalDist:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    @classmethod
-    def _sorted_in_place(cls, values: np.ndarray) -> "EmpiricalDist":
-        """Sort the float array ``values`` in place and wrap a read-only view of it, uncopied.
-
-        ``values`` must not be written while the result is in use.
-        """
-        values.sort()
-        dist = cls.__new__(cls)
-        object.__setattr__(dist, "values", values.view())
-        dist.values.flags.writeable = False
-        return dist
-
     @property
     def n(self) -> int:
         return int(self.values.size)
@@ -463,15 +472,26 @@ _KS_BLOCK = 16
 def ks_distance(a: EmpiricalDist, b: EmpiricalDist) -> float:
     """Two-sample Kolmogorov-Smirnov sup-distance between empirical CDFs.
 
-    Over a tie run of the smaller sample ``x`` (positions ``s..e`` holding
-    one value) the CDF of ``x`` is constant and that of ``y`` is monotone,
-    so the sup is reached just before the run (``x`` count ``s`` against
-    the ``y`` below ``x[s]``) or at its end (``e + 1`` against the ``y`` up
-    to and including ``x[e]``).  Each candidate is the float
-    ``|k/n - c/m|`` that the sample points it stands for give.
+    The one-row case of ``_ks_rows``, with the smaller sample as the row.
+    """
+    x, y = a.values, b.values
+    if x.size > y.size:
+        x, y = y, x
+    return float(_ks_rows(x[None, :], y)[0])
+
+
+def _ks_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """KS sup-distance of each sorted row of ``x``, shape (R, n), against the sorted ``y``.
+
+    Over a tie run of a row ``x`` (positions ``s..e`` holding one value) the
+    CDF of ``x`` is constant and that of ``y`` is monotone, so the sup is
+    reached just before the run (``x`` count ``s`` against the ``y`` below
+    ``x[s]``) or at its end (``e + 1`` against the ``y`` up to and including
+    ``x[e]``).  Each candidate is the float ``|k/n - c/m|`` that the sample
+    points it stands for give.
 
     Only the positions that can hold the sup are searched.  The sorted
-    positions of ``x`` are split into blocks of ``_KS_BLOCK``, and one
+    positions of a row are split into blocks of ``_KS_BLOCK``, and one
     binary search per distinct lead (a block's first value) counts the
     ``y`` below it (``head``).  A lead that begins a run is a candidate of
     these counts alone, so exact already; ``lo`` is the max of those.  Any
@@ -488,49 +508,57 @@ def ks_distance(a: EmpiricalDist, b: EmpiricalDist) -> float:
     near the sup are kept, and a sample of few values keeps about one block
     per run.
 
+    All rows go through each step at once, so R rows cost about the NumPy
+    calls of one; a row's distance is the max of its own candidates, the
+    same float whatever the other rows hold.  The smaller sample is the row
+    for speed only: every step is exact for either order.
+
     A NaN has no place in a CDF, so a sample holding one is a ValueError;
     sorted, a NaN sits last, so one look at each sample's top finds it.
     """
-    x, y = a.values, b.values
-    if np.isnan(x[-1]) or np.isnan(y[-1]):
+    if np.isnan(x[:, -1]).any() or np.isnan(y[-1]):
         raise ValueError("KS distance of a sample holding NaN")
-    if x.size > y.size:
-        x, y = y, x
-    n, m = x.size, y.size
-    lead = x[::_KS_BLOCK]
-    k = lead.size
+    R, n = x.shape
+    m = y.size
+    lead = x[:, ::_KS_BLOCK]
+    k = lead.shape[1]
     edge = np.arange(0, n + _KS_BLOCK, _KS_BLOCK)        # block edges; the last block ends at n
     edge[k] = n
-    new = np.empty(k + 1, bool)                          # lead j differs from lead j - 1
-    new[0] = new[k] = True                               # (no lead follows the last block)
-    np.not_equal(lead[1:], lead[:-1], out=new[1:k])
-    head = np.searchsorted(y, lead[new[:k]], side="left")
-    if head.size < k:                                    # a lead repeats: one count per block
-        head = head[np.cumsum(new[:k]) - 1]
+    new = np.empty((R, k + 1), bool)                     # lead j differs from lead j - 1
+    new[:, 0] = new[:, k] = True                         # (no lead follows the last block)
+    np.not_equal(lead[:, 1:], lead[:, :-1], out=new[:, 1:k])
+    head = np.searchsorted(y, lead[new[:, :k]], side="left")
+    if head.size < R * k:                                # a lead repeats: one count per block
+        head = head[np.cumsum(new[:, :k]) - 1]           # (each row's first lead is new)
     f = edge / n
-    h = np.empty(k + 1)
-    np.divide(head, m, out=h[:k])
-    h[k] = 1.0                                           # m / m after the last block
-    begins = new[:k].copy()                              # leads that begin a tie run
-    np.not_equal(x[_KS_BLOCK - 1:n - 1:_KS_BLOCK], lead[1:], out=begins[1:])
-    lo = np.abs(f[:k] - h[:k])[begins].max()
-    hi = np.maximum(f[1:] - h[:k], h[1:] - (edge[:k] + 1) / n)
+    h = np.empty((R, k + 1))
+    np.divide(head.reshape(R, k), m, out=h[:, :k])
+    h[:, k] = 1.0                                        # m / m after the last block
+    begins = new[:, :k].copy()                           # leads that begin a tie run
+    np.not_equal(x[:, _KS_BLOCK - 1:n - 1:_KS_BLOCK], lead[:, 1:], out=begins[:, 1:])
+    lo = np.where(begins, np.abs(f[:k] - h[:, :k]), 0.0).max(axis=1)   # distances are >= 0
+    hi = np.maximum(f[1:] - h[:, :k], h[:, 1:] - (edge[:k] + 1) / n)
     # kept: the bound reaches ``lo`` and the next lead differs
-    pos = (edge[:k][(hi >= lo) & new[1:]][:, None] + np.arange(_KS_BLOCK)).ravel()
-    pos = pos[pos < n]                                   # the positions of the kept blocks
-    val = x[pos]
+    row, block = np.nonzero((hi >= lo[:, None]) & new[:, 1:])
+    pos = (edge[block][:, None] + np.arange(_KS_BLOCK)).ravel()
+    row = np.repeat(row, _KS_BLOCK)
+    inside = pos < n                                     # the positions of the kept blocks
+    pos, row = pos[inside], row[inside]
+    flat, at = x.reshape(-1), row * n + pos
+    val = flat[at]
     nxt = np.minimum(pos + 1, n - 1)
-    starts = val != x[pos - 1]                           # position 0 is in ``lo``
-    ends = (val != x[nxt]) | (pos == nxt)
+    starts = val != flat[at - 1]                         # a row's position 0 is in ``lo``
+    ends = (val != flat[at - pos + nxt]) | (pos == nxt)
     cand = starts | ends
-    pos, val, starts, ends = pos[cand], val[cand], starts[cand], ends[cand]
+    pos, row, val, starts, ends = pos[cand], row[cand], val[cand], starts[cand], ends[cand]
     below = np.searchsorted(y, val, side="left")
     upto = below.copy()
     tie = ends & ~(y[np.minimum(below, m - 1)] > val)
     upto[tie] = np.searchsorted(y, val[tie], side="right")
-    at_start = np.abs(pos / n - below / m)[starts]
-    at_end = np.abs((pos + 1) / n - upto / m)[ends]
-    return float(max(at_start.max(initial=0.0), at_end.max(initial=0.0), lo))
+    at_start = np.where(starts, np.abs(pos / n - below / m), 0.0)
+    at_end = np.where(ends, np.abs((pos + 1) / n - upto / m), 0.0)
+    np.maximum.at(lo, row, np.maximum(at_start, at_end))
+    return lo
 
 
 # ---------------------------------------------------------------------------
@@ -559,17 +587,17 @@ def _spans(sets, axis: int):
     return list(index), [[index[side] for side in boxes] for boxes in sides]
 
 
-def _box_sums(fam, kmax: int, x: np.ndarray, spans, inverse, buffers=None) -> list:
-    """Per set and box, ``F[k - 1] = sum_{i in box_axis} g_k(x[:, i - 1])`` for k = 1..kmax.
+def _box_sums(rows, kmax: int, reps: int, spans, inverse) -> list:
+    """Per set and box, ``F[k - 1]``, the sum of factor row k over the box's side, k = 1..kmax.
 
-    ``x`` holds one axis' samples, shape (reps, columns); each result has shape
-    (kmax, reps).  Every factor row is slice-summed as soon as it exists, so no
-    (kmax, reps, columns) table is ever built, and once per distinct side
-    (``_spans``): boxes that share their side on this axis, in one set or
-    across the family, share its sums.  ``buffers`` go to ``FactorFamily.rows``.
+    ``rows`` yields one axis' factor rows in order, each of shape (reps,
+    columns); each result has shape (kmax, reps).  Every row is slice-summed
+    as soon as it exists, so no (kmax, reps, columns) table is ever built,
+    and once per distinct side (``_spans``): boxes that share their side on
+    this axis, in one set or across the family, share its sums.
     """
-    sums = np.empty((len(spans), kmax, x.shape[0]))
-    for k, row in enumerate(fam.rows(kmax, x, buffers)):
+    sums = np.empty((len(spans), kmax, reps))
+    for k, row in enumerate(rows):
         for (lo, hi), out in zip(spans, sums):
             row[:, lo - 1:hi].sum(axis=1, out=out[k])
     return [[sums[i] for i in boxes] for boxes in inverse]
@@ -614,16 +642,9 @@ def _weigh(cores, w, out: np.ndarray, scratch=None) -> np.ndarray:
     return out
 
 
-def _field_sums(factors, kmax, sides, samples, rows=None) -> list:
-    """Per set, ``sums[B][s]`` for ``_contract``; per axis, (reps, columns) samples and ``_spans``.
-
-    ``rows``, three flat buffers of at least reps x columns floats, hold every
-    axis' factor rows in turn; fresh ones are made when absent.
-    """
-    per_axis = []
-    for fam, k, x, spans in zip(factors, kmax, samples, sides):
-        buffers = None if rows is None else [r[:x.size].reshape(x.shape) for r in rows]
-        per_axis.append(_box_sums(fam, k, x, *spans, buffers))
+def _field_sums(rows, kmax, sides, reps: int) -> list:
+    """Per set, ``sums[B][s]`` for ``_contract``; per axis, its factor rows and ``_spans``."""
+    per_axis = [_box_sums(r, k, reps, *spans) for r, k, spans in zip(rows, kmax, sides)]
     return [list(zip(*per_set)) for per_set in zip(*per_axis)]
 
 
@@ -639,9 +660,10 @@ def compute_S_L(kernel, L: IndexSet, axis_samples) -> float:
         if L.axis_max(axis) > len(axis_samples[axis]):
             raise ValueError(f"axis {axis} samples do not cover the index set")
     kvecs, weights = _terms(kernel.lam)
-    samples = [np.asarray(x, dtype=float)[None, :] for x in axis_samples]
-    sums, = _field_sums(kernel.factors, _kmax(kvecs, kernel.d),
-                        [_spans([L], axis) for axis in range(L.d)], samples)
+    kmax = _kmax(kvecs, kernel.d)
+    rows = [fam.rows(k, np.asarray(x, dtype=float)[None, :])
+            for fam, k, x in zip(kernel.factors, kmax, axis_samples)]
+    sums, = _field_sums(rows, kmax, [_spans([L], axis) for axis in range(L.d)], 1)
     cores = _contract(sums, kvecs, np.empty((len(kvecs), 1)))
     return float(_weigh(cores, weights[0], np.empty(1))[0]) / math.sqrt(L.size)
 
@@ -735,42 +757,89 @@ def _layouts(factors, kvecs, sets, dists) -> list:
     """Per axis, what one replication of a family draws: segment cuts, or a column count.
 
     An axis whose law is standard normal and whose terms all take the k = 1
-    member of an analytic family, the identity, is segmented: it draws one
-    normal per segment of the family's box-edge grid on that axis (the
-    union of its sets' ``edges``), scaled by the root of the segment's
-    length.  A sum of n i.i.d. N(0, 1) is N(0, n) and sums over disjoint
-    segments are independent, so every side sum, a run of whole segments,
-    keeps its joint law.  Its entry is the list of cuts.  Every other axis
-    draws one variate per lattice column, its sets' largest ``axis_max``.
+    member of an analytic family (the identity) or Hermite k = 2 is
+    segmented: the family's box-edge grid on it (the union of its sets'
+    ``edges``) cuts it into segments, and it draws each segment's statistics
+    instead of its normals (``_segment_rows``).  Over a segment of n i.i.d.
+    N(0, 1), ``sum xi = sqrt(n) Z`` and ``sum xi**2 = Z**2 + C`` with Z ~ N(0,
+    1) and C ~ chi2(n - 1) independent (Cochran 1934), and sums over disjoint
+    segments are independent, so every side sum of the factor rows 1 and 2,
+    a run of whole segments, keeps its exact joint law.  Its entry is the
+    list of cuts.  Every other axis draws one variate per lattice column, its
+    sets' largest ``axis_max``.
     """
     out = []
     for axis, (fam, dist) in enumerate(zip(factors, dists)):
+        ks = {k[axis] for k in kvecs}
         if (dist.kind == "standard_normal" and fam.kind != "tabulated"
-                and all(k[axis] == 1 for k in kvecs)):
+                and ks <= ({1, 2} if fam.kind == "hermite" else {1})):
             out.append(_sorted_unique(np.concatenate([L.edges[axis] for L in sets])).tolist())
         else:
             out.append(max(L.axis_max(axis) for L in sets))
     return out
 
 
-def _scaled(read, scale):
-    """``read`` whose values are multiplied in place by ``scale``, one factor per column."""
-    def scaled_read(rep_start, rep_count, out=None):
-        x = read(rep_start, rep_count, out)
-        x *= scale
-        return x
-    return scaled_read
+def _segment_rows(fam, kmax: int, z: np.ndarray, c, lengths: np.ndarray, buffers):
+    """Factor rows 1..kmax of a segmented axis over one block, from its segment statistics.
+
+    ``z`` holds each segment's N(0, 1) draw and ``c``, read only at kmax 2,
+    its chi2(n - 1) draw, n the segment's length (``lengths``).  Row 1 is the
+    family's identity at ``sqrt(n) Z``, made in ``z``.  Row 2, of the Hermite
+    family, is ``(Z**2 + C - n) * sqrt(1/2)``, the sum of ``h_2(xi) = (xi**2 -
+    1) / sqrt 2`` over the segment, made in ``c``; at n = 1, where C is 0, it
+    is ``h_2(Z)`` as ``FactorFamily.rows`` gives it, bit for bit.
+    """
+    if kmax == 2:
+        c += np.multiply(z, z, out=buffers[0])
+        c -= lengths
+        c *= math.sqrt(0.5)         # the norm of h_2, as FactorFamily.rows writes it
+    z *= np.sqrt(lengths)
+    yield from fam.rows(1, z, buffers)
+    if kmax == 2:
+        yield c
+
+
+def _axis_rows(fam, kmax: int, dist, rng, axis: int, layout, cap: int):
+    """``rows(rep_start, rep_count, flat)``: one axis' factor rows over a block, from its streams.
+
+    ``layout`` is the axis' ``_layouts`` entry.  A column count reads that
+    many variates per replication from ``(seed, TAG_AXIS, axis)`` and makes
+    the family's rows over them.  A list of cuts reads one normal per segment
+    from the same stream and, at kmax 2, one chi-square per segment from
+    ``(seed, TAG_CHI2, axis)`` (``_segment_rows``).  The draws go to buffers
+    of ``cap`` rows made here; the rows use ``flat``, three flat buffers that
+    every axis uses in turn.  The axis reads when its rows are first asked for.
+    """
+    lengths = np.diff(layout).astype(float) if isinstance(layout, list) else None
+    n = layout if lengths is None else lengths.size
+    read = dist.reader(rng, axis, n)
+    draws = np.empty((cap, n * dist.uniforms_per_coord))
+    if kmax == 2 and lengths is not None:
+        chi2 = _Pages(rng.seed, TAG_CHI2, axis, n, _chi2(lengths - 1.0)).read
+        chis = np.empty((cap, n))
+
+    def rows(rep_start, rep_count, flat):
+        x = read(rep_start, rep_count, draws)
+        buffers = [b[:x.size].reshape(x.shape) for b in flat]
+        if lengths is None:
+            yield from fam.rows(kmax, x, buffers)
+        else:
+            c = chi2(rep_start, rep_count, chis) if kmax == 2 else None
+            yield from _segment_rows(fam, kmax, x, c, lengths, buffers)
+
+    return rows
 
 
 def _sum_sampler(factors, kvecs, sets, dists, rng):
     """``(make_batch, block_cap)`` of the T unnormalized cores of each set of a family's sums.
 
     A block's output holds T rows per set, in the family's order.  The family
-    reads one stream: per replication each axis draws what ``_layouts``
-    names, each factor row is made once over it, and each distinct box side
-    of the whole family is slice-summed once, so a one-set family reads what
-    that set alone would.  On a segmented axis a side is the run of segments
-    it covers, and the row is the identity on the scaled draws.
+    reads one stream per axis, and a second one on an axis of segmented
+    Hermite k = 2 rows: per replication each axis draws what ``_layouts``
+    names, each factor row is made once over it (``_axis_rows``), and each
+    distinct box side of the whole family is slice-summed once, so a one-set
+    family reads what that set alone would.  On a segmented axis a side is
+    the run of segments it covers.
     """
     d = len(factors)
     if not sets:
@@ -781,38 +850,39 @@ def _sum_sampler(factors, kvecs, sets, dists, rng):
     if len(dists) != d:
         raise ValueError("need one axis distribution per kernel axis")
     kmax = _kmax(kvecs, d)
-    ncols, scales, sides = [], [], []
-    for axis, layout in enumerate(_layouts(factors, kvecs, sets, dists)):
+    layouts = _layouts(factors, kvecs, sets, dists)
+    ncols, sides = [], []
+    for axis, layout in enumerate(layouts):
         spans, inverse = _spans(sets, axis)
         if isinstance(layout, list):    # a side [lo, hi] is segments [at[lo], at[hi + 1])
             at = {cut: i for i, cut in enumerate(layout)}
             spans = [(at[lo] + 1, at[hi + 1]) for lo, hi in spans]
             ncols.append(len(layout) - 1)
-            scales.append(np.sqrt(np.diff(layout)))
         else:
             ncols.append(layout)
-            scales.append(None)
         sides.append((spans, inverse))
     widths = [n * dist.uniforms_per_coord for n, dist in zip(ncols, dists)]
     T = len(kvecs)
 
     def make_batch(cap):
-        draws = [np.empty((cap, width)) for width in widths]
-        reads = [dist.reader(rng, axis, n) if scale is None
-                 else _scaled(dist.reader(rng, axis, n), scale)
-                 for axis, (dist, n, scale) in enumerate(zip(dists, ncols, scales))]
-        rows = np.empty((3, cap * max(ncols)))
+        axes = [_axis_rows(*args, cap)
+                for args in zip(factors, kmax, dists, [rng] * d, range(d), layouts)]
+        # made after the draw buffers: the other order measured 3% slower on segment draws
+        flat = np.empty((3, cap * max(ncols)))
 
         def batch(rep_start, rep_count, out):
-            samples = (read(rep_start, rep_count, buf) for read, buf in zip(reads, draws))
-            for i, sums in enumerate(_field_sums(factors, kmax, sides, samples, rows)):
+            rows = [axis_rows(rep_start, rep_count, flat) for axis_rows in axes]
+            for i, sums in enumerate(_field_sums(rows, kmax, sides, rep_count)):
                 _contract(sums, kvecs, out[i * T:(i + 1) * T])
 
         return batch
 
-    # per axis: draws, three row buffers and a temporary, side sums; plus T cores per set
-    per_rep = sum(n * (dist.uniforms_per_coord + 4) + len(spans) * k
-                  for (spans, _), n, k, dist in zip(sides, ncols, kmax, dists)) + len(sets) * T
+    # per axis: draws, chi-squares on a segmented k = 2 axis, three row buffers and a
+    # temporary, side sums; plus T cores per set
+    chi2 = [isinstance(layout, list) and k == 2 for layout, k in zip(layouts, kmax)]
+    per_rep = sum(n * (dist.uniforms_per_coord + 4 + c) + len(spans) * k
+                  for (spans, _), n, k, dist, c in zip(sides, ncols, kmax, dists, chi2)) \
+        + len(sets) * T
     # a slice sum per factor row and distinct side; per term, a product per box and axis
     calls = (sum(len(spans) * k for (spans, _), k in zip(sides, kmax))
              + T * sum(len(L.lo) for L in sets) * d)
@@ -868,10 +938,10 @@ def _weighed(sampler, weights, roots=None):
     return make_batch, block_cap
 
 
-def _sum_cores(factors, kvecs, sets, dists, N, rng, workers) -> list:
-    """Per set of the family, its (T, N) unnormalized cores, a row per multi-index of ``kvecs``."""
+def _sum_cores(factors, kvecs, sets, dists, N, rng, workers) -> np.ndarray:
+    """(sets, T, N) unnormalized cores: per set of the family, a row per multi-index."""
     sampler = _sum_sampler(factors, kvecs, sets, dists, rng)
-    return np.split(_run_blocks(sampler, N, len(sets) * len(kvecs), workers), len(sets))
+    return _run_blocks(sampler, N, len(sets) * len(kvecs), workers).reshape(len(sets), -1, N)
 
 
 def _sum_field(factors, lam, sets, dists, N, rng, workers) -> list:

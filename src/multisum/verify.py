@@ -20,7 +20,7 @@ import numpy as np
 
 from .index_sets import nclt_condition_report
 from .kernels import DegenerateKernel, orthonormal_factors
-from .mc import (EmpiricalDist, RngSpec, _limit_cores, _sum_cores, _terms, _weigh,
+from .mc import (EmpiricalDist, RngSpec, _ks_rows, _limit_cores, _sum_cores, _terms, _weigh,
                  empirical_moment, empirical_tail, ks_distance, simulate_family)
 from .mc import simulate_S_L  # noqa: F401  (a name bench/tracer.py wraps in every module)
 from .parametric import (EntropyProfile, ParametricKernel, covering_profile,
@@ -96,28 +96,43 @@ def _chaos_limit_ks(pk: ParametricKernel, dists, sets, N, rng, limit_n, final_ks
     ``_ks_verdict`` of each stage's largest, the noise budget and the last
     stage's sup-field.  The limit's T per-term cores are sampled once, and
     every stage's in one pass over the family; then the grid is walked one
-    point at a time, each row weighed from the cores into a reused buffer and
-    sorted there.  So memory is O(T (stages N + limit_n) + N + limit_n),
-    whatever |V|, and every row, distance and sup-field value is that of
-    ``sample_Q_infty`` and of the family's ``mc._sum_field``.
+    point at a time.  A point's rows of all stages are weighed at once from
+    the cores into one reused (stages, N) buffer, the last stage's ``|row|``
+    is folded into the sup-field, and the buffer is sorted row-wise; its
+    limit row is weighed into another reused buffer and sorted there.  All
+    stages are scored against it in one call of ``mc._ks_rows``; where N >
+    limit_n the limit is the smaller sample, so each stage is scored in its
+    own call, with the limit as the row.  So memory is O(T (stages N +
+    limit_n) + stages N + limit_n), whatever |V|: the cores, the two row
+    buffers, the sup-field and a scratch of ``max(stages N, limit_n)``
+    floats.  Every row, distance and sup-field value is that of
+    ``sample_Q_infty``, of the family's ``mc._sum_field`` and of
+    ``ks_distance``.
     """
     kvecs, weights = _terms(pk.lam)
     limit = _limit_cores(kvecs, pk.d, limit_n, rng.child(_LIMIT_STREAM), workers)
-    stages = list(zip(_sum_cores(pk.factors, kvecs, sets, dists, N, rng.child(0), workers),
-                      [math.sqrt(L.size) for L in sets]))
-    limit_row, row, sup = np.empty(limit_n), np.empty(N), np.zeros(N)
-    # |row| for the sup-field, and a second term's products in _weigh
-    scratch = np.empty(max(N, limit_n if len(kvecs) > 1 else 0))
-    ks = [[] for _ in stages]
+    # per term, its cores of every stage: one weighing makes every stage's row of a point
+    cores = _sum_cores(pk.factors, kvecs, sets, dists, N, rng.child(0), workers).transpose(1, 0, 2)
+    roots = np.sqrt([[L.size] for L in sets])
+    limit_row, rows, sup = np.empty(limit_n), np.empty((len(sets), N)), np.zeros(N)
+    # a second term's products in _weigh, then |row| for the sup-field
+    scratch = np.empty(max(rows.size, limit_n) if len(kvecs) > 1 else N)
+    products, limit_products = ((scratch[:rows.size].reshape(rows.shape), scratch[:limit_n])
+                                if len(kvecs) > 1 else (None, None))
+    ks = [[] for _ in sets]
     for w in weights:
-        lim = EmpiricalDist._sorted_in_place(
-            _weigh(limit, w, limit_row, scratch[:limit_n]))
-        for i, (cores, root) in enumerate(stages):
-            _weigh(cores, w, row, scratch[:N])
-            row /= root
-            if i == len(stages) - 1:
-                np.maximum(sup, np.abs(row, out=scratch[:N]), out=sup)
-            ks[i].append(ks_distance(EmpiricalDist._sorted_in_place(row), lim))
+        _weigh(cores, w, rows, products)
+        rows /= roots
+        np.maximum(sup, np.abs(rows[-1], out=scratch[:N]), out=sup)
+        rows.sort(axis=1)
+        lim = _weigh(limit, w, limit_row, limit_products)
+        lim.sort()
+        if N <= limit_n:
+            dist = _ks_rows(rows, lim)
+        else:
+            dist = [_ks_rows(lim[None, :], row)[0] for row in rows]
+        for stage, value in zip(ks, dist):
+            stage.append(float(value))
     crit = ks_critical(N, limit_n)
     sup = EmpiricalDist(sup, "sup_field", seed=rng.child(0).seed)
     return ks, _ks_verdict([max(row) for row in ks], crit, final_ks), 2.0 * crit, sup

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multisum import (AxisDistribution, DegenerateKernel, FactorFamily, RngSpec,
-                      compute_S_L, explicit_set, make_rect,
-                      simulate_family, simulate_S_L, staircase_set, tabulated_family)
-from multisum import mc
+from multisum import (AxisDistribution, DegenerateKernel, EmpiricalDist, FactorFamily, RngSpec,
+                      compute_S_L, explicit_set, ks_critical, ks_distance, lshape_family,
+                      make_rect, simulate_family, simulate_S_L, staircase_set,
+                      tabulated_family)
+from multisum import _moments, mc
 from multisum.index_sets import _box_cells
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -188,17 +189,19 @@ def table_sum_field(factors, lam, nv, L, dists, N, rng, columns=None):
 
 
 def per_cell(factors, dists, lam) -> dict:
-    """``lam`` with a k = 2 term on each axis that would be segmented, so every axis is per-cell.
+    """``lam`` with a k = 3 term on each axis that would be segmented, so every axis is per-cell.
 
     ``mc._layouts`` segments an axis of analytic factors on normal variables
-    whose terms all take k = 1; there the table path, which draws a variate
-    per cell, is no reference.  The first term takes k = 2 on such an axis.
+    whose terms all take k = 1, or k <= 2 of the Hermite family; there the
+    table path, which draws a variate per cell, is no reference.  The first
+    term takes k = 3 on such an axis.
     """
     keys = list(lam)
     for axis, (fam, dist) in enumerate(zip(factors, dists)):
         if (fam.kind != "tabulated" and dist.kind == "standard_normal"
-                and all(k[axis] == 1 for k in keys)):
-            keys[0] = keys[0][:axis] + (2,) + keys[0][axis + 1:]
+                and all(k[axis] == 1 or (k[axis] == 2 and fam.kind == "hermite")
+                        for k in keys)):
+            keys[0] = keys[0][:axis] + (3,) + keys[0][axis + 1:]
     return dict(zip(keys, lam.values()))
 
 
@@ -331,25 +334,34 @@ def test_members_past_a_family_fail_before_any_row():
 
 
 # ---------------------------------------------------------------------------
-# the segment path: an axis of identity factors (every term's k = 1) on normal
-# variables draws one normal per segment of its family's box-edge grid
+# the segment path: an axis of normal variables whose terms all take the identity
+# (k = 1) or Hermite k = 2 draws one normal, and at k = 2 one chi-square, per
+# segment of its family's box-edge grid
 # ---------------------------------------------------------------------------
+
+
+def segmented(fam, dist, ks) -> bool:
+    """Whether an axis reads segment statistics: a normal law, and k = 1, or Hermite k <= 2."""
+    return (dist.kind == "standard_normal" and fam.kind != "tabulated"
+            and all(k == 1 or (k == 2 and fam.kind == "hermite") for k in ks))
 
 
 @st.composite
 def box_union_families(draw):
-    """A d = 2 kernel with (1, 1), maybe one k = 2 term, on normal axes; 1-3 box unions; N; seed.
+    """A d = 2 kernel with (1, 1) and up to three more terms of k <= 3 on normal axes; its sets.
 
-    Each set is the union of at most 6 boxes in [1, 16]^2.  The k = 2 term,
-    when drawn, puts one axis on the per-cell path, so families mix the two.
+    Each set is the union of at most 6 boxes in [1, 16]^2, and a family has
+    1-3 sets; then N and a seed.  An axis is segmented where its terms take
+    k = 1, or k <= 2 of the Hermite family, and sampled cell by cell where a
+    term takes k = 3 or k = 2 of another family, so families mix the paths.
     """
-    kinds = st.sampled_from(["hermite", "poisson_charlier", "exponential_poly"])
+    kinds = st.sampled_from(["hermite", "hermite", "poisson_charlier", "exponential_poly"])
     factors = [FactorFamily(draw(kinds)) for _ in range(2)]
     weight = st.floats(-2.0, 2.0, allow_nan=False)
     lam = {(1, 1): draw(weight)}
-    extra = draw(st.sampled_from([None, (1, 2), (2, 1)]))
-    if extra is not None:
-        lam[extra] = draw(weight)
+    for kvec in draw(st.lists(st.sampled_from([(1, 2), (2, 1), (2, 2), (1, 3), (3, 1)]),
+                              max_size=3, unique=True)):
+        lam[kvec] = draw(weight)
     corner = st.tuples(st.integers(1, 16), st.integers(1, 16))
     sets = []
     for _ in range(draw(st.integers(1, 3))):
@@ -361,26 +373,45 @@ def box_union_families(draw):
             draw(st.integers(1, 40)), draw(st.integers(0, 999)))
 
 
+def chi2_pages(seed, axis, dof, N):
+    """N rows of the ``(seed, TAG_CHI2, axis)`` stream: whole pages of ``2 Gamma(dof / 2)``."""
+    reps = -(-mc._PAGE_VALUES // dof.size)
+    pages = []
+    for page in range(-(-N // reps)):
+        keys = np.random.SeedSequence(seed, spawn_key=(mc.TAG_CHI2, axis, page))
+        gen = np.random.Generator(np.random.SFC64(keys))
+        pages.append(2.0 * gen.standard_gamma(dof / 2.0, size=(reps, dof.size)))
+    return np.concatenate(pages)[:N]
+
+
 def drawn_cores(kernel, sets, dists, N, rng):
     """Per set, its (T, N) cores from whole per-axis tables of the draws the family reads.
 
-    A segmented axis reads one normal per segment between the sorted distinct
-    box edges of all sets, scaled by the root of the segment's length, and a
-    side sums the segments it covers; any other axis reads a variate per
+    A segmented axis reads one normal Z per segment between the sorted
+    distinct box edges of all sets and, where a term takes k = 2, one
+    chi-square C of n - 1 degrees, n the segment's length.  Its rows are the
+    family's identity at ``sqrt(n) Z`` and ``(Z**2 + C - n) sqrt(1/2)``, and a
+    side sums the segments it covers.  Any other axis reads a variate per
     column, up to the widest set, and a side sums its cells.
     """
     kvecs = list(kernel.lam)
     tables, slices = [], []
     for axis, (fam, dist, kmax) in enumerate(zip(kernel.factors, dists,
                                                  mc._kmax(kvecs, kernel.d))):
-        if dist.kind == "standard_normal" and all(k[axis] == 1 for k in kvecs):
+        if segmented(fam, dist, [k[axis] for k in kvecs]):
             cuts = sorted({int(c) for L in sets for c in (*L.lo[:, axis], *(L.hi[:, axis] + 1))})
-            x = dist.reader(rng, axis, len(cuts) - 1)(0, N) * np.sqrt(np.diff(cuts))
+            n = np.diff(cuts).astype(float)
+            z = dist.reader(rng, axis, n.size)(0, N)
+            t = table(fam, 1, (z * np.sqrt(n)).ravel()).reshape(1, *z.shape)
+            if kmax == 2:
+                c = chi2_pages(rng.seed, axis, n - 1.0, N)
+                t = np.concatenate([t, [(z * z + c - n) * math.sqrt(0.5)]])
             slices.append(lambda lo, hi, cuts=cuts: slice(cuts.index(lo), cuts.index(hi + 1)))
         else:
             x = dist.reader(rng, axis, max(L.axis_max(axis) for L in sets))(0, N)
+            t = table(fam, kmax, x.ravel()).reshape(kmax, *x.shape)
             slices.append(lambda lo, hi: slice(lo - 1, hi))
-        tables.append(table(fam, kmax, x.ravel()).reshape(kmax, *x.shape))
+        tables.append(t)
     out = []
     for L in sets:
         sums = [[t[:, :, where(a, b)].sum(axis=2) for t, where, a, b in
@@ -399,12 +430,15 @@ def drawn_cores(kernel, sets, dists, N, rng):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(box_union_families())
 def test_segment_side_sums_are_sums_of_the_scaled_page_draws(family):
+    # at 3 workers the second and third chunks start their reads of normals and of
+    # chi-squares inside a page
     kernel, dists, sets, N, seed = family
     rng = RngSpec(seed).child(0)
     kvecs, weights = mc._terms(kernel.lam)
     layouts = mc._layouts(kernel.factors, kvecs, sets, dists)
     assert [isinstance(layout, list) for layout in layouts] == \
-        [all(k[axis] == 1 for k in kvecs) for axis in range(2)]
+        [segmented(fam, dist, [k[axis] for k in kvecs])
+         for axis, (fam, dist) in enumerate(zip(kernel.factors, dists))]
     reference = drawn_cores(kernel, sets, dists, N, rng)
     for workers in (1, 3):
         cores = mc._sum_cores(kernel.factors, kvecs, sets, dists, N, rng, workers)
@@ -414,6 +448,53 @@ def test_segment_side_sums_are_sums_of_the_scaled_page_draws(family):
                                 reference, strict=True):
             values = mc._weigh(ref, weights[0], np.empty(N)) / math.sqrt(L.size)
             assert np.array_equal(dist.values, np.sort(values))
+
+
+def test_unit_segments_read_the_per_cell_variates():
+    # where every segment has length 1 the chi-squares are 0 and the Z stream has one
+    # column per lattice column, so the rows are the Hermite rows of the per-cell draws
+    factors = [FactorFamily("hermite")] * 2
+    lam = {(1, 1): 1.0, (2, 2): 0.5, (1, 2): -0.7}
+    sets = [make_rect([1, 1]), make_rect([2, 2]), make_rect([3, 3])]
+    dists = [AxisDistribution("standard_normal")] * 2
+    assert mc._layouts(factors, list(lam), sets, dists) == [[1, 2, 3, 4]] * 2
+    rng = RngSpec(4).child(0)
+    field = mc._sum_field(factors, lam, sets, dists, 50, rng, 2)
+    for L, rows in zip(sets, field, strict=True):
+        assert np.array_equal(rows, table_sum_field(factors, lam, 1, L, dists, 50, rng, [3, 3]))
+
+
+def test_segment_statistics_keep_each_sets_exact_law():
+    # (1, 1), (2, 2), (1, 2) and (2, 1) segment both axes.  A box, an L-shape and a
+    # staircase, sampled as one family, each match their exact variance and fourth moment
+    # within 4 standard errors, and their per-cell law by a two-sample KS at level 0.01
+    factors = [FactorFamily("hermite")] * 2
+    lam = {(1, 1): 1.0, (2, 2): 0.6, (1, 2): -0.5, (2, 1): 0.3}
+    kernel = DegenerateKernel(2, lam, factors)
+    sets = [make_rect([5, 7]), lshape_family([6])[0], staircase_set([6, 4, 1])]
+    dists = [AxisDistribution("standard_normal")] * 2
+    N = 300_000
+    assert all(isinstance(layout, list) for layout in mc._layouts(factors, list(lam), sets, dists))
+    field = mc._sum_field(factors, lam, sets, dists, N, RngSpec(11), 1)
+    # the per-cell reference: a zero-weight (3, 3) term puts both axes cell by cell,
+    # and its sums are the cell sums of its draws (``compute_S_L``) on its first replications
+    cell_lam = {**lam, (3, 3): 0.0}
+    assert not any(isinstance(layout, list)
+                   for layout in mc._layouts(factors, list(cell_lam), sets, dists))
+    cells = mc._sum_field(factors, cell_lam, sets, dists, N, RngSpec(12), 1)
+    draws = [dist.reader(RngSpec(12), axis, max(L.axis_max(axis) for L in sets))(0, 20)
+             for axis, dist in enumerate(dists)]
+    for L, rows, (sim,) in zip(sets, cells, field, strict=True):
+        for r in range(20):
+            cell_sum = compute_S_L(kernel, L, [x[r] for x in draws])
+            assert rows[0, r] == pytest.approx(cell_sum, rel=1e-12, abs=1e-12)
+        var, fourth = _moments.sum_moments(kernel, L, dists)
+        se = math.sqrt(fourth / N - var * var * (N - 3) / (N * (N - 1)))
+        assert abs(np.var(sim, ddof=1) - var) <= 4.0 * se
+        powers = sim ** 4
+        assert abs(powers.mean() - fourth) <= 4.0 * powers.std(ddof=1) / math.sqrt(N)
+        ks = ks_distance(EmpiricalDist(sim), EmpiricalDist(rows[0]))
+        assert ks <= ks_critical(N, N)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

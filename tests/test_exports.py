@@ -71,13 +71,15 @@ def test_only_quad_imports_scipy():
 # rules are built on numpy.linalg); the moment tables load with the first standard error a
 # run reads, so bound and verify never load them and simulate does.  The thread pool (and
 # the logging it imports) loads only for a run of two or more worker chunks, so none of
-# these one-worker runs loads it.  Each command runs a golden case (the smoke demo
-# simulates N = 1 and reads no standard error), and the probe's list is cumulative, so
-# simulate runs last
+# these one-worker runs loads it.  Each run is a golden case (the smoke demo simulates
+# N = 1 and reads no standard error): a parametric verify, whose stages draw segment
+# chi-squares by NumPy's gamma sampler, runs the benchmark's smoke field.  The probe's list
+# is cumulative, so simulate runs last
 UNLOADED = ("scipy", "numpy.ma", "numpy.polynomial", "multisum._moments", "concurrent.futures")
-PROBED = {"bound": "demos/configs/bound_rank1.json",
-          "verify": "demos/configs/lshape_fixed_fraction.json",
-          "simulate": "bench/sim-box/seed1/0"}
+PROBED = {"bound": ("bound", "demos/configs/bound_rank1.json"),
+          "verify": ("verify", "demos/configs/lshape_fixed_fraction.json"),
+          "verify parametric": ("verify", "bench/field/seed1/0"),
+          "simulate": ("simulate", "bench/sim-box/seed1/0")}
 LOADED = {"simulate": ["multisum._moments"]}
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -103,13 +105,13 @@ def loaded():
 UNLOADED = sys.argv[1].split(",")
 PACKAGES = tuple(name + "." for name in UNLOADED)
 runs = {"import": {"loaded": loaded()}}
-for command, config in zip(sys.argv[3::2], sys.argv[4::2]):
-    out = Path(sys.argv[2]) / command
+for run, command, config in zip(sys.argv[3::3], sys.argv[4::3], sys.argv[5::3]):
+    out = Path(sys.argv[2]) / run
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = multisum.cli.main([command, "--config", config, "--out", str(out),
                                   "--workers", "1"])
     files = json.loads((out / "manifest.json").read_text())["files"]
-    runs[command] = {"loaded": loaded(), "exit": code, "files": files}
+    runs[run] = {"loaded": loaded(), "exit": code, "files": files}
 print(json.dumps(runs))
 """
 
@@ -119,14 +121,14 @@ def test_cli_and_a_normal_simulate_load_no_heavy_scipy(tmp_path):
     # check that a process without it writes the pinned bytes
     golden = json.loads((ROOT / "tests" / "golden_manifests.json").read_text())
     configs, args = cases(), []
-    for command, case in PROBED.items():
-        path = tmp_path / f"{command}.json"
+    for i, (run, (command, case)) in enumerate(PROBED.items()):
+        path = tmp_path / f"{i}.json"
         path.write_text(json.dumps(configs[case][1]))
-        args += [command, str(path)]
+        args += [run, command, str(path)]
     loaded = run_fresh(IMPORT_PROBE, ",".join(UNLOADED), str(tmp_path), *args)
     assert loaded == {"import": {"loaded": []}, **{
-        command: {"loaded": LOADED.get(command, []), "exit": golden[config]["exit"],
-                  "files": golden[config]["files"]} for command, config in PROBED.items()}}
+        run: {"loaded": LOADED.get(run, []), "exit": golden[case]["exit"],
+              "files": golden[case]["files"]} for run, (_, case) in PROBED.items()}}
 
 
 def _bench_tracer(monkeypatch):

@@ -145,14 +145,22 @@ def test_block_size_rule():
     assert _block_cap(sim_box, stair) == mc._BLOCK_BUDGET // 4612
     # a 200-point field contracts its two cores as one point does, and weighing its
     # 200 rows is not counted as calls: on a 64^2 box its block is the cache share
-    # (64 x 5 + 2 floats per axis and 2 cores per replication; 2 x 2 + 2 x 2 calls)
+    # (64 x 5 + 3 floats per axis and 2 cores per replication; 2 x 3 + 2 x 2 calls).
+    # Its k = 3 term puts both axes on the per-cell path
     t = np.linspace(0.0, 1.0, 200)
-    field = ParametricKernel(t[:, None], {(1, 1): 0.2 + 0.8 * t, (2, 2): 0.5 * t * t},
+    field = ParametricKernel(t[:, None], {(1, 1): 0.2 + 0.8 * t, (3, 3): 0.5 * t * t},
                              [FactorFamily("hermite")] * 2)
     assert _block_cap(field, make_rect([64, 64])) == mc._CACHE_FLOATS // 64
     assert _block_cap(field, make_rect([64, 64])) == \
         _block_cap(point_kernel(field, 0), make_rect([64, 64]))
-    assert -(-mc._FLOATS_PER_CALL * 8 // 646) < mc._CACHE_FLOATS // 64 < mc._BLOCK_BUDGET // 646
+    assert -(-mc._FLOATS_PER_CALL * 10 // 648) < mc._CACHE_FLOATS // 64 < mc._BLOCK_BUDGET // 648
+    # with (2, 2) instead both axes are segmented Hermite k <= 2: one segment each, whose
+    # normal, chi-square, three row buffers, temporary and 2 side sums make 8 floats per
+    # axis, and 2 cores: 18 floats per replication
+    segments = ParametricKernel(t[:, None], {(1, 1): 0.2 + 0.8 * t, (2, 2): 0.5 * t * t},
+                                [FactorFamily("hermite")] * 2)
+    with mock.patch.object(mc, "_BLOCK_BUDGET", 18 * 100):
+        assert _block_cap(segments, make_rect([64, 64])) == 100
     # a budget of a few floats still forces one-replication blocks
     for L in (make_rect([256, 256]), checker, stair):
         with mock.patch.object(mc, "_BLOCK_BUDGET", 5):
@@ -247,6 +255,29 @@ def test_normal_read_inside_a_page_allocates_no_page_prefix(law, ncols, count):
     # the Poisson inverse CDF holds an int64 index per value read (searchsorted takes no out)
     index = count * ncols * 8 if law.kind == "compensated_poisson" else 0
     assert peak < scratch + index + 2 ** 13
+
+
+@pytest.mark.parametrize("ncols", [1, 7, 256])
+def test_chi_square_reads_drop_whole_rows_of_a_page(ncols):
+    # a chi-square page's shape varies by column, so a read from inside a page drops whole
+    # rows of its prefix; range reads and block reads equal the rows of a read from zero
+    dof = (np.arange(ncols) % 5).astype(float)       # 0 degrees gives 0 and draws no bits
+
+    def stream():
+        return mc._Pages(5, mc.TAG_CHI2, 0, ncols, mc._chi2(dof))
+
+    R = stream().reps
+    assert R == -(-mc._PAGE_VALUES // ncols)
+    total = 2 * R + 3
+    whole = stream().read(0, total)
+    assert np.all(whole[:, dof == 0] == 0.0) and np.all(whole[:, dof > 0] > 0.0)
+    for a, b in [(0, 1), (R - 1, R + 1), (1, total), (R, 2 * R), (R + 2, total),
+                 (2 * R + 2, total)]:
+        assert np.array_equal(stream().read(a, b - a), whole[a:b])
+    read, buffer = stream().read, np.empty((3, ncols))
+    for rep in range(R // 2, total, 3):
+        count = min(3, total - rep)
+        assert np.array_equal(read(rep, count, buffer), whole[rep:rep + count])
 
 
 def test_paged_normals_pass_a_ks_gate():
@@ -795,8 +826,8 @@ def test_provenance_distinguishes_inputs():
 def test_provenance_names_the_columns_a_family_draws():
     # a set's values depend on its family's columns of each stream, so its digest names
     # them; alone, or in a family no wider than itself, it keeps its one-set digest.  Both
-    # axes of this kernel take k = 2, so both are sampled cell by cell
-    k = hermite_kernel({(1, 2): 1.0, (2, 1): 0.5})
+    # axes of this kernel take k = 3, so both are sampled cell by cell
+    k = hermite_kernel({(1, 3): 1.0, (3, 1): 0.5})
     box, lshape = make_rect([3, 5]), lshape_family([6])[0]
     alone = simulate_S_L(k, box, GAUSS, 10, RngSpec(1))
     narrow = simulate_family(k, [box, make_rect([2, 4])], GAUSS, 10, RngSpec(1))
@@ -813,12 +844,13 @@ def test_provenance_names_the_columns_a_family_draws():
 
 def test_provenance_names_the_cuts_of_a_segmented_axis():
     # axis 1 takes only k = 1 on normal variables, so it draws one normal per segment of
-    # its family's box edges; a set's digest names the cuts when they are not its own
-    k = hermite_kernel({(1, 1): 1.0, (2, 1): 0.5})
+    # its family's box edges; a set's digest names the cuts when they are not its own.
+    # Axis 0 takes k = 3, so it is sampled cell by cell
+    k = hermite_kernel({(1, 1): 1.0, (3, 1): 0.5})
     box, lshape = make_rect([3, 5]), lshape_family([6])[0]
     alone = simulate_S_L(k, box, GAUSS, 10, RngSpec(1))
-    assert alone.provenance == "6084ad459bae90e4"        # the digest before families
-    assert simulate_S_L(k, lshape, GAUSS, 10, RngSpec(1)).provenance == "d5cd2105fa1cef9e"
+    assert alone.provenance == "494a472c4d3ae1f5"        # the digest before families
+    assert simulate_S_L(k, lshape, GAUSS, 10, RngSpec(1)).provenance == "6d5cb43fbf6f9713"
     assert mc._layouts(k.factors, list(k.lam), [box, lshape], GAUSS) == [6, [1, 4, 6, 7]]
     same = simulate_family(k, [box, make_rect([2, 5])], GAUSS, 10, RngSpec(1))
     cut = simulate_family(k, [box, make_rect([2, 4])], GAUSS, 10, RngSpec(1))

@@ -17,6 +17,7 @@ from multisum import (AxisDistribution, DegenerateKernel, EmpiricalDist,
                       squares_minus_corner_family, staircase_set, tabulated_family,
                       verify_moment_sandwich, verify_nclt,
                       verify_tail_domination)
+from multisum import mc
 from multisum.cli import main
 from multisum.mc import _KS_BLOCK as _B
 
@@ -124,6 +125,51 @@ def test_ks_distance_equals_reference_bit_for_bit(a, b):
         return
     assert ks_distance(a, b) == ks_reference(a, b)
     assert ks_distance(b, a) == ks_reference(b, a)
+
+
+_SPECIAL = np.array([-np.inf, -1.0, 0.0, 0.5, 2.0, np.inf])
+
+
+def _sorted_rows(n):
+    """One sorted row of n values: tie-heavy integers, rounded normals, or ties and +-inf."""
+    seeds = st.integers(0, 2**32 - 1)
+    return st.one_of(
+        st.builds(lambda seed: np.random.default_rng(seed).integers(-4, 5, n), seeds),
+        st.builds(lambda seed, decimals, shift: _rounded_normals(seed, n, decimals, shift),
+                  seeds, st.integers(0, 2), st.sampled_from([0.0, 0.3])),
+        st.builds(lambda seed: np.random.default_rng(seed).choice(_SPECIAL, n), seeds),
+    ).map(lambda v: np.sort(np.asarray(v, dtype=float)))
+
+
+@st.composite
+def ks_stacks(draw):
+    """A (rows, n) stack of sorted rows, some repeated, a sample, and NaN in one row or none.
+
+    The rows may be shorter or longer than the sample, as a field check's stage rows
+    are against its limit either way round.
+    """
+    n = draw(st.one_of(st.integers(1, 60), st.integers(60, 1500)))
+    rows = draw(st.lists(_sorted_rows(n), min_size=1, max_size=4))
+    rows += [rows[i] for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=2))]
+    stack = np.array(rows)
+    if draw(st.integers(0, 9)) == 0:              # a NaN, sorted last in its row
+        stack[draw(st.integers(0, len(rows) - 1)), -1] = np.nan
+    return stack, draw(ks_samples)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ks_stacks())
+def test_stacked_ks_rows_equal_the_reference_bit_for_bit(stack_and_sample):
+    # every row of one stacked call is the brute-force ECDF sup of that row alone
+    stack, b = stack_and_sample
+    if np.isnan(stack).any() or np.isnan(b.values).any():
+        with pytest.raises(ValueError, match="NaN"):
+            mc._ks_rows(stack, b.values)
+        return
+    got = mc._ks_rows(stack, b.values)
+    assert got.shape == (len(stack),)
+    for row, value in zip(stack, got, strict=True):
+        assert value == ks_reference(EmpiricalDist(row), b)
 
 
 @pytest.mark.parametrize("shift", [0.0, 0.01, 0.1])
