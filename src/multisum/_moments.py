@@ -35,14 +35,20 @@ def axis_law_table(family, law, ks):
     has mean 0 and the Gram matrix of orthonormal factors exactly.  None where
     the rule is not exact for four factors: a Gauss rule of n nodes is exact to
     degree ``2n - 1``, so to ``4 max(ks) <= 127``; the Rademacher and Poisson
-    rules are the law itself but may overflow; log-Weibull laws and tabulated
-    factors have no rule.
+    rules are the law itself but may overflow; tabulated factors have no rule.
+    Nor has a log-Weibull law, but on its identity (k = 1 of an analytic family)
+    every mean is 0, Gram entry ``E xi**2`` and four-way entry ``E xi**4``.
     """
-    if family.canonical_base is None or law.kind == "log_weibull":
+    if family.canonical_base is None:
         return None
-    x, w = quadrature_rule(law.kind)
     ks = np.asarray(ks)
     kmax = int(ks.max())
+    if law.kind == "log_weibull":
+        if kmax > 1:
+            return None
+        return (np.zeros(ks.size), np.full((ks.size,) * 2, law.identity_moment(2) ** 2),
+                np.full((ks.size,) * 4, law.identity_moment(4) ** 4))
+    x, w = quadrature_rule(law.kind)
     if law.kind in _GAUSS_LAWS and 4 * kmax >= 2 * x.size:
         return None
     u = family.evaluate_block(kmax, x)[ks - 1]

@@ -40,7 +40,9 @@ point's values are their weighted sum (``_weigh``).  So a parametric field
 check that walks the grid point by point keeps only the T cores.  The
 Gaussian-chaos limit ``sum_k lambda(k) prod_s beta_s[k_s]`` is the same
 contraction over one single-cell box whose slice sums are fresh standard
-normal draws per replication.
+normal draws per replication.  Its T cores are sampled whole
+(``_limit_cores``) and weighed one grid point at a time; a simulated field
+weighs each block's cores into its rows at once (``_sum_field``).
 
 No factor table is built: each factor family yields its rows ``g_1, g_2, ...``
 one at a time (``FactorFamily.rows``), and every row is slice-summed into the
@@ -394,11 +396,12 @@ class EmpiricalDist:
         central moment it is the exact ``sqrt(mu4/n - sigma^4 (n-3)/(n(n-1)))``:
         ``simulate_family`` passes ``_sum_moments``, which knows them where
         every axis has a law table of centred factors (any analytic kind on
-        its base law, Hermite k <= 2 on a Poisson axis).  Otherwise (a
-        non-centred factor, a log-Weibull axis, a tabulated factor) it is the
-        asymptotic delta-method estimate from the sample fourth moment, which
-        converges slowly when the law is heavy-tailed, so it understates the
-        spread and moves with the sample variance: for diagonal Hermite kernels
+        its base law, Hermite k <= 2 on a Poisson axis, the identity on a
+        log-Weibull axis).  Otherwise (a non-centred factor, k >= 2 on a
+        log-Weibull axis, a tabulated factor) it is the asymptotic
+        delta-method estimate from the sample fourth moment, which converges
+        slowly when the law is heavy-tailed, so it understates the spread
+        and moves with the sample variance: for diagonal Hermite kernels
         of degree up to 3 at N = 2000, 7% of 300 seeded runs fell more than 4
         estimated standard errors from the exact variance, the worst 8.9.
         """
@@ -889,8 +892,8 @@ def _sum_sampler(factors, kvecs, sets, dists, rng):
     return make_batch, _block_cap(per_rep, max(widths), calls)
 
 
-def _limit_sampler(kvecs, d, rng):
-    """``(make_batch, block_cap)`` of the T chaos-limit cores; betas are a one-cell box's sums."""
+def _limit_cores(kvecs, d, N, rng, workers) -> np.ndarray:
+    """(T, N) chaos-limit cores, a row per multi-index; betas are a one-cell box's sums."""
     kmax = _kmax(kvecs, d)
     normal = AxisDistribution("standard_normal")
 
@@ -905,37 +908,8 @@ def _limit_sampler(kvecs, d, rng):
         return batch
 
     per_rep = sum(3 * k for k in kmax) + len(kvecs)    # draws, contraction products; cores
-    return make_batch, _block_cap(per_rep, max(kmax), len(kvecs) * d)
-
-
-def _weighed(sampler, weights, roots=None):
-    """``sampler``'s cores weighed per block into a row per grid point, a block of rows per set.
-
-    Set i's T cores give rows ``[i |V|, (i + 1) |V|)``, divided by its
-    ``roots[i]``, ``sqrt|L|``; the limit, with no ``roots``, is one block
-    left undivided.  Only one block's cores are held, so a kept field costs
-    no T x N floats more.
-    """
-    make_cores, block_cap = sampler
-    nv, T = weights.shape
-    roots = roots or [None]
-
-    def make_batch(cap):
-        cores_of, cores = make_cores(cap), np.empty((len(roots) * T, cap))
-        scratch = np.empty(cap if T > 1 else 0)    # a second term's products
-
-        def batch(rep_start, rep_count, out):
-            cores_of(rep_start, rep_count, cores[:, :rep_count])
-            for i, root in enumerate(roots):
-                rows, set_cores = out[i * nv:(i + 1) * nv], cores[i * T:(i + 1) * T, :rep_count]
-                for w, row in zip(weights, rows):
-                    _weigh(set_cores, w, row, scratch[:rep_count])
-                if root is not None:
-                    np.divide(rows, root, out=rows)
-
-        return batch
-
-    return make_batch, block_cap
+    sampler = make_batch, _block_cap(per_rep, max(kmax), len(kvecs) * d)
+    return _run_blocks(sampler, N, len(kvecs), workers)
 
 
 def _sum_cores(factors, kvecs, sets, dists, N, rng, workers) -> np.ndarray:
@@ -945,23 +919,30 @@ def _sum_cores(factors, kvecs, sets, dists, N, rng, workers) -> np.ndarray:
 
 
 def _sum_field(factors, lam, sets, dists, N, rng, workers) -> list:
-    """Per set of the family, its (|V|, N) normalized sums, a row per grid point, in one pass."""
+    """Per set of the family, its (|V|, N) normalized sums, a row per grid point, in one pass.
+
+    Each block's cores are weighed into its rows at once, so no T x N cores are held.
+    """
     kvecs, weights = _terms(lam)
-    sampler = _weighed(_sum_sampler(factors, kvecs, sets, dists, rng), weights,
-                       [math.sqrt(L.size) for L in sets])
-    return np.split(_run_blocks(sampler, N, len(sets) * len(weights), workers), len(sets))
+    make_cores, block_cap = _sum_sampler(factors, kvecs, sets, dists, rng)
+    nv, T = weights.shape
+    roots = [math.sqrt(L.size) for L in sets]
 
+    def make_batch(cap):
+        cores_of, cores = make_cores(cap), np.empty((len(sets) * T, cap))
+        scratch = np.empty(cap if T > 1 else 0)    # a second term's products
 
-def _limit_cores(kvecs, d, N, rng, workers) -> np.ndarray:
-    """(T, N) chaos-limit cores, a row per multi-index of ``kvecs``."""
-    return _run_blocks(_limit_sampler(kvecs, d, rng), N, len(kvecs), workers)
+        def batch(rep_start, rep_count, out):
+            cores_of(rep_start, rep_count, cores[:, :rep_count])
+            for i, root in enumerate(roots):
+                rows, set_cores = out[i * nv:(i + 1) * nv], cores[i * T:(i + 1) * T, :rep_count]
+                for w, row in zip(weights, rows):
+                    _weigh(set_cores, w, row, scratch[:rep_count])
+                np.divide(rows, root, out=rows)
 
+        return batch
 
-def _limit_field(lam, d, N, rng, workers) -> np.ndarray:
-    """(|V|, N) chaos-limit values, a row per grid point; the betas are shared across points."""
-    kvecs, weights = _terms(lam)
-    return _run_blocks(_weighed(_limit_sampler(kvecs, d, rng), weights), N, len(weights),
-                       workers)
+    return np.split(_run_blocks((make_batch, block_cap), N, len(sets) * nv, workers), len(sets))
 
 
 def simulate_family(kernel, sets, dists, N: int, rng: RngSpec,
@@ -1007,9 +988,10 @@ def sample_S_infty(lam: dict, d: int, N: int, rng: RngSpec,
                    workers: int = 1) -> EmpiricalDist:
     """Gaussian-chaos limit ``sum_k lambda(k) prod_s beta_s(k_s)``, fresh betas per replication."""
     lam = {tuple(k): float(w) for k, w in lam.items()}
-    vals = _limit_field(lam, d, N, rng, workers)
+    kvecs, weights = _terms(lam)
+    vals = _weigh(_limit_cores(kvecs, d, N, rng, workers), weights[0], np.empty(N))
     payload = {"lambda": sorted((list(k), w) for k, w in lam.items()), "d": d}
-    return EmpiricalDist(vals[0], _provenance("S_infty", payload, None, None, N, rng.seed),
+    return EmpiricalDist(vals, _provenance("S_infty", payload, None, None, N, rng.seed),
                          seed=rng.seed)
 
 

@@ -31,9 +31,10 @@ import numpy as np
 
 from .index_sets import _sorted_unique
 from .kernels import _factors_from_json, _factors_to_json, _json_weight, _multi_indices
+from .mc import EmpiricalDist, RngSpec, _limit_cores, _sum_field, _terms, _weigh
 # ks_distance is no longer called here but stays importable from this module:
 # bench/test_bench.py checks that the tracer rebinds it here (ROADMAP item 9)
-from .mc import EmpiricalDist, RngSpec, _limit_field, _sum_field, ks_distance  # noqa: F401
+from .mc import ks_distance  # noqa: F401
 from .psi import PsiFunction, _golden_max
 
 __all__ = [
@@ -109,7 +110,7 @@ def rho_lambda(pk: ParametricKernel, v1: int, v2: int) -> float:
     for v in (v1, v2):
         if not (0 <= v < pk.n_points):
             raise ValueError("parameter index off the grid")
-    return float(sum(abs(w[v1] - w[v2]) for w in pk.lam.values()))
+    return float(pk.rho_row(v1)[v2])
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +302,15 @@ def simulate_Q_L(pk: ParametricKernel, L, dists, N: int, rng: RngSpec,
 def sample_Q_infty(pk: ParametricKernel, N: int, rng: RngSpec, workers: int = 1):
     """Per-point limit samples sharing betas across v within each replication.
 
-    The result has shape (|V|, N): row ``v`` holds the N samples at grid point v,
-    weighed from the per-term limit cores block by block.
+    The result has shape (|V|, N): row ``v`` holds the N samples at grid point
+    v, weighed from the (T, N) limit cores, which are held beside it.
     """
-    return _limit_field(pk.lam, pk.d, N, rng, workers)
+    kvecs, weights = _terms(pk.lam)
+    cores = _limit_cores(kvecs, pk.d, N, rng, workers)
+    field = np.empty((len(weights), N))
+    for w, row in zip(weights, field):
+        _weigh(cores, w, row)
+    return field
 
 
 # ---------------------------------------------------------------------------

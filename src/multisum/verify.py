@@ -100,14 +100,13 @@ def _chaos_limit_ks(pk: ParametricKernel, dists, sets, N, rng, limit_n, final_ks
     the cores into one reused (stages, N) buffer, the last stage's ``|row|``
     is folded into the sup-field, and the buffer is sorted row-wise; its
     limit row is weighed into another reused buffer and sorted there.  All
-    stages are scored against it in one call of ``mc._ks_rows``; where N >
-    limit_n the limit is the smaller sample, so each stage is scored in its
-    own call, with the limit as the row.  So memory is O(T (stages N +
-    limit_n) + stages N + limit_n), whatever |V|: the cores, the two row
-    buffers, the sup-field and a scratch of ``max(stages N, limit_n)``
-    floats.  Every row, distance and sup-field value is that of
-    ``sample_Q_infty``, of the family's ``mc._sum_field`` and of
-    ``ks_distance``.
+    stages are scored against it in one call of ``mc._ks_rows``, whatever N
+    and limit_n: each distance is the same float with either sample as the
+    row.  So memory is O(T (stages N + limit_n) + stages N + limit_n),
+    whatever |V|: the cores, the two row buffers, the sup-field and a
+    scratch of ``max(stages N, limit_n)`` floats.  Every row, distance and
+    sup-field value is that of ``sample_Q_infty``, of the family's
+    ``mc._sum_field`` and of ``ks_distance``.
     """
     kvecs, weights = _terms(pk.lam)
     limit = _limit_cores(kvecs, pk.d, limit_n, rng.child(_LIMIT_STREAM), workers)
@@ -127,11 +126,7 @@ def _chaos_limit_ks(pk: ParametricKernel, dists, sets, N, rng, limit_n, final_ks
         rows.sort(axis=1)
         lim = _weigh(limit, w, limit_row, limit_products)
         lim.sort()
-        if N <= limit_n:
-            dist = _ks_rows(rows, lim)
-        else:
-            dist = [_ks_rows(lim[None, :], row)[0] for row in rows]
-        for stage, value in zip(ks, dist):
+        for stage, value in zip(ks, _ks_rows(rows, lim)):
             stage.append(float(value))
     crit = ks_critical(N, limit_n)
     sup = EmpiricalDist(sup, "sup_field", seed=rng.child(0).seed)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multisum import (AxisDistribution, DegenerateKernel, EmpiricalDist, FactorFamily, RngSpec,
@@ -290,8 +290,23 @@ def families(draw):
     return kernel, dists, sets, draw(st.integers(1, 12)), draw(st.integers(0, 999))
 
 
+# Explicit examples of both layouts for the family properties below: the examples a
+# derandomized strategy draws depend on which modules the test process has imported.
+_EXAMPLE_SETS = [make_rect([3, 4]), lshape_family([5])[0], staircase_set([6, 4, 1])]
+# Hermite k <= 2 on normal axes: both axes read segment statistics
+SEGMENTED_FAMILY = (DegenerateKernel(2, {(1, 1): 1.0, (2, 2): 0.5, (1, 2): -0.7},
+                                     [FactorFamily("hermite")] * 2),
+                    [AxisDistribution("standard_normal")] * 2, _EXAMPLE_SETS, 9, 17)
+# a k = 3 term on each axis: both axes draw a variate per lattice column
+PER_CELL_FAMILY = (DegenerateKernel(2, {(1, 3): 0.8, (3, 1): -0.4, (2, 2): 0.3},
+                                    [FactorFamily("hermite")] * 2),
+                   [AxisDistribution("standard_normal")] * 2, _EXAMPLE_SETS, 9, 17)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(families())
+@example(SEGMENTED_FAMILY)
+@example(PER_CELL_FAMILY)
 def test_family_sums_are_cell_sums_of_the_shared_draws(family):
     kernel, dists, sets, N, seed = family
     rng = RngSpec(seed).child(0)
@@ -300,25 +315,32 @@ def test_family_sums_are_cell_sums_of_the_shared_draws(family):
     for rows, other in zip(field, mc._sum_field(kernel.factors, kernel.lam, sets, dists, N,
                                                 rng, 3), strict=True):
         assert rows.tobytes() == other.tobytes()
-    # every set reads the family's one draw: per axis, its widest side of columns
-    columns = [max(L.axis_max(axis) for L in sets) for axis in range(kernel.d)]
-    draws = [dist.reader(rng, axis, n)(0, N)
-             for axis, (dist, n) in enumerate(zip(dists, columns))]
-    for L, rows in zip(sets, field):
-        for r in range(N):
-            samples = [x[r] for x in draws]
-            assert abs(rows[0, r] - naive_S_L(kernel, L, samples)) <= \
-                1e-12 * absolute_term_sum(kernel, L, samples)
-        table = table_sum_field(kernel.factors, kernel.lam, 1, L, dists, N, rng, columns)
-        assert np.array_equal(rows, table)
+    # every set sums its cells, or on a segmented axis its segments, of the family's one draw
+    kvecs, weights = mc._terms(kernel.lam)
+    for L, rows, cores in zip(sets, field, drawn_cores(kernel, sets, dists, N, rng),
+                              strict=True):
+        assert np.array_equal(rows[0], mc._weigh(cores, weights[0], np.empty(N))
+                              / math.sqrt(L.size))
+    layouts = mc._layouts(kernel.factors, kvecs, sets, dists)
+    if not any(isinstance(layout, list) for layout in layouts):
+        # per cell: per axis, the family's widest side of columns, each cell its own variate
+        draws = [dist.reader(rng, axis, n)(0, N)
+                 for axis, (dist, n) in enumerate(zip(dists, layouts))]
+        for L, rows in zip(sets, field):
+            for r in range(N):
+                samples = [x[r] for x in draws]
+                assert abs(rows[0, r] - naive_S_L(kernel, L, samples)) <= \
+                    1e-12 * absolute_term_sum(kernel, L, samples)
+            table = table_sum_field(kernel.factors, kernel.lam, 1, L, dists, N, rng, layouts)
+            assert np.array_equal(rows, table)
     # a one-set family reads what its set alone reads, output bytes included
     L = sets[0]
     one, = simulate_family(kernel, [L], dists, N, rng, 3)
     alone = simulate_S_L(kernel, L, dists, N, rng)
     assert mc.empirical_bytes(one) == mc.empirical_bytes(alone)
-    assert np.array_equal(alone.values,
-                          np.sort(table_sum_field(kernel.factors, kernel.lam, 1, L, dists, N,
-                                                  rng)[0]))
+    cores, = drawn_cores(kernel, [L], dists, N, rng)
+    assert np.array_equal(alone.values, np.sort(mc._weigh(cores, weights[0], np.empty(N))
+                                                / math.sqrt(L.size)))
 
 
 def test_members_past_a_family_fail_before_any_row():
@@ -429,6 +451,8 @@ def drawn_cores(kernel, sets, dists, N, rng):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(box_union_families())
+@example(SEGMENTED_FAMILY)
+@example(PER_CELL_FAMILY)
 def test_segment_side_sums_are_sums_of_the_scaled_page_draws(family):
     # at 3 workers the second and third chunks start their reads of normals and of
     # chi-squares inside a page
@@ -499,6 +523,8 @@ def test_segment_statistics_keep_each_sets_exact_law():
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(box_union_families())
+@example(SEGMENTED_FAMILY)
+@example(PER_CELL_FAMILY)
 def test_the_cuts_split_every_side_into_whole_segments(family):
     kernel, dists, sets, _, _ = family
     for axis, cuts in enumerate(mc._layouts(kernel.factors, list(kernel.lam), sets, dists)):

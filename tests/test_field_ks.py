@@ -11,7 +11,7 @@ import time
 import tracemalloc
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multisum import (AxisDistribution, EmpiricalDist, FactorFamily, ParametricKernel,
@@ -75,8 +75,20 @@ def field_checks(draw):
             draw(st.sampled_from([0.05, 0.5])))
 
 
+# a per-cell field of three points (a k = 3 term on each axis), scored with more stage
+# replications than limit draws and with as many
+_EXAMPLE_FIELD = ParametricKernel(np.arange(3)[:, None],
+                                  {(3, 1): np.array([0.6, 0.0, -1.2]),
+                                   (1, 3): np.array([0.8, 0.5, 0.0]),
+                                   (2, 2): np.array([0.0, -0.4, 0.9])},
+                                  [FactorFamily("hermite")] * 2)
+_EXAMPLE_STAGES = [make_rect([3, 4]), make_rect([6, 5])]
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(field_checks())
+@example((_EXAMPLE_FIELD, _EXAMPLE_STAGES, 40, 17, 5, 3, 0.5))
+@example((_EXAMPLE_FIELD, _EXAMPLE_STAGES, 30, 30, 8, 1, 0.05))
 def test_point_major_check_equals_the_materialised_fields(check):
     pk, sets, N, limit_n, seed, workers, final_ks = check
     dists = [AxisDistribution("standard_normal")] * pk.d

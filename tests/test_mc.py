@@ -121,6 +121,37 @@ def test_limit_field_worker_and_block_size_invariance(budget):
                                   base_cores)
 
 
+# sha256 of the library field functions on one seeded two-term field over an L-shape of side
+# 5 (N = 200, seed 41): sample_S_infty's sorted values and provenance at the middle point,
+# sample_Q_infty's (|V|, N) array and simulate_Q_L's sorted per-point values and sup-field
+LIBRARY_FIELD_SHA256 = {
+    "sample_S_infty": "4c8330243b87a08593584d9885d724653c6f00270543fb834a9b0b000d213e7a",
+    "sample_Q_infty": "515f13799d28c5a549551100e947c418456578c82158f68b927357c95d791609",
+    "simulate_Q_L": "73ad94f8c0e04e02b7a94d6358afe9edf3044f6209b97fb6dae4ae350a7d7243",
+}
+
+
+@pytest.mark.parametrize("budget", [64, mc._BLOCK_BUDGET], ids=["few_rep_blocks", "default"])
+@pytest.mark.parametrize("workers", [1, 3])
+def test_library_field_bytes_pinned(budget, workers):
+    pk = ParametricKernel(np.arange(3)[:, None],
+                          {(1, 1): np.array([1.0, 0.5, -0.3]),
+                           (2, 1): np.array([0.0, 0.8, 0.6])},
+                          [FactorFamily("hermite"), FactorFamily("poisson_charlier")])
+    dists = [AxisDistribution("standard_normal"), AxisDistribution("compensated_poisson")]
+    rng = RngSpec(41)
+    with mock.patch.object(mc, "_BLOCK_BUDGET", budget):
+        per_v, sup = simulate_Q_L(pk, lshape_family([5])[0], dists, 200, rng, workers)
+        S = sample_S_infty({k: float(w[1]) for k, w in pk.lam.items()}, 2, 200, rng, workers)
+        Q = sample_Q_infty(pk, 200, rng, workers)
+    parts = {"sample_S_infty": [S.values, np.frombuffer(S.provenance.encode(), np.uint8)],
+             "sample_Q_infty": [Q],
+             "simulate_Q_L": [d.values for d in per_v] + [sup.values]}
+    for name, arrays in parts.items():
+        digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+        assert digest == LIBRARY_FIELD_SHA256[name], name
+
+
 def _block_cap(kernel, L):
     """Replications per block that ``simulate_S_L`` (or ``simulate_Q_L``) chooses over ``L``."""
     simulate = simulate_Q_L if isinstance(kernel, ParametricKernel) else simulate_S_L
@@ -516,11 +547,11 @@ def test_law_moments_match_a_tensor_quadrature_on_every_law(case, cells):
 
 
 def test_sum_moments_decline_without_a_centred_table():
-    # a non-centred factor (E h_3 = 6**-0.5 under Poisson), a law with no rule and a
-    # tabulated factor keep the plug-in standard error
+    # a non-centred factor (E h_3 = 6**-0.5 under Poisson), a factor past the identity on a
+    # law with no rule and a tabulated factor keep the plug-in standard error
     poisson = [AxisDistribution("compensated_poisson")] * 2
     cases = [(hermite_kernel({(3, 1): 1.0}), poisson),
-             (hermite_kernel({(1, 1): 1.0}), [AxisDistribution("log_weibull", beta=1.0)] * 2),
+             (hermite_kernel({(2, 2): 1.0}), [AxisDistribution("log_weibull", beta=1.0)] * 2),
              (DegenerateKernel(2, {(1, 1): 1.0}, [tabulated_family(
                  [-1.0, 1.0], [[-1.0, 1.0]], [0.5, 0.5]), SIGN]),
               [AxisDistribution("rademacher")] * 2)]
@@ -565,6 +596,21 @@ def test_simulated_variance_se_is_exact():
     limit = 9 * (0.6 ** 4 + 0.8 ** 4) + 6 * 0.6 ** 2 * 0.8 ** 2
     gaps = [abs(mc._sum_moments(k, make_rect([n, n]), GAUSS)[1] - limit) for n in (50, 400)]
     assert gaps[1] < gaps[0] / 4 and gaps[1] < 0.02 * limit
+
+
+def test_log_weibull_identity_variance_se_is_exact():
+    # x y over a 1 x 2 box, x and y iid log-Weibull: S = x (y1 + y2) / sqrt 2, so
+    # Var S = m2**2 and E S**4 = m4 (2 m4 + 6 m2**2) / 4 from m2 = E x**2, m4 = E x**4
+    law = AxisDistribution("log_weibull", beta=0.5)
+    m2, m4 = law.identity_moment(2) ** 2, law.identity_moment(4) ** 4
+    dist = simulate_S_L(hermite_kernel({(1, 1): 1.0}), make_rect([1, 2]), [law] * 2, 400,
+                        RngSpec(8))
+    var, fourth = dist.law_moments()
+    assert var == pytest.approx(m2 * m2, rel=1e-12)
+    assert fourth == pytest.approx(m4 * (2 * m4 + 6 * m2 * m2) / 4, rel=1e-12)
+    n = dist.n
+    assert dist.variance_se() == pytest.approx(
+        math.sqrt(fourth / n - var * var * (n - 3) / (n * (n - 1))), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
@@ -117,7 +118,34 @@ def test_law_rules_have_no_degree_limit_but_no_rule_has_no_table():
     assert axis_law_table(FactorFamily("poisson_charlier"), poisson, range(1, 41)) is not None
     with np.errstate(over="ignore", invalid="ignore"):    # the top nodes' rows overflow
         assert axis_law_table(FactorFamily("poisson_charlier"), poisson, [200]) is None
+    # a log-Weibull law has a table of its identity factor only
     assert axis_law_table(FactorFamily("hermite"), AxisDistribution("log_weibull", beta=1.0),
-                          [1]) is None
+                          [1, 2]) is None
     table = tabulated_family([-1.0, 1.0], [[-1.0, 1.0]], [0.5, 0.5])
     assert axis_law_table(table, rademacher, [1]) is None
+
+
+def log_weibull_moment(beta: float, p: int) -> float:
+    """``E xi**p`` (p even) of the log-Weibull law: ``p int y**(p-1) P(|xi| > y) dy`` at 30 digits.
+
+    In u = ln(1 + y) the integrand is ``p (e**u - 1)**(p-1) e**u exp(-u**(1 + 1/beta))``.
+    """
+    with mpmath.workdps(30):
+        b = mpmath.mpf(beta)
+        f = lambda u: p * mpmath.expm1(u) ** (p - 1) * mpmath.exp(u - u ** (1 + 1 / b))
+        return float(mpmath.quad(f, [0, 1, 4, 10, 30, mpmath.inf]))
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("kind", KINDS)
+def test_log_weibull_identity_table_matches_mpmath(kind, beta):
+    # the identity of every analytic family: mean 0, Gram E xi^2, four-way E xi^4 throughout
+    law = AxisDistribution("log_weibull", beta=beta)
+    mean, gram, four = axis_law_table(FactorFamily(kind), law, [1, 1, 1])
+    second, fourth = log_weibull_moment(beta, 2), log_weibull_moment(beta, 4)
+    assert mean.shape == (3,) and not mean.any()
+    assert gram.shape == (3, 3) and four.shape == (3, 3, 3, 3)
+    assert np.all(gram == gram.flat[0]) and np.all(four == four.flat[0])
+    assert gram.flat[0] == pytest.approx(second, rel=1e-8)
+    assert four.flat[0] == pytest.approx(fourth, rel=1e-8)
+    assert axis_law_table(FactorFamily(kind), law, [1, 2]) is None

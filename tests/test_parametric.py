@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -206,6 +206,43 @@ def test_distance_rows_match_the_broadcast_matrix(case):
         radii = greedy_reference(ref)
         want = [int(np.argmax(radii <= e)) + 1 if np.any(radii <= e) else n for e in prof.eps]
     assert np.array_equal(prof.counts, np.maximum.accumulate(want))
+
+
+@st.composite
+def spread_weight_grids(draw):
+    """A kernel of 1-24 points and 1-12 multi-indices of spread scales, with zero weights."""
+    nv, n_terms = draw(st.integers(1, 24)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lam = {}
+    for k in range(1, n_terms + 1):
+        w = rng.normal(size=nv) * 10.0 ** rng.integers(-12, 4)
+        w[rng.random(nv) < 0.3] = 0.0
+        lam[(k, 1)] = w if rng.random() < 0.85 else np.zeros(nv)
+    return ParametricKernel(np.arange(nv)[:, None], lam, [FactorFamily("hermite")] * 2)
+
+
+# 1 + 2**-53 rounds back to 1 ten times over, where a compensated sum (Python's sum from
+# 3.12 on, math.fsum) keeps the ten halves of an ulp
+ULP_HALVES_GRID = ParametricKernel(
+    np.arange(2)[:, None],
+    {(1, 1): np.array([0.0, 1.0]), **{(k, 1): np.array([0.0, 2.0 ** -53]) for k in range(2, 12)}},
+    [FactorFamily("hermite")] * 2)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(spread_weight_grids())
+@example(ULP_HALVES_GRID)
+def test_rho_lambda_is_its_distance_row_bit_for_bit(pk):
+    # one rule: |w[v1] - w[v2]| added left to right in multi-index order, as the coverings read
+    n = pk.n_points
+    for j in range(n):
+        row = pk.rho_row(j)
+        assert [rho_lambda(pk, j, i) for i in range(n)] == row.tolist()
+        for i in range(n):
+            total = 0.0
+            for w in pk.lam.values():
+                total += abs(float(w[j]) - float(w[i]))
+            assert row[i] == total
 
 
 def test_greedy_covering_holds_no_distance_matrix():
