@@ -46,12 +46,24 @@ weighs each block's cores into its rows at once (``_sum_field``).
 
 No factor table is built: each factor family yields its rows ``g_1, g_2, ...``
 one at a time (``FactorFamily.rows``), and every row is slice-summed into the
-per-box sums as soon as it exists.  A replication therefore holds O(sum n_s)
-floats whatever the rank.  Replications run in blocks (``_block_cap``) whose
-widest axis row fits a share of the cache, since a block is walked once per
-layer (draws, inverse CDF, each factor row); a set of many boxes makes
-blocks larger, so that the NumPy calls, whose count per block is fixed, do
-not dominate; and ``_BLOCK_BUDGET`` caps them.  Each worker samples its
+per-box sums as soon as it exists.  An axis sampled cell by cell whose
+factors are Hermite with kmax >= 2, under any law, makes no factor rows at
+all: it makes the power rows ``x**2, ..., x**m``, m = ceil(kmax / 2), and per
+distinct side the power sums ``S_1`` (a slice sum) and ``S_j`` (one row dot of
+two powers), and its side sum of ``h_k`` is ``(sum_j c_kj S_j) / sqrt(k!)``
+with ``He_k``'s integer coefficients (``_hermite_sums``).  The draws are
+the same and the arithmetic less, but power sums cancel more than rows do:
+against exact sums over 4096 normal draws this errs by about 1.5e-14 per
+root of the side's length at k = 4 and 2.2e-13 at k = 12, where the rows err
+by 3e-16.  Charlier and Laguerre factors keep their rows, since by powers
+they cancel more still (Laguerre 3.1e-12 at k = 12 on its exponential law,
+Charlier 1.7e-10 at k = 12 on normal draws).  A replication therefore holds
+O(sum n_s) floats whatever the rank.  Replications run in blocks
+(``_block_cap``) whose widest axis row fits a share of the cache, since a
+block is walked once per layer (draws, inverse CDF, each factor or power
+row); a set of many boxes makes blocks larger, so that the NumPy calls,
+whose count per block is fixed, do not dominate; and ``_BLOCK_BUDGET`` caps
+them.  Each worker samples its
 blocks through buffers and stream readers (``AxisDistribution.reader``) it
 makes once, so a page's generator runs on from block to block.  The
 variates are addressed by replication, so block size moves no bit.
@@ -68,12 +80,13 @@ import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .index_sets import IndexSet, _sorted_unique
-from .kernels import _finite_number, _lp_norm, kernel_to_json, quadrature_rule
+from .kernels import (_finite_number, _inverse_factorials, _lp_norm, kernel_to_json,
+                      quadrature_rule)
 
 __all__ = [
     "RngSpec",
@@ -590,20 +603,100 @@ def _spans(sets, axis: int):
     return list(index), [[index[side] for side in boxes] for boxes in sides]
 
 
-def _box_sums(rows, kmax: int, reps: int, spans, inverse) -> list:
-    """Per set and box, ``F[k - 1]``, the sum of factor row k over the box's side, k = 1..kmax.
+def _box_sums(rows, kmax: int, reps: int, spans, inverse, powers: bool) -> list:
+    """Per set and box, ``F[k - 1]``, the sum of factor k over the box's side, k = 1..kmax.
 
     ``rows`` yields one axis' factor rows in order, each of shape (reps,
     columns); each result has shape (kmax, reps).  Every row is slice-summed
     as soon as it exists, so no (kmax, reps, columns) table is ever built,
     and once per distinct side (``_spans``): boxes that share their side on
-    this axis, in one set or across the family, share its sums.
+    this axis, in one set or across the family, share its sums.  Where
+    ``powers`` is set (``_powered``: Hermite factors, kmax >= 2, sampled cell
+    by cell) ``rows`` yields the power rows ``x, ..., x**m`` instead
+    (``_power_rows``), and each side's Hermite sums are combined from its
+    power sums (``_hermite_sums``): kmax slice sums or row dots per side, as
+    many NumPy calls as the rows would take, with no factor row made.  This
+    is the one side-sum step of ``compute_S_L``, of every sampled family and
+    of the field walk.
     """
     sums = np.empty((len(spans), kmax, reps))
-    for k, row in enumerate(rows):
-        for (lo, hi), out in zip(spans, sums):
-            row[:, lo - 1:hi].sum(axis=1, out=out[k])
+    if powers:
+        _hermite_sums(list(rows), kmax, spans, sums)
+    else:
+        for k, row in enumerate(rows):
+            for (lo, hi), out in zip(spans, sums):
+                row[:, lo - 1:hi].sum(axis=1, out=out[k])
     return [[sums[i] for i in boxes] for boxes in inverse]
+
+
+def _powered(fam, kmax: int) -> bool:
+    """Whether an axis sampled cell by cell sums powers (``_hermite_sums``): Hermite, kmax >= 2."""
+    return fam.kind == "hermite" and kmax >= 2
+
+
+def _power_rows(kmax: int, x: np.ndarray, buffers=None):
+    """``x, x**2, ..., x**m``, m = ceil(kmax / 2), each power the one before times x.
+
+    ``x`` itself comes first and ``x**j`` is written into ``buffers[j - 2]``,
+    arrays of x's shape (fresh ones where absent), so ``x**j`` and ``x**(j -
+    1)`` are both live when it is made.
+    """
+    yield x
+    power = x
+    for j in range(2, (kmax + 1) // 2 + 1):
+        power = np.multiply(power, x, out=None if buffers is None else buffers[j - 2])
+        yield power
+
+
+@lru_cache(maxsize=None)
+def _hermite_coefficients(kmax: int) -> tuple:
+    """Per k = 1..kmax, the integer coefficients ``c_k0..c_kk`` of ``He_k = sum_j c_kj x**j``.
+
+    Built by ``He_{k+1} = x He_k - k He_{k-1}`` in Python ints, so exact.
+    """
+    he = [(1,), (0, 1)]
+    for k in range(1, kmax):
+        he.append(tuple(a - k * b for a, b in zip((0,) + he[k], he[k - 1] + (0, 0))))
+    return tuple(he[1:kmax + 1])
+
+
+def _hermite_sums(powers, kmax: int, spans, out: np.ndarray) -> np.ndarray:
+    """Normalized Hermite side sums ``out[i, k - 1] = sum_{side i} h_k(x)`` from power sums.
+
+    ``powers`` are an axis' power rows ``x, ..., x**m`` (``_power_rows``)
+    and ``out`` has shape (sides, kmax, reps).  Per side, ``S_1`` is x's
+    slice sum and ``S_j``, j = 2..kmax, the row dot ``np.vecdot(x**a,
+    x**b)`` with ``a = ceil(j / 2)`` and ``b = j - a``, each written into
+    ``out[i, j - 1]`` (over a side of more than 8192 cells, the sum in order
+    of the dots of its runs of 8192); ``S_0`` is the side's length.  Then, k
+    from kmax down, so that every ``S_j`` of j < k is still in place, ``out[i,
+    k - 1] = (S_k + c_k,k-2 S_k-2 + c_k,k-4 S_k-4 + ...) / sqrt(k!)`` with
+    ``He_k``'s integer coefficients (``_hermite_coefficients``).  These are
+    elementwise steps in this fixed order on the rows of all sides at once,
+    so each float rests on its replication's draws alone, whatever the block.
+    """
+    x = powers[0]
+    for (lo, hi), side in zip(spans, out):
+        x[:, lo - 1:hi].sum(axis=1, out=side[0])
+        for j in range(2, kmax + 1):
+            a = (j + 1) // 2
+            p, q = powers[a - 1][:, lo - 1:hi], powers[j - a - 1][:, lo - 1:hi]
+            # OpenBLAS splits a dot of more than 10 000 values across its threads, which would tie
+            # the float to their count, so a wider side adds the dots of runs of 8192 in order
+            np.vecdot(p[:, :8192], q[:, :8192], out=side[j - 1])
+            for at in range(8192, hi - lo + 1, 8192):
+                side[j - 1] += np.vecdot(p[:, at:at + 8192], q[:, at:at + 8192])
+    lengths = np.array([[hi - lo + 1.0] for lo, hi in spans])
+    norm = _inverse_factorials(kmax, True)
+    for k, c in reversed(list(enumerate(_hermite_coefficients(kmax), 1))):
+        row = out[:, k - 1]
+        for j in range(k - 2, 0, -2):
+            row += c[j] * out[:, j - 1]
+        if k % 2 == 0:
+            row += c[0] * lengths
+        if norm[k] != 1.0:
+            row *= norm[k]
+    return out
 
 
 def _contract(sums, kvecs, out: np.ndarray) -> np.ndarray:
@@ -646,8 +739,8 @@ def _weigh(cores, w, out: np.ndarray, scratch=None) -> np.ndarray:
 
 
 def _field_sums(rows, kmax, sides, reps: int) -> list:
-    """Per set, ``sums[B][s]`` for ``_contract``; per axis, its factor rows and ``_spans``."""
-    per_axis = [_box_sums(r, k, reps, *spans) for r, k, spans in zip(rows, kmax, sides)]
+    """Per set, ``sums[B][s]`` for ``_contract``; per axis, its rows, ``_spans`` and powers flag."""
+    per_axis = [_box_sums(r, k, reps, *side) for r, k, side in zip(rows, kmax, sides)]
     return [list(zip(*per_set)) for per_set in zip(*per_axis)]
 
 
@@ -655,7 +748,8 @@ def compute_S_L(kernel, L: IndexSet, axis_samples) -> float:
     """Normalized sum for one realization of the axis samples.
 
     The set is contracted box by box: per box and axis, one slice sum of the
-    factor values, multiplied across axes and summed over the boxes.  A
+    factor values (or on a Hermite axis of kmax >= 2 its power sums,
+    ``_hermite_sums``), multiplied across axes and summed over the boxes.  A
     rectangle is a single box, so it costs O(rank * sum n_s) rather than the
     O(rank * prod n_s) of summing cell by cell.
     """
@@ -664,9 +758,11 @@ def compute_S_L(kernel, L: IndexSet, axis_samples) -> float:
             raise ValueError(f"axis {axis} samples do not cover the index set")
     kvecs, weights = _terms(kernel.lam)
     kmax = _kmax(kvecs, kernel.d)
-    rows = [fam.rows(k, np.asarray(x, dtype=float)[None, :])
-            for fam, k, x in zip(kernel.factors, kmax, axis_samples)]
-    sums, = _field_sums(rows, kmax, [_spans([L], axis) for axis in range(L.d)], 1)
+    powers = [_powered(fam, k) for fam, k in zip(kernel.factors, kmax)]
+    rows = [(_power_rows if p else fam.rows)(k, np.asarray(x, dtype=float)[None, :])
+            for fam, k, x, p in zip(kernel.factors, kmax, axis_samples, powers)]
+    sides = [(*_spans([L], axis), p) for axis, p in enumerate(powers)]
+    sums, = _field_sums(rows, kmax, sides, 1)
     cores = _contract(sums, kvecs, np.empty((len(kvecs), 1)))
     return float(_weigh(cores, weights[0], np.empty(1))[0]) / math.sqrt(L.size)
 
@@ -802,16 +898,20 @@ def _segment_rows(fam, kmax: int, z: np.ndarray, c, lengths: np.ndarray, buffers
         yield c
 
 
-def _axis_rows(fam, kmax: int, dist, rng, axis: int, layout, cap: int):
+def _axis_rows(fam, kmax: int, dist, rng, axis: int, layout, powers: bool, cap: int):
     """``rows(rep_start, rep_count, flat)``: one axis' factor rows over a block, from its streams.
 
     ``layout`` is the axis' ``_layouts`` entry.  A column count reads that
     many variates per replication from ``(seed, TAG_AXIS, axis)`` and makes
-    the family's rows over them.  A list of cuts reads one normal per segment
-    from the same stream and, at kmax 2, one chi-square per segment from
-    ``(seed, TAG_CHI2, axis)`` (``_segment_rows``).  The draws go to buffers
-    of ``cap`` rows made here; the rows use ``flat``, three flat buffers that
-    every axis uses in turn.  The axis reads when its rows are first asked for.
+    the family's rows over them or, where ``powers`` is set (Hermite factors
+    of kmax >= 2, ``_powered``), no factor row at all: the power rows ``x,
+    ..., x**m``, m = ceil(kmax / 2), whose side sums ``_hermite_sums`` turns
+    into the Hermite ones.  A list of cuts reads one normal per segment from
+    the same stream and, at kmax 2, one chi-square per segment from ``(seed,
+    TAG_CHI2, axis)`` (``_segment_rows``).  The draws go to buffers of
+    ``cap`` rows made here; the rows use ``flat``, flat buffers (three, or
+    m - 1 where a power axis needs more) that every axis uses in turn.  The
+    axis reads when its rows are first asked for.
     """
     lengths = np.diff(layout).astype(float) if isinstance(layout, list) else None
     n = layout if lengths is None else lengths.size
@@ -825,7 +925,7 @@ def _axis_rows(fam, kmax: int, dist, rng, axis: int, layout, cap: int):
         x = read(rep_start, rep_count, draws)
         buffers = [b[:x.size].reshape(x.shape) for b in flat]
         if lengths is None:
-            yield from fam.rows(kmax, x, buffers)
+            yield from (_power_rows if powers else fam.rows)(kmax, x, buffers)
         else:
             c = chi2(rep_start, rep_count, chis) if kmax == 2 else None
             yield from _segment_rows(fam, kmax, x, c, lengths, buffers)
@@ -854,24 +954,27 @@ def _sum_sampler(factors, kvecs, sets, dists, rng):
         raise ValueError("need one axis distribution per kernel axis")
     kmax = _kmax(kvecs, d)
     layouts = _layouts(factors, kvecs, sets, dists)
-    ncols, sides = [], []
-    for axis, layout in enumerate(layouts):
+    ncols, sides, powers = [], [], []
+    for axis, (fam, k, layout) in enumerate(zip(factors, kmax, layouts)):
         spans, inverse = _spans(sets, axis)
+        powers.append(not isinstance(layout, list) and _powered(fam, k))
         if isinstance(layout, list):    # a side [lo, hi] is segments [at[lo], at[hi + 1])
             at = {cut: i for i, cut in enumerate(layout)}
             spans = [(at[lo] + 1, at[hi + 1]) for lo, hi in spans]
             ncols.append(len(layout) - 1)
         else:
             ncols.append(layout)
-        sides.append((spans, inverse))
+        sides.append((spans, inverse, powers[-1]))
     widths = [n * dist.uniforms_per_coord for n, dist in zip(ncols, dists)]
     T = len(kvecs)
+    # three row buffers, or the power rows past x of a Hermite axis of kmax >= 9
+    nflat = max([3] + [(k + 1) // 2 - 1 for k, p in zip(kmax, powers) if p])
 
     def make_batch(cap):
         axes = [_axis_rows(*args, cap)
-                for args in zip(factors, kmax, dists, [rng] * d, range(d), layouts)]
+                for args in zip(factors, kmax, dists, [rng] * d, range(d), layouts, powers)]
         # made after the draw buffers: the other order measured 3% slower on segment draws
-        flat = np.empty((3, cap * max(ncols)))
+        flat = np.empty((nflat, cap * max(ncols)))
 
         def batch(rep_start, rep_count, out):
             rows = [axis_rows(rep_start, rep_count, flat) for axis_rows in axes]
@@ -880,14 +983,15 @@ def _sum_sampler(factors, kvecs, sets, dists, rng):
 
         return batch
 
-    # per axis: draws, chi-squares on a segmented k = 2 axis, three row buffers and a
-    # temporary, side sums; plus T cores per set
+    # per axis: draws, chi-squares on a segmented k = 2 axis, the row buffers and a
+    # temporary, side sums (which a power axis' power sums fill first); plus T cores per set
     chi2 = [isinstance(layout, list) and k == 2 for layout, k in zip(layouts, kmax)]
-    per_rep = sum(n * (dist.uniforms_per_coord + 4 + c) + len(spans) * k
-                  for (spans, _), n, k, dist, c in zip(sides, ncols, kmax, dists, chi2)) \
+    per_rep = sum(n * (dist.uniforms_per_coord + 1 + nflat + c) + len(spans) * k
+                  for (spans, _, _), n, k, dist, c in zip(sides, ncols, kmax, dists, chi2)) \
         + len(sets) * T
-    # a slice sum per factor row and distinct side; per term, a product per box and axis
-    calls = (sum(len(spans) * k for (spans, _), k in zip(sides, kmax))
+    # a slice sum (or a power sum) per factor row and distinct side; per term, a product per
+    # box and axis
+    calls = (sum(len(spans) * k for (spans, _, _), k in zip(sides, kmax))
              + T * sum(len(L.lo) for L in sets) * d)
     return make_batch, _block_cap(per_rep, max(widths), calls)
 

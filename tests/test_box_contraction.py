@@ -1,6 +1,13 @@
 """Property tests: box decompositions of random sets and the contraction built on them."""
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -91,9 +98,10 @@ def test_box_contraction_matches_naive(instance):
 
 
 # ---------------------------------------------------------------------------
-# the table path: whole factor tables per axis, then slice sums of the tables.
-# The streamed path (rows slice-summed as they are made) must reproduce it bit
-# for bit, so it is kept here as the reference.
+# the table path: whole factor tables per axis, then slice sums of the tables,
+# or on a per-cell Hermite axis of kmax >= 2 whole power tables and their row
+# dots.  The streamed path (rows slice-summed as they are made) must reproduce
+# it bit for bit, so it is kept here as the reference.
 # ---------------------------------------------------------------------------
 
 
@@ -155,11 +163,76 @@ def table(fam, kmax, x):
     return np.stack([np.interp(x, fam.nodes, row) for row in fam.table[:kmax]])
 
 
-def table_contract(tables, L, lam, nv):
-    """The weighted field from whole tables; ``lam`` maps multi-indices to ``nv`` weights."""
-    sums = [[t[:, :, a - 1:b].sum(axis=2) for t, a, b in zip(tables, lo, hi)]
-            for lo, hi in zip(L.lo, L.hi)]
-    out = np.zeros((nv, tables[0].shape[1]))
+def hermite_coefficients(k):
+    """``He_k = sum_j c[j] x**j`` in closed form: ``c[k - 2i] = (-1)**i k! / (i! (k - 2i)! 2**i)``.
+
+    It shares nothing with the recurrence that ``mc`` builds its coefficients by.
+    """
+    c = [0] * (k + 1)
+    for i in range(k // 2 + 1):
+        c[k - 2 * i] = (-1) ** i * math.factorial(k) // (
+            math.factorial(i) * math.factorial(k - 2 * i) * 2 ** i)
+    return c
+
+
+def hermite_power_sums(kmax, x):
+    """``(lo, hi) -> (kmax, reps)``: the Hermite sums over columns lo..hi of x, from power sums.
+
+    x has shape (reps, columns).  The power table holds ``x**j = x**(j - 1) *
+    x`` for j <= m = ceil(kmax / 2); ``S_1`` is a slice sum, ``S_j`` the row
+    dot of ``x**ceil(j/2)`` and ``x**floor(j/2)`` (the dots of runs of 8192
+    columns added in order), and row k is ``(S_k + c_k,k-2 S_k-2 + ... + c_k0
+    n) / sqrt(k!)``, added in that order.
+    """
+    powers = [x]
+    for _ in range(1, (kmax + 1) // 2):
+        powers.append(powers[-1] * x)
+    norm = _inverse_factorials(kmax, True)
+
+    def sums(lo, hi):
+        cols = slice(lo - 1, hi)
+        S = [None, x[:, cols].sum(axis=1)]
+        for j in range(2, kmax + 1):
+            a, b = powers[(j + 1) // 2 - 1][:, cols], powers[j // 2 - 1][:, cols]
+            dot = np.vecdot(a[:, :8192], b[:, :8192])
+            for at in range(8192, hi - lo + 1, 8192):
+                dot = dot + np.vecdot(a[:, at:at + 8192], b[:, at:at + 8192])
+            S.append(dot)
+        rows = []
+        for k in range(1, kmax + 1):
+            c, row = hermite_coefficients(k), S[k]
+            for j in range(k - 2, 0, -2):
+                row = row + c[j] * S[j]
+            if k % 2 == 0:
+                row = row + c[0] * (hi - lo + 1.0)
+            rows.append(row * norm[k] if norm[k] != 1.0 else row)
+        return np.stack(rows)
+
+    return sums
+
+
+def axis_sums(fam, kmax, x):
+    """``(lo, hi) -> (kmax, reps)``: an axis' factor sums over columns lo..hi of the draws x.
+
+    A Hermite axis of kmax >= 2 sums powers (``hermite_power_sums``); any
+    other sums slices of its whole factor table.
+    """
+    if fam.kind == "hermite" and kmax >= 2:
+        return hermite_power_sums(kmax, x)
+    return table_sums(fam, kmax, x)
+
+
+def table_sums(fam, kmax, x):
+    """``(lo, hi) -> (kmax, reps)``: slice sums of the whole factor table of the draws x."""
+    t = table(fam, kmax, x.ravel()).reshape(kmax, *x.shape)
+    return lambda lo, hi: t[:, :, lo - 1:hi].sum(axis=2)
+
+
+def table_contract(axes, L, lam, nv, N):
+    """The weighted field from per-axis side sums (``axis_sums``); ``lam`` holds ``nv`` weights."""
+    sums = [[side(a, b) for side, a, b in zip(axes, lo, hi)]
+            for lo, hi in zip(L.lo.tolist(), L.hi.tolist())]
+    out = np.zeros((nv, N))
     for kvec, w in lam.items():
         wv = np.asarray(w, dtype=float).reshape(-1, 1)
         core = None
@@ -179,13 +252,11 @@ def table_sum_field(factors, lam, nv, L, dists, N, rng, columns=None):
     widest side, see ``mc._layouts``), or ``L.axis_max`` when absent.  It is
     the reference of axes sampled cell by cell (``per_cell``).
     """
-    kmax = mc._kmax(lam, L.d)
-    tables = []
-    for axis, (fam, dist) in enumerate(zip(factors, dists)):
+    axes = []
+    for axis, (fam, dist, kmax) in enumerate(zip(factors, dists, mc._kmax(lam, L.d))):
         ncols = L.axis_max(axis) if columns is None else columns[axis]
-        x = dist.reader(rng, axis, ncols)(0, N)
-        tables.append(table(fam, kmax[axis], x.ravel()).reshape(kmax[axis], N, ncols))
-    return table_contract(tables, L, lam, nv) / math.sqrt(L.size)
+        axes.append(axis_sums(fam, kmax, dist.reader(rng, axis, ncols)(0, N)))
+    return table_contract(axes, L, lam, nv, N) / math.sqrt(L.size)
 
 
 def per_cell(factors, dists, lam) -> dict:
@@ -257,8 +328,23 @@ def field_instances(draw):
             draw(st.integers(1, 30)), draw(st.integers(0, 999)))
 
 
+# sim-box's kernel, lambda(k, k) = 1/k for k <= 4 on normal axes: both axes sum powers.  A
+# derandomized strategy draws examples according to the modules the test process has
+# imported, so the Hermite power route is pinned by explicit examples on a box, a staircase
+# and an explicit set
+SIM_BOX_LAM = {(k, k): 1.0 / k for k in range(1, 5)}
+POWER_SETS = [make_rect([37, 29]), staircase_set([6, 4, 1]),
+              explicit_set([(1, 1), (1, 3), (2, 2), (5, 4), (7, 7), (7, 8)])]
+POWER_INSTANCES = [([FactorFamily("hermite")] * 2, [AxisDistribution("standard_normal")] * 2,
+                    {k: np.array([w]) for k, w in SIM_BOX_LAM.items()}, 1, L, 7, 31)
+                   for L in POWER_SETS]
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(field_instances())
+@example(POWER_INSTANCES[0])
+@example(POWER_INSTANCES[1])
+@example(POWER_INSTANCES[2])
 def test_streamed_sums_equal_the_table_path(instance):
     factors, dists, lam, nv, L, N, seed = instance
     for axis, (fam, dist, kmax) in enumerate(zip(factors, dists, mc._kmax(lam, L.d))):
@@ -301,12 +387,16 @@ SEGMENTED_FAMILY = (DegenerateKernel(2, {(1, 1): 1.0, (2, 2): 0.5, (1, 2): -0.7}
 PER_CELL_FAMILY = (DegenerateKernel(2, {(1, 3): 0.8, (3, 1): -0.4, (2, 2): 0.3},
                                     [FactorFamily("hermite")] * 2),
                    [AxisDistribution("standard_normal")] * 2, _EXAMPLE_SETS, 9, 17)
+# sim-box's kmax-4 kernel on a box, a staircase and an explicit set: power sums on both axes
+POWER_FAMILY = (DegenerateKernel(2, SIM_BOX_LAM, [FactorFamily("hermite")] * 2),
+                [AxisDistribution("standard_normal")] * 2, POWER_SETS, 7, 31)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(families())
 @example(SEGMENTED_FAMILY)
 @example(PER_CELL_FAMILY)
+@example(POWER_FAMILY)
 def test_family_sums_are_cell_sums_of_the_shared_draws(family):
     kernel, dists, sets, N, seed = family
     rng = RngSpec(seed).child(0)
@@ -414,10 +504,10 @@ def drawn_cores(kernel, sets, dists, N, rng):
     chi-square C of n - 1 degrees, n the segment's length.  Its rows are the
     family's identity at ``sqrt(n) Z`` and ``(Z**2 + C - n) sqrt(1/2)``, and a
     side sums the segments it covers.  Any other axis reads a variate per
-    column, up to the widest set, and a side sums its cells.
+    column, up to the widest set, and a side sums its cells (``axis_sums``).
     """
     kvecs = list(kernel.lam)
-    tables, slices = [], []
+    axes = []
     for axis, (fam, dist, kmax) in enumerate(zip(kernel.factors, dists,
                                                  mc._kmax(kvecs, kernel.d))):
         if segmented(fam, dist, [k[axis] for k in kvecs]):
@@ -428,16 +518,15 @@ def drawn_cores(kernel, sets, dists, N, rng):
             if kmax == 2:
                 c = chi2_pages(rng.seed, axis, n - 1.0, N)
                 t = np.concatenate([t, [(z * z + c - n) * math.sqrt(0.5)]])
-            slices.append(lambda lo, hi, cuts=cuts: slice(cuts.index(lo), cuts.index(hi + 1)))
+            axes.append(lambda lo, hi, t=t, cuts=cuts:
+                        t[:, :, cuts.index(lo):cuts.index(hi + 1)].sum(axis=2))
         else:
             x = dist.reader(rng, axis, max(L.axis_max(axis) for L in sets))(0, N)
-            t = table(fam, kmax, x.ravel()).reshape(kmax, *x.shape)
-            slices.append(lambda lo, hi: slice(lo - 1, hi))
-        tables.append(t)
+            axes.append(axis_sums(fam, kmax, x))
     out = []
     for L in sets:
-        sums = [[t[:, :, where(a, b)].sum(axis=2) for t, where, a, b in
-                 zip(tables, slices, lo, hi)] for lo, hi in zip(L.lo.tolist(), L.hi.tolist())]
+        sums = [[side(a, b) for side, a, b in zip(axes, lo, hi)]
+                for lo, hi in zip(L.lo.tolist(), L.hi.tolist())]
         cores = np.empty((len(kvecs), N))
         for kvec, core in zip(kvecs, cores):
             for b, box_sums in enumerate(sums):
@@ -477,6 +566,7 @@ def test_segment_side_sums_are_sums_of_the_scaled_page_draws(family):
 def test_unit_segments_read_the_per_cell_variates():
     # where every segment has length 1 the chi-squares are 0 and the Z stream has one
     # column per lattice column, so the rows are the Hermite rows of the per-cell draws
+    # (slice sums of their factor table, not the power sums of a per-cell axis)
     factors = [FactorFamily("hermite")] * 2
     lam = {(1, 1): 1.0, (2, 2): 0.5, (1, 2): -0.7}
     sets = [make_rect([1, 1]), make_rect([2, 2]), make_rect([3, 3])]
@@ -484,8 +574,10 @@ def test_unit_segments_read_the_per_cell_variates():
     assert mc._layouts(factors, list(lam), sets, dists) == [[1, 2, 3, 4]] * 2
     rng = RngSpec(4).child(0)
     field = mc._sum_field(factors, lam, sets, dists, 50, rng, 2)
+    axes = [table_sums(fam, 2, dist.reader(rng, axis, 3)(0, 50))
+            for axis, (fam, dist) in enumerate(zip(factors, dists))]
     for L, rows in zip(sets, field, strict=True):
-        assert np.array_equal(rows, table_sum_field(factors, lam, 1, L, dists, 50, rng, [3, 3]))
+        assert np.array_equal(rows, table_contract(axes, L, lam, 1, 50) / math.sqrt(L.size))
 
 
 def test_segment_statistics_keep_each_sets_exact_law():
@@ -544,3 +636,167 @@ def test_the_cuts_split_every_side_into_whole_segments(family):
                 other = 1 - axis
                 size += (hi[other] - lo[other] + 1) * sum(np.diff(cuts)[a:b])
             assert size == L.size
+
+
+# ---------------------------------------------------------------------------
+# the power route: a per-cell Hermite axis of kmax >= 2 sums powers of its draws
+# and combines them with the integer coefficients of He_k
+# ---------------------------------------------------------------------------
+
+ULP = 2.0 ** -52
+
+
+def exact_hermite_prefix(kmax, x):
+    """Per k = 1..kmax, exact prefix sums of ``He_k`` over the floats x, and their scale.
+
+    Every float of x is ``X_i / 2**E`` for integers X_i and one E, and ``H_k =
+    2**(E k) He_k(x)`` is an integer by ``H_{k+1} = X H_k - k 4**E H_{k-1}``;
+    ``prefix[k][i]`` is the sum of ``H_k`` over the first i values, so a
+    side's exact sum is a difference of two prefixes over ``2**(E k)``.
+    """
+    ratios = [v.as_integer_ratio() for v in x.tolist()]
+    E = max(den.bit_length() - 1 for _, den in ratios)
+    scale = 1 << 2 * E
+    prefix = [[0] for _ in range(kmax + 1)]
+    for num, den in ratios:
+        X = num << (E - den.bit_length() + 1)
+        prev, cur = 1, X
+        for k in range(1, kmax + 1):
+            prefix[k].append(prefix[k][-1] + cur)
+            prev, cur = cur, X * cur - k * scale * prev
+    return prefix, E
+
+
+def power_bound(kmax, x, lo, hi):
+    """Per k, ``sum_j |c_kj| sum_{i = lo..hi} |x_i|**j / sqrt(k!)``: the route's error scale."""
+    a = np.abs(x[lo - 1:hi])
+    moments = [float(hi - lo + 1)] + [float((a ** j).sum()) for j in range(1, kmax + 1)]
+    return [sum(abs(c) * m for c, m in zip(hermite_coefficients(k), moments))
+            / math.sqrt(math.factorial(k)) for k in range(1, kmax + 1)]
+
+
+@st.composite
+def power_axes(draw):
+    """Hermite factors to kmax 2..8 on one of three laws, a family of two d = 2 sets, N, seed.
+
+    Sides reach 4096: a box's first side, a staircase's heights.
+    """
+    law = AxisDistribution(draw(st.sampled_from(
+        ["standard_normal", "compensated_poisson", "centered_exponential"])))
+    sets = [make_rect([draw(st.integers(1, 4096)), draw(st.integers(1, 40))]),
+            draw(st.one_of(
+                st.lists(st.integers(0, 4096), min_size=1, max_size=4).filter(any)
+                .map(staircase_set),
+                st.sets(st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=1,
+                        max_size=20).map(lambda cells: explicit_set(sorted(cells)))))]
+    return law, draw(st.integers(2, 8)), sets, draw(st.integers(1, 2)), draw(st.integers(0, 999))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(power_axes())
+@example((AxisDistribution("standard_normal"), 8,
+          [make_rect([4096, 3]), staircase_set([4096, 7, 7, 300])], 2, 5))
+@example((AxisDistribution("compensated_poisson"), 2,
+          [make_rect([1, 1]), explicit_set([(1, 1), (1, 3), (2, 2), (5, 4)])], 2, 6))
+@example((AxisDistribution("centered_exponential"), 5,
+          [make_rect([1000, 40]), staircase_set([0, 3, 3, 2000])], 1, 7))
+def test_power_sums_are_within_ulps_of_exact_hermite_sums(case):
+    """The power route's side sums lie within 8 ulp of ``sum_j |c_kj| sum_i |x_i|**j / sqrt(k!)``.
+
+    The reference is the exact rational ``sum_i He_k(x_i)`` over the same
+    float draws (``exact_hermite_prefix``), divided by ``sqrt(k!)``.  The
+    route rounds each power sum ``S_j`` and each step ``c_kj S_j``, so its
+    error scales with that bound; it read at most 1.7 ulp of it (three laws,
+    kmax 2..8, sides of 5 to 4096 cells).
+    """
+    law, kmax, sets, N, seed = case
+    for axis in range(2):
+        spans, _ = mc._spans(sets, axis)
+        x = law.reader(RngSpec(seed), axis, max(L.axis_max(axis) for L in sets))(0, N)
+        sums, = mc._box_sums(mc._power_rows(kmax, x), kmax, N, spans, [range(len(spans))],
+                             powers=True)
+        for r in range(N):
+            prefix, E = exact_hermite_prefix(kmax, x[r])
+            for (lo, hi), got in zip(spans, sums):
+                bound = power_bound(kmax, x[r], lo, hi)
+                for k in range(1, kmax + 1):
+                    exact = Fraction(prefix[k][hi] - prefix[k][lo - 1], 1 << E * k)
+                    want = float(exact) / math.sqrt(math.factorial(k))
+                    assert abs(got[k - 1][r] - want) <= 8 * ULP * bound[k - 1], (lo, hi, k)
+
+
+def _hermite(d):
+    return [FactorFamily("hermite")] * d
+
+
+# Hermite k <= 2 on a Poisson axis (per cell, no power row past x); kmax 12 on a normal
+# axis (five power rows, past the three row buffers); a family of a power axis (k <= 4 on
+# normal draws) and a segmented one (k <= 2); and sides wider than 8192 columns
+POWER_EDGE_CASES = {
+    "poisson_kmax2": (DegenerateKernel(1, {(1,): 0.5, (2,): 1.0}, _hermite(1)),
+                      [AxisDistribution("compensated_poisson")],
+                      [make_rect([300]), explicit_set([[1], [3], [4], [9]])], 40, 3),
+    "normal_kmax12": (DegenerateKernel(1, {(k,): 1.0 / k for k in range(1, 13)}, _hermite(1)),
+                      [AxisDistribution("standard_normal")],
+                      [make_rect([257]), explicit_set([[2], [3], [40], [41], [42]])], 30, 4),
+    "power_and_segments": (DegenerateKernel(2, {(1, 1): 1.0, (2, 2): 0.5, (4, 1): -0.3,
+                                                (3, 2): 0.2}, _hermite(2)),
+                           [AxisDistribution("standard_normal")] * 2,
+                           [make_rect([37, 29]), staircase_set([6, 4, 1])], 30, 5),
+    # sides past one run of 8192 columns, which add the dots of their runs
+    "wide_sides": (DegenerateKernel(1, {(k,): 1.0 for k in range(1, 5)}, _hermite(1)),
+                   [AxisDistribution("standard_normal")],
+                   [make_rect([20_000]), make_rect([8193]), make_rect([8192])], 3, 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POWER_EDGE_CASES))
+def test_power_axes_match_the_recurrence_at_any_block(name):
+    kernel, dists, sets, N, seed = POWER_EDGE_CASES[name]
+    rng, kvecs = RngSpec(seed), list(kernel.lam)
+    cores = mc._sum_cores(kernel.factors, kvecs, sets, dists, N, rng, 1)
+    for budget in (mc._BLOCK_BUDGET, 64):       # 64 floats: one-replication blocks
+        with mock.patch.object(mc, "_BLOCK_BUDGET", budget):
+            for workers in (1, 3):
+                again = mc._sum_cores(kernel.factors, kvecs, sets, dists, N, rng, workers)
+                assert again.tobytes() == cores.tobytes()
+    for got, ref in zip(cores, drawn_cores(kernel, sets, dists, N, rng), strict=True):
+        assert np.array_equal(got, ref)
+    # on the same draws, each power axis' side sums are the recurrence rows' within the bound
+    layouts = mc._layouts(kernel.factors, kvecs, sets, dists)
+    powered = 0
+    for axis, (fam, dist, kmax, layout) in enumerate(zip(kernel.factors, dists,
+                                                        mc._kmax(kvecs, kernel.d), layouts)):
+        if isinstance(layout, list):
+            continue
+        powered += 1
+        x = dist.reader(rng, axis, layout)(0, N)
+        power, rows = hermite_power_sums(kmax, x), table_sums(fam, kmax, x)
+        for lo, hi in mc._spans(sets, axis)[0]:
+            diff = np.abs(power(lo, hi) - rows(lo, hi))
+            for r in range(N):
+                assert np.all(diff[:, r] <= 8 * ULP * np.array(power_bound(kmax, x[r], lo, hi)))
+    assert powered == 1
+
+
+WIDE_CORES = """
+import hashlib
+from multisum import AxisDistribution, DegenerateKernel, FactorFamily, RngSpec, make_rect, mc
+cores = mc._sum_cores([FactorFamily("hermite")], [(k,) for k in range(1, 5)],
+                      [make_rect([20_000])], [AxisDistribution("standard_normal")], 3,
+                      RngSpec(8), 1)
+print(hashlib.sha256(cores.tobytes()).hexdigest())
+"""
+
+
+def test_wide_power_sums_do_not_follow_the_blas_thread_count():
+    # OpenBLAS threads a dot of more than 10 000 values, so one np.vecdot over a side of 20 000
+    # gives other floats at OPENBLAS_NUM_THREADS=1 than at the default on two or more cores
+    src = str(Path(mc.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", WIDE_CORES], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    kernel, dists, sets, N, seed = POWER_EDGE_CASES["wide_sides"]
+    cores = mc._sum_cores(kernel.factors, list(kernel.lam), sets[:1], dists, N, RngSpec(seed), 1)
+    assert done.stdout.split() == [hashlib.sha256(cores.tobytes()).hexdigest()]

@@ -192,6 +192,11 @@ def test_block_size_rule():
                                 [FactorFamily("hermite")] * 2)
     with mock.patch.object(mc, "_BLOCK_BUDGET", 18 * 100):
         assert _block_cap(segments, make_rect([64, 64])) == 100
+    # kmax 12 sums powers to x**6: five power rows past x, so five flat buffers instead of
+    # three.  Per axis 64 columns x (1 uniform + 1 + 5) and 12 side sums, then 12 cores
+    rank12 = hermite_kernel({(k, k): 1.0 / k for k in range(1, 13)})
+    with mock.patch.object(mc, "_BLOCK_BUDGET", 932 * 10):
+        assert _block_cap(rank12, make_rect([64, 64])) == 10
     # a budget of a few floats still forces one-replication blocks
     for L in (make_rect([256, 256]), checker, stair):
         with mock.patch.object(mc, "_BLOCK_BUDGET", 5):

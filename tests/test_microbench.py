@@ -25,8 +25,9 @@ COUNTS_2000 = ([3] * 5 + [5] * 4 + [9] * 5 + [17] * 5 + [33] * 4 + [35] + [65] *
                + [129] * 4 + [231] + [257] * 3
                + [287, 443, 505, 513, 544, 648, 743, 798, 1028, 1296, 1497, 1680, 1855]
                + [2000] * 14)
-# sha256 of the 51 sums below; the whole-table path gives the same bytes
-SIM_BOX_BLOCK = "27c27230a535c26c9ad1f455bf915d1c6bd8d767bbd67a6ef01ecdc232dd27ee"
+# sha256 of the 51 sums below; the whole-table path (whole power tables and their row dots,
+# ``test_box_contraction.table_sum_field``) gives the same bytes
+SIM_BOX_BLOCK = "6e4b42651e2bda2be41e62daf756b6bb8eefc99a222a1033fd0c1c03873bbf27"
 
 
 def test_ks_distance_20k_vs_50k(benchmark):
