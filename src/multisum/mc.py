@@ -44,29 +44,35 @@ normal draws per replication.  Its T cores are sampled whole
 (``_limit_cores``) and weighed one grid point at a time; a simulated field
 weighs each block's cores into its rows at once (``_sum_field``).
 
-No factor table is built: each factor family yields its rows ``g_1, g_2, ...``
-one at a time (``FactorFamily.rows``), and every row is slice-summed into the
-per-box sums as soon as it exists.  An axis sampled cell by cell whose
-factors are Hermite with kmax >= 2, under any law, makes no factor rows at
-all: it makes the power rows ``x**2, ..., x**m``, m = ceil(kmax / 2), and per
-distinct side the power sums ``S_1`` (a slice sum) and ``S_j`` (one row dot of
-two powers), and its side sum of ``h_k`` is ``(sum_j c_kj S_j) / sqrt(k!)``
-with ``He_k``'s integer coefficients (``_hermite_sums``).  The draws are
-the same and the arithmetic less, but power sums cancel more than rows do:
-against exact sums over 4096 normal draws this errs by about 1.5e-14 per
-root of the side's length at k = 4 and 2.2e-13 at k = 12, where the rows err
-by 3e-16.  Charlier and Laguerre factors keep their rows, since by powers
-they cancel more still (Laguerre 3.1e-12 at k = 12 on its exponential law,
-Charlier 1.7e-10 at k = 12 on normal draws).  A replication therefore holds
-O(sum n_s) floats whatever the rank.  Replications run in blocks
-(``_block_cap``) whose widest axis row fits a share of the cache, since a
-block is walked once per layer (draws, inverse CDF, each factor or power
-row); a set of many boxes makes blocks larger, so that the NumPy calls,
-whose count per block is fixed, do not dominate; and ``_BLOCK_BUDGET`` caps
-them.  Each worker samples its
+No factor table is built.  Each axis owns its side sums: per distinct box
+side of the family (``_spans``), the sums of factors 1..kmax over it, shape
+(sides, kmax, reps), by one of three routes.  A segmented axis slice-sums its
+segment rows over the run of segments each side covers (``_axis_sums``).  An
+axis sampled cell by cell takes one of the other two (``_side_sums``).  By
+rows, each factor family yields its rows ``g_1, g_2, ...`` one at a time
+(``FactorFamily.rows``), and every row is slice-summed as soon as it exists
+(``_row_sums``).  By powers, Hermite factors of kmax >= 2, under any law,
+make no factor rows at all: the axis makes the power rows ``x**2, ...,
+x**m``, m = ceil(kmax / 2), and per side the power sums ``S_1`` (a slice sum)
+and ``S_j`` (one row dot of two powers), and its side sum of ``h_k`` is
+``(sum_j c_kj S_j) / sqrt(k!)`` with ``He_k``'s integer coefficients
+(``_hermite_sums``).  The draws are the same and the arithmetic less, but
+power sums cancel more than rows do: against exact sums over 4096 normal
+draws this errs by about 1.5e-14 per root of the side's length at k = 4 and
+2.2e-13 at k = 12, where the rows err by 3e-16.  Charlier and Laguerre
+factors keep their rows, since by powers they cancel more still (Laguerre
+3.1e-12 at k = 12 on its exponential law, Charlier 1.7e-10 at k = 12 on
+normal draws).  Each set's boxes then take their sides' sums (``_box_sums``),
+so boxes that share a side share its sums, and ``compute_S_L`` runs these
+same steps on one replication.  A replication therefore holds O(sum n_s)
+floats whatever the rank.  Replications run in blocks (``_block_cap``) whose
+widest axis row fits a share of the cache, since a block is walked once per
+layer (draws, inverse CDF, each factor or power row); a set of many boxes
+makes blocks larger, so that the NumPy calls, whose count per block is fixed,
+do not dominate; and ``_BLOCK_BUDGET`` caps them.  Each worker samples its
 blocks through buffers and stream readers (``AxisDistribution.reader``) it
-makes once, so a page's generator runs on from block to block.  The
-variates are addressed by replication, so block size moves no bit.
+makes once, so a page's generator runs on from block to block.  The variates
+are addressed by replication, so block size moves no bit.
 
 Each simulated distribution carries a provenance digest of its inputs
 (kernel, index set, axis laws, N, seed); the index set enters by its JSON,
@@ -118,6 +124,11 @@ _POISSON_CDF = np.cumsum(quadrature_rule("compensated_poisson")[1])
 # points is not counted: a field that keeps its rows weighs them per block,
 # and a larger block would only make its rows' strided slices larger.
 # _BLOCK_BUDGET, the floats one block may hold, caps both and peak memory.
+# On the seed-1 configs of bench/ the cache share always won (replications,
+# cache against amortized): sim-box 256 against 51, nclt-lshape's stages
+# 16,384 against 3,401 and its limit 65,536 against 2,341, field's stages
+# 21,845 against 3,641 and its limit 32,768 against 2,341.  Only a many-box
+# set reaches the call rule, so its cost is open (ROADMAP item 6).
 _CACHE_FLOATS = 1 << 16
 _FLOATS_PER_CALL = 1 << 13
 _BLOCK_BUDGET = 1 << 22
@@ -603,49 +614,42 @@ def _spans(sets, axis: int):
     return list(index), [[index[side] for side in boxes] for boxes in sides]
 
 
-def _box_sums(rows, kmax: int, reps: int, spans, inverse, powers: bool) -> list:
-    """Per set and box, ``F[k - 1]``, the sum of factor k over the box's side, k = 1..kmax.
+def _row_sums(rows, spans, out: np.ndarray) -> np.ndarray:
+    """``out[i, k - 1]``, the slice sum of the k-th of ``rows`` over side ``spans[i]``.
 
-    ``rows`` yields one axis' factor rows in order, each of shape (reps,
-    columns); each result has shape (kmax, reps).  Every row is slice-summed
-    as soon as it exists, so no (kmax, reps, columns) table is ever built,
-    and once per distinct side (``_spans``): boxes that share their side on
-    this axis, in one set or across the family, share its sums.  Where
-    ``powers`` is set (``_powered``: Hermite factors, kmax >= 2, sampled cell
-    by cell) ``rows`` yields the power rows ``x, ..., x**m`` instead
-    (``_power_rows``), and each side's Hermite sums are combined from its
-    power sums (``_hermite_sums``): kmax slice sums or row dots per side, as
-    many NumPy calls as the rows would take, with no factor row made.  This
-    is the one side-sum step of ``compute_S_L``, of every sampled family and
-    of the field walk.
+    Each row is summed as soon as it exists, so no factor table is ever built.
     """
-    sums = np.empty((len(spans), kmax, reps))
-    if powers:
-        _hermite_sums(list(rows), kmax, spans, sums)
-    else:
-        for k, row in enumerate(rows):
-            for (lo, hi), out in zip(spans, sums):
-                row[:, lo - 1:hi].sum(axis=1, out=out[k])
-    return [[sums[i] for i in boxes] for boxes in inverse]
+    for k, row in enumerate(rows):
+        for (lo, hi), side in zip(spans, out):
+            row[:, lo - 1:hi].sum(axis=1, out=side[k])
+    return out
 
 
-def _powered(fam, kmax: int) -> bool:
-    """Whether an axis sampled cell by cell sums powers (``_hermite_sums``): Hermite, kmax >= 2."""
-    return fam.kind == "hermite" and kmax >= 2
+def _side_sums(fam, kmax: int, x: np.ndarray, spans, buffers=None) -> np.ndarray:
+    """(sides, kmax, reps): per distinct side, the sums of factors 1..kmax of ``fam`` over x.
 
-
-def _power_rows(kmax: int, x: np.ndarray, buffers=None):
-    """``x, x**2, ..., x**m``, m = ceil(kmax / 2), each power the one before times x.
-
-    ``x`` itself comes first and ``x**j`` is written into ``buffers[j - 2]``,
-    arrays of x's shape (fresh ones where absent), so ``x**j`` and ``x**(j -
-    1)`` are both live when it is made.
+    ``x`` holds one variate per cell, a row per replication, and ``spans``
+    the distinct ``(lo, hi)`` sides (``_spans``).  The one place that picks
+    a route: Hermite factors of kmax >= 2 are combined from power sums
+    (``_hermite_sums``), every other family slice-sums its rows
+    (``_row_sums``).  ``buffers``, arrays of x's shape, hold the rows or
+    powers; fresh ones are made where absent.
     """
-    yield x
-    power = x
-    for j in range(2, (kmax + 1) // 2 + 1):
-        power = np.multiply(power, x, out=None if buffers is None else buffers[j - 2])
-        yield power
+    out = np.empty((len(spans), kmax, x.shape[0]))
+    if fam.kind == "hermite" and kmax >= 2:
+        return _hermite_sums(x, kmax, spans, out, buffers)
+    return _row_sums(fam.rows(kmax, x, buffers), spans, out)
+
+
+def _box_sums(sums, inverses) -> list:
+    """Per set, ``sums[B][s]`` for ``_contract``: box B's side sums on axis s.
+
+    ``sums`` holds each axis' distinct sides' sums and ``inverses`` per axis
+    and set each box's side (``_spans``), so boxes that share a side share its sums.
+    """
+    per_axis = [[[side[i] for i in boxes] for boxes in inverse]
+                for side, inverse in zip(sums, inverses)]
+    return [list(zip(*per_set)) for per_set in zip(*per_axis)]
 
 
 @lru_cache(maxsize=None)
@@ -660,11 +664,12 @@ def _hermite_coefficients(kmax: int) -> tuple:
     return tuple(he[1:kmax + 1])
 
 
-def _hermite_sums(powers, kmax: int, spans, out: np.ndarray) -> np.ndarray:
+def _hermite_sums(x: np.ndarray, kmax: int, spans, out: np.ndarray, buffers=None) -> np.ndarray:
     """Normalized Hermite side sums ``out[i, k - 1] = sum_{side i} h_k(x)`` from power sums.
 
-    ``powers`` are an axis' power rows ``x, ..., x**m`` (``_power_rows``)
-    and ``out`` has shape (sides, kmax, reps).  Per side, ``S_1`` is x's
+    ``out`` has shape (sides, kmax, reps).  First the powers ``x**2, ...,
+    x**m``, m = ceil(kmax / 2), each the one before times x, ``x**j`` into
+    ``buffers[j - 2]`` (fresh arrays where absent).  Per side, ``S_1`` is x's
     slice sum and ``S_j``, j = 2..kmax, the row dot ``np.vecdot(x**a,
     x**b)`` with ``a = ceil(j / 2)`` and ``b = j - a``, each written into
     ``out[i, j - 1]`` (over a side of more than 8192 cells, the sum in order
@@ -675,7 +680,9 @@ def _hermite_sums(powers, kmax: int, spans, out: np.ndarray) -> np.ndarray:
     elementwise steps in this fixed order on the rows of all sides at once,
     so each float rests on its replication's draws alone, whatever the block.
     """
-    x = powers[0]
+    powers = [x]
+    for j in range(2, (kmax + 1) // 2 + 1):
+        powers.append(np.multiply(powers[-1], x, out=None if buffers is None else buffers[j - 2]))
     for (lo, hi), side in zip(spans, out):
         x[:, lo - 1:hi].sum(axis=1, out=side[0])
         for j in range(2, kmax + 1):
@@ -738,32 +745,29 @@ def _weigh(cores, w, out: np.ndarray, scratch=None) -> np.ndarray:
     return out
 
 
-def _field_sums(rows, kmax, sides, reps: int) -> list:
-    """Per set, ``sums[B][s]`` for ``_contract``; per axis, its rows, ``_spans`` and powers flag."""
-    per_axis = [_box_sums(r, k, reps, *side) for r, k, side in zip(rows, kmax, sides)]
-    return [list(zip(*per_set)) for per_set in zip(*per_axis)]
-
-
 def compute_S_L(kernel, L: IndexSet, axis_samples) -> float:
     """Normalized sum for one realization of the axis samples.
 
-    The set is contracted box by box: per box and axis, one slice sum of the
-    factor values (or on a Hermite axis of kmax >= 2 its power sums,
-    ``_hermite_sums``), multiplied across axes and summed over the boxes.  A
-    rectangle is a single box, so it costs O(rank * sum n_s) rather than the
-    O(rank * prod n_s) of summing cell by cell.
+    The steps of one sampled block on a single replication: per axis the
+    distinct sides' sums (``_side_sums``), per box their product across axes
+    summed over the boxes (``_contract``), then the weights.  A rectangle is
+    a single box, so it costs O(rank * sum n_s) rather than the O(rank *
+    prod n_s) of summing cell by cell.
     """
+    if L.d != kernel.d:
+        raise ValueError(f"index set has dimension {L.d}, the kernel {kernel.d}")
+    if len(axis_samples) != kernel.d:
+        raise ValueError(f"need one sample array per kernel axis, {kernel.d}; "
+                         f"got {len(axis_samples)}")
     for axis in range(kernel.d):
         if L.axis_max(axis) > len(axis_samples[axis]):
             raise ValueError(f"axis {axis} samples do not cover the index set")
     kvecs, weights = _terms(kernel.lam)
-    kmax = _kmax(kvecs, kernel.d)
-    powers = [_powered(fam, k) for fam, k in zip(kernel.factors, kmax)]
-    rows = [(_power_rows if p else fam.rows)(k, np.asarray(x, dtype=float)[None, :])
-            for fam, k, x, p in zip(kernel.factors, kmax, axis_samples, powers)]
-    sides = [(*_spans([L], axis), p) for axis, p in enumerate(powers)]
-    sums, = _field_sums(rows, kmax, sides, 1)
-    cores = _contract(sums, kvecs, np.empty((len(kvecs), 1)))
+    spans, inverses = zip(*(_spans([L], axis) for axis in range(kernel.d)))
+    sums = [_side_sums(fam, k, np.asarray(x, dtype=float)[None, :], sides) for fam, k, x, sides
+            in zip(kernel.factors, _kmax(kvecs, kernel.d), axis_samples, spans)]
+    boxes, = _box_sums(sums, inverses)
+    cores = _contract(boxes, kvecs, np.empty((len(kvecs), 1)))
     return float(_weigh(cores, weights[0], np.empty(1))[0]) / math.sqrt(L.size)
 
 
@@ -898,22 +902,24 @@ def _segment_rows(fam, kmax: int, z: np.ndarray, c, lengths: np.ndarray, buffers
         yield c
 
 
-def _axis_rows(fam, kmax: int, dist, rng, axis: int, layout, powers: bool, cap: int):
-    """``rows(rep_start, rep_count, flat)``: one axis' factor rows over a block, from its streams.
+def _axis_sums(fam, kmax: int, dist, rng, axis: int, layout, spans, cap: int):
+    """``sums(rep_start, rep_count, flat)``: one axis' side sums over a block, from its streams.
 
-    ``layout`` is the axis' ``_layouts`` entry.  A column count reads that
-    many variates per replication from ``(seed, TAG_AXIS, axis)`` and makes
-    the family's rows over them or, where ``powers`` is set (Hermite factors
-    of kmax >= 2, ``_powered``), no factor row at all: the power rows ``x,
-    ..., x**m``, m = ceil(kmax / 2), whose side sums ``_hermite_sums`` turns
-    into the Hermite ones.  A list of cuts reads one normal per segment from
-    the same stream and, at kmax 2, one chi-square per segment from ``(seed,
-    TAG_CHI2, axis)`` (``_segment_rows``).  The draws go to buffers of
-    ``cap`` rows made here; the rows use ``flat``, flat buffers (three, or
-    m - 1 where a power axis needs more) that every axis uses in turn.  The
-    axis reads when its rows are first asked for.
+    ``layout`` is the axis' ``_layouts`` entry and ``spans`` its distinct
+    sides (``_spans``); each call returns their sums, shape (sides, kmax,
+    rep_count).  A column count reads that many variates per replication
+    from ``(seed, TAG_AXIS, axis)`` and sums them cell by cell
+    (``_side_sums``).  A list of cuts reads one normal per segment from the
+    same stream and, at kmax 2, one chi-square per segment from ``(seed,
+    TAG_CHI2, axis)``, makes the segments' rows (``_segment_rows``) and sums
+    each side's run of segments.  The draws go to buffers of ``cap`` rows
+    made here; the rows and powers use ``flat``, flat buffers that every axis
+    uses in turn.
     """
     lengths = np.diff(layout).astype(float) if isinstance(layout, list) else None
+    if lengths is not None:     # a side [lo, hi] is segments [at[lo], at[hi + 1])
+        at = {cut: i for i, cut in enumerate(layout)}
+        spans = [(at[lo] + 1, at[hi + 1]) for lo, hi in spans]
     n = layout if lengths is None else lengths.size
     read = dist.reader(rng, axis, n)
     draws = np.empty((cap, n * dist.uniforms_per_coord))
@@ -921,28 +927,26 @@ def _axis_rows(fam, kmax: int, dist, rng, axis: int, layout, powers: bool, cap: 
         chi2 = _Pages(rng.seed, TAG_CHI2, axis, n, _chi2(lengths - 1.0)).read
         chis = np.empty((cap, n))
 
-    def rows(rep_start, rep_count, flat):
+    def sums(rep_start, rep_count, flat):
         x = read(rep_start, rep_count, draws)
         buffers = [b[:x.size].reshape(x.shape) for b in flat]
         if lengths is None:
-            yield from (_power_rows if powers else fam.rows)(kmax, x, buffers)
-        else:
-            c = chi2(rep_start, rep_count, chis) if kmax == 2 else None
-            yield from _segment_rows(fam, kmax, x, c, lengths, buffers)
+            return _side_sums(fam, kmax, x, spans, buffers)
+        c = chi2(rep_start, rep_count, chis) if kmax == 2 else None
+        return _row_sums(_segment_rows(fam, kmax, x, c, lengths, buffers), spans,
+                         np.empty((len(spans), kmax, rep_count)))
 
-    return rows
+    return sums
 
 
 def _sum_sampler(factors, kvecs, sets, dists, rng):
     """``(make_batch, block_cap)`` of the T unnormalized cores of each set of a family's sums.
 
-    A block's output holds T rows per set, in the family's order.  The family
-    reads one stream per axis, and a second one on an axis of segmented
-    Hermite k = 2 rows: per replication each axis draws what ``_layouts``
-    names, each factor row is made once over it (``_axis_rows``), and each
-    distinct box side of the whole family is slice-summed once, so a one-set
-    family reads what that set alone would.  On a segmented axis a side is
-    the run of segments it covers.
+    A block's output holds T rows per set, in the family's order.  Per
+    replication each axis draws what ``_layouts`` names and sums each
+    distinct box side of the whole family once (``_axis_sums``), so a
+    one-set family reads what that set alone would; then each set's boxes
+    take their sides' sums (``_box_sums``) and are contracted.
     """
     d = len(factors)
     if not sets:
@@ -954,44 +958,35 @@ def _sum_sampler(factors, kvecs, sets, dists, rng):
         raise ValueError("need one axis distribution per kernel axis")
     kmax = _kmax(kvecs, d)
     layouts = _layouts(factors, kvecs, sets, dists)
-    ncols, sides, powers = [], [], []
-    for axis, (fam, k, layout) in enumerate(zip(factors, kmax, layouts)):
-        spans, inverse = _spans(sets, axis)
-        powers.append(not isinstance(layout, list) and _powered(fam, k))
-        if isinstance(layout, list):    # a side [lo, hi] is segments [at[lo], at[hi + 1])
-            at = {cut: i for i, cut in enumerate(layout)}
-            spans = [(at[lo] + 1, at[hi + 1]) for lo, hi in spans]
-            ncols.append(len(layout) - 1)
-        else:
-            ncols.append(layout)
-        sides.append((spans, inverse, powers[-1]))
+    spans, inverses = zip(*(_spans(sets, axis) for axis in range(d)))
+    ncols = [len(layout) - 1 if isinstance(layout, list) else layout for layout in layouts]
     widths = [n * dist.uniforms_per_coord for n, dist in zip(ncols, dists)]
     T = len(kvecs)
-    # three row buffers, or the power rows past x of a Hermite axis of kmax >= 9
-    nflat = max([3] + [(k + 1) // 2 - 1 for k, p in zip(kmax, powers) if p])
+    # three row buffers, or as many as the m - 1 powers past x of kmax >= 9 (_hermite_sums)
+    nflat = max(3, (max(kmax) + 1) // 2 - 1)
 
     def make_batch(cap):
-        axes = [_axis_rows(*args, cap)
-                for args in zip(factors, kmax, dists, [rng] * d, range(d), layouts, powers)]
+        axes = [_axis_sums(*args, cap)
+                for args in zip(factors, kmax, dists, [rng] * d, range(d), layouts, spans)]
         # made after the draw buffers: the other order measured 3% slower on segment draws
         flat = np.empty((nflat, cap * max(ncols)))
 
         def batch(rep_start, rep_count, out):
-            rows = [axis_rows(rep_start, rep_count, flat) for axis_rows in axes]
-            for i, sums in enumerate(_field_sums(rows, kmax, sides, rep_count)):
-                _contract(sums, kvecs, out[i * T:(i + 1) * T])
+            sums = [axis_sums(rep_start, rep_count, flat) for axis_sums in axes]
+            for i, boxes in enumerate(_box_sums(sums, inverses)):
+                _contract(boxes, kvecs, out[i * T:(i + 1) * T])
 
         return batch
 
     # per axis: draws, chi-squares on a segmented k = 2 axis, the row buffers and a
     # temporary, side sums (which a power axis' power sums fill first); plus T cores per set
     chi2 = [isinstance(layout, list) and k == 2 for layout, k in zip(layouts, kmax)]
-    per_rep = sum(n * (dist.uniforms_per_coord + 1 + nflat + c) + len(spans) * k
-                  for (spans, _, _), n, k, dist, c in zip(sides, ncols, kmax, dists, chi2)) \
+    per_rep = sum(n * (dist.uniforms_per_coord + 1 + nflat + c) + len(sides) * k
+                  for sides, n, k, dist, c in zip(spans, ncols, kmax, dists, chi2)) \
         + len(sets) * T
     # a slice sum (or a power sum) per factor row and distinct side; per term, a product per
     # box and axis
-    calls = (sum(len(spans) * k for (spans, _, _), k in zip(sides, kmax))
+    calls = (sum(len(sides) * k for sides, k in zip(spans, kmax))
              + T * sum(len(L.lo) for L in sets) * d)
     return make_batch, _block_cap(per_rep, max(widths), calls)
 

@@ -58,15 +58,24 @@ def index_sets(draw):
 
 @st.composite
 def instances(draw):
-    """A random set, a Hermite kernel of rank <= 3 per axis, and covering samples."""
+    """A random set, a kernel of a factor family per axis (``factor_axes``), covering samples."""
     L = draw(index_sets())
-    kvec = st.tuples(*[st.integers(1, 3)] * L.d)
+    axes = [draw(factor_axes()) for _ in range(L.d)]
+    kvec = st.tuples(*[st.integers(1, top) for _, _, top in axes])
     weight = st.floats(-2.0, 2.0, allow_nan=False)
     lam = draw(st.dictionaries(kvec, weight, min_size=1, max_size=4))
-    kernel = DegenerateKernel(L.d, lam, [FactorFamily("hermite")] * L.d)
+    kernel = DegenerateKernel(L.d, lam, [fam for fam, _, _ in axes])
     samples = [np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n + 2)))
                for n in (L.axis_max(axis) for axis in range(L.d))]
     return kernel, L, samples
+
+
+def fixed_instance(factors, lam, cells):
+    """``instances()``'s triple for an explicit set, with fixed samples in [-3, 3] per axis."""
+    L = explicit_set(cells)
+    samples = [3.0 * np.sin(np.arange(1, L.axis_max(axis) + 3) * (axis + 1.7))
+               for axis in range(L.d)]
+    return DegenerateKernel(L.d, lam, factors), L, samples
 
 
 @SETTINGS
@@ -90,6 +99,16 @@ def absolute_term_sum(kernel, L, axis_samples) -> float:
 
 @SETTINGS
 @given(instances())
+# the power route (Hermite kmax 3), the rows route (Charlier kmax 3) and a mixed 3-d set
+@example(fixed_instance([FactorFamily("hermite")] * 2, {(1, 3): 0.8, (3, 2): -1.3, (2, 1): 0.5},
+                        [(1, 1), (1, 2), (2, 5), (3, 3), (4, 1), (4, 2), (7, 7)]))
+@example(fixed_instance([FactorFamily("poisson_charlier")] * 2,
+                        {(3, 3): 1.1, (1, 2): -0.7, (2, 1): 0.4},
+                        [(1, 1), (1, 2), (2, 5), (3, 3), (4, 1), (4, 2), (7, 7)]))
+@example(fixed_instance([FactorFamily("hermite"), FactorFamily("exponential_poly"),
+                         FactorFamily("rademacher_sign")],
+                        {(4, 2, 1): 0.6, (1, 3, 1): -1.2, (2, 1, 1): 0.9},
+                        [(1, 1, 1), (1, 2, 1), (2, 2, 3), (3, 1, 4), (4, 4, 4), (4, 4, 2)]))
 def test_box_contraction_matches_naive(instance):
     kernel, L, samples = instance
     fast = compute_S_L(kernel, L, samples)
@@ -338,6 +357,24 @@ POWER_SETS = [make_rect([37, 29]), staircase_set([6, 4, 1]),
 POWER_INSTANCES = [([FactorFamily("hermite")] * 2, [AxisDistribution("standard_normal")] * 2,
                     {k: np.array([w]) for k, w in SIM_BOX_LAM.items()}, 1, L, 7, 31)
                    for L in POWER_SETS]
+# and the rows route (``mc._row_sums``), each axis per cell: Charlier kmax 3 on compensated
+# Poisson with Laguerre kmax 2 on the centred exponential; a sign axis (k = 1, Rademacher)
+# with a Hermite kmax-4 power axis; a tabulated factor on a log-Weibull axis with Charlier
+ROW_AXES = [
+    ([FactorFamily("poisson_charlier"), FactorFamily("exponential_poly")],
+     [AxisDistribution("compensated_poisson"), AxisDistribution("centered_exponential")],
+     {(1, 1): 1.0, (3, 2): -0.6, (2, 1): 0.4}),
+    ([FactorFamily("rademacher_sign"), FactorFamily("hermite")],
+     [AxisDistribution("rademacher"), AxisDistribution("standard_normal")],
+     {(1, 1): 0.9, (1, 4): 0.5, (1, 2): -0.3}),
+    ([tabulated_family(np.linspace(-3.0, 3.0, 5),
+                       [[-1.0, -0.5, 0.0, 0.5, 1.0], [1.2, -0.4, -1.6, -0.4, 1.2]],
+                       np.full(5, 0.2)), FactorFamily("poisson_charlier")],
+     [AxisDistribution("log_weibull", beta=1.5), AxisDistribution("compensated_poisson")],
+     {(1, 1): 0.7, (2, 2): -1.1, (2, 1): 0.3}),
+]
+ROW_INSTANCES = [(factors, dists, {k: np.array([w]) for k, w in lam.items()}, 1, L, 7, 31)
+                 for (factors, dists, lam), L in zip(ROW_AXES, POWER_SETS)]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -345,6 +382,9 @@ POWER_INSTANCES = [([FactorFamily("hermite")] * 2, [AxisDistribution("standard_n
 @example(POWER_INSTANCES[0])
 @example(POWER_INSTANCES[1])
 @example(POWER_INSTANCES[2])
+@example(ROW_INSTANCES[0])
+@example(ROW_INSTANCES[1])
+@example(ROW_INSTANCES[2])
 def test_streamed_sums_equal_the_table_path(instance):
     factors, dists, lam, nv, L, N, seed = instance
     for axis, (fam, dist, kmax) in enumerate(zip(factors, dists, mc._kmax(lam, L.d))):
@@ -390,6 +430,9 @@ PER_CELL_FAMILY = (DegenerateKernel(2, {(1, 3): 0.8, (3, 1): -0.4, (2, 2): 0.3},
 # sim-box's kmax-4 kernel on a box, a staircase and an explicit set: power sums on both axes
 POWER_FAMILY = (DegenerateKernel(2, SIM_BOX_LAM, [FactorFamily("hermite")] * 2),
                 [AxisDistribution("standard_normal")] * 2, POWER_SETS, 7, 31)
+# the rows route, each kernel on the family of the three example sets
+ROW_FAMILIES = [(DegenerateKernel(2, lam, factors), dists, _EXAMPLE_SETS, 9, 17)
+                for factors, dists, lam in ROW_AXES]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -397,6 +440,9 @@ POWER_FAMILY = (DegenerateKernel(2, SIM_BOX_LAM, [FactorFamily("hermite")] * 2),
 @example(SEGMENTED_FAMILY)
 @example(PER_CELL_FAMILY)
 @example(POWER_FAMILY)
+@example(ROW_FAMILIES[0])
+@example(ROW_FAMILIES[1])
+@example(ROW_FAMILIES[2])
 def test_family_sums_are_cell_sums_of_the_shared_draws(family):
     kernel, dists, sets, N, seed = family
     rng = RngSpec(seed).child(0)
@@ -713,8 +759,7 @@ def test_power_sums_are_within_ulps_of_exact_hermite_sums(case):
     for axis in range(2):
         spans, _ = mc._spans(sets, axis)
         x = law.reader(RngSpec(seed), axis, max(L.axis_max(axis) for L in sets))(0, N)
-        sums, = mc._box_sums(mc._power_rows(kmax, x), kmax, N, spans, [range(len(spans))],
-                             powers=True)
+        sums = mc._side_sums(FactorFamily("hermite"), kmax, x, spans)
         for r in range(N):
             prefix, E = exact_hermite_prefix(kmax, x[r])
             for (lo, hi), got in zip(spans, sums):

@@ -373,6 +373,19 @@ def test_samples_must_cover_the_set():
         compute_S_L(k, make_rect([4, 4]), [np.ones(3), np.ones(4)])
 
 
+def test_set_and_samples_must_match_the_kernel_dimension():
+    k = hermite_kernel({(1, 1): 1.0})
+    # unchecked, a 3-d set sums two of its axes and divides by sqrt(8); a 1-d one fails on an index
+    with pytest.raises(ValueError, match="index set has dimension 3, the kernel 2"):
+        compute_S_L(k, make_rect([2, 2, 2]), [np.ones(2)] * 2)
+    with pytest.raises(ValueError, match="index set has dimension 1, the kernel 2"):
+        compute_S_L(k, make_rect([2]), [np.ones(2)] * 2)
+    # unchecked, four sample arrays for two axes give 2.0, and one fails on an index
+    for count in (1, 4):
+        with pytest.raises(ValueError, match=f"one sample array per kernel axis, 2; got {count}"):
+            compute_S_L(k, make_rect([2, 2]), [np.ones(2)] * count)
+
+
 # ---------------------------------------------------------------------------
 # exact variance identity
 # ---------------------------------------------------------------------------
