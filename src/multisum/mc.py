@@ -21,11 +21,11 @@ instead (``_layouts``): the union of the family's box edges on it cuts the
 line into segments, and it draws each segment's statistics, not its
 normals.  Over n unit normals ``sum xi = sqrt(n) Z`` and ``sum xi**2 = Z**2
 + C``, Z normal and C chi-square of n - 1 degrees, independent; so one
-normal per segment gives the identity rows, and a chi-square from a second
-paged stream (``TAG_CHI2``, NumPy's gamma sampler) the Hermite k = 2 rows
-(``_segment_rows``).  There a variate is addressed by ``(seed, tag, axis,
-replication, segment)``, and a side sum is the sum of the segments it
-covers.
+normal per segment gives the identity's side sums, and a chi-square from a
+second paged stream (``TAG_CHI2``, NumPy's gamma sampler) the power sum that
+Hermite k = 2 also needs (``_axis_sums``).  There a variate is addressed by
+``(seed, tag, axis, replication, segment)``, and a side's power sum is the
+sum of those of the segments it covers.
 
 The normalized sum over an index set L is ``S_L = |L|**-0.5 *
 sum_{k in L} f(xi_{k_1}(1), ..., xi_{k_d}(d))``.  Every L is a disjoint union
@@ -46,33 +46,34 @@ weighs each block's cores into its rows at once (``_sum_field``).
 
 No factor table is built.  Each axis owns its side sums: per distinct box
 side of the family (``_spans``), the sums of factors 1..kmax over it, shape
-(sides, kmax, reps), by one of three routes.  A segmented axis slice-sums its
-segment rows over the run of segments each side covers (``_axis_sums``).  An
-axis sampled cell by cell takes one of the other two (``_side_sums``).  By
-rows, each factor family yields its rows ``g_1, g_2, ...`` one at a time
-(``FactorFamily.rows``), and every row is slice-summed as soon as it exists
-(``_row_sums``).  By powers, Hermite factors of kmax >= 2, under any law,
-make no factor rows at all: the axis makes the power rows ``x**2, ...,
-x**m``, m = ceil(kmax / 2), and per side the power sums ``S_1`` (a slice sum)
-and ``S_j`` (one row dot of two powers), and its side sum of ``h_k`` is
-``(sum_j c_kj S_j) / sqrt(k!)`` with ``He_k``'s integer coefficients
-(``_hermite_sums``).  The draws are the same and the arithmetic less, but
-power sums cancel more than rows do: against exact sums over 4096 normal
-draws this errs by about 1.5e-14 per root of the side's length at k = 4 and
-2.2e-13 at k = 12, where the rows err by 3e-16.  Charlier and Laguerre
-factors keep their rows, since by powers they cancel more still (Laguerre
-3.1e-12 at k = 12 on its exponential law, Charlier 1.7e-10 at k = 12 on
-normal draws).  Each set's boxes then take their sides' sums (``_box_sums``),
-so boxes that share a side share its sums, and ``compute_S_L`` runs these
-same steps on one replication.  A replication therefore holds O(sum n_s)
-floats whatever the rank.  Replications run in blocks (``_block_cap``) whose
-widest axis row fits a share of the cache, since a block is walked once per
-layer (draws, inverse CDF, each factor or power row); a set of many boxes
-makes blocks larger, so that the NumPy calls, whose count per block is fixed,
-do not dominate; and ``_BLOCK_BUDGET`` caps them.  Each worker samples its
-blocks through buffers and stream readers (``AxisDistribution.reader``) it
-makes once, so a page's generator runs on from block to block.  The variates
-are addressed by replication, so block size moves no bit.
+(sides, kmax, reps), by one of two routes.  By rows, each factor family
+yields its rows ``g_1, g_2, ...`` one at a time (``FactorFamily.rows``), and
+every row is slice-summed as soon as it exists (``_row_sums``).  By powers,
+Hermite factors make no rows: a side's sum of ``h_k`` is ``(sum_j c_kj S_j)
+/ sqrt(k!)``, from its power sums ``S_j``, ``He_k``'s integer coefficients
+and ``S_0`` its length (``_hermite_sums``); at kmax 1 it is ``S_1``, the
+identity of every analytic family.  An axis sampled cell by cell makes the
+powers ``x**2, ..., x**m``, m = ceil(kmax / 2), and takes ``S_1`` by a slice
+sum and ``S_j`` by a row dot of two powers (``_power_sums``), Hermite under
+any law by powers and every other family by rows (``_side_sums``).  A
+segmented axis, whatever its family, slice-sums its segments' ``sqrt(n) Z``
+and ``Z**2 + C`` over each side's run (``_axis_sums``).  The draws are the
+same and the arithmetic less, but power sums cancel more than rows do:
+against exact sums over 4096 normal draws this errs by about 1.5e-14 per
+root of the side's length at k = 4 and 2.2e-13 at k = 12, where the rows err
+by 3e-16.  Charlier and Laguerre factors keep their rows, since by powers
+they cancel more still (Laguerre 3.1e-12 at k = 12 on its exponential law,
+Charlier 1.7e-10 at k = 12 on normal draws).  Each set's boxes then take
+their sides' sums (``_box_sums``), so boxes that share a side share its
+sums, and ``compute_S_L`` runs these same steps on one replication.  A
+replication therefore holds O(sum n_s) floats whatever the rank.
+Replications run in blocks (``_block_cap``) whose widest axis row fits a
+share of the cache, since a block is walked once per layer (draws, inverse
+CDF, each factor or power row), within ``_BLOCK_BUDGET``.  Each worker
+samples its blocks through buffers and stream readers
+(``AxisDistribution.reader``) it makes once, so a page's generator runs on
+from block to block.  The variates are addressed by replication, so block
+size moves no bit.
 
 Each simulated distribution carries a provenance digest of its inputs
 (kernel, index set, axis laws, N, seed); the index set enters by its JSON,
@@ -115,22 +116,13 @@ _POISSON_NODES = quadrature_rule("compensated_poisson")[0]
 _POISSON_CDF = np.cumsum(quadrature_rule("compensated_poisson")[1])
 
 # Replications per block (``_block_cap``).  A block walks each of its arrays
-# several times (draws, inverse CDF, factor rows, side sums), so its widest
-# axis row should stay in cache: _CACHE_FLOATS doubles, a share of a 2 MiB L2.
-# But part of a block's cost is per call, not per float: its NumPy calls (one
-# per factor row and distinct box side, one per term, box and axis of the
-# contraction).  Where those would dominate, on sets of many boxes, a block
-# grows to _FLOATS_PER_CALL floats per call.  Weighing the cores into grid
-# points is not counted: a field that keeps its rows weighs them per block,
-# and a larger block would only make its rows' strided slices larger.
-# _BLOCK_BUDGET, the floats one block may hold, caps both and peak memory.
-# On the seed-1 configs of bench/ the cache share always won (replications,
-# cache against amortized): sim-box 256 against 51, nclt-lshape's stages
-# 16,384 against 3,401 and its limit 65,536 against 2,341, field's stages
-# 21,845 against 3,641 and its limit 32,768 against 2,341.  Only a many-box
-# set reaches the call rule, so its cost is open (ROADMAP item 6).
+# several times (draws, inverse CDF, factor or power rows, side sums), so its
+# widest axis row should stay in cache: _CACHE_FLOATS doubles, a share of a
+# 2 MiB L2.  _BLOCK_BUDGET, the floats one block may hold, caps it and peak
+# memory.  A many-box set makes more NumPy calls per block; growing its blocks
+# to amortize them sped a checkerboard and slowed a staircase, so no rule does
+# until a many-box workload can time one (ROADMAP item 6).
 _CACHE_FLOATS = 1 << 16
-_FLOATS_PER_CALL = 1 << 13
 _BLOCK_BUDGET = 1 << 22
 
 # A stream's page holds the fewest whole replications of at least this many values,
@@ -146,14 +138,19 @@ class RngSpec:
     """Random stream policy rooted at a 64-bit seed.
 
     Stream key = (seed, tag, axis); each stream is paged (``_Pages``), so a
-    value is addressed by (replication, column) whatever range is read.
+    value is addressed by (replication, column) whatever range is read.  The
+    seed is a Python or NumPy integer, not a bool, in ``[0, 2**64)``, kept as
+    a Python int.
     """
 
     seed: int
 
     def __post_init__(self):
-        if not (0 <= int(self.seed) < 2 ** 64):
-            raise ValueError("seed must fit in 64 bits")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) \
+                or not 0 <= int(seed) < 2 ** 64:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+        object.__setattr__(self, "seed", int(seed))
 
     def child(self, index: int) -> "RngSpec":
         """Derived independent stream root; deterministic in (seed, index)."""
@@ -630,14 +627,14 @@ def _side_sums(fam, kmax: int, x: np.ndarray, spans, buffers=None) -> np.ndarray
 
     ``x`` holds one variate per cell, a row per replication, and ``spans``
     the distinct ``(lo, hi)`` sides (``_spans``).  The one place that picks
-    a route: Hermite factors of kmax >= 2 are combined from power sums
-    (``_hermite_sums``), every other family slice-sums its rows
-    (``_row_sums``).  ``buffers``, arrays of x's shape, hold the rows or
-    powers; fresh ones are made where absent.
+    a per-cell route: Hermite factors are combined from power sums
+    (``_power_sums``, ``_hermite_sums``), any other family slice-sums its
+    rows (``_row_sums``); at kmax 1 both sum x itself.  ``buffers``, arrays of x's shape, hold the
+    rows or powers; fresh ones are made where absent.
     """
     out = np.empty((len(spans), kmax, x.shape[0]))
-    if fam.kind == "hermite" and kmax >= 2:
-        return _hermite_sums(x, kmax, spans, out, buffers)
+    if fam.kind == "hermite":
+        return _hermite_sums(_power_sums(x, kmax, spans, out, buffers), spans)
     return _row_sums(fam.rows(kmax, x, buffers), spans, out)
 
 
@@ -664,21 +661,13 @@ def _hermite_coefficients(kmax: int) -> tuple:
     return tuple(he[1:kmax + 1])
 
 
-def _hermite_sums(x: np.ndarray, kmax: int, spans, out: np.ndarray, buffers=None) -> np.ndarray:
-    """Normalized Hermite side sums ``out[i, k - 1] = sum_{side i} h_k(x)`` from power sums.
+def _power_sums(x: np.ndarray, kmax: int, spans, out: np.ndarray, buffers=None) -> np.ndarray:
+    """Power sums ``out[i, j - 1] = sum_{side i} x**j``, j = 1..kmax, of the cells x.
 
-    ``out`` has shape (sides, kmax, reps).  First the powers ``x**2, ...,
-    x**m``, m = ceil(kmax / 2), each the one before times x, ``x**j`` into
-    ``buffers[j - 2]`` (fresh arrays where absent).  Per side, ``S_1`` is x's
-    slice sum and ``S_j``, j = 2..kmax, the row dot ``np.vecdot(x**a,
-    x**b)`` with ``a = ceil(j / 2)`` and ``b = j - a``, each written into
-    ``out[i, j - 1]`` (over a side of more than 8192 cells, the sum in order
-    of the dots of its runs of 8192); ``S_0`` is the side's length.  Then, k
-    from kmax down, so that every ``S_j`` of j < k is still in place, ``out[i,
-    k - 1] = (S_k + c_k,k-2 S_k-2 + c_k,k-4 S_k-4 + ...) / sqrt(k!)`` with
-    ``He_k``'s integer coefficients (``_hermite_coefficients``).  These are
-    elementwise steps in this fixed order on the rows of all sides at once,
-    so each float rests on its replication's draws alone, whatever the block.
+    ``out`` has shape (sides, kmax, reps).  The powers ``x**2, ..., x**m``, m =
+    ceil(kmax / 2), each the one before times x, go to ``buffers[j - 2]``
+    (fresh arrays where absent).  ``S_1`` is x's slice sum and ``S_j`` the
+    row dot ``np.vecdot(x**a, x**b)``, ``a = ceil(j / 2)`` and ``b = j - a``.
     """
     powers = [x]
     for j in range(2, (kmax + 1) // 2 + 1):
@@ -693,9 +682,24 @@ def _hermite_sums(x: np.ndarray, kmax: int, spans, out: np.ndarray, buffers=None
             np.vecdot(p[:, :8192], q[:, :8192], out=side[j - 1])
             for at in range(8192, hi - lo + 1, 8192):
                 side[j - 1] += np.vecdot(p[:, at:at + 8192], q[:, at:at + 8192])
+    return out
+
+
+def _hermite_sums(out: np.ndarray, spans) -> np.ndarray:
+    """Normalized Hermite side sums ``out[i, k - 1] = sum_{side i} h_k`` from power sums, in place.
+
+    ``out``, shape (sides, kmax, reps), holds side i's power sum ``S_j`` in
+    ``out[i, j - 1]`` (``_power_sums``, or a segmented axis' ``_axis_sums``);
+    ``S_0`` is the length of side ``spans[i]``.  From k = kmax down, so that
+    every ``S_j`` of j < k is still in place, ``out[i, k - 1] = (S_k + c_k,k-2
+    S_k-2 + ...) / sqrt(k!)`` with ``He_k``'s integer coefficients
+    (``_hermite_coefficients``); at kmax 1 nothing changes.  These steps run
+    in a fixed order on the rows of all sides at once, so each float rests on
+    its replication's draws alone, whatever the block.
+    """
     lengths = np.array([[hi - lo + 1.0] for lo, hi in spans])
-    norm = _inverse_factorials(kmax, True)
-    for k, c in reversed(list(enumerate(_hermite_coefficients(kmax), 1))):
+    norm = _inverse_factorials(out.shape[1], True)
+    for k, c in reversed(list(enumerate(_hermite_coefficients(out.shape[1]), 1))):
         row = out[:, k - 1]
         for j in range(k - 2, 0, -2):
             row += c[j] * out[:, j - 1]
@@ -809,16 +813,13 @@ def _sum_moments(kernel, L: IndexSet, dists):
     return sum_moments(kernel, L, dists)
 
 
-def _block_cap(floats_per_rep: int, widest: int, calls: int) -> int:
-    """Replications per block: cache-sized, unless NumPy calls would dominate, within the budget.
+def _block_cap(floats_per_rep: int, widest: int) -> int:
+    """Replications per block: the cache share of the widest axis row, within the budget.
 
     ``widest`` is the widest axis row one replication adds to a block (its
-    draws, which the inverse CDF and the factor rows walk again) and
-    ``calls`` the NumPy calls one block makes whatever its size.
+    draws, which the inverse CDF and the factor or power rows walk again).
     """
-    cache = _CACHE_FLOATS // widest
-    amortized = -(-_FLOATS_PER_CALL * calls // floats_per_rep)
-    return max(1, min(max(cache, amortized), _BLOCK_BUDGET // floats_per_rep))
+    return max(1, min(_CACHE_FLOATS // widest, _BLOCK_BUDGET // floats_per_rep))
 
 
 def _run_blocks(sampler, N, nrows, workers):
@@ -863,13 +864,12 @@ def _layouts(factors, kvecs, sets, dists) -> list:
     member of an analytic family (the identity) or Hermite k = 2 is
     segmented: the family's box-edge grid on it (the union of its sets'
     ``edges``) cuts it into segments, and it draws each segment's statistics
-    instead of its normals (``_segment_rows``).  Over a segment of n i.i.d.
-    N(0, 1), ``sum xi = sqrt(n) Z`` and ``sum xi**2 = Z**2 + C`` with Z ~ N(0,
-    1) and C ~ chi2(n - 1) independent (Cochran 1934), and sums over disjoint
-    segments are independent, so every side sum of the factor rows 1 and 2,
-    a run of whole segments, keeps its exact joint law.  Its entry is the
-    list of cuts.  Every other axis draws one variate per lattice column, its
-    sets' largest ``axis_max``.
+    instead of its normals (``_axis_sums``).  Over n i.i.d. N(0, 1), ``sum xi
+    = sqrt(n) Z`` and ``sum xi**2 = Z**2 + C`` with Z ~ N(0, 1) and C ~ chi2(n
+    - 1) independent (Cochran 1934), and disjoint segments are independent,
+    so every side's power sums keep their exact joint law.  Its entry is the
+    list of cuts.  Every other axis draws one variate per lattice column,
+    its sets' largest ``axis_max``.
     """
     out = []
     for axis, (fam, dist) in enumerate(zip(factors, dists)):
@@ -882,26 +882,6 @@ def _layouts(factors, kvecs, sets, dists) -> list:
     return out
 
 
-def _segment_rows(fam, kmax: int, z: np.ndarray, c, lengths: np.ndarray, buffers):
-    """Factor rows 1..kmax of a segmented axis over one block, from its segment statistics.
-
-    ``z`` holds each segment's N(0, 1) draw and ``c``, read only at kmax 2,
-    its chi2(n - 1) draw, n the segment's length (``lengths``).  Row 1 is the
-    family's identity at ``sqrt(n) Z``, made in ``z``.  Row 2, of the Hermite
-    family, is ``(Z**2 + C - n) * sqrt(1/2)``, the sum of ``h_2(xi) = (xi**2 -
-    1) / sqrt 2`` over the segment, made in ``c``; at n = 1, where C is 0, it
-    is ``h_2(Z)`` as ``FactorFamily.rows`` gives it, bit for bit.
-    """
-    if kmax == 2:
-        c += np.multiply(z, z, out=buffers[0])
-        c -= lengths
-        c *= math.sqrt(0.5)         # the norm of h_2, as FactorFamily.rows writes it
-    z *= np.sqrt(lengths)
-    yield from fam.rows(1, z, buffers)
-    if kmax == 2:
-        yield c
-
-
 def _axis_sums(fam, kmax: int, dist, rng, axis: int, layout, spans, cap: int):
     """``sums(rep_start, rep_count, flat)``: one axis' side sums over a block, from its streams.
 
@@ -909,17 +889,18 @@ def _axis_sums(fam, kmax: int, dist, rng, axis: int, layout, spans, cap: int):
     sides (``_spans``); each call returns their sums, shape (sides, kmax,
     rep_count).  A column count reads that many variates per replication
     from ``(seed, TAG_AXIS, axis)`` and sums them cell by cell
-    (``_side_sums``).  A list of cuts reads one normal per segment from the
-    same stream and, at kmax 2, one chi-square per segment from ``(seed,
-    TAG_CHI2, axis)``, makes the segments' rows (``_segment_rows``) and sums
-    each side's run of segments.  The draws go to buffers of ``cap`` rows
-    made here; the rows and powers use ``flat``, flat buffers that every axis
-    uses in turn.
+    (``_side_sums``).  A list of cuts reads one normal Z per segment from
+    the same stream and, at kmax 2, one chi-square C per segment from
+    ``(seed, TAG_CHI2, axis)``; a segment's power sums ``sqrt(n) Z`` and ``C
+    + Z**2`` are made in the draw buffers and summed over each side's run of
+    segments (``_row_sums``) for ``_hermite_sums``.  The draws go to buffers
+    of ``cap`` rows made here; the rows and powers use ``flat``, flat
+    buffers that every axis uses in turn.
     """
     lengths = np.diff(layout).astype(float) if isinstance(layout, list) else None
     if lengths is not None:     # a side [lo, hi] is segments [at[lo], at[hi + 1])
         at = {cut: i for i, cut in enumerate(layout)}
-        spans = [(at[lo] + 1, at[hi + 1]) for lo, hi in spans]
+        segments = [(at[lo] + 1, at[hi + 1]) for lo, hi in spans]
     n = layout if lengths is None else lengths.size
     read = dist.reader(rng, axis, n)
     draws = np.empty((cap, n * dist.uniforms_per_coord))
@@ -932,9 +913,14 @@ def _axis_sums(fam, kmax: int, dist, rng, axis: int, layout, spans, cap: int):
         buffers = [b[:x.size].reshape(x.shape) for b in flat]
         if lengths is None:
             return _side_sums(fam, kmax, x, spans, buffers)
-        c = chi2(rep_start, rep_count, chis) if kmax == 2 else None
-        return _row_sums(_segment_rows(fam, kmax, x, c, lengths, buffers), spans,
-                         np.empty((len(spans), kmax, rep_count)))
+        powers = [x]
+        if kmax == 2:       # S_2 takes Z before S_1 scales it
+            c = chi2(rep_start, rep_count, chis)
+            c += np.multiply(x, x, out=buffers[0])
+            powers.append(c)
+        x *= np.sqrt(lengths)
+        out = np.empty((len(spans), kmax, rep_count))
+        return _hermite_sums(_row_sums(powers, segments, out), spans)
 
     return sums
 
@@ -946,7 +932,8 @@ def _sum_sampler(factors, kvecs, sets, dists, rng):
     replication each axis draws what ``_layouts`` names and sums each
     distinct box side of the whole family once (``_axis_sums``), so a
     one-set family reads what that set alone would; then each set's boxes
-    take their sides' sums (``_box_sums``) and are contracted.
+    take their sides' sums (``_box_sums``) and are contracted.  Its blocks
+    are the cache share of the widest axis row (``_block_cap``).
     """
     d = len(factors)
     if not sets:
@@ -984,11 +971,7 @@ def _sum_sampler(factors, kvecs, sets, dists, rng):
     per_rep = sum(n * (dist.uniforms_per_coord + 1 + nflat + c) + len(sides) * k
                   for sides, n, k, dist, c in zip(spans, ncols, kmax, dists, chi2)) \
         + len(sets) * T
-    # a slice sum (or a power sum) per factor row and distinct side; per term, a product per
-    # box and axis
-    calls = (sum(len(sides) * k for sides, k in zip(spans, kmax))
-             + T * sum(len(L.lo) for L in sets) * d)
-    return make_batch, _block_cap(per_rep, max(widths), calls)
+    return make_batch, _block_cap(per_rep, max(widths))
 
 
 def _limit_cores(kvecs, d, N, rng, workers) -> np.ndarray:
@@ -1007,7 +990,7 @@ def _limit_cores(kvecs, d, N, rng, workers) -> np.ndarray:
         return batch
 
     per_rep = sum(3 * k for k in kmax) + len(kvecs)    # draws, contraction products; cores
-    sampler = make_batch, _block_cap(per_rep, max(kmax), len(kvecs) * d)
+    sampler = make_batch, _block_cap(per_rep, max(kmax))
     return _run_blocks(sampler, N, len(kvecs), workers)
 
 

@@ -3,12 +3,15 @@
 Each config given, or by default each config in ``demos/configs`` that runs
 ``verify``, is run through the CLI in-process with ``--seed-override``
 1..K, and one line per config lists its exit codes in seed order (0 pass,
-3 hypotheses not met, 5 failed).  Nothing is written outside a temporary
-directory.  From the repository root::
+3 hypotheses not met, 5 failed).  A config is a path, or the name of a
+golden case (``make_golden_manifests.cases()``, such as
+``bench/field/seed3/0``), which runs its own subcommand.  Nothing is
+written outside a temporary directory.  From the repository root::
 
     PYTHONPATH=src python3 tests/seed_sweep.py            # seeds 1-10
     PYTHONPATH=src python3 tests/seed_sweep.py --seeds 40 --workers 2
     PYTHONPATH=src python3 tests/seed_sweep.py demos/configs/gauss_rank1.json
+    PYTHONPATH=src python3 tests/seed_sweep.py bench/field/seed1/0 bench/field/seed3/1
 
 The name does not match ``test_*.py``, so pytest does not collect it.
 """
@@ -34,13 +37,31 @@ def verify_configs() -> list:
             if "verify" in json.loads(path.read_text())]
 
 
-def sweep(config: Path, seeds, workers: int = 1) -> list:
-    """``config``'s exit code at each ``--seed-override`` in ``seeds``."""
+def resolve(name: str):
+    """``(label, subcommand, config)``: a config file runs ``verify``, a golden case its own."""
+    if Path(name).exists():
+        return Path(name).name, "verify", Path(name)
+    from make_golden_manifests import cases
+    case = cases().get(name)
+    if case is None:
+        raise SystemExit(f"{name}: neither a config file nor a golden case")
+    return (name, *case)
+
+
+def sweep(config, seeds, workers: int = 1, command: str = "verify") -> list:
+    """The exit code of ``command`` on ``config`` at each ``--seed-override`` in ``seeds``.
+
+    ``config`` is a path, or a config object, which is written to a temporary file.
+    """
     codes = []
     with tempfile.TemporaryDirectory() as tmp:
+        if not isinstance(config, Path):
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(config))
+            config = path
         for seed in seeds:
             with contextlib.redirect_stderr(io.StringIO()):
-                codes.append(cli_main(["verify", "--config", str(config),
+                codes.append(cli_main([command, "--config", str(config),
                                        "--out", str(Path(tmp) / str(seed)),
                                        "--workers", str(workers),
                                        "--seed-override", str(seed)]))
@@ -49,14 +70,16 @@ def sweep(config: Path, seeds, workers: int = 1) -> list:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("configs", nargs="*", type=Path,
-                        help="verify configs to sweep (default: the demo configs that run verify)")
+    parser.add_argument("configs", nargs="*",
+                        help="verify config paths or golden case names to sweep (default: the"
+                             " demo configs that run verify)")
     parser.add_argument("--seeds", type=int, default=10, help="sweep seeds 1..SEEDS")
     parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args(argv)
-    for config in args.configs or verify_configs():
-        codes = sweep(config, range(1, args.seeds + 1), args.workers)
-        print(f"{config.name}: {','.join(map(str, codes))}"
+    for name in args.configs or verify_configs():
+        label, command, config = resolve(str(name))
+        codes = sweep(config, range(1, args.seeds + 1), args.workers, command)
+        print(f"{label}: {','.join(map(str, codes))}"
               f"  ({sum(c == 0 for c in codes)} of {len(codes)} exit 0)")
     return 0
 

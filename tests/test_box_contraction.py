@@ -9,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -233,10 +234,10 @@ def hermite_power_sums(kmax, x):
 def axis_sums(fam, kmax, x):
     """``(lo, hi) -> (kmax, reps)``: an axis' factor sums over columns lo..hi of the draws x.
 
-    A Hermite axis of kmax >= 2 sums powers (``hermite_power_sums``); any
-    other sums slices of its whole factor table.
+    A Hermite axis sums powers (``hermite_power_sums``); any other sums
+    slices of its whole factor table.
     """
-    if fam.kind == "hermite" and kmax >= 2:
+    if fam.kind == "hermite":
         return hermite_power_sums(kmax, x)
     return table_sums(fam, kmax, x)
 
@@ -542,15 +543,32 @@ def chi2_pages(seed, axis, dof, N):
     return np.concatenate(pages)[:N]
 
 
+def segment_sums(S, cuts):
+    """``(lo, hi) -> (kmax, reps)``: a segmented axis' Hermite sums over cells lo..hi.
+
+    ``S``, shape (kmax, reps, segments) with kmax <= 2, holds per segment
+    between the ``cuts`` its power sums ``S_1 = sqrt(n) Z`` and ``S_2 = C +
+    Z**2``.  A side slice-sums its run of segments; its ``h_1`` sum is that
+    of ``S_1``, and its ``h_2`` sum ``(S_2 - length) sqrt(1/2)``.
+    """
+    def sums(lo, hi):
+        out = S[:, :, cuts.index(lo):cuts.index(hi + 1)].sum(axis=2)
+        if len(out) == 2:
+            out[1] = (out[1] - (hi - lo + 1.0)) * math.sqrt(0.5)
+        return out
+
+    return sums
+
+
 def drawn_cores(kernel, sets, dists, N, rng):
     """Per set, its (T, N) cores from whole per-axis tables of the draws the family reads.
 
     A segmented axis reads one normal Z per segment between the sorted
     distinct box edges of all sets and, where a term takes k = 2, one
-    chi-square C of n - 1 degrees, n the segment's length.  Its rows are the
-    family's identity at ``sqrt(n) Z`` and ``(Z**2 + C - n) sqrt(1/2)``, and a
-    side sums the segments it covers.  Any other axis reads a variate per
-    column, up to the widest set, and a side sums its cells (``axis_sums``).
+    chi-square C of n - 1 degrees, n the segment's length; a side sums the
+    power sums of the segments it covers (``segment_sums``).  Any other axis
+    reads a variate per column, up to the widest set, and a side sums its
+    cells (``axis_sums``).
     """
     kvecs = list(kernel.lam)
     axes = []
@@ -560,12 +578,10 @@ def drawn_cores(kernel, sets, dists, N, rng):
             cuts = sorted({int(c) for L in sets for c in (*L.lo[:, axis], *(L.hi[:, axis] + 1))})
             n = np.diff(cuts).astype(float)
             z = dist.reader(rng, axis, n.size)(0, N)
-            t = table(fam, 1, (z * np.sqrt(n)).ravel()).reshape(1, *z.shape)
+            powers = [z * np.sqrt(n)]
             if kmax == 2:
-                c = chi2_pages(rng.seed, axis, n - 1.0, N)
-                t = np.concatenate([t, [(z * z + c - n) * math.sqrt(0.5)]])
-            axes.append(lambda lo, hi, t=t, cuts=cuts:
-                        t[:, :, cuts.index(lo):cuts.index(hi + 1)].sum(axis=2))
+                powers.append(chi2_pages(rng.seed, axis, n - 1.0, N) + z * z)
+            axes.append(segment_sums(np.stack(powers), cuts))
         else:
             x = dist.reader(rng, axis, max(L.axis_max(axis) for L in sets))(0, N)
             axes.append(axis_sums(fam, kmax, x))
@@ -611,8 +627,8 @@ def test_segment_side_sums_are_sums_of_the_scaled_page_draws(family):
 
 def test_unit_segments_read_the_per_cell_variates():
     # where every segment has length 1 the chi-squares are 0 and the Z stream has one
-    # column per lattice column, so the rows are the Hermite rows of the per-cell draws
-    # (slice sums of their factor table, not the power sums of a per-cell axis)
+    # column per lattice column, so the side sums come from the per-cell draws x and x**2
+    # (by slice sums of both, not by the row dots of a per-cell power axis)
     factors = [FactorFamily("hermite")] * 2
     lam = {(1, 1): 1.0, (2, 2): 0.5, (1, 2): -0.7}
     sets = [make_rect([1, 1]), make_rect([2, 2]), make_rect([3, 3])]
@@ -620,8 +636,8 @@ def test_unit_segments_read_the_per_cell_variates():
     assert mc._layouts(factors, list(lam), sets, dists) == [[1, 2, 3, 4]] * 2
     rng = RngSpec(4).child(0)
     field = mc._sum_field(factors, lam, sets, dists, 50, rng, 2)
-    axes = [table_sums(fam, 2, dist.reader(rng, axis, 3)(0, 50))
-            for axis, (fam, dist) in enumerate(zip(factors, dists))]
+    draws = [dist.reader(rng, axis, 3)(0, 50) for axis, dist in enumerate(dists)]
+    axes = [segment_sums(np.stack([x, x * x]), [1, 2, 3, 4]) for x in draws]
     for L, rows in zip(sets, field, strict=True):
         assert np.array_equal(rows, table_contract(axes, L, lam, 1, 50) / math.sqrt(L.size))
 
@@ -768,6 +784,68 @@ def test_power_sums_are_within_ulps_of_exact_hermite_sums(case):
                     exact = Fraction(prefix[k][hi] - prefix[k][lo - 1], 1 << E * k)
                     want = float(exact) / math.sqrt(math.factorial(k))
                     assert abs(got[k - 1][r] - want) <= 8 * ULP * bound[k - 1], (lo, hi, k)
+
+
+@st.composite
+def segment_axes(draw):
+    """A box, an L-shape and a staircase on two segmented normal axes, N and a seed.
+
+    The staircase's distinct heights cut both axes into segments of unequal
+    lengths, so its sides and the box's span one segment or several.
+    """
+    sets = [make_rect([draw(st.integers(1, 300)), draw(st.integers(1, 300))]),
+            lshape_family([draw(st.integers(2, 200))])[0],
+            staircase_set(draw(st.lists(st.integers(0, 300), min_size=1, max_size=40)
+                               .filter(any)))]
+    return sets, draw(st.integers(1, 2)), draw(st.integers(0, 999))
+
+
+# 8300 distinct heights in steps of 1..5 rows: the box's side on the second axis spans 8303
+# segments, more than one 8192-value run of a NumPy sum, and the staircase's span 1..8300
+DEEP_STAIRCASE = staircase_set(np.cumsum([1 + i % 5 for i in range(8300)])[::-1])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(segment_axes())
+@example(([make_rect([40, 30_000]), lshape_family([64])[0], DEEP_STAIRCASE], 2, 9))
+@example(([make_rect([1, 1]), lshape_family([2])[0], staircase_set([3, 1])], 1, 10))
+def test_segment_sums_are_within_ulps_of_exact_hermite_sums(case):
+    """A segmented axis' ``h_1`` and ``h_2`` side sums lie within 8 ulp of their bound form.
+
+    A side of segments i, of n_i cells each, has ``h_1`` sum ``sum_i sqrt(n_i)
+    Z_i`` and ``h_2`` sum ``(sum_i (Z_i**2 + C_i) - n) / sqrt 2``, n = sum_i
+    n_i, over the same page draws Z and C.  The reference sums them in 600-bit
+    arithmetic, in which ``Z**2 + C`` and its sums are exact rationals, and the
+    tolerance is 8 ulp of ``sum_i sqrt(n_i) |Z_i|`` and of ``(sum_i (Z_i**2 +
+    C_i) + n) / sqrt 2``, as ``power_bound`` forms it.
+    """
+    sets, N, seed = case
+    normal = AxisDistribution("standard_normal")
+    rng = RngSpec(seed).child(0)
+    for axis, cuts in enumerate(mc._layouts(_hermite(2), [(1, 1), (2, 2)], sets, [normal] * 2)):
+        n = np.diff(cuts).astype(float)
+        spans, _ = mc._spans(sets, axis)
+        got = mc._axis_sums(FactorFamily("hermite"), 2, normal, rng, axis, cuts, spans, N)(
+            0, N, np.empty((3, N * n.size)))
+        z = normal.reader(rng, axis, n.size)(0, N)
+        c = chi2_pages(rng.seed, axis, n - 1.0, N)
+        at = {cut: i for i, cut in enumerate(cuts)}
+        with mpmath.workprec(600):
+            roots = [mpmath.sqrt(v) for v in n.tolist()]
+            for r in range(N):
+                # prefix sums over the segments of sqrt(n) Z, sqrt(n) |Z| and Z**2 + C
+                s1, a1, s2 = [mpmath.mpf(0)], [mpmath.mpf(0)], [mpmath.mpf(0)]
+                for root, zi, ci in zip(roots, z[r].tolist(), c[r].tolist()):
+                    s1.append(s1[-1] + root * zi)
+                    a1.append(a1[-1] + root * abs(zi))
+                    s2.append(s2[-1] + mpmath.mpf(zi) ** 2 + ci)
+                for (lo, hi), side in zip(spans, got):
+                    a, b, length = at[lo], at[hi + 1], hi - lo + 1
+                    want1, bound1 = float(s1[b] - s1[a]), float(a1[b] - a1[a])
+                    want2 = float((s2[b] - s2[a] - length) / mpmath.sqrt(2))
+                    bound2 = float((s2[b] - s2[a] + length) / mpmath.sqrt(2))
+                    assert abs(side[0][r] - want1) <= 8 * ULP * bound1, (lo, hi)
+                    assert abs(side[1][r] - want2) <= 8 * ULP * bound2, (lo, hi)
 
 
 def _hermite(d):

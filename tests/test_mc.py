@@ -11,7 +11,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstwo, norm
 
@@ -73,8 +73,27 @@ def field_runs(draw):
             draw(st.integers(0, 999)))
 
 
+def _field_run(lam, dists, L, N, seed):
+    """A ``field_runs`` draw: Hermite and Charlier axes with ``lam``'s weights over two points."""
+    pk = ParametricKernel(np.arange(2)[:, None], {k: np.array(w) for k, w in lam.items()},
+                          [FactorFamily("hermite"), FactorFamily("poisson_charlier")])
+    return pk, L, dists, N, seed
+
+
+# A derandomized strategy draws examples according to the modules the test process has
+# imported, so each side-sum route is pinned by an explicit example: Hermite k <= 2 on a
+# normal axis (segmented) beside Charlier k = 1 on a Poisson axis; Hermite k = 3 on a
+# normal axis (per-cell powers); Charlier kmax 3 (rows) beside Hermite on Rademacher draws
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(field_runs(), st.integers(1, 120))
+@example(_field_run({(1, 1): [1.0, 0.4], (2, 1): [-0.6, 0.8]},
+                    [AxisDistribution("standard_normal"), AxisDistribution("compensated_poisson")],
+                    lshape_family([6])[0], 23, 3), 7)
+@example(_field_run({(3, 2): [0.5, -1.1], (1, 1): [0.9, 0.2]}, GAUSS,
+                    staircase_set([7, 4, 4, 1]), 17, 5), 40)
+@example(_field_run({(2, 3): [1.2, 0.3], (1, 1): [-0.4, 0.7]},
+                    [AxisDistribution("rademacher"), AxisDistribution("compensated_poisson")],
+                    explicit_set([(1, 1), (1, 3), (2, 2), (5, 4), (7, 7)]), 29, 8), 3)
 def test_worker_and_block_size_invariance(run, budget):
     pk, L, dists, N, seed = run
     base_S = simulate_S_L(point_kernel(pk, 0), L, dists, N, RngSpec(seed)).values
@@ -164,27 +183,29 @@ def test_block_size_rule():
     sim_box = hermite_kernel({(k, k): 1.0 / k for k in range(1, 5)})
     # one box: a block's widest row, 256 uniforms a replication, fits the cache share
     assert _block_cap(sim_box, make_rect([256, 256])) == mc._CACHE_FLOATS // 256
-    # many boxes: one NumPy call per term, box and axis of the contraction and per
-    # factor row and distinct side, so the block stays at the float budget.  Per
+    # many boxes: more NumPy calls per block, but the block is still the cache share of
+    # its widest row, 64 uniforms a replication; the budget would allow more.  Per
     # replication it holds, per axis, 64 columns x (1 uniform + 4) and 64 sides x 4
     # rows, then four cores: 1156 floats.
     checker = explicit_set([(i, j) for i in range(1, 65) for j in range(1, 65)
                             if (i + j) % 2 == 0])
-    assert _block_cap(sim_box, checker) == mc._BLOCK_BUDGET // 1156
+    assert _block_cap(sim_box, checker) == mc._CACHE_FLOATS // 64 == 1024
+    assert mc._CACHE_FLOATS // 64 < mc._BLOCK_BUDGET // 1156
     # 256 columns of distinct heights: 256 x 5 + 256 x 4 floats per axis, four cores
     stair = staircase_set([37 * i % 257 for i in range(1, 257)])
-    assert _block_cap(sim_box, stair) == mc._BLOCK_BUDGET // 4612
-    # a 200-point field contracts its two cores as one point does, and weighing its
-    # 200 rows is not counted as calls: on a 64^2 box its block is the cache share
-    # (64 x 5 + 3 floats per axis and 2 cores per replication; 2 x 3 + 2 x 2 calls).
-    # Its k = 3 term puts both axes on the per-cell path
+    assert _block_cap(sim_box, stair) == mc._CACHE_FLOATS // 256 == 256
+    assert mc._CACHE_FLOATS // 256 < mc._BLOCK_BUDGET // 4612
+    # a 200-point field contracts its two cores as one point does, and its 200 rows
+    # are weighed from them: on a 64^2 box its block is the cache share (64 x 5 + 3
+    # floats per axis and 2 cores per replication).  Its k = 3 term puts both axes
+    # on the per-cell path
     t = np.linspace(0.0, 1.0, 200)
     field = ParametricKernel(t[:, None], {(1, 1): 0.2 + 0.8 * t, (3, 3): 0.5 * t * t},
                              [FactorFamily("hermite")] * 2)
     assert _block_cap(field, make_rect([64, 64])) == mc._CACHE_FLOATS // 64
     assert _block_cap(field, make_rect([64, 64])) == \
         _block_cap(point_kernel(field, 0), make_rect([64, 64]))
-    assert -(-mc._FLOATS_PER_CALL * 10 // 648) < mc._CACHE_FLOATS // 64 < mc._BLOCK_BUDGET // 648
+    assert mc._CACHE_FLOATS // 64 < mc._BLOCK_BUDGET // 648
     # with (2, 2) instead both axes are segmented Hermite k <= 2: one segment each, whose
     # normal, chi-square, three row buffers, temporary and 2 side sums make 8 floats per
     # axis, and 2 cores: 18 floats per replication
@@ -219,6 +240,28 @@ def test_charlier_rows_run_in_the_row_buffers():
         finally:
             tracemalloc.stop()
     assert peaks["poisson_charlier"] <= peaks["hermite"] + (64 << 10)
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, True, np.bool_(False), "7", None, -1, 2 ** 64,
+                                  np.int64(-1)])
+def test_seeds_are_integers_of_64_bits(seed):
+    # the pages read int(seed) while the provenance records the seed as given, so a float
+    # or a bool would sample another seed's variates than it records
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+        RngSpec(seed)
+
+
+def test_numpy_integer_seeds_are_python_ints():
+    k = hermite_kernel({(1, 1): 1.0, (2, 2): 0.5})
+    for seed, same in [(np.int64(3), 3), (np.uint64(2 ** 64 - 1), 2 ** 64 - 1), (0, 0)]:
+        rng = RngSpec(seed)
+        assert type(rng.seed) is int and rng.seed == same
+        assert rng == RngSpec(same) and rng.child(4) == RngSpec(same).child(4)
+        assert type(rng.child(4).seed) is int
+        # the provenance takes the seed as JSON, so a NumPy seed writes the same bytes
+        dist = simulate_S_L(k, make_rect([3, 4]), GAUSS, 20, rng)
+        assert mc.empirical_bytes(dist) == \
+            mc.empirical_bytes(simulate_S_L(k, make_rect([3, 4]), GAUSS, 20, RngSpec(same)))
 
 
 def test_single_replication_reproducible():
@@ -431,7 +474,7 @@ def test_variance_matches_weight_mass_mc():
 
 @st.composite
 def diagonal_hermite_runs(draw):
-    """Diagonal Hermite weights of degree 1-2 on a random box or staircase, and a seed.
+    """Diagonal Hermite weights of degree 1-2 on a random box or staircase, normal laws, a seed.
 
     At degree 3 the kurtosis of ``h_3(x) h_3(y)`` is in the thousands, so the
     law of a 8000-sample variance is far from normal and a gate of 4 standard
@@ -443,15 +486,22 @@ def diagonal_hermite_runs(draw):
         L = make_rect([draw(st.integers(1, 8)), draw(st.integers(1, 8))])
     else:
         L = staircase_set(draw(st.lists(st.integers(1, 8), min_size=1, max_size=6)))
-    return hermite_kernel(lam), L, draw(st.integers(0, 999))
+    return hermite_kernel(lam), L, GAUSS, draw(st.integers(0, 999))
 
 
+# explicit examples of each side-sum route, since a derandomized strategy's examples depend
+# on the modules the test process has imported: Hermite k <= 2 on normal axes (segmented);
+# a k = 3 term (per-cell powers on the first axis); Charlier factors on their Poisson law (rows)
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(diagonal_hermite_runs())
+@example((hermite_kernel({(1, 1): 0.8, (2, 2): -0.6}), staircase_set([5, 3, 3, 1]), GAUSS, 4))
+@example((hermite_kernel({(1, 1): 0.9, (3, 1): 0.4}), make_rect([5, 3]), GAUSS, 6))
+@example((DegenerateKernel(2, {(1, 1): 0.7, (2, 2): 0.5}, [FactorFamily("poisson_charlier")] * 2),
+          lshape_family([4])[0], [AxisDistribution("compensated_poisson")] * 2, 8))
 def test_variance_is_weight_mass_on_random_sets(run):
-    # orthonormal factors: Var(S_L) = sum lambda^2 for every index set
-    k, L, seed = run
-    dist = simulate_S_L(k, L, GAUSS, 8000, RngSpec(seed))
+    # orthonormal factors under their laws: Var(S_L) = sum lambda^2 for every index set
+    k, L, dists, seed = run
+    dist = simulate_S_L(k, L, dists, 8000, RngSpec(seed))
     assert abs(dist.variance() - k.sigma_sq) <= 4 * dist.variance_se()
 
 
