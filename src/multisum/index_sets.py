@@ -69,9 +69,10 @@ class IndexSet:
     def d(self) -> int:
         return self.lo.shape[1]
 
-    @property
+    @cached_property
     def size(self) -> int:
-        return int(np.prod(self.hi - self.lo + 1, axis=1).sum())
+        """|L|, the boxes' cell counts summed in Python ints, so no size wraps."""
+        return sum(math.prod(sides) for sides in (self.hi - self.lo + 1).tolist())
 
     def axis_max(self, axis: int) -> int:
         return int(self.hi[:, axis].max())

@@ -63,10 +63,17 @@ against exact sums over 4096 normal draws this errs by about 1.5e-14 per
 root of the side's length at k = 4 and 2.2e-13 at k = 12, where the rows err
 by 3e-16.  Charlier and Laguerre factors keep their rows, since by powers
 they cancel more still (Laguerre 3.1e-12 at k = 12 on its exponential law,
-Charlier 1.7e-10 at k = 12 on normal draws).  Each set's boxes then take
-their sides' sums (``_box_sums``), so boxes that share a side share its
-sums, and ``compute_S_L`` runs these same steps on one replication.  A
-replication therefore holds O(sum n_s) floats whatever the rank.
+Charlier 1.7e-10 at k = 12 on normal draws).  Every slice sum of a row, be
+it of factors, powers or segment statistics, is a ``_slice_sum``: a run of
+fewer than 8 columns is added column by column in place, in order from 0.0,
+the floats NumPy's pairwise sum gives below its 8-value block, so they rest
+on IEEE addition in a fixed order, not on NumPy's reduction; a longer run
+takes NumPy's pairwise sum, which keeps it accurate.  Each set's boxes then
+take their sides' sums (``_box_sums``), so boxes that share a side share
+its sums, and ``_contract`` writes each term's core in place, a box's
+product axis by axis into the core or one reused scratch row; and
+``compute_S_L`` runs these same steps on one replication.  A replication
+therefore holds O(sum n_s) floats whatever the rank.
 Replications run in blocks (``_block_cap``) whose widest axis row fits a
 share of the cache, since a block is walked once per layer (draws, inverse
 CDF, each factor or power row), within ``_BLOCK_BUDGET``.  Each worker
@@ -611,14 +618,39 @@ def _spans(sets, axis: int):
     return list(index), [[index[side] for side in boxes] for boxes in sides]
 
 
+# NumPy's pairwise sum adds a run of fewer than this many values one by one from 0.0, and
+# a longer one as eight interleaved partial sums (split in halves past 128 values)
+_PAIRWISE_BLOCK = 8
+
+
+def _slice_sum(x: np.ndarray, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+    """``x[:, lo - 1:hi].sum(axis=1)`` into ``out``, a float per row of ``x``.
+
+    A run of fewer than ``_PAIRWISE_BLOCK`` columns is added column by column
+    in place, from 0.0 and in order, as NumPy's sum adds it, so the floats are
+    NumPy's, signed zeros included, without resting on its reduction: one
+    pass per column instead of NumPy's inner loop per row, which on a 16 384
+    x 4 block costs 321 us against 46.  A longer run takes NumPy's sum, whose
+    pairwise order keeps long sums accurate.
+    """
+    if hi - lo + 1 >= _PAIRWISE_BLOCK:
+        return x[:, lo - 1:hi].sum(axis=1, out=out)
+    np.add(x[:, lo - 1], 0.0, out=out)
+    for column in range(lo, hi):
+        out += x[:, column]
+    return out
+
+
 def _row_sums(rows, spans, out: np.ndarray) -> np.ndarray:
     """``out[i, k - 1]``, the slice sum of the k-th of ``rows`` over side ``spans[i]``.
 
     Each row is summed as soon as it exists, so no factor table is ever built.
+    Every sum is a ``_slice_sum``: a side of fewer than eight columns (or
+    segments) adds them in order, a longer one takes NumPy's pairwise sum.
     """
     for k, row in enumerate(rows):
         for (lo, hi), side in zip(spans, out):
-            row[:, lo - 1:hi].sum(axis=1, out=side[k])
+            _slice_sum(row, lo, hi, side[k])
     return out
 
 
@@ -666,14 +698,15 @@ def _power_sums(x: np.ndarray, kmax: int, spans, out: np.ndarray, buffers=None) 
 
     ``out`` has shape (sides, kmax, reps).  The powers ``x**2, ..., x**m``, m =
     ceil(kmax / 2), each the one before times x, go to ``buffers[j - 2]``
-    (fresh arrays where absent).  ``S_1`` is x's slice sum and ``S_j`` the
+    (fresh arrays where absent).  ``S_1`` is x's slice sum (``_slice_sum``:
+    in order below eight columns, NumPy's pairwise sum above) and ``S_j`` the
     row dot ``np.vecdot(x**a, x**b)``, ``a = ceil(j / 2)`` and ``b = j - a``.
     """
     powers = [x]
     for j in range(2, (kmax + 1) // 2 + 1):
         powers.append(np.multiply(powers[-1], x, out=None if buffers is None else buffers[j - 2]))
     for (lo, hi), side in zip(spans, out):
-        x[:, lo - 1:hi].sum(axis=1, out=side[0])
+        _slice_sum(x, lo, hi, side[0])
         for j in range(2, kmax + 1):
             a = (j + 1) // 2
             p, q = powers[a - 1][:, lo - 1:hi], powers[j - a - 1][:, lo - 1:hi]
@@ -710,23 +743,33 @@ def _hermite_sums(out: np.ndarray, spans) -> np.ndarray:
     return out
 
 
-def _contract(sums, kvecs, out: np.ndarray) -> np.ndarray:
+def _contract(sums, kvecs, out: np.ndarray, scratch=None) -> np.ndarray:
     """Per term t, the core ``sum_B prod_s sums[B][s][k_s - 1]``, written into ``out[t]``.
 
     ``sums[B][s]`` is box B's slice sum on axis s, shape (kmax_s, reps), and
     ``out`` has shape (T, reps), a row per multi-index of ``kvecs``.  The cores
     are unweighted: every grid point of a field is a weighted sum of the same
-    T cores (``_weigh``).
+    T cores (``_weigh``).  Each core is made in place: the first box's product,
+    taken axis by axis in order, goes straight into ``out[t]``, and each later
+    box's into ``scratch``, a row of ``out``'s length (made here where absent
+    and needed), before it is added.  No product array is allocated.
     """
     for kvec, core in zip(kvecs, out):
         for b, box_sums in enumerate(sums):
-            term = box_sums[0][kvec[0] - 1]
-            for axis in range(1, len(kvec)):
-                term = term * box_sums[axis][kvec[axis] - 1]
+            rows = [side[k - 1] for side, k in zip(box_sums, kvec)]
+            if len(rows) == 1:
+                if b:
+                    core += rows[0]
+                else:
+                    core[...] = rows[0]
+                continue
+            if b and scratch is None:
+                scratch = np.empty(out.shape[1])
+            term = np.multiply(rows[0], rows[1], out=scratch if b else core)
+            for row in rows[2:]:
+                term *= row
             if b:
                 core += term
-            else:
-                core[...] = term
     return out
 
 
@@ -957,11 +1000,12 @@ def _sum_sampler(factors, kvecs, sets, dists, rng):
                 for args in zip(factors, kmax, dists, [rng] * d, range(d), layouts, spans)]
         # made after the draw buffers: the other order measured 3% slower on segment draws
         flat = np.empty((nflat, cap * max(ncols)))
+        scratch = np.empty(cap)     # a later box's products in _contract
 
         def batch(rep_start, rep_count, out):
             sums = [axis_sums(rep_start, rep_count, flat) for axis_sums in axes]
             for i, boxes in enumerate(_box_sums(sums, inverses)):
-                _contract(boxes, kvecs, out[i * T:(i + 1) * T])
+                _contract(boxes, kvecs, out[i * T:(i + 1) * T], scratch[:rep_count])
 
         return batch
 

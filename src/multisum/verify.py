@@ -112,7 +112,7 @@ def _chaos_limit_ks(pk: ParametricKernel, dists, sets, N, rng, limit_n, final_ks
     limit = _limit_cores(kvecs, pk.d, limit_n, rng.child(_LIMIT_STREAM), workers)
     # per term, its cores of every stage: one weighing makes every stage's row of a point
     cores = _sum_cores(pk.factors, kvecs, sets, dists, N, rng.child(0), workers).transpose(1, 0, 2)
-    roots = np.sqrt([[L.size] for L in sets])
+    roots = np.array([[math.sqrt(L.size)] for L in sets])    # sizes past 2**63 are Python ints
     limit_row, rows, sup = np.empty(limit_n), np.empty((len(sets), N)), np.zeros(N)
     # a second term's products in _weigh, then |row| for the sup-field
     scratch = np.empty(max(rows.size, limit_n) if len(kvecs) > 1 else N)

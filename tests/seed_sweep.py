@@ -3,7 +3,10 @@
 Each config given, or by default each config in ``demos/configs`` that runs
 ``verify``, is run through the CLI in-process with ``--seed-override``
 1..K, and one line per config lists its exit codes in seed order (0 pass,
-3 hypotheses not met, 5 failed).  A config is a path, or the name of a
+3 hypotheses not met, 5 failed).  The override replaces the config's
+``seed``, so of configs that differ only there (the ``bench/<workload>/seed1``
+and ``seed3`` cases) the first runs and each later one is skipped with a line
+naming the case it repeats.  A config is a path, or the name of a
 golden case (``make_golden_manifests.cases()``, such as
 ``bench/field/seed3/0``), which runs its own subcommand.  Nothing is
 written outside a temporary directory.  From the repository root::
@@ -76,8 +79,17 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, default=10, help="sweep seeds 1..SEEDS")
     parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args(argv)
+    seen = {}
     for name in args.configs or verify_configs():
         label, command, config = resolve(str(name))
+        # --seed-override replaces a config's seed, so configs equal but for it run alike
+        obj = json.loads(config.read_text()) if isinstance(config, Path) else config
+        key = (command, json.dumps({k: v for k, v in obj.items() if k != "seed"},
+                                   sort_keys=True))
+        if key in seen:
+            print(f"{label}: skipped, repeats {seen[key]} (the configs differ only in seed)")
+            continue
+        seen[key] = label
         codes = sweep(config, range(1, args.seeds + 1), args.workers, command)
         print(f"{label}: {','.join(map(str, codes))}"
               f"  ({sum(c == 0 for c in codes)} of {len(codes)} exit 0)")

@@ -1,6 +1,7 @@
 """Property tests: box decompositions of random sets and the contraction built on them."""
 
 import hashlib
+import itertools
 import math
 import os
 import subprocess
@@ -403,6 +404,23 @@ def test_streamed_sums_equal_the_table_path(instance):
         assert np.array_equal(mc._weigh(cores, w, np.empty(N)) / math.sqrt(L.size), ref)
 
 
+@pytest.mark.parametrize("rows", [1, 7, 16385])
+def test_short_slice_sums_are_numpys_sums_bit_for_bit(rows):
+    # a run of fewer than 8 columns is added column by column, in order from 0.0, and must
+    # give NumPy's floats; a NumPy release that reorders its short sums fails here by name.
+    # A log-Weibull axis sums every other column of its uniforms' buffer
+    rng = np.random.default_rng(rows)
+    wide = rng.standard_normal((rows, 140)) * 10.0 ** rng.integers(-6, 7, (rows, 140))
+    wide[:, 3:7] = -0.0       # NumPy's sum of a run of signed zeros, from 0.0, is 0.0
+    out = np.empty(rows)
+    for x in (np.ascontiguousarray(wide[:, :70]), wide[:, ::2]):
+        for width in [*range(1, 8), 8, 9, 64]:
+            for lo in (1, 2, 4, 5):
+                hi = lo + width - 1
+                assert mc._slice_sum(x, lo, hi, out) is out
+                assert out.tobytes() == x[:, lo - 1:hi].sum(axis=1).tobytes(), (width, lo)
+
+
 @st.composite
 def families(draw):
     """A kernel over 1-3 mixed axes, a family of 1-3 shaped sets, N and a seed."""
@@ -434,6 +452,21 @@ POWER_FAMILY = (DegenerateKernel(2, SIM_BOX_LAM, [FactorFamily("hermite")] * 2),
 # the rows route, each kernel on the family of the three example sets
 ROW_FAMILIES = [(DegenerateKernel(2, lam, factors), dists, _EXAMPLE_SETS, 9, 17)
                 for factors, dists, lam in ROW_AXES]
+# Side sums over runs of 1 to 9 segments or columns: on axis 1 the staircase's sides [1, h]
+# cover 1 to 9 of its 9 segments, on axis 0 the box's side covers 9 (``mc._slice_sum`` adds
+# a run of fewer than 8 in order, a longer one by NumPy's pairwise sum).  The staircase has 9
+# boxes, so each core adds the later boxes' products through the contraction's scratch row
+RUN_SETS = [staircase_set([12, 9, 8, 7, 6, 5, 4, 3, 2]), make_rect([9, 12])]
+RUN_FAMILIES = [(kernel, dists, RUN_SETS, 9, 17) for kernel, dists, *_ in
+                (SEGMENTED_FAMILY, PER_CELL_FAMILY, ROW_FAMILIES[0])]
+# three axes of two-box sets, so a product of side sums takes a third factor in place
+_BOXES_3D = [((1, 1, 1), (3, 2, 4)), ((4, 1, 1), (5, 5, 1)), ((1, 3, 2), (2, 6, 3))]
+THREE_AXIS_FAMILY = (DegenerateKernel(3, {(1, 1, 1): 1.0, (2, 1, 2): -0.5, (1, 3, 1): 0.4},
+                                      [FactorFamily("hermite")] * 3),
+                     [AxisDistribution("standard_normal")] * 3,
+                     [explicit_set(sorted({cell for lo, hi in boxes for cell in itertools.product(
+                         *(range(a, b + 1) for a, b in zip(lo, hi)))}))
+                      for boxes in (_BOXES_3D[:2], _BOXES_3D[1:])], 9, 17)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -444,6 +477,10 @@ ROW_FAMILIES = [(DegenerateKernel(2, lam, factors), dists, _EXAMPLE_SETS, 9, 17)
 @example(ROW_FAMILIES[0])
 @example(ROW_FAMILIES[1])
 @example(ROW_FAMILIES[2])
+@example(RUN_FAMILIES[0])
+@example(RUN_FAMILIES[1])
+@example(RUN_FAMILIES[2])
+@example(THREE_AXIS_FAMILY)
 def test_family_sums_are_cell_sums_of_the_shared_draws(family):
     kernel, dists, sets, N, seed = family
     rng = RngSpec(seed).child(0)
@@ -604,6 +641,8 @@ def drawn_cores(kernel, sets, dists, N, rng):
 @given(box_union_families())
 @example(SEGMENTED_FAMILY)
 @example(PER_CELL_FAMILY)
+@example(RUN_FAMILIES[0])
+@example(RUN_FAMILIES[1])
 def test_segment_side_sums_are_sums_of_the_scaled_page_draws(family):
     # at 3 workers the second and third chunks start their reads of normals and of
     # chi-squares inside a page

@@ -363,6 +363,26 @@ def test_simulate_boxes_follow_kernel_dimension(tmp_path):
     assert math.prod(summary[0]["index_set"]["params"]["n"]) == 64
 
 
+def test_simulate_on_a_cube_of_2_pow_64_cells_exits_0_with_finite_sums(tmp_path):
+    # |L| = 2**64 wrapped to 0 as an int64 product, and S_L divided by sqrt(0); the
+    # identity kernel segments every axis, so ten replications draw one normal per axis
+    cfg = tmp_path / "cube.json"
+    cfg.write_text(json.dumps({
+        "seed": 3, "N": 10,
+        "kernel": {"d": 4, "factors": [{"kind": "hermite", "params": {}}] * 4,
+                   "lambda": [{"k": [1, 1, 1, 1], "w": 1.0}]},
+        "distributions": ["standard_normal"] * 4,
+        "index_sets": {"family": "squares", "sizes": [2 ** 16]},
+    }))
+    code, out = run_cmd(tmp_path, "simulate", cfg)
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    summary, = json.loads((out / manifest["files"]["summary"]).read_text())
+    dist = mc.load_empirical(out / manifest["files"]["dist_0"])
+    assert dist.n == 10 and np.all(np.isfinite(dist.values))
+    assert math.isfinite(summary["variance"]) and math.isfinite(summary["variance_se"])
+
+
 def test_simulate_index_set_of_wrong_dimension_exits_2(tmp_path, capsys):
     square = {"d": 2, "kind": "rect", "params": {"n": [3, 3]}}
     # declared d and params disagree, whether or not the params fit the kernel

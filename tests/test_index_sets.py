@@ -122,6 +122,16 @@ def test_make_rect_cardinalities():
         make_rect([0, 2])
 
 
+def test_sizes_past_int64_do_not_wrap():
+    # a product of int64 sides wraps: the 4-cube of side 2**16 read 0, the 3e9 x 4e9 box
+    # -6446744073709551616
+    cube = make_rect([2 ** 16] * 4)
+    assert cube.size == 2 ** 64
+    assert make_rect([3 * 10 ** 9, 4 * 10 ** 9]).size == 12 * 10 ** 18
+    assert explicit_set([(1, 1), (1, 2), (3, 1)]).size == 3
+    assert cube.size is cube.size       # computed once: the same int object each read
+
+
 def test_explicit_set_sorted_deduplicated():
     L = explicit_set([(2, 1), (1, 1), (1, 2)])
     assert L.size == 3

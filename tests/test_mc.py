@@ -23,7 +23,7 @@ from multisum import (AxisDistribution, DegenerateKernel, EmpiricalDist,
                       simulate_family, simulate_S_L, staircase_set, tabulated_family)
 from multisum import mc
 from multisum.parametric import sample_Q_infty
-from test_box_contraction import naive_S_L, shaped_sets
+from test_box_contraction import RUN_SETS, naive_S_L, shaped_sets
 from test_parametric import point_kernel
 
 GAUSS = [AxisDistribution("standard_normal")] * 2
@@ -94,6 +94,12 @@ def _field_run(lam, dists, L, N, seed):
 @example(_field_run({(2, 3): [1.2, 0.3], (1, 1): [-0.4, 0.7]},
                     [AxisDistribution("rademacher"), AxisDistribution("compensated_poisson")],
                     explicit_set([(1, 1), (1, 3), (2, 2), (5, 4), (7, 7)]), 29, 8), 3)
+# a staircase of 9 boxes whose sides on axis 1 cover runs of 1 to 9 segments (segmented
+# Hermite; identity Charlier on a normal axis), or of 2 to 12 columns (Charlier rows)
+@example(_field_run({(1, 1): [1.0, -0.5], (2, 1): [0.3, 0.8]}, GAUSS, RUN_SETS[0], 19, 4), 5)
+@example(_field_run({(2, 2): [0.6, -0.9], (1, 1): [1.1, 0.4]},
+                    [AxisDistribution("standard_normal"), AxisDistribution("compensated_poisson")],
+                    RUN_SETS[0], 19, 6), 30)
 def test_worker_and_block_size_invariance(run, budget):
     pk, L, dists, N, seed = run
     base_S = simulate_S_L(point_kernel(pk, 0), L, dists, N, RngSpec(seed)).values

@@ -1,5 +1,6 @@
 """Micro-benchmarks: KS distance, exact and greedy covering, the inscribed-rectangle search,
-Young-Fenchel conjugates, one block of streamed box sums and one tensor quadrature."""
+Young-Fenchel conjugates, one block each of sim-box's and nclt-lshape's streamed sums
+and one tensor quadrature."""
 
 import hashlib
 import math
@@ -28,6 +29,9 @@ COUNTS_2000 = ([3] * 5 + [5] * 4 + [9] * 5 + [17] * 5 + [33] * 4 + [35] + [65] *
 # sha256 of the 51 sums below; the whole-table path (whole power tables and their row dots,
 # ``test_box_contraction.table_sum_field``) gives the same bytes
 SIM_BOX_BLOCK = "6e4b42651e2bda2be41e62daf756b6bb8eefc99a222a1033fd0c1c03873bbf27"
+# sha256 of the three L-shapes' 16 384 sums below, set after set; NumPy's own slice sum of
+# each side's run of segments gives the same bytes
+NCLT_LSHAPE_BLOCK = "96f9f5dfa1c6b53c07ae8c6b0445a4a05a58890273efb228d421971f9d24c10f"
 
 
 def test_ks_distance_20k_vs_50k(benchmark):
@@ -102,6 +106,18 @@ def test_sum_field_sim_box_block(benchmark):
             [AxisDistribution("standard_normal")] * 2, 51, RngSpec(1), 1)
     vals, = benchmark.pedantic(mc._sum_field, args=args, rounds=5)
     assert hashlib.sha256(vals.tobytes()).hexdigest() == SIM_BOX_BLOCK
+
+
+def test_sum_field_nclt_lshape_block(benchmark):
+    # the nclt-lshape stages, lambda(1, 1) = 1 on the L-shapes 32, 64 and 128: both axes are
+    # cut into 4 segments, and every side sums a run of 1 to 4; 16 384 replications make
+    # one block (the cache rule's cap on 4 columns)
+    sets = lshape_family([32, 64, 128])
+    args = ([FactorFamily("hermite")] * 2, {(1, 1): 1.0}, sets,
+            [AxisDistribution("standard_normal")] * 2, 16384, RngSpec(1), 1)
+    vals = benchmark.pedantic(mc._sum_field, args=args, rounds=5)
+    assert len(vals) == len(sets)
+    assert hashlib.sha256(np.concatenate(vals).tobytes()).hexdigest() == NCLT_LSHAPE_BLOCK
 
 
 def test_moment_bounds_kernel(benchmark):

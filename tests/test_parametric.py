@@ -427,6 +427,18 @@ def test_check_theorem8_singleton_matches_rect_verifier():
     assert rep8.verdict == rect.verdict == "pass"
 
 
+def test_check_theorem8_reads_set_sizes_past_int64():
+    # the 4-cube of side 2**16 has 2**64 cells, which wrapped to 0 as an int64 product, so
+    # its stage read L_size 0 and KS 0.5; the identity kernel segments every axis
+    pk = ParametricKernel(np.arange(2)[:, None], {(1, 1, 1, 1): np.array([1.0, 0.5])},
+                          [FactorFamily("hermite")] * 4)
+    sets = [make_rect([2 ** 15] * 4), make_rect([2 ** 16] * 4)]
+    report = check_theorem_8(pk, ("power", 2.0), sets, [AxisDistribution("standard_normal")] * 4,
+                             200, RngSpec(1), limit_n=500)
+    assert [stage["L_size"] for stage in report.stages] == [2 ** 60, 2 ** 64]
+    assert all(0.0 < stage["max_ks"] < 0.2 for stage in report.stages)
+
+
 def test_parametric_json_round_trip():
     pk = line_grid_pk(4)
     clone = parametric_kernel_from_json(parametric_kernel_to_json(pk))
