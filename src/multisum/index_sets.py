@@ -292,6 +292,7 @@ def _best_box(grid: np.ndarray, widths: list):
     smallest ``(lo, hi)``.  For each first row a along axis 0, the slabs
     a..b are the running logical and of the rows from a; a 2-D slab's best
     box is its heaviest run, and a deeper slab's comes from recursing on it.
+    A box's weight is a Python int, as ``Rect.size`` is, so none wraps at 2**63.
     """
     if grid.ndim == 1:
         weight, lo, hi = _heaviest_runs(grid[None], widths[0])
@@ -307,12 +308,13 @@ def _best_box(grid: np.ndarray, widths: list):
             inner, lo, hi = _heaviest_runs(slabs, widths[1])
         else:
             inner, lo, hi = zip(*(_best_box(slab, widths[1:]) for slab in slabs))
-        weight = (edges[a + 1:a + 1 + len(slabs)] - edges[a]) * np.asarray(inner)
-        top = int(weight.max())
+        heights = (edges[a + 1:a + 1 + len(slabs)] - edges[a]).tolist()
+        weight = [h * int(w) for h, w in zip(heights, inner)]
+        top = max(weight)
         if top < best[0]:
             continue
-        for i in np.flatnonzero(weight == top):
-            cand = (top, (a, *map(int, lo[i])), (a + int(i), *map(int, hi[i])))
+        for i in [i for i, w in enumerate(weight) if w == top]:
+            cand = (top, (a, *map(int, lo[i])), (a + i, *map(int, hi[i])))
             best = min(best, cand, key=lambda c: (-c[0], c[1], c[2]))
     return best
 

@@ -13,10 +13,14 @@ orthonormal polynomial families under their canonical base measures:
 * ``tabulated``        -- value tables on a weighted node grid (the output of
   a spectral decomposition).
 
-The analytic families run their three-term recurrences in a block's row
-buffers, scaled by ``1/sqrt(k!)`` (``1/k!`` for Laguerre) from exact integer
-factorials, and the Poisson weights are ``e**-1 / k!`` the same way, so
-every norm and weight is within an ulp and no SciPy function is called.
+Each analytic family is one row of ``_ANALYTIC_KINDS``: its base law, its
+member count and the integers (s, e) of its monic recurrence ``p_{k+1} =
+(x - s k) p_k - k**e p_{k-1}``, ``p_1 = x``, read both for rows and for exact
+integer coefficients (``_monic_coefficients``).  Row k is ``p_k /
+sqrt(k!**e)``, run in a block's row buffers; the norms, like the Poisson
+weights ``e**-1 / k!``, come from exact integer factorials, within an ulp,
+and no SciPy function is called.  Laguerre's ``p_k`` grows like ``k!``, so
+its rows past k = 170 are not finite.
 
 ``TabulatedKernel`` holds a two-variable kernel sampled on quadrature grids;
 its weighted singular value decomposition yields the best rank-M
@@ -293,89 +297,55 @@ def _inverse_factorials(kmax: int, root: bool) -> np.ndarray:
     return out
 
 
-def _recurrence_rows(kmax: int, x: np.ndarray, first, step, norm: np.ndarray, buffers=None,
-                     back=lambda k: k):
-    """Rows 1..kmax at points x of ``p_{k+1} = c_k * p_k - b_k * p_{k-1}`` (``p_0 = 1``).
+def _recurrence_rows(kmax: int, x: np.ndarray, shift: int, power: int, buffers=None):
+    """Rows 1..kmax at points x of ``p_{k+1} = (x - shift k) p_k - k**power p_{k-1}``.
 
-    ``first(b)`` returns ``p_1``, either an array it leaves alone or ``b``
-    itself, which it fills; ``step(k, p, out)`` writes ``c_k * p`` into
-    ``out``; ``back(k)`` is ``b_k``, k by default.  Row k is yielded as
-    ``norm[k] * p_k``, valid until the next row: ``p_k`` itself where
-    ``norm[k]`` is 1.0 (an exact product), else the last of the three
-    ``buffers`` (arrays of x's shape, made here when absent).  The recurrence
-    runs in place in the other two, never writes x, and its first step
-    subtracts the scalar ``b_1 * p_0 = b_1``.  So the rows of a block make no
-    array of their own when ``buffers`` are given.
+    ``p_0 = 1`` and ``p_1 = x``; row k is ``p_k / sqrt(k!**power)``, power 1
+    or 2 (``_inverse_factorials``), valid until the next row: ``p_k`` itself
+    where that norm is 1.0 (an exact product, so row 1 is x), else the last
+    of the three ``buffers`` (arrays of x's shape, made here when absent).
+    The recurrence runs in place in the other two, never writes x, and its
+    first step subtracts the scalar ``1**power p_0 = 1``.  So the rows of a
+    block make no array of their own when ``buffers`` are given.
     """
     a, b, row = buffers if buffers is not None else [np.empty_like(x) for _ in range(3)]
-    p1 = first(b)
-    prev, cur = None, p1
+    norm = _inverse_factorials(kmax, power == 1)
+    prev, cur = None, x
     for k in range(1, kmax + 1):
         yield cur if norm[k] == 1.0 else np.multiply(cur, norm[k], out=row)
         if k == kmax:
             return
-        step(k, cur, row)
+        np.multiply(np.subtract(x, shift * k, out=row) if shift else x, cur, out=row)
         if prev is None:
-            nxt = np.subtract(row, back(1), out=a)
+            nxt = np.subtract(row, 1.0, out=a)
         else:
-            scaled = np.multiply(prev, back(k), out=b if prev is p1 else prev)
+            scaled = np.multiply(prev, k ** power, out=b if prev is x else prev)
             nxt = np.subtract(row, scaled, out=scaled)
         prev, cur = cur, nxt
 
 
-def _hermite_rows(kmax: int, x: np.ndarray, buffers=None):
-    """Normalized probabilists' Hermite polynomials, from the monic recurrence (``c_k = x``)."""
-    return _recurrence_rows(kmax, x, lambda b: x, lambda k, p, out: np.multiply(x, p, out=out),
-                            _inverse_factorials(kmax, True), buffers)
-
-
-def _charlier_rows(kmax: int, x: np.ndarray, buffers=None):
-    """Normalized Charlier polynomials (a = 1) on the compensated count x = n - 1.
-
-    With ``n = x + 1``, ``p_1 = 1 - n`` and ``c_k = k + 1 - n``.  ``n`` is
-    remade where it is needed rather than kept, so the rows run in the three
-    buffers alone.
-    """
-    norm = (-1.0) ** np.arange(kmax + 1) * _inverse_factorials(kmax, True)
-
-    def first(b):
-        n = np.add(x, 1.0, out=b)
-        return np.subtract(1.0, n, out=n)
-
-    def step(k, p, out):
-        n = np.add(x, 1.0, out=out)
-        np.multiply(np.subtract(k + 1.0, n, out=n), p, out=out)
-
-    return _recurrence_rows(kmax, x, first, step, norm, buffers)
-
-
-def _sign_rows(kmax: int, x: np.ndarray, buffers=None):
-    """The sign family's single member, the identity."""
-    if kmax > 1:
-        raise ValueError("the sign family has a single member (k = 1)")
-    return [x][:kmax]
-
-
-def _laguerre_rows(kmax: int, x: np.ndarray, buffers=None):
-    """Signed Laguerre polynomials ``(-1)**k L_k(t)`` on the compensated value x = t - 1.
-
-    ``p_k = (-1)**k k! L_k(t)`` has ``p_1 = x``, ``c_k = x - 2k`` and
-    ``b_k = k**2``, and row k is ``p_k / k!``.  ``p_k`` grows like ``k!``,
-    so rows past k = 170 are not finite.
-    """
-    return _recurrence_rows(kmax, x, lambda b: x,
-                            lambda k, p, out: np.multiply(np.subtract(x, 2.0 * k, out=out), p,
-                                                          out=out),
-                            _inverse_factorials(kmax, False), buffers, back=lambda k: k * k)
-
-
-# analytic factor kind -> (canonical base distribution, its rows 1..kmax)
+# analytic factor kind -> (canonical base distribution, member count or None, shift, power):
+# row k is p_k / sqrt(k!**power), p_{k+1} = (x - shift k) p_k - k**power p_{k-1} (p_1 = x)
 _ANALYTIC_KINDS = {
-    "hermite": ("standard_normal", _hermite_rows),
-    "rademacher_sign": ("rademacher", _sign_rows),
-    "poisson_charlier": ("compensated_poisson", _charlier_rows),
-    "exponential_poly": ("centered_exponential", _laguerre_rows),
+    "hermite": ("standard_normal", None, 0, 1),                # He_k(x), x normal
+    "rademacher_sign": ("rademacher", 1, 0, 1),                # x on x = +-1 (x**2 - 1 = 0)
+    "poisson_charlier": ("compensated_poisson", None, 1, 1),   # Charlier C_k(n), x = n - 1
+    "exponential_poly": ("centered_exponential", None, 2, 2),  # (-1)**k k! L_k(t), x = t - 1
 }
+
+
+@lru_cache(maxsize=None)
+def _monic_coefficients(kind: str, kmax: int) -> tuple:
+    """Per k = 1..kmax, the integer coefficients ``c_k0..c_kk`` of ``p_k = sum_j c_kj x**j``.
+
+    Built by the kind's recurrence (``_ANALYTIC_KINDS``) in Python ints, so exact.
+    """
+    _, _, shift, power = _ANALYTIC_KINDS[kind]
+    p = [(1,), (0, 1)]
+    for k in range(1, kmax):
+        p.append(tuple(a - shift * k * b - k ** power * c
+                       for a, b, c in zip((0,) + p[k], p[k] + (0,), p[k - 1] + (0, 0))))
+    return tuple(p[1:kmax + 1])
 
 
 @dataclass(frozen=True)
@@ -421,17 +391,21 @@ class FactorFamily:
         """Factors 1..kmax at points x, one array of x's shape per k, in order.
 
         A row may be x itself or a buffer that the next row reuses, so callers
-        only read rows and copy the ones they keep.  ``buffers``, three arrays
-        of x's shape, hold the rows of the recurrence kinds; fresh ones are
-        made when absent.  Nothing is computed past the current row, and a
-        kmax past the family's members fails here, before the first row.
+        only read rows and copy the ones they keep.  An analytic kind runs its
+        ``_ANALYTIC_KINDS`` recurrence, whose row 1 is x, in ``buffers``,
+        three arrays of x's shape (fresh ones when absent).  Nothing is
+        computed past the current row, and a kmax past the family's members
+        (a table's rows, the sign family's one) fails here, before any row.
         """
         x = np.asarray(x, dtype=float)
-        if self.kind != "tabulated":
-            return _ANALYTIC_KINDS[self.kind][1](kmax, x, buffers)
-        if kmax > self.table.shape[0]:
-            raise ValueError(f"tabulated family has {self.table.shape[0]} members")
-        return (np.interp(x, self.nodes, row) for row in self.table[:kmax])
+        if self.kind == "tabulated":
+            if kmax > self.table.shape[0]:
+                raise ValueError(f"tabulated family has {self.table.shape[0]} members")
+            return (np.interp(x, self.nodes, row) for row in self.table[:kmax])
+        _, members, shift, power = _ANALYTIC_KINDS[self.kind]
+        if members is not None and kmax > members:
+            raise ValueError("the sign family has a single member (k = 1)")
+        return _recurrence_rows(kmax, x, shift, power, buffers)
 
     def evaluate_block(self, kmax: int, x) -> np.ndarray:
         """Factors 1..kmax at points x, stacked: shape (kmax,) + x.shape."""

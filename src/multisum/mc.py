@@ -50,18 +50,20 @@ side of the family (``_spans``), the sums of factors 1..kmax over it, shape
 yields its rows ``g_1, g_2, ...`` one at a time (``FactorFamily.rows``), and
 every row is slice-summed as soon as it exists (``_row_sums``).  By powers,
 Hermite factors make no rows: a side's sum of ``h_k`` is ``(sum_j c_kj S_j)
-/ sqrt(k!)``, from its power sums ``S_j``, ``He_k``'s integer coefficients
-and ``S_0`` its length (``_hermite_sums``); at kmax 1 it is ``S_1``, the
-identity of every analytic family.  An axis sampled cell by cell makes the
-powers ``x**2, ..., x**m``, m = ceil(kmax / 2), and takes ``S_1`` by a slice
-sum and ``S_j`` by a row dot of two powers (``_power_sums``), Hermite under
-any law by powers and every other family by rows (``_side_sums``).  A
-segmented axis, whatever its family, slice-sums its segments' ``sqrt(n) Z``
-and ``Z**2 + C`` over each side's run (``_axis_sums``).  The draws are the
-same and the arithmetic less, but power sums cancel more than rows do:
-against exact sums over 4096 normal draws this errs by about 1.5e-14 per
-root of the side's length at k = 4 and 2.2e-13 at k = 12, where the rows err
-by 3e-16.  Charlier and Laguerre factors keep their rows, since by powers
+/ sqrt(k!)``, from its power sums ``S_j``, ``He_k``'s exact integer
+coefficients from the Hermite row of the factor families' recurrence table
+(``kernels._monic_coefficients``) and ``S_0`` its length (``_hermite_sums``);
+at kmax 1 it is ``S_1``, the sum of row 1, which is x in every analytic
+family.  An axis sampled cell by cell makes the powers ``x**2, ..., x**m``,
+m = ceil(kmax / 2), and takes ``S_1`` by a slice sum and ``S_j`` by a row
+dot of two powers (``_power_sums``), Hermite under any law by powers and
+every other family by rows (``_side_sums``).  A segmented axis, whatever
+its family, slice-sums its segments' ``sqrt(n) Z`` and ``Z**2 + C`` over
+each side's run (``_axis_sums``).  The draws are the same and the
+arithmetic less, but power sums cancel more than rows do: against exact
+sums over 4096 normal draws this errs by about 1.5e-14 per root of the
+side's length at k = 4 and 2.2e-13 at k = 12, where the rows err by 3e-16.
+Charlier and Laguerre factors keep their rows, since by powers
 they cancel more still (Laguerre 3.1e-12 at k = 12 on its exponential law,
 Charlier 1.7e-10 at k = 12 on normal draws).  Every slice sum of a row, be
 it of factors, powers or segment statistics, is a ``_slice_sum``: a run of
@@ -94,13 +96,13 @@ import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
 from .index_sets import IndexSet, _sorted_unique
-from .kernels import (_finite_number, _inverse_factorials, _lp_norm, kernel_to_json,
-                      quadrature_rule)
+from .kernels import (_finite_number, _inverse_factorials, _lp_norm, _monic_coefficients,
+                      kernel_to_json, quadrature_rule)
 
 __all__ = [
     "RngSpec",
@@ -681,18 +683,6 @@ def _box_sums(sums, inverses) -> list:
     return [list(zip(*per_set)) for per_set in zip(*per_axis)]
 
 
-@lru_cache(maxsize=None)
-def _hermite_coefficients(kmax: int) -> tuple:
-    """Per k = 1..kmax, the integer coefficients ``c_k0..c_kk`` of ``He_k = sum_j c_kj x**j``.
-
-    Built by ``He_{k+1} = x He_k - k He_{k-1}`` in Python ints, so exact.
-    """
-    he = [(1,), (0, 1)]
-    for k in range(1, kmax):
-        he.append(tuple(a - k * b for a, b in zip((0,) + he[k], he[k - 1] + (0, 0))))
-    return tuple(he[1:kmax + 1])
-
-
 def _power_sums(x: np.ndarray, kmax: int, spans, out: np.ndarray, buffers=None) -> np.ndarray:
     """Power sums ``out[i, j - 1] = sum_{side i} x**j``, j = 1..kmax, of the cells x.
 
@@ -725,14 +715,15 @@ def _hermite_sums(out: np.ndarray, spans) -> np.ndarray:
     ``out[i, j - 1]`` (``_power_sums``, or a segmented axis' ``_axis_sums``);
     ``S_0`` is the length of side ``spans[i]``.  From k = kmax down, so that
     every ``S_j`` of j < k is still in place, ``out[i, k - 1] = (S_k + c_k,k-2
-    S_k-2 + ...) / sqrt(k!)`` with ``He_k``'s integer coefficients
-    (``_hermite_coefficients``); at kmax 1 nothing changes.  These steps run
-    in a fixed order on the rows of all sides at once, so each float rests on
-    its replication's draws alone, whatever the block.
+    S_k-2 + ...) / sqrt(k!)`` with ``He_k``'s integer coefficients, which
+    ``kernels._monic_coefficients`` builds from the Hermite row of the
+    recurrence table; at kmax 1 nothing changes.  These steps run in a fixed
+    order on the rows of all sides at once, so each float rests on its
+    replication's draws alone, whatever the block.
     """
     lengths = np.array([[hi - lo + 1.0] for lo, hi in spans])
     norm = _inverse_factorials(out.shape[1], True)
-    for k, c in reversed(list(enumerate(_hermite_coefficients(out.shape[1]), 1))):
+    for k, c in reversed(list(enumerate(_monic_coefficients("hermite", out.shape[1]), 1))):
         row = out[:, k - 1]
         for j in range(k - 2, 0, -2):
             row += c[j] * out[:, j - 1]

@@ -143,15 +143,14 @@ def _hermite_table(kmax, x):
 
 
 def _charlier_table(kmax, x):
-    n = x + 1.0
+    # monic Charlier C_k(x + 1), run on x itself: Q_{k+1} = (x - k) Q_k - k Q_{k-1}
     out = np.empty((kmax + 1, x.size))
     out[0] = 1.0
     if kmax >= 1:
-        out[1] = 1.0 - n
+        out[1] = x
     for k in range(1, kmax):
-        out[k + 1] = (k + 1.0 - n) * out[k] - k * out[k - 1]
-    signs = (-1.0) ** np.arange(kmax + 1)
-    return out * (signs * _inverse_factorials(kmax, True))[:, None]
+        out[k + 1] = (x - k) * out[k] - k * out[k - 1]
+    return out * _inverse_factorials(kmax, True)[:, None]
 
 
 def _sign_table(kmax, x):
@@ -377,6 +376,20 @@ ROW_AXES = [
 ]
 ROW_INSTANCES = [(factors, dists, {k: np.array([w]) for k, w in lam.items()}, 1, L, 7, 31)
                  for (factors, dists, lam), L in zip(ROW_AXES, POWER_SETS)]
+# per-cell Charlier rows on draws off the integers: kmax 3 on a normal axis beside Hermite
+# kmax 3; kmax 2 on a normal axis beside kmax 3 on a centred-exponential one.  The normal
+# axes' floats rest on the recurrence running on x itself; a centred-exponential draw
+# x = t - 1 has x + 1 = t exactly, so there x and x + 1 give the same floats
+CHARLIER_AXES = [
+    ([FactorFamily("poisson_charlier"), FactorFamily("hermite")],
+     [AxisDistribution("standard_normal")] * 2,
+     {(1, 1): 1.0, (3, 3): -0.6, (2, 1): 0.4}),
+    ([FactorFamily("poisson_charlier")] * 2,
+     [AxisDistribution("standard_normal"), AxisDistribution("centered_exponential")],
+     {(1, 1): 0.8, (2, 2): -0.5, (1, 3): 0.3}),
+]
+CHARLIER_INSTANCES = [(factors, dists, {k: np.array([w]) for k, w in lam.items()}, 1, L, 7, 31)
+                      for (factors, dists, lam), L in zip(CHARLIER_AXES, POWER_SETS)]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -387,6 +400,8 @@ ROW_INSTANCES = [(factors, dists, {k: np.array([w]) for k, w in lam.items()}, 1,
 @example(ROW_INSTANCES[0])
 @example(ROW_INSTANCES[1])
 @example(ROW_INSTANCES[2])
+@example(CHARLIER_INSTANCES[0])
+@example(CHARLIER_INSTANCES[1])
 def test_streamed_sums_equal_the_table_path(instance):
     factors, dists, lam, nv, L, N, seed = instance
     for axis, (fam, dist, kmax) in enumerate(zip(factors, dists, mc._kmax(lam, L.d))):
@@ -467,6 +482,14 @@ THREE_AXIS_FAMILY = (DegenerateKernel(3, {(1, 1, 1): 1.0, (2, 1, 2): -0.5, (1, 3
                      [explicit_set(sorted({cell for lo, hi in boxes for cell in itertools.product(
                          *(range(a, b + 1) for a, b in zip(lo, hi)))}))
                       for boxes in (_BOXES_3D[:2], _BOXES_3D[1:])], 9, 17)
+# per-cell Charlier axes off the integers, each kernel on the family of the three example
+# sets; and Charlier kmax 2 on a normal axis beside a segmented Hermite k <= 2 one
+CHARLIER_FAMILIES = [(DegenerateKernel(2, lam, factors), dists, _EXAMPLE_SETS, 9, 17)
+                     for factors, dists, lam in CHARLIER_AXES]
+SEGMENTED_CHARLIER_FAMILY = (
+    DegenerateKernel(2, {(1, 1): 1.0, (2, 1): 0.5, (1, 2): -0.7},
+                     [FactorFamily("hermite"), FactorFamily("poisson_charlier")]),
+    [AxisDistribution("standard_normal")] * 2, _EXAMPLE_SETS, 9, 17)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -481,6 +504,8 @@ THREE_AXIS_FAMILY = (DegenerateKernel(3, {(1, 1, 1): 1.0, (2, 1, 2): -0.5, (1, 3
 @example(RUN_FAMILIES[1])
 @example(RUN_FAMILIES[2])
 @example(THREE_AXIS_FAMILY)
+@example(CHARLIER_FAMILIES[0])
+@example(CHARLIER_FAMILIES[1])
 def test_family_sums_are_cell_sums_of_the_shared_draws(family):
     kernel, dists, sets, N, seed = family
     rng = RngSpec(seed).child(0)
@@ -643,6 +668,9 @@ def drawn_cores(kernel, sets, dists, N, rng):
 @example(PER_CELL_FAMILY)
 @example(RUN_FAMILIES[0])
 @example(RUN_FAMILIES[1])
+@example(CHARLIER_FAMILIES[0])
+@example(CHARLIER_FAMILIES[1])
+@example(SEGMENTED_CHARLIER_FAMILY)
 def test_segment_side_sums_are_sums_of_the_scaled_page_draws(family):
     # at 3 workers the second and third chunks start their reads of normals and of
     # chi-squares inside a page

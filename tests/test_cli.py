@@ -568,6 +568,25 @@ def test_verify_cube_family_and_equal_list_agree(tmp_path):
     assert json.loads(results[0][1])["verdict"] == "hypotheses not met"
 
 
+def test_verify_nclt_on_cubes_past_int64(tmp_path):
+    # 4-cubes of sides 2**15 and 2**16 have 2**60 and 2**64 cells; the inscribed-box search
+    # wrapped at 2**63 and the report raised, so this config exited 2.  The identity kernel
+    # on normal axes draws one normal per segment, so the sizes cost nothing to sample
+    cfg = json.loads((CONFIG_DIR / "gauss_rank1.json").read_text())
+    cfg.update(N=200, distributions=["standard_normal"] * 4,
+               index_sets={"family": "boxes", "sizes": [2 ** 15, 2 ** 16]})
+    cfg["kernel"].update(d=4, factors=[{"kind": "hermite", "params": {}}] * 4,
+                         **{"lambda": [{"k": [1, 1, 1, 1], "w": 1.0}]})
+    cfg["verify"]["limit_n"] = 500
+    path = tmp_path / "cubes.json"
+    path.write_text(json.dumps(cfg))
+    code, out = run_cmd(tmp_path, "verify", path)
+    assert code != 2
+    stages = _verdict_json(out)["stages"]
+    assert [s["L_size"] for s in stages] == [2 ** 60, 2 ** 64]
+    assert all(s["kappa_minus"] == s["kappa_plus"] == 0.0 for s in stages)
+
+
 def test_verify_lshape_hypotheses_not_met(tmp_path):
     code, out = run_cmd(tmp_path, "verify", CONFIG_DIR / "lshape_fixed_fraction.json")
     assert code == 3

@@ -248,6 +248,27 @@ def test_kappas_nonnegative_and_zero_iff_rect():
         stair.size - pair.l_minus.size, rel=1e-12)
 
 
+@pytest.mark.parametrize("sides", [[2 ** 16] * 4, [2 ** 32] * 2])
+def test_rect_pair_of_a_box_past_int64(sides):
+    # the box weighs 2**64 cells: an int64 product of its widths wrapped to 0, so no box
+    # was found and kappa_minus read 2**32
+    L = make_rect(sides)
+    pair = rect_pair(L)
+    assert pair.l_minus == pair.l_plus == Rect((1,) * len(sides), tuple(sides))
+    assert pair.kappa_minus == pair.kappa_plus == 0.0
+
+
+def test_rect_pair_of_an_lshape_past_int64():
+    # side n = 2**32 misses an n/2 corner: the inscribed box is n x n/2 and both
+    # deficiencies are n**2/4 cells, so each kappa is n / (2 sqrt 3).  The wrapped weights
+    # picked the corner box, kappa_minus 2.48e9
+    n = 2 ** 32
+    pair = rect_pair(lshape_family([n])[0])
+    assert pair.l_minus == Rect((1, 1), (n // 2, n))
+    assert pair.kappa_minus == pytest.approx(n / (2 * math.sqrt(3)), rel=1e-12)
+    assert pair.kappa_plus == pytest.approx(n / (2 * math.sqrt(3)), rel=1e-12)
+
+
 @SETTINGS
 @given(planar_cells())
 def test_inscribed_matches_grid_scan_corners(cells):

@@ -32,6 +32,12 @@ SIM_BOX_BLOCK = "6e4b42651e2bda2be41e62daf756b6bb8eefc99a222a1033fd0c1c03873bbf2
 # sha256 of the three L-shapes' 16 384 sums below, set after set; NumPy's own slice sum of
 # each side's run of segments gives the same bytes
 NCLT_LSHAPE_BLOCK = "96f9f5dfa1c6b53c07ae8c6b0445a4a05a58890273efb228d421971f9d24c10f"
+# sha256 of every analytic kind's rows at its base rule's nodes, kind after kind, and of one
+# 256-replication block of Charlier rows on compensated-Poisson page draws.  Zeros are
+# hashed as +0.0: where a row vanishes, the Charlier recurrence run on n = x + 1 with a sign
+# per row left -0.0, and every other float agrees bit for bit with the recurrence on x
+RULE_ROWS = "4d81ab3a69955c26a05adee91fb6da550a3e8386c6077088b225f7dc116886ce"
+CHARLIER_BLOCK = "22d5001fb4ee19359f5cf3b4cee44dc4c1d4512dcbe0b96d3eacc20665114a2f"
 
 
 def test_ks_distance_20k_vs_50k(benchmark):
@@ -118,6 +124,21 @@ def test_sum_field_nclt_lshape_block(benchmark):
     vals = benchmark.pedantic(mc._sum_field, args=args, rounds=5)
     assert len(vals) == len(sets)
     assert hashlib.sha256(np.concatenate(vals).tobytes()).hexdigest() == NCLT_LSHAPE_BLOCK
+
+
+def test_rows_at_the_rule_nodes():
+    kmax = {"hermite": 12, "rademacher_sign": 1, "poisson_charlier": 12, "exponential_poly": 12}
+    rows = [FactorFamily(kind).evaluate_block(m, FactorFamily(kind).rule[0]) + 0.0
+            for kind, m in kmax.items()]
+    assert hashlib.sha256(b"".join(r.tobytes() for r in rows)).hexdigest() == RULE_ROWS
+
+
+def test_charlier_rows_block(benchmark):
+    # the sim-box block's shape, 256 replications of 256 cells, on Poisson axes at kmax 4
+    x = AxisDistribution("compensated_poisson").reader(RngSpec(1), 0, 256)(0, 256)
+    rows = benchmark.pedantic(FactorFamily("poisson_charlier").evaluate_block, args=(4, x),
+                              rounds=5)
+    assert hashlib.sha256((rows + 0.0).tobytes()).hexdigest() == CHARLIER_BLOCK
 
 
 def test_moment_bounds_kernel(benchmark):
